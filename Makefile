@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test smoke bench bench-compare bench-update drill scenarios profile rss-guard lint lint-baseline
+.PHONY: test smoke bench bench-e2e bench-compare bench-update drill scenarios profile rss-guard lint lint-baseline
 
 test:  ## full tier-1 suite (what the roadmap's verify line runs)
 	$(PY) -m pytest -x -q
@@ -21,7 +21,10 @@ scenarios:  ## chaos-scenario catalog only (see `repro-netclone scenarios` for t
 bench:  ## pytest-benchmark harnesses at reduced scale (REPRO_BENCH_SCALE=0.25)
 	$(PY) -m pytest benchmarks -q -o python_files="bench_*.py" -o python_functions="bench_*"
 
-bench-compare:  ## re-measure BENCH_*.json workloads; fail on a >30% regression; print delta vs BENCH_history.jsonl
+bench-e2e:  ## the end-to-end packet-path benchmark's own tests (benchmarks/e2e, under a minute)
+	$(PY) -m pytest benchmarks/e2e -q
+
+bench-compare:  ## re-measure the BENCH_core/BENCH_metrics micro-benchmarks; fail on a >30% regression; print delta vs BENCH_history.jsonl
 	$(PY) tools/bench_baseline.py
 
 bench-update:  ## rewrite the checked-in BENCH_*.json baselines (+ append to BENCH_history.jsonl)

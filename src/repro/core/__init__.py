@@ -10,7 +10,9 @@
 * :mod:`racksched` — RackSched (JSQ / power-of-two) and the
   NetClone+RackSched integration (§3.7).
 * :mod:`client` / :mod:`server` — NetClone-aware end hosts.
-* :mod:`multirack` — switch-ID gating for multi-rack deployments.
+* Multi-rack deployment (§3.7): the switch-ID gate lives in
+  :meth:`NetCloneProgram.matches`, the rack wiring in the fabrics of
+  :mod:`repro.net.topology`.
 """
 
 from repro.core.constants import (

@@ -20,10 +20,6 @@ class SchedulingError(SimulationError):
     """An event was scheduled in the past or with an invalid delay."""
 
 
-class ProcessError(SimulationError):
-    """A simulation process was used incorrectly (e.g. bad yield)."""
-
-
 class NetworkError(ReproError):
     """Base class for errors raised by the network substrate."""
 

@@ -73,7 +73,6 @@ def collect(
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
-    fluid: Optional[float] = None,
     workload: Optional[str] = None,
     metrics: str = "exact",
 ) -> Dict[Tuple[str, str], List[Cell]]:
@@ -86,21 +85,8 @@ def collect(
     The whole grid is one executor batch, so ``jobs > 1`` keeps every
     worker busy across all three axes.
 
-    *fluid* opts cells into the analytic fast path of
-    :mod:`repro.sim.fluid` (replacing the retired ``coarse_tail``
-    window-halving): a cell whose predicted hot-trunk utilisation is at
-    least *fluid* — and whose configuration the model covers — is
-    evaluated deterministically instead of packet-by-packet.  ``0.0``
-    sends every eligible cell fluid (the benchmark setting); ``1.0``
-    keeps only genuinely saturated cells, where the fluid limit is most
-    faithful, out of packet mode.  ``None`` (the default) never touches
-    the packet path, bit for bit — full reproductions should keep it.
-    Fluid points carry a ``"fluid": 1.0`` marker in ``extra`` and obey
-    the accuracy contract documented in :mod:`repro.sim.fluid`.
-
     *workload* (a registered name, e.g. ``"mmpp:burst=8"``) replaces
-    the default Exp(25) spec — non-Poisson arrivals are simply never
-    fluid-eligible, so such cells always take the packet path.
+    the default Exp(25) spec.
     *metrics* selects the latency backend (``"exact"`` | ``"sketch"``).
     """
     from repro.errors import ExperimentError
@@ -111,9 +97,7 @@ def collect(
             f"fig18 measures spine trunks; topology {name!r} has none "
             "(use spine_leaf, optionally with inline params)"
         )
-    # This sweep never fails a spine, so it opts in to express trunk
-    # forwarding (plain spines precomputed at egress-booking time).
-    base_params = {"racks": 2, "spines": 4, "express_spines": True}
+    base_params = {"racks": 2, "spines": 4}
     base_params.update(params)
     policies = _policies(base_params.pop("spine_policy", None))
     # A pinned trunk bandwidth collapses the swept axis to that single
@@ -162,28 +146,7 @@ def collect(
         for policy in policies
         for gbps in bandwidths
     ]
-    # Fluid-eligible cells are solved inline (they cost milliseconds);
-    # the rest go through the executor as one batch.  Grid order — and
-    # with it jobs=1 vs jobs=N determinism — is preserved either way.
-    points: List[Optional[LoadPoint]] = [None] * len(grid)
-    packet_indices: List[int] = []
-    if fluid is not None:
-        from repro.sim.fluid import plan as fluid_plan
-
-        for index, (_key, cfg) in enumerate(grid):
-            cell_plan = fluid_plan(cfg)
-            if cell_plan.eligible and cell_plan.hot_trunk_utilisation >= fluid:
-                points[index] = cell_plan.point()
-            else:
-                packet_indices.append(index)
-    else:
-        packet_indices = list(range(len(grid)))
-    if packet_indices:
-        packet_points = resolve_executor(None, jobs).run_points(
-            [grid[index][1] for index in packet_indices]
-        )
-        for index, point in zip(packet_indices, packet_points):
-            points[index] = point
+    points = resolve_executor(None, jobs).run_points([cfg for _, cfg in grid])
     results: Dict[Tuple[str, str], List[Cell]] = {}
     for ((scheme, policy, gbps), _), point in zip(grid, points):
         results.setdefault((scheme, policy), []).append((gbps, point))

@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 #: Sentinel for :func:`gate_harness_axes`: the caller did not ask for
-#: this axis (``None`` can be a real value, e.g. ``fluid=None`` selects
-#: the per-packet path).
+#: this axis (``None`` can be a real value, e.g. ``workload=None`` keeps
+#: the harness's default workload spec).
 UNREQUESTED = object()
 
 
@@ -43,16 +43,15 @@ def gate_harness_axes(
 ) -> Dict[str, Any]:
     """Optional-axis kwargs for *harness*, gated on its signature.
 
-    Newer axes (``workload``, ``metrics``, ``fluid``, ...) are opt-in
+    Newer axes (``workload``, ``metrics``, ...) are opt-in
     per harness.  For each axis in *requested*: if the harness's
     signature declares it, the requested value is passed through
     (:data:`UNREQUESTED` falls back to *defaults*, or omits the axis);
     if the signature does **not** declare it and the caller actually
     asked, this raises :class:`ExperimentError` naming what the harness
     does accept — an unaware harness must error, never silently ignore
-    a flag.  The CLI and the standalone tools
-    (``tools/profile_hotpath.py``, ``tools/rss_guard.py``) all route
-    their harness calls through here.
+    a flag.  The CLI and ``tools/rss_guard.py`` route their harness
+    calls through here.
     """
     accepted = inspect.signature(harness).parameters
     kwargs: Dict[str, Any] = {}

@@ -274,7 +274,7 @@ def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
     _check_params(
         params,
         ("racks", "spines", "trunk_propagation_ns", "trunk_bandwidth_bps",
-         "spine_policy", "flowlet_gap_ns", "express_spines"),
+         "spine_policy", "flowlet_gap_ns"),
         "spine_leaf",
     )
     policy = str(params.get("spine_policy", "ecmp"))
@@ -294,7 +294,6 @@ def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
         trunk_bandwidth_bps=_param(params, "trunk_bandwidth_bps", 400e9, float),
         spine_policy=policy,
         flowlet_gap_ns=_param(params, "flowlet_gap_ns", 100_000, _strict_int),
-        express_spines=bool(params.get("express_spines", False)),
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "LinkLoad",
     "TrunkByteMonitor",
     "collect_link_loads",
-    "fluid_trunk_summary",
     "format_link_loads",
     "trunk_summary",
 ]
@@ -146,24 +145,3 @@ def trunk_summary(trunks: Sequence[Link], window_ns: int) -> Dict[str, float]:
         "trunk_drops": float(sum(l.drop_count for l in loads)),
     }
 
-
-def fluid_trunk_summary(
-    utilisations: Sequence[float], tx_bytes: float, drops: float = 0.0
-) -> Dict[str, float]:
-    """:func:`trunk_summary`-shaped extras from an analytic trunk model.
-
-    *utilisations* holds each trunk's busiest-direction offered share
-    (the :attr:`LinkLoad.utilization` convention, so values above 1.0
-    mean oversubscription), *tx_bytes* the expected byte total across
-    all trunks and directions.  Keeping the reduction here, next to the
-    packet-mode one, pins the two code paths to the same keys — the
-    fluid fast path (:mod:`repro.sim.fluid`) must stay drop-in
-    field-compatible with packet-mode load points.
-    """
-    utils = [float(u) for u in utilisations]
-    return {
-        "trunk_util_max": max(utils, default=0.0),
-        "trunk_util_mean": sum(utils) / len(utils) if utils else 0.0,
-        "trunk_tx_bytes": float(tx_bytes),
-        "trunk_drops": float(drops),
-    }

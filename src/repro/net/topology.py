@@ -522,7 +522,6 @@ class SpineLeafFabric(Fabric):
         trunk_bandwidth_bps: float = 400e9,
         spine_policy: str = "ecmp",
         flowlet_gap_ns: int = 100_000,
-        express_spines: bool = False,
     ):
         super().__init__(sim)
         if racks < 1:
@@ -573,16 +572,6 @@ class SpineLeafFabric(Fabric):
             spine_policy, self, flowlet_gap_ns=flowlet_gap_ns
         )
         self._selectors = [self._make_selector(t) for t in range(racks)]
-        # Express forwarding is an experiment-level promise that no
-        # spine fails mid-run; it is sound only with two racks, where
-        # each spine egress direction has a single upstream trunk (so
-        # booking order equals pass-time order — see
-        # ``ProgrammableSwitch._egress``).  ``fail()`` still clears the
-        # flag should a drill break the promise.
-        if express_spines and racks == 2:
-            for spine in self.spines:
-                if spine.program is None:
-                    spine._express_ok = True
 
     def rack_of(self, role: str, index: int) -> int:
         if role == "coordinator":

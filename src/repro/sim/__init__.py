@@ -1,46 +1,32 @@
 """Discrete-event simulation substrate.
 
 This package is a from-scratch, dependency-free discrete-event engine
-with an integer nanosecond clock.  It provides two programming models:
+with an integer nanosecond clock and one programming model: callbacks
+scheduled on the :class:`Simulator` (:meth:`Simulator.call_at` /
+:meth:`Simulator.call_after` on the hot paths, the cancellable
+:meth:`Simulator.at` / :meth:`Simulator.schedule` where a handle is
+needed).
 
-* a fast callback API (:meth:`Simulator.schedule` /
-  :meth:`Simulator.at`) used by the packet-level hot paths, and
-* a generator-based process API (:class:`Process`, :class:`Timeout`)
-  similar in spirit to SimPy, used where sequential control flow reads
-  better (e.g. worker threads).
-
-Helper submodules provide seeded random-number streams (:mod:`rng`),
-queueing resources (:mod:`resources`) and measurement probes
-(:mod:`monitor`).
+Helper submodules provide seeded random-number streams (:mod:`rng`)
+and measurement probes (:mod:`monitor`).
 """
 
 from repro.sim.core import EventHandle, Simulator
 from repro.sim.monitor import Counter, IntervalMonitor, TimeSeries
-from repro.sim.processes import AllOf, AnyOf, Interrupt, Process, ProcessEvent, Timeout
-from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RngRegistry, splitmix64
 from repro.sim.units import MICROS, MILLIS, NANOS, SECONDS, ms, ns, sec, us
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Counter",
     "EventHandle",
-    "Interrupt",
     "IntervalMonitor",
     "MICROS",
     "MILLIS",
     "NANOS",
-    "Process",
-    "ProcessEvent",
-    "Resource",
     "RngRegistry",
     "SECONDS",
     "Simulator",
-    "Store",
     "TimeSeries",
-    "Timeout",
     "ms",
     "ns",
     "sec",

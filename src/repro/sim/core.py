@@ -32,8 +32,7 @@ Two scheduling APIs share the lanes:
 
 Both APIs consume one ``seq`` per event, so converting a call site from
 ``at`` to ``call_at`` leaves the execution order of every event
-bit-identical.  Higher-level conveniences (generator processes,
-resources) are layered on top in sibling modules.
+bit-identical.
 """
 
 from __future__ import annotations

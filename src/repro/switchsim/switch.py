@@ -106,12 +106,6 @@ class ProgrammableSwitch:
         # ``Counter.reset`` clears in place, so the alias stays valid.
         self._counts = self.counters._counts
         self.down = False
-        #: Opt-in express forwarding: set by fabrics whose failure-free
-        #: drills allow the upstream switch to precompute this switch's
-        #: pass at booking time (see :meth:`_egress`'s express block).
-        #: Never set on switches that can fail mid-run — express books
-        #: packets past the switch before a power-off could catch them.
-        self._express_ok = False
         # Failure generation: a recovery scheduled before a later
         # fail() must not power the switch back on (flap drills).
         self._power_epoch = 0
@@ -343,62 +337,6 @@ class ProgrammableSwitch:
         if mode == 2:
             entry(packet, when)
             return
-        if mode == 1:
-            dest = link.b if from_a else link.a
-            # Express trunk hop: an ``_express_ok`` switch (a plain
-            # two-port spine in a fabric that declared itself static)
-            # forwards deterministically, and each of its egress
-            # directions has a single upstream trunk whose
-            # serialisation order equals this booking order — so its
-            # pass (at ``when``) can be computed here, one event per
-            # trunk hop saved.  Falls back to the evented pass when the
-            # route is dynamic or missing, the next link can drop, or
-            # the packet would hairpin (a hairpin direction has two
-            # upstreams, breaking the monotone-booking argument).
-            if dest._express_ok:
-                info = dest._link_for_ip.get(packet.dst)
-                if info is not None:
-                    link2, from_a2 = info
-                    if (
-                        link2 is not link
-                        and not link2.down
-                        and link2.loss_probability == 0.0
-                    ):
-                        packet.ingress_port = link._port_b if from_a else link._port_a
-                        packet.recirculated = False
-                        dcounts = dest._counts
-                        dcounts["rx"] += 1
-                        dcounts["tx"] += 1
-                        ser2 = link2._ser_ns.get(size)
-                        if ser2 is None:
-                            ser2 = link2.serialization_ns(size)
-                        if from_a2:
-                            start2 = link2._free_at_a
-                            if start2 < when:
-                                start2 = when
-                            done2 = start2 + ser2
-                            link2._free_at_a = done2
-                            link2._tx_bytes_a += size
-                            mode2 = link2._mode_b
-                            entry2 = link2._entry_b
-                            when2 = done2 + link2._sched_off_b
-                        else:
-                            start2 = link2._free_at_b
-                            if start2 < when:
-                                start2 = when
-                            done2 = start2 + ser2
-                            link2._free_at_b = done2
-                            link2._tx_bytes_b += size
-                            mode2 = link2._mode_a
-                            entry2 = link2._entry_a
-                            when2 = done2 + link2._sched_off_a
-                        link2.tx_count += 1
-                        if mode2 == 2:
-                            entry2(packet, when2)
-                            return
-                        when = when2
-                        entry = entry2
-                        link = link2
         # Simulator.call_at push inlined (keep in sync with sim/core.py):
         # ``when`` can never precede ``now`` and the unique increasing
         # seq makes the time-only tail compare equivalent.
@@ -417,9 +355,6 @@ class ProgrammableSwitch:
         """Power the switch off: all traffic is dropped."""
         self.down = True
         self._power_epoch += 1
-        # Defence in depth: a failed switch must never be expressed
-        # past again — the drop window is the point of the drill.
-        self._express_ok = False
         self.counters.incr("failures")
 
     def recover(self, reinit_delay_ns: int = 0) -> None:

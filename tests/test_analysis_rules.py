@@ -351,13 +351,13 @@ def test_gate_errors_on_unaware_harness():
 
 
 def test_gate_none_is_a_real_value():
-    # fluid=None selects the per-packet path — it must be passed, not
-    # treated as "unrequested".
-    def collect(scale, fluid=0.0):
-        return fluid
+    # workload=None selects the harness's default spec — it must be
+    # passed, not treated as "unrequested".
+    def collect(scale, workload="mmpp"):
+        return workload
 
-    kwargs = gate_harness_axes(collect, "fig18", requested={"fluid": None})
-    assert kwargs == {"fluid": None}
+    kwargs = gate_harness_axes(collect, "fig18", requested={"workload": None})
+    assert kwargs == {"workload": None}
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,34 @@ def test_fig18_one_rack_bit_identical_to_seed():
         assert point.extra[key] == value, key
 
 
+#: fig18's own 2-rack, 4-spine ECMP grid at scale 0.05, seed 1:
+#: (scheme, trunk Gb/s) → (throughput, p50, p99, trunk_util_max,
+#: trunk_tx_bytes), at one saturated and one headroom trunk rate.
+FIG18_2RACK_GOLDEN = {
+    ("baseline", 0.5): (2245600.0, 162.86, 2007.223, 1.2832182857142858, 4235392.0),
+    ("baseline", 1.0): (2526400.0, 32.903, 161.919, 0.6417554285714285, 4483328.0),
+    ("netclone", 0.5): (2220000.0, 56.631, 2976.067, 1.4886034285714285, 5414600.0),
+    ("netclone", 1.0): (2536800.0, 36.316, 158.507, 0.7593691428571429, 5863964.0),
+}
+
+
+def test_fig18_two_rack_spine_trunks_pinned():
+    from repro.experiments import fig18_trunk_saturation
+
+    results = fig18_trunk_saturation.collect(
+        scale=0.05, seed=1, topology="spine_leaf:spine_policy=ecmp"
+    )
+    got = {
+        (scheme, gbps): (
+            point.throughput_rps, point.p50_us, point.p99_us,
+            point.extra["trunk_util_max"], point.extra["trunk_tx_bytes"],
+        )
+        for (scheme, _policy), cells in results.items()
+        for gbps, point in cells
+    }
+    assert got == FIG18_2RACK_GOLDEN
+
+
 # ----------------------------------------------------------------------
 # Packet-pool uid streams are a per-cluster deterministic sequence
 # ----------------------------------------------------------------------

@@ -16,10 +16,10 @@ from repro.core import (
     RpcServer,
     VIRTUAL_SERVICE_IP,
 )
-from repro.core.multirack import TwoRackTopology
 from repro.errors import ExperimentError
 from repro.metrics.latency import LatencyRecorder
 from repro.net import Host, Link, Packet
+from repro.net.topology import TwoRackFabric
 from repro.sim import Simulator
 from repro.sim.units import ms, us
 from repro.switchsim import ProgrammableSwitch
@@ -31,9 +31,9 @@ from repro.workloads import ExponentialDistribution, JitterModel, SyntheticWorkl
 # ----------------------------------------------------------------------
 def build_two_rack(num_servers=2):
     sim = Simulator()
-    client_tor = ProgrammableSwitch(sim, name="tor-a")
-    server_tor = ProgrammableSwitch(sim, name="tor-b")
-    fabric = TwoRackTopology(sim, client_tor, server_tor)
+    # Clients in rack 0, servers in rack 1: every request crosses the trunk.
+    fabric = TwoRackFabric(sim, lambda name: ProgrammableSwitch(sim, name=name))
+    client_tor, server_tor = fabric.tors
     rng = random.Random(5)
     jitter = JitterModel(0.0, 15.0)
     servers = []
@@ -41,14 +41,14 @@ def build_two_rack(num_servers=2):
         server = RpcServer(
             sim,
             name=f"srv{index}",
-            ip=fabric.server_star.allocate_ip(),
+            ip=fabric.allocate_ip("server", index),
             server_id=index,
             service=SyntheticService(),
             jitter=jitter,
             rng=random.Random(index),
             num_workers=4,
         )
-        fabric.add_server(server)
+        fabric.attach(server, "server", index)
         servers.append(server)
     # NetClone logic runs in BOTH ToRs; switch IDs gate who acts.
     program_a = NetCloneProgram([s.ip for s in servers], switch_id=1)
@@ -60,7 +60,7 @@ def build_two_rack(num_servers=2):
     client = NetCloneClient(
         sim=sim,
         name="client",
-        ip=fabric.client_star.allocate_ip(),
+        ip=fabric.allocate_ip("client", 0),
         client_id=0,
         workload=SyntheticWorkload(ExponentialDistribution(10.0), rng),
         rate_rps=20_000.0,
@@ -69,7 +69,7 @@ def build_two_rack(num_servers=2):
         stop_at_ns=ms(5),
         num_groups=program_a.num_groups,
     )
-    fabric.add_client(client)
+    fabric.attach(client, "client", 0)
     return sim, fabric, client, servers, program_a, program_b, recorder
 
 
@@ -93,15 +93,15 @@ def test_two_rack_only_client_tor_applies_netclone():
     # excluded stamped packets.
     assert program_a.seq.peek(0) > 0
     assert program_b.seq.peek(0) == 0
-    assert fabric.server_switch.counters.get("nc_cloned") == 0
+    assert fabric.tors[1].counters.get("nc_cloned") == 0
 
 
 def test_two_rack_cloning_works_across_trunk():
     sim, fabric, client, servers, program_a, program_b, recorder = build_two_rack()
     client.start()
     sim.run(until=ms(20))
-    assert fabric.client_switch.counters.get("nc_cloned") > 0
-    assert fabric.client_switch.counters.get("nc_filtered") > 0
+    assert fabric.tors[0].counters.get("nc_cloned") > 0
+    assert fabric.tors[0].counters.get("nc_filtered") > 0
 
 
 # ----------------------------------------------------------------------

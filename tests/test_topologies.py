@@ -349,79 +349,3 @@ def test_cli_list_mentions_topologies_and_fig17(capsys):
 def test_cli_rejects_unknown_topology():
     with pytest.raises(ExperimentError, match="unknown topology"):
         main(["fig17", "--topology", "moebius-strip"])
-
-
-# ----------------------------------------------------------------------
-# No bespoke wiring left: the compat shim delegates to the fabric
-# ----------------------------------------------------------------------
-def test_two_rack_topology_shim_is_fabric_backed():
-    from repro.core.multirack import TwoRackTopology
-
-    sim = Simulator()
-    a = ProgrammableSwitch(sim, name="tor-a")
-    b = ProgrammableSwitch(sim, name="tor-b")
-    fabric = TwoRackTopology(sim, a, b)
-    assert isinstance(fabric, TwoRackFabric)
-    assert fabric.client_switch is a and fabric.server_switch is b
-    server = Host(sim, "s1", fabric.server_star.allocate_ip())
-    port = fabric.add_server(server)
-    assert fabric.server_star.port_of["s1"] == port
-    assert a.routes[server.ip] == fabric.uplink_port_a
-
-
-# ----------------------------------------------------------------------
-# Express trunk forwarding across a spine fail/restore cycle
-# ----------------------------------------------------------------------
-class _Sink(Host):
-    """A host that records everything delivered to it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.received = []
-
-    def handle(self, packet):
-        self.received.append(packet)
-
-
-def test_express_path_declines_reenable_after_fail_restore():
-    """``fail()`` clears the precomputed trunk hop; ``restore_spine``
-    must *not* re-arm it (the express promise is "never fails
-    mid-run", broken once it did) — and routing must stay correct
-    through the whole cycle on the evented path."""
-    sim = Simulator()
-    fabric = SpineLeafFabric(
-        sim, make_switch_factory(sim), racks=2, spines=2, express_spines=True
-    )
-    # The opt-in armed every (plain, programless) spine.
-    assert all(spine._express_ok for spine in fabric.spines)
-
-    server = _Sink(sim, "srv", fabric.allocate_ip("server", 0))
-    fabric.attach(server, "server", 0)  # rack 0
-    client = _Sink(sim, "cli", fabric.allocate_ip("client", 1))
-    fabric.attach(client, "client", 1)  # rack 1 — crosses the trunks
-
-    chosen = server.ip % 2  # ECMP pins the destination to this spine
-
-    def cross(expect_total):
-        client.send(Packet(src=client.ip, dst=server.ip, sport=1, dport=1, size=64))
-        sim.run()
-        assert len(server.received) == expect_total
-        assert server.received[-1].dst == server.ip
-
-    cross(1)  # express hop live
-
-    fabric.withdraw_spine(chosen, fail=True)
-    assert not fabric.spines[chosen]._express_ok
-    cross(2)  # rerouted around the failed spine, still delivered
-
-    fabric.restore_spine(chosen)
-    assert fabric.spine_is_active(chosen)
-    # Restoration declines to re-arm express: once a spine has failed
-    # mid-run the booking-order promise is gone for good.
-    assert not fabric.spines[chosen]._express_ok
-    # The sibling never failed and keeps its express lane.
-    assert fabric.spines[1 - chosen]._express_ok
-    cross(3)  # back through the restored spine on the evented path
-
-    # ECMP steers via the restored spine again (active set is full).
-    assert fabric.active_spines() == [0, 1]

@@ -8,17 +8,18 @@ Two baselines are kept checked in at the repo root:
   the cancel-churn variant (every fourth event a cancellable that gets
   cancelled) exercising lazy deletion and compaction under the fast
   lane's feet.
-* ``BENCH_fig18.json`` — end-to-end harness throughput: the fig18
-  trunk-saturation grid at benchmark scale with ``fluid=0.0`` (every
-  model-eligible cell solved analytically, see :mod:`repro.sim.fluid`),
-  in measured points/sec.
 * ``BENCH_metrics.json`` — the metrics-collection pipeline of the
   streaming metrics plane: per-worker result payloads serialized,
   merged and reduced to p50/p99/p99.9, once from exact sample arrays
   and once from mergeable latency sketches, plus the sketch ingest
-  rate (mirrors ``benchmarks/bench_metrics.py``).  Records the
-  sketch-over-exact wall-time speedup and payload shrink factors the
-  streaming plane claims (≥5× / ≥10× at 10M samples).
+  rate.  Records the sketch-over-exact wall-time speedup and payload
+  shrink factors the streaming plane claims (≥5× / ≥10× at 10M
+  samples).
+
+Both time the workload bodies of ``benchmarks/microbench.py``, the
+same code the pytest-benchmark harnesses and ``tools/profile_hotpath.py``
+run.  End-to-end packet-path numbers come from ``benchmarks/e2e``
+(see its README), not from here.
 
 Every ``--update`` also appends one timestamped record per bench to
 ``BENCH_history.jsonl`` (bench, commit, wall_s_p50, throughput), and
@@ -56,48 +57,30 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "benchmarks"))
 
-from repro.sim.core import Simulator  # noqa: E402  (path bootstrap above)
+import microbench  # noqa: E402  (path bootstrap above)
 
 #: Relative throughput drop that fails compare mode.
 TOLERANCE = 0.30
-
-#: Fast-lane events per schedule/run cycle at scale 1.0.
-CORE_EVENTS = 4_000_000
 
 #: Append-only bench trajectory (one JSON record per line).
 HISTORY = "BENCH_history.jsonl"
 
 
-def _measure_core(scale: float, rounds: int) -> dict:
-    n = max(4, int(CORE_EVENTS * scale))
+def _measure_core(scale: float, seed: int, rounds: int) -> dict:
+    n = microbench.core_events(scale)
+    churn_executed = microbench.churn_executed(n)
     walls = []
     churn_walls = []
-    churn_executed = n - (n + 3) // 4
     for _ in range(rounds):
-        sim = Simulator()
-        call_at = sim.call_at
-        noop = int
         start = time.perf_counter()
-        for t in range(n):
-            call_at(t, noop)
-        executed = sim.run()
+        executed = microbench.schedule_run(n)
         walls.append(time.perf_counter() - start)
         assert executed == n
 
-        # Churn variant: every fourth event goes through the
-        # cancellable slow lane and is cancelled before it fires
-        # (mirrors benchmarks/bench_core.py::_schedule_run_churn).
-        sim = Simulator()
-        call_at = sim.call_at
-        at = sim.at
         start = time.perf_counter()
-        for t in range(n):
-            if t & 3:
-                call_at(t, noop)
-            else:
-                at(t, noop).cancel()
-        executed = sim.run()
+        executed = microbench.schedule_run_churn(n)
         churn_walls.append(time.perf_counter() - start)
         assert executed == churn_executed
     wall = statistics.median(walls)
@@ -114,109 +97,31 @@ def _measure_core(scale: float, rounds: int) -> dict:
     }
 
 
-def _measure_fig18(scale: float, seed: int, rounds: int) -> dict:
-    from repro.experiments import fig18_trunk_saturation
-
-    walls = []
-    points = 0
-    for _ in range(rounds):
-        start = time.perf_counter()
-        results = fig18_trunk_saturation.collect(scale=scale, seed=seed, fluid=0.0)
-        walls.append(time.perf_counter() - start)
-        points = sum(len(cells) for cells in results.values())
-    wall = statistics.median(walls)
-    return {
-        "bench": "fig18",
-        "scale": scale,
-        "seed": seed,
-        "fluid": 0.0,
-        "points": points,
-        "rounds": rounds,
-        "wall_s_p50": round(wall, 2),
-        "points_per_sec": round(points / wall, 4),
-    }
-
-
-#: Metrics-pipeline samples per round at scale 1.0 (the issue's
-#: 10M-sample sweep); the default 0.25 scale measures 2.5M.
-METRICS_SAMPLES = 10_000_000
-
-
-def _metrics_shards(n: int, workers: int, seed: int):
-    """Per-worker int64 latency shards (exponential ns, mean 25 µs);
-    mirrors ``benchmarks/bench_metrics.py::_make_shards``."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    samples = (rng.exponential(25_000.0, n) + 1.0).astype(np.int64)
-    return np.array_split(samples, workers)
-
-
-def _metrics_collect_exact(shards) -> dict:
-    """Mirrors ``benchmarks/bench_metrics.py::_collect_exact``."""
-    import numpy as np
-
-    from repro.metrics.latency import percentile
-
-    payloads = [shard.tobytes() for shard in shards]
-    merged = np.concatenate(
-        [np.frombuffer(payload, dtype=np.int64) for payload in payloads]
-    )
-    return {
-        "payload_bytes": sum(len(payload) for payload in payloads),
-        "p50": percentile(merged, 50),
-        "p99": percentile(merged, 99),
-        "p999": percentile(merged, 99.9),
-    }
-
-
-def _metrics_collect_sketch(sketches) -> dict:
-    """Mirrors ``benchmarks/bench_metrics.py::_collect_sketch``."""
-    from repro.metrics.sketch import LatencySketch
-
-    payloads = [sketch.to_bytes() for sketch in sketches]
-    merged = LatencySketch.from_bytes(payloads[0])
-    for payload in payloads[1:]:
-        merged.merge(LatencySketch.from_bytes(payload))
-    return {
-        "payload_bytes": sum(len(payload) for payload in payloads),
-        "p50": merged.quantile(50),
-        "p99": merged.quantile(99),
-        "p999": merged.quantile(99.9),
-    }
-
-
 #: Sketch collection finishes in well under a millisecond; running it
 #: this many times per round keeps timer noise out of the recorded rate.
 _METRICS_SKETCH_ITERS = 20
 
 
 def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
-    from repro.metrics.sketch import LatencySketch
-
-    n = max(4, int(METRICS_SAMPLES * scale))
-    shards = _metrics_shards(n, workers=4, seed=seed)
+    n = microbench.metrics_samples(scale)
+    shards = microbench.make_shards(n, seed=seed)
     # Backends as they exist when a point finishes: recording happens
     # during the simulation in both modes, so only collection is timed.
     sketches = []
     ingest_walls = []
     for _ in range(rounds):
-        sketches = []
         start = time.perf_counter()
-        for shard in shards:
-            sketch = LatencySketch()
-            sketch.add_many(shard)
-            sketches.append(sketch)
+        sketches = microbench.make_sketches(shards)
         ingest_walls.append(time.perf_counter() - start)
     exact_walls, sketch_walls = [], []
     exact = sketch = None
     for _ in range(rounds):
         start = time.perf_counter()
-        exact = _metrics_collect_exact(shards)
+        exact = microbench.collect_exact(shards)
         exact_walls.append(time.perf_counter() - start)
         start = time.perf_counter()
         for _ in range(_METRICS_SKETCH_ITERS):
-            sketch = _metrics_collect_sketch(sketches)
+            sketch = microbench.collect_sketch(sketches)
         sketch_walls.append((time.perf_counter() - start) / _METRICS_SKETCH_ITERS)
     exact_wall = statistics.median(exact_walls)
     sketch_wall = statistics.median(sketch_walls)
@@ -228,7 +133,7 @@ def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
         "bench": "metrics",
         "scale": scale,
         "samples": n,
-        "workers": 4,
+        "workers": microbench.WORKERS,
         "rounds": rounds,
         "wall_s_p50": round(exact_wall, 4),
         "sketch_wall_s_p50": round(sketch_wall, 6),
@@ -245,7 +150,6 @@ def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
 
 BASELINES = (
     ("BENCH_core.json", ("events_per_sec", "churn_events_per_sec"), _measure_core),
-    ("BENCH_fig18.json", ("points_per_sec",), _measure_fig18),
     (
         "BENCH_metrics.json",
         ("sketch_collects_per_sec", "exact_samples_per_sec", "ingest_samples_per_sec"),
@@ -355,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     for filename, rate_keys, measure in BASELINES:
         path = REPO / filename
-        if measure is _measure_core:
-            measured = measure(args.scale, args.rounds)
-        else:
-            measured = measure(args.scale, args.seed, args.rounds)
+        measured = measure(args.scale, args.seed, args.rounds)
         rates = ", ".join(f"{key}={measured[key]:,}" for key in rate_keys)
         print(
             f"{filename}: {rates} "

@@ -1,22 +1,19 @@
 #!/usr/bin/env python
 """One-command cProfile harness over the checked-in bench workloads.
 
-Runs the same workloads ``tools/bench_baseline.py`` measures — the raw
-engine schedule/run cycle (``core``), its cancel-churn variant
-(``churn``), and the fig18 trunk-saturation grid (``fig18``) — under
-:mod:`cProfile` and prints the top cumulative-time entries, so perf
-PRs start from data instead of guesses::
+Runs the engine schedule/run cycle (``core``) and its cancel-churn
+variant (``churn``) — the bodies ``tools/bench_baseline.py`` gates,
+imported from ``benchmarks/microbench.py`` — plus the fig18
+trunk-saturation packet grid (``fig18``) under :mod:`cProfile`, and
+prints the top cumulative-time entries, so perf PRs start from data
+instead of guesses::
 
     python tools/profile_hotpath.py                 # all targets
     python tools/profile_hotpath.py core fig18      # a subset
-    python tools/profile_hotpath.py fig18 --packet  # packet-mode grid
     python tools/profile_hotpath.py --top 40 --dump prof-out
 
-``fig18`` profiles the benchmark configuration (``fluid=0.0``, every
-eligible cell analytic); ``--packet`` switches it to the per-packet
-path (``fluid=None``), which is the one that matters for engine-level
-optimisation.  ``--dump DIR`` additionally writes one binary pstats
-file per target for ``snakeviz``/``pstats`` spelunking.
+``--dump DIR`` additionally writes one binary pstats file per target
+for ``snakeviz``/``pstats`` spelunking.
 
 ``REPRO_BENCH_SCALE`` (default 0.25) and ``REPRO_BENCH_SEED`` match
 the bench harness, so profiles line up with the recorded baselines.
@@ -33,52 +30,25 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "benchmarks"))
 
-#: Events per schedule/run cycle at scale 1.0 (matches bench_baseline).
-CORE_EVENTS = 4_000_000
-
-
-def _run_core(scale: float, seed: int, packet: bool) -> None:
-    from repro.sim.core import Simulator
-
-    n = max(1, int(CORE_EVENTS * scale))
-    sim = Simulator()
-    call_at = sim.call_at
-    noop = int
-    for t in range(n):
-        call_at(t, noop)
-    assert sim.run() == n
+import microbench  # noqa: E402  (path bootstrap above)
 
 
-def _run_churn(scale: float, seed: int, packet: bool) -> None:
-    from repro.sim.core import Simulator
-
-    n = max(4, int(CORE_EVENTS * scale))
-    sim = Simulator()
-    call_at = sim.call_at
-    at = sim.at
-    noop = int
-    for t in range(n):
-        if t & 3:
-            call_at(t, noop)
-        else:
-            at(t, noop).cancel()
-    assert sim.run() == n - (n + 3) // 4
+def _run_core(scale: float, seed: int) -> None:
+    n = microbench.core_events(scale)
+    assert microbench.schedule_run(n) == n
 
 
-def _run_fig18(scale: float, seed: int, packet: bool) -> None:
+def _run_churn(scale: float, seed: int) -> None:
+    n = microbench.core_events(scale)
+    assert microbench.schedule_run_churn(n) == microbench.churn_executed(n)
+
+
+def _run_fig18(scale: float, seed: int) -> None:
     from repro.experiments import fig18_trunk_saturation
-    from repro.experiments.registry import gate_harness_axes
 
-    # The fluid axis is signature-gated exactly like the CLI's
-    # --workload/--metrics: if the harness ever loses it, this errors
-    # instead of silently profiling the wrong path.
-    kwargs = gate_harness_axes(
-        fig18_trunk_saturation.collect,
-        "fig18",
-        requested={"fluid": None if packet else 0.0},
-    )
-    results = fig18_trunk_saturation.collect(scale=scale, seed=seed, **kwargs)
+    results = fig18_trunk_saturation.collect(scale=scale, seed=seed)
     assert sum(len(cells) for cells in results.values()) > 0
 
 
@@ -108,10 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rows of the cumulative-time report (default 20)",
     )
     parser.add_argument(
-        "--packet", action="store_true",
-        help="profile fig18's per-packet path instead of fluid mode",
-    )
-    parser.add_argument(
         "--dump", type=Path, default=None, metavar="DIR",
         help="also write one binary pstats file per target into DIR",
     )
@@ -120,21 +86,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
 
-    # Import the workloads' modules up front so one-time import work
-    # doesn't show up as the first target's hot path.
+    # Import the fig18 harness up front so one-time import work doesn't
+    # show up as its hot path (microbench is already imported).
     import repro.experiments.fig18_trunk_saturation  # noqa: F401
-    import repro.sim.core  # noqa: F401
-    import repro.sim.fluid  # noqa: F401
 
     for name in targets:
         workload = TARGETS[name]
         profiler = cProfile.Profile()
         profiler.enable()
-        workload(args.scale, args.seed, args.packet)
+        workload(args.scale, args.seed)
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stdout)
-        mode = " (packet)" if args.packet and name == "fig18" else ""
-        print(f"\n== {name}{mode}: top {args.top} by cumulative time "
+        print(f"\n== {name}: top {args.top} by cumulative time "
               f"(scale {args.scale}) ==")
         stats.sort_stats("cumulative").print_stats(args.top)
         if args.dump is not None:
