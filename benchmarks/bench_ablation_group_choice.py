@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 from conftest import run_once
 
-from repro.core.groups import build_group_pairs
+from repro.core.placement import GroupTable
 from repro.experiments.common import Cluster, ClusterConfig
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.metrics.tables import format_table
@@ -31,16 +31,12 @@ def measure(scale: float, seed: int) -> str:
     ):
         cluster = Cluster(config)
         if pairs is not None:
-            # Rebuild with the custom group set: reuse the cluster
-            # machinery but swap the program's group table contents.
-            program = cluster.program
-            for group_id in list(program.grp_table.entries()):
-                program.grp_table.remove(group_id)
-            for group_id, pair in enumerate(pairs):
-                program.grp_table.install(group_id, pair)
-            program.num_groups = len(pairs)
+            # Swap the custom group set in as one uniform table, on the
+            # switch and on every client alike.
+            table = GroupTable(pairs=tuple(pairs), split=len(pairs))
+            cluster.program.install_group_table(table)
             for client in cluster.clients:
-                client.num_groups = len(pairs)
+                client.install_group_table(table)
         cluster.start()
         cluster.run()
         accepted = np.array(
@@ -65,8 +61,14 @@ def measure(scale: float, seed: int) -> str:
     return report
 
 
+def _imbalance(report: str, label: str) -> float:
+    """The max/mean column of the row whose label starts with *label*."""
+    row = next(line for line in report.splitlines() if line.startswith(label))
+    return float(row.split()[-2])
+
+
 def bench_ablation_group_choice(benchmark, bench_scale, bench_seed):
     report = run_once(benchmark, measure, scale=bench_scale, seed=bench_seed)
-    assert "ordered" in report
-    lines = [line for line in report.splitlines() if "/" not in line and "|" not in line]
-    assert any("unordered" in line for line in report.splitlines())
+    # §3.3: without the reversed pairs, non-cloned requests herd onto
+    # the low-numbered first candidates.
+    assert _imbalance(report, "unordered") > _imbalance(report, "ordered")

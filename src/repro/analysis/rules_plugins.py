@@ -7,9 +7,9 @@
   without rejecting unknown keys lets a typoed CLI knob
   (``--placement rack-weighted:prob=0.7``) silently run defaults;
 * ``epoch-stamp`` — ``install_group_table`` with a table that was
-  never ``.with_epoch()``-stamped re-creates the PR-5 aliasing bug:
-  clients compare epochs, so an unstamped rebuild that keeps the
-  group count looks like "no change".
+  never ``.with_epoch()``-stamped hides a rebuild: programs and
+  clients report the epoch they hold, so an unstamped rebuild that
+  keeps the group count looks like "no change".
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ class _EpochStampChecker:
             return
         ctx.report(
             node,
-            "group table installed without a .with_epoch() stamp; clients "
-            "compare epochs to detect rebuilds, so an unstamped install "
-            "that keeps the group count looks like no change",
+            "group table installed without a .with_epoch() stamp; tables "
+            "are told apart by epoch, so an unstamped install that keeps "
+            "the group count looks like no change",
         )
 
     @staticmethod

@@ -26,7 +26,7 @@ from repro.core.constants import (
     STATE_IDLE,
     VIRTUAL_SERVICE_IP,
 )
-from repro.core.groups import build_group_pairs, install_group_table, ordered_pairs
+from repro.core.groups import ordered_pairs
 from repro.core.header import NetCloneHeader
 from repro.core.placement import (
     GlobalPlacement,
@@ -63,7 +63,5 @@ __all__ = [
     "STATE_BUSY",
     "STATE_IDLE",
     "VIRTUAL_SERVICE_IP",
-    "build_group_pairs",
-    "install_group_table",
     "ordered_pairs",
 ]

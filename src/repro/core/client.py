@@ -11,15 +11,14 @@ Group IDs are drawn from the client's **local ToR's** group table
 (:class:`~repro.core.placement.GroupTable`): on a multi-rack fabric
 each ToR may install a different, placement-aware pair set, and the
 table also carries the sampling rule (uniform, or a rack-local /
-global probability mix).  The legacy ``num_groups`` form — a uniform
-draw over a dense group-ID space — remains for hand-assembled
-testbeds and for control-plane updates that shrink the group count
-after a server failure.
+global probability mix).  A §3.6 rebuild swaps the table through
+:meth:`NetCloneClient.install_group_table`, the same call the switch
+program takes, so client and switch never disagree on the pair set.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.apps.client import OpenLoopClient
 from repro.core.constants import (
@@ -43,98 +42,45 @@ class NetCloneClient(OpenLoopClient):
     def __init__(
         self,
         *args: Any,
-        num_groups: Optional[int] = None,
-        group_table: Optional[GroupTable] = None,
+        group_table: GroupTable,
         num_filter_tables: int = 2,
         **kwargs: Any,
     ):
         super().__init__(*args, **kwargs)
-        if group_table is not None:
-            if num_groups is not None and num_groups != group_table.num_groups:
-                raise ExperimentError(
-                    f"num_groups={num_groups} conflicts with the "
-                    f"{group_table.num_groups}-group table"
-                )
-            num_groups = group_table.num_groups
-        if num_groups is None:
-            raise ExperimentError(
-                "NetClone clients need a group_table or a num_groups count"
-            )
-        if num_groups < 2:
-            raise ExperimentError("NetClone needs at least two groups (two servers)")
         if num_filter_tables < 1:
             raise ExperimentError("need at least one filter table")
-        self._group_table: Optional[GroupTable] = None
-        self._table_epoch: Optional[int] = None
-        self._num_groups = num_groups
-        if group_table is not None:
-            self.install_group_table(group_table)
+        self.install_group_table(group_table)
         self.num_filter_tables = num_filter_tables
 
     # -- control-plane table swap --------------------------------------
     def install_group_table(self, table: GroupTable) -> None:
         """Atomically swap in a (control-plane pushed) group table.
 
-        Table, group count and epoch move together, so the client can
-        never draw from a table the switch no longer holds.  This is
-        the update :class:`~repro.core.failures.ServerFailureHandler`
-        pushes after a §3.6 rebuild.
+        This is the update :class:`~repro.core.failures.ServerFailureHandler`
+        pushes after a §3.6 rebuild; the table carries its own group
+        count and epoch, so nothing else has to change with it.
         """
         if not isinstance(table, GroupTable):
             raise ExperimentError(
                 f"expected a GroupTable, got {type(table).__name__}"
             )
         self._group_table = table
-        self._num_groups = table.num_groups
-        self._table_epoch = table.epoch
         # Pre-drawn arrivals hold group IDs sampled from the old table.
         self._flush_arrivals()
 
     @property
-    def group_table(self) -> Optional[GroupTable]:
+    def group_table(self) -> GroupTable:
         """The local ToR's table this client currently samples from."""
         return self._group_table
 
-    @group_table.setter
-    def group_table(self, table: Optional[GroupTable]) -> None:
-        if table is None:
-            self._group_table = None
-            self._table_epoch = None
-        else:
-            self.install_group_table(table)
-
     @property
     def num_groups(self) -> int:
-        """Dense group-ID space size the client draws from."""
-        return self._num_groups
-
-    @num_groups.setter
-    def num_groups(self, value: int) -> None:
-        # The legacy count-only control-plane update: the switch now
-        # holds a dense *uniform* table of this size, so whatever table
-        # the client cached is stale — even when the count happens to
-        # match (the epoch mismatch below is what _pick_group checks).
-        self._num_groups = int(value)
-        self._table_epoch = None
-        # Pre-drawn arrivals may reference groups past the new count.
-        self._flush_arrivals()
+        """Group-ID space size of the current table."""
+        return self._group_table.num_groups
 
     def _pick_group(self) -> int:
-        """One group ID from the local ToR's table.
-
-        The cached table is used only while its epoch matches the one
-        recorded at install time: a count-only control-plane update
-        (e.g. a legacy server-failure rebuild) clears the recorded
-        epoch, and the draw falls back to the uniform rule over the
-        updated count — the switch-side legacy rebuild always installs
-        a dense uniform table.  Size alone is *not* trusted: a rebuilt
-        table with a coincidentally equal group count must not keep
-        the client sampling dead pairs.
-        """
-        table = self._group_table
-        if table is not None and table.epoch == self._table_epoch:
-            return table.sample(self.rng)
-        return self.rng.randrange(self._num_groups)
+        """One group ID from the local ToR's table."""
+        return self._group_table.sample(self.rng)
 
     def build_packets(self, request: Any) -> List[Packet]:
         header = NetCloneHeader(

@@ -23,14 +23,12 @@ is one control-plane operation that:
    (or re-installs) the server's address-table entry fabric-wide;
 3. pushes the new epoch-stamped
    :class:`~repro.core.placement.GroupTable` objects to that rack's
-   clients — not merely a shrunken group count — so clients swap
-   tables atomically instead of guessing staleness from table sizes.
+   clients through ``install_group_table`` — the call the ToR programs
+   take — so a client's group count always travels with its pairs.
 
-Built without placement information (the legacy single-rack form),
-the handler behaves exactly like the seed implementation: a global
-rebuild over the survivors, bit-identical RNG behaviour included
-(uniform tables spend one ``randrange`` per draw, the same stream as
-the count-only fallback).
+Under ``global`` placement on a single rack this is the seed's
+rebuild: one uniform table over the survivors, whose draws spend one
+``randrange`` each, exactly the seed client's RNG stream.
 
 Until the control-plane update lands, requests whose group includes
 the dead server are lost — the transient degradation the paper
@@ -39,10 +37,9 @@ describes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.core.placement import (
-    GlobalPlacement,
     GroupTable,
     PlacementContext,
     PlacementPolicy,
@@ -56,56 +53,36 @@ __all__ = ["ServerFailureHandler"]
 class ServerFailureHandler:
     """Removes (and restores) servers in a running NetClone deployment.
 
-    The legacy form takes one *program* plus *clients* and rebuilds a
-    single global table.  Cluster assembly passes the placement-aware
-    extras (see :meth:`repro.experiments.common.Cluster.failure_handler`):
+    Built by :meth:`repro.experiments.common.Cluster.failure_handler`.
 
-    :param programs: per-ToR switch programs in rack order
-        (``programs[0]`` must be *program*, the primary ToR's).
+    :param control_plane: the switch control plane rebuilds run on.
+    :param clients: every client to push rebuilt tables to.
+    :param programs: per-ToR switch programs in rack order.
     :param placement: the cluster's
-        :class:`~repro.core.placement.PlacementPolicy`; defaults to
-        :class:`~repro.core.placement.GlobalPlacement` — the seed
-        behaviour.
+        :class:`~repro.core.placement.PlacementPolicy`.
     :param context: the :class:`PlacementContext` mapping server IDs
-        to racks; required whenever more than one program is handled.
-    :param client_racks: rack of each entry in *clients* (defaults to
-        rack 0 for all — the single-rack case).
+        to racks.
+    :param client_racks: rack of each entry in *clients*.
     """
 
     def __init__(
         self,
-        program: Any,
         control_plane: ControlPlane,
-        clients: Sequence[object] = (),
+        clients: Sequence[Any] = (),
         *,
-        programs: Optional[Sequence[Any]] = None,
-        placement: Optional[PlacementPolicy] = None,
-        context: Optional[PlacementContext] = None,
-        client_racks: Optional[Sequence[int]] = None,
+        programs: Sequence[Any],
+        placement: PlacementPolicy,
+        context: PlacementContext,
+        client_racks: Sequence[int],
     ):
-        self.program = program
-        self.programs: List[Any] = list(programs) if programs is not None else [program]
-        if not self.programs or self.programs[0] is not program:
-            raise ExperimentError("programs[0] must be the primary ToR's program")
+        self.programs: List[Any] = list(programs)
         self.control_plane = control_plane
         self.clients = list(clients)
-        self.placement: PlacementPolicy = (
-            placement if placement is not None else GlobalPlacement()
-        )
+        self.placement = placement
         # server_id -> ip for the servers currently in rotation.
-        self.active: Dict[int, int] = dict(self.program.addr_table.entries())
+        self.active: Dict[int, int] = dict(self.programs[0].addr_table.entries())
         # server_id -> ip for servers this handler removed (restorable).
         self._removed: Dict[int, int] = {}
-        if context is None:
-            if len(self.programs) > 1:
-                raise ExperimentError(
-                    "multi-ToR failure handling needs a PlacementContext "
-                    "(which rack each server lives in)"
-                )
-            context = PlacementContext(
-                server_racks=(0,) * (max(self.active, default=0) + 1),
-                num_racks=1,
-            )
         if len(context.server_racks) <= max(self.active, default=0):
             raise ExperimentError(
                 f"placement map covers {len(context.server_racks)} servers "
@@ -119,8 +96,6 @@ class ServerFailureHandler:
             bool(provided[sid]) and sid in self.active
             for sid in range(len(context.server_racks))
         ]
-        if client_racks is None:
-            client_racks = [0] * len(self.clients)
         self._client_racks = [int(rack) for rack in client_racks]
         if len(self._client_racks) != len(self.clients):
             raise ExperimentError(
@@ -134,7 +109,12 @@ class ServerFailureHandler:
                     f"(fabric has {len(self.programs)})"
                 )
         for client in self.clients:
-            self._check_client_shape(client)
+            if not callable(getattr(client, "install_group_table", None)):
+                raise ExperimentError(
+                    f"client {getattr(client, 'name', client)!r} has no "
+                    "install_group_table(); a rebuild could not stop it "
+                    "from sampling dead server pairs"
+                )
         #: Control-plane table generation; rebuilds stamp epoch+1 on
         #: every table they push (assembly-time tables are epoch 0).
         self.epoch = 0
@@ -275,40 +255,8 @@ class ServerFailureHandler:
             program.install_group_table(table)
             self.tables.append(table)
         for client, rack in zip(self.clients, self._client_racks):
-            self._push_table(client, self.tables[rack])
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_client_shape(client: object) -> None:
-        """Reject clients a rebuild could not update.
-
-        The seed implementation silently skipped anything without a
-        ``num_groups`` attribute, leaving it sampling dead pairs
-        forever; unknown shapes now fail at construction time instead.
-        """
-        if callable(getattr(client, "install_group_table", None)):
-            return
-        if hasattr(client, "group_table") or hasattr(client, "num_groups"):
-            return
-        raise ExperimentError(
-            f"client {getattr(client, 'name', client)!r} exposes neither "
-            "install_group_table() nor group_table/num_groups; a rebuild "
-            "could not stop it from sampling dead server pairs"
-        )
-
-    @staticmethod
-    def _push_table(client: object, table: GroupTable) -> None:
-        install = getattr(client, "install_group_table", None)
-        if callable(install):
-            install(table)
-            return
-        # Attribute-shaped clients: update table and count *together* —
-        # a client carrying only one of them would otherwise keep
-        # drawing from the stale space.
-        if hasattr(client, "group_table"):
-            client.group_table = table
-        if hasattr(client, "num_groups"):
-            client.num_groups = table.num_groups
+            table = self.tables[rack]
+            client.install_group_table(table)
 
     @property
     def active_server_ids(self) -> List[int]:

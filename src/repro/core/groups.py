@@ -10,8 +10,7 @@ randomness of server selection.  (With only {Srv1, Srv2} and never
 *Which* servers are candidates for which clients is a placement
 decision; :func:`ordered_pairs` is the construction primitive the
 placement policies in :mod:`repro.core.placement` build per-ToR group
-tables from, and :func:`build_group_pairs` is the seed-era global
-special case (every server, IDs ``0..n-1``).
+tables from.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["build_group_pairs", "install_group_table", "ordered_pairs"]
+__all__ = ["ordered_pairs"]
 
 
 def ordered_pairs(server_ids: Sequence[int]) -> List[Tuple[int, int]]:
@@ -36,23 +34,3 @@ def ordered_pairs(server_ids: Sequence[int]) -> List[Tuple[int, int]]:
     return [
         (first, second) for first in ids for second in ids if first != second
     ]
-
-
-def build_group_pairs(num_servers: int) -> List[Tuple[int, int]]:
-    """All ordered pairs of distinct server IDs, deterministically.
-
-    Group ID *g* maps to ``pairs[g]``.  Requires at least two servers
-    (NetClone needs a pair for redundancy, §5.3.2).
-    """
-    return ordered_pairs(range(num_servers))
-
-
-def install_group_table(table: MatchActionTable, num_servers: int) -> int:
-    """Install the ordered pairs into the switch group table.
-
-    Returns the number of groups installed (``n * (n - 1)``).
-    """
-    pairs = build_group_pairs(num_servers)
-    for group_id, pair in enumerate(pairs):
-        table.install(group_id, pair)
-    return len(pairs)

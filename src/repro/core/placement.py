@@ -39,7 +39,6 @@ __all__ = [
     "PlacementPolicy",
     "RackLocalPlacement",
     "RackWeightedPlacement",
-    "as_group_table",
 ]
 
 
@@ -59,10 +58,9 @@ class GroupTable:
     ``epoch`` is the control-plane generation the table belongs to:
     assembly-time tables are epoch 0 and every §3.6 failure/recovery
     rebuild stamps the next epoch on the tables it pushes
-    (:meth:`with_epoch`).  Clients compare epochs — not table sizes —
-    to decide whether their cached table still matches the switch, so
-    a rebuild that happens to keep the group count is never mistaken
-    for "no change".
+    (:meth:`with_epoch`).  Programs and clients report the epoch they
+    hold, so a rebuild that happens to keep the group count is still
+    visible as a change (scenario checkpoints record both).
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -115,18 +113,6 @@ class GroupTable:
         if rng.random() < self.p_local:
             return rng.randrange(self.split)
         return self.split + rng.randrange(total - self.split)
-
-
-def as_group_table(value: Any) -> GroupTable:
-    """Coerce a :class:`SchemeSpec.group_pairs` result to a table.
-
-    Custom hooks may return a ready :class:`GroupTable` or any
-    sequence of ``(first, second)`` pairs (treated as uniform).
-    """
-    if isinstance(value, GroupTable):
-        return value
-    pairs = tuple(tuple(pair) for pair in value)
-    return GroupTable(pairs=pairs, split=len(pairs))
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,8 @@ from repro.core.constants import (
     STATE_IDLE,
     SWID_UNSET,
 )
-# Aliased: the method NetCloneProgram.install_group_table (the §3.6
-# control-plane reinstall path) would otherwise shadow this module-level
-# seed-table builder inside the class body.
-from repro.core.groups import install_group_table as install_global_pairs
+from repro.core.groups import ordered_pairs
+from repro.core.placement import GroupTable
 from repro.errors import PipelineConfigError, StageAccessError
 from repro.net.packet import Packet
 from repro.switchsim.hashing import HashUnit
@@ -92,7 +90,7 @@ class NetCloneProgram(SwitchProgram):
         filtering_enabled: bool = True,
         scheduler: str = SCHED_RANDOM,
         max_servers: int = 256,
-        group_pairs: Optional[Sequence[tuple]] = None,
+        group_table: Optional[GroupTable] = None,
     ):
         if len(server_ips) < 2:
             raise PipelineConfigError("NetClone needs at least two servers")
@@ -158,19 +156,11 @@ class NetCloneProgram(SwitchProgram):
         ]
         self._register_file.freeze()
 
-        #: Control-plane generation of the installed group table; §3.6
-        #: rebuilds bump it in lockstep with the tables pushed to the
-        #: rack's clients (see :meth:`install_group_table`).
-        self.table_epoch = 0
-        if group_pairs is None:
-            self.num_groups = install_global_pairs(self.grp_table, self.num_servers)
-        else:
-            # Ablation hook (§3.3): install a custom candidate-pair set,
-            # e.g. unordered pairs, to measure the herding the paper's
-            # ordered n*(n-1) construction avoids.
-            for group_id, pair in enumerate(group_pairs):
-                self.grp_table.install(group_id, tuple(pair))
-            self.num_groups = len(group_pairs)
+        if group_table is None:
+            # A hand-assembled single ToR: every ordered pair of servers.
+            pairs = tuple(ordered_pairs(range(self.num_servers)))
+            group_table = GroupTable(pairs=pairs, split=len(pairs))
+        self.install_group_table(group_table)
         for server_id, ip in enumerate(server_ips):
             self.addr_table.install(server_id, ip)
 
@@ -367,20 +357,28 @@ class NetCloneProgram(SwitchProgram):
         return fast_apply
 
     # ------------------------------------------------------------------
-    def install_group_table(self, table) -> None:
-        """Control-plane reinstall: wipe ``GrpT`` and load *table*.
+    def install_group_table(self, table: GroupTable) -> None:
+        """Wipe ``GrpT`` and load *table* (assembly and §3.6 rebuilds).
 
-        *table* is a :class:`~repro.core.placement.GroupTable` (or any
-        object with ``pairs``/``num_groups``/``epoch``).  Group IDs are
-        dense, so the table is rebuilt rather than punched with holes —
-        exactly the §3.6 update path, now per ToR.
+        Group IDs are dense, so the table is rebuilt rather than
+        punched with holes — exactly the §3.6 update path, per ToR.
         """
         for group_id in list(self.grp_table.entries()):
             self.grp_table.remove(group_id)
         for group_id, pair in enumerate(table.pairs):
             self.grp_table.install(group_id, tuple(pair))
-        self.num_groups = table.num_groups
-        self.table_epoch = table.epoch
+        #: The installed :class:`~repro.core.placement.GroupTable`.
+        self.group_table = table
+
+    @property
+    def num_groups(self) -> int:
+        """Group-ID space size of the installed table."""
+        return self.group_table.num_groups
+
+    @property
+    def table_epoch(self) -> int:
+        """Control-plane generation of the installed table."""
+        return self.group_table.epoch
 
     # ------------------------------------------------------------------
     def matches(self, packet: Packet) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.apps.client import OpenLoopClient
-from repro.core.placement import PlacementContext, as_group_table
+from repro.core.placement import PlacementContext
 from repro.errors import ExperimentError
 from repro.experiments.executor import SweepExecutor, resolve_executor
 from repro.experiments.placements import (
@@ -312,19 +312,15 @@ class Cluster:
         if spec.make_program is not None:
             # One program instance per ToR (registers are per switch);
             # the 1-based rack number is the §3.7 switch ID the SWID
-            # gate compares against, and each ToR installs its own
-            # placement-built group table — the scheme's group_pairs
-            # hook overrides the cluster placement policy when set.
+            # gate compares against, and each ToR installs the group
+            # table the cluster's placement policy builds for its rack.
             placement_ctx = PlacementContext(
                 server_racks=tuple(context.server_racks),
                 num_racks=fabric.num_racks,
             )
             for rack, tor in enumerate(self.tors):
                 context.switch_id = rack + 1
-                if spec.group_pairs is not None:
-                    table = as_group_table(spec.group_pairs(context, rack))
-                else:
-                    table = self.placement.group_table(placement_ctx, rack)
+                table = self.placement.group_table(placement_ctx, rack)
                 context.group_table = table
                 context.group_tables.append(table)
                 program = spec.make_program(context)
@@ -398,12 +394,6 @@ class Cluster:
                 f"scheme {self.config.scheme!r} installs no switch program; "
                 "there are no group/address tables to rebuild"
             )
-        if self.scheme_spec.group_pairs is not None:
-            raise ExperimentError(
-                f"scheme {self.config.scheme!r} pins a custom group "
-                "construction; a failure rebuild cannot re-derive it from "
-                "the placement policy"
-            )
         if control_plane is None:
             kwargs = {} if op_latency_ns is None else {"op_latency_ns": op_latency_ns}
             control_plane = ControlPlane(self.sim, **kwargs)
@@ -412,7 +402,6 @@ class Cluster:
             num_racks=self.topology.num_racks,
         )
         return ServerFailureHandler(
-            self.program,
             control_plane,
             clients=self.clients,
             programs=self.programs,

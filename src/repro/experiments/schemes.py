@@ -72,10 +72,10 @@ class SchemeContext:
     :class:`~repro.experiments.common.ClusterConfig`.
 
     ``make_program`` hooks run once per ToR: ``switch_id`` holds the
-    1-based rack number of the ToR currently being programmed and
-    ``group_table`` that ToR's placement-built
-    :class:`~repro.core.placement.GroupTable`, which is what the §3.7
-    SWID gate compares against / the group table it installs.
+    1-based rack number of the ToR currently being programmed (what
+    the §3.7 SWID gate compares against) and ``group_table`` the
+    :class:`~repro.core.placement.GroupTable` the cluster's placement
+    policy built for that ToR (what its program installs).
     ``program`` is the primary (first) ToR's program once all are
     installed, and ``group_tables`` collects every ToR's table in rack
     order.  ``make_client`` hooks run once per client with
@@ -134,12 +134,6 @@ class SchemeSpec:
     netclone_mode: bool = False
     #: ``ctx -> program`` installed on the ToR switch (None: plain L3).
     make_program: Optional[Callable[[SchemeContext], Any]] = None
-    #: ``(ctx, rack) -> GroupTable | [(first, second), ...]`` — override
-    #: the candidate-pair table ToR *rack* installs.  None (the
-    #: default) delegates to the cluster's placement policy
-    #: (``ClusterConfig.placement``); schemes only implement this to
-    #: pin a custom construction (e.g. unordered-pair ablations).
-    group_pairs: Optional[Callable[[SchemeContext, int], Any]] = None
     #: ``ctx -> Host`` — build the coordinator host (its IP is
     #: pre-allocated as ``ctx.coordinator_ip`` before servers exist).
     make_coordinator: Optional[Callable[[SchemeContext], Any]] = None
@@ -254,15 +248,8 @@ def _netclone_client(ctx: SchemeContext, common: Dict[str, Any]):
             f"scheme {ctx.config.scheme!r} builds NetClone clients but "
             "installed no switch program"
         )
-    table = ctx.client_group_table()
-    if table is not None:
-        return NetCloneClient(
-            group_table=table,
-            num_filter_tables=ctx.config.num_filter_tables,
-            **common,
-        )
     return NetCloneClient(
-        num_groups=ctx.program.num_groups,
+        group_table=ctx.client_group_table(),
         num_filter_tables=ctx.config.num_filter_tables,
         **common,
     )
@@ -274,10 +261,7 @@ def _program_kwargs(ctx: SchemeContext) -> Dict[str, Any]:
         num_filter_tables=ctx.config.num_filter_tables,
         filter_slots=ctx.config.filter_slots,
         switch_id=ctx.switch_id,
-        # The per-ToR placement-built table (None only for testbeds
-        # assembled outside Cluster, where the program builds the
-        # global table itself).
-        group_pairs=None if ctx.group_table is None else ctx.group_table.pairs,
+        group_table=ctx.group_table,
     )
 
 

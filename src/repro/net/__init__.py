@@ -3,7 +3,7 @@
 The model is intra-rack Ethernet/IPv4/UDP.  Addresses are stored as
 integers on the hot path (see :mod:`addresses`); byte-level codecs for
 the Ethernet/IPv4/UDP headers live in :mod:`headers` and are used by
-tests and the tracer, not per simulated packet.
+tests and the pcap writer, not per simulated packet.
 """
 
 from repro.net.addresses import (
@@ -37,7 +37,6 @@ from repro.net.topology import (
     spine_policy_names,
     unregister_spine_policy,
 )
-from repro.net.trace import PacketTracer, TraceRecord
 
 __all__ = [
     "EcmpSpinePolicy",
@@ -53,13 +52,11 @@ __all__ = [
     "PROTO_UDP",
     "Packet",
     "PacketPool",
-    "PacketTracer",
     "SingleRackFabric",
     "SpineLeafFabric",
     "SpinePolicy",
     "StarTopology",
     "TwoRackFabric",
-    "TraceRecord",
     "UDPHeader",
     "format_ip",
     "format_mac",

@@ -326,10 +326,7 @@ class _ScenarioExecution:
             "trunk_tx_bytes": sum(link.tx_bytes for link in fabric.trunks),
             "rack_tx_bytes": self._rack_tx_bytes(),
             "handler_epoch": handler.epoch if handler is not None else None,
-            "program_epochs": [
-                getattr(program, "table_epoch", None)
-                for program in cluster.programs
-            ],
+            "program_epochs": [program.table_epoch for program in cluster.programs],
             "client_epochs": [
                 getattr(getattr(client, "group_table", None), "epoch", None)
                 for client in clients

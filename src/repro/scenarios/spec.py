@@ -307,12 +307,6 @@ class Scenario:
                     f"control plane but scheme {config.scheme!r} installs "
                     "no switch program (no tables to rebuild)"
                 )
-            if spec.group_pairs is not None:
-                raise ExperimentError(
-                    f"scenario {self.name!r} drives the server-failure "
-                    f"control plane but scheme {config.scheme!r} pins a "
-                    "custom group construction"
-                )
         for event in self.events:
             p = event.param_dict()
             if event.action in SPINE_ACTIONS and config.topology != "spine_leaf":

@@ -153,9 +153,9 @@ VIOLATIONS = [
         "epoch-stamp",
         PLAIN_MODULE,
         "def push(tor, pairs):\n    tor.install_group_table(build(pairs))\n",
-        "group table installed without a .with_epoch() stamp; clients "
-        "compare epochs to detect rebuilds, so an unstamped install "
-        "that keeps the group count looks like no change",
+        "group table installed without a .with_epoch() stamp; tables "
+        "are told apart by epoch, so an unstamped install that keeps "
+        "the group count looks like no change",
     ),
 ]
 

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    MSG_REQ,
-    MSG_RESP,
-    NetCloneHeader,
-    build_group_pairs,
-    install_group_table,
-)
+from repro.core import MSG_REQ, MSG_RESP, NetCloneHeader, ordered_pairs
 from repro.errors import CodecError, ExperimentError
-from repro.switchsim import MatchActionTable
 
 
 def test_header_wire_size_is_12_bytes():
@@ -81,12 +74,12 @@ def test_property_header_roundtrip(msg_type, req_id, grp, sid, state, clo, idx, 
 # ----------------------------------------------------------------------
 def test_groups_count_is_n_times_n_minus_1():
     for n in (2, 3, 6, 10):
-        pairs = build_group_pairs(n)
+        pairs = ordered_pairs(range(n))
         assert len(pairs) == n * (n - 1)
 
 
 def test_groups_every_ordered_pair_once():
-    pairs = build_group_pairs(4)
+    pairs = ordered_pairs(range(4))
     assert len(set(pairs)) == len(pairs)
     for first in range(4):
         for second in range(4):
@@ -97,7 +90,7 @@ def test_groups_every_ordered_pair_once():
 
 def test_groups_first_candidate_uniform():
     """Each server appears as first candidate equally often (§3.3)."""
-    pairs = build_group_pairs(6)
+    pairs = ordered_pairs(range(6))
     counts = {}
     for first, _second in pairs:
         counts[first] = counts.get(first, 0) + 1
@@ -106,21 +99,13 @@ def test_groups_first_candidate_uniform():
 
 def test_groups_minimum_two_servers():
     with pytest.raises(ExperimentError):
-        build_group_pairs(1)
-
-
-def test_install_group_table():
-    table = MatchActionTable("GrpT", stage=0)
-    count = install_group_table(table, 3)
-    assert count == 6
-    assert len(table) == 6
-    assert table.lookup(0, stage=0) == (0, 1)
+        ordered_pairs(range(1))
 
 
 @given(st.integers(min_value=2, max_value=20))
 @settings(max_examples=30, deadline=None)
 def test_property_groups_complete_and_distinct(n):
-    pairs = build_group_pairs(n)
+    pairs = ordered_pairs(range(n))
     assert len(pairs) == n * (n - 1)
     assert len(set(pairs)) == len(pairs)
     assert all(0 <= a < n and 0 <= b < n and a != b for a, b in pairs)

@@ -12,9 +12,11 @@ from repro.core import (
     NETCLONE_UDP_PORT,
     NetCloneClient,
     NetCloneHeader,
+    GroupTable,
     NetCloneProgram,
     RpcServer,
     VIRTUAL_SERVICE_IP,
+    ordered_pairs,
 )
 from repro.errors import ExperimentError
 from repro.metrics.latency import LatencyRecorder
@@ -51,8 +53,11 @@ def build_two_rack(num_servers=2):
         fabric.attach(server, "server", index)
         servers.append(server)
     # NetClone logic runs in BOTH ToRs; switch IDs gate who acts.
-    program_a = NetCloneProgram([s.ip for s in servers], switch_id=1)
-    program_b = NetCloneProgram([s.ip for s in servers], switch_id=2)
+    pairs = tuple(ordered_pairs(range(num_servers)))
+    table = GroupTable(pairs=pairs, split=len(pairs))
+    server_ips = [s.ip for s in servers]
+    program_a = NetCloneProgram(server_ips, switch_id=1, group_table=table)
+    program_b = NetCloneProgram(server_ips, switch_id=2, group_table=table)
     client_tor.install_program(program_a)
     server_tor.install_program(program_b)
 
@@ -67,7 +72,7 @@ def build_two_rack(num_servers=2):
         recorder=recorder,
         rng=rng,
         stop_at_ns=ms(5),
-        num_groups=program_a.num_groups,
+        group_table=table,
     )
     fabric.attach(client, "client", 0)
     return sim, fabric, client, servers, program_a, program_b, recorder

@@ -1,4 +1,4 @@
-"""Tests for the pcap writer and packet tracer."""
+"""Tests for the pcap writer."""
 
 import io
 import struct
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import MSG_REQ, NetCloneHeader
 from repro.errors import CodecError
-from repro.net import Packet, PacketTracer
+from repro.net import Packet
 from repro.net.headers import EthernetHeader, IPv4Header, UDPHeader
 from repro.net.pcap import PcapWriter
 
@@ -74,34 +74,3 @@ def test_pcap_negative_time_rejected():
     writer = PcapWriter(io.BytesIO())
     with pytest.raises(CodecError):
         writer.write(-1, nc_packet())
-
-
-# ----------------------------------------------------------------------
-# Tracer
-# ----------------------------------------------------------------------
-def test_tracer_records_and_filters():
-    tracer = PacketTracer()
-    packet = nc_packet()
-    tracer.note(10, "switch", "rx", packet)
-    tracer.note(20, "switch", "cloned", packet, detail="to srv2")
-    tracer.note(30, "srv1", "rx", packet)
-    assert len(tracer) == 3
-    assert len(tracer.events(event="rx")) == 2
-    assert len(tracer.events(where="switch")) == 2
-    assert len(tracer.events(event="rx", where="srv1")) == 1
-    line = str(tracer.records[1])
-    assert "cloned" in line and "to srv2" in line
-
-
-def test_tracer_limit_bounds_memory():
-    tracer = PacketTracer(limit=2)
-    packet = nc_packet()
-    for i in range(5):
-        tracer.note(i, "x", "y", packet)
-    assert len(tracer) == 2
-
-
-def test_tracer_format_packet():
-    tracer = PacketTracer()
-    text = tracer.format_packet(nc_packet())
-    assert "10.0.1.101:9000" in text

@@ -25,7 +25,6 @@ from repro.core.placement import (
     PlacementContext,
     RackLocalPlacement,
     RackWeightedPlacement,
-    as_group_table,
 )
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
@@ -89,12 +88,12 @@ def test_fallback_respects_liveness_not_just_placement():
 
 
 def test_global_placement_matches_seed_construction():
-    from repro.core.groups import build_group_pairs
+    from repro.core.groups import ordered_pairs
 
     ctx = PlacementContext(server_racks=(0, 1, 0, 1), num_racks=2)
     for rack in range(2):
         table = GlobalPlacement().group_table(ctx, rack)
-        assert list(table.pairs) == build_group_pairs(4)
+        assert list(table.pairs) == ordered_pairs(range(4))
         assert table.is_uniform
 
 
@@ -152,13 +151,6 @@ def test_group_table_validation():
         GroupTable(pairs=((0, 1), (1, 0)), split=2, p_local=1.5)
     with pytest.raises(ExperimentError):
         RackWeightedPlacement(p=-0.1)
-
-
-def test_as_group_table_coerces_plain_pair_sequences():
-    table = as_group_table([(0, 1), [1, 0]])
-    assert table.pairs == ((0, 1), (1, 0))
-    assert table.is_uniform
-    assert as_group_table(table) is table
 
 
 # ----------------------------------------------------------------------
@@ -278,32 +270,6 @@ def test_rack_local_on_one_rack_matches_global_bitwise():
     assert_points_identical(star_global, star_local)
 
 
-def test_scheme_group_pairs_hook_overrides_the_placement_policy():
-    from repro.experiments.schemes import get_scheme
-
-    spec = get_scheme("netclone")
-    original = spec.group_pairs
-    spec.group_pairs = lambda ctx, rack: [(0, 1), (1, 0)]
-    try:
-        cluster = Cluster(tiny_config())
-        assert cluster.program.num_groups == 2
-        assert cluster.group_tables[0].pairs == ((0, 1), (1, 0))
-    finally:
-        spec.group_pairs = original
-
-
-def test_stale_client_table_falls_back_to_uniform_draws():
-    # A count-only control-plane update (the legacy server-failure
-    # rebuild) invalidates the cached table; draws must cover the new
-    # count.
-    cluster = Cluster(tiny_config())
-    client = cluster.clients[0]
-    assert client.group_table is not None
-    client.num_groups = 2  # the legacy count-only update
-    seen = {client._pick_group() for _ in range(64)}
-    assert seen <= {0, 1}
-
-
 # ----------------------------------------------------------------------
 # Failure-aware placement: rebuilds stay placement-consistent
 # ----------------------------------------------------------------------
@@ -383,20 +349,9 @@ def test_rack_local_keeps_trunks_silent_across_kill_and_restore():
 
 
 def test_failure_handler_rejects_programless_and_pinned_schemes():
-    from repro.experiments.schemes import get_scheme
-
     baseline = Cluster(tiny_config(scheme="baseline"))
     with pytest.raises(ExperimentError, match="no switch program"):
         baseline.failure_handler()
-    spec = get_scheme("netclone")
-    original = spec.group_pairs
-    spec.group_pairs = lambda ctx, rack: [(0, 1), (1, 0)]
-    try:
-        pinned = Cluster(tiny_config())
-        with pytest.raises(ExperimentError, match="custom group construction"):
-            pinned.failure_handler()
-    finally:
-        spec.group_pairs = original
 
 
 # ----------------------------------------------------------------------

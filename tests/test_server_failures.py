@@ -1,24 +1,22 @@
 """Tests for §3.6 server-failure handling via the control plane.
 
-Covers the legacy single-rack flow (golden-pinned against a verbatim
-replica of the seed rebuild), the placement-aware multi-ToR flow
-(per-rack tables re-derived from the cluster's policy on removal and
-restoration), the epoch-stamped table push to clients, the fabric-wide
-(not per-rack) minimum-pair guard, and the client-shape validation
-that replaced the seed's silent ``hasattr`` skip.
+Covers the single-rack flow (golden-pinned against values recorded
+from the seed's count-only rebuild), the placement-aware multi-ToR
+flow (per-rack tables re-derived from the cluster's policy on removal
+and restoration), the epoch-stamped table push to clients, the
+fabric-wide (not per-rack) minimum-pair guard, and the client-shape
+validation that replaced the seed's silent ``hasattr`` skip.
 """
 
 import pytest
 
 from repro.core.failures import ServerFailureHandler
-from repro.core.groups import build_group_pairs, ordered_pairs
-from repro.core.placement import GroupTable
+from repro.core.groups import ordered_pairs
+from repro.core.placement import GlobalPlacement, GroupTable, PlacementContext
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster, ClusterConfig
 from repro.sim.units import ms
 from repro.switchsim import ControlPlane
-
-from helpers import assert_points_identical
 
 
 def build(num_servers=4, rate=0.3e6, **overrides):
@@ -33,11 +31,7 @@ def build(num_servers=4, rate=0.3e6, **overrides):
         **overrides,
     )
     cluster = Cluster(config)
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
-    handler = ServerFailureHandler(
-        cluster.program, control_plane, clients=cluster.clients
-    )
-    return cluster, handler
+    return cluster, cluster.failure_handler(op_latency_ns=ms(1))
 
 
 def build_spine(num_servers=8, racks=4, placement="rack-local", rate=0.05e6, seed=3):
@@ -117,47 +111,37 @@ def test_removal_applies_after_control_plane_latency():
 # ----------------------------------------------------------------------
 # Golden: the explicit-global rebuild is bit-identical to the seed's
 # ----------------------------------------------------------------------
-class _SeedReplicaHandler:
-    """The pre-placement-aware rebuild, replicated verbatim.
-
-    This is the seed implementation of ``_apply_removal`` (global pair
-    table over the survivors, count-only client update) kept as a
-    golden reference: the placement-aware handler with the default
-    ``global`` policy must reproduce its runs bit for bit.
-    """
-
-    def __init__(self, program, control_plane, clients=()):
-        self.program = program
-        self.control_plane = control_plane
-        self.clients = list(clients)
-        self.active = dict(self.program.addr_table.entries())
-
-    def remove_server(self, server_id):
-        if server_id not in self.active:
-            raise ExperimentError(f"server {server_id} is not in rotation")
-        if len(self.active) <= 2:
-            raise ExperimentError("cannot drop below two servers")
-        del self.active[server_id]
-        return self.control_plane.submit(self._apply_removal, server_id)
-
-    def _apply_removal(self, server_id):
-        program = self.program
-        survivors = sorted(self.active)
-        pairs = build_group_pairs(len(survivors))
-        for group_id in list(program.grp_table.entries()):
-            program.grp_table.remove(group_id)
-        for group_id, (first, second) in enumerate(pairs):
-            program.grp_table.install(
-                group_id, (survivors[first], survivors[second])
-            )
-        program.num_groups = len(pairs)
-        program.addr_table.remove(server_id)
-        for client in self.clients:
-            if hasattr(client, "num_groups"):
-                client.num_groups = len(pairs)
+# Recorded from the seed's rebuild (global pair table over the
+# survivors, count-only client update) on the run below: server 1 dies
+# at 5 ms and the control plane removes it 1 ms later.
+SEED_REBUILD_POINT = dict(
+    offered_rps=300200.0,
+    throughput_rps=299966.6666666667,
+    p50_us=21.509,
+    p99_us=115.427,
+    p999_us=174.669,
+    mean_us=29.21140139906729,
+    samples=9006,
+)
+SEED_REBUILD_EXTRA = {
+    "redundant_responses": 0.0,
+    "clones_dropped": 1.0,
+    "empty_queue_fraction": 0.9999560632688929,
+    "state_samples_zero": 17854.0,
+    "state_samples_total": 17855.0,
+    "nc_cloned": 9006.0,
+    "nc_filtered": 8844.0,
+    "nc_fingerprint_overwrite": 0.0,
+    "trunk_util_max": 0.0,
+    "trunk_util_mean": 0.0,
+    "trunk_tx_bytes": 0.0,
+    "trunk_drops": 0.0,
+}
+SEED_REBUILD_GRP = {0: (0, 2), 1: (0, 3), 2: (2, 0), 3: (2, 3), 4: (3, 0), 5: (3, 2)}
+SEED_REBUILD_ADDR = {0: 167772517, 2: 167772519, 3: 167772520}
 
 
-def _run_failure_point(handler_factory):
+def test_explicit_global_failure_rebuild_matches_seed_replica():
     config = ClusterConfig(
         scheme="netclone",
         placement="global",
@@ -169,36 +153,19 @@ def _run_failure_point(handler_factory):
         seed=6,
     )
     cluster = Cluster(config)
-    handler = handler_factory(cluster)
+    handler = cluster.failure_handler(op_latency_ns=ms(1))
     dead = cluster.servers[1]
     cluster.sim.at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
     cluster.sim.at(ms(5), handler.remove_server, 1)
     cluster.start()
     cluster.run()
-    return cluster, cluster.load_point()
-
-
-def test_explicit_global_failure_rebuild_matches_seed_replica():
-    seed_cluster, seed_point = _run_failure_point(
-        lambda cluster: _SeedReplicaHandler(
-            cluster.program,
-            ControlPlane(cluster.sim, op_latency_ns=ms(1)),
-            clients=cluster.clients,
-        )
-    )
-    new_cluster, new_point = _run_failure_point(
-        lambda cluster: cluster.failure_handler(op_latency_ns=ms(1))
-    )
-    assert_points_identical(seed_point, new_point)
+    point = cluster.load_point()
+    for name, value in SEED_REBUILD_POINT.items():
+        assert getattr(point, name) == value, name
+    assert point.extra == SEED_REBUILD_EXTRA
     # Same rebuilt data plane, entry for entry.
-    assert (
-        seed_cluster.program.grp_table.entries()
-        == new_cluster.program.grp_table.entries()
-    )
-    assert (
-        seed_cluster.program.addr_table.entries()
-        == new_cluster.program.addr_table.entries()
-    )
+    assert cluster.program.grp_table.entries() == SEED_REBUILD_GRP
+    assert cluster.program.addr_table.entries() == SEED_REBUILD_ADDR
 
 
 # ----------------------------------------------------------------------
@@ -287,17 +254,24 @@ def test_rack_below_two_live_servers_is_legal_fabric_below_two_is_not():
         handler.remove_server(1)
 
 
-def test_guard_counts_live_servers_not_address_entries():
-    from repro.core.placement import PlacementContext
+def _handler(cluster, clients, context):
+    """A handler over a single-rack cluster with explicit arguments."""
+    return ServerFailureHandler(
+        ControlPlane(cluster.sim, op_latency_ns=ms(1)),
+        clients=clients,
+        programs=cluster.programs,
+        placement=GlobalPlacement(),
+        context=context,
+        client_racks=[0] * len(clients),
+    )
 
+
+def test_guard_counts_live_servers_not_address_entries():
     # A context whose live mask already marks a server dead: the guard
     # must fail at schedule time, not crash inside the deferred rebuild.
     cluster, _ = build(num_servers=3)
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
     context = PlacementContext(server_racks=(0, 0, 0), num_racks=1).mark_dead(2)
-    handler = ServerFailureHandler(
-        cluster.program, control_plane, clients=cluster.clients, context=context
-    )
+    handler = _handler(cluster, clients=cluster.clients, context=context)
     with pytest.raises(ExperimentError, match="fabric-wide"):
         handler.remove_server(0)  # only server 1 would stay live
 
@@ -333,68 +307,25 @@ def test_clients_get_their_own_racks_table_after_a_rebuild():
 # ----------------------------------------------------------------------
 def test_unknown_client_shapes_are_rejected_at_construction():
     cluster, _ = build(num_servers=3)
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
+    context = PlacementContext(server_racks=(0, 0, 0), num_racks=1)
     with pytest.raises(ExperimentError, match="install_group_table"):
-        ServerFailureHandler(
-            cluster.program, control_plane, clients=[object()]
-        )
-
-
-def test_count_only_clients_are_updated_via_num_groups():
-    class _CountOnlyClient:
-        name = "count-only"
-        num_groups = 12  # the assembly-time 4-server count
-
-    cluster, _ = build(num_servers=4)
-    client = _CountOnlyClient()
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
-    handler = ServerFailureHandler(
-        cluster.program, control_plane, clients=[client]
-    )
-    handler.remove_server(0)
-    cluster.sim.run(until=ms(2))
-    assert client.num_groups == 6  # 3 survivors -> 3*2 pairs
-
-
-def test_multi_tor_handlers_require_a_placement_context():
-    cluster, _ = build_spine(num_servers=8, racks=4)
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
-    with pytest.raises(ExperimentError, match="PlacementContext"):
-        ServerFailureHandler(
-            cluster.program,
-            control_plane,
-            clients=cluster.clients,
-            programs=cluster.programs,
-        )
-
-
-def test_programs_must_lead_with_the_primary():
-    cluster, _ = build_spine(num_servers=8, racks=4)
-    control_plane = ControlPlane(cluster.sim, op_latency_ns=ms(1))
-    with pytest.raises(ExperimentError, match="primary"):
-        ServerFailureHandler(
-            cluster.programs[1], control_plane, programs=cluster.programs
-        )
+        _handler(cluster, clients=[object()], context=context)
 
 
 # ----------------------------------------------------------------------
-# The stale-table aliasing bug: epochs, not sizes, decide staleness
+# Client table swaps
 # ----------------------------------------------------------------------
 class _ScriptedRng:
-    """Replays scripted random()/randrange() values and counts calls."""
+    """Replays scripted random()/randrange() values."""
 
     def __init__(self, randoms=(), randranges=()):
         self.randoms = list(randoms)
         self.randranges = list(randranges)
-        self.random_calls = 0
-        self.randrange_args = []
 
     def random(self):
-        self.random_calls += 1
         return self.randoms.pop(0)
 
     def randrange(self, n):
-        self.randrange_args.append(n)
         return self.randranges.pop(0)
 
 
@@ -407,23 +338,6 @@ def _scripted_client(table, rng):
     client.install_group_table(table)
     client.rng = rng
     return client
-
-
-def test_same_size_count_update_still_invalidates_the_cached_table():
-    # A *sectioned* table: sampling it spends random() + randrange(),
-    # while the uniform fallback spends exactly one randrange() — so
-    # the RNG trace proves which path the draw took.
-    table = GroupTable(pairs=((0, 1), (1, 0), (0, 2), (2, 0)), split=2, p_local=0.5)
-    client = _scripted_client(table, _ScriptedRng(randoms=[0.4], randranges=[1, 2]))
-    assert client._pick_group() == 1  # sectioned draw: random() consumed
-    assert client.rng.random_calls == 1
-    # A count-only control-plane update with the *same* group count:
-    # the seed heuristic (size equality) would keep sampling the dead
-    # sectioned table; the epoch check must not.
-    client.num_groups = 4
-    assert client._pick_group() == 2
-    assert client.rng.random_calls == 1  # uniform fallback: no random()
-    assert client.rng.randrange_args[-1] == 4
 
 
 def test_install_group_table_swaps_table_count_and_epoch_atomically():
