@@ -81,7 +81,13 @@ class Fragment:
 
 
 class MultiPacketProgram(NetCloneProgram):
-    """NetClone with the §3.7 multi-packet extensions."""
+    """NetClone with the §3.7 multi-packet extensions.
+
+    Its request and response passes differ from Algorithm 1's, so it
+    does not run the compiled NetClone pass: :meth:`_checked_apply`
+    replaces it and checks the hardware rules on every packet through
+    a :class:`~repro.switchsim.pipeline.PassContext`.
+    """
 
     STAGE_FLOW_HASH = 0
     STAGE_CLONED_REQ = 3  # alongside AddrT; accessed after the states
@@ -105,8 +111,34 @@ class MultiPacketProgram(NetCloneProgram):
                 width_bits=32,
             )
         )
+        # NetCloneProgram.__init__ bound its compiled pass as
+        # ``self.apply``; this program's own pass takes its place.
+        self.apply = self._checked_apply
 
     # ------------------------------------------------------------------
+    def _checked_apply(
+        self, packet: Packet, switch: ProgrammableSwitch
+    ) -> Optional[PipelineAction]:
+        nc = packet.nc
+        ctx = self.pipeline.new_pass()
+        if nc.msg_type == MSG_REQ:
+            if not packet.recirculated:
+                return self._apply_request(packet, ctx, switch)
+            # Recirculated clone: pick up the clone's address.
+            nc.clo = CLO_CLONED_COPY
+            address = ctx.table(self.addr_table, nc.sid)
+            if address is None:
+                switch.counters.incr("nc_unknown_server")
+                action = PipelineAction()
+                action.drop = True
+                return action
+            packet.dst = address
+            return None
+        if nc.msg_type == MSG_RESP:
+            return self._apply_response(packet, ctx, switch)
+        # Unknown message type: fall back to plain forwarding.
+        return None
+
     def _apply_request(
         self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
     ) -> PipelineAction:

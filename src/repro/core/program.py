@@ -20,6 +20,15 @@ the shadow copy — exactly the §3.4 trick — and giving the cloned copy
 its destination IP requires a second pass through ``AddrT`` via
 recirculation (§3.4 "Cloning in the switch").
 
+Algorithm 1 runs as one function, :attr:`NetCloneProgram.apply`,
+compiled when the program is built.  Before compiling it,
+:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan` proves that
+the three pass shapes (request, recirculated clone, response) obey
+those rules, and construction fails if one does not.  The proven pass
+then runs with no per-packet checks, addressing register state by
+flat offsets into the program's
+:class:`~repro.switchsim.registers.RegisterFile`.
+
 The same class also implements the §3.7 RackSched integration: the
 state table generalises to a *load* table holding queue lengths
 (servers piggyback their queue length; IDLE simply means zero), and a
@@ -46,9 +55,9 @@ from repro.core.placement import GroupTable
 from repro.errors import PipelineConfigError, StageAccessError
 from repro.net.packet import Packet
 from repro.switchsim.hashing import HashUnit
-from repro.switchsim.pipeline import PassContext, Pipeline, PipelineAction
+from repro.switchsim.pipeline import Pipeline, PipelineAction
 from repro.switchsim.registers import RegisterArray, RegisterFile
-from repro.switchsim.switch import ProgrammableSwitch, SwitchProgram
+from repro.switchsim.switch import SwitchProgram
 from repro.switchsim.tables import MatchActionTable
 
 from zlib import crc32
@@ -65,13 +74,13 @@ SCHED_RANDOM = "random"
 SCHED_JSQ = "jsq"
 
 
-def _next_seq(value: int) -> int:
-    """Increment the global sequence, skipping 0 (0 = empty slot)."""
-    return 1 if value >= _SEQ_MAX else value + 1
-
-
 class NetCloneProgram(SwitchProgram):
-    """NetClone (optionally + RackSched) for one ToR switch."""
+    """NetClone (optionally + RackSched) for one ToR switch.
+
+    ``apply(packet, switch)`` is Algorithm 1: lines 1-10 for a fresh
+    request, 11-13 for its recirculated clone, 14-26 for a response.
+    It is an instance attribute bound by :meth:`_compile_apply`.
+    """
 
     STAGE_GRP = 0
     STAGE_STATE = 1
@@ -164,60 +173,38 @@ class NetCloneProgram(SwitchProgram):
         for server_id, ip in enumerate(server_ips):
             self.addr_table.install(server_id, ip)
 
-        #: Index-based fast lane over the register file, or ``None``
-        #: when this program shape cannot be statically verified (e.g.
-        #: a subclass overriding a pass method).
-        self.fast_apply = self._build_fast_apply()
+        #: Algorithm 1, one pipeline pass: ``apply(packet, switch)``.
+        self.apply = self._compile_apply()
 
     # ------------------------------------------------------------------
-    def _build_fast_apply(self):
-        """Compile the fixed pass shapes into an index-based fast lane.
+    def _compile_apply(self):
+        """Verify the three pass shapes and compile Algorithm 1 for them.
 
         The three NetClone pass shapes (request, recirculated clone,
         response) touch a fixed sequence of pipeline objects.
-        :meth:`Pipeline.compile_plan` proves once, at install time,
-        everything :class:`PassContext` would re-check per packet —
-        feed-forward stage order, placement, one register access per
-        pass — which licenses a per-packet path that skips the context
-        object entirely and addresses register state through flat
+        :meth:`Pipeline.compile_plan` proves once, at construction, the
+        PISA rules for each — feed-forward stage order, placement, one
+        access per register per pass — and raises
+        :class:`~repro.errors.PipelineConfigError` if one fails.  That
+        proof is what lets the per-packet closure below run without
+        checks of its own: it addresses register state through flat
         ``base + index`` offsets into the shared register file.
-
-        Returns ``None`` (→ the dynamic checked path stays in charge)
-        for subclasses that override any pass logic, or if a plan
-        fails to verify.
         """
-        cls = type(self)
-        for name in (
-            "apply",
-            "_apply_request",
-            "_apply_cloned_request",
-            "_apply_response",
-            "matches",
-        ):
-            if getattr(cls, name) is not getattr(NetCloneProgram, name):
-                return None
-        file = self._register_file
-        if file.data is None:
-            return None
         pipeline = self.pipeline
-        try:
-            self.plan_request = pipeline.compile_plan(
-                (self.seq, self.grp_table, self.state_table,
-                 self.shadow_table, self.addr_table)
-            )
-            self.plan_cloned_request = pipeline.compile_plan((self.addr_table,))
-            # The response plan is the access-order skeleton: each pass
-            # touches exactly one of the filter tables, all of which sit
-            # in stages after the hash unit.
-            self.plan_response = pipeline.compile_plan(
-                (self.state_table, self.shadow_table, self.hash_unit,
-                 *self.filters)
-            )
-        except PipelineConfigError:
-            return None
+        pipeline.compile_plan(
+            (self.seq, self.grp_table, self.state_table,
+             self.shadow_table, self.addr_table)
+        )
+        pipeline.compile_plan((self.addr_table,))
+        # The response shape is the access-order skeleton: each pass
+        # touches exactly one of the filter tables, all of which sit in
+        # stages after the hash unit.
+        pipeline.compile_plan(
+            (self.state_table, self.shadow_table, self.hash_unit, *self.filters)
+        )
 
         program = self
-        cells = file.data
+        cells = self._register_file.data
         seq_reg = self.seq
         seq_i = seq_reg.base
         grp_table = self.grp_table
@@ -237,7 +224,7 @@ class NetCloneProgram(SwitchProgram):
         filter_mask = filters[0]._mask
         num_filters = len(filters)
 
-        def fast_apply(packet, switch):
+        def apply(packet, switch):
             nc = packet.nc
             msg_type = nc.msg_type
             if msg_type == MSG_REQ:
@@ -292,6 +279,9 @@ class NetCloneProgram(SwitchProgram):
                     and state1 == STATE_IDLE
                     and state2 == STATE_IDLE
                 ):
+                    # Mark as cloned original, remember the clone's
+                    # server in SID and recirculate a copy that picks
+                    # up its IP on the second pass (lines 7-9).
                     nc.clo = CLO_CLONED_ORIGINAL
                     nc.sid = srv2
                     action = PipelineAction()
@@ -302,6 +292,7 @@ class NetCloneProgram(SwitchProgram):
                     if nc.clo == CLO_NEVER_CLONE:
                         nc.clo = CLO_NOT_CLONED
                     if program._jsq and state2 < state1:
+                        # RackSched fallback: join the shorter queue (§3.7).
                         destination = srv2
                         switch._counts["nc_jsq_second_choice"] += 1
                 addr_table.lookup_count += 1
@@ -341,6 +332,8 @@ class NetCloneProgram(SwitchProgram):
                 flat = filter_bases[which] + slot
                 old = cells[flat]
                 if old == req_id:
+                    # The faster response already passed: this is the
+                    # slower one.  Clear the slot for reuse.
                     cells[flat] = 0
                     switch._counts["nc_filtered"] += 1
                     action = PipelineAction()
@@ -354,7 +347,7 @@ class NetCloneProgram(SwitchProgram):
             # Unknown message type: fall back to plain forwarding.
             return None
 
-        return fast_apply
+        return apply
 
     # ------------------------------------------------------------------
     def install_group_table(self, table: GroupTable) -> None:
@@ -387,123 +380,6 @@ class NetCloneProgram(SwitchProgram):
             return False
         swid = packet.nc.swid
         return swid == SWID_UNSET or swid == self.switch_id
-
-    # ------------------------------------------------------------------
-    def apply(
-        self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> Optional[PipelineAction]:
-        nc = packet.nc
-        if nc.msg_type == MSG_REQ:
-            if packet.recirculated:
-                return self._apply_cloned_request(packet, ctx, switch)
-            return self._apply_request(packet, ctx, switch)
-        if nc.msg_type == MSG_RESP:
-            return self._apply_response(packet, ctx, switch)
-        # Unknown message type: fall back to plain forwarding.
-        return None
-
-    # -- requests (Algorithm 1, lines 1-10) ------------------------------
-    def _apply_request(
-        self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> Optional[PipelineAction]:
-        nc = packet.nc
-        if nc.swid == SWID_UNSET:
-            nc.swid = self.switch_id
-
-        _, seq = ctx.reg(self.seq, 0, update=_next_seq)
-        nc.req_id = seq
-
-        pair = ctx.table(self.grp_table, nc.grp)
-        if pair is None:
-            switch.counters.incr("nc_unknown_group")
-            action = PipelineAction()
-            action.drop = True
-            return action
-        srv1, srv2 = pair
-
-        state1, _ = ctx.reg(self.state_table, srv1)
-        state2, _ = ctx.reg(self.shadow_table, srv2)
-
-        may_clone = (
-            self.cloning_enabled
-            and nc.clo != CLO_NEVER_CLONE
-            and state1 == STATE_IDLE
-            and state2 == STATE_IDLE
-        )
-        destination = srv1
-        action = None
-        if may_clone:
-            # Mark as cloned original, remember the clone's server in
-            # SID, and recirculate a copy that will pick up its IP on
-            # the second pass (lines 7-9).
-            nc.clo = CLO_CLONED_ORIGINAL
-            nc.sid = srv2
-            action = PipelineAction()
-            action.recirculate.append(packet.copy())
-            switch._counts["nc_cloned"] += 1
-        else:
-            if nc.clo == CLO_NEVER_CLONE:
-                nc.clo = CLO_NOT_CLONED
-            if self._jsq and state2 < state1:
-                # RackSched fallback: join the shorter queue (§3.7).
-                destination = srv2
-                switch._counts["nc_jsq_second_choice"] += 1
-
-        address = ctx.table(self.addr_table, destination)
-        if address is None:
-            switch.counters.incr("nc_unknown_server")
-            if action is None:
-                action = PipelineAction()
-            action.drop = True
-            return action
-        packet.dst = address
-        return action
-
-    # -- recirculated clones (lines 11-13) --------------------------------
-    def _apply_cloned_request(
-        self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> Optional[PipelineAction]:
-        nc = packet.nc
-        nc.clo = CLO_CLONED_COPY
-        address = ctx.table(self.addr_table, nc.sid)
-        if address is None:
-            switch.counters.incr("nc_unknown_server")
-            action = PipelineAction()
-            action.drop = True
-            return action
-        packet.dst = address
-        return None
-
-    # -- responses (lines 14-26) ------------------------------------------
-    def _apply_response(
-        self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> Optional[PipelineAction]:
-        nc = packet.nc
-        reported_state = nc.state
-
-        ctx.reg_set(self.state_table, nc.sid, reported_state)
-        ctx.reg_set(self.shadow_table, nc.sid, reported_state)
-
-        if nc.clo == CLO_NOT_CLONED or not self.filtering_enabled:
-            return None
-
-        req_id = nc.req_id
-        slot = ctx.hash(self.hash_unit, req_id)
-        filter_table = self.filters[nc.idx % len(self.filters)]
-        # Single stateful compare-and-swap: clear on match, insert
-        # otherwise (no per-packet update closure).
-        old = ctx.reg_swap(filter_table, slot, req_id)
-        if old == req_id:
-            # The faster response already passed: this is the slower
-            # one.  The slot was cleared for reuse by the update above.
-            switch._counts["nc_filtered"] += 1
-            action = PipelineAction()
-            action.drop = True
-            return action
-        if old != 0:
-            switch._counts["nc_fingerprint_overwrite"] += 1
-        switch._counts["nc_fingerprint_insert"] += 1
-        return None
 
     # ------------------------------------------------------------------
     def on_register_wipe(self) -> None:

@@ -1,13 +1,17 @@
 """Feed-forward match-action pipeline.
 
 A PISA pipeline is a fixed sequence of stages; a packet traverses them
-strictly in order, once per pass, at line rate.  The model enforces
-that order at runtime through :class:`PassContext`:
+strictly in order, once per pass, at line rate.  A pass may touch an
+object only from that object's own stage, may never return to an
+earlier stage, and may access each register array at most once.
 
-* programs must *enter* a stage before touching its tables/registers,
-  and may never re-enter an earlier stage within the same pass;
-* register accesses additionally go through the per-pass token check
-  in :class:`~repro.switchsim.registers.RegisterArray`.
+A program proves these rules when it is built:
+:meth:`Pipeline.compile_plan` checks each fixed pass shape (the
+ordered objects one kind of packet touches) and raises
+:class:`~repro.errors.PipelineConfigError` on a violation.  The
+verified pass then runs with no per-packet checks.  A program whose
+accesses vary per packet opens a :class:`PassContext` instead, which
+checks the same rules access by access.
 
 The outcome of a pass is a :class:`PipelineAction`: forward (via L3
 route or an explicit port), drop, plus any number of copies to
@@ -19,14 +23,13 @@ from __future__ import annotations
 
 from itertools import count
 from typing import Any, Callable, List, Optional, Tuple
-from zlib import crc32
 
 from repro.errors import PipelineConfigError, StageAccessError
 from repro.switchsim.hashing import HashUnit
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["PassContext", "Pipeline", "PipelineAction", "Stage", "StaticPassPlan"]
+__all__ = ["PassContext", "Pipeline", "PipelineAction", "Stage"]
 
 _pass_tokens = count(1)
 
@@ -66,19 +69,20 @@ class Stage:
 
 
 class PassContext:
-    """Tracks a single packet's trip through the pipeline.
+    """One packet's trip through the pipeline, checked access by access.
 
-    All stateful access happens through this object so that stage
-    ordering and the one-access-per-pass register rule are enforced.
+    Stage order and the one-access-per-pass register rule are enforced
+    on every call.  Programs whose pass shapes are fixed prove the same
+    rules once with :meth:`Pipeline.compile_plan` instead; this class
+    serves programs whose accesses vary per packet, and tests.
     """
 
-    __slots__ = ("pipeline", "token", "stage", "_num_stages")
+    __slots__ = ("pipeline", "token", "stage")
 
     def __init__(self, pipeline: "Pipeline"):
         self.pipeline = pipeline
         self.token = next(_pass_tokens)
         self.stage = -1
-        self._num_stages = pipeline.num_stages
 
     def enter_stage(self, index: int) -> None:
         """Advance to stage *index*; going backwards is impossible."""
@@ -101,172 +105,18 @@ class PassContext:
         update: Optional[Callable[[int], int]] = None,
     ) -> Tuple[int, int]:
         """Enter the register's stage and perform its single access."""
-        # enter_stage and RegisterArray.access inlined — two calls per
-        # register access on the hottest switch-model path.  The
-        # stage-equality check disappears: ``stage`` is read off the
-        # register itself.
-        stage = register.stage
-        if stage < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {stage} "
-                f"after stage {self.stage}"
-            )
-        if stage >= self._num_stages:
-            raise StageAccessError(
-                f"stage {stage} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = stage
-        token = self.token
-        if not 0 <= index < register.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {register.name!r} "
-                f"(size {register.size})"
-            )
-        if token == register._last_pass_token:
-            raise StageAccessError(
-                f"register {register.name!r} accessed twice in one pipeline pass"
-            )
-        register._last_pass_token = token
-        register.access_count += 1
-        old = register.cells[index]
-        new = old
-        if update is not None:
-            new = update(old) & register._mask
-            register.cells[index] = new
-        return old, new
-
-    def reg_set(self, register: RegisterArray, index: int, value: int) -> Tuple[int, int]:
-        """Enter the register's stage and overwrite cell *index*.
-
-        Same stage/one-access-per-pass rules as :meth:`reg`, without a
-        per-call update callable.
-        """
-        stage = register.stage
-        if stage < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {stage} "
-                f"after stage {self.stage}"
-            )
-        if stage >= self._num_stages:
-            raise StageAccessError(
-                f"stage {stage} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = stage
-        token = self.token
-        if not 0 <= index < register.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {register.name!r} "
-                f"(size {register.size})"
-            )
-        if token == register._last_pass_token:
-            raise StageAccessError(
-                f"register {register.name!r} accessed twice in one pipeline pass"
-            )
-        register._last_pass_token = token
-        register.access_count += 1
-        old = register.cells[index]
-        new = value & register._mask
-        register.cells[index] = new
-        return old, new
-
-    def reg_swap(self, register: RegisterArray, index: int, value: int) -> int:
-        """Enter the register's stage and compare-and-swap cell *index*.
-
-        The fingerprint-filter ALU op (clear on match, else insert);
-        see :meth:`RegisterArray.filter_swap`.  Returns the old value.
-        """
-        stage = register.stage
-        if stage < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {stage} "
-                f"after stage {self.stage}"
-            )
-        if stage >= self._num_stages:
-            raise StageAccessError(
-                f"stage {stage} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = stage
-        token = self.token
-        if not 0 <= index < register.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {register.name!r} "
-                f"(size {register.size})"
-            )
-        if token == register._last_pass_token:
-            raise StageAccessError(
-                f"register {register.name!r} accessed twice in one pipeline pass"
-            )
-        register._last_pass_token = token
-        register.access_count += 1
-        cells = register.cells
-        old = cells[index]
-        cells[index] = 0 if old == value else value & register._mask
-        return old
+        self.enter_stage(register.stage)
+        return register.access(index, self.stage, self.token, update)
 
     def table(self, table: MatchActionTable, key: int) -> Any:
         """Enter the table's stage and look *key* up."""
-        # enter_stage and MatchActionTable.lookup inlined; the
-        # stage-equality check disappears because ``stage`` is read off
-        # the table itself.
-        stage = table.stage
-        if stage < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {stage} "
-                f"after stage {self.stage}"
-            )
-        if stage >= self._num_stages:
-            raise StageAccessError(
-                f"stage {stage} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = stage
-        table.lookup_count += 1
-        value = table._entries.get(key)
-        if value is None:
-            table.miss_count += 1
-        return value
+        self.enter_stage(table.stage)
+        return table.lookup(key, self.stage)
 
     def hash(self, unit: HashUnit, value: int) -> int:
         """Enter the hash unit's stage and hash *value*."""
-        stage = unit.stage
-        if stage < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {stage} "
-                f"after stage {self.stage}"
-            )
-        if stage >= self._num_stages:
-            raise StageAccessError(
-                f"stage {stage} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = stage
-        unit.invocations += 1
-        return crc32(
-            (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ) % unit.buckets
-
-
-class StaticPassPlan:
-    """A compile-time-verified fixed access order for one pass shape.
-
-    Produced by :meth:`Pipeline.compile_plan`.  Holding one of these is
-    the licence to skip the per-packet :class:`PassContext` checks: the
-    plan's access sequence has already been proven feed-forward (stages
-    non-decreasing), in-range, placed in this pipeline, and
-    once-per-register — everything the dynamic checks would verify on
-    every single packet.  Programs with fixed access sequences (the
-    NetClone request/clone/response passes) compile their plans once at
-    install time and run index-based fast lanes over the register
-    file's flat store instead.
-    """
-
-    __slots__ = ("pipeline", "steps")
-
-    def __init__(self, pipeline: "Pipeline", steps: Tuple[Any, ...]):
-        self.pipeline = pipeline
-        self.steps = steps
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        names = ",".join(getattr(s, "name", "?") for s in self.steps)
-        return f"<StaticPassPlan [{names}]>"
+        self.enter_stage(unit.stage)
+        return unit.index(value)
 
 
 class Pipeline:
@@ -306,57 +156,45 @@ class Pipeline:
         return unit
 
     # -- compile-time verification --------------------------------------
-    def compile_plan(self, steps) -> StaticPassPlan:
-        """Verify a fixed per-pass access order and return its plan.
+    def compile_plan(self, steps) -> None:
+        """Verify one fixed per-pass access order.
 
         *steps* is the ordered sequence of pipeline objects (registers,
         tables, hash units) one pass shape touches.  Raises
         :class:`PipelineConfigError` unless every step is placed in
         this pipeline, stages are non-decreasing (feed-forward) and no
-        register is accessed more than once — the same invariants
-        :class:`PassContext` enforces per packet, proven once here.
+        register is accessed more than once — the rules
+        :class:`PassContext` checks per packet, proven once here for
+        every packet of that shape.
         """
         stage = -1
         seen_registers = set()
         for obj in steps:
-            obj_stage = obj.stage
-            if not 0 <= obj_stage < self.num_stages:
-                raise PipelineConfigError(
-                    f"plan step {obj.name!r} wants stage {obj_stage}, "
-                    f"pipeline has stages 0..{self.num_stages - 1}"
-                )
-            if obj_stage < stage:
+            if isinstance(obj, RegisterArray):
+                what, placed = "register", "registers"
+            elif isinstance(obj, MatchActionTable):
+                what, placed = "table", "tables"
+            elif isinstance(obj, HashUnit):
+                what, placed = "hash unit", "hash_units"
+            else:
+                raise PipelineConfigError(f"unknown plan step {obj!r}")
+            home = self._stage_for(obj.stage, what, obj.name)
+            if obj.stage < stage:
                 raise PipelineConfigError(
                     f"plan is not feed-forward: {obj.name!r} in stage "
-                    f"{obj_stage} follows an access in stage {stage}"
+                    f"{obj.stage} follows an access in stage {stage}"
                 )
-            stage = obj_stage
-            home = self.stages[obj_stage]
+            stage = obj.stage
+            if obj not in getattr(home, placed):
+                raise PipelineConfigError(
+                    f"{what} {obj.name!r} is not placed in this pipeline"
+                )
             if isinstance(obj, RegisterArray):
                 if id(obj) in seen_registers:
                     raise PipelineConfigError(
                         f"register {obj.name!r} accessed twice in one plan"
                     )
                 seen_registers.add(id(obj))
-                if obj not in home.registers:
-                    raise PipelineConfigError(
-                        f"register {obj.name!r} is not placed in this pipeline"
-                    )
-            elif isinstance(obj, MatchActionTable):
-                if obj not in home.tables:
-                    raise PipelineConfigError(
-                        f"table {obj.name!r} is not placed in this pipeline"
-                    )
-            elif isinstance(obj, HashUnit):
-                if obj not in home.hash_units:
-                    raise PipelineConfigError(
-                        f"hash unit {obj.name!r} is not placed in this pipeline"
-                    )
-            else:
-                raise PipelineConfigError(
-                    f"unknown plan step {obj!r}"
-                )
-        return StaticPassPlan(self, tuple(steps))
 
     # -- run-time --------------------------------------------------------
     def new_pass(self) -> PassContext:

@@ -7,26 +7,24 @@ the server-state array twice for two candidate servers is therefore
 impossible — the reason NetClone keeps a *shadow* copy in a later
 stage (§3.4).
 
-:class:`RegisterArray` enforces both constraints at runtime:
-
-* construction binds the array to a stage index; access from any other
-  stage raises :class:`~repro.errors.StageAccessError`;
-* the pipeline stamps each pass with a token; a second access under
-  the same token raises too.
-
-A read-modify-write made through :meth:`access` counts as the single
-allowed operation, matching the hardware's stateful ALU.
+:class:`RegisterArray` records its stage at construction.  A program
+with fixed pass shapes proves both constraints once, when it is
+built (:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`);
+a program checked per packet goes through :meth:`RegisterArray.access`,
+which raises :class:`~repro.errors.StageAccessError` on an access from
+another stage or a second access under the same per-pass token.  One
+such read-modify-write is the single operation a pass may make,
+matching the hardware's stateful ALU.
 
 :class:`RegisterFile` models the other half of the SRAM story: all of
 one program's register arrays live in a single flat backing store —
 one ``array('q')`` per program, like the contiguous SRAM banks the
 compiler carves stage memory out of.  A file-backed array's ``cells``
 is a zero-copy :class:`memoryview` slice of that store, so the
-per-cell data-plane API is unchanged while index-based fast lanes
-(see :meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`) can
-address the whole file through flat ``base + index`` offsets, and
-bulk control-plane operations (wipes, snapshots) run vectorised over
-a numpy view of the same memory.
+per-cell API is unchanged while a verified pass addresses the whole
+file through flat ``base + index`` offsets, and bulk control-plane
+operations (wipes) run vectorised over a numpy view of the same
+memory.
 """
 
 from __future__ import annotations
@@ -85,12 +83,6 @@ class RegisterFile:
         for register in self._attached:
             register.cells = flat[register.base : register.base + register.size]
 
-    def as_numpy(self) -> np.ndarray:
-        """Zero-copy int64 view of the whole file (control plane only)."""
-        if self.data is None:
-            raise StageAccessError("register file is not frozen yet")
-        return np.frombuffer(self.data, dtype=np.int64)
-
     @property
     def size(self) -> int:
         """Total cells reserved across all attached arrays."""
@@ -137,24 +129,6 @@ class RegisterArray:
         self._last_pass_token: Optional[int] = None
         self.access_count = 0
 
-    # ------------------------------------------------------------------
-    def _check(self, index: int, stage: int, pass_token: Optional[int]) -> None:
-        if not 0 <= index < self.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {self.name!r} (size {self.size})"
-            )
-        if stage != self.stage:
-            raise StageAccessError(
-                f"register {self.name!r} is allocated to stage {self.stage}, "
-                f"accessed from stage {stage}"
-            )
-        if pass_token is not None and pass_token == self._last_pass_token:
-            raise StageAccessError(
-                f"register {self.name!r} accessed twice in one pipeline pass"
-            )
-        self._last_pass_token = pass_token
-        self.access_count += 1
-
     def access(
         self,
         index: int,
@@ -168,8 +142,6 @@ class RegisterArray:
         with ``update(old)`` in the same operation (read-modify-write).
         Returns ``(old_value, new_value)``.
         """
-        # Checks inlined from _check: this runs once per register per
-        # pipeline pass, the hottest switch-model path.
         if not 0 <= index < self.size:
             raise StageAccessError(
                 f"index {index} out of range for register {self.name!r} (size {self.size})"
@@ -191,75 +163,6 @@ class RegisterArray:
             new = update(old) & self._mask
             self.cells[index] = new
         return old, new
-
-    def write(
-        self,
-        index: int,
-        stage: int,
-        pass_token: Optional[int],
-        value: int,
-    ) -> Tuple[int, int]:
-        """Unconditional overwrite as the single stateful op of a pass.
-
-        Equivalent to ``access(..., update=lambda _old: value)`` without
-        allocating or calling the update callable — the response path
-        writes two state registers per packet, which makes that cost
-        measurable.  Returns ``(old_value, new_value)``.
-        """
-        if not 0 <= index < self.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {self.name!r} (size {self.size})"
-            )
-        if stage != self.stage:
-            raise StageAccessError(
-                f"register {self.name!r} is allocated to stage {self.stage}, "
-                f"accessed from stage {stage}"
-            )
-        if pass_token is not None and pass_token == self._last_pass_token:
-            raise StageAccessError(
-                f"register {self.name!r} accessed twice in one pipeline pass"
-            )
-        self._last_pass_token = pass_token
-        self.access_count += 1
-        old = self.cells[index]
-        new = value & self._mask
-        self.cells[index] = new
-        return old, new
-
-    def filter_swap(
-        self,
-        index: int,
-        stage: int,
-        pass_token: Optional[int],
-        value: int,
-    ) -> int:
-        """The fingerprint-filter ALU op: clear on match, else insert.
-
-        A single stateful compare-and-swap — ``cell = 0`` if the cell
-        already holds *value* (the mate response passed first), else
-        ``cell = value``.  Returns the old cell value.  Equivalent to
-        ``access(..., update=lambda old: 0 if old == value else value)``
-        without allocating a closure per response packet.
-        """
-        if not 0 <= index < self.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {self.name!r} (size {self.size})"
-            )
-        if stage != self.stage:
-            raise StageAccessError(
-                f"register {self.name!r} is allocated to stage {self.stage}, "
-                f"accessed from stage {stage}"
-            )
-        if pass_token is not None and pass_token == self._last_pass_token:
-            raise StageAccessError(
-                f"register {self.name!r} accessed twice in one pipeline pass"
-            )
-        self._last_pass_token = pass_token
-        self.access_count += 1
-        cells = self.cells
-        old = cells[index]
-        cells[index] = 0 if old == value else value & self._mask
-        return old
 
     # -- control-plane access (no pass/stage constraints) ---------------
     def peek(self, index: int) -> int:

@@ -6,6 +6,12 @@ L2/L3 routing function, and at most one installed
 pipeline.  Packets the program does not claim are forwarded by routing
 alone, which is how NetClone coexists with normal traffic (§3.2).
 
+A pass over a claimed packet is one call to the program's ``apply``,
+cached when the program is installed.  The program proved its pass
+shapes against the pipeline's hardware rules when it was built (see
+:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`), so the
+switch runs no per-packet checks of its own.
+
 Timing model:
 
 * ``pipeline_latency_ns`` per pass (the paper: "hundreds of
@@ -31,29 +37,30 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
-from repro.switchsim.pipeline import PassContext, Pipeline, PipelineAction
+from repro.switchsim.pipeline import Pipeline, PipelineAction
 
 __all__ = ["ProgrammableSwitch", "SwitchProgram"]
 
 
 class SwitchProgram:
-    """Base class for custom data-plane programs."""
+    """Base class for custom data-plane programs.
+
+    A program owns the :class:`Pipeline` it was compiled into and
+    proves its access pattern against it when it is built (see
+    :meth:`Pipeline.compile_plan`); the switch then runs :meth:`apply`
+    once per pass with no checks of its own.  A program that wants the
+    hardware rules checked on every packet instead opens a
+    :meth:`Pipeline.new_pass` inside ``apply``.
+    """
 
     #: The pipeline this program was compiled into.
     pipeline: Pipeline
-
-    #: Optional statically-verified per-packet path: a callable
-    #: ``fast_apply(packet, switch) -> Optional[PipelineAction]``
-    #: equivalent to ``apply`` but licensed (via
-    #: :meth:`Pipeline.compile_plan`) to skip the per-packet
-    #: :class:`PassContext` checks.  ``None`` means "use ``apply``".
-    fast_apply = None
 
     def matches(self, packet: Packet) -> bool:
         """Whether *packet* should be processed by this program."""
         raise NotImplementedError
 
-    def apply(self, packet: Packet, ctx: PassContext, switch: "ProgrammableSwitch") -> Optional[PipelineAction]:
+    def apply(self, packet: Packet, switch: "ProgrammableSwitch") -> Optional[PipelineAction]:
         """Process one pipeline pass of *packet*.
 
         May return ``None`` as the plain-forward fast path: the switch
@@ -86,9 +93,6 @@ class ProgrammableSwitch:
         self.recirc_latency_ns = recirc_latency_ns
         self.num_ports = num_ports
         self.ports: Dict[int, Link] = {}
-        #: Reverse map of ``ports`` keyed by link identity — the
-        #: per-packet ingress-port lookup must not scan.
-        self._port_by_link: Dict[int, int] = {}
         #: Destination ip → egress port, or → a per-packet selector
         #: callable (see :meth:`install_dynamic_route`).
         self.routes: Dict[int, Any] = {}
@@ -97,9 +101,8 @@ class ProgrammableSwitch:
         #: route + port maps, and knows its link direction up front.
         self._link_for_ip: Dict[int, Any] = {}
         self.program: Optional[SwitchProgram] = None
-        #: Cached ``program.fast_apply`` (resolved at install time so
-        #: the per-packet dispatch is one attribute load, not a
-        #: getattr with default).
+        #: Cached ``program.apply`` (resolved at install time, so a
+        #: pass costs one attribute load); ``None`` without a program.
         self._fast_apply = None
         self.counters = Counter()
         # Per-packet counter sites bump the underlying dict directly;
@@ -120,7 +123,6 @@ class ProgrammableSwitch:
         if port in self.ports:
             raise PortError(f"port {port} already connected")
         self.ports[port] = link
-        self._port_by_link[id(link)] = port
         # The fused ingress path reads the port straight off the link.
         if link.a is self:
             link._port_a = port
@@ -160,33 +162,18 @@ class ProgrammableSwitch:
         if self.program is not None:
             raise SwitchError(f"{self.name} already has a program installed")
         self.program = program
-        self._fast_apply = getattr(program, "fast_apply", None)
+        self._fast_apply = program.apply
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet, link: Link) -> None:
-        """Entry point for packets arriving from a link."""
-        if self.down:
-            self.counters.incr("rx_dropped_down")
-            packet.release()
-            return
-        port = self._port_by_link.get(id(link))
-        if port is None:
-            raise PortError(f"{self.name}: packet arrived on unknown link {link.name}")
-        packet.ingress_port = port
-        packet.recirculated = False
-        self._counts["rx"] += 1
-        self.sim.call_after(self.pipeline_latency_ns, self._run_pass, packet)
-
     def link_ingress(self, packet: Packet, link: Link) -> None:
         """Fused arrival + pipeline pass, one event per switch hop.
 
         :class:`~repro.net.link.Link` schedules this directly at
-        ``arrival + pipeline_latency_ns``, so the per-hop deliver event
-        (whose only job was to schedule the pass) disappears.  Ingress
-        bookkeeping and the down check consequently happen at pass
-        time: a packet in flight into the pipeline when the switch
+        ``arrival + pipeline_latency_ns``, so a switch hop costs no
+        separate arrival event.  Ingress bookkeeping and the down check
+        consequently happen at pass time: a packet in flight into the pipeline when the switch
         powers off counts as ``rx_dropped_down`` rather than
         ``rx`` + ``dropped_down`` — either way it died with the power,
         and ``rx == tx + dropped_down + no_route`` still holds.
@@ -203,40 +190,9 @@ class ProgrammableSwitch:
         self._counts["rx"] += 1
         program = self.program
         if program is not None and program.matches(packet):
-            fast = self._fast_apply
-            if fast is not None:
-                action = fast(packet, self)
-            else:
-                ctx = program.pipeline.new_pass()
-                action = program.apply(packet, ctx, self)
+            action = self._fast_apply(packet, self)
             # ``None`` is the program's plain-forward fast path: route
             # the (possibly rewritten) packet, no copies, no drop.
-            if action is None:
-                self._egress(packet, None)
-            else:
-                self._apply_action(packet, action)
-        else:
-            self._egress(packet, None)
-
-    def _port_of_link(self, link: Link) -> int:
-        port = self._port_by_link.get(id(link))
-        if port is None:
-            raise PortError(f"{self.name}: packet arrived on unknown link {link.name}")
-        return port
-
-    def _run_pass(self, packet: Packet) -> None:
-        if self.down:
-            self.counters.incr("dropped_down")
-            packet.release()
-            return
-        program = self.program
-        if program is not None and program.matches(packet):
-            fast = self._fast_apply
-            if fast is not None:
-                action = fast(packet, self)
-            else:
-                ctx = program.pipeline.new_pass()
-                action = program.apply(packet, ctx, self)
             if action is None:
                 self._egress(packet, None)
             else:
@@ -271,7 +227,15 @@ class ProgrammableSwitch:
             packet.release()
             return
         packet.recirculated = True
-        self._run_pass(packet)
+        # Only an installed program recirculates packets.
+        if self.program.matches(packet):
+            action = self._fast_apply(packet, self)
+            if action is None:
+                self._egress(packet, None)
+            else:
+                self._apply_action(packet, action)
+        else:
+            self._egress(packet, None)
 
     def _egress(self, packet: Packet, port: Optional[int]) -> None:
         if port is None:

@@ -184,7 +184,7 @@ def test_property_filter_register_matches_reference_model(events):
             size=64,
             nc=NetCloneHeader(MSG_RESP, req_id=req_id, sid=0, state=0, clo=1, idx=0),
         )
-        action = program.apply(packet, program.pipeline.new_pass(), switch)
+        action = program.apply(packet, switch)
         # None is the plain-forward fast path (no drop).
         if slot_model == req_id:
             assert action is not None and action.drop

@@ -1,0 +1,63 @@
+"""The simulator entry points the end-to-end benchmark's tracer wraps.
+
+``benchmarks/e2e/spans.py`` attributes time to layers by replacing
+named class attributes (``ENTRY_POINTS``) and each ToR's cached
+``_fast_apply``.  A rename on the simulator side would only break the
+benchmark's traced run; these tests catch it in the smoke tier.  They
+read ``spans.py`` and never install its class-level wrappers.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from helpers import tiny_config
+from repro.experiments.common import Cluster
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("e2e_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "layer, module, cls_name, attr",
+    load_spans().ENTRY_POINTS,
+)
+def test_entry_point_resolves_on_its_class(layer, module, cls_name, attr):
+    cls = getattr(importlib.import_module(module), cls_name)
+    assert callable(cls.__dict__.get(attr)), f"{module}.{cls_name}.{attr}"
+
+
+def test_wrapped_program_sees_every_pass():
+    spans = load_spans()
+    cluster = Cluster(tiny_config(topology="star"))
+    cluster.start()
+    recirculated_passes = []
+    for tor in cluster.tors:
+        program_pass = tor._fast_apply
+
+        def counted(packet, switch, program_pass=program_pass):
+            if packet.recirculated:
+                recirculated_passes.append(packet)
+            return program_pass(packet, switch)
+
+        tor._fast_apply = counted
+    tracer = spans.Tracer()
+    tracer.wrap_programs(cluster)
+    cluster.run()
+    cluster.sim.run()
+
+    (tor,) = cluster.tors
+    cloned = tor.counters.get("nc_cloned")
+    assert cloned > 0
+    assert len(recirculated_passes) == tor.counters.get("recirculated") == cloned
+    assert tracer.calls("core.program") == (
+        tor.counters.get("rx") + tor.counters.get("recirculated")
+    )

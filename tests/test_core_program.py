@@ -59,7 +59,7 @@ def response(req_id, sid, state=STATE_IDLE, clo=CLO_CLONED_ORIGINAL, idx=0):
 
 def apply(program, switch, packet, recirculated=False):
     packet.recirculated = recirculated
-    action = program.apply(packet, program.pipeline.new_pass(), switch)
+    action = program.apply(packet, switch)
     # ``None`` is the program's plain-forward fast path — equivalent to
     # an empty action, normalised here so assertions stay uniform.
     return action if action is not None else PipelineAction()

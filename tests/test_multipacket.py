@@ -62,7 +62,7 @@ def fragment_request(req_id, index, count, grp=0, clo=0):
 
 def apply(program, switch, packet, recirculated=False):
     packet.recirculated = recirculated
-    return program.apply(packet, program.pipeline.new_pass(), switch)
+    return program.apply(packet, switch)
 
 
 def test_client_request_id_distinct_per_client_and_seq():

@@ -348,7 +348,7 @@ def test_rack_local_keeps_trunks_silent_across_kill_and_restore():
     assert handler.epoch == 2
 
 
-def test_failure_handler_rejects_programless_and_pinned_schemes():
+def test_failure_handler_rejects_programless_schemes():
     baseline = Cluster(tiny_config(scheme="baseline"))
     with pytest.raises(ExperimentError, match="no switch program"):
         baseline.failure_handler()

@@ -152,6 +152,28 @@ def test_pipeline_shadow_table_pattern_works():
     assert (s1, s2) == (1, 1)
 
 
+def _bad_plans():
+    pipeline = Pipeline()
+    early = pipeline.place_register(RegisterArray("early", size=1, stage=1))
+    late = pipeline.place_register(RegisterArray("late", size=1, stage=4))
+    table = pipeline.place_table(MatchActionTable("addr", stage=3))
+    return pipeline, {
+        "backward-stage": (late, early),
+        "register-twice": (early, table, early),
+        "unplaced-register": (early, RegisterArray("loose", size=1, stage=2)),
+        "unplaced-table": (early, MatchActionTable("loose", stage=2)),
+        "unplaced-hash": (early, HashUnit("loose", stage=2, buckets=8)),
+        "not-a-pipeline-object": (early, object()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_plans()[1]))
+def test_compile_plan_rejects_hardware_rule_violation(case):
+    pipeline, plans = _bad_plans()
+    with pytest.raises(PipelineConfigError):
+        pipeline.compile_plan(plans[case])
+
+
 def test_pipeline_stage_placement_validated():
     pipeline = Pipeline(num_stages=2)
     with pytest.raises(PipelineConfigError):
@@ -252,7 +274,7 @@ class DropOddProgram(SwitchProgram):
     def matches(self, packet):
         return packet.dport == 7777
 
-    def apply(self, packet, ctx, switch):
+    def apply(self, packet, switch):
         self.seen.append((packet.uid, packet.recirculated))
         action = PipelineAction()
         if packet.sport % 2 == 1:
