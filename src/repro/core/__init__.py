@@ -10,9 +10,9 @@
 * :mod:`racksched` — RackSched (JSQ / power-of-two) and the
   NetClone+RackSched integration (§3.7).
 * :mod:`client` / :mod:`server` — NetClone-aware end hosts.
-* Multi-rack deployment (§3.7): the switch-ID gate lives in
-  :meth:`NetCloneProgram.matches`, the rack wiring in the fabrics of
-  :mod:`repro.net.topology`.
+* Multi-rack deployment (§3.7): the switch-ID gate opens every
+  NetClone pass (stated alone as :meth:`NetCloneProgram.matches`), the
+  rack wiring lives in the fabrics of :mod:`repro.net.topology`.
 """
 
 from repro.core.constants import (

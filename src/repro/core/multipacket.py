@@ -44,7 +44,7 @@ from repro.core.server import RpcServer
 from repro.errors import ExperimentError, PipelineConfigError
 from repro.net.packet import Packet
 from repro.switchsim.hashing import HashUnit
-from repro.switchsim.pipeline import PassContext, PipelineAction
+from repro.switchsim.pipeline import PassContext
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.switch import ProgrammableSwitch
 
@@ -118,7 +118,9 @@ class MultiPacketProgram(NetCloneProgram):
     # ------------------------------------------------------------------
     def _checked_apply(
         self, packet: Packet, switch: ProgrammableSwitch
-    ) -> Optional[PipelineAction]:
+    ) -> Optional[bool]:
+        if not self.matches(packet):
+            return None
         nc = packet.nc
         ctx = self.pipeline.new_pass()
         if nc.msg_type == MSG_REQ:
@@ -129,9 +131,7 @@ class MultiPacketProgram(NetCloneProgram):
             address = ctx.table(self.addr_table, nc.sid)
             if address is None:
                 switch.counters.incr("nc_unknown_server")
-                action = PipelineAction()
-                action.drop = True
-                return action
+                return True
             packet.dst = address
             return None
         if nc.msg_type == MSG_RESP:
@@ -141,24 +141,21 @@ class MultiPacketProgram(NetCloneProgram):
 
     def _apply_request(
         self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> PipelineAction:
-        action = PipelineAction()
+    ) -> Optional[bool]:
         nc = packet.nc
         if nc.swid == SWID_UNSET:
             nc.swid = self.switch_id
         if nc.req_id == 0:
             # Clients must pre-assign IDs in multi-packet mode.
             switch.counters.incr("nc_missing_client_id")
-            action.drop = True
-            return action
+            return True
 
         flow_slot = ctx.hash(self.flow_hash, nc.req_id)
 
         pair = ctx.table(self.grp_table, nc.grp)
         if pair is None:
             switch.counters.incr("nc_unknown_group")
-            action.drop = True
-            return action
+            return True
         srv1, srv2 = pair
 
         state1, _ = ctx.reg(self.state_table, srv1)
@@ -196,7 +193,7 @@ class MultiPacketProgram(NetCloneProgram):
         if should_clone:
             nc.clo = CLO_CLONED_ORIGINAL
             nc.sid = srv2
-            action.recirculate.append(packet.copy())
+            switch.recirculate(packet.copy())
             switch.counters.incr("nc_cloned")
         elif nc.clo == CLO_NEVER_CLONE:
             nc.clo = CLO_NOT_CLONED
@@ -204,19 +201,17 @@ class MultiPacketProgram(NetCloneProgram):
         address = ctx.table(self.addr_table, srv1)
         if address is None:
             switch.counters.incr("nc_unknown_server")
-            action.drop = True
-            return action
+            return True
         packet.dst = address
-        return action
+        return None
 
     def _apply_response(
         self, packet: Packet, ctx: PassContext, switch: ProgrammableSwitch
-    ) -> PipelineAction:
+    ) -> Optional[bool]:
         # Reimplements the base response path (rather than delegating)
         # because the cloned-request clear lives in stage 3 and must be
         # visited *between* the shadow table (stage 2) and the filter
         # hash (stage 4): the pipeline is feed-forward.
-        action = PipelineAction()
         nc = packet.nc
         payload = packet.payload
         reported_state = nc.state
@@ -237,7 +232,7 @@ class MultiPacketProgram(NetCloneProgram):
             )
 
         if nc.clo == CLO_NOT_CLONED or not self.filtering_enabled:
-            return action
+            return None
 
         slot = ctx.hash(self.hash_unit, req_id)
         filter_table = self.filters[nc.idx % len(self.filters)]
@@ -248,12 +243,11 @@ class MultiPacketProgram(NetCloneProgram):
         )
         if old == req_id:
             switch.counters.incr("nc_filtered")
-            action.drop = True
-        else:
-            if old != 0:
-                switch.counters.incr("nc_fingerprint_overwrite")
-            switch.counters.incr("nc_fingerprint_insert")
-        return action
+            return True
+        if old != 0:
+            switch.counters.incr("nc_fingerprint_overwrite")
+        switch.counters.incr("nc_fingerprint_insert")
+        return None
 
 
 class MultiPacketClient(OpenLoopClient):

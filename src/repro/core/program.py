@@ -55,7 +55,7 @@ from repro.core.placement import GroupTable
 from repro.errors import PipelineConfigError, StageAccessError
 from repro.net.packet import Packet
 from repro.switchsim.hashing import HashUnit
-from repro.switchsim.pipeline import Pipeline, PipelineAction
+from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.registers import RegisterArray, RegisterFile
 from repro.switchsim.switch import SwitchProgram
 from repro.switchsim.tables import MatchActionTable
@@ -79,7 +79,11 @@ class NetCloneProgram(SwitchProgram):
 
     ``apply(packet, switch)`` is Algorithm 1: lines 1-10 for a fresh
     request, 11-13 for its recirculated clone, 14-26 for a response.
-    It is an instance attribute bound by :meth:`_compile_apply`.
+    It is an instance attribute bound by :meth:`_compile_apply`.  It
+    returns ``True`` to drop the packet and ``None`` to forward it,
+    and hands a clone to ``switch.recirculate`` during the pass.  The
+    pass opens with the :meth:`matches` gate, so packets that are not
+    this ToR's NetClone traffic pass through untouched.
     """
 
     STAGE_GRP = 0
@@ -204,59 +208,53 @@ class NetCloneProgram(SwitchProgram):
         )
 
         program = self
+        switch_id = self.switch_id
         cells = self._register_file.data
-        seq_reg = self.seq
-        seq_i = seq_reg.base
-        grp_table = self.grp_table
-        grp_get = grp_table._entries.get
+        seq_i = self.seq.base
+        grp_get = self.grp_table._entries.get
         state_reg = self.state_table
         shadow_reg = self.shadow_table
         state_base = state_reg.base
         shadow_base = shadow_reg.base
         state_size = state_reg.size
         state_mask = state_reg._mask
-        addr_table = self.addr_table
-        addr_get = addr_table._entries.get
-        hash_unit = self.hash_unit
-        buckets = hash_unit.buckets
-        filters = tuple(self.filters)
-        filter_bases = tuple(f.base for f in filters)
-        filter_mask = filters[0]._mask
-        num_filters = len(filters)
+        addr_get = self.addr_table._entries.get
+        buckets = self.hash_unit.buckets
+        filter_bases = tuple(f.base for f in self.filters)
+        filter_mask = self.filters[0]._mask
+        num_filters = len(filter_bases)
 
         def apply(packet, switch):
+            # The gate :meth:`matches` states, folded into the pass:
+            # NetClone port, parseable header, SWID unset or our own.
             nc = packet.nc
+            if packet.dport != NETCLONE_UDP_PORT or nc is None:
+                return None
+            swid = nc.swid
+            if swid != SWID_UNSET and swid != switch_id:
+                return None
             msg_type = nc.msg_type
             if msg_type == MSG_REQ:
                 if packet.recirculated:
                     # Recirculated clone (lines 11-13).
                     nc.clo = CLO_CLONED_COPY
-                    addr_table.lookup_count += 1
                     address = addr_get(nc.sid)
                     if address is None:
-                        addr_table.miss_count += 1
                         switch.counters.incr("nc_unknown_server")
-                        action = PipelineAction()
-                        action.drop = True
-                        return action
+                        return True
                     packet.dst = address
                     return None
                 # Fresh request (lines 1-10).
-                if nc.swid == SWID_UNSET:
-                    nc.swid = program.switch_id
-                seq_reg.access_count += 1
+                if swid == SWID_UNSET:
+                    nc.swid = switch_id
                 old = cells[seq_i]
                 seq = 1 if old >= _SEQ_MAX else old + 1
                 cells[seq_i] = seq
                 nc.req_id = seq
-                grp_table.lookup_count += 1
                 pair = grp_get(nc.grp)
                 if pair is None:
-                    grp_table.miss_count += 1
                     switch.counters.incr("nc_unknown_group")
-                    action = PipelineAction()
-                    action.drop = True
-                    return action
+                    return True
                 srv1, srv2 = pair
                 if not 0 <= srv1 < state_size:
                     raise StageAccessError(
@@ -268,9 +266,7 @@ class NetCloneProgram(SwitchProgram):
                         f"index {srv2} out of range for register "
                         f"{shadow_reg.name!r} (size {state_size})"
                     )
-                state_reg.access_count += 1
                 state1 = cells[state_base + srv1]
-                shadow_reg.access_count += 1
                 state2 = cells[shadow_base + srv2]
                 destination = srv1
                 if (
@@ -284,28 +280,21 @@ class NetCloneProgram(SwitchProgram):
                     # up its IP on the second pass (lines 7-9).
                     nc.clo = CLO_CLONED_ORIGINAL
                     nc.sid = srv2
-                    action = PipelineAction()
-                    action.recirculate.append(packet.copy())
+                    switch.recirculate(packet.copy())
                     switch._counts["nc_cloned"] += 1
                 else:
-                    action = None
                     if nc.clo == CLO_NEVER_CLONE:
                         nc.clo = CLO_NOT_CLONED
                     if program._jsq and state2 < state1:
                         # RackSched fallback: join the shorter queue (§3.7).
                         destination = srv2
                         switch._counts["nc_jsq_second_choice"] += 1
-                addr_table.lookup_count += 1
                 address = addr_get(destination)
                 if address is None:
-                    addr_table.miss_count += 1
                     switch.counters.incr("nc_unknown_server")
-                    if action is None:
-                        action = PipelineAction()
-                    action.drop = True
-                    return action
+                    return True
                 packet.dst = address
-                return action
+                return None
             if msg_type == MSG_RESP:
                 # Response (lines 14-26).
                 sid = nc.sid
@@ -315,20 +304,15 @@ class NetCloneProgram(SwitchProgram):
                         f"{state_reg.name!r} (size {state_size})"
                     )
                 value = nc.state & state_mask
-                state_reg.access_count += 1
                 cells[state_base + sid] = value
-                shadow_reg.access_count += 1
                 cells[shadow_base + sid] = value
                 if nc.clo == CLO_NOT_CLONED or not program.filtering_enabled:
                     return None
                 req_id = nc.req_id
-                hash_unit.invocations += 1
                 slot = crc32(
                     (req_id & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
                 ) % buckets
                 which = nc.idx % num_filters
-                filter_reg = filters[which]
-                filter_reg.access_count += 1
                 flat = filter_bases[which] + slot
                 old = cells[flat]
                 if old == req_id:
@@ -336,9 +320,7 @@ class NetCloneProgram(SwitchProgram):
                     # slower one.  Clear the slot for reuse.
                     cells[flat] = 0
                     switch._counts["nc_filtered"] += 1
-                    action = PipelineAction()
-                    action.drop = True
-                    return action
+                    return True
                 cells[flat] = req_id & filter_mask
                 if old != 0:
                     switch._counts["nc_fingerprint_overwrite"] += 1
@@ -375,7 +357,11 @@ class NetCloneProgram(SwitchProgram):
 
     # ------------------------------------------------------------------
     def matches(self, packet: Packet) -> bool:
-        """NetClone packets: reserved UDP port, parseable header, SWID gate."""
+        """NetClone packets: reserved UDP port, parseable header, SWID gate.
+
+        The compiled pass opens with the same three checks; this
+        predicate states them on their own.
+        """
         if packet.dport != NETCLONE_UDP_PORT or packet.nc is None:
             return False
         swid = packet.nc.swid

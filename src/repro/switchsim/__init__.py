@@ -12,9 +12,9 @@ design:
 * exact-match **match-action tables** (:mod:`tables`), updatable only
   from the control plane;
 * **hash units** (:mod:`hashing`) computing CRC-based indices;
-* a **multicast/mirror engine** and **recirculation** via loopback
-  ports (:mod:`switch`) — the mechanism NetClone uses to give cloned
-  packets their destination address on a second pass;
+* **recirculation** via loopback ports (:mod:`switch`) — the
+  mechanism NetClone uses to give cloned packets their destination
+  address on a second pass;
 * a **resource accountant** (:mod:`resources`) reproducing the §4.1
   SRAM/stage arithmetic;
 * a **control plane** (:mod:`controlplane`) for slow-path table
@@ -23,7 +23,7 @@ design:
 
 from repro.switchsim.controlplane import ControlPlane
 from repro.switchsim.hashing import HashUnit, crc32_hash
-from repro.switchsim.pipeline import Pipeline, PipelineAction, Stage
+from repro.switchsim.pipeline import Pipeline, Stage
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.resources import ResourceModel, ResourceReport
 from repro.switchsim.switch import ProgrammableSwitch, SwitchProgram
@@ -34,7 +34,6 @@ __all__ = [
     "HashUnit",
     "MatchActionTable",
     "Pipeline",
-    "PipelineAction",
     "ProgrammableSwitch",
     "RegisterArray",
     "ResourceModel",

@@ -33,6 +33,10 @@ class HashUnit:
         self.name = name
         self.stage = stage
         self.buckets = buckets
+        #: Calls of :meth:`index`, i.e. hashes computed by programs
+        #: checked per packet.  A proven pass (the NetClone program's)
+        #: hashes inline and is accounted for by switch counters
+        #: instead.
         self.invocations = 0
 
     def index(self, value: int) -> int:

@@ -13,10 +13,12 @@ verified pass then runs with no per-packet checks.  A program whose
 accesses vary per packet opens a :class:`PassContext` instead, which
 checks the same rules access by access.
 
-The outcome of a pass is a :class:`PipelineAction`: forward (via L3
-route or an explicit port), drop, plus any number of copies to
-recirculate or mirror — the two cloning primitives §3.4 discusses
-(NetClone uses multicast + recirculation).
+The outcome of a pass is a verdict, returned by the program's
+``apply``: ``True`` drops the packet, ``None`` forwards it by L3
+route.  Cloning is a side effect of the pass: the program hands each
+copy to :meth:`~repro.switchsim.switch.ProgrammableSwitch.recirculate`
+(§3.4 discusses multicast and recirculation; NetClone's copy picks up
+its destination on a second, recirculated pass).
 """
 
 from __future__ import annotations
@@ -29,33 +31,9 @@ from repro.switchsim.hashing import HashUnit
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["PassContext", "Pipeline", "PipelineAction", "Stage"]
+__all__ = ["PassContext", "Pipeline", "Stage"]
 
 _pass_tokens = count(1)
-
-
-class PipelineAction:
-    """What the pipeline decided to do with a packet."""
-
-    __slots__ = ("drop", "egress_port", "recirculate", "mirrors")
-
-    def __init__(self) -> None:
-        #: Drop the packet (no forwarding at all).
-        self.drop = False
-        #: Explicit egress port; ``None`` means "use the L3 route".
-        self.egress_port: Optional[int] = None
-        #: Packet copies to send around through a loopback port.
-        self.recirculate: List[Any] = []
-        #: Packet copies to emit directly, as ``(packet, port)`` pairs.
-        self.mirrors: List[Tuple[Any, Optional[int]]] = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.drop:
-            return "<PipelineAction drop>"
-        return (
-            f"<PipelineAction egress={self.egress_port} "
-            f"recirc={len(self.recirculate)} mirrors={len(self.mirrors)}>"
-        )
 
 
 class Stage:

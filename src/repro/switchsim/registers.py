@@ -127,6 +127,10 @@ class RegisterArray:
             self.base = file.attach(self, initial & self._mask)
             self.cells = None  # type: ignore[assignment]
         self._last_pass_token: Optional[int] = None
+        #: Calls of :meth:`access`, i.e. accesses made by programs
+        #: checked per packet.  A proven pass (the NetClone program's)
+        #: addresses cells directly and is accounted for by switch
+        #: counters instead.
         self.access_count = 0
 
     def access(

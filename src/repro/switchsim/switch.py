@@ -3,12 +3,16 @@
 :class:`ProgrammableSwitch` owns ports (links to hosts), a plain
 L2/L3 routing function, and at most one installed
 :class:`SwitchProgram` — the custom data-plane logic compiled into the
-pipeline.  Packets the program does not claim are forwarded by routing
-alone, which is how NetClone coexists with normal traffic (§3.2).
+pipeline.  Packets the program does not claim leave its pass
+untouched and are forwarded by routing alone, which is how NetClone
+coexists with normal traffic (§3.2).
 
-A pass over a claimed packet is one call to the program's ``apply``,
-cached when the program is installed.  The program proved its pass
-shapes against the pipeline's hardware rules when it was built (see
+With a program installed, every pass is one call to the program's
+``apply``, cached when the program is installed.  The pass returns a
+verdict: ``True`` drops the packet, anything else forwards it by
+route.  A program that clones hands each copy to :meth:`recirculate`
+itself, during the pass.  The program proved its pass shapes against
+the pipeline's hardware rules when it was built (see
 :meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`), so the
 switch runs no per-packet checks of its own.
 
@@ -37,7 +41,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
-from repro.switchsim.pipeline import Pipeline, PipelineAction
+from repro.switchsim.pipeline import Pipeline
 
 __all__ = ["ProgrammableSwitch", "SwitchProgram"]
 
@@ -48,7 +52,7 @@ class SwitchProgram:
     A program owns the :class:`Pipeline` it was compiled into and
     proves its access pattern against it when it is built (see
     :meth:`Pipeline.compile_plan`); the switch then runs :meth:`apply`
-    once per pass with no checks of its own.  A program that wants the
+    on every pass with no checks of its own.  A program that wants the
     hardware rules checked on every packet instead opens a
     :meth:`Pipeline.new_pass` inside ``apply``.
     """
@@ -56,17 +60,14 @@ class SwitchProgram:
     #: The pipeline this program was compiled into.
     pipeline: Pipeline
 
-    def matches(self, packet: Packet) -> bool:
-        """Whether *packet* should be processed by this program."""
-        raise NotImplementedError
+    def apply(self, packet: Packet, switch: "ProgrammableSwitch") -> Optional[bool]:
+        """Process one pipeline pass of *packet*; return the verdict.
 
-    def apply(self, packet: Packet, switch: "ProgrammableSwitch") -> Optional[PipelineAction]:
-        """Process one pipeline pass of *packet*.
-
-        May return ``None`` as the plain-forward fast path: the switch
-        routes the (possibly rewritten) packet with no drop, no copies
-        and no explicit egress port — without materialising a
-        :class:`PipelineAction` for the common case.
+        Every packet the switch receives comes here, so the pass opens
+        with the program's own gate and leaves packets it does not
+        claim untouched.  Return ``True`` to drop the packet and
+        ``None`` to forward the (possibly rewritten) packet by route.
+        Copies to clone go to ``switch.recirculate`` during the pass.
         """
         raise NotImplementedError
 
@@ -173,10 +174,11 @@ class ProgrammableSwitch:
         :class:`~repro.net.link.Link` schedules this directly at
         ``arrival + pipeline_latency_ns``, so a switch hop costs no
         separate arrival event.  Ingress bookkeeping and the down check
-        consequently happen at pass time: a packet in flight into the pipeline when the switch
-        powers off counts as ``rx_dropped_down`` rather than
-        ``rx`` + ``dropped_down`` — either way it died with the power,
-        and ``rx == tx + dropped_down + no_route`` still holds.
+        consequently happen at pass time: a packet in flight into the
+        pipeline when the switch powers off counts as
+        ``rx_dropped_down`` rather than ``rx`` + ``dropped_down`` —
+        either way it died with the power, and ``rx + recirculated ==
+        tx + dropped_by_program + no_route + dropped_down`` still holds.
         """
         if self.down:
             self._counts["rx_dropped_down"] += 1
@@ -188,37 +190,25 @@ class ProgrammableSwitch:
         packet.ingress_port = port
         packet.recirculated = False
         self._counts["rx"] += 1
-        program = self.program
-        if program is not None and program.matches(packet):
-            action = self._fast_apply(packet, self)
-            # ``None`` is the program's plain-forward fast path: route
-            # the (possibly rewritten) packet, no copies, no drop.
-            if action is None:
-                self._egress(packet, None)
-            else:
-                self._apply_action(packet, action)
-        else:
-            # Unclaimed packets are routed without materialising an
-            # empty PipelineAction.
-            self._egress(packet, None)
-
-    def _apply_action(self, packet: Packet, action: PipelineAction) -> None:
-        counts = self._counts
-        for copy, port in action.mirrors:
-            counts["mirrored"] += 1
-            self._egress(copy, port)
-        for copy in action.recirculate:
-            counts["recirculated"] += 1
-            self.sim.call_after(
-                self.recirc_latency_ns + self.pipeline_latency_ns,
-                self._run_recirculated,
-                copy,
-            )
-        if action.drop:
-            counts["dropped_by_program"] += 1
+        fast_apply = self._fast_apply
+        if fast_apply is not None and fast_apply(packet, self):
+            self._counts["dropped_by_program"] += 1
             packet.release()
             return
-        self._egress(packet, action.egress_port)
+        self._egress(packet)
+
+    def recirculate(self, packet: Packet) -> None:
+        """Loop *packet* back through a loopback port for another pass.
+
+        Called by the program during a pass; the copy re-enters the
+        pipeline ``recirc_latency_ns + pipeline_latency_ns`` later.
+        """
+        self._counts["recirculated"] += 1
+        self.sim.call_after(
+            self.recirc_latency_ns + self.pipeline_latency_ns,
+            self._run_recirculated,
+            packet,
+        )
 
     def _run_recirculated(self, packet: Packet) -> None:
         """A recirculated copy re-enters the pipeline as a fresh pass."""
@@ -228,43 +218,32 @@ class ProgrammableSwitch:
             return
         packet.recirculated = True
         # Only an installed program recirculates packets.
-        if self.program.matches(packet):
-            action = self._fast_apply(packet, self)
-            if action is None:
-                self._egress(packet, None)
-            else:
-                self._apply_action(packet, action)
-        else:
-            self._egress(packet, None)
+        if self._fast_apply(packet, self):
+            self._counts["dropped_by_program"] += 1
+            packet.release()
+            return
+        self._egress(packet)
 
-    def _egress(self, packet: Packet, port: Optional[int]) -> None:
-        if port is None:
-            # Fast path: statically routed destination, link and
-            # direction known from one dict get.
-            info = self._link_for_ip.get(packet.dst)
-            if info is None:
-                route = self.routes.get(packet.dst)
-                if route is not None and not isinstance(route, int):
-                    route = route(packet)
-                if route is None:
-                    self._counts["no_route"] += 1
-                    packet.release()
-                    return
-                link = self.ports.get(route)
-                if link is None:
-                    self._counts["no_route"] += 1
-                    packet.release()
-                    return
-                from_a = link.a is self
-            else:
-                link, from_a = info
-        else:
-            link = self.ports.get(port)
+    def _egress(self, packet: Packet) -> None:
+        # Fast path: statically routed destination, link and direction
+        # known from one dict get.
+        info = self._link_for_ip.get(packet.dst)
+        if info is None:
+            route = self.routes.get(packet.dst)
+            if route is not None and not isinstance(route, int):
+                route = route(packet)
+            if route is None:
+                self._counts["no_route"] += 1
+                packet.release()
+                return
+            link = self.ports.get(route)
             if link is None:
                 self._counts["no_route"] += 1
                 packet.release()
                 return
             from_a = link.a is self
+        else:
+            link, from_a = info
         self._counts["tx"] += 1
         if link.down or link.loss_probability > 0.0:
             link.send(packet, self)
@@ -334,7 +313,7 @@ class ProgrammableSwitch:
                 register.clear()
             program.on_register_wipe()
         if reinit_delay_ns <= 0:
-            self.down = False
+            self._finish_recovery(self._power_epoch)
         else:
             self.sim.call_after(reinit_delay_ns, self._finish_recovery, self._power_epoch)
 

@@ -28,6 +28,10 @@ class MatchActionTable:
         self.stage = stage
         self.max_entries = max_entries
         self._entries: Dict[int, Any] = {}
+        #: Calls of :meth:`lookup`, and those that missed: lookups made
+        #: by programs checked per packet.  A proven pass (the NetClone
+        #: program's) reads entries directly and is accounted for by
+        #: switch counters instead.
         self.lookup_count = 0
         self.miss_count = 0
         #: Number of control-plane updates applied (instrumentation).

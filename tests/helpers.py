@@ -9,7 +9,9 @@ collected in one pytest run.
 import math
 
 from repro.experiments.common import ClusterConfig
+from repro.sim import Simulator
 from repro.sim.units import ms
+from repro.switchsim import ProgrammableSwitch
 
 
 def tiny_config(**overrides):
@@ -27,6 +29,39 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+class RecordingSwitch(ProgrammableSwitch):
+    """A program-less switch that keeps every copy a pass recirculates.
+
+    Program unit tests call ``program.apply(packet, switch)`` directly;
+    each copy a clone hands to :meth:`recirculate` lands in ``copies``
+    and is scheduled as usual, on a simulator no test runs.
+    """
+
+    def __init__(self):
+        super().__init__(Simulator())
+        self.copies = []
+
+    def recirculate(self, packet):
+        self.copies.append(packet)
+        super().recirculate(packet)
+
+
+def run_pass(program, switch, packet, recirculated=False):
+    """One pass of *program* over *packet* on a :class:`RecordingSwitch`.
+
+    Returns ``(dropped, copies)``: whether the verdict drops the packet
+    and the copies this pass recirculated.  Also checks that the
+    verdict is ``True`` or ``None`` and that the switch's
+    ``recirculated`` counter counts every copy.
+    """
+    packet.recirculated = recirculated
+    before = len(switch.copies)
+    verdict = program.apply(packet, switch)
+    assert verdict is True or verdict is None, verdict
+    assert switch.counters.get("recirculated") == len(switch.copies)
+    return verdict is True, switch.copies[before:]
 
 
 def tiny_scenario(name="tiny", events=(), cluster=None, **scenario_fields):

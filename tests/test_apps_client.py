@@ -184,12 +184,12 @@ def test_property_filter_register_matches_reference_model(events):
             size=64,
             nc=NetCloneHeader(MSG_RESP, req_id=req_id, sid=0, state=0, clo=1, idx=0),
         )
-        action = program.apply(packet, switch)
-        # None is the plain-forward fast path (no drop).
+        verdict = program.apply(packet, switch)
+        # True drops the packet; None forwards it.
         if slot_model == req_id:
-            assert action is not None and action.drop
+            assert verdict is True
             slot_model = 0
         else:
-            assert action is None or not action.drop
+            assert verdict is None
             slot_model = req_id
         assert program.filters[0].peek(0) == slot_model

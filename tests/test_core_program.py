@@ -19,9 +19,8 @@ from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
 from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
 from repro.errors import PipelineConfigError
 from repro.net.packet import Packet
-from repro.sim import Simulator
-from repro.switchsim import ProgrammableSwitch
-from repro.switchsim.pipeline import PipelineAction
+
+from helpers import RecordingSwitch, run_pass
 
 SERVER_IPS = [1001, 1002, 1003]
 
@@ -32,7 +31,7 @@ def make_program(**kwargs):
 
 
 def make_switch():
-    return ProgrammableSwitch(Simulator())
+    return RecordingSwitch()
 
 
 def request(grp=0, clo=CLO_NOT_CLONED, idx=0, swid=0):
@@ -57,14 +56,6 @@ def response(req_id, sid, state=STATE_IDLE, clo=CLO_CLONED_ORIGINAL, idx=0):
     )
 
 
-def apply(program, switch, packet, recirculated=False):
-    packet.recirculated = recirculated
-    action = program.apply(packet, switch)
-    # ``None`` is the program's plain-forward fast path — equivalent to
-    # an empty action, normalised here so assertions stay uniform.
-    return action if action is not None else PipelineAction()
-
-
 # ----------------------------------------------------------------------
 # Request processing
 # ----------------------------------------------------------------------
@@ -73,7 +64,7 @@ def test_request_ids_unique_and_increasing():
     ids = []
     for _ in range(5):
         packet = request()
-        apply(program, switch, packet)
+        run_pass(program, switch, packet)
         ids.append(packet.nc.req_id)
     assert ids == [1, 2, 3, 4, 5]
 
@@ -82,19 +73,19 @@ def test_sequence_skips_zero_on_wrap():
     program, switch = make_program(), make_switch()
     program.seq.poke(0, (1 << 32) - 1)
     packet = request()
-    apply(program, switch, packet)
+    run_pass(program, switch, packet)
     assert packet.nc.req_id == 1
 
 
 def test_idle_pair_is_cloned():
     program, switch = make_program(), make_switch()
     packet = request(grp=0)  # group 0 = (0, 1)
-    action = apply(program, switch, packet)
+    dropped, copies = run_pass(program, switch, packet)
     assert packet.nc.clo == CLO_CLONED_ORIGINAL
     assert packet.nc.sid == 1  # clone destined for server 1
     assert packet.dst == SERVER_IPS[0]
-    assert len(action.recirculate) == 1
-    assert not action.drop
+    assert len(copies) == 1
+    assert not dropped
     assert switch.counters.get("nc_cloned") == 1
 
 
@@ -102,9 +93,9 @@ def test_busy_first_candidate_blocks_cloning():
     program, switch = make_program(), make_switch()
     program.state_table.poke(0, STATE_BUSY)
     packet = request(grp=0)
-    action = apply(program, switch, packet)
+    _, copies = run_pass(program, switch, packet)
     assert packet.nc.clo == CLO_NOT_CLONED
-    assert action.recirculate == []
+    assert copies == []
     assert packet.dst == SERVER_IPS[0]  # still forwarded to first candidate
 
 
@@ -112,41 +103,40 @@ def test_busy_second_candidate_blocks_cloning():
     program, switch = make_program(), make_switch()
     program.shadow_table.poke(1, STATE_BUSY)
     packet = request(grp=0)
-    action = apply(program, switch, packet)
+    _, copies = run_pass(program, switch, packet)
     assert packet.nc.clo == CLO_NOT_CLONED
-    assert action.recirculate == []
+    assert copies == []
 
 
 def test_cloning_disabled_never_clones():
     program, switch = make_program(cloning_enabled=False), make_switch()
-    action = apply(program, switch, request(grp=0))
-    assert action.recirculate == []
+    _, copies = run_pass(program, switch, request(grp=0))
+    assert copies == []
 
 
 def test_write_requests_never_cloned():
     program, switch = make_program(), make_switch()
     packet = request(grp=0, clo=CLO_NEVER_CLONE)
-    action = apply(program, switch, packet)
-    assert action.recirculate == []
+    _, copies = run_pass(program, switch, packet)
+    assert copies == []
     assert packet.nc.clo == CLO_NOT_CLONED  # normalised on the wire
 
 
 def test_unknown_group_dropped():
     program, switch = make_program(), make_switch()
-    action = apply(program, switch, request(grp=9999))
-    assert action.drop
+    dropped, _ = run_pass(program, switch, request(grp=9999))
+    assert dropped
     assert switch.counters.get("nc_unknown_group") == 1
 
 
 def test_recirculated_clone_gets_address_and_clo2():
     program, switch = make_program(), make_switch()
     original = request(grp=0)
-    action = apply(program, switch, original)
-    clone = action.recirculate[0]
-    clone_action = apply(program, switch, clone, recirculated=True)
+    _, (clone,) = run_pass(program, switch, original)
+    clone_dropped, _ = run_pass(program, switch, clone, recirculated=True)
     assert clone.nc.clo == CLO_CLONED_COPY
     assert clone.dst == SERVER_IPS[1]
-    assert not clone_action.drop
+    assert not clone_dropped
     assert clone.nc.req_id == original.nc.req_id  # fingerprint shared
 
 
@@ -156,7 +146,7 @@ def test_group_choice_covers_all_ordered_pairs():
     for grp in range(program.num_groups):
         packet = request(grp=grp)
         program.state_table.poke(0, STATE_BUSY)  # suppress cloning noise
-        apply(program, switch, packet)
+        run_pass(program, switch, packet)
         destinations.add(packet.dst)
     assert destinations == set(SERVER_IPS)
 
@@ -166,10 +156,10 @@ def test_group_choice_covers_all_ordered_pairs():
 # ----------------------------------------------------------------------
 def test_response_updates_state_and_shadow():
     program, switch = make_program(), make_switch()
-    apply(program, switch, response(req_id=1, sid=2, state=STATE_BUSY))
+    run_pass(program, switch, response(req_id=1, sid=2, state=STATE_BUSY))
     assert program.state_table.peek(2) == STATE_BUSY
     assert program.shadow_table.peek(2) == STATE_BUSY
-    apply(program, switch, response(req_id=2, sid=2, state=STATE_IDLE))
+    run_pass(program, switch, response(req_id=2, sid=2, state=STATE_IDLE))
     assert program.state_table.peek(2) == STATE_IDLE
     assert program.shadow_table.peek(2) == STATE_IDLE
 
@@ -178,60 +168,60 @@ def test_faster_then_slower_response_filtering():
     program, switch = make_program(), make_switch()
     faster = response(req_id=7, sid=0)
     slower = response(req_id=7, sid=1)
-    action_fast = apply(program, switch, faster)
-    assert not action_fast.drop
-    action_slow = apply(program, switch, slower)
-    assert action_slow.drop
+    fast_dropped, _ = run_pass(program, switch, faster)
+    assert not fast_dropped
+    slow_dropped, _ = run_pass(program, switch, slower)
+    assert slow_dropped
     assert switch.counters.get("nc_filtered") == 1
     # The slot was cleared for reuse: a third response with the same id
     # (impossible in practice, but the register semantics matter) inserts.
-    again = apply(program, switch, response(req_id=7, sid=2))
-    assert not again.drop
+    again_dropped, _ = run_pass(program, switch, response(req_id=7, sid=2))
+    assert not again_dropped
 
 
 def test_non_cloned_response_not_filtered():
     program, switch = make_program(), make_switch()
     first = response(req_id=3, sid=0, clo=CLO_NOT_CLONED)
     second = response(req_id=3, sid=1, clo=CLO_NOT_CLONED)
-    assert not apply(program, switch, first).drop
-    assert not apply(program, switch, second).drop
+    assert not run_pass(program, switch, first)[0]
+    assert not run_pass(program, switch, second)[0]
     assert switch.counters.get("nc_filtered") == 0
 
 
 def test_filtering_disabled_passes_slower_response():
     program, switch = make_program(filtering_enabled=False), make_switch()
-    assert not apply(program, switch, response(req_id=7, sid=0)).drop
-    assert not apply(program, switch, response(req_id=7, sid=1)).drop
+    assert not run_pass(program, switch, response(req_id=7, sid=0))[0]
+    assert not run_pass(program, switch, response(req_id=7, sid=1))[0]
 
 
 def test_hash_collision_overwrites_and_forwards_old_slower():
     """§3.5: overwrite on collision; a late slower response is forwarded."""
     program, switch = make_program(num_filter_tables=1, filter_slots=1), make_switch()
-    apply(program, switch, response(req_id=10, sid=0))  # insert 10
+    run_pass(program, switch, response(req_id=10, sid=0))  # insert 10
     # A different request's faster response collides and overwrites.
-    action = apply(program, switch, response(req_id=20, sid=1))
-    assert not action.drop
+    dropped, _ = run_pass(program, switch, response(req_id=20, sid=1))
+    assert not dropped
     assert switch.counters.get("nc_fingerprint_overwrite") == 1
     # Request 10's slower response now finds 20: forwarded (rare miss).
-    late = apply(program, switch, response(req_id=10, sid=2))
-    assert not late.drop
+    late_dropped, _ = run_pass(program, switch, response(req_id=10, sid=2))
+    assert not late_dropped
     # But request 20's slower response is still correctly dropped...
     # no: slot now holds 10 again?  The overwrite semantics replace the
     # slot with the arriving id whenever it differs, so the late
     # response re-inserted 10.  Request 20's slower then overwrites again.
-    slower_20 = apply(program, switch, response(req_id=20, sid=0))
-    assert not slower_20.drop
+    slower_20_dropped, _ = run_pass(program, switch, response(req_id=20, sid=0))
+    assert not slower_20_dropped
 
 
 def test_distinct_filter_tables_avoid_collision():
     """§3.5: same hash slot, different table index -> no interference."""
     program, switch = make_program(num_filter_tables=2, filter_slots=1), make_switch()
-    apply(program, switch, response(req_id=10, sid=0, idx=0))
-    action = apply(program, switch, response(req_id=20, sid=1, idx=1))
-    assert not action.drop  # different table: insert, not overwrite
+    run_pass(program, switch, response(req_id=10, sid=0, idx=0))
+    dropped, _ = run_pass(program, switch, response(req_id=20, sid=1, idx=1))
+    assert not dropped  # different table: insert, not overwrite
     assert switch.counters.get("nc_fingerprint_overwrite") == 0
-    assert apply(program, switch, response(req_id=10, sid=1, idx=0)).drop
-    assert apply(program, switch, response(req_id=20, sid=0, idx=1)).drop
+    assert run_pass(program, switch, response(req_id=10, sid=1, idx=0))[0]
+    assert run_pass(program, switch, response(req_id=20, sid=0, idx=1))[0]
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +244,58 @@ def test_matches_swid_gate_for_multirack():
     assert not program.matches(request(swid=1))  # another ToR's packet
 
 
+GATE_CASES = {
+    # name -> (packet factory, whether a ToR with switch_id=2 claims it)
+    "plain": (lambda: Packet(src=1, dst=2, sport=80, dport=80, size=64), False),
+    "wrong-port": (lambda: request_on_port(1234), False),
+    "no-header": (
+        lambda: Packet(
+            src=5000,
+            dst=VIRTUAL_SERVICE_IP,
+            sport=NETCLONE_UDP_PORT,
+            dport=NETCLONE_UDP_PORT,
+            size=128,
+        ),
+        False,
+    ),
+    "unstamped": (lambda: request(swid=0), True),
+    "own-swid": (lambda: request(swid=2), True),
+    "foreign-swid": (lambda: request(swid=1), False),
+}
+
+
+def request_on_port(dport):
+    packet = request()
+    packet.dport = dport
+    return packet
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_compiled_pass_opens_with_the_matches_gate(case):
+    make, claimed = GATE_CASES[case]
+    program, switch = make_program(switch_id=2), make_switch()
+    packet = make()
+    assert program.matches(packet) == claimed
+    header = packet.nc.pack() if packet.nc is not None else None
+    dst = packet.dst
+    dropped, copies = run_pass(program, switch, packet)
+    # A claimed request draws a sequence number and, with both
+    # candidates idle, is cloned towards its first candidate.
+    assert (program.seq.peek(0) == 1) == claimed
+    assert (len(copies) == 1) == claimed
+    assert not dropped
+    if not claimed:
+        # Left untouched: SEQ, the header and the destination.
+        assert program.seq.peek(0) == 0
+        assert (packet.nc.pack() if packet.nc is not None else None) == header
+        assert packet.dst == dst
+        assert switch.counters.get("nc_cloned") == 0
+
+
 def test_request_stamps_swid():
     program, switch = make_program(switch_id=5), make_switch()
     packet = request(swid=0)
-    apply(program, switch, packet)
+    run_pass(program, switch, packet)
     assert packet.nc.swid == 5
 
 
@@ -269,8 +307,8 @@ def test_jsq_falls_back_to_shorter_queue():
     program.state_table.poke(0, 5)  # queue length 5 at server 0
     program.shadow_table.poke(1, 2)  # queue length 2 at server 1
     packet = request(grp=0)
-    action = apply(program, switch, packet)
-    assert action.recirculate == []  # not both idle: no clone
+    _, copies = run_pass(program, switch, packet)
+    assert copies == []  # not both idle: no clone
     assert packet.dst == SERVER_IPS[1]  # shorter queue wins
     assert switch.counters.get("nc_jsq_second_choice") == 1
 
@@ -280,25 +318,25 @@ def test_jsq_ties_go_to_first_candidate():
     program.state_table.poke(0, 3)
     program.shadow_table.poke(1, 3)
     packet = request(grp=0)
-    apply(program, switch, packet)
+    run_pass(program, switch, packet)
     assert packet.dst == SERVER_IPS[0]
 
 
 def test_netclone_racksched_still_clones_when_both_idle():
     program = NetCloneRackSchedProgram(server_ips=SERVER_IPS)
     switch = make_switch()
-    action = apply(program, switch, request(grp=0))
-    assert len(action.recirculate) == 1
+    _, copies = run_pass(program, switch, request(grp=0))
+    assert len(copies) == 1
 
 
 def test_pure_racksched_never_clones():
     program = RackSchedProgram(server_ips=SERVER_IPS)
     switch = make_switch()
-    action = apply(program, switch, request(grp=0))
-    assert action.recirculate == []
+    _, copies = run_pass(program, switch, request(grp=0))
+    assert copies == []
     program.state_table.poke(0, 9)
     packet = request(grp=0)
-    apply(program, switch, packet)
+    run_pass(program, switch, packet)
     assert packet.dst == SERVER_IPS[1]
 
 
@@ -321,13 +359,13 @@ def test_program_uses_seven_stages_with_two_filters():
 
 def test_register_wipe_resets_soft_state_safely():
     program, switch = make_program(), make_switch()
-    apply(program, switch, request())
-    apply(program, switch, response(req_id=1, sid=0, state=STATE_BUSY))
+    run_pass(program, switch, request())
+    run_pass(program, switch, response(req_id=1, sid=0, state=STATE_BUSY))
     for register in program.pipeline.all_registers():
         register.clear()
     program.on_register_wipe()
     # Fresh state: sequence restarts, states read idle, cloning resumes.
     packet = request(grp=0)
-    action = apply(program, switch, packet)
+    _, copies = run_pass(program, switch, packet)
     assert packet.nc.req_id == 1
-    assert len(action.recirculate) == 1
+    assert len(copies) == 1

@@ -28,6 +28,8 @@ from repro.sim.units import ms
 from repro.switchsim import ProgrammableSwitch
 from repro.workloads import ExponentialDistribution, JitterModel, SyntheticWorkload
 
+from helpers import RecordingSwitch, run_pass
+
 SERVER_IPS = [1001, 1002, 1003]
 
 
@@ -40,7 +42,7 @@ def make_program(**kwargs):
 
 
 def make_switch():
-    return ProgrammableSwitch(Simulator())
+    return RecordingSwitch()
 
 
 def fragment_request(req_id, index, count, grp=0, clo=0):
@@ -60,11 +62,6 @@ def fragment_request(req_id, index, count, grp=0, clo=0):
     )
 
 
-def apply(program, switch, packet, recirculated=False):
-    packet.recirculated = recirculated
-    return program.apply(packet, switch)
-
-
 def test_client_request_id_distinct_per_client_and_seq():
     a = client_request_id(0, 1)
     b = client_request_id(0, 2)
@@ -75,11 +72,25 @@ def test_client_request_id_distinct_per_client_and_seq():
         client_request_id(-1, 0)
 
 
+def test_unclaimed_packets_leave_the_pass_untouched():
+    program, switch = make_program(switch_id=2), make_switch()
+    foreign = fragment_request(client_request_id(0, 1), index=0, count=2)
+    foreign.nc.swid = 1  # another ToR's packet
+    plain = Packet(src=1, dst=2, sport=80, dport=80, size=64)
+    for packet in (foreign, plain):
+        dst = packet.dst
+        assert not program.matches(packet)
+        assert run_pass(program, switch, packet) == (False, [])
+        assert packet.dst == dst
+    assert foreign.nc.clo == 0 and foreign.nc.swid == 1
+    assert program.flow_hash.invocations == 0  # no pass was opened
+
+
 def test_missing_client_id_dropped():
     program, switch = make_program(), make_switch()
     packet = fragment_request(req_id=0, index=0, count=2)
-    action = apply(program, switch, packet)
-    assert action.drop
+    dropped, _ = run_pass(program, switch, packet)
+    assert dropped
     assert switch.counters.get("nc_missing_client_id") == 1
 
 
@@ -87,8 +98,8 @@ def test_first_fragment_clone_marks_inflight_table():
     program, switch = make_program(), make_switch()
     req_id = client_request_id(0, 1)
     first = fragment_request(req_id, index=0, count=3)
-    action = apply(program, switch, first)
-    assert len(action.recirculate) == 1
+    _, copies = run_pass(program, switch, first)
+    assert len(copies) == 1
     slot = program.flow_hash.index(req_id)
     assert program.cloned_request_table.peek(slot) == req_id
 
@@ -98,13 +109,13 @@ def test_follow_on_fragments_cloned_regardless_of_state():
     system load' (§3.7)."""
     program, switch = make_program(), make_switch()
     req_id = client_request_id(0, 1)
-    apply(program, switch, fragment_request(req_id, index=0, count=3))
+    run_pass(program, switch, fragment_request(req_id, index=0, count=3))
     # Servers now look busy: a fresh request would NOT be cloned...
     program.state_table.poke(0, 1)
     program.shadow_table.poke(1, 1)
     follow_on = fragment_request(req_id, index=1, count=3)
-    action = apply(program, switch, follow_on)
-    assert len(action.recirculate) == 1  # ...but the fragment still is
+    _, copies = run_pass(program, switch, follow_on)
+    assert len(copies) == 1  # ...but the fragment still is
     assert switch.counters.get("nc_follow_on_fragment_cloned") == 1
 
 
@@ -112,16 +123,16 @@ def test_fragments_of_uncloned_request_not_cloned():
     program, switch = make_program(), make_switch()
     program.state_table.poke(0, 1)  # busy at fragment 0: no clone
     req_id = client_request_id(0, 2)
-    assert apply(program, switch, fragment_request(req_id, 0, 2)).recirculate == []
+    assert run_pass(program, switch, fragment_request(req_id, 0, 2))[1] == []
     program.state_table.poke(0, 0)  # idle again before fragment 1
-    action = apply(program, switch, fragment_request(req_id, 1, 2))
-    assert action.recirculate == []  # consistency preserved
+    _, copies = run_pass(program, switch, fragment_request(req_id, 1, 2))
+    assert copies == []  # consistency preserved
 
 
 def test_response_fragment_zero_clears_inflight_entry():
     program, switch = make_program(), make_switch()
     req_id = client_request_id(0, 3)
-    apply(program, switch, fragment_request(req_id, 0, 1))
+    run_pass(program, switch, fragment_request(req_id, 0, 1))
     slot = program.flow_hash.index(req_id)
     assert program.cloned_request_table.peek(slot) == req_id
 
@@ -139,7 +150,7 @@ def test_response_fragment_zero_clears_inflight_entry():
         payload=Fragment(_Inner(), 0, 2),
         nc=NetCloneHeader(2, req_id=req_id, sid=0, state=0, clo=1, idx=0),
     )
-    apply(program, switch, response)
+    run_pass(program, switch, response)
     assert program.cloned_request_table.peek(slot) == 0
 
 
@@ -164,11 +175,11 @@ def test_response_fragments_filtered_in_ordered_tables():
         )
 
     # Fragment 0 from server 0 wins; server 1's copy is filtered.
-    assert not apply(program, switch, response(0, 0)).drop
-    assert apply(program, switch, response(1, 0)).drop
+    assert not run_pass(program, switch, response(0, 0))[0]
+    assert run_pass(program, switch, response(1, 0))[0]
     # Fragment 1 is filtered independently (its own ordered table).
-    assert not apply(program, switch, response(1, 1)).drop
-    assert apply(program, switch, response(0, 1)).drop
+    assert not run_pass(program, switch, response(1, 1))[0]
+    assert run_pass(program, switch, response(0, 1))[0]
     assert switch.counters.get("nc_filtered") == 2
 
 

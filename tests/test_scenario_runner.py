@@ -106,6 +106,21 @@ def test_lossless_run_leaves_nothing_outstanding():
     assert report.passed, report.summary()
 
 
+def test_zero_delay_switch_wipe_counts_its_recovery():
+    report = run_scenario(
+        tiny_scenario(
+            name="instant-wipe",
+            events=[
+                {"at_ms": 1.5, "action": "wipe_switch", "down_ns": ms(0.5),
+                 "reinit_ns": 0},
+            ],
+        )
+    ).report
+    final = report.final
+    assert final["switch_failures"] == 1
+    assert final["switch_recoveries"] == final["switch_failures"]
+
+
 def test_meta_records_liveness_floor():
     report = run_scenario(_kill_restore()).report
     meta = report.meta

@@ -18,7 +18,6 @@ from repro.switchsim import (
     HashUnit,
     MatchActionTable,
     Pipeline,
-    PipelineAction,
     ProgrammableSwitch,
     RegisterArray,
     ResourceModel,
@@ -265,24 +264,22 @@ def test_switch_port_validation():
 
 
 class DropOddProgram(SwitchProgram):
-    """Test program: drops odd sport, recirculates once when asked."""
+    """Test program: on port 7777, drops odd sport and recirculates
+    once when asked."""
 
     def __init__(self):
         self.pipeline = Pipeline()
         self.seen = []
 
-    def matches(self, packet):
-        return packet.dport == 7777
-
     def apply(self, packet, switch):
+        if packet.dport != 7777:
+            return None
         self.seen.append((packet.uid, packet.recirculated))
-        action = PipelineAction()
         if packet.sport % 2 == 1:
-            action.drop = True
-        elif packet.sport == 100 and not packet.recirculated:
-            clone = packet.copy()
-            action.recirculate.append(clone)
-        return action
+            return True
+        if packet.sport == 100 and not packet.recirculated:
+            switch.recirculate(packet.copy())
+        return None
 
 
 def test_switch_program_drop_and_passthrough():
@@ -300,6 +297,7 @@ def test_switch_program_drop_and_passthrough():
     sim.run()
     assert len(b.received) == 2
     assert switch.counters.get("dropped_by_program") == 1
+    assert len(program.seen) == 2  # the unclaimed packet left no trace
 
 
 def test_switch_recirculation_reenters_pipeline():
@@ -353,6 +351,21 @@ def test_switch_failure_drops_then_recovers_with_wiped_state():
     a.send(Packet(src=1, dst=2, sport=2, dport=7777, size=64))
     sim.run()
     assert len(b.received) == 1
+
+
+def test_zero_delay_recovery_is_counted():
+    sim = Simulator()
+    switch = ProgrammableSwitch(sim)
+    switch.fail()
+    switch.recover()
+    assert not switch.down
+    assert switch.counters.get("failures") == 1
+    assert switch.counters.get("recoveries") == 1
+    switch.fail()
+    switch.recover(reinit_delay_ns=1_000)
+    assert switch.counters.get("recoveries") == 1  # still re-initialising
+    sim.run()
+    assert switch.counters.get("recoveries") == 2
 
 
 def test_control_plane_applies_after_latency_and_serialises():

@@ -5,28 +5,36 @@ Runs the engine schedule/run cycle (``core``) and its cancel-churn
 variant (``churn``) — the bodies ``tools/bench_baseline.py`` gates,
 imported from ``benchmarks/microbench.py`` — plus the fig18
 trunk-saturation packet grid (``fig18``) under :mod:`cProfile`, and
-prints the top cumulative-time entries, so perf PRs start from data
-instead of guesses::
+prints the top entries, so perf PRs start from data instead of
+guesses.  The four packet-path workloads the end-to-end benchmark
+gates (``star-clone``, ``star-baseline-hi``, ``spine-global``,
+``kv-netclone``, read from ``benchmarks/e2e/workloads.py``) are
+targets too; only their ``Cluster.run()`` is profiled, not the build::
 
-    python tools/profile_hotpath.py                 # all targets
+    python tools/profile_hotpath.py                 # core, churn, fig18
     python tools/profile_hotpath.py core fig18      # a subset
+    python tools/profile_hotpath.py star-clone --sort tottime
     python tools/profile_hotpath.py --top 40 --dump prof-out
 
-``--dump DIR`` additionally writes one binary pstats file per target
-for ``snakeviz``/``pstats`` spelunking.
+``--sort`` picks the report order (``cumulative``, the default,
+``tottime`` or ``ncalls``).  ``--dump DIR`` additionally writes one
+binary pstats file per target for ``snakeviz``/``pstats`` spelunking.
 
 ``REPRO_BENCH_SCALE`` (default 0.25) and ``REPRO_BENCH_SEED`` match
 the bench harness, so profiles line up with the recorded baselines.
+The scale also shrinks each end-to-end workload's measurement window.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib.util
 import os
 import pstats
 import sys
 from pathlib import Path
+from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -35,35 +43,79 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 import microbench  # noqa: E402  (path bootstrap above)
 
 
-def _run_core(scale: float, seed: int) -> None:
+def _load_e2e_workloads():
+    # Loaded by path, under its own name: the benchmark directory is
+    # read, never put on sys.path.
+    path = REPO / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+E2E = _load_e2e_workloads()
+
+#: A target builds its workload, untimed, and returns what to profile.
+Target = Callable[[float, int], Callable[[], None]]
+
+
+def _core(scale: float, seed: int) -> Callable[[], None]:
     n = microbench.core_events(scale)
-    assert microbench.schedule_run(n) == n
+
+    def run() -> None:
+        assert microbench.schedule_run(n) == n
+
+    return run
 
 
-def _run_churn(scale: float, seed: int) -> None:
+def _churn(scale: float, seed: int) -> Callable[[], None]:
     n = microbench.core_events(scale)
-    assert microbench.schedule_run_churn(n) == microbench.churn_executed(n)
+
+    def run() -> None:
+        assert microbench.schedule_run_churn(n) == microbench.churn_executed(n)
+
+    return run
 
 
-def _run_fig18(scale: float, seed: int) -> None:
+def _fig18(scale: float, seed: int) -> Callable[[], None]:
     from repro.experiments import fig18_trunk_saturation
 
-    results = fig18_trunk_saturation.collect(scale=scale, seed=seed)
-    assert sum(len(cells) for cells in results.values()) > 0
+    def run() -> None:
+        results = fig18_trunk_saturation.collect(scale=scale, seed=seed)
+        assert sum(len(cells) for cells in results.values()) > 0
+
+    return run
+
+
+def _e2e(name: str) -> Target:
+    def build(scale: float, seed: int) -> Callable[[], None]:
+        from repro.experiments.common import Cluster, ClusterConfig
+
+        spec = {**E2E.COMMON, **E2E.WORKLOADS[name], "seed": seed}
+        spec["measure_ns"] = max(1, int(spec["measure_ns"] * scale))
+        cluster = Cluster(ClusterConfig(**spec))
+        cluster.start()
+        return cluster.run
+
+    return build
 
 
 TARGETS = {
-    "core": _run_core,
-    "churn": _run_churn,
-    "fig18": _run_fig18,
+    "core": _core,
+    "churn": _churn,
+    "fig18": _fig18,
+    **{name: _e2e(name) for name in E2E.WORKLOADS},
 }
+#: What runs when no target is named.
+DEFAULT_TARGETS = ("core", "churn", "fig18")
+SORTS = ("cumulative", "tottime", "ncalls")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "targets", nargs="*", choices=[[], *TARGETS],
-        help=f"workloads to profile (default: all of {', '.join(TARGETS)})",
+        help=f"workloads to profile (default: {', '.join(DEFAULT_TARGETS)})",
     )
     parser.add_argument(
         "--scale", type=float,
@@ -75,14 +127,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--top", type=int, default=20,
-        help="rows of the cumulative-time report (default 20)",
+        help="rows of the report (default 20)",
+    )
+    parser.add_argument(
+        "--sort", choices=SORTS, default="cumulative",
+        help="report order (default cumulative)",
     )
     parser.add_argument(
         "--dump", type=Path, default=None, metavar="DIR",
         help="also write one binary pstats file per target into DIR",
     )
     args = parser.parse_args(argv)
-    targets = args.targets or list(TARGETS)
+    targets = args.targets or list(DEFAULT_TARGETS)
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
 
@@ -91,15 +147,15 @@ def main(argv: list[str] | None = None) -> int:
     import repro.experiments.fig18_trunk_saturation  # noqa: F401
 
     for name in targets:
-        workload = TARGETS[name]
+        run = TARGETS[name](args.scale, args.seed)
         profiler = cProfile.Profile()
         profiler.enable()
-        workload(args.scale, args.seed)
+        run()
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stdout)
-        print(f"\n== {name}: top {args.top} by cumulative time "
+        print(f"\n== {name}: top {args.top} by {args.sort} "
               f"(scale {args.scale}) ==")
-        stats.sort_stats("cumulative").print_stats(args.top)
+        stats.sort_stats(args.sort).print_stats(args.top)
         if args.dump is not None:
             out = args.dump / f"{name}.pstats"
             stats.dump_stats(out)
