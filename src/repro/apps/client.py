@@ -24,7 +24,6 @@ cannot be evaluated early) opt out with ``ARRIVAL_PREDRAW = False``.
 from __future__ import annotations
 
 import random
-from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
@@ -220,17 +219,7 @@ class OpenLoopClient(Host):
             for packet in packets:
                 packet.created_at = send_time
                 self.send(packet)
-            # Simulator.call_after push inlined (keep in sync with
-            # sim/core.py) — pre-drawn gaps are non-negative ints.
-            sim = self.sim
-            when = sim.now + gap
-            seq = sim._seq + 1
-            sim._seq = seq
-            tail = sim._tail
-            if not tail or when >= tail[-1][0]:
-                tail.append((when, seq, self._send_one, ()))
-            else:
-                heappush(sim._heap, (when, seq, self._send_one, ()))
+            self.sim.call_after(gap, self._send_one)
             return
         # Per-call path for clients whose packet construction must see
         # live state (time-based hedging, retransmit bookkeeping, ...).

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Optional
 
 from repro.apps.service import ServiceModel
@@ -137,17 +136,7 @@ class RpcServer(Host):
             jitter = self.jitter
             if jitter.p > 0.0 and self.rng.random() < jitter.p:
                 base = int(base * jitter.factor)
-            # Simulator.call_after push inlined (keep in sync with
-            # sim/core.py) — one service completion per request.
-            sim = self.sim
-            when = sim.now + base
-            seq = sim._seq + 1
-            sim._seq = seq
-            tail = sim._tail
-            if not tail or when >= tail[-1][0]:
-                tail.append((when, seq, self._finish_work, (packet,)))
-            else:
-                heappush(sim._heap, (when, seq, self._finish_work, (packet,)))
+            self.sim.call_after(base, self._finish_work, packet)
             return
         base = self.service.base_service_ns(packet.payload)
         duration = self.jitter.apply(base, self.rng)

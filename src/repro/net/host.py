@@ -7,11 +7,10 @@ to :meth:`handle`, which applications override.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Optional
 
 from repro.errors import NetworkError
-from repro.net.link import Link
+from repro.net.link import Direction, Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -41,6 +40,8 @@ class Host:
             rx_queue_limit=rx_queue_limit,
         )
         self.link: Optional[Link] = None
+        #: The uplink direction this host transmits on.
+        self._uplink: Optional[Direction] = None
 
     # ------------------------------------------------------------------
     def attach_link(self, link: Link) -> None:
@@ -48,6 +49,7 @@ class Host:
         if self.link is not None:
             raise NetworkError(f"{self.name} is already attached to a link")
         self.link = link
+        self._uplink = link.direction_from(self)
 
     def send(self, packet: Packet) -> None:
         """Send *packet* through the NIC TX path onto the uplink.
@@ -78,43 +80,7 @@ class Host:
             else:
                 self.sim.call_at(done, self._emit, packet)
             return
-        size = packet.size
-        ser = link._ser_ns.get(size)
-        if ser is None:
-            ser = link.serialization_ns(size)
-        if link.a is self:
-            lstart = link._free_at_a
-            if lstart < done:
-                lstart = done
-            done_serialising = lstart + ser
-            link._free_at_a = done_serialising
-            link._tx_bytes_a += size
-            mode = link._mode_b
-            entry = link._entry_b
-            when = done_serialising + link._sched_off_b
-        else:
-            lstart = link._free_at_b
-            if lstart < done:
-                lstart = done
-            done_serialising = lstart + ser
-            link._free_at_b = done_serialising
-            link._tx_bytes_b += size
-            mode = link._mode_a
-            entry = link._entry_a
-            when = done_serialising + link._sched_off_a
-        link.tx_count += 1
-        sim = self.sim
-        if mode == 2:
-            entry(packet, when)
-            return
-        # Simulator.call_at push inlined (keep in sync with sim/core.py).
-        seq = sim._seq + 1
-        sim._seq = seq
-        tail = sim._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, seq, entry, (packet, link)))
-        else:
-            heappush(sim._heap, (when, seq, entry, (packet, link)))
+        self._uplink.push(packet, done)
 
     def _emit(self, packet: Packet) -> None:
         assert self.link is not None
@@ -145,15 +111,7 @@ class Host:
         done = start + cost
         nic._rx_free_at = done
         nic.rx_count += 1
-        # Simulator.call_at push inlined (keep in sync with sim/core.py).
-        sim = self.sim
-        seq = sim._seq + 1
-        sim._seq = seq
-        tail = sim._tail
-        if not tail or done >= tail[-1][0]:
-            tail.append((done, seq, self.handle, (packet,)))
-        else:
-            heappush(sim._heap, (done, seq, self.handle, (packet,)))
+        self.sim.call_at(done, self.handle, packet)
 
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:

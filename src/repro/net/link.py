@@ -11,11 +11,16 @@ At 100 Gb/s a 128 B packet serialises in ~10 ns, so serialisation is
 rarely the bottleneck in these experiments, but it is modelled so that
 congestion behaves correctly if an experiment drives a link hard.
 
-This module is the single hottest non-engine path (one ``send`` per
-packet per hop), so the per-direction state lives in plain attributes
-selected by endpoint identity — no ``id()``-keyed dict lookups — and
-the serialisation delay is memoised per packet size (experiments use a
-handful of sizes, recomputing float math per send is pure waste).
+This module is the single hottest non-engine path (one booking per
+packet per hop).  Each direction's state lives on a slotted
+:class:`Direction` built at wiring time, together with its receiver's
+delivery entry point, and :meth:`Direction.push` is the one
+serialisation booking in the simulator: :meth:`Link.send`,
+:meth:`~repro.net.host.Host.send` and the switch's egress all call it.
+Hosts and switches hold the direction they send on, so a hop resolves
+no endpoint identity.  The serialisation delay is memoised per packet
+size in one dict both directions share (experiments use a handful of
+sizes, recomputing float math per send is pure waste).
 """
 
 from __future__ import annotations
@@ -26,10 +31,99 @@ from typing import Any, Dict, Optional
 from repro.errors import NetworkError
 from repro.sim.core import Simulator
 
-__all__ = ["Link"]
+__all__ = ["Direction", "Link"]
 
 #: Bits per byte, named for readability in the delay arithmetic.
 _BITS = 8
+
+
+class Direction:
+    """One direction of a :class:`Link`: its serialisation queue and the
+    receiver at the far end.
+
+    The receiver's delivery is resolved once, here:
+
+    * a switch's ``link_ingress`` is scheduled at arrival + pipeline
+      latency with this direction as its second argument, so the
+      switch reads its ingress port from :attr:`rx_port`;
+    * a host's ``link_rx_at`` is called at send time with the arrival
+      time (it books its NIC RX slot up front);
+    * anything else gets a ``deliver(packet, link)`` event at arrival.
+    """
+
+    __slots__ = (
+        "link",
+        "sim",
+        "ser_ns",
+        "free_at",
+        "tx_bytes",
+        "tx_count",
+        "entry",
+        "rx_arg",
+        "rx_at_send",
+        "rx_latency_ns",
+        "rx_port",
+        "sched_off",
+    )
+
+    def __init__(self, link: "Link", receiver: Any):
+        self.link = link
+        self.sim = link.sim
+        #: The link's serialisation memo (shared, cleared in place).
+        self.ser_ns = link._ser_ns
+        #: Serialisation horizon: the next time the direction is free.
+        self.free_at = 0
+        #: Bytes clocked onto the wire in this direction.  These feed
+        #: congestion-aware route policies and the per-link utilization
+        #: series in :mod:`repro.metrics.links`.
+        self.tx_bytes = 0
+        self.tx_count = 0
+        #: Ingress port at the receiver, filled in by
+        #: ``ProgrammableSwitch.connect``.
+        self.rx_port: Optional[int] = None
+        self.rx_at_send = False
+        self.rx_latency_ns = 0
+        self.rx_arg: Any = link
+        entry = getattr(receiver, "link_ingress", None)
+        if entry is not None:
+            self.rx_latency_ns = receiver.pipeline_latency_ns
+            self.rx_arg = self
+        else:
+            entry = getattr(receiver, "link_rx_at", None)
+            if entry is not None:
+                self.rx_at_send = True
+            else:
+                entry = receiver.deliver
+        self.entry = entry
+        #: Serialisation-done → scheduled callback time: propagation
+        #: plus the receiver's pipeline latency, derived by the link's
+        #: ``propagation_ns`` setter.
+        self.sched_off = 0
+
+    def push(self, packet: Any, earliest: int) -> None:
+        """Book *packet* onto the wire no earlier than *earliest* and
+        hand it to the receiver.
+
+        The caller has already decided the packet survives the link
+        (see :meth:`Link.send` for the down/lossy checks).  *earliest*
+        is the sender's ready time and never precedes ``sim.now``.
+        """
+        size = packet.size
+        ser = self.ser_ns.get(size)
+        if ser is None:
+            ser = self.link.serialization_ns(size)
+        start = self.free_at
+        if start < earliest:
+            start = earliest
+        done = start + ser
+        self.free_at = done
+        self.tx_bytes += size
+        self.tx_count += 1
+        when = done + self.sched_off
+        if self.rx_at_send:
+            self.entry(packet, when)
+            return
+        self.sim.call_at(when, self.entry, packet, self.rx_arg)
 
 
 class Link:
@@ -46,8 +140,6 @@ class Link:
         loss_probability: float = 0.0,
         loss_rng: Optional[random.Random] = None,
     ):
-        if propagation_ns < 0:
-            raise NetworkError("propagation delay must be non-negative")
         if bandwidth_bps <= 0:
             raise NetworkError("bandwidth must be positive")
         if not 0.0 <= loss_probability < 1.0:
@@ -55,56 +147,32 @@ class Link:
         self.sim = sim
         self.a = a
         self.b = b
-        self.propagation_ns = propagation_ns
         self._bandwidth_bps = bandwidth_bps
         self._ser_ns: Dict[int, int] = {}
         self.name = name or f"link({getattr(a, 'name', a)}-{getattr(b, 'name', b)})"
-        #: Per-direction serialisation horizon (next time the direction
-        #: is free), one plain attribute per direction.
-        self._free_at_a = 0
-        self._free_at_b = 0
         #: Set True to drop everything (used by failure experiments).
         self.down = False
         #: Random per-packet loss (used by the reliability tests).
         self.loss_probability = loss_probability
         self._loss_rng = loss_rng if loss_rng is not None else random.Random(0x105)
-        self.tx_count = 0
         self.drop_count = 0
-        #: Per-direction delivery dispatch, resolved once at wiring
-        #: time: 1 = fused switch ingress (scheduled at arrival +
-        #: pipeline latency), 2 = fused host RX (booked at send time),
-        #: 0 = generic ``deliver`` event at arrival.
-        self._mode_a, self._entry_a = self._resolve_entry(a)
-        self._mode_b, self._entry_b = self._resolve_entry(b)
-        #: Per-direction schedule offset from serialisation-done to the
-        #: scheduled callback time: propagation, plus the destination's
-        #: pipeline latency when the entry is a fused switch ingress.
-        self._sched_off_a = propagation_ns + (
-            a.pipeline_latency_ns if self._mode_a == 1 else 0
-        )
-        self._sched_off_b = propagation_ns + (
-            b.pipeline_latency_ns if self._mode_b == 1 else 0
-        )
-        #: Ingress port numbers at each endpoint, filled in by
-        #: ``ProgrammableSwitch.connect`` — the fused ingress path reads
-        #: them instead of an ``id()``-keyed reverse map.
-        self._port_a: Optional[int] = None
-        self._port_b: Optional[int] = None
-        #: Bytes clocked onto the wire per direction.  These feed
-        #: congestion-aware route policies and the per-link utilization
-        #: series in :mod:`repro.metrics.links`.
-        self._tx_bytes_a = 0
-        self._tx_bytes_b = 0
+        #: The a → b and b → a directions, built at wiring time.
+        self.from_a = Direction(self, b)
+        self.from_b = Direction(self, a)
+        self.propagation_ns = propagation_ns
 
-    @staticmethod
-    def _resolve_entry(endpoint: Any):
-        entry = getattr(endpoint, "link_ingress", None)
-        if entry is not None:
-            return 1, entry
-        entry = getattr(endpoint, "link_rx_at", None)
-        if entry is not None:
-            return 2, entry
-        return 0, endpoint.deliver
+    @property
+    def propagation_ns(self) -> int:
+        """Flight time in nanoseconds."""
+        return self._propagation_ns
+
+    @propagation_ns.setter
+    def propagation_ns(self, value: int) -> None:
+        if value < 0:
+            raise NetworkError("propagation delay must be non-negative")
+        self._propagation_ns = value
+        for direction in (self.from_a, self.from_b):
+            direction.sched_off = value + direction.rx_latency_ns
 
     @property
     def bandwidth_bps(self) -> float:
@@ -116,12 +184,27 @@ class Link:
         if value <= 0:
             raise NetworkError("bandwidth must be positive")
         self._bandwidth_bps = value
-        self._ser_ns.clear()  # memoised delays are per line rate
+        # Memoised delays are per line rate; both directions hold this
+        # dict, so it is cleared in place.
+        self._ser_ns.clear()
 
     @property
     def tx_bytes(self) -> int:
         """Total bytes transmitted, both directions."""
-        return self._tx_bytes_a + self._tx_bytes_b
+        return self.from_a.tx_bytes + self.from_b.tx_bytes
+
+    @property
+    def tx_count(self) -> int:
+        """Total packets transmitted, both directions."""
+        return self.from_a.tx_count + self.from_b.tx_count
+
+    def direction_from(self, endpoint: Any) -> Direction:
+        """The direction *endpoint* transmits on."""
+        if endpoint is self.a:
+            return self.from_a
+        if endpoint is self.b:
+            return self.from_b
+        raise NetworkError(f"{endpoint!r} is not attached to {self.name}")
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock *size_bytes* onto the wire at the line rate."""
@@ -138,22 +221,12 @@ class Link:
         This is the congestion signal the ``least-loaded`` spine policy
         reads: it is exact (not sampled) and costs nothing to maintain.
         """
-        if from_endpoint is self.a:
-            free_at = self._free_at_a
-        elif from_endpoint is self.b:
-            free_at = self._free_at_b
-        else:
-            raise NetworkError(f"{from_endpoint!r} is not attached to {self.name}")
-        backlog = free_at - self.sim.now
+        backlog = self.direction_from(from_endpoint).free_at - self.sim.now
         return backlog if backlog > 0 else 0
 
     def bytes_from(self, from_endpoint: Any) -> int:
         """Bytes transmitted in the *from_endpoint* → other direction."""
-        if from_endpoint is self.a:
-            return self._tx_bytes_a
-        if from_endpoint is self.b:
-            return self._tx_bytes_b
-        raise NetworkError(f"{from_endpoint!r} is not attached to {self.name}")
+        return self.direction_from(from_endpoint).tx_bytes
 
     def utilization(self, window_ns: int, from_endpoint: Optional[Any] = None) -> float:
         """Offered bytes over *window_ns* as a fraction of the line rate.
@@ -171,7 +244,7 @@ class Link:
         capacity_bits = self._bandwidth_bps * window_ns / 1e9
         if from_endpoint is not None:
             return self.bytes_from(from_endpoint) * _BITS / capacity_bits
-        busiest = self._tx_bytes_a if self._tx_bytes_a > self._tx_bytes_b else self._tx_bytes_b
+        busiest = max(self.from_a.tx_bytes, self.from_b.tx_bytes)
         return busiest * _BITS / capacity_bits
 
     def other_end(self, endpoint: Any) -> Any:
@@ -189,56 +262,15 @@ class Link:
         lossy) and the packet was dropped.  Dropped pooled packets are
         recycled — nobody downstream will ever see them.
         """
-        if from_endpoint is self.a:
-            destination = self.b
-            mode = self._mode_b
-            entry = self._entry_b
-            from_a = True
-        elif from_endpoint is self.b:
-            destination = self.a
-            mode = self._mode_a
-            entry = self._entry_a
-            from_a = False
-        else:
-            raise NetworkError(f"{from_endpoint!r} is not attached to {self.name}")
-        if self.down:
+        direction = self.direction_from(from_endpoint)
+        if self.down or (
+            self.loss_probability > 0.0
+            and self._loss_rng.random() < self.loss_probability
+        ):
             self.drop_count += 1
             release = getattr(packet, "release", None)
             if release is not None:
                 release()
             return None
-        if self.loss_probability > 0.0 and self._loss_rng.random() < self.loss_probability:
-            self.drop_count += 1
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
-            return None
-        size = packet.size
-        ser = self._ser_ns.get(size)
-        if ser is None:
-            ser = int(round(size * _BITS / self._bandwidth_bps * 1e9))
-            self._ser_ns[size] = ser
-        now = self.sim.now
-        if from_a:
-            start = self._free_at_a
-            if start < now:
-                start = now
-            done_serialising = start + ser
-            self._free_at_a = done_serialising
-            self._tx_bytes_a += size
-        else:
-            start = self._free_at_b
-            if start < now:
-                start = now
-            done_serialising = start + ser
-            self._free_at_b = done_serialising
-            self._tx_bytes_b += size
-        arrival = done_serialising + self.propagation_ns
-        self.tx_count += 1
-        if mode == 1:
-            self.sim.call_at(done_serialising + (self._sched_off_b if from_a else self._sched_off_a), entry, packet, self)
-        elif mode == 2:
-            entry(packet, arrival)
-        else:
-            self.sim.call_at(arrival, entry, packet, self)
-        return arrival
+        direction.push(packet, self.sim.now)
+        return direction.free_at + self._propagation_ns

@@ -27,11 +27,12 @@ the topology plugin registry in :mod:`repro.experiments.topologies`.
 
 Spine selection on :class:`SpineLeafFabric` is a pluggable
 :class:`SpinePolicy`: ``ecmp`` pins each destination ip to one spine
-(a pure function of the address — bit-identical to the original
-static routes), ``least-loaded`` reads the exact serialisation
-backlog of each candidate uplink (:meth:`Link.backlog_ns`) and takes
-the shallowest, and ``flowlet`` keeps a flow on its spine until an
-idle gap lets it re-pick without reordering.  Policies see only the
+(a pure function of the address, compiled into static ToR routes and
+re-resolved when the active-spine set changes), ``least-loaded``
+reads the exact serialisation backlog of each candidate uplink
+(:meth:`Link.backlog_ns`) and takes the shallowest, and ``flowlet``
+keeps a flow on its spine until an idle gap lets it re-pick without
+reordering.  Policies see only the
 *active* spines, so :meth:`SpineLeafFabric.withdraw_spine` /
 :meth:`SpineLeafFabric.restore_spine` give failure drills dynamic
 route updates: withdrawn spines stop receiving new traffic
@@ -147,6 +148,12 @@ class SpinePolicy:
     #: Registry key (``ecmp``, ``least-loaded``, ``flowlet``).
     name: str = ""
 
+    #: True when the choice depends only on the destination and the
+    #: active-spine set.  The fabric then compiles it into static ToR
+    #: routes through the policy's ``spine_for(dst)`` (re-resolved on
+    #: every withdraw/restore) and never calls :meth:`select`.
+    static: bool = False
+
     def __init__(self, fabric: "SpineLeafFabric", **params: Any):
         self.fabric = fabric
 
@@ -164,10 +171,15 @@ class EcmpSpinePolicy(SpinePolicy):
     """
 
     name = "ecmp"
+    static = True
 
     def select(self, tor: int, packet: Any) -> int:
+        return self.spine_for(packet.dst)
+
+    def spine_for(self, dst: int) -> int:
+        """Index of the spine every packet to *dst* takes."""
         active = self.fabric.active_spines()
-        return active[packet.dst % len(active)]
+        return active[dst % len(active)]
 
 
 class LeastLoadedSpinePolicy(SpinePolicy):
@@ -498,16 +510,17 @@ class SpineLeafFabric(Fabric):
     (host ``i`` lands in rack ``i % racks``); the coordinator lives in
     rack 0.  Inter-rack traffic picks its spine through the fabric's
     :class:`SpinePolicy` (``spine_policy``): the default ``ecmp`` pins
-    each destination to ``ip % spines`` — bit-identical to static
-    routing — while ``least-loaded`` and ``flowlet`` read uplink
-    backlog at egress time.  ToRs run the scheme's switch program
-    (with their 1-based rack number as §3.7 switch ID); spines stay
-    plain L3.
+    each destination to ``ip % spines`` and is compiled into static
+    ToR routes when a host is announced, while ``least-loaded`` and
+    ``flowlet`` read uplink backlog at egress time through per-packet
+    selectors.  ToRs run the scheme's switch program (with their
+    1-based rack number as §3.7 switch ID); spines stay plain L3.
 
     Spines can be withdrawn and restored at runtime
     (:meth:`withdraw_spine` / :meth:`restore_spine`), which every
     policy honours on the next packet — the dynamic route updates that
-    spine-failure and trunk-flap drills need.
+    spine-failure and trunk-flap drills need.  A static policy's routes
+    are re-resolved whenever the active-spine set changes.
     """
 
     def __init__(
@@ -572,6 +585,9 @@ class SpineLeafFabric(Fabric):
             spine_policy, self, flowlet_gap_ns=flowlet_gap_ns
         )
         self._selectors = [self._make_selector(t) for t in range(racks)]
+        #: Announced host ip → its rack: the remote routes a static
+        #: policy re-resolves.
+        self._rack_of_ip: Dict[int, int] = {}
 
     def rack_of(self, role: str, index: int) -> int:
         if role == "coordinator":
@@ -581,9 +597,19 @@ class SpineLeafFabric(Fabric):
     def _announce(self, host: Host, rack: int) -> None:
         for s in self.spines:
             s.install_route(host.ip, rack)
+        self._rack_of_ip[host.ip] = rack
+        self._route_remote(host.ip, rack)
+
+    def _route_remote(self, ip: int, rack: int) -> None:
+        """Install the uplink route to *ip* on every ToR but *rack*'s."""
+        policy = self.policy
         for t, tor in enumerate(self.tors):
-            if t != rack:
-                tor.install_dynamic_route(host.ip, self._selectors[t])
+            if t == rack:
+                continue
+            if policy.static:
+                tor.install_route(ip, self._uplink_port[t][policy.spine_for(ip)])
+            else:
+                tor.install_dynamic_route(ip, self._selectors[t])
 
     def _make_selector(self, tor: int) -> Callable[[Any], int]:
         """The per-packet uplink chooser installed on ToR *tor*."""
@@ -659,3 +685,6 @@ class SpineLeafFabric(Fabric):
 
     def _rebuild_active_cache(self) -> None:
         self._active_cache = [s for s, up in enumerate(self._spine_up) if up]
+        if self.policy.static:
+            for ip, rack in self._rack_of_ip.items():
+                self._route_remote(ip, rack)

@@ -11,12 +11,13 @@
  *   - `_heap` is a real Python list maintained with heapq's invariant,
  *   - `_seq` / `now` are C int64 fields exposed as attributes.
  *
- * Keeping the lanes as genuine Python lists means the fused-delivery
- * fast paths in net/host.py and switchsim/switch.py — which inline the
- * `call_at` push against `sim._tail` / `sim._heap` — keep working
- * unchanged on either engine, and `heapq.heappush` from Python
- * interleaves correctly with C pops (the comparison order is the same
- * numeric `(time, seq)` order).
+ * Keeping the lanes as genuine Python lists means code that inspects
+ * `sim._tail` / `sim._heap` works unchanged on either engine, and
+ * `heapq.heappush` from Python interleaves correctly with C pops (the
+ * comparison order is the same numeric `(time, seq)` order).  No
+ * module outside sim/ pushes onto the lanes: every call site goes
+ * through `call_at` / `call_after`, which is cheaper here than an
+ * inlined Python push.
  *
  * Entry tuples are allocated from the interpreter's pooled small-tuple
  * free list, and the zero-argument `call_after` fast lane reuses the

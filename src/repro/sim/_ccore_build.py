@@ -15,7 +15,8 @@ Design constraints:
   compiles to a private temp file and ``os.replace``s it into place
   atomically, so peers only ever see a complete artifact.
 * **Opt-out.**  ``REPRO_PURE_SIM=1`` skips the C engine entirely
-  (used by tests that exercise the pure-Python lanes' internals).
+  (the ``pure-python-engine`` CI job runs the smoke tier that way, and
+  an engine-pinning test runs one point under it).
 """
 
 from __future__ import annotations

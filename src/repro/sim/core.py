@@ -456,8 +456,11 @@ class Simulator:
 # ----------------------------------------------------------------------
 # Engine selection
 # ----------------------------------------------------------------------
-#: The pure-Python reference engine, always importable by name (tests
-#: that poke lane internals pin this class explicitly).
+#: The pure-Python reference engine, always importable by name.  It
+#: is ``Simulator`` whenever the C core is off (``REPRO_PURE_SIM=1``
+#: or no compiler); the engine-pinning test in
+#: tests/test_engine_fastpath.py runs a point on it in a subprocess
+#: and checks it against the in-process (C core) result.
 PySimulator = Simulator
 
 #: True when the C scheduler core is active.

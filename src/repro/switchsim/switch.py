@@ -33,11 +33,10 @@ alone, which the Figure 16 experiment demonstrates.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Dict, Optional
 
 from repro.errors import PortError, SwitchError
-from repro.net.link import Link
+from repro.net.link import Direction, Link
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
@@ -97,10 +96,12 @@ class ProgrammableSwitch:
         #: Destination ip → egress port, or → a per-packet selector
         #: callable (see :meth:`install_dynamic_route`).
         self.routes: Dict[int, Any] = {}
-        #: Destination ip → ``(link, sends_as_a)``, for static routes
-        #: only — the egress fast path resolves one dict get instead of
-        #: route + port maps, and knows its link direction up front.
-        self._link_for_ip: Dict[int, Any] = {}
+        #: Port → the link direction this switch transmits on.
+        self._port_tx: Dict[int, Direction] = {}
+        #: Destination ip → transmit direction, for static routes only:
+        #: the egress fast path resolves one dict get instead of route +
+        #: port maps.
+        self._tx_for_ip: Dict[int, Direction] = {}
         self.program: Optional[SwitchProgram] = None
         #: Cached ``program.apply`` (resolved at install time, so a
         #: pass costs one attribute load); ``None`` without a program.
@@ -124,19 +125,16 @@ class ProgrammableSwitch:
         if port in self.ports:
             raise PortError(f"port {port} already connected")
         self.ports[port] = link
-        # The fused ingress path reads the port straight off the link.
-        if link.a is self:
-            link._port_a = port
-        else:
-            link._port_b = port
+        self._port_tx[port] = link.direction_from(self)
+        # The fused ingress path reads the port off the arriving direction.
+        link.direction_from(link.other_end(self)).rx_port = port
 
     def install_route(self, ip: int, port: int) -> None:
         """Map destination *ip* to egress *port* (L3 route)."""
         if port not in self.ports:
             raise PortError(f"cannot route to unconnected port {port}")
         self.routes[ip] = port
-        link = self.ports[port]
-        self._link_for_ip[ip] = (link, link.a is self)
+        self._tx_for_ip[ip] = self._port_tx[port]
 
     def install_dynamic_route(self, ip: int, selector: Any) -> None:
         """Map destination *ip* to a per-packet port chooser.
@@ -151,12 +149,12 @@ class ProgrammableSwitch:
         if not callable(selector):
             raise SwitchError("dynamic route selector must be callable")
         self.routes[ip] = selector
-        self._link_for_ip.pop(ip, None)
+        self._tx_for_ip.pop(ip, None)
 
     def remove_route(self, ip: int) -> None:
         """Remove the route for *ip* (e.g. failed server)."""
         self.routes.pop(ip, None)
-        self._link_for_ip.pop(ip, None)
+        self._tx_for_ip.pop(ip, None)
 
     def install_program(self, program: SwitchProgram) -> None:
         """Load *program* into the data plane."""
@@ -168,14 +166,14 @@ class ProgrammableSwitch:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def link_ingress(self, packet: Packet, link: Link) -> None:
+    def link_ingress(self, packet: Packet, arriving: Direction) -> None:
         """Fused arrival + pipeline pass, one event per switch hop.
 
-        :class:`~repro.net.link.Link` schedules this directly at
-        ``arrival + pipeline_latency_ns``, so a switch hop costs no
-        separate arrival event.  Ingress bookkeeping and the down check
-        consequently happen at pass time: a packet in flight into the
-        pipeline when the switch powers off counts as
+        The arriving link :class:`~repro.net.link.Direction` schedules
+        this directly at ``arrival + pipeline_latency_ns``, so a switch
+        hop costs no separate arrival event.  Ingress bookkeeping and
+        the down check consequently happen at pass time: a packet in
+        flight into the pipeline when the switch powers off counts as
         ``rx_dropped_down`` rather than ``rx`` + ``dropped_down`` —
         either way it died with the power, and ``rx + recirculated ==
         tx + dropped_by_program + no_route + dropped_down`` still holds.
@@ -184,9 +182,11 @@ class ProgrammableSwitch:
             self._counts["rx_dropped_down"] += 1
             packet.release()
             return
-        port = link._port_a if link.a is self else link._port_b
+        port = arriving.rx_port
         if port is None:
-            raise PortError(f"{self.name}: packet arrived on unknown link {link.name}")
+            raise PortError(
+                f"{self.name}: packet arrived on unknown link {arriving.link.name}"
+            )
         packet.ingress_port = port
         packet.recirculated = False
         self._counts["rx"] += 1
@@ -225,71 +225,24 @@ class ProgrammableSwitch:
         self._egress(packet)
 
     def _egress(self, packet: Packet) -> None:
-        # Fast path: statically routed destination, link and direction
-        # known from one dict get.
-        info = self._link_for_ip.get(packet.dst)
-        if info is None:
+        # Fast path: a statically routed destination resolves its
+        # transmit direction in one dict get.
+        tx = self._tx_for_ip.get(packet.dst)
+        if tx is None:
             route = self.routes.get(packet.dst)
             if route is not None and not isinstance(route, int):
                 route = route(packet)
-            if route is None:
+            tx = self._port_tx.get(route)
+            if tx is None:
                 self._counts["no_route"] += 1
                 packet.release()
                 return
-            link = self.ports.get(route)
-            if link is None:
-                self._counts["no_route"] += 1
-                packet.release()
-                return
-            from_a = link.a is self
-        else:
-            link, from_a = info
         self._counts["tx"] += 1
+        link = tx.link
         if link.down or link.loss_probability > 0.0:
             link.send(packet, self)
             return
-        # Link.send inlined (clean-link case): one egress per switched
-        # packet makes the extra frame measurable.
-        size = packet.size
-        ser = link._ser_ns.get(size)
-        if ser is None:
-            ser = link.serialization_ns(size)
-        sim = self.sim
-        now = sim.now
-        if from_a:
-            start = link._free_at_a
-            if start < now:
-                start = now
-            done_serialising = start + ser
-            link._free_at_a = done_serialising
-            link._tx_bytes_a += size
-            mode = link._mode_b
-            entry = link._entry_b
-            when = done_serialising + link._sched_off_b
-        else:
-            start = link._free_at_b
-            if start < now:
-                start = now
-            done_serialising = start + ser
-            link._free_at_b = done_serialising
-            link._tx_bytes_b += size
-            mode = link._mode_a
-            entry = link._entry_a
-            when = done_serialising + link._sched_off_a
-        link.tx_count += 1
-        if mode == 2:
-            entry(packet, when)
-            return
-        # Simulator.call_at push inlined (keep in sync with sim/core.py):
-        # ``when`` can never precede ``now`` and the unique increasing
-        # seq makes the time-only tail compare equivalent.
-        seq = sim._seq + 1
-        sim._seq = seq
-        tail = sim._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, seq, entry, (packet, link)))
-        else:
-            heappush(sim._heap, (when, seq, entry, (packet, link)))
+        tx.push(packet, self.sim.now)
 
     # ------------------------------------------------------------------
     # Failure handling (§5.6.4)

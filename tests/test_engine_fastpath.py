@@ -12,13 +12,23 @@ tests pin the contract that makes that safe:
   fig18-one-rack runs stay bit-identical to goldens captured at the
   pre-overhaul revision;
 * the packet pool's uid stream and the link serialisation memo are
-  deterministic and exact.
+  deterministic and exact;
+* the pure-Python engine (``REPRO_PURE_SIM=1``) and the C core produce
+  identical points.
 """
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 from helpers import assert_points_identical, tiny_config
 
+import repro
 from repro.experiments.common import Cluster, run_point
 from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.units import ms
 
@@ -220,10 +230,50 @@ def test_serialization_memo_matches_direct_computation():
 
 def test_serialization_memo_invalidated_by_bandwidth_change():
     sim = Simulator()
-    link = Link(sim, _Sink(), _Sink(), bandwidth_bps=1e9)
+    a, b = _Sink(), _Sink()
+    link = Link(sim, a, b, bandwidth_bps=1e9)
+    for end in (a, b):  # warm the memo at the old rate, both ways
+        link.send(Packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
     before = link.serialization_ns(1500)
     link.bandwidth_bps = 2e9
     assert not link._ser_ns  # memo dropped with the old line rate
     after = link.serialization_ns(1500)
     assert after == int(round(1500 * 8 / 2e9 * 1e9))
     assert after != before
+    # Both directions share the memo, so both book at the new rate.
+    sim.run()
+    for end in (a, b):
+        arrival = link.send(Packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
+        assert arrival == sim.now + after + link.propagation_ns
+
+
+# ----------------------------------------------------------------------
+# Engine pinning: the pure-Python engine against the live one
+# ----------------------------------------------------------------------
+def test_pure_python_engine_matches_live_engine_on_spine_leaf():
+    """``REPRO_PURE_SIM=1`` runs :class:`PySimulator`; a spine-leaf
+    NetClone point must come out identical to the in-process engine
+    (the C core wherever it builds)."""
+    config = dict(
+        topology="spine_leaf",
+        topology_params={"racks": 2, "spines": 2},
+        placement="global",
+    )
+    script = (
+        "import pickle, sys\n"
+        "from helpers import tiny_config\n"
+        "from repro.experiments.common import run_point\n"
+        "from repro.sim.core import PySimulator, Simulator, USING_CCORE\n"
+        "assert Simulator is PySimulator and not USING_CCORE\n"
+        f"point = run_point(tiny_config(**{config!r}))\n"
+        "sys.stdout.buffer.write(pickle.dumps(point))\n"
+    )
+    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, REPRO_PURE_SIM="1", PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=False
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert_points_identical(
+        pickle.loads(result.stdout), run_point(tiny_config(**config))
+    )

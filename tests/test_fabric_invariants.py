@@ -161,21 +161,23 @@ def test_full_rack_raises_rack_full_not_port_clash():
 # ----------------------------------------------------------------------
 def test_ecmp_is_a_pure_function_of_destination_ip():
     sim, fabric = build_fabric("spine_leaf", {"racks": 2, "spines": 4})
-    server = Host(sim, "s0", fabric.allocate_ip("server", 0))
-    fabric.attach(server, "server", 0)  # rack 0 -> selector lives on ToR 1
-    selector = fabric.tors[1].routes[server.ip]
-    assert callable(selector)
-    expected = fabric._uplink_port[1][server.ip % 4]
-    chosen = set()
+    server = _Probe(sim, "s0", fabric.allocate_ip("server", 0))
+    fabric.attach(server, "server", 0)  # rack 0 -> route lives on ToR 1
+    client = _Probe(sim, "c0", fabric.allocate_ip("client", 1))
+    fabric.attach(client, "client", 1)
+    # ECMP is compiled into a static route on the remote ToR.
+    pinned = server.ip % 4
+    assert fabric.tors[1].routes[server.ip] == fabric._uplink_port[1][pinned]
+    # Different sources, repeated sends, later times: always one uplink.
     for src in (1, 99, 2**31):
         for _ in range(3):
-            chosen.add(
-                selector(Packet(src=src, dst=server.ip, sport=7, dport=9, size=64))
-            )
-    # Different sources, repeated calls, later times: always one port.
+            client.send(Packet(src=src, dst=server.ip, sport=7, dport=9, size=64))
     sim.run(until=ms(1))
-    chosen.add(selector(Packet(src=5, dst=server.ip, sport=1, dport=1, size=64)))
-    assert chosen == {expected}
+    client.send(Packet(src=5, dst=server.ip, sport=1, dport=1, size=64))
+    sim.run(until=ms(2))
+    sent = [link.bytes_from(fabric.tors[1]) for link in fabric.uplinks[1]]
+    assert sent == [10 * 64 if s == pinned else 0 for s in range(4)]
+    assert server.seen == {1, 99, 2**31, 5}
 
 
 def test_least_loaded_matches_ecmp_on_an_idle_fabric():
@@ -187,6 +189,7 @@ def test_least_loaded_matches_ecmp_on_an_idle_fabric():
     server = Host(sim, "s0", fabric.allocate_ip("server", 0))
     fabric.attach(server, "server", 0)
     selector = fabric.tors[1].routes[server.ip]
+    assert callable(selector)  # per-packet, unlike compiled ECMP
     probe = Packet(src=1, dst=server.ip, sport=1, dport=1, size=64)
     assert selector(probe) == fabric._uplink_port[1][server.ip % 4]
 

@@ -90,6 +90,124 @@ def test_link_validation():
         Link(sim, a, b, bandwidth_bps=0)
 
 
+class _IngressProbe:
+    """Switch-like receiver: records when each fused ingress pass runs."""
+
+    name = "probe"
+    pipeline_latency_ns = 400
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.times = []
+
+    def link_ingress(self, packet, arriving):
+        self.times.append(self.sim.now)
+
+
+class _DeliverProbe:
+    """Generic receiver: records when each ``deliver`` event runs."""
+
+    name = "sink"
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.times = []
+
+    def deliver(self, packet, link):
+        self.times.append(self.sim.now)
+
+
+def test_propagation_change_after_wiring_reaches_the_schedule():
+    # The delay is re-derived for both directions when it changes, so
+    # every receiver kind sees the packet when Link.send says it lands.
+    sim = Simulator()
+    a, b, pair = make_pair(sim)
+    switch = _IngressProbe(sim)
+    sink = _DeliverProbe(sim)
+    to_switch = Link(sim, sink, switch)
+    for link in (pair, to_switch):
+        link.propagation_ns = 1000
+    assert pair.send(packet_between(a, b, size=1250), a) == 1100
+    assert pair.send(packet_between(b, a, size=1250), b) == 1100
+    assert to_switch.send(packet_between(a, b, size=1250), sink) == 1100
+    assert to_switch.send(packet_between(a, b, size=1250), switch) == 1100
+    sim.run()
+    assert [t for t, _ in b.received] == [1100]
+    assert [t for t, _ in a.received] == [1100]
+    assert switch.times == [1100 + 400]
+    assert sink.times == [1100]
+    with pytest.raises(NetworkError):
+        pair.propagation_ns = -1
+
+
+class _NeverDrop:
+    """A loss RNG whose draws never fall below the loss probability."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.999
+
+
+def _run_switched(lossy):
+    """Two hosts through a ToR; returns every timing/booking observable.
+
+    A lossy link sends each hop through ``Link.send`` (the host's
+    evented TX-done fallback and the switch's slow egress); a clean
+    one books it on the fast path.
+    """
+    from repro.switchsim.switch import ProgrammableSwitch
+
+    sim = Simulator()
+    switch = ProgrammableSwitch(sim)
+    a = RecordingHost(sim, "a", ip_to_int("10.0.0.1"), tx_cost_ns=50, rx_cost_ns=30)
+    b = RecordingHost(sim, "b", ip_to_int("10.0.0.2"), tx_cost_ns=70, rx_cost_ns=20)
+    rng = _NeverDrop()
+    links = []
+    for port, host in enumerate((a, b)):
+        link = Link(
+            sim,
+            host,
+            switch,
+            bandwidth_bps=10e9,
+            loss_probability=0.5 if lossy else 0.0,
+            loss_rng=rng,
+        )
+        host.attach_link(link)
+        switch.connect(port, link)
+        switch.install_route(host.ip, port)
+        links.append(link)
+    # Back-to-back bursts (NIC and link queueing), idle gaps, mixed
+    # sizes, and both directions crossing the switch at once.
+    sends = [
+        (0, a, b, 1500), (0, a, b, 64), (0, a, b, 256), (10, b, a, 1500),
+        (10, b, a, 64), (900, a, b, 128), (905, b, a, 128), (5000, a, b, 1500),
+    ]
+    for t, src, dst, size in sends:
+        packet = Packet(src=src.ip, dst=dst.ip, sport=1, dport=2, size=size)
+        sim.call_at(t, src.send, packet)
+    sim.run()
+    assert rng.draws == (2 * len(sends) if lossy else 0)
+    return (
+        [(t, p.size) for t, p in a.received],
+        [(t, p.size) for t, p in b.received],
+        [
+            (d.free_at, d.tx_bytes)
+            for link in links
+            for d in (link.from_a, link.from_b)
+        ],
+        [(link.tx_count, link.drop_count) for link in links],
+    )
+
+
+def test_fast_path_and_link_send_fallback_book_identically():
+    clean = _run_switched(lossy=False)
+    assert len(clean[0]) == 3 and len(clean[1]) == 5
+    assert clean == _run_switched(lossy=True)
+
+
 def test_nic_tx_serialises_sends():
     sim = Simulator()
     nic = Nic(sim, tx_cost_ns=700, rx_cost_ns=0)

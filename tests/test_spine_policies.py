@@ -56,6 +56,7 @@ def test_least_loaded_avoids_a_backlogged_uplink():
     server = Host(sim, "s0", fabric.allocate_ip("server", 0))
     fabric.attach(server, "server", 0)
     selector = fabric.tors[1].routes[server.ip]
+    assert callable(selector)  # congestion-aware: chosen per packet
     anchor = server.ip % 2
     assert selector(probe(server.ip)) == fabric._uplink_port[1][anchor]
     # Pile bytes onto the anchor uplink: the policy must swerve.
@@ -72,6 +73,7 @@ def test_flowlet_sticks_within_gap_and_repicks_after_idle():
     server = Host(sim, "s0", fabric.allocate_ip("server", 0))
     fabric.attach(server, "server", 0)
     selector = fabric.tors[1].routes[server.ip]
+    assert callable(selector)  # flow state: chosen per packet
     anchor = server.ip % 2
     first = selector(probe(server.ip))
     assert first == fabric._uplink_port[1][anchor]
@@ -90,18 +92,61 @@ def test_withdraw_and_restore_update_routes_dynamically():
     sim, fabric = make_fabric(racks=2, spines=2)
     server = Host(sim, "s0", fabric.allocate_ip("server", 0))
     fabric.attach(server, "server", 0)
-    selector = fabric.tors[1].routes[server.ip]
+    routes = fabric.tors[1].routes
     pinned = server.ip % 2
-    assert selector(probe(server.ip)) == fabric._uplink_port[1][pinned]
+    assert routes[server.ip] == fabric._uplink_port[1][pinned]
     fabric.withdraw_spine(pinned)
     assert fabric.active_spines() == [1 - pinned]
-    assert selector(probe(server.ip)) == fabric._uplink_port[1][1 - pinned]
+    assert routes[server.ip] == fabric._uplink_port[1][1 - pinned]
     with pytest.raises(NetworkError, match="last active spine"):
         fabric.withdraw_spine(1 - pinned)
     fabric.restore_spine(pinned)
-    assert selector(probe(server.ip)) == fabric._uplink_port[1][pinned]
+    assert routes[server.ip] == fabric._uplink_port[1][pinned]
     with pytest.raises(NetworkError, match="no spine"):
         fabric.withdraw_spine(7)
+
+
+def ecmp_port(fabric, tor, ip):
+    """The uplink port ``ip % active`` picks on ToR *tor*."""
+    active = fabric.active_spines()
+    return fabric._uplink_port[tor][active[ip % len(active)]]
+
+
+def test_host_attached_after_withdrawal_routes_over_survivors():
+    sim, fabric = make_fabric(racks=2, spines=3)
+    fabric.withdraw_spine(1)
+    hosts = []
+    for index in range(0, 8, 2):  # every even index lands in rack 0
+        host = Host(sim, f"s{index}", fabric.allocate_ip("server", index))
+        fabric.attach(host, "server", index)
+        hosts.append(host)
+    routes = fabric.tors[1].routes
+    for host in hosts:
+        assert routes[host.ip] == ecmp_port(fabric, 1, host.ip)
+        assert routes[host.ip] != fabric._uplink_port[1][1]
+    fabric.restore_spine(1)
+    for host in hosts:
+        assert routes[host.ip] == fabric._uplink_port[1][host.ip % 3]
+
+
+def test_stale_delayed_restore_does_not_re_resolve_ecmp_routes():
+    sim, fabric = make_fabric(racks=2, spines=2)
+    server = Host(sim, "s0", fabric.allocate_ip("server", 0))
+    fabric.attach(server, "server", 0)
+    pinned = server.ip % 2
+    routes = fabric.tors[1].routes
+    fabric.withdraw_spine(pinned)
+    fabric.restore_spine(pinned, reinit_delay_ns=us(10))
+    # Nothing moves until the delayed restore fires ...
+    assert routes[server.ip] == fabric._uplink_port[1][1 - pinned]
+    fabric.withdraw_spine(pinned)
+    sim.run(until=us(50))
+    # ... and the stale (older epoch) one never re-resolves the route.
+    assert fabric.active_spines() == [1 - pinned]
+    assert routes[server.ip] == fabric._uplink_port[1][1 - pinned]
+    fabric.restore_spine(pinned, reinit_delay_ns=us(10))
+    sim.run(until=us(100))
+    assert routes[server.ip] == fabric._uplink_port[1][pinned]
 
 
 def test_flap_during_delayed_restore_stays_withdrawn():
