@@ -130,8 +130,7 @@ class RuleSpec:
     #: One-line description shown by ``detlint --list-rules``.
     description: str
     #: Zero-argument factory returning a fresh checker per file.  A
-    #: checker exposes ``visit_<NodeType>(node, ctx)`` methods and an
-    #: optional ``finish(ctx)`` hook run after the walk.
+    #: checker exposes ``visit_<NodeType>(node, ctx)`` methods.
     make_checker: Callable[[], Any]
     #: "error" for certain hazards, "warning" for heuristic smells.
     severity: str = "error"
@@ -306,17 +305,17 @@ def _walk_file(tree: ast.Module, ctx: RuleContext, specs: Sequence[RuleSpec]) ->
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             ctx._parents[id(child)] = node
-    # (spec, checker, method) per node type, resolved once per file.
-    dispatch: Dict[type, List[Tuple[RuleSpec, Any, Callable]]] = {}
+    # (spec, method) per node type, resolved once per file.
+    dispatch: Dict[type, List[Tuple[RuleSpec, Callable]]] = {}
 
-    def handlers(node_type: type) -> List[Tuple[RuleSpec, Any, Callable]]:
+    def handlers(node_type: type) -> List[Tuple[RuleSpec, Callable]]:
         cached = dispatch.get(node_type)
         if cached is None:
             cached = []
             for spec, checker in checkers:
                 method = getattr(checker, f"visit_{node_type.__name__}", None)
                 if method is not None:
-                    cached.append((spec, checker, method))
+                    cached.append((spec, method))
             dispatch[node_type] = cached
         return cached
 
@@ -325,7 +324,7 @@ def _walk_file(tree: ast.Module, ctx: RuleContext, specs: Sequence[RuleSpec]) ->
             ctx.imports.add_import(node)
         elif isinstance(node, ast.ImportFrom):
             ctx.imports.add_import_from(node)
-        for spec, _checker, method in handlers(type(node)):
+        for spec, method in handlers(type(node)):
             ctx._active_spec = spec
             method(node, ctx)
         ctx._active_spec = None
@@ -338,12 +337,6 @@ def _walk_file(tree: ast.Module, ctx: RuleContext, specs: Sequence[RuleSpec]) ->
             ctx.scope_stack.pop()
 
     visit(tree)
-    for spec, checker in checkers:
-        finish = getattr(checker, "finish", None)
-        if finish is not None:
-            ctx._active_spec = spec
-            finish(ctx)
-            ctx._active_spec = None
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,7 @@
 * ``dropped-handle`` — ``sim.at`` / ``sim.schedule`` allocate a
   cancellable :class:`~repro.sim.core.EventHandle`; discarding it
   means nobody can ever cancel, so the call belongs on the handle-free
-  fast lane (``call_at`` / ``call_after``, bit-identical seq-for-seq);
-* ``shm-leak`` — ``multiprocessing.shared_memory`` segments without an
-  owner-side ``unlink()`` outlive the process in ``/dev/shm``.
+  fast lane (``call_at`` / ``call_after``, bit-identical seq-for-seq).
 
 The checkers are deliberately intra-function heuristics: returning,
 storing, or passing an acquired packet counts as an ownership hand-off
@@ -23,11 +21,10 @@ from typing import List, Optional
 
 from repro.analysis.core import RuleContext, RuleSpec, register_rule
 
-__all__ = ["DROPPED_HANDLE", "PACKET_LEAK", "SHM_LEAK"]
+__all__ = ["DROPPED_HANDLE", "PACKET_LEAK"]
 
 PACKET_LEAK = "packet-leak"
 DROPPED_HANDLE = "dropped-handle"
-SHM_LEAK = "shm-leak"
 
 
 def _receiver_text(node: ast.AST) -> Optional[str]:
@@ -162,40 +159,6 @@ class _DroppedHandleChecker:
         )
 
 
-class _ShmLeakChecker:
-    def __init__(self) -> None:
-        self._creates: List[ast.Call] = []
-        self._has_unlink = False
-
-    def visit_Call(self, node: ast.Call, ctx: RuleContext) -> None:
-        func = node.func
-        callee = (
-            func.attr if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name)
-            else None
-        )
-        if callee == "unlink":
-            self._has_unlink = True
-        elif callee == "SharedMemory" and any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in node.keywords
-        ):
-            self._creates.append(node)
-
-    def finish(self, ctx: RuleContext) -> None:
-        if self._has_unlink:
-            return
-        for call in self._creates:
-            ctx.report(
-                call,
-                "shared_memory segment created without an owner-side "
-                f"unlink() anywhere in {ctx.module}; leaked segments "
-                "outlive the process",
-            )
-
-
 register_rule(
     RuleSpec(
         name=PACKET_LEAK,
@@ -214,17 +177,6 @@ register_rule(
         "cancel-or-store; fire-and-forget events belong on call_at/call_after",
         make_checker=_DroppedHandleChecker,
         severity="warning",
-        module=__name__,
-    )
-)
-
-register_rule(
-    RuleSpec(
-        name=SHM_LEAK,
-        description="multiprocessing.shared_memory segments created without "
-        "an owner-side unlink anywhere in the module",
-        make_checker=_ShmLeakChecker,
-        severity="error",
         module=__name__,
     )
 )

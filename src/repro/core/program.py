@@ -25,15 +25,21 @@ compiled when the program is built.  Before compiling it,
 :meth:`~repro.switchsim.pipeline.Pipeline.compile_plan` proves that
 the three pass shapes (request, recirculated clone, response) obey
 those rules, and construction fails if one does not.  The proven pass
-then runs with no per-packet checks, addressing register state by
-flat offsets into the program's
-:class:`~repro.switchsim.registers.RegisterFile`.
+then runs with no per-packet stage checks, addressing register state
+by flat offsets into the program's
+:class:`~repro.switchsim.registers.RegisterFile`; it checks only that
+server IDs index inside the state tables.
 
-The same class also implements the §3.7 RackSched integration: the
-state table generalises to a *load* table holding queue lengths
-(servers piggyback their queue length; IDLE simply means zero), and a
-``scheduler`` knob selects between NetClone's random first-candidate
-forwarding and RackSched's power-of-two JSQ.
+The same class also implements two §3.7 extensions.  RackSched
+integration: the state table generalises to a *load* table holding
+queue lengths (servers piggyback their queue length; IDLE simply means
+zero), and a ``scheduler`` knob selects between NetClone's random
+first-candidate forwarding and RackSched's power-of-two JSQ.
+Client-assigned request IDs: a fresh request that arrives with a
+nonzero ``req_id`` keeps it, and ``SEQ`` is neither read nor advanced,
+so a retransmission carries its original ID
+(:mod:`repro.core.reliability`).  Clients that leave ``req_id`` at 0
+get the next ``SEQ`` value, as in Algorithm 1.
 """
 
 from __future__ import annotations
@@ -244,13 +250,16 @@ class NetCloneProgram(SwitchProgram):
                         return True
                     packet.dst = address
                     return None
-                # Fresh request (lines 1-10).
+                # Fresh request (lines 1-10).  A client-assigned ID
+                # (§3.7) is kept and SEQ is left alone; ID 0 asks the
+                # switch for the next sequence number.
                 if swid == SWID_UNSET:
                     nc.swid = switch_id
-                old = cells[seq_i]
-                seq = 1 if old >= _SEQ_MAX else old + 1
-                cells[seq_i] = seq
-                nc.req_id = seq
+                if nc.req_id == 0:
+                    old = cells[seq_i]
+                    seq = 1 if old >= _SEQ_MAX else old + 1
+                    cells[seq_i] = seq
+                    nc.req_id = seq
                 pair = grp_get(nc.grp)
                 if pair is None:
                     switch.counters.incr("nc_unknown_group")

@@ -6,7 +6,9 @@ retransmit.  §3.7 works through what that means for NetClone:
 * a retransmitted request must keep its original request ID — a
   switch-assigned sequence number would change on every attempt, so
   IDs become client-assigned Lamport-style tuples
-  ``(client_id, local_seq)`` (shared with the multi-packet extension);
+  ``(client_id, local_seq)``, which
+  :class:`~repro.core.program.NetCloneProgram` keeps because they are
+  nonzero;
 * the switch may legitimately make a *different* cloning decision for
   the retransmission than for the original ("it is intentional"),
   since server states have moved on;
@@ -34,12 +36,25 @@ from repro.core.constants import (
     VIRTUAL_SERVICE_IP,
 )
 from repro.core.header import NetCloneHeader
-from repro.core.multipacket import client_request_id
 from repro.core.program import CLO_NEVER_CLONE
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
 
-__all__ = ["ReliableNetCloneClient"]
+__all__ = ["ReliableNetCloneClient", "client_request_id"]
+
+_CLIENT_SEQ_BITS = 24
+_CLIENT_SEQ_MASK = (1 << _CLIENT_SEQ_BITS) - 1
+
+
+def client_request_id(client_id: int, local_seq: int) -> int:
+    """Lamport-style request ID: (client, per-client sequence).
+
+    The client field is stored as ``client_id + 1``, so the ID is never
+    0 — the value that asks the switch to assign one.
+    """
+    if client_id < 0 or client_id >= (1 << (32 - _CLIENT_SEQ_BITS)) - 1:
+        raise ExperimentError("client_id out of range for client-assigned IDs")
+    return ((client_id + 1) << _CLIENT_SEQ_BITS) | (local_seq & _CLIENT_SEQ_MASK)
 
 
 class ReliableNetCloneClient(OpenLoopClient):

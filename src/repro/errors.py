@@ -47,10 +47,11 @@ class PipelineConfigError(SwitchError):
 class StageAccessError(SwitchError):
     """A stateful object was accessed illegally for the PISA model.
 
-    Raised when a register array is accessed twice within a single
-    pipeline pass or from a stage other than the one it was allocated
-    to.  These are exactly the hardware constraints that force the
-    paper's shadow-table and recirculation designs.
+    Raised when a compiled pass indexes a register array out of range,
+    and when a register array is built with an invalid size, stage or
+    width.  The stage-order and once-per-pass rules are proven at build
+    time instead (:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`
+    raises :class:`PipelineConfigError`).
     """
 
 

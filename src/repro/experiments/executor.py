@@ -124,15 +124,6 @@ def _run_point(config: "ClusterConfig") -> "LoadPoint":
     return run_point(config)
 
 
-def _run_point_shm(config: "ClusterConfig"):
-    """Pool variant of :func:`_run_point` returning results via the
-    shared-memory channel (a tiny ref through the pipe, the pickled
-    point in a per-worker arena; plain point on any shm failure)."""
-    from repro.experiments.shm_channel import write_result
-
-    return write_result(_run_point(config))
-
-
 def _worker_init(
     plugin_modules: Tuple[str, ...], specs: Optional[Dict[int, Any]] = None
 ) -> None:
@@ -274,24 +265,14 @@ class SweepExecutor:
     def _run_pool(
         self, stripped: List["ClusterConfig"], spec_table: Dict[int, Any]
     ) -> List["LoadPoint"]:
-        from repro.experiments import shm_channel
-
-        run = _run_point_shm if shm_channel.available() else _run_point
-        with shm_channel.ShmReader() as reader:
-            with self._make_pool(len(stripped), spec_table) as pool:
-                # Longest-first submission shrinks tail stragglers; the
-                # future map restores submission order on collection.
-                futures = {
-                    index: pool.submit(run, stripped[index])
-                    for index in submission_order(stripped)
-                }
-                # Refs are resolved while the pool (and with it every
-                # worker's arena mapping) is still alive; the reader
-                # unlinks the segments on exit either way.
-                return [
-                    reader.resolve(futures[index].result())
-                    for index in range(len(stripped))
-                ]
+        with self._make_pool(len(stripped), spec_table) as pool:
+            # Longest-first submission shrinks tail stragglers; the
+            # future map restores submission order on collection.
+            futures = {
+                index: pool.submit(_run_point, stripped[index])
+                for index in submission_order(stripped)
+            }
+            return [futures[index].result() for index in range(len(stripped))]
 
     @staticmethod
     def _registered_plugin_modules() -> Tuple[str, ...]:

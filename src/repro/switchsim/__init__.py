@@ -11,7 +11,8 @@ design:
   constraint that forces the paper's shadow state table;
 * exact-match **match-action tables** (:mod:`tables`), updatable only
   from the control plane;
-* **hash units** (:mod:`hashing`) computing CRC-based indices;
+* **hash units** (:mod:`hashing`) placed per stage, and the CRC
+  index function (``crc32_hash``) a program's pass computes with;
 * **recirculation** via loopback ports (:mod:`switch`) — the
   mechanism NetClone uses to give cloned packets their destination
   address on a second pass;

@@ -33,13 +33,3 @@ class HashUnit:
         self.name = name
         self.stage = stage
         self.buckets = buckets
-        #: Calls of :meth:`index`, i.e. hashes computed by programs
-        #: checked per packet.  A proven pass (the NetClone program's)
-        #: hashes inline and is accounted for by switch counters
-        #: instead.
-        self.invocations = 0
-
-    def index(self, value: int) -> int:
-        """Hash *value* into a slot index."""
-        self.invocations += 1
-        return crc32_hash(value, self.buckets)

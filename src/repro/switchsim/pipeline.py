@@ -9,9 +9,7 @@ A program proves these rules when it is built:
 :meth:`Pipeline.compile_plan` checks each fixed pass shape (the
 ordered objects one kind of packet touches) and raises
 :class:`~repro.errors.PipelineConfigError` on a violation.  The
-verified pass then runs with no per-packet checks.  A program whose
-accesses vary per packet opens a :class:`PassContext` instead, which
-checks the same rules access by access.
+verified pass then runs with no per-packet checks.
 
 The outcome of a pass is a verdict, returned by the program's
 ``apply``: ``True`` drops the packet, ``None`` forwards it by L3
@@ -23,17 +21,14 @@ its destination on a second, recirculated pass).
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List
 
-from repro.errors import PipelineConfigError, StageAccessError
+from repro.errors import PipelineConfigError
 from repro.switchsim.hashing import HashUnit
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["PassContext", "Pipeline", "Stage"]
-
-_pass_tokens = count(1)
+__all__ = ["Pipeline", "Stage"]
 
 
 class Stage:
@@ -44,57 +39,6 @@ class Stage:
         self.tables: List[MatchActionTable] = []
         self.registers: List[RegisterArray] = []
         self.hash_units: List[HashUnit] = []
-
-
-class PassContext:
-    """One packet's trip through the pipeline, checked access by access.
-
-    Stage order and the one-access-per-pass register rule are enforced
-    on every call.  Programs whose pass shapes are fixed prove the same
-    rules once with :meth:`Pipeline.compile_plan` instead; this class
-    serves programs whose accesses vary per packet, and tests.
-    """
-
-    __slots__ = ("pipeline", "token", "stage")
-
-    def __init__(self, pipeline: "Pipeline"):
-        self.pipeline = pipeline
-        self.token = next(_pass_tokens)
-        self.stage = -1
-
-    def enter_stage(self, index: int) -> None:
-        """Advance to stage *index*; going backwards is impossible."""
-        if index < self.stage:
-            raise StageAccessError(
-                f"pipeline is feed-forward: cannot enter stage {index} "
-                f"after stage {self.stage}"
-            )
-        if index >= self.pipeline.num_stages:
-            raise StageAccessError(
-                f"stage {index} out of range (pipeline has {self.pipeline.num_stages})"
-            )
-        self.stage = index
-
-    # -- convenience wrappers -------------------------------------------
-    def reg(
-        self,
-        register: RegisterArray,
-        index: int,
-        update: Optional[Callable[[int], int]] = None,
-    ) -> Tuple[int, int]:
-        """Enter the register's stage and perform its single access."""
-        self.enter_stage(register.stage)
-        return register.access(index, self.stage, self.token, update)
-
-    def table(self, table: MatchActionTable, key: int) -> Any:
-        """Enter the table's stage and look *key* up."""
-        self.enter_stage(table.stage)
-        return table.lookup(key, self.stage)
-
-    def hash(self, unit: HashUnit, value: int) -> int:
-        """Enter the hash unit's stage and hash *value*."""
-        self.enter_stage(unit.stage)
-        return unit.index(value)
 
 
 class Pipeline:
@@ -141,8 +85,7 @@ class Pipeline:
         tables, hash units) one pass shape touches.  Raises
         :class:`PipelineConfigError` unless every step is placed in
         this pipeline, stages are non-decreasing (feed-forward) and no
-        register is accessed more than once — the rules
-        :class:`PassContext` checks per packet, proven once here for
+        register is accessed more than once — proven once here for
         every packet of that shape.
         """
         stage = -1
@@ -174,11 +117,7 @@ class Pipeline:
                     )
                 seen_registers.add(id(obj))
 
-    # -- run-time --------------------------------------------------------
-    def new_pass(self) -> PassContext:
-        """Begin one packet's traversal."""
-        return PassContext(self)
-
+    # -- introspection ---------------------------------------------------
     @property
     def stages_used(self) -> int:
         """Highest occupied stage + 1 (the paper reports 7 for NetClone)."""

@@ -8,13 +8,9 @@ impossible — the reason NetClone keeps a *shadow* copy in a later
 stage (§3.4).
 
 :class:`RegisterArray` records its stage at construction.  A program
-with fixed pass shapes proves both constraints once, when it is
-built (:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`);
-a program checked per packet goes through :meth:`RegisterArray.access`,
-which raises :class:`~repro.errors.StageAccessError` on an access from
-another stage or a second access under the same per-pass token.  One
-such read-modify-write is the single operation a pass may make,
-matching the hardware's stateful ALU.
+proves both constraints once, when it is built
+(:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`), and its
+verified pass then addresses cells directly.
 
 :class:`RegisterFile` models the other half of the SRAM story: all of
 one program's register arrays live in a single flat backing store —
@@ -30,7 +26,7 @@ memory.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -126,47 +122,6 @@ class RegisterArray:
             #: file's flat store once the file is frozen.
             self.base = file.attach(self, initial & self._mask)
             self.cells = None  # type: ignore[assignment]
-        self._last_pass_token: Optional[int] = None
-        #: Calls of :meth:`access`, i.e. accesses made by programs
-        #: checked per packet.  A proven pass (the NetClone program's)
-        #: addresses cells directly and is accounted for by switch
-        #: counters instead.
-        self.access_count = 0
-
-    def access(
-        self,
-        index: int,
-        stage: int,
-        pass_token: Optional[int],
-        update: Optional[Callable[[int], int]] = None,
-    ) -> Tuple[int, int]:
-        """The single stateful operation of a pass on this array.
-
-        Reads cell *index*; if *update* is given the cell is rewritten
-        with ``update(old)`` in the same operation (read-modify-write).
-        Returns ``(old_value, new_value)``.
-        """
-        if not 0 <= index < self.size:
-            raise StageAccessError(
-                f"index {index} out of range for register {self.name!r} (size {self.size})"
-            )
-        if stage != self.stage:
-            raise StageAccessError(
-                f"register {self.name!r} is allocated to stage {self.stage}, "
-                f"accessed from stage {stage}"
-            )
-        if pass_token is not None and pass_token == self._last_pass_token:
-            raise StageAccessError(
-                f"register {self.name!r} accessed twice in one pipeline pass"
-            )
-        self._last_pass_token = pass_token
-        self.access_count += 1
-        old = self.cells[index]
-        new = old
-        if update is not None:
-            new = update(old) & self._mask
-            self.cells[index] = new
-        return old, new
 
     # -- control-plane access (no pass/stage constraints) ---------------
     def peek(self, index: int) -> int:

@@ -51,9 +51,7 @@ class SwitchProgram:
     A program owns the :class:`Pipeline` it was compiled into and
     proves its access pattern against it when it is built (see
     :meth:`Pipeline.compile_plan`); the switch then runs :meth:`apply`
-    on every pass with no checks of its own.  A program that wants the
-    hardware rules checked on every packet instead opens a
-    :meth:`Pipeline.new_pass` inside ``apply``.
+    on every pass with no checks of its own.
     """
 
     #: The pipeline this program was compiled into.

@@ -4,14 +4,15 @@ Match-action tables differ from register arrays in two ways that
 matter to the model: their entries are installed by the **control
 plane** (slow, not line-rate — §3.8 contrasts this with data-plane
 register updates), and a packet may *look up* a table only in the
-stage the table occupies.
+stage the table occupies (proven per pass shape by
+:meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.errors import StageAccessError, TableError
+from repro.errors import TableError
 
 __all__ = ["MatchActionTable"]
 
@@ -28,28 +29,8 @@ class MatchActionTable:
         self.stage = stage
         self.max_entries = max_entries
         self._entries: Dict[int, Any] = {}
-        #: Calls of :meth:`lookup`, and those that missed: lookups made
-        #: by programs checked per packet.  A proven pass (the NetClone
-        #: program's) reads entries directly and is accounted for by
-        #: switch counters instead.
-        self.lookup_count = 0
-        self.miss_count = 0
         #: Number of control-plane updates applied (instrumentation).
         self.update_count = 0
-
-    # -- data plane ------------------------------------------------------
-    def lookup(self, key: int, stage: int) -> Optional[Any]:
-        """Data-plane lookup from *stage*; returns action data or ``None``."""
-        if stage != self.stage:
-            raise StageAccessError(
-                f"table {self.name!r} lives in stage {self.stage}, "
-                f"looked up from stage {stage}"
-            )
-        self.lookup_count += 1
-        value = self._entries.get(key)
-        if value is None:
-            self.miss_count += 1
-        return value
 
     # -- control plane ----------------------------------------------------
     def install(self, key: int, value: Any) -> None:

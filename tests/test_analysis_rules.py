@@ -125,14 +125,11 @@ VIOLATIONS = [
         "consumption, bit-identical order) or store the handle for cancel",
     ),
     (
-        "shm-leak",
+        "spec-lambda",
         PLAIN_MODULE,
-        "from multiprocessing import shared_memory\n"
-        "def open_channel():\n"
-        "    return shared_memory.SharedMemory(create=True, size=64)\n",
-        "shared_memory segment created without an owner-side "
-        f"unlink() anywhere in {PLAIN_MODULE}; leaked segments "
-        "outlive the process",
+        "spec = specs.TopologySpec('t', lambda ctx: None)\n",
+        "lambda inside TopologySpec(...) cannot pickle to sweep "
+        "worker processes; use a module-level function",
     ),
     (
         "spec-lambda",
@@ -204,11 +201,6 @@ POSITIVES = [
     # Fast-lane scheduling needs no handle; stored handles can cancel.
     "def arm(sim, cb):\n    sim.call_at(5, cb)\n",
     "def arm(self, sim, cb):\n    self.timer = sim.at(5, cb)\n",
-    # The owner unlinks its segments somewhere in the module.
-    "from multiprocessing import shared_memory\n"
-    "def open_channel():\n"
-    "    return shared_memory.SharedMemory(create=True, size=64)\n"
-    "def close_channel(seg):\n    seg.close()\n    seg.unlink()\n",
     # Module-level factories pickle; guarded params reject typos.
     "spec = SchemeSpec(name='x', make_clients=build_clients)\n",
     "def make_policy(params):\n"

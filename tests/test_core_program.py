@@ -17,8 +17,9 @@ from repro.core import (
 )
 from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
 from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
-from repro.errors import PipelineConfigError
+from repro.errors import PipelineConfigError, StageAccessError
 from repro.net.packet import Packet
+from repro.switchsim import crc32_hash
 
 from helpers import RecordingSwitch, run_pass
 
@@ -34,14 +35,14 @@ def make_switch():
     return RecordingSwitch()
 
 
-def request(grp=0, clo=CLO_NOT_CLONED, idx=0, swid=0):
+def request(grp=0, clo=CLO_NOT_CLONED, idx=0, swid=0, req_id=0):
     return Packet(
         src=5000,
         dst=VIRTUAL_SERVICE_IP,
         sport=NETCLONE_UDP_PORT,
         dport=NETCLONE_UDP_PORT,
         size=128,
-        nc=NetCloneHeader(MSG_REQ, grp=grp, clo=clo, idx=idx, swid=swid),
+        nc=NetCloneHeader(MSG_REQ, req_id=req_id, grp=grp, clo=clo, idx=idx, swid=swid),
     )
 
 
@@ -75,6 +76,21 @@ def test_sequence_skips_zero_on_wrap():
     packet = request()
     run_pass(program, switch, packet)
     assert packet.nc.req_id == 1
+
+
+def test_client_assigned_request_id_kept_and_seq_untouched():
+    """§3.7: a nonzero client ID survives the pass; ID 0 draws from SEQ."""
+    program, switch = make_program(), make_switch()
+    run_pass(program, switch, request())
+    assert program.seq.peek(0) == 1
+    assigned = request(req_id=7)
+    run_pass(program, switch, assigned)
+    assert assigned.nc.req_id == 7
+    assert program.seq.peek(0) == 1  # neither read into the ID nor advanced
+    fresh = request()
+    run_pass(program, switch, fresh)
+    assert fresh.nc.req_id == 2
+    assert program.seq.peek(0) == 2
 
 
 def test_idle_pair_is_cloned():
@@ -222,6 +238,39 @@ def test_distinct_filter_tables_avoid_collision():
     assert switch.counters.get("nc_fingerprint_overwrite") == 0
     assert run_pass(program, switch, response(req_id=10, sid=1, idx=0))[0]
     assert run_pass(program, switch, response(req_id=20, sid=0, idx=1))[0]
+
+
+def test_compiled_filter_slot_is_the_crc32_reference():
+    """The pass inlines ``crc32(...) % buckets``; pin it to crc32_hash."""
+    slots = 1 << 10
+    program, switch = make_program(filter_slots=slots), make_switch()
+    for req_id, idx in ((1, 0), (12345, 1), ((1 << 32) - 1, 0), (1 << 24, 1)):
+        assert not run_pass(program, switch, response(req_id=req_id, sid=0, idx=idx))[0]
+        assert program.filters[idx].peek(crc32_hash(req_id, slots)) == req_id
+
+
+# ----------------------------------------------------------------------
+# Index checks of the compiled pass
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("pair", [(4, 0), (0, 4), (0, 9)], ids=["srv1", "srv2", "srv2-far"])
+def test_compiled_pass_rejects_group_pair_past_max_servers(pair):
+    program, switch = make_program(max_servers=4), make_switch()
+    program.grp_table.install(0, pair)
+    with pytest.raises(StageAccessError):
+        run_pass(program, switch, request(grp=0))
+
+
+@pytest.mark.parametrize("sid", [4, 5])
+def test_compiled_pass_rejects_response_sid_past_max_servers(sid):
+    program, switch = make_program(max_servers=4), make_switch()
+    packet = response(req_id=1, sid=0, state=STATE_BUSY)
+    packet.nc.sid = sid
+    with pytest.raises(StageAccessError):
+        run_pass(program, switch, packet)
+    # The last in-range server still updates normally.
+    packet.nc.sid = 3
+    run_pass(program, switch, packet)
+    assert program.state_table.peek(3) == STATE_BUSY
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Tests for the streaming metrics plane: sketches, recorder modes,
-the shared-memory result channel, and sketch-mode sweep points."""
+and sketch-mode sweep points."""
 
 import math
-import os
-import pickle
 import random
 from dataclasses import replace
 
@@ -13,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments import shm_channel
 from repro.experiments.common import ClusterConfig, run_point
 from repro.experiments.executor import SweepExecutor
 from repro.metrics.latency import LatencyRecorder, percentile
@@ -256,30 +253,6 @@ def test_sweep_result_merges_point_sketches():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory result channel
-# ----------------------------------------------------------------------
-def test_shm_channel_round_trip_and_passthrough():
-    if not shm_channel.available():
-        pytest.skip("shared memory unavailable on this platform")
-    payload = {"point": list(range(100)), "tag": "x"}
-    ref = shm_channel.write_result(payload)
-    with shm_channel.ShmReader() as reader:
-        if isinstance(ref, shm_channel.ShmRef):
-            assert len(pickle.dumps(ref)) < 200  # pipe traffic is O(1)
-        assert reader.resolve(ref) == payload
-        assert reader.resolve("plain") == "plain"  # non-refs pass through
-        assert reader.resolve_all(["a", 1]) == ["a", 1]
-
-
-def test_shm_channel_env_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_RESULTS", "0")
-    monkeypatch.setattr(shm_channel, "_AVAILABLE", None)
-    assert not shm_channel.available()
-    assert shm_channel.write_result({"x": 1}) == {"x": 1}
-    monkeypatch.setattr(shm_channel, "_AVAILABLE", None)
-
-
-# ----------------------------------------------------------------------
 # Sketch-mode sweep points, serial and pooled
 # ----------------------------------------------------------------------
 def _tiny_config(**overrides) -> ClusterConfig:
@@ -318,8 +291,7 @@ def test_config_rejects_unknown_metrics_mode():
         _tiny_config(metrics="histogram")
 
 
-@pytest.mark.slow
-def test_sketch_points_identical_across_jobs_and_channels(monkeypatch):
+def test_sketch_points_identical_across_jobs():
     configs = [
         _tiny_config(metrics="sketch", rate_rps=rate) for rate in (20_000, 35_000)
     ]
@@ -327,8 +299,3 @@ def test_sketch_points_identical_across_jobs_and_channels(monkeypatch):
     pooled = SweepExecutor(jobs=2).run_points(configs)
     assert [p.latency_sketch for p in serial] == [p.latency_sketch for p in pooled]
     assert [p.p99_us for p in serial] == [p.p99_us for p in pooled]
-    # Same again with the shm channel forced off: transport-independent.
-    monkeypatch.setenv("REPRO_SHM_RESULTS", "0")
-    monkeypatch.setattr(shm_channel, "_AVAILABLE", None)
-    piped = SweepExecutor(jobs=2).run_points(configs)
-    assert [p.latency_sketch for p in piped] == [p.latency_sketch for p in serial]

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from repro.apps.service import SyntheticService
-from repro.core.multipacket import MultiPacketProgram, client_request_id
-from repro.core.reliability import ReliableNetCloneClient
+from repro.core.constants import MSG_REQ
+from repro.core.program import NetCloneProgram
+from repro.core.reliability import ReliableNetCloneClient, client_request_id
 from repro.core.server import RpcServer
 from repro.errors import ExperimentError, NetworkError
 from repro.metrics.latency import LatencyRecorder
@@ -36,8 +37,8 @@ def build_lossy_cluster(loss=0.05, rate=40e3, horizon=ms(30), max_attempts=6):
         )
         topo.add_host(server)
         servers.append(server)
-    # Client-assigned request IDs require the extended program.
-    program = MultiPacketProgram([s.ip for s in servers])
+    # The base program keeps client-assigned (nonzero) request IDs.
+    program = NetCloneProgram([s.ip for s in servers])
     switch.install_program(program)
     recorder = LatencyRecorder(warmup_ns=0, end_ns=horizon)
     client = ReliableNetCloneClient(
@@ -63,6 +64,18 @@ def build_lossy_cluster(loss=0.05, rate=40e3, horizon=ms(30), max_attempts=6):
     return sim, switch, client, servers, recorder
 
 
+def _record_request_ids(server, seen):
+    """Wrap *server*'s handler to log ``(client_seq, req_id)`` of requests."""
+    handle = server.handle
+
+    def logging_handle(packet):
+        if packet.nc is not None and packet.nc.msg_type == MSG_REQ:
+            seen.append((packet.payload.client_seq, packet.nc.req_id))
+        handle(packet)
+
+    server.handle = logging_handle
+
+
 def test_lossless_run_has_no_retransmissions():
     sim, switch, client, servers, recorder = build_lossy_cluster(loss=0.0)
     client.start()
@@ -74,6 +87,8 @@ def test_lossless_run_has_no_retransmissions():
 
 def test_retransmissions_recover_lost_requests():
     sim, switch, client, servers, recorder = build_lossy_cluster(loss=0.05)
+    seen = []
+    _record_request_ids(servers[0], seen)
     client.start()
     sim.run(until=ms(60))
     sent = client._seq
@@ -81,7 +96,14 @@ def test_retransmissions_recover_lost_requests():
     assert client.retransmissions > 0
     # With 6 attempts at 5% loss, effectively everything completes.
     assert completed >= 0.995 * sent
-    assert client.outstanding == 0 or client.abandoned >= 0
+    # Every sent request is completed (first response), still
+    # outstanding, or abandoned — exactly one of the three.
+    first_responses = client.responses_received - client.redundant_responses
+    assert first_responses + client.outstanding + client.abandoned == sent
+    # Client-assigned IDs cross the switch unchanged, and SEQ never moves.
+    assert seen
+    assert all(req_id == client_request_id(0, seq) for seq, req_id in seen)
+    assert switch.program.seq.peek(0) == 0
 
 
 def test_retransmission_keeps_request_id_stable():
@@ -92,6 +114,21 @@ def test_retransmission_keeps_request_id_stable():
     second = client._packet_for(request)
     assert first.nc.req_id == second.nc.req_id
     assert first.nc.req_id == client_request_id(0, 1)
+
+
+def test_client_request_id_distinct_per_client_and_seq():
+    a = client_request_id(0, 1)
+    b = client_request_id(0, 2)
+    c = client_request_id(1, 1)
+    assert len({a, b, c}) == 3
+    # Zero asks the switch for an ID, so a client ID is never zero, and
+    # the highest client still fits the 32-bit header field.
+    assert client_request_id(0, 0) != 0
+    assert client_request_id(254, (1 << 24) - 1) == (1 << 32) - 1
+    with pytest.raises(ExperimentError):
+        client_request_id(-1, 0)
+    with pytest.raises(ExperimentError):
+        client_request_id(255, 0)
 
 
 def test_heavy_loss_abandons_after_max_attempts():
