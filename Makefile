@@ -11,8 +11,9 @@ test:  ## full tier-1 suite (what the roadmap's verify line runs)
 smoke:  ## fast tier: skips tests marked slow (multi-rack sweeps, wide pools)
 	$(PY) -m pytest -x -q -m "not slow"
 
-drill:  ## failure drills (with their historical output) + full chaos catalog, invariants enforced
+drill:  ## failure drills (with their historical output) + fig16 at reduced scale + full chaos catalog, invariants enforced
 	$(PY) examples/switch_failure_drill.py
+	$(PY) -m repro fig16 --scale 0.1 --seed 1
 	$(PY) -m repro run-scenario all
 
 scenarios:  ## chaos-scenario catalog only (see `repro-netclone scenarios` for the list)

@@ -78,6 +78,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: Slowdown of an interfered server execution (§5.1.2).
+JITTER_FACTOR = 15.0
+
+#: Per-packet host stack costs (VMA-like kernel bypass), in ns.
+CLIENT_TX_NS = 350
+CLIENT_RX_NS = 650
+SERVER_TX_NS = 700
+SERVER_RX_NS = 500
+
+
 @dataclass
 class ClusterConfig:
     """Everything needed to build and measure one operating point."""
@@ -110,8 +120,9 @@ class ClusterConfig:
     workers_per_server: Union[int, Sequence[int]] = 15
     num_clients: int = 2
     rate_rps: float = 1.0e6
+    #: Probability that a server execution suffers interference and
+    #: runs :data:`JITTER_FACTOR` times its base service time.
     jitter_p: float = 0.01
-    jitter_factor: float = 15.0
     warmup_ns: int = ms(10)
     measure_ns: int = ms(40)
     drain_ns: int = ms(5)
@@ -126,20 +137,6 @@ class ClusterConfig:
     # NetClone data-plane parameters (§4.1 defaults).
     num_filter_tables: int = 2
     filter_slots: int = 1 << 17
-
-    # Host stack costs (VMA-like kernel bypass).
-    client_tx_ns: int = 350
-    client_rx_ns: int = 650
-    server_tx_ns: int = 700
-    server_rx_ns: int = 500
-    coordinator_cpu_ns: int = 700
-    laedge_slots_per_server: Optional[int] = None
-
-    # Switch timing.
-    switch_pipeline_ns: int = 400
-    switch_recirc_ns: int = 700
-
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Resolves aliases and raises ExperimentError on unknown names.
@@ -273,7 +270,7 @@ class Cluster:
         config = self.config
         spec = self.scheme_spec
         fabric = self.topology
-        jitter = JitterModel(config.jitter_p, config.jitter_factor)
+        jitter = JitterModel(config.jitter_p, JITTER_FACTOR)
         context = SchemeContext(cluster=self, config=config)
 
         # A coordinator's address must exist before servers (they
@@ -294,8 +291,8 @@ class Cluster:
                 num_workers=worker_counts[index],
                 netclone_mode=spec.netclone_mode,
                 reply_to_ip=context.coordinator_ip,
-                tx_cost_ns=config.server_tx_ns,
-                rx_cost_ns=config.server_rx_ns,
+                tx_cost_ns=SERVER_TX_NS,
+                rx_cost_ns=SERVER_RX_NS,
                 packet_pool=self.packet_pool,
             )
             fabric.attach(server, "server", index)
@@ -348,8 +345,8 @@ class Cluster:
                 recorder=self.recorder,
                 rng=self.rngs.stream(f"client{index}"),
                 stop_at_ns=config.end_ns,
-                tx_cost_ns=config.client_tx_ns,
-                rx_cost_ns=config.client_rx_ns,
+                tx_cost_ns=CLIENT_TX_NS,
+                rx_cost_ns=CLIENT_RX_NS,
                 packet_pool=self.packet_pool,
             )
             if make_arrivals is not None:
@@ -491,9 +488,11 @@ class Cluster:
             if self._trunk_stats is not None
             else trunk_summary(self.topology.trunks, max(1, self.sim.now))
         )
-        queue_len = getattr(self.coordinator, "queue_len", None)
+        coordinator = self.coordinator
+        queue_len = getattr(coordinator, "queue_len", None)
         if queue_len is not None:
             extra["coordinator_queue"] = float(queue_len)
+            extra["coordinator_cloned"] = float(coordinator.counters.get("cloned"))
         return LoadPoint(
             offered_rps=recorder.offered_rps(),
             throughput_rps=recorder.throughput_rps(),

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.common import ClusterConfig
+from repro.experiments.common import JITTER_FACTOR, ClusterConfig
 from repro.experiments.executor import SweepExecutor, resolve_executor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.registry import register
@@ -39,7 +39,7 @@ def _effective_capacity(config: ClusterConfig) -> float:
     are fractions of what the cluster can actually serve, so anchoring
     to raw worker capacity would place '90 %' beyond saturation."""
     raw = capacity_rps(NUM_SERVERS * WORKERS, config.workload.mean_service_ns)
-    inflation = 1.0 + config.jitter_p * (config.jitter_factor - 1.0)
+    inflation = 1.0 + config.jitter_p * (JITTER_FACTOR - 1.0)
     return raw / inflation
 
 

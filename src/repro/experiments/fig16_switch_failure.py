@@ -9,8 +9,6 @@ architecture, not NetClone).
 Recovery wipes every register — NetClone keeps only soft state, so
 the wipe must be harmless: the sequence number restarts, state tables
 read IDLE, filter tables are empty, and the system simply resumes.
-The run asserts no permanent misbehaviour (no duplicate deliveries to
-the client after recovery; throughput returns to the offered rate).
 
 Panel (b) — the §3.6 *server* failure path, swept over the placement
 axis on a spine-leaf fabric: one server is killed mid-run (access
@@ -20,6 +18,15 @@ reports throughput and ``trunk_tx_bytes`` through the failure window.
 The shape this pins: placement-aware rebuilds keep a ``rack-local``
 deployment trunk-free across the kill → rebuild → restore cycle,
 while ``global`` keeps paying trunk crossings throughout.
+
+Both panels are :class:`~repro.scenarios.spec.Scenario` specs run
+through :func:`~repro.scenarios.runner.run_scenario` — the ``wipe_switch``
+and ``kill_server``/``restore_server`` events the failure drills use —
+and either panel raises :class:`~repro.errors.ExperimentError` with the
+report summary when any applicable invariant of
+:data:`~repro.scenarios.invariants.INVARIANTS` fails (a duplicate
+delivery after the wipe, a stuck request, an epoch moving backwards, a
+rack-local clone crossing a trunk, ...).
 
 The simulated offered rate is scaled down (tens of KRPS rather than
 MRPS) to keep the 25-second timeline tractable in pure Python; the
@@ -31,15 +38,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import Cluster, ClusterConfig
+from repro.errors import ExperimentError
 from repro.experiments.executor import resolve_executor
 from repro.experiments.placements import canonical_placement
 from repro.experiments.registry import register
-from repro.experiments.specs import make_synthetic_spec
 from repro.experiments.topologies import parse_topology
-from repro.metrics.links import TrunkByteMonitor
 from repro.metrics.tables import format_table
-from repro.sim.monitor import IntervalMonitor
+from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.sim.units import ms, sec
 
 __all__ = ["collect", "collect_server_failure", "run", "run_server_failure"]
@@ -53,6 +58,14 @@ RECOVER_AT_S = 7
 REINIT_S = 3
 
 
+def _run_gated(spec: Dict[str, Any], scale: float) -> ScenarioRun:
+    """Run one panel's scenario; raise when any invariant failed."""
+    run = run_scenario(Scenario.from_dict(spec), scale=scale)
+    if not run.report.passed:
+        raise ExperimentError(run.report.summary())
+    return run
+
+
 def collect(
     scale: float = 1.0,
     seed: int = 1,
@@ -61,33 +74,40 @@ def collect(
 ) -> Tuple[List[float], List[float], dict]:
     """(window starts s, throughput KRPS per window, integrity stats)."""
     horizon_s = HORIZON_S if scale >= 1.0 else max(10, int(HORIZON_S * scale))
-    spec = make_synthetic_spec("exp", mean_us=25.0)
-    config = ClusterConfig(
-        scheme="netclone",
-        topology=topology,
-        placement=placement,
-        workload=spec,
-        num_servers=NUM_SERVERS,
-        workers_per_server=WORKERS,
-        rate_rps=OFFERED_RPS * min(scale, 1.0),
-        warmup_ns=0,
-        measure_ns=sec(horizon_s),
-        drain_ns=sec(1),
-        seed=seed,
+    run = _run_gated(
+        {
+            "name": "fig16-switch-failure",
+            "cluster": {
+                "scheme": "netclone",
+                "topology": topology,
+                "placement": placement,
+                "workload": "exp",
+                "num_servers": NUM_SERVERS,
+                "workers_per_server": WORKERS,
+                "rate_rps": OFFERED_RPS,
+                "warmup_ns": 0,
+                "measure_ns": sec(horizon_s),
+                "drain_ns": sec(1),
+                "seed": seed,
+            },
+            "report_window_ns": sec(1),
+            "events": [
+                {
+                    "at_ns": sec(FAIL_AT_S),
+                    "action": "wipe_switch",
+                    "down_ns": sec(RECOVER_AT_S - FAIL_AT_S),
+                    "reinit_ns": sec(REINIT_S),
+                },
+            ],
+        },
+        scale,
     )
-    cluster = Cluster(config)
-    monitor = IntervalMonitor(window_ns=sec(1), horizon_ns=sec(horizon_s))
-    cluster.recorder.completion_monitor = monitor
-    switch = cluster.switch
-    cluster.sim.call_at(sec(FAIL_AT_S), switch.fail)
-    cluster.sim.call_at(sec(RECOVER_AT_S), switch.recover, sec(REINIT_S))
-    cluster.start()
-    cluster.run()
+    monitor = run.completions
     rates_krps = [rate / 1e3 for rate in monitor.rates_per_second()[:horizon_s]]
     stats = {
-        "redundant_responses": sum(c.redundant_responses for c in cluster.clients),
-        "completed": cluster.recorder.completed_in_window,
-        "offered_rps": config.rate_rps,
+        "redundant_responses": run.end["redundant"],
+        "completed": run.cluster.recorder.completed_in_window,
+        "offered_rps": run.cluster.config.rate_rps,
         "recovered_rate_krps": rates_krps[-1] if rates_krps else float("nan"),
     }
     return monitor.window_starts_sec()[: len(rates_krps)], rates_krps, stats
@@ -126,56 +146,54 @@ def _sf_placements(pinned: Optional[str]) -> Tuple[str, ...]:
 def _server_failure_cell(args: Tuple[str, float, int, Dict[str, Any]]) -> Dict[str, Any]:
     """One placement's kill → rebuild → restore timeline (picklable)."""
     placement, scale, seed, topology_params = args
-    config = ClusterConfig(
-        scheme="netclone",
-        topology="spine_leaf",
-        topology_params=dict(topology_params),
-        placement=placement,
-        workload=make_synthetic_spec("exp", mean_us=25.0),
-        num_servers=SF_NUM_SERVERS,
-        workers_per_server=SF_WORKERS,
-        num_clients=SF_NUM_CLIENTS,
-        rate_rps=SF_RATE_RPS * min(scale, 1.0),
-        warmup_ns=0,
-        measure_ns=SF_HORIZON,
-        drain_ns=ms(20),
-        seed=seed,
+    run = _run_gated(
+        {
+            "name": f"fig16-server-failure-{placement}",
+            "cluster": {
+                "scheme": "netclone",
+                "topology": "spine_leaf",
+                "topology_params": dict(topology_params),
+                "placement": placement,
+                "workload": "exp",
+                "num_servers": SF_NUM_SERVERS,
+                "workers_per_server": SF_WORKERS,
+                "num_clients": SF_NUM_CLIENTS,
+                "rate_rps": SF_RATE_RPS,
+                "warmup_ns": 0,
+                "measure_ns": SF_HORIZON,
+                "drain_ns": ms(20),
+                "seed": seed,
+            },
+            "report_window_ns": SF_WINDOW,
+            "events": [
+                {"at_ns": SF_KILL_AT, "action": "kill_server", "server": SF_VICTIM},
+                {"at_ns": SF_RESTORE_AT, "action": "restore_server",
+                 "server": SF_VICTIM},
+            ],
+        },
+        scale,
     )
-    cluster = Cluster(config)
-    fabric = cluster.topology
-    handler = cluster.failure_handler()
-    completions = IntervalMonitor(window_ns=SF_WINDOW, horizon_ns=SF_HORIZON)
-    cluster.recorder.completion_monitor = completions
-    trunks = TrunkByteMonitor(cluster.sim, fabric.trunks, SF_WINDOW, SF_HORIZON)
-    victim = cluster.servers[SF_VICTIM]
-    cluster.sim.call_at(SF_KILL_AT, fabric.fail_host, victim)
-    cluster.sim.call_at(SF_KILL_AT, handler.remove_server, SF_VICTIM)
-    cluster.sim.call_at(SF_RESTORE_AT, fabric.restore_host, victim)
-    cluster.sim.call_at(SF_RESTORE_AT, handler.restore_server, SF_VICTIM)
-    cluster.start()
-    cluster.run()
-    victim_rack = fabric.rack_of("server", SF_VICTIM)
+    timeline = run.report.timeline
+    window_starts_ms = timeline["window_starts_ms"]
+    victim_rack = run.report.meta["server_racks"][SF_VICTIM]
     # Bytes each rack's ToR clocked onto its spine uplinks: the
     # per-rack trunk contribution the rack-local shape check reads.
-    rack_tx_bytes = [
-        float(sum(link.bytes_from(tor) for link in fabric.uplinks[t]))
-        for t, tor in enumerate(fabric.tors)
-    ]
+    rack_tx_bytes = run.end["rack_tx_bytes"]
     return {
         "placement": placement,
-        "window_starts_ms": [s * 1e3 for s in trunks.window_starts_sec()],
+        "window_starts_ms": window_starts_ms,
         "rates_krps": [
             rate / 1e3
-            for rate in completions.rates_per_second()[: trunks.num_windows]
+            for rate in timeline["rates_per_sec"][: len(window_starts_ms)]
         ],
-        "trunk_kb": [b / 1e3 for b in trunks.total_per_window()],
+        "trunk_kb": [b / 1e3 for b in timeline["trunk_total"]],
         "rack_tx_bytes": rack_tx_bytes,
         "other_rack_tx_bytes": float(
             sum(b for t, b in enumerate(rack_tx_bytes) if t != victim_rack)
         ),
         "victim_rack": victim_rack,
-        "table_epoch": handler.epoch,
-        "point": cluster.load_point(),
+        "table_epoch": run.end["handler_epoch"],
+        "point": run.cluster.load_point(),
     }
 
 
@@ -194,8 +212,6 @@ def collect_server_failure(
     independent runs, so ``jobs > 1`` fans them over worker processes
     (bit-identical to serial — each cell seeds its own registry).
     """
-    from repro.errors import ExperimentError
-
     name, params = parse_topology(topology or "spine_leaf")
     if name != "spine_leaf":
         raise ExperimentError(

@@ -216,6 +216,10 @@ def _cclone_client(ctx: SchemeContext, common: Dict[str, Any]):
     return CCloneClient(server_ips=ctx.server_ips, **common)
 
 
+#: Per-packet CPU cost of the LÆDGE coordinator's stack, in ns.
+COORDINATOR_CPU_NS = 700
+
+
 def _laedge_client(ctx: SchemeContext, common: Dict[str, Any]):
     from repro.baselines.laedge import LaedgeClient
 
@@ -225,18 +229,14 @@ def _laedge_client(ctx: SchemeContext, common: Dict[str, Any]):
 def _laedge_coordinator(ctx: SchemeContext):
     from repro.baselines.laedge import LaedgeCoordinator
 
-    config = ctx.config
-    slots = config.laedge_slots_per_server
-    if slots is None:
-        slots = max(config.worker_counts())
     return LaedgeCoordinator(
         ctx.cluster.sim,
         name="coordinator",
         ip=ctx.coordinator_ip,
         server_ips=list(ctx.server_ips),
         rng=ctx.cluster.rngs.stream("coordinator"),
-        slots_per_server=slots,
-        cpu_cost_ns=config.coordinator_cpu_ns,
+        slots_per_server=max(ctx.config.worker_counts()),
+        cpu_cost_ns=COORDINATOR_CPU_NS,
     )
 
 

@@ -106,18 +106,8 @@ def _redundancy_rate(scheme: str, point) -> float:
     if scheme == "netclone":
         return point.extra.get("nc_cloned", 0.0) / point.samples
     if scheme == "laedge":
-        # Coordinator absorbs redundant responses; use clone counter via
-        # redundant responses at the coordinator if present, else assume
-        # cloning stops under load (observed through queue growth).
-        return point.extra.get("coordinator_clone_rate", _laedge_probe_rate(point))
+        return point.extra.get("coordinator_cloned", 0.0) / point.samples
     return 0.0
-
-
-def _laedge_probe_rate(point) -> float:
-    # LÆDGE clones only when two servers idle; at high load the
-    # coordinator queue is non-empty, implying no idle pair existed.
-    queue = point.extra.get("coordinator_queue", 0.0)
-    return 0.0 if queue > 0 else 1.0
 
 
 def run(

@@ -69,6 +69,12 @@ __all__ = [
 PLUGIN_MODULES: List[str] = []
 
 
+#: Switch timing: ingress-to-egress pipeline latency and the extra
+#: latency of one recirculation pass, in ns.
+SWITCH_PIPELINE_NS = 400
+SWITCH_RECIRC_NS = 700
+
+
 @dataclass
 class TopologyContext:
     """Build-time state handed to every :class:`TopologySpec` builder.
@@ -91,8 +97,8 @@ class TopologyContext:
         return ProgrammableSwitch(
             self.sim,
             name=name,
-            pipeline_latency_ns=self.config.switch_pipeline_ns,
-            recirc_latency_ns=self.config.switch_recirc_ns,
+            pipeline_latency_ns=SWITCH_PIPELINE_NS,
+            recirc_latency_ns=SWITCH_RECIRC_NS,
         )
 
 

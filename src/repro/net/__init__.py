@@ -1,4 +1,4 @@
-"""Network substrate: packets, headers, links, NICs, hosts, topologies.
+"""Network substrate: packets, headers, links, hosts, topologies.
 
 The model is intra-rack Ethernet/IPv4/UDP.  Addresses are stored as
 integers on the hot path (see :mod:`addresses`); byte-level codecs for
@@ -15,7 +15,6 @@ from repro.net.addresses import (
 from repro.net.headers import EthernetHeader, IPv4Header, UDPHeader
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.nic import Nic
 from repro.net.packet import (
     PROTO_TCP,
     PROTO_UDP,
@@ -47,7 +46,6 @@ __all__ = [
     "IPv4Header",
     "LeastLoadedSpinePolicy",
     "Link",
-    "Nic",
     "PROTO_TCP",
     "PROTO_UDP",
     "Packet",

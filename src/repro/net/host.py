@@ -1,17 +1,29 @@
-"""Host base class.
+"""Host base class: one end host and its network stack.
 
-A host owns a NIC, is attached to exactly one link (its ToR uplink in
-the star topologies used throughout), and dispatches received packets
-to :meth:`handle`, which applications override.
+A host is attached to exactly one link (its ToR uplink in every
+fabric here) and dispatches received packets to :meth:`handle`, which
+applications override.
+
+The testbed in the paper uses VMA kernel-bypass networking, where each
+packet still costs on the order of a microsecond of CPU in the send and
+receive paths.  That per-packet cost is what makes redundant slower
+responses harmful (§5.6.3 / Figure 15), so the host models it
+explicitly:
+
+* the TX path is a single resource — consecutive sends queue behind a
+  per-packet ``tx_cost_ns``;
+* the RX path is likewise a single resource with ``rx_cost_ns``; a
+  bounded RX queue drops a packet whose arrival finds
+  ``rx_queue_limit`` packets' worth of RX work still booked, as a
+  real userspace poll loop would when its ring fills.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import NetworkError
 from repro.net.link import Direction, Link
-from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
@@ -20,6 +32,17 @@ __all__ = ["Host"]
 
 class Host:
     """One end host (client, server, or coordinator)."""
+
+    # Slots keep the host's own state out of the subclasses' instance
+    # dicts.  Clients and servers add ~17 attributes of their own, and
+    # CPython shares one compact key table per class only up to 30
+    # keys: with these 11 in the dict too, every attribute access on a
+    # client or server took the slow path (star-baseline-hi lost ~7%
+    # of its simulated requests per second).
+    __slots__ = (
+        "sim", "name", "ip", "tx_cost_ns", "rx_cost_ns", "rx_queue_limit",
+        "_tx_free_at", "_rx_free_at", "rx_dropped", "link", "_uplink",
+    )
 
     def __init__(
         self,
@@ -30,15 +53,20 @@ class Host:
         rx_cost_ns: int = 700,
         rx_queue_limit: int = 4096,
     ):
+        if tx_cost_ns < 0 or rx_cost_ns < 0:
+            raise NetworkError("per-packet costs must be non-negative")
+        if rx_queue_limit <= 0:
+            raise NetworkError("rx_queue_limit must be positive")
         self.sim = sim
         self.name = name
         self.ip = ip
-        self.nic = Nic(
-            sim,
-            tx_cost_ns=tx_cost_ns,
-            rx_cost_ns=rx_cost_ns,
-            rx_queue_limit=rx_queue_limit,
-        )
+        self.tx_cost_ns = tx_cost_ns
+        self.rx_cost_ns = rx_cost_ns
+        self.rx_queue_limit = rx_queue_limit
+        #: Next time the TX / RX path is free.
+        self._tx_free_at = 0
+        self._rx_free_at = 0
+        self.rx_dropped = 0
         self.link: Optional[Link] = None
         #: The uplink direction this host transmits on.
         self._uplink: Optional[Direction] = None
@@ -52,28 +80,26 @@ class Host:
         self._uplink = link.direction_from(self)
 
     def send(self, packet: Packet) -> None:
-        """Send *packet* through the NIC TX path onto the uplink.
+        """Send *packet* through the TX path onto the uplink.
 
-        The hot path books the NIC TX slot *and* the uplink's
-        serialisation slot in one step, at call time: each direction of
-        the uplink has this host as its only sender and TX completion
-        times are nondecreasing, so the link booking a departure at
-        ``done`` would make is already known now — no TX-done event.
-        Links that can drop (down or lossy) fall back to the evented
-        path, which re-evaluates the link when the packet actually
-        leaves the NIC.
+        The hot path books the TX slot *and* the uplink's serialisation
+        slot in one step, at call time: each direction of the uplink
+        has this host as its only sender and TX completion times are
+        nondecreasing, so the link booking a departure at ``done``
+        would make is already known now — no TX-done event.  Links
+        that can drop (down or lossy) fall back to the evented path,
+        which re-evaluates the link when the packet actually leaves
+        the host.
         """
         link = self.link
         if link is None:
             raise NetworkError(f"{self.name} has no link attached")
-        nic = self.nic
         now = self.sim.now
-        start = nic._tx_free_at
+        start = self._tx_free_at
         if start < now:
             start = now
-        done = start + nic.tx_cost_ns
-        nic._tx_free_at = done
-        nic.tx_count += 1
+        done = start + self.tx_cost_ns
+        self._tx_free_at = done
         if link.down or link.loss_probability > 0.0:
             if done == now:
                 link.send(packet, self)
@@ -86,31 +112,25 @@ class Host:
         assert self.link is not None
         self.link.send(packet, self)
 
-    def deliver(self, packet: Packet, link: Link) -> None:
-        """Called by the link when *packet* arrives at this host."""
-        self.nic.rx(packet, self.handle)
-
     def link_rx_at(self, packet: Packet, arrival: int) -> None:
-        """Fused link arrival + NIC RX accounting, called at *send* time.
+        """Link arrival + RX booking, called at *send* time.
 
         A host has exactly one uplink, and a link direction delivers in
         nondecreasing arrival order, so the RX resource booking for an
         arrival at ``arrival`` can be computed when the packet is put
-        on the wire — the per-packet deliver event disappears and only
-        the handler dispatch at RX completion remains.
+        on the wire — there is no deliver event, only the handler
+        dispatch at RX completion.
         """
-        nic = self.nic
-        start = nic._rx_free_at
+        start = self._rx_free_at
         if start < arrival:
             start = arrival
-        cost = nic.rx_cost_ns
-        if cost > 0 and (start - arrival) // cost >= nic.rx_queue_limit:
-            nic.rx_dropped += 1
+        cost = self.rx_cost_ns
+        if cost > 0 and (start - arrival) // cost >= self.rx_queue_limit:
+            self.rx_dropped += 1
             packet.release()
             return
         done = start + cost
-        nic._rx_free_at = done
-        nic.rx_count += 1
+        self._rx_free_at = done
         self.sim.call_at(done, self.handle, packet)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Point-to-point full-duplex links.
 
-A link connects two endpoints (anything with a ``deliver(packet,
-link)`` method).  Each direction models:
+A link connects two endpoints: switches (``link_ingress``), hosts
+(``link_rx_at``), or anything with a ``deliver(packet, link)`` method.
+Each direction models:
 
 * **serialisation** — back-to-back packets queue behind one another at
   the line rate (a per-direction "next free" timestamp), and
@@ -47,7 +48,7 @@ class Direction:
       latency with this direction as its second argument, so the
       switch reads its ingress port from :attr:`rx_port`;
     * a host's ``link_rx_at`` is called at send time with the arrival
-      time (it books its NIC RX slot up front);
+      time (it books its RX slot up front);
     * anything else gets a ``deliver(packet, link)`` event at arrival.
     """
 

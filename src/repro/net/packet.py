@@ -101,35 +101,6 @@ class Packet:
         self.pool: Optional["PacketPool"] = None
         self._freed = False
 
-    def reuse(
-        self,
-        uid: int,
-        src: int,
-        dst: int,
-        sport: int,
-        dport: int,
-        size: int,
-        payload: Any,
-        nc: Optional[Any],
-        proto: int,
-        created_at: int,
-    ) -> "Packet":
-        """Re-initialise this object in place for a new life on the wire."""
-        self.uid = uid
-        self.src = src
-        self.dst = dst
-        self.sport = sport
-        self.dport = dport
-        self.proto = proto
-        self.size = size
-        self.payload = payload
-        self.nc = nc
-        self.ingress_port = -1
-        self.recirculated = False
-        self.created_at = created_at
-        self._freed = False
-        return self
-
     def release(self) -> None:
         """Return this packet to its pool.  No-op for bare packets.
 
@@ -229,7 +200,8 @@ class PacketPool:
         self._next_uid = uid + 1
         free = self._free
         if free:
-            # Packet.reuse inlined: acquire runs once per packet life.
+            # Re-initialise the recycled object in place for its new
+            # life; acquire runs once per packet life.
             packet = free.pop()
             packet.uid = uid
             packet.src = src

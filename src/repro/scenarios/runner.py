@@ -319,7 +319,7 @@ class _ScenarioExecution:
             ),
             "link_drops": link_drops,
             "host_rx_drops": sum(
-                host.nic.rx_dropped
+                host.rx_dropped
                 for host in (*clients, *servers, cluster.coordinator)
                 if host is not None
             ),

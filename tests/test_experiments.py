@@ -150,3 +150,22 @@ def test_fig16_collect_shows_outage_and_recovery():
     assert during < pre * 0.1
     assert post > pre * 0.5  # recovered
     assert stats["redundant_responses"] == 0  # no misbehaviour after wipe
+
+
+def test_fig16_raises_on_a_violated_invariant(monkeypatch):
+    # Both panels gate on the scenario invariant library: a violation
+    # surfaces as an error carrying the report summary, not a figure.
+    from repro.scenarios.invariants import INVARIANTS, Invariant
+
+    monkeypatch.setitem(
+        INVARIANTS,
+        "always-fails",
+        Invariant(
+            "always-fails",
+            "a planted violation",
+            applies=lambda view: True,
+            check=lambda view: ["planted violation"],
+        ),
+    )
+    with pytest.raises(ExperimentError, match="planted violation"):
+        fig16_switch_failure.collect(scale=0.05)

@@ -77,9 +77,7 @@ class _Probe(Host):
 def build_fabric(name, params, sim=None):
     """A registry-built fabric (same path Cluster uses)."""
     sim = sim or Simulator()
-    config = SimpleNamespace(
-        topology_params=params, switch_pipeline_ns=400, switch_recirc_ns=700
-    )
+    config = SimpleNamespace(topology_params=params)
     fabric = get_topology(name).make_fabric(TopologyContext(sim=sim, config=config))
     return sim, fabric
 

@@ -113,6 +113,9 @@ def test_laedge_runs_and_clones_dynamically():
     assert coordinator is not None
     assert coordinator.counters.get("cloned") > 0
     assert coordinator.counters.get("responses_forwarded") > 0
+    # The measured clone count table1's dynamic-cloning cell reads.
+    extra = cluster.load_point().extra
+    assert extra["coordinator_cloned"] == coordinator.counters.get("cloned")
     # Conservation: all forwarded responses reached clients.
     completed = cluster.recorder.completed_in_window
     assert completed > 0

@@ -1,9 +1,9 @@
-"""Tests for links, NICs, hosts and the star topology."""
+"""Tests for links, hosts (with their TX/RX stack) and the star topology."""
 
 import pytest
 
 from repro.errors import NetworkError, PortError
-from repro.net import Host, Link, Nic, Packet, StarTopology
+from repro.net import Host, Link, Packet, StarTopology
 from repro.net.addresses import ip_to_int
 from repro.sim import Simulator
 
@@ -208,42 +208,46 @@ def test_fast_path_and_link_send_fallback_book_identically():
     assert clean == _run_switched(lossy=True)
 
 
-def test_nic_tx_serialises_sends():
+def test_host_tx_serialises_back_to_back_sends():
     sim = Simulator()
-    nic = Nic(sim, tx_cost_ns=700, rx_cost_ns=0)
-    emitted = []
-    nic.tx("p1", lambda p: emitted.append((sim.now, p)))
-    nic.tx("p2", lambda p: emitted.append((sim.now, p)))
+    a, b, _ = make_pair(sim, tx_cost=700)
+    a.send(packet_between(a, b, size=1250))  # 100 ns serialisation
+    a.send(packet_between(a, b, size=1250))
     sim.run()
-    assert emitted == [(700, "p1"), (1400, "p2")]
+    # The second send leaves the host one tx_cost after the first.
+    assert [t for t, _ in b.received] == [700 + 100 + 300, 1400 + 100 + 300]
 
 
-def test_nic_rx_backlog_and_drop():
+def test_host_rx_queue_limit_drops_same_instant_arrivals():
     sim = Simulator()
-    nic = Nic(sim, tx_cost_ns=0, rx_cost_ns=100, rx_queue_limit=2)
-    handled = []
-    assert nic.rx("p1", handled.append)
-    assert nic.rx("p2", handled.append)  # backlog 1 packet: accepted
-    assert not nic.rx("p3", handled.append)  # backlog 2 packets: at limit
-    assert nic.rx_dropped == 1
+    host = RecordingHost(sim, "h", 1, rx_cost_ns=100, rx_queue_limit=2)
+    packets = [Packet(src=2, dst=1, sport=1, dport=2, size=64) for _ in range(3)]
+    for packet in packets:
+        host.link_rx_at(packet, 500)
+    # The third arrival finds two packets' worth of RX work booked.
+    assert host.rx_dropped == 1
     sim.run()
-    assert handled == ["p1", "p2"]
+    assert host.received == [(600, packets[0]), (700, packets[1])]
 
 
-def test_nic_zero_cost_is_synchronous():
+def test_host_zero_costs_handle_at_link_arrival():
     sim = Simulator()
-    nic = Nic(sim, tx_cost_ns=0, rx_cost_ns=0)
-    seen = []
-    nic.rx("p", seen.append)
-    assert seen == ["p"]
+    a, b, link = make_pair(sim)
+    packet = packet_between(a, b, size=1250)
+    a.send(packet)
+    sim.run()
+    assert b.received == [(100 + 300, packet)]
+    assert b.rx_dropped == 0
 
 
-def test_nic_validation():
+def test_host_validation():
     sim = Simulator()
     with pytest.raises(NetworkError):
-        Nic(sim, tx_cost_ns=-1)
+        Host(sim, "h", 1, tx_cost_ns=-1)
     with pytest.raises(NetworkError):
-        Nic(sim, rx_queue_limit=0)
+        Host(sim, "h", 1, rx_cost_ns=-1)
+    with pytest.raises(NetworkError):
+        Host(sim, "h", 1, rx_queue_limit=0)
 
 
 def test_host_stack_costs_add_to_latency():

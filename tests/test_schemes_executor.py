@@ -24,9 +24,11 @@ from repro.experiments.schemes import (
     scheme_names,
     unregister_scheme,
 )
+from repro.experiments.specs import SyntheticSpec
 from repro.metrics.sweep import SweepResult
 from repro.sim.core import Simulator
 from repro.sim.units import ms
+from repro.workloads.distributions import ExponentialDistribution
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +210,9 @@ def test_parallel_sweep_schemes_matches_serial():
 
 
 def test_executor_falls_back_serially_on_unpicklable_config(caplog):
-    config = tiny_config(extra={"callback": lambda: None})
+    # A lambda distribution factory makes the workload spec unpicklable.
+    workload = SyntheticSpec(lambda: ExponentialDistribution(25.0))
+    config = tiny_config(workload=workload)
     with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
         points = SweepExecutor(jobs=2).run_points([config, config])
     assert len(points) == 2 and all(p.samples > 0 for p in points)
