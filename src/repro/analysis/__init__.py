@@ -20,19 +20,14 @@ accounting behind ``REPRO_SANITIZE=1``) lives in
 
 from repro.analysis.core import (
     DEFAULT_TARGETS,
+    RULES,
     Finding,
     RuleSpec,
-    describe_rules,
     filter_baselined,
     format_findings,
-    get_rule,
-    iter_rules,
     lint_paths,
     lint_source,
     load_baseline,
-    register_rule,
-    rule_names,
-    unregister_rule,
     write_baseline,
 )
 from repro.analysis.queueing import (
@@ -47,23 +42,18 @@ from repro.analysis.queueing import (
 __all__ = [
     "DEFAULT_TARGETS",
     "Finding",
+    "RULES",
     "RuleSpec",
     "cclone_effective_utilisation",
     "cloned_exponential_p99",
-    "describe_rules",
     "erlang_c",
     "exponential_p99",
     "filter_baselined",
     "format_findings",
-    "get_rule",
-    "iter_rules",
     "lint_paths",
     "lint_source",
     "load_baseline",
     "mm1_mean_wait",
     "mmc_mean_wait",
-    "register_rule",
-    "rule_names",
-    "unregister_rule",
     "write_baseline",
 ]

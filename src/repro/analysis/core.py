@@ -10,9 +10,10 @@ un-stamped group tables) at review time, where they originate.
 
 Rules are plugins on the same :class:`~repro.experiments.
 plugin_registry.PluginRegistry` the scheme/topology/placement/workload
-axes use: a :class:`RuleSpec` names a checker factory, modules listed
-in :data:`RULE_MODULES` self-register on first lookup, and adding a
-rule is a zero-edit drop-in.  One AST walk per file dispatches every
+axes use: a :class:`RuleSpec` names a checker factory,
+``RULES.register`` adds it to :data:`RULES`, modules listed in
+:data:`RULE_MODULES` self-register on first lookup, and adding a rule
+is a zero-edit drop-in.  One AST walk per file dispatches every
 enabled checker with parent and qualified-name tracking
 (:class:`RuleContext`), so a new rule costs no extra parse.
 
@@ -46,21 +47,16 @@ __all__ = [
     "DEFAULT_TARGETS",
     "Finding",
     "ImportMap",
+    "RULES",
     "RULE_MODULES",
     "RuleContext",
     "RuleSpec",
-    "describe_rules",
     "filter_baselined",
     "format_findings",
-    "get_rule",
-    "iter_rules",
     "lint_paths",
     "lint_source",
     "load_baseline",
     "module_for_path",
-    "register_rule",
-    "rule_names",
-    "unregister_rule",
     "write_baseline",
 ]
 
@@ -136,46 +132,17 @@ class RuleSpec:
     severity: str = "error"
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
-    #: Module that registered the spec (filled in by ``register_rule``).
+    #: Module that registered the spec (filled in by ``RULES.register``).
     module: Optional[str] = None
 
 
-_IMPL = PluginRegistry(
+#: Every registered lint rule, by canonical name and alias.
+RULES = PluginRegistry(
     kind="lint rule",
     spec_type=RuleSpec,
-    plugin_modules=RULE_MODULES,
     factory_field="make_checker",
+    plugin_modules=RULE_MODULES,
 )
-
-
-def register_rule(spec_or_factory):
-    """Register a lint rule; usable as a decorator or called directly."""
-    return _IMPL.register(spec_or_factory)
-
-
-def unregister_rule(name: str) -> None:
-    """Remove a rule (and its aliases); mainly for tests."""
-    _IMPL.unregister(name)
-
-
-def get_rule(name: str) -> RuleSpec:
-    """The spec registered under *name* (aliases resolve)."""
-    return _IMPL.get(name)
-
-
-def rule_names() -> Tuple[str, ...]:
-    """Canonical names of every registered rule, in registration order."""
-    return _IMPL.names()
-
-
-def iter_rules() -> List[RuleSpec]:
-    """Every registered spec, in registration order."""
-    return _IMPL.specs()
-
-
-def describe_rules() -> List[str]:
-    """``name — description`` lines (aliases in parentheses)."""
-    return _IMPL.describe()
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +359,8 @@ def module_for_path(path: str, root: Optional[str] = None) -> str:
 
 def _selected_specs(rules: Optional[Sequence[str]]) -> List[RuleSpec]:
     if rules is None:
-        return iter_rules()
-    return [get_rule(name) for name in rules]
+        return RULES.specs()
+    return [RULES.get(name) for name in rules]
 
 
 def lint_source(

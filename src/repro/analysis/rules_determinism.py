@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import RuleContext, RuleSpec, register_rule
+from repro.analysis.core import RULES, RuleContext, RuleSpec
 
 __all__ = [
     "ENV_READ",
@@ -174,7 +174,7 @@ class _EnvReadChecker:
             self._report(node, "os.environ[...]", ctx)
 
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=UNSEEDED_RANDOM,
         description="module-level random/np.random calls bypass the named "
@@ -185,7 +185,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=WALL_CLOCK,
         description="wall-clock reads (time.time, datetime.now, ...) inside "
@@ -196,7 +196,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=UNORDERED_ITERATION,
         description="set iteration / id()-keyed dicts inside the simulation "
@@ -207,7 +207,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=ENV_READ,
         description="os.environ reads inside sim/net/core/scenarios "

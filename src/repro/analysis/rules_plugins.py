@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from repro.analysis.core import RuleContext, RuleSpec, register_rule
+from repro.analysis.core import RULES, RuleContext, RuleSpec
 
 __all__ = ["EPOCH_STAMP", "PARAM_GUARD", "SPEC_LAMBDA"]
 
@@ -172,7 +172,7 @@ class _EpochStampChecker:
         return False
 
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=SPEC_LAMBDA,
         description="lambdas inside *Spec(...) constructions break pickling "
@@ -183,7 +183,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=PARAM_GUARD,
         description="plugin factories reading params without a "
@@ -194,7 +194,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=EPOCH_STAMP,
         description="install_group_table calls whose table bypasses "

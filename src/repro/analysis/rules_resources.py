@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from repro.analysis.core import RuleContext, RuleSpec, register_rule
+from repro.analysis.core import RULES, RuleContext, RuleSpec
 
 __all__ = ["DROPPED_HANDLE", "PACKET_LEAK"]
 
@@ -159,7 +159,7 @@ class _DroppedHandleChecker:
         )
 
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=PACKET_LEAK,
         description="PacketPool.acquire without a release or ownership "
@@ -170,7 +170,7 @@ register_rule(
     )
 )
 
-register_rule(
+RULES.register(
     RuleSpec(
         name=DROPPED_HANDLE,
         description="sim.at/sim.schedule handles dropped without "

@@ -13,7 +13,7 @@ Like :mod:`repro.baselines.jsq_d` — with which it shares the
 outstanding-count bookkeeping via
 :class:`~repro.baselines.tracking.OutstandingTrackingClient` — the
 module doubles as a reference plugin: it registers ``bounded-random``
-purely through :func:`~repro.experiments.schemes.register_scheme`,
+purely through ``@SCHEMES.register`` (:mod:`repro.experiments.schemes`),
 with zero edits to :mod:`repro.experiments.common` — and, because
 schemes compose with the topology registry, it runs unchanged on the
 multi-rack fabrics (``ClusterConfig(scheme="bounded-random",
@@ -26,7 +26,7 @@ from typing import Any, Dict
 
 from repro.baselines.tracking import OutstandingTrackingClient
 from repro.errors import ExperimentError
-from repro.experiments.schemes import SchemeContext, SchemeSpec, register_scheme
+from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 
 __all__ = ["BoundedRandomClient"]
 
@@ -62,7 +62,7 @@ def _bounded_random_client(
     return BoundedRandomClient(server_ips=ctx.server_ips, **common)
 
 
-@register_scheme
+@SCHEMES.register
 def _bounded_random_spec() -> SchemeSpec:
     return SchemeSpec(
         name="bounded-random",

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Sequence
 from repro.apps.client import OpenLoopClient
 from repro.baselines.random_lb import PLAIN_RPC_PORT
 from repro.errors import ExperimentError
-from repro.experiments.schemes import SchemeContext, SchemeSpec, register_scheme
+from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 from repro.net.packet import Packet
 
 __all__ = ["CCloneClient"]
@@ -68,7 +68,7 @@ def _cclone_d_client(d: int):
 
 
 for _d in (3, 4):
-    register_scheme(
+    SCHEMES.register(
         SchemeSpec(
             name=f"cclone-d{_d}",
             description=f"static client-side cloning, d = {_d}",

@@ -9,7 +9,7 @@ switch-side RackSched JSQ.
 
 The module doubles as the reference example of the scheme plugin
 surface: it registers ``jsq-d3`` purely through
-:func:`~repro.experiments.schemes.register_scheme`, with zero edits to
+``@SCHEMES.register`` (:mod:`repro.experiments.schemes`), with zero edits to
 :mod:`repro.experiments.common`.  The outstanding-count bookkeeping
 (including lazy staleness expiry for requests lost to queue overflow)
 is shared with bounded-random via
@@ -22,7 +22,7 @@ from typing import Any, Dict
 
 from repro.baselines.tracking import OutstandingTrackingClient
 from repro.errors import ExperimentError
-from repro.experiments.schemes import SchemeContext, SchemeSpec, register_scheme
+from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 
 __all__ = ["JsqDClient"]
 
@@ -52,7 +52,7 @@ def _jsq_d3_client(ctx: SchemeContext, common: Dict[str, Any]) -> JsqDClient:
     return JsqDClient(server_ips=ctx.server_ips, d=3, **common)
 
 
-@register_scheme
+@SCHEMES.register
 def _jsq_d3_spec() -> SchemeSpec:
     return SchemeSpec(
         name="jsq-d3",

@@ -31,25 +31,25 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ExperimentError
-from repro.experiments.placements import canonical_placement, describe_placements
+from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import (
     UNREQUESTED,
     gate_harness_axes,
     get_experiment,
     list_experiments,
 )
-from repro.experiments.schemes import describe_schemes
-from repro.experiments.topologies import canonical_topology, describe_topologies
-from repro.experiments.workloads_registry import canonical_workload, describe_workloads
+from repro.experiments.schemes import SCHEMES
+from repro.experiments.topologies import TOPOLOGIES
+from repro.experiments.workloads_registry import WORKLOADS
 
 __all__ = ["main"]
 
 #: Pseudo-experiment ids that list a plugin registry instead of running.
 _LISTINGS = {
-    "schemes": ("registered schemes:", describe_schemes),
-    "topologies": ("registered topologies:", describe_topologies),
-    "placements": ("registered placements:", describe_placements),
-    "workloads": ("registered workloads:", describe_workloads),
+    "schemes": ("registered schemes:", SCHEMES),
+    "topologies": ("registered topologies:", TOPOLOGIES),
+    "placements": ("registered placements:", PLACEMENTS),
+    "workloads": ("registered workloads:", WORKLOADS),
 }
 
 
@@ -171,7 +171,7 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
     covered by the baseline, whatever its severity.
     """
     from repro.analysis import (
-        describe_rules,
+        RULES,
         filter_baselined,
         format_findings,
         lint_paths,
@@ -181,7 +181,7 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
 
     if args.list_rules:
         print("registered lint rules:")
-        for line in describe_rules():
+        for line in RULES.describe():
             print(f"  {line}")
         return 0
     try:
@@ -291,11 +291,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.topology is not None:
         # Fail fast (and normalise aliases) before any experiment runs;
         # inline parameters ride along in canonical key=value form.
-        args.topology = canonical_topology(args.topology)
+        args.topology = TOPOLOGIES.canonical(args.topology)
     if args.placement is not None:
-        args.placement = canonical_placement(args.placement)
+        args.placement = PLACEMENTS.canonical(args.placement)
     if args.workload is not None:
-        args.workload = canonical_workload(args.workload)
+        args.workload = WORKLOADS.canonical(args.workload)
     if args.list or not experiments:
         print("available experiments:")
         for line in list_experiments():
@@ -322,9 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         listing = _LISTINGS.get(experiment_id)
         if listing is not None:
-            title, describe = listing
+            title, registry = listing
             print(title)
-            for line in describe():
+            for line in registry.describe():
                 print(f"  {line}")
             continue
         harness = get_experiment(experiment_id)

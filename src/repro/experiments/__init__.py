@@ -8,8 +8,7 @@ IDs (``fig7``, ``fig13``, ``table1``, ...) to those entry points;
 out over worker processes, and ``--topology NAME`` re-runs it on any
 registered fabric.
 
-Cluster assembly is generic over **three** plugin axes that compose
-freely:
+Cluster assembly is generic over plugin axes that compose freely:
 
 * **scheme** (:mod:`repro.experiments.schemes`) — what runs: the
   client class, the switch program, an optional coordinator;
@@ -22,19 +21,24 @@ freely:
   redundancy lands: which candidate server pairs each ToR's §3.3
   group table holds (``global``, ``rack-local``,
   ``rack-weighted:p=…``), selected via ``ClusterConfig.placement`` /
-  ``--placement``.
+  ``--placement``;
+* **workload** (:mod:`repro.experiments.workloads_registry`) — what
+  the cluster is asked to do, selected via ``ClusterConfig.workload``
+  / ``--workload``.
 
-Adding a scheme
+Adding a plugin
 ---------------
-Schemes are plugins — no edits to :mod:`repro.experiments.common`:
+Every axis is one :class:`~repro.experiments.plugin_registry.PluginRegistry`
+instance, called directly — no edits to :mod:`repro.experiments.common`.
+A scheme, for example:
 
 1. Write a client class (subclass
    :class:`~repro.apps.client.OpenLoopClient`) in your own module.
 2. Declare and register a spec::
 
-       from repro.experiments.schemes import SchemeSpec, register_scheme
+       from repro.experiments.schemes import SCHEMES, SchemeSpec
 
-       @register_scheme
+       @SCHEMES.register
        def _my_scheme() -> SchemeSpec:
            return SchemeSpec(
                name="my-scheme",
@@ -56,101 +60,39 @@ NetClone-speaking servers (``netclone_mode``) and post-assembly
 tweaks (``post_build``).  :mod:`repro.baselines.jsq_d` and
 :mod:`repro.baselines.bounded_random` are complete examples.
 
-Adding a topology
------------------
-Topologies are plugins too.  Implement a fabric (subclass
-:class:`repro.net.topology.Fabric`: per-rack stars plus inter-rack
-wiring and a role→rack placement policy), then register it::
+The other axes work the same way:
 
-    from repro.experiments.topologies import TopologySpec, register_topology
+* ``@TOPOLOGIES.register`` a :class:`TopologySpec` whose
+  ``make_fabric(ctx)`` builds a :class:`repro.net.topology.Fabric`;
+  knobs arrive in ``ClusterConfig.topology_params``.
+* ``@PLACEMENTS.register`` a :class:`PlacementSpec` whose
+  ``make_policy(params)`` builds a
+  :class:`~repro.core.placement.PlacementPolicy`.
+* ``@WORKLOADS.register`` a :class:`WorkloadDef` whose
+  ``make_spec(params)`` builds a
+  :class:`~repro.experiments.specs.WorkloadSpec`.
 
-    @register_topology
-    def _my_fabric() -> TopologySpec:
-        return TopologySpec(
-            name="my-fabric",
-            description="shown by `repro-netclone topologies`",
-            make_fabric=lambda ctx: MyFabric(ctx.sim, ctx.make_switch),
-        )
-
-and run ``ClusterConfig(scheme=..., topology="my-fabric")`` — every
-registered scheme, sweep and figure harness picks it up unchanged.
-Fabric knobs travel in ``ClusterConfig.topology_params`` (e.g.
-``{"racks": 3, "spines": 2}`` for ``spine_leaf``).
-
-Adding a placement
-------------------
-Placement policies are plugins on the same machinery.  Implement a
-policy (subclass :class:`repro.core.placement.PlacementPolicy`:
-reduce a rack→server map to one
-:class:`~repro.core.placement.GroupTable` per ToR), then register it::
-
-    from repro.experiments.placements import PlacementSpec, register_placement
-
-    @register_placement
-    def _my_placement() -> PlacementSpec:
-        return PlacementSpec(
-            name="my-placement",
-            description="shown by `repro-netclone placements`",
-            make_policy=lambda params: MyPolicy(**params),
-        )
-
-and run ``ClusterConfig(scheme="netclone", placement="my-placement")``.
-Factories must reject unknown parameters — a typo must never silently
-fall back to ``global``.
+Factories that take params reject unknown keys with
+``registry.check_params(params, known, name)`` — a typo must never
+silently run the defaults.
 """
 
-from repro.experiments.placements import (
-    PlacementSpec,
-    describe_placements,
-    get_placement,
-    placement_names,
-    register_placement,
-)
+from repro.experiments.placements import PLACEMENTS, PlacementSpec
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
-from repro.experiments.schemes import (
-    SchemeSpec,
-    describe_schemes,
-    get_scheme,
-    register_scheme,
-    scheme_names,
-)
-from repro.experiments.topologies import (
-    TopologySpec,
-    describe_topologies,
-    get_topology,
-    register_topology,
-    topology_names,
-)
-from repro.experiments.workloads_registry import (
-    WorkloadDef,
-    describe_workloads,
-    get_workload,
-    register_workload,
-    workload_names,
-)
+from repro.experiments.schemes import SCHEMES, SchemeSpec
+from repro.experiments.topologies import TOPOLOGIES, TopologySpec
+from repro.experiments.workloads_registry import WORKLOADS, WorkloadDef
 
 __all__ = [
     "EXPERIMENTS",
+    "PLACEMENTS",
     "PlacementSpec",
+    "SCHEMES",
     "SchemeSpec",
+    "TOPOLOGIES",
     "TopologySpec",
+    "WORKLOADS",
     "WorkloadDef",
-    "describe_placements",
-    "describe_schemes",
-    "describe_topologies",
-    "describe_workloads",
     "get_experiment",
-    "get_placement",
-    "get_scheme",
-    "get_topology",
-    "get_workload",
     "list_experiments",
-    "placement_names",
-    "register_placement",
-    "register_scheme",
-    "register_topology",
-    "register_workload",
-    "scheme_names",
-    "topology_names",
-    "workload_names",
 ]

@@ -7,11 +7,12 @@ it, and reduces the run to a :class:`~repro.metrics.sweep.LoadPoint`.
 
 Neither schemes, topologies nor placements are hardcoded here:
 :class:`Cluster` is generic assembly driven by three plugin
-registries — :mod:`repro.experiments.schemes` (what runs: clients,
-switch programs, coordinators), :mod:`repro.experiments.topologies`
-(what it runs on: single-rack star, two-rack trunk, spine-leaf Clos)
-and :mod:`repro.experiments.placements` (where request redundancy
-lands: which candidate pairs each ToR's group table holds).  Any
+registries — ``SCHEMES`` (:mod:`repro.experiments.schemes`; what runs:
+clients, switch programs, coordinators), ``TOPOLOGIES``
+(:mod:`repro.experiments.topologies`; what it runs on: single-rack
+star, two-rack trunk, spine-leaf Clos) and ``PLACEMENTS``
+(:mod:`repro.experiments.placements`; where request redundancy lands:
+which candidate pairs each ToR's group table holds).  Any
 scheme composes with any topology and placement: the scheme's switch
 program is installed once per ToR with that rack's §3.7 switch ID and
 that rack's placement-built group table, so the SWID gate keeps
@@ -19,8 +20,7 @@ exactly one ToR responsible for each client's requests and clients
 draw group IDs valid on their own ToR.  ``repro-netclone schemes`` /
 ``topologies`` / ``placements`` list the axes, and new entries
 self-register from their own modules (see the how-to in
-:mod:`repro.experiments`) without touching this file.  ``SCHEMES``
-below is derived from the registry.
+:mod:`repro.experiments`) without touching this file.
 """
 
 from __future__ import annotations
@@ -34,19 +34,10 @@ from repro.apps.client import OpenLoopClient
 from repro.core.placement import PlacementContext
 from repro.errors import ExperimentError
 from repro.experiments.executor import SweepExecutor, resolve_executor
-from repro.experiments.placements import (
-    PlacementSpec,
-    get_placement,
-    parse_placement,
-)
-from repro.experiments.schemes import SchemeContext, SchemeSpec, get_scheme, scheme_names
+from repro.experiments.placements import PLACEMENTS, PlacementSpec
+from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 from repro.experiments.specs import WorkloadSpec, make_synthetic_spec
-from repro.experiments.topologies import (
-    TopologyContext,
-    TopologySpec,
-    get_topology,
-    parse_topology,
-)
+from repro.experiments.topologies import TOPOLOGIES, TopologyContext, TopologySpec
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.links import trunk_summary
 from repro.metrics.sweep import LoadPoint, SweepResult
@@ -62,20 +53,10 @@ from repro.workloads.distributions import JitterModel
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "SCHEMES",
-    "placement_override_kwargs",
     "run_point",
     "run_sweep",
-    "topology_override_kwargs",
+    "sweep_override_kwargs",
 ]
-
-
-def __getattr__(name: str):
-    # SCHEMES is derived from the registry at access time so plugin
-    # schemes registered after import are included.
-    if name == "SCHEMES":
-        return scheme_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Slowdown of an interfered server execution (§5.1.2).
@@ -140,25 +121,18 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         # Resolves aliases and raises ExperimentError on unknown names.
-        self.scheme = get_scheme(self.scheme).name
-        topology_name, inline_params = parse_topology(self.topology or "star")
-        self.topology = topology_name
-        if inline_params:
-            # A fresh dict: topology_params may be shared across
-            # dataclasses.replace() copies and must not be mutated.
-            merged = dict(self.topology_params)
-            merged.update(inline_params)
-            self.topology_params = merged
-        placement_name, inline_placement = parse_placement(self.placement or "global")
-        self.placement = placement_name
-        if inline_placement:
-            merged = dict(self.placement_params)
-            merged.update(inline_placement)
-            self.placement_params = merged
+        self.scheme = SCHEMES.get(self.scheme).name
+        for field_name, params_name, registry, default in _PARAM_AXES:
+            name, inline = registry.parse(getattr(self, field_name) or default)
+            setattr(self, field_name, name)
+            if inline:
+                # A fresh dict: the params may be shared across
+                # dataclasses.replace() copies and must not be mutated.
+                setattr(self, params_name, {**getattr(self, params_name), **inline})
         # Build (and discard) the policy once so a typoed knob fails
         # here with a diagnosable error, not deep inside a sweep worker
         # — and never silently runs the policy defaults.
-        get_placement(placement_name).make_policy(dict(self.placement_params))
+        PLACEMENTS.get(self.placement).make_policy(dict(self.placement_params))
         if self.metrics not in ("exact", "sketch"):
             raise ExperimentError(
                 f"unknown metrics mode {self.metrics!r} "
@@ -204,6 +178,14 @@ class ClusterConfig:
         return self.end_ns + self.drain_ns
 
 
+#: ``(field, params field, registry, default)`` of each config axis
+#: that takes inline ``"name:key=val,..."`` parameters.
+_PARAM_AXES = (
+    ("topology", "topology_params", TOPOLOGIES, "star"),
+    ("placement", "placement_params", PLACEMENTS, "global"),
+)
+
+
 class Cluster:
     """A built testbed, ready to run.
 
@@ -214,9 +196,9 @@ class Cluster:
 
     def __init__(self, config: ClusterConfig):
         self.config = config
-        self.scheme_spec: SchemeSpec = get_scheme(config.scheme)
-        self.topology_spec: TopologySpec = get_topology(config.topology)
-        self.placement_spec: PlacementSpec = get_placement(config.placement)
+        self.scheme_spec: SchemeSpec = SCHEMES.get(config.scheme)
+        self.topology_spec: TopologySpec = TOPOLOGIES.get(config.topology)
+        self.placement_spec: PlacementSpec = PLACEMENTS.get(config.placement)
         # Built before any simulation state so a bad placement param
         # fails fast with a diagnosable error, whatever the scheme.
         self.placement = self.placement_spec.make_policy(
@@ -514,40 +496,33 @@ def _mean_or_nan(values: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-def topology_override_kwargs(
-    config: ClusterConfig, topology: Optional[str]
+def sweep_override_kwargs(
+    config: ClusterConfig,
+    topology: Optional[str] = None,
+    placement: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """``replace()`` kwargs applying a sweep-level topology override.
+    """``replace()`` kwargs applying sweep-level topology/placement overrides.
 
-    The override may carry inline params ("spine_leaf:spines=4,...");
-    each point config's ``__post_init__`` folds those into its
-    ``topology_params``.  When the override names a *different* fabric
-    than the config, the config's params belong to the old fabric and
-    are dropped — otherwise e.g. leftover ``spines`` would trip the
+    An override may carry inline params ("spine_leaf:spines=4,...",
+    "rack-weighted:p=0.7"); each point config's ``__post_init__`` folds
+    those into its params field.  When an override names a *different*
+    entry than the config, the config's params belong to the old one
+    and are dropped — otherwise e.g. leftover ``spines`` would trip the
     ``star`` builder's unknown-parameter check.
     """
-    chosen = topology if topology is not None else config.topology
-    name, inline = parse_topology(chosen or "star")
-    if name != config.topology:
-        return {"topology": name, "topology_params": inline}
-    return {"topology": chosen}
-
-
-def placement_override_kwargs(
-    config: ClusterConfig, placement: Optional[str]
-) -> Dict[str, Any]:
-    """``replace()`` kwargs applying a sweep-level placement override.
-
-    The twin of :func:`topology_override_kwargs`: the override may
-    carry inline params ("rack-weighted:p=0.7"), and when it names a
-    *different* policy than the config, the config's params belong to
-    the old policy and are dropped.
-    """
-    chosen = placement if placement is not None else config.placement
-    name, inline = parse_placement(chosen or "global")
-    if name != config.placement:
-        return {"placement": name, "placement_params": inline}
-    return {"placement": chosen}
+    requested = {"topology": topology, "placement": placement}
+    kwargs: Dict[str, Any] = {}
+    for field_name, params_name, registry, default in _PARAM_AXES:
+        current = getattr(config, field_name)
+        chosen = requested[field_name]
+        if chosen is None:
+            chosen = current
+        name, inline = registry.parse(chosen or default)
+        if name != current:
+            kwargs.update({field_name: name, params_name: inline})
+        else:
+            kwargs[field_name] = chosen
+    return kwargs
 
 
 def run_point(config: ClusterConfig) -> LoadPoint:
@@ -584,12 +559,11 @@ def run_sweep(
     path because every point seeds its own RNG registry.
     """
     chosen_scheme = scheme if scheme is not None else config.scheme
-    chosen_scheme = get_scheme(chosen_scheme).name
-    override_kwargs = topology_override_kwargs(config, topology)
-    override_kwargs.update(placement_override_kwargs(config, placement))
+    chosen_scheme = SCHEMES.get(chosen_scheme).name
+    overrides = sweep_override_kwargs(config, topology, placement)
     result = SweepResult(scheme=chosen_scheme, workload=config.workload.name)
     point_configs = [
-        replace(config, scheme=chosen_scheme, rate_rps=rate, **override_kwargs)
+        replace(config, scheme=chosen_scheme, rate_rps=rate, **overrides)
         for rate in offered_loads_rps
     ]
     for point in resolve_executor(executor, jobs).run_points(point_configs):

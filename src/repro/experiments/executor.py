@@ -276,19 +276,15 @@ class SweepExecutor:
 
     @staticmethod
     def _registered_plugin_modules() -> Tuple[str, ...]:
-        from repro.experiments import (
-            placements,
-            schemes,
-            topologies,
-            workloads_registry,
-        )
+        from repro.experiments.placements import PLACEMENTS
+        from repro.experiments.schemes import SCHEMES
+        from repro.experiments.topologies import TOPOLOGIES
+        from repro.experiments.workloads_registry import WORKLOADS
         from repro.net.topology import spine_policy_modules
 
-        modules = set(schemes.registered_modules())
-        modules.update(topologies.registered_modules())
-        modules.update(placements.registered_modules())
-        modules.update(workloads_registry.registered_modules())
-        modules.update(spine_policy_modules())
+        modules = set(spine_policy_modules())
+        for registry in (SCHEMES, TOPOLOGIES, PLACEMENTS, WORKLOADS):
+            modules.update(registry.registered_modules())
         return tuple(sorted(modules))
 
     def _picklable(

@@ -40,9 +40,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.executor import resolve_executor
-from repro.experiments.placements import canonical_placement
+from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import register
-from repro.experiments.topologies import parse_topology
+from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.tables import format_table
 from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.sim.units import ms, sec
@@ -137,7 +137,7 @@ def _sf_placements(pinned: Optional[str]) -> Tuple[str, ...]:
     """The placement set to sweep; a pinned policy races ``global``."""
     if pinned is None:
         return SF_PLACEMENTS
-    pinned = canonical_placement(pinned)
+    pinned = PLACEMENTS.canonical(pinned)
     if pinned == "global":
         return ("global",)
     return ("global", pinned)
@@ -212,7 +212,7 @@ def collect_server_failure(
     independent runs, so ``jobs > 1`` fans them over worker processes
     (bit-identical to serial — each cell seeds its own registry).
     """
-    name, params = parse_topology(topology or "spine_leaf")
+    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
     if name != "spine_leaf":
         raise ExperimentError(
             f"the fig16 server-failure panel sweeps rack placements; "
@@ -340,7 +340,7 @@ def run(
     )
     report = "\n".join(lines)
     print(report)
-    if topology is None or parse_topology(topology)[0] == "spine_leaf":
+    if topology is None or TOPOLOGIES.parse(topology)[0] == "spine_leaf":
         panel_b = run_server_failure(
             scale, seed, jobs=jobs, topology=topology, placement=placement
         )

@@ -31,7 +31,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
-from repro.experiments.topologies import canonical_topology
+from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import SweepResult
 
 __all__ = ["FABRICS", "SCHEMES", "collect", "run"]
@@ -58,7 +58,7 @@ def collect(
     executor batch — one process pool for the entire figure — so
     parallel workers stay busy across panels, not just within one.
     """
-    fabrics = FABRICS if topology is None else (canonical_topology(topology),)
+    fabrics = FABRICS if topology is None else (TOPOLOGIES.canonical(topology),)
     spec = make_synthetic_spec("exp", mean_us=25.0)
     capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
     loads = load_grid(capacity, scale)

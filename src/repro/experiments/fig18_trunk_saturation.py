@@ -30,7 +30,7 @@ from repro.experiments.executor import resolve_executor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
-from repro.experiments.topologies import parse_topology
+from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
@@ -91,7 +91,7 @@ def collect(
     """
     from repro.errors import ExperimentError
 
-    name, params = parse_topology(topology or "spine_leaf")
+    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
     if name != "spine_leaf":
         raise ExperimentError(
             f"fig18 measures spine trunks; topology {name!r} has none "

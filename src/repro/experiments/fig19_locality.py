@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.experiments.common import ClusterConfig
 from repro.experiments.executor import resolve_executor
 from repro.experiments.harness import capacity_rps, scaled_config
-from repro.experiments.placements import canonical_placement
+from repro.experiments.placements import PLACEMENTS as PLACEMENT_REGISTRY
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
-from repro.experiments.topologies import parse_topology
+from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
@@ -62,7 +62,7 @@ def _placements(pinned: Optional[str]) -> Tuple[str, ...]:
     """The placement set to sweep; a pinned policy races ``global``."""
     if pinned is None:
         return PLACEMENTS
-    pinned = canonical_placement(pinned)
+    pinned = PLACEMENT_REGISTRY.canonical(pinned)
     if pinned == "global":
         return ("global",)
     return ("global", pinned)
@@ -87,7 +87,7 @@ def collect(
     """
     from repro.errors import ExperimentError
 
-    name, params = parse_topology(topology or "spine_leaf")
+    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
     if name != "spine_leaf":
         raise ExperimentError(
             f"fig19 measures trunk locality; topology {name!r} has no "

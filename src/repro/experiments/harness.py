@@ -15,14 +15,9 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.common import (
-    ClusterConfig,
-    placement_override_kwargs,
-    run_sweep,
-    topology_override_kwargs,
-)
+from repro.experiments.common import ClusterConfig, run_sweep, sweep_override_kwargs
 from repro.experiments.executor import SweepExecutor, resolve_executor
-from repro.experiments.schemes import get_scheme
+from repro.experiments.schemes import SCHEMES
 from repro.metrics.sweep import LoadPoint, SweepResult
 from repro.sim.units import ms
 
@@ -93,12 +88,11 @@ def sweep_schemes(
     """
     chosen = resolve_executor(executor, jobs)
     schemes = list(schemes)
-    canonical = [get_scheme(scheme).name for scheme in schemes]
-    override_kwargs = topology_override_kwargs(config, topology)
-    override_kwargs.update(placement_override_kwargs(config, placement))
+    canonical = [SCHEMES.get(scheme).name for scheme in schemes]
+    overrides = sweep_override_kwargs(config, topology, placement)
     loads = list(loads)
     point_configs = [
-        replace(config, scheme=name, rate_rps=rate, **override_kwargs)
+        replace(config, scheme=name, rate_rps=rate, **overrides)
         for name in canonical
         for rate in loads
     ]

@@ -5,19 +5,19 @@ placements decide **where request redundancy lands**: which candidate
 server pairs exist in each ToR's group table (§3.3), and therefore
 whether a clone stays inside its rack or crosses a trunk.  A
 :class:`PlacementSpec` names a factory that turns free-form parameters
-into a :class:`~repro.core.placement.PlacementPolicy`; the registry
-maps placement names (and aliases) to specs, mirroring the scheme and
-topology registries on the shared
-:class:`~repro.experiments.plugin_registry.PluginRegistry`, so
+into a :class:`~repro.core.placement.PlacementPolicy`; :data:`PLACEMENTS`
+maps placement names and aliases to specs on the same
+:class:`~repro.experiments.plugin_registry.PluginRegistry` as the
+scheme and topology axes, so
 :class:`~repro.experiments.common.Cluster` composes any scheme with
 any topology *and* any placement.
 
 Registering a placement::
 
     from repro.core.placement import PlacementPolicy
-    from repro.experiments.placements import PlacementSpec, register_placement
+    from repro.experiments.placements import PLACEMENTS, PlacementSpec
 
-    @register_placement
+    @PLACEMENTS.register
     def _my_placement() -> PlacementSpec:
         return PlacementSpec(
             name="my-placement",
@@ -28,15 +28,14 @@ Registering a placement::
 Factories receive the merged ``ClusterConfig.placement_params`` /
 inline CLI params (``--placement rack-weighted:p=0.7``) and must
 reject unknown or out-of-range values with a diagnosable
-:class:`~repro.errors.ExperimentError` — a typo must never silently
-run ``global``.  Plugin modules listed in :data:`PLUGIN_MODULES` are
-imported lazily on first lookup.
+:class:`~repro.errors.ExperimentError` (``PLACEMENTS.check_params``
+rejects unknown keys) — a typo must never silently run ``global``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.placement import (
     GlobalPlacement,
@@ -45,32 +44,9 @@ from repro.core.placement import (
     RackWeightedPlacement,
 )
 from repro.errors import ExperimentError
-from repro.experiments.plugin_registry import (
-    PluginRegistry,
-    format_plugin_params,
-    parse_plugin_params,
-)
+from repro.experiments.plugin_registry import PluginRegistry
 
-__all__ = [
-    "PLUGIN_MODULES",
-    "PlacementSpec",
-    "canonical_placement",
-    "describe_placements",
-    "format_placement",
-    "get_placement",
-    "iter_placements",
-    "make_placement_policy",
-    "parse_placement",
-    "placement_names",
-    "register_placement",
-    "registered_modules",
-    "unregister_placement",
-]
-
-#: Modules imported lazily on registry access so self-registering
-#: plugin placements become visible without the core importing them
-#: eagerly.  Append at any time; new entries load on the next lookup.
-PLUGIN_MODULES: List[str] = []
+__all__ = ["PLACEMENTS", "PlacementSpec"]
 
 
 @dataclass
@@ -86,126 +62,31 @@ class PlacementSpec:
     make_policy: Callable[[Dict[str, Any]], PlacementPolicy]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
-    #: Module that registered the spec (filled in by ``register_placement``).
+    #: Module that registered the spec (filled in by ``PLACEMENTS.register``).
     module: Optional[str] = None
 
 
-_IMPL = PluginRegistry(
-    kind="placement",
-    spec_type=PlacementSpec,
-    plugin_modules=PLUGIN_MODULES,
-    factory_field="make_policy",
+#: Every registered placement, by canonical name and alias.
+PLACEMENTS = PluginRegistry(
+    kind="placement", spec_type=PlacementSpec, factory_field="make_policy"
 )
-#: Shared with :class:`PluginRegistry` (tests reset entries here).
-_loaded_plugins = _IMPL._loaded_plugins
-
-
-def register_placement(spec_or_factory):
-    """Register a placement; usable as a decorator or called directly.
-
-    Accepts either a :class:`PlacementSpec` or a zero-argument factory
-    returning one (the decorator form).  Duplicate names or aliases
-    raise :class:`~repro.errors.ExperimentError`.
-    """
-    return _IMPL.register(spec_or_factory)
-
-
-def unregister_placement(name: str) -> None:
-    """Remove a placement (and its aliases); mainly for tests."""
-    _IMPL.unregister(name)
-
-
-def get_placement(name: str) -> PlacementSpec:
-    """The spec registered under *name* (aliases resolve)."""
-    return _IMPL.get(name)
-
-
-def parse_placement(value: str) -> Tuple[str, Dict[str, Any]]:
-    """Split ``"name:key=val,..."`` into (canonical name, params).
-
-    Same inline syntax as :func:`~repro.experiments.topologies.parse_topology`:
-    the bare form (``"rack-local"``, or any alias) yields an empty
-    param dict, and ``"rack-weighted:p=0.7"`` parses to
-    ``("rack-weighted", {"p": 0.7})``.  Unknown placement names and
-    malformed params raise :class:`~repro.errors.ExperimentError`.
-    """
-    name, params = parse_plugin_params(value, "placement")
-    return get_placement(name).name, params
-
-
-def format_placement(name: str, params: Dict[str, Any]) -> str:
-    """The inverse of :func:`parse_placement` (stable param order)."""
-    return format_plugin_params(name, params)
-
-
-def canonical_placement(value: str) -> str:
-    """*value* with the name de-aliased and params in canonical order.
-
-    Validates as a side effect: unknown names and malformed params
-    raise.  Used by the CLI and panel-keyed harnesses so one spelling
-    of ``"rack-weighted:p=0.7"`` exists everywhere.
-    """
-    return format_placement(*parse_placement(value))
-
-
-def make_placement_policy(
-    name: str, params: Optional[Dict[str, Any]] = None
-) -> PlacementPolicy:
-    """Resolve *name* and build its policy from *params*, validated."""
-    return get_placement(name).make_policy(dict(params or {}))
-
-
-def placement_names() -> Tuple[str, ...]:
-    """Canonical names of every registered placement, in registration order."""
-    return _IMPL.names()
-
-
-def iter_placements() -> List[PlacementSpec]:
-    """Every registered spec, in registration order."""
-    return _IMPL.specs()
-
-
-def describe_placements() -> List[str]:
-    """``name — description`` lines (aliases in parentheses)."""
-    return _IMPL.describe()
-
-
-def registered_modules() -> Tuple[str, ...]:
-    """Modules that registered placements (for sweep worker re-imports)."""
-    return _IMPL.registered_modules()
 
 
 # ----------------------------------------------------------------------
 # Built-in policies
 # ----------------------------------------------------------------------
-def _check_params(params: Dict[str, Any], known: Tuple[str, ...], placement: str) -> None:
-    """Reject unknown policy knobs.
-
-    A typoed key (``prob=0.7``) would otherwise be dropped and the
-    experiment would silently run the policy defaults while reporting
-    the parameters the user typed.
-    """
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        known_note = ", ".join(sorted(known)) if known else "(none)"
-        raise ExperimentError(
-            f"unknown {placement} placement parameter(s) {', '.join(unknown)}; "
-            f"known: {known_note}"
-        )
-
-
 def _global_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    _check_params(params, (), "global")
+    PLACEMENTS.check_params(params, (), "global placement")
     return GlobalPlacement()
 
 
 def _rack_local_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    _check_params(params, (), "rack-local")
+    PLACEMENTS.check_params(params, (), "rack-local placement")
     return RackLocalPlacement()
 
 
 def _rack_weighted_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    _check_params(params, ("p",), "rack-weighted")
+    PLACEMENTS.check_params(params, ("p",), "rack-weighted placement")
     p = params.get("p", 0.5)
     try:
         p = float(p)
@@ -216,7 +97,7 @@ def _rack_weighted_policy(params: Dict[str, Any]) -> PlacementPolicy:
     return RackWeightedPlacement(p=p)
 
 
-register_placement(
+PLACEMENTS.register(
     PlacementSpec(
         name="global",
         description="every ordered server pair on every ToR — the paper's "
@@ -227,7 +108,7 @@ register_placement(
     )
 )
 
-register_placement(
+PLACEMENTS.register(
     PlacementSpec(
         name="rack-local",
         description="clone within the client's rack; falls back to global "
@@ -238,7 +119,7 @@ register_placement(
     )
 )
 
-register_placement(
+PLACEMENTS.register(
     PlacementSpec(
         name="rack-weighted",
         description="rack-local with probability p (default 0.5), global "

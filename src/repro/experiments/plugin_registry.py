@@ -1,22 +1,24 @@
-"""Generic plugin-registry machinery shared by both plugin axes.
+"""The one plugin-registry class behind every plugin axis.
 
-The scheme registry (:mod:`repro.experiments.schemes`) and the
-topology registry (:mod:`repro.experiments.topologies`) expose the
-same surface: register a declarative spec (decorator or direct call),
-look it up by canonical name or alias, list and describe what is
-registered, and lazily import plugin modules so self-registering
-specs become visible without the core importing them eagerly.
-:class:`PluginRegistry` implements that surface once, parameterised
-by the spec dataclass; the axis modules keep their domain-named
-wrappers (``register_scheme``, ``get_topology``, ...) as thin
-delegates so call sites read naturally.
+Schemes (``SCHEMES``), topologies (``TOPOLOGIES``), placements
+(``PLACEMENTS``), workloads (``WORKLOADS``) and detlint rules
+(``RULES``) are each one :class:`PluginRegistry` instance, exported by
+its axis module and called directly: register a declarative spec
+(``@SCHEMES.register`` or a direct call), look it up by canonical
+name or alias (``SCHEMES.get(name)``), parse and canonicalise the
+``"name:key=val,..."`` inline form (``TOPOLOGIES.parse(value)``,
+``PLACEMENTS.canonical(value)``), reject unknown factory knobs
+(``check_params``), list and describe what is registered, and lazily
+import plugin modules so self-registering specs become visible
+without the core importing them eagerly.  An axis module holds only
+its spec dataclass and its built-in factories.
 """
 
 from __future__ import annotations
 
 import importlib
 import logging
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ExperimentError
 
@@ -38,12 +40,11 @@ def _coerce_param(value: str) -> Any:
 def parse_plugin_params(value: str, kind: str) -> Tuple[str, Dict[str, Any]]:
     """Split ``"name:key=val,key=val"`` into (name, params).
 
-    The shared half of the CLI inline-parameter syntax both the
-    topology and placement axes speak: the bare form yields an empty
-    param dict, numeric values are coerced, and malformed items raise
-    :class:`~repro.errors.ExperimentError` naming the *kind* — the
-    caller resolves the name against its own registry (so typos raise
-    there, listing the registered names).
+    The syntax half of :meth:`PluginRegistry.parse`: the bare form
+    yields an empty param dict, numeric values are coerced, and
+    malformed items raise :class:`~repro.errors.ExperimentError`
+    naming the *kind* — the registry then resolves the name (so typos
+    raise there, listing the registered names).
     """
     name, sep, rest = str(value).partition(":")
     params: Dict[str, Any] = {}
@@ -75,19 +76,20 @@ class PluginRegistry:
     :param kind: noun used in error/log messages (``"scheme"``).
     :param spec_type: the spec dataclass; specs must expose ``name``,
         ``aliases``, ``description`` and a mutable ``module`` field.
-    :param plugin_modules: the **shared, live** list of plugin module
-        names — callers may append to it at any time; not-yet-imported
-        entries load on the next lookup.
     :param factory_field: spec attribute whose ``__module__`` seeds
         ``spec.module`` when nothing better is known.
+    :param plugin_modules: plugin module names imported on first
+        lookup (default: none).  A list is shared, not copied — callers
+        may append to it at any time; not-yet-imported entries load on
+        the next lookup.
     """
 
     def __init__(
         self,
         kind: str,
         spec_type: type,
-        plugin_modules: List[str],
         factory_field: str,
+        plugin_modules: Sequence[str] = (),
     ):
         self.kind = kind
         self.spec_type = spec_type
@@ -106,7 +108,7 @@ class PluginRegistry:
             spec = spec_or_factory()
             if not isinstance(spec, self.spec_type):
                 raise ExperimentError(
-                    f"@register_{self.kind} factory returned "
+                    f"{self.kind} factory returned "
                     f"{type(spec).__name__}, expected a {self.spec_type.__name__}"
                 )
             if spec.module is None:
@@ -145,6 +147,45 @@ class PluginRegistry:
                 f"unknown {self.kind} {name!r}; choose one of {self.names()}"
             )
         return spec
+
+    def parse(self, value: str) -> Tuple[str, Dict[str, Any]]:
+        """Split ``"name:key=val,key=val"`` into (canonical name, params).
+
+        The bare form (``"spine_leaf"``, or any alias) yields an empty
+        param dict and numeric values are coerced, so
+        ``"weighted:p=0.7"`` parses to ``("rack-weighted", {"p": 0.7})``.
+        Unknown names and malformed params raise
+        :class:`~repro.errors.ExperimentError`.
+        """
+        name, params = parse_plugin_params(value, self.kind)
+        return self.get(name).name, params
+
+    def canonical(self, value: str) -> str:
+        """*value* with the name de-aliased and params in canonical order.
+
+        Validates as a side effect: unknown names and malformed params
+        raise.  Used by the CLI and panel-keyed harnesses so one
+        spelling of ``"spine_leaf:spines=4,..."`` exists everywhere.
+        """
+        return format_plugin_params(*self.parse(value))
+
+    @staticmethod
+    def check_params(
+        params: Dict[str, Any], known: Iterable[str], name: str
+    ) -> None:
+        """Reject factory knobs *name* does not know.
+
+        A typoed key (``spine=4``, ``prob=0.7``) would otherwise be
+        dropped by ``params.get`` and the experiment would silently run
+        the defaults while reporting the parameters the user typed.
+        """
+        known = set(known)
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise ExperimentError(
+                f"unknown {name} parameter(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(known)) or '(none)'}"
+            )
 
     def names(self) -> Tuple[str, ...]:
         """Canonical names, in registration order."""

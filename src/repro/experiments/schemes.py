@@ -4,15 +4,16 @@ A *scheme* is everything that varies between load-balancing/cloning
 variants when a cluster is assembled: which client class to build,
 whether the switch runs a program (and which), whether a coordinator
 host exists, and any post-build adjustments.  :class:`SchemeSpec`
-bundles those choices declaratively and the registry maps scheme names
-(and aliases) to specs, so :class:`~repro.experiments.common.Cluster`
+bundles those choices declaratively and :data:`SCHEMES` (a
+:class:`~repro.experiments.plugin_registry.PluginRegistry`) maps scheme
+names and aliases to specs, so :class:`~repro.experiments.common.Cluster`
 is generic assembly code and new schemes are self-registering plugins.
 
 Registering a scheme::
 
-    from repro.experiments.schemes import SchemeSpec, register_scheme
+    from repro.experiments.schemes import SCHEMES, SchemeSpec
 
-    @register_scheme
+    @SCHEMES.register
     def _my_scheme() -> SchemeSpec:
         return SchemeSpec(
             name="my-scheme",
@@ -22,7 +23,7 @@ Registering a scheme::
             ),
         )
 
-``register_scheme`` also accepts a :class:`SchemeSpec` directly.  The
+``SCHEMES.register`` also accepts a :class:`SchemeSpec` directly.  The
 paper's eight schemes are registered at the bottom of this module;
 extra plugin modules listed in :data:`PLUGIN_MODULES` are imported
 lazily on first lookup so they never burden import time.
@@ -36,18 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.plugin_registry import PluginRegistry
 
-__all__ = [
-    "PLUGIN_MODULES",
-    "SchemeContext",
-    "SchemeSpec",
-    "describe_schemes",
-    "get_scheme",
-    "iter_schemes",
-    "register_scheme",
-    "registered_modules",
-    "scheme_names",
-    "unregister_scheme",
-]
+__all__ = ["PLUGIN_MODULES", "SCHEMES", "SchemeContext", "SchemeSpec"]
 
 #: Modules imported lazily on registry access so self-registering
 #: plugin schemes that live outside this package become visible without
@@ -139,7 +129,7 @@ class SchemeSpec:
     make_coordinator: Optional[Callable[[SchemeContext], Any]] = None
     #: ``ctx -> None`` — run after servers/program/clients are built.
     post_build: Optional[Callable[[SchemeContext], None]] = None
-    #: Module that registered the spec (filled in by ``register_scheme``;
+    #: Module that registered the spec (filled in by ``SCHEMES.register``;
     #: used to re-import plugins inside sweep worker processes).
     module: Optional[str] = None
 
@@ -149,54 +139,13 @@ class SchemeSpec:
         return self.make_coordinator is not None
 
 
-_IMPL = PluginRegistry(
+#: Every registered scheme, by canonical name and alias.
+SCHEMES = PluginRegistry(
     kind="scheme",
     spec_type=SchemeSpec,
-    plugin_modules=PLUGIN_MODULES,
     factory_field="make_client",
+    plugin_modules=PLUGIN_MODULES,
 )
-#: Shared with :class:`PluginRegistry` (tests reset entries here).
-_loaded_plugins = _IMPL._loaded_plugins
-
-
-def register_scheme(spec_or_factory):
-    """Register a scheme; usable as a decorator or called directly.
-
-    Accepts either a :class:`SchemeSpec` or a zero-argument factory
-    returning one (the decorator form).  Duplicate names or aliases
-    raise :class:`~repro.errors.ExperimentError`.
-    """
-    return _IMPL.register(spec_or_factory)
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a scheme (and its aliases); mainly for tests."""
-    _IMPL.unregister(name)
-
-
-def get_scheme(name: str) -> SchemeSpec:
-    """The spec registered under *name* (aliases resolve)."""
-    return _IMPL.get(name)
-
-
-def scheme_names() -> Tuple[str, ...]:
-    """Canonical names of every registered scheme, in registration order."""
-    return _IMPL.names()
-
-
-def iter_schemes() -> List[SchemeSpec]:
-    """Every registered spec, in registration order."""
-    return _IMPL.specs()
-
-
-def describe_schemes() -> List[str]:
-    """``name — description`` lines (aliases in parentheses)."""
-    return _IMPL.describe()
-
-
-def registered_modules() -> Tuple[str, ...]:
-    """Modules that registered schemes (for sweep worker re-imports)."""
-    return _IMPL.registered_modules()
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +244,7 @@ def _accept_stale_clones(ctx: SchemeContext) -> None:
         server.drop_stale_clones = False
 
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="baseline",
         description="random server choice, no cloning (plain L3 switch)",
@@ -304,7 +253,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="cclone",
         description="static client-side cloning, d = 2",
@@ -313,7 +262,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="laedge",
         description="coordinator-based dynamic cloning",
@@ -323,7 +272,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="netclone",
         description="NetClone switch program (cloning + filtering)",
@@ -334,7 +283,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="netclone-nofilter",
         description="NetClone with response filtering disabled (Fig. 15)",
@@ -345,7 +294,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="netclone-noclonedrop",
         description="NetClone without the server-side stale-clone drop",
@@ -357,7 +306,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="racksched",
         description="switch JSQ power-of-two, no cloning",
@@ -368,7 +317,7 @@ register_scheme(
     )
 )
 
-register_scheme(
+SCHEMES.register(
     SchemeSpec(
         name="netclone-racksched",
         description="NetClone + RackSched integration (§3.7)",

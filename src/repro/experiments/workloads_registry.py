@@ -3,21 +3,21 @@
 Schemes decide *what* runs, topologies *where*, placements *where
 redundancy lands*; workloads decide **what the cluster is asked to
 do**: the request mix each client generates, the service model each
-server runs, and (new in the streaming metrics plane) the shape of the
-open-loop arrival process.  A :class:`WorkloadDef` names a factory
-that turns free-form parameters into a
-:class:`~repro.experiments.specs.WorkloadSpec`; the registry maps
-workload names (and aliases) to defs on the shared
-:class:`~repro.experiments.plugin_registry.PluginRegistry`, mirroring
-the scheme/topology/placement axes, so
+server runs, and the shape of the open-loop arrival process.  A
+:class:`WorkloadDef` names a factory that turns free-form parameters
+into a :class:`~repro.experiments.specs.WorkloadSpec`; :data:`WORKLOADS`
+maps workload names and aliases to defs on the same
+:class:`~repro.experiments.plugin_registry.PluginRegistry` as the
+scheme/topology/placement axes, so
 ``ClusterConfig(workload="mmpp:burst=8")`` and the CLI's
-``--workload`` flag resolve through one table.
+``--workload`` flag resolve through one table
+(:func:`make_workload_spec`).
 
 Registering a workload::
 
-    from repro.experiments.workloads_registry import WorkloadDef, register_workload
+    from repro.experiments.workloads_registry import WORKLOADS, WorkloadDef
 
-    @register_workload
+    @WORKLOADS.register
     def _my_workload() -> WorkloadDef:
         return WorkloadDef(
             name="my-workload",
@@ -27,22 +27,19 @@ Registering a workload::
 
 Factories receive the inline CLI params (``--workload
 mmpp:burst=8,period_ms=0.5``) and must reject unknown or out-of-range
-values with a diagnosable :class:`~repro.errors.ExperimentError` — a
-typo must never silently run the default workload.
+values with a diagnosable :class:`~repro.errors.ExperimentError`
+(``WORKLOADS.check_params`` rejects unknown keys) — a typo must never
+silently run the default workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.plugin_registry import (
-    PluginRegistry,
-    format_plugin_params,
-    parse_plugin_params,
-)
+from repro.experiments.plugin_registry import PluginRegistry
 from repro.experiments.specs import (
     DiurnalSpec,
     KvSpec,
@@ -53,26 +50,7 @@ from repro.experiments.specs import (
 )
 from repro.workloads.distributions import FixedDistribution, LognormalDistribution
 
-__all__ = [
-    "PLUGIN_MODULES",
-    "WorkloadDef",
-    "canonical_workload",
-    "describe_workloads",
-    "format_workload",
-    "get_workload",
-    "iter_workloads",
-    "make_workload_spec",
-    "parse_workload",
-    "register_workload",
-    "registered_modules",
-    "unregister_workload",
-    "workload_names",
-]
-
-#: Modules imported lazily on registry access so self-registering
-#: plugin workloads become visible without the core importing them
-#: eagerly.  Append at any time; new entries load on the next lookup.
-PLUGIN_MODULES: List[str] = []
+__all__ = ["WORKLOADS", "WorkloadDef", "make_workload_spec"]
 
 
 @dataclass
@@ -89,66 +67,14 @@ class WorkloadDef:
     make_spec: Callable[[Dict[str, Any]], WorkloadSpec]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
-    #: Module that registered the def (filled in by ``register_workload``).
+    #: Module that registered the def (filled in by ``WORKLOADS.register``).
     module: Optional[str] = None
 
 
-_IMPL = PluginRegistry(
-    kind="workload",
-    spec_type=WorkloadDef,
-    plugin_modules=PLUGIN_MODULES,
-    factory_field="make_spec",
+#: Every registered workload, by canonical name and alias.
+WORKLOADS = PluginRegistry(
+    kind="workload", spec_type=WorkloadDef, factory_field="make_spec"
 )
-#: Shared with :class:`PluginRegistry` (tests reset entries here).
-_loaded_plugins = _IMPL._loaded_plugins
-
-
-def register_workload(spec_or_factory):
-    """Register a workload; usable as a decorator or called directly.
-
-    Accepts either a :class:`WorkloadDef` or a zero-argument factory
-    returning one (the decorator form).  Duplicate names or aliases
-    raise :class:`~repro.errors.ExperimentError`.
-    """
-    return _IMPL.register(spec_or_factory)
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a workload (and its aliases); mainly for tests."""
-    _IMPL.unregister(name)
-
-
-def get_workload(name: str) -> WorkloadDef:
-    """The def registered under *name* (aliases resolve)."""
-    return _IMPL.get(name)
-
-
-def parse_workload(value: str) -> Tuple[str, Dict[str, Any]]:
-    """Split ``"name:key=val,..."`` into (canonical name, params).
-
-    Same inline syntax as the topology/placement axes: the bare form
-    (``"exp"``, or any alias) yields an empty param dict, and
-    ``"mmpp:burst=8"`` parses to ``("mmpp", {"burst": 8})``.  Unknown
-    workload names and malformed params raise
-    :class:`~repro.errors.ExperimentError`.
-    """
-    name, params = parse_plugin_params(value, "workload")
-    return get_workload(name).name, params
-
-
-def format_workload(name: str, params: Dict[str, Any]) -> str:
-    """The inverse of :func:`parse_workload` (stable param order)."""
-    return format_plugin_params(name, params)
-
-
-def canonical_workload(value: str) -> str:
-    """*value* with the name de-aliased and params in canonical order.
-
-    Validates as a side effect: unknown names and malformed params
-    raise.  Used by the CLI so one spelling of ``"mmpp:burst=8"``
-    exists everywhere.
-    """
-    return format_workload(*parse_workload(value))
 
 
 def make_workload_spec(
@@ -160,51 +86,13 @@ def make_workload_spec(
     separately) or the full inline form ``"name:key=val,..."``.
     """
     if params is None:
-        name, params = parse_workload(value)
-    else:
-        name, params = get_workload(value).name, dict(params)
-    return get_workload(name).make_spec(params)
-
-
-def workload_names() -> Tuple[str, ...]:
-    """Canonical names of every registered workload, in registration order."""
-    return _IMPL.names()
-
-
-def iter_workloads() -> List[WorkloadDef]:
-    """Every registered def, in registration order."""
-    return _IMPL.specs()
-
-
-def describe_workloads() -> List[str]:
-    """``name — description`` lines (aliases in parentheses)."""
-    return _IMPL.describe()
-
-
-def registered_modules() -> Tuple[str, ...]:
-    """Modules that registered workloads (for sweep worker re-imports)."""
-    return _IMPL.registered_modules()
+        value, params = WORKLOADS.parse(value)
+    return WORKLOADS.get(value).make_spec(dict(params))
 
 
 # ----------------------------------------------------------------------
 # Built-in workloads
 # ----------------------------------------------------------------------
-def _check_params(params: Dict[str, Any], known: Tuple[str, ...], workload: str) -> None:
-    """Reject unknown workload knobs.
-
-    A typoed key (``brust=8``) would otherwise be dropped and the
-    experiment would silently run the workload defaults while
-    reporting the parameters the user typed.
-    """
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        known_note = ", ".join(sorted(known)) if known else "(none)"
-        raise ExperimentError(
-            f"unknown {workload} workload parameter(s) {', '.join(unknown)}; "
-            f"known: {known_note}"
-        )
-
-
 def _float_param(params: Dict[str, Any], key: str, default: float, workload: str) -> float:
     value = params.get(key, default)
     try:
@@ -225,33 +113,33 @@ def _int_param(params: Dict[str, Any], key: str, default: int, workload: str) ->
 
 
 def _exp_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(params, ("mean_us",), "exp")
+    WORKLOADS.check_params(params, ("mean_us",), "exp workload")
     return make_synthetic_spec("exp", mean_us=_float_param(params, "mean_us", 25.0, "exp"))
 
 
 def _bimodal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(params, (), "bimodal")
+    WORKLOADS.check_params(params, (), "bimodal workload")
     return make_synthetic_spec("bimodal")
 
 
 def _fixed_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(params, ("mean_us",), "fixed")
+    WORKLOADS.check_params(params, ("mean_us",), "fixed workload")
     mean_us = _float_param(params, "mean_us", 25.0, "fixed")
     return SyntheticSpec(partial(FixedDistribution, mean_us))
 
 
 def _lognormal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(params, ("mean_us", "sigma"), "lognormal")
+    WORKLOADS.check_params(params, ("mean_us", "sigma"), "lognormal workload")
     mean_us = _float_param(params, "mean_us", 25.0, "lognormal")
     sigma = _float_param(params, "sigma", 1.0, "lognormal")
     return SyntheticSpec(partial(LognormalDistribution, mean_us, sigma))
 
 
 def _kv_spec(cost_model: str, params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(
+    WORKLOADS.check_params(
         params,
         ("scan_fraction", "num_keys", "zipf_skew", "scan_count", "drift_period"),
-        cost_model,
+        f"{cost_model} workload",
     )
     return KvSpec(
         cost_model=cost_model,
@@ -270,8 +158,10 @@ def _kv_drift_spec(params: Dict[str, Any]) -> WorkloadSpec:
 
 
 def _mmpp_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(
-        params, ("kind", "mean_us", "burst", "high_fraction", "period_ms"), "mmpp"
+    WORKLOADS.check_params(
+        params,
+        ("kind", "mean_us", "burst", "high_fraction", "period_ms"),
+        "mmpp workload",
     )
     return MmppSpec(
         kind=str(params.get("kind", "exp")),
@@ -283,7 +173,9 @@ def _mmpp_spec(params: Dict[str, Any]) -> WorkloadSpec:
 
 
 def _diurnal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    _check_params(params, ("kind", "mean_us", "amplitude", "period_ms"), "diurnal")
+    WORKLOADS.check_params(
+        params, ("kind", "mean_us", "amplitude", "period_ms"), "diurnal workload"
+    )
     return DiurnalSpec(
         kind=str(params.get("kind", "exp")),
         mean_us=_float_param(params, "mean_us", 25.0, "diurnal"),
@@ -292,7 +184,7 @@ def _diurnal_spec(params: Dict[str, Any]) -> WorkloadSpec:
     )
 
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="exp",
         description="Poisson open loop over Exp(mean_us) service times — "
@@ -303,7 +195,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="bimodal",
         description="Poisson open loop over the paper's 90%-25µs / "
@@ -313,7 +205,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="fixed",
         description="Poisson open loop over deterministic service times; "
@@ -324,7 +216,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="lognormal",
         description="Poisson open loop over heavy-tailed Lognormal service "
@@ -334,7 +226,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="kv-redis",
         description="Redis-cost key-value store, Zipf keys, GET/SCAN mix "
@@ -346,7 +238,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="kv-memcached",
         description="Memcached-cost key-value store, Zipf keys, GET/SCAN "
@@ -358,7 +250,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="mmpp",
         description="Markov-modulated Poisson bursts over synthetic service "
@@ -370,7 +262,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="diurnal",
         description="phase-staggered sinusoidal multi-tenant arrivals over "
@@ -382,7 +274,7 @@ register_workload(
     )
 )
 
-register_workload(
+WORKLOADS.register(
     WorkloadDef(
         name="kv-drift",
         description="kv-redis with a time-drifting Zipf hot set (rotates "

@@ -246,11 +246,6 @@ class FlowletSpinePolicy(LeastLoadedSpinePolicy):
 #: Policy name → class; extend via :func:`register_spine_policy`.
 SPINE_POLICIES: Dict[str, Any] = {}
 
-#: Modules that registered policies — shipped to sweep worker
-#: processes (spawn/forkserver start clean) so plugin policies resolve
-#: under ``jobs > 1`` exactly like plugin schemes and topologies.
-_POLICY_MODULES: Dict[str, None] = {}
-
 
 def register_spine_policy(cls):
     """Register a :class:`SpinePolicy` subclass under its ``name``.
@@ -266,9 +261,6 @@ def register_spine_policy(cls):
     if name in SPINE_POLICIES:
         raise NetworkError(f"spine policy {name!r} already registered")
     SPINE_POLICIES[name] = cls
-    module = getattr(cls, "__module__", None)
-    if module:
-        _POLICY_MODULES[module] = None
     return cls
 
 
@@ -290,8 +282,13 @@ def spine_policy_names() -> Tuple[str, ...]:
 
 
 def spine_policy_modules() -> Tuple[str, ...]:
-    """Modules that registered policies (for sweep worker re-imports)."""
-    return tuple(_POLICY_MODULES)
+    """Modules of the registered policies, for sweep worker re-imports.
+
+    Spawned workers start clean, so these modules are shipped to them
+    and plugin policies resolve under ``jobs > 1`` exactly like plugin
+    schemes and topologies.
+    """
+    return tuple(sorted({cls.__module__ for cls in SPINE_POLICIES.values()}))
 
 
 def make_spine_policy(name: str, fabric: "SpineLeafFabric", **params: Any) -> SpinePolicy:

@@ -297,9 +297,9 @@ class Scenario:
     # ------------------------------------------------------------------
     def _check_cross_constraints(self, config: Any) -> None:
         """Event/config consistency checkable without a built fabric."""
-        from repro.experiments.schemes import get_scheme
+        from repro.experiments.schemes import SCHEMES
 
-        spec = get_scheme(config.scheme)
+        spec = SCHEMES.get(config.scheme)
         if self.needs_handler:
             if spec.make_program is None:
                 raise ExperimentError(

@@ -15,10 +15,10 @@ packet leak, RNG draw accounting).
 import pytest
 
 from repro.analysis import (
+    RULES,
     filter_baselined,
     lint_source,
     load_baseline,
-    rule_names,
     write_baseline,
 )
 from repro.errors import ExperimentError
@@ -168,7 +168,7 @@ def test_seeded_violation_fires_with_exact_message(rule, module, source, message
 
 @pytest.mark.parametrize("rule,module,source,message", VIOLATIONS, ids=_IDS)
 def test_seeded_violation_silent_when_rule_disabled(rule, module, source, message):
-    enabled = [name for name in rule_names() if name != rule]
+    enabled = [name for name in RULES.names() if name != rule]
     assert not [
         finding
         for finding in _lint(source, module=module, rules=enabled)
@@ -204,7 +204,11 @@ POSITIVES = [
     # Module-level factories pickle; guarded params reject typos.
     "spec = SchemeSpec(name='x', make_clients=build_clients)\n",
     "def make_policy(params):\n"
-    "    _check_params(params, {'p'})\n"
+    "    check_params(params, {'p'})\n"
+    "    return params.get('p', 0.5)\n",
+    # The registry method form: ``_call_name`` reads the attribute.
+    "def make_policy(params):\n"
+    "    PLACEMENTS.check_params(params, ('p',), 'x')\n"
     "    return params.get('p', 0.5)\n",
     # Stamped tables, directly or via a local.
     "def push(tor, base, epoch):\n"

@@ -14,12 +14,12 @@ from helpers import tiny_config
 from repro.baselines.cclone import CCloneClient
 from repro.errors import ExperimentError
 from repro.experiments.common import run_point
-from repro.experiments.schemes import get_scheme, scheme_names
+from repro.experiments.schemes import SCHEMES
 
 
 def test_cclone_d_variants_registered_as_plugins():
-    assert {"cclone-d3", "cclone-d4"} <= set(scheme_names())
-    assert get_scheme("cclone-d3").module == "repro.baselines.cclone"
+    assert {"cclone-d3", "cclone-d4"} <= set(SCHEMES.names())
+    assert SCHEMES.get("cclone-d3").module == "repro.baselines.cclone"
 
 
 def test_cclone_d_validation():

@@ -25,11 +25,7 @@ from helpers import tiny_config
 
 from repro.errors import NetworkError
 from repro.experiments.common import run_point
-from repro.experiments.topologies import (
-    TopologyContext,
-    get_topology,
-    topology_names,
-)
+from repro.experiments.topologies import TOPOLOGIES, TopologyContext
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.topology import SpineLeafFabric, spine_policy_names
@@ -58,7 +54,7 @@ PARAM_GRIDS = {
 
 TOPOLOGY_GRID = [
     (name, params)
-    for name in topology_names()
+    for name in TOPOLOGIES.names()
     for params in PARAM_GRIDS.get(name, [{}])
 ]
 
@@ -78,7 +74,7 @@ def build_fabric(name, params, sim=None):
     """A registry-built fabric (same path Cluster uses)."""
     sim = sim or Simulator()
     config = SimpleNamespace(topology_params=params)
-    fabric = get_topology(name).make_fabric(TopologyContext(sim=sim, config=config))
+    fabric = TOPOLOGIES.get(name).make_fabric(TopologyContext(sim=sim, config=config))
     return sim, fabric
 
 

@@ -28,17 +28,7 @@ from repro.core.placement import (
 )
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
-from repro.experiments.placements import (
-    PlacementSpec,
-    canonical_placement,
-    describe_placements,
-    get_placement,
-    make_placement_policy,
-    parse_placement,
-    placement_names,
-    register_placement,
-    unregister_placement,
-)
+from repro.experiments.placements import PLACEMENTS, PlacementSpec
 
 
 # ----------------------------------------------------------------------
@@ -157,18 +147,18 @@ def test_group_table_validation():
 # Registry plumbing and diagnosable errors
 # ----------------------------------------------------------------------
 def test_builtin_placements_registered():
-    assert ("global", "rack-local", "rack-weighted") == placement_names()[:3]
-    assert get_placement("uniform").name == "global"
-    assert get_placement("local").name == "rack-local"
-    assert any("rack-local" in line for line in describe_placements())
+    assert ("global", "rack-local", "rack-weighted") == PLACEMENTS.names()[:3]
+    assert PLACEMENTS.get("uniform").name == "global"
+    assert PLACEMENTS.get("local").name == "rack-local"
+    assert any("rack-local" in line for line in PLACEMENTS.describe())
 
 
 def test_parse_and_canonical_placement():
-    assert parse_placement("rack-weighted:p=0.7") == ("rack-weighted", {"p": 0.7})
-    assert canonical_placement("weighted:p=0.7") == "rack-weighted:p=0.7"
-    assert canonical_placement("local") == "rack-local"
+    assert PLACEMENTS.parse("rack-weighted:p=0.7") == ("rack-weighted", {"p": 0.7})
+    assert PLACEMENTS.canonical("weighted:p=0.7") == "rack-weighted:p=0.7"
+    assert PLACEMENTS.canonical("local") == "rack-local"
     with pytest.raises(ExperimentError, match="malformed placement parameter"):
-        parse_placement("rack-weighted:p")
+        PLACEMENTS.parse("rack-weighted:p")
 
 
 def test_typoed_names_and_params_raise_instead_of_running_global():
@@ -179,7 +169,7 @@ def test_typoed_names_and_params_raise_instead_of_running_global():
     with pytest.raises(ExperimentError, match="must be a probability"):
         ClusterConfig(placement="rack-weighted:p=2")
     with pytest.raises(ExperimentError, match="unknown global placement"):
-        make_placement_policy("global", {"p": 0.5})
+        PLACEMENTS.get("global").make_policy({"p": 0.5})
 
 
 def test_config_normalises_placement_and_merges_inline_params():
@@ -195,13 +185,29 @@ def test_placement_registry_is_open():
         description="test-only",
         make_policy=lambda params: RackLocalPlacement(),
     )
-    register_placement(spec)
+    PLACEMENTS.register(spec)
     try:
-        assert get_placement("test-everything-rack0") is spec
+        assert PLACEMENTS.get("test-everything-rack0") is spec
         with pytest.raises(ExperimentError, match="already registered"):
-            register_placement(spec)
+            PLACEMENTS.register(spec)
     finally:
-        unregister_placement("test-everything-rack0")
+        PLACEMENTS.unregister("test-everything-rack0")
+
+
+def test_cli_lists_every_builtin_placement_and_alias(capsys):
+    from repro.cli import main
+
+    assert main(["placements"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "registered placements:"
+    for name, alias in (
+        ("global", "uniform"),
+        ("rack-local", "local"),
+        ("rack-weighted", "weighted"),
+    ):
+        assert any(
+            line.startswith(f"  {name} (aka {alias}) — ") for line in lines
+        ), name
 
 
 def test_sweep_workers_reimport_placement_plugin_modules():

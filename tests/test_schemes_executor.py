@@ -16,14 +16,7 @@ from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, run_point, run_sweep
 from repro.experiments.executor import SweepExecutor, point_seed, resolve_executor
 from repro.experiments.harness import format_series, sweep_schemes
-from repro.experiments.schemes import (
-    SchemeSpec,
-    describe_schemes,
-    get_scheme,
-    register_scheme,
-    scheme_names,
-    unregister_scheme,
-)
+from repro.experiments.schemes import SCHEMES, SchemeSpec
 from repro.experiments.specs import SyntheticSpec
 from repro.metrics.sweep import SweepResult
 from repro.sim.core import Simulator
@@ -35,7 +28,7 @@ from repro.workloads.distributions import ExponentialDistribution
 # Registry round-trip
 # ----------------------------------------------------------------------
 def test_builtin_schemes_registered():
-    names = scheme_names()
+    names = SCHEMES.names()
     for expected in (
         "baseline",
         "cclone",
@@ -50,14 +43,14 @@ def test_builtin_schemes_registered():
 
 
 def test_plugin_scheme_visible_without_common_edits():
-    assert "jsq-d3" in scheme_names()
-    assert get_scheme("p3c").name == "jsq-d3"  # alias resolves
-    assert any("jsq-d3" in line for line in describe_schemes())
+    assert "jsq-d3" in SCHEMES.names()
+    assert SCHEMES.get("p3c").name == "jsq-d3"  # alias resolves
+    assert any("jsq-d3" in line for line in SCHEMES.describe())
 
 
 def test_unknown_scheme_raises_with_known_names():
     with pytest.raises(ExperimentError, match="baseline"):
-        get_scheme("nope")
+        SCHEMES.get("nope")
     with pytest.raises(ExperimentError):
         ClusterConfig(scheme="nope")
 
@@ -69,7 +62,7 @@ def test_alias_normalises_in_config():
 def test_register_lookup_unregister_round_trip():
     from repro.baselines.random_lb import BaselineClient
 
-    @register_scheme
+    @SCHEMES.register
     def _tmp_spec() -> SchemeSpec:
         return SchemeSpec(
             name="tmp-test-scheme",
@@ -81,12 +74,12 @@ def test_register_lookup_unregister_round_trip():
         )
 
     try:
-        assert get_scheme("tmp-alias").name == "tmp-test-scheme"
+        assert SCHEMES.get("tmp-alias").name == "tmp-test-scheme"
         # End-to-end through the generic Cluster with zero common.py edits.
         point = run_point(tiny_config(scheme="tmp-test-scheme"))
         assert point.samples > 0
         with pytest.raises(ExperimentError, match="already registered"):
-            register_scheme(
+            SCHEMES.register(
                 SchemeSpec(
                     name="tmp-test-scheme",
                     description="dup",
@@ -94,16 +87,11 @@ def test_register_lookup_unregister_round_trip():
                 )
             )
     finally:
-        unregister_scheme("tmp-test-scheme")
+        SCHEMES.unregister("tmp-test-scheme")
     with pytest.raises(ExperimentError):
-        get_scheme("tmp-test-scheme")
+        SCHEMES.get("tmp-test-scheme")
     with pytest.raises(ExperimentError):
-        unregister_scheme("tmp-test-scheme")
-
-
-def test_register_rejects_non_spec_factory():
-    with pytest.raises(ExperimentError, match="SchemeSpec"):
-        register_scheme(lambda: 42)
+        SCHEMES.unregister("tmp-test-scheme")
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +153,12 @@ def test_jsq_d_expires_stale_outstanding_marks():
 def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
     from repro.experiments import schemes
 
-    assert "baseline" in schemes.scheme_names()  # registry already warm
+    assert "baseline" in schemes.SCHEMES.names()  # registry already warm
     plugin = tmp_path / "late_plugin_mod.py"
     plugin.write_text(
         "from repro.baselines.random_lb import BaselineClient\n"
-        "from repro.experiments.schemes import SchemeSpec, register_scheme\n"
-        "register_scheme(SchemeSpec(\n"
+        "from repro.experiments.schemes import SCHEMES, SchemeSpec\n"
+        "SCHEMES.register(SchemeSpec(\n"
         "    name='late-plugin', description='registered after first lookup',\n"
         "    make_client=lambda ctx, common: BaselineClient(\n"
         "        server_ips=ctx.server_ips, **common),\n"
@@ -179,11 +167,11 @@ def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path))
     schemes.PLUGIN_MODULES.append("late_plugin_mod")
     try:
-        assert schemes.get_scheme("late-plugin").name == "late-plugin"
+        assert schemes.SCHEMES.get("late-plugin").name == "late-plugin"
     finally:
         schemes.PLUGIN_MODULES.remove("late_plugin_mod")
-        schemes._loaded_plugins.discard("late_plugin_mod")
-        schemes.unregister_scheme("late-plugin")
+        schemes.SCHEMES._loaded_plugins.discard("late_plugin_mod")
+        schemes.SCHEMES.unregister("late-plugin")
 
 
 # ----------------------------------------------------------------------
@@ -225,14 +213,14 @@ def test_executor_falls_back_serially_on_unpicklable_config(caplog):
 )
 def test_worker_raised_errors_propagate_not_retried_serially():
     from repro.baselines.random_lb import BaselineClient
-    from repro.experiments.schemes import SchemeSpec, register_scheme, unregister_scheme
+    from repro.experiments.schemes import SCHEMES, SchemeSpec
 
     def _failing_client(ctx, common):
         if common["client_id"] == 0:
             raise FileNotFoundError("missing model file")
         return BaselineClient(server_ips=ctx.server_ips, **common)
 
-    register_scheme(
+    SCHEMES.register(
         SchemeSpec(
             name="tmp-failing-scheme",
             description="raises inside the worker",
@@ -248,7 +236,7 @@ def test_worker_raised_errors_propagate_not_retried_serially():
                 [tiny_config(scheme="tmp-failing-scheme")] * 2
             )
     finally:
-        unregister_scheme("tmp-failing-scheme")
+        SCHEMES.unregister("tmp-failing-scheme")
 
 
 def test_workload_spec_ships_once_per_pool_not_per_point():

@@ -13,13 +13,8 @@ from helpers import assert_points_identical, tiny_config
 from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
 from repro.experiments.harness import sweep_schemes
-from repro.experiments.topologies import (
-    TopologySpec,
-    format_topology,
-    parse_topology,
-    register_topology,
-    unregister_topology,
-)
+from repro.experiments.plugin_registry import format_plugin_params
+from repro.experiments.topologies import TOPOLOGIES, TopologySpec
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.topology import SpineLeafFabric, make_spine_policy
@@ -167,20 +162,20 @@ def test_flap_during_delayed_restore_stays_withdrawn():
 # Topology-param plumbing (CLI form)
 # ----------------------------------------------------------------------
 def test_parse_topology_round_trip_and_coercion():
-    name, params = parse_topology("spine_leaf:spines=4,spine_policy=least-loaded")
+    name, params = TOPOLOGIES.parse("spine_leaf:spines=4,spine_policy=least-loaded")
     assert name == "spine_leaf"
     assert params == {"spines": 4, "spine_policy": "least-loaded"}
-    assert parse_topology("clos") == ("spine_leaf", {})
-    assert format_topology(name, params) == (
+    assert TOPOLOGIES.parse("clos") == ("spine_leaf", {})
+    assert format_plugin_params(name, params) == (
         "spine_leaf:spine_policy=least-loaded,spines=4"
     )
-    assert parse_topology("spine_leaf:trunk_bandwidth_bps=2.5e9")[1] == {
+    assert TOPOLOGIES.parse("spine_leaf:trunk_bandwidth_bps=2.5e9")[1] == {
         "trunk_bandwidth_bps": 2.5e9
     }
     with pytest.raises(ExperimentError, match="key=value"):
-        parse_topology("spine_leaf:spines")
+        TOPOLOGIES.parse("spine_leaf:spines")
     with pytest.raises(ExperimentError):
-        parse_topology("moebius:spines=4")
+        TOPOLOGIES.parse("moebius:spines=4")
 
 
 def test_config_merges_inline_params_inline_wins():
@@ -244,7 +239,7 @@ def test_typoed_topology_param_raises_instead_of_silently_defaulting():
     with pytest.raises(ExperimentError, match="must be int"):
         run_point(tiny_config(topology="spine_leaf:spines=two"))
     with pytest.raises(ExperimentError, match="key=value"):
-        parse_topology("spine_leaf:spines=")
+        TOPOLOGIES.parse("spine_leaf:spines=")
 
 
 def test_plugin_spine_policy_reachable_from_topology_params():
@@ -277,6 +272,9 @@ def test_plugin_spine_policy_reachable_from_topology_params():
         assert __name__ in SweepExecutor._registered_plugin_modules()
     finally:
         unregister_spine_policy("always-last")
+    # Unregistered, its module no longer ships: a worker importing it
+    # would register the policy again.
+    assert __name__ not in spine_policy_modules()
     with pytest.raises(NetworkError):
         unregister_spine_policy("always-last")
 
@@ -317,7 +315,7 @@ class _StaticEcmpSpineLeaf(SpineLeafFabric):
 
 
 def test_dynamic_ecmp_matches_pre_pr_static_routing_bitwise():
-    register_topology(
+    TOPOLOGIES.register(
         TopologySpec(
             name="static-ecmp-spine-leaf",
             description="pre-PR static ECMP replica (test only)",
@@ -339,7 +337,7 @@ def test_dynamic_ecmp_matches_pre_pr_static_routing_bitwise():
         )
         assert_points_identical(dynamic, static)
     finally:
-        unregister_topology("static-ecmp-spine-leaf")
+        TOPOLOGIES.unregister("static-ecmp-spine-leaf")
 
 
 # ----------------------------------------------------------------------

@@ -13,14 +13,7 @@ from helpers import assert_points_identical, tiny_config
 from repro.cli import main
 from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point, run_sweep
-from repro.experiments.topologies import (
-    TopologySpec,
-    describe_topologies,
-    get_topology,
-    register_topology,
-    topology_names,
-    unregister_topology,
-)
+from repro.experiments.topologies import TOPOLOGIES, TopologySpec
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.topology import SingleRackFabric, SpineLeafFabric, TwoRackFabric
@@ -33,27 +26,27 @@ from repro.switchsim.switch import ProgrammableSwitch
 # Registry round-trip
 # ----------------------------------------------------------------------
 def test_builtin_topologies_registered():
-    names = topology_names()
+    names = TOPOLOGIES.names()
     for expected in ("star", "two_rack", "spine_leaf"):
         assert expected in names
-    assert any("spine_leaf" in line for line in describe_topologies())
+    assert any("spine_leaf" in line for line in TOPOLOGIES.describe())
 
 
 def test_aliases_resolve_and_normalise_in_config():
-    assert get_topology("spine-leaf").name == "spine_leaf"
-    assert get_topology("2rack").name == "two_rack"
+    assert TOPOLOGIES.get("spine-leaf").name == "spine_leaf"
+    assert TOPOLOGIES.get("2rack").name == "two_rack"
     assert ClusterConfig(topology="clos").topology == "spine_leaf"
 
 
 def test_unknown_topology_raises_with_known_names():
     with pytest.raises(ExperimentError, match="star"):
-        get_topology("nope")
+        TOPOLOGIES.get("nope")
     with pytest.raises(ExperimentError):
         ClusterConfig(topology="nope")
 
 
 def test_register_lookup_unregister_round_trip():
-    @register_topology
+    @TOPOLOGIES.register
     def _tmp_topology() -> TopologySpec:
         return TopologySpec(
             name="tmp-test-fabric",
@@ -63,12 +56,12 @@ def test_register_lookup_unregister_round_trip():
         )
 
     try:
-        assert get_topology("tmp-fabric-alias").name == "tmp-test-fabric"
+        assert TOPOLOGIES.get("tmp-fabric-alias").name == "tmp-test-fabric"
         # End-to-end through the generic Cluster with zero common.py edits.
         point = run_point(tiny_config(topology="tmp-test-fabric"))
         assert point.samples > 0
         with pytest.raises(ExperimentError, match="already registered"):
-            register_topology(
+            TOPOLOGIES.register(
                 TopologySpec(
                     name="tmp-test-fabric",
                     description="dup",
@@ -76,16 +69,11 @@ def test_register_lookup_unregister_round_trip():
                 )
             )
     finally:
-        unregister_topology("tmp-test-fabric")
+        TOPOLOGIES.unregister("tmp-test-fabric")
     with pytest.raises(ExperimentError):
-        get_topology("tmp-test-fabric")
+        TOPOLOGIES.get("tmp-test-fabric")
     with pytest.raises(ExperimentError):
-        unregister_topology("tmp-test-fabric")
-
-
-def test_register_rejects_non_spec_factory():
-    with pytest.raises(ExperimentError, match="TopologySpec"):
-        register_topology(lambda: 42)
+        TOPOLOGIES.unregister("tmp-test-fabric")
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +242,10 @@ def test_run_sweep_topology_override():
 # bounded-random plugin × topology axis
 # ----------------------------------------------------------------------
 def test_bounded_random_registered_and_visible():
-    from repro.experiments.schemes import describe_schemes, get_scheme
+    from repro.experiments.schemes import SCHEMES
 
-    assert get_scheme("bounded_random").name == "bounded-random"  # alias
-    assert any("bounded-random" in line for line in describe_schemes())
+    assert SCHEMES.get("bounded_random").name == "bounded-random"  # alias
+    assert any("bounded-random" in line for line in SCHEMES.describe())
 
 
 def test_bounded_random_respects_bound_with_retries():

@@ -10,15 +10,7 @@ import pytest
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.common import ClusterConfig, run_point
 from repro.experiments.specs import DiurnalSpec, KvSpec, MmppSpec
-from repro.experiments.workloads_registry import (
-    canonical_workload,
-    describe_workloads,
-    get_workload,
-    make_workload_spec,
-    register_workload,
-    unregister_workload,
-    workload_names,
-)
+from repro.experiments.workloads_registry import WORKLOADS, make_workload_spec
 from repro.sim.units import ms
 from repro.workloads.mmpp import DiurnalArrivals, MmppArrivals
 from repro.workloads.zipf import DriftingZipfGenerator, ZipfGenerator
@@ -28,19 +20,19 @@ from repro.workloads.zipf import DriftingZipfGenerator, ZipfGenerator
 # Registry surface
 # ----------------------------------------------------------------------
 def test_registry_lists_builtins():
-    names = workload_names()
+    names = WORKLOADS.names()
     for name in ("exp", "bimodal", "mmpp", "diurnal", "kv-drift", "kv-redis"):
         assert name in names
-    listing = "\n".join(describe_workloads())
+    listing = "\n".join(WORKLOADS.describe())
     assert "mmpp" in listing and "diurnal" in listing
 
 
 def test_registry_aliases_and_canonical_form():
-    assert get_workload("bursty") is get_workload("mmpp")
-    assert canonical_workload("bursty:burst=4") == "mmpp:burst=4"
-    assert canonical_workload("exponential") == "exp"
+    assert WORKLOADS.get("bursty") is WORKLOADS.get("mmpp")
+    assert WORKLOADS.canonical("bursty:burst=4") == "mmpp:burst=4"
+    assert WORKLOADS.canonical("exponential") == "exp"
     with pytest.raises(ExperimentError):
-        canonical_workload("no-such-workload")
+        WORKLOADS.canonical("no-such-workload")
 
 
 def test_registry_rejects_unknown_params():
@@ -58,13 +50,13 @@ def test_registry_register_unregister_round_trip():
         description="registered by the test suite",
         make_spec=lambda params: make_workload_spec("exp", params),
     )
-    register_workload(definition)
+    WORKLOADS.register(definition)
     try:
-        assert "test-only" in workload_names()
+        assert "test-only" in WORKLOADS.names()
         assert make_workload_spec("test-only").name == "Exp(25)"
     finally:
-        unregister_workload("test-only")
-    assert "test-only" not in workload_names()
+        WORKLOADS.unregister("test-only")
+    assert "test-only" not in WORKLOADS.names()
 
 
 def test_make_workload_spec_names():
