@@ -332,25 +332,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             scale=args.scale,
             seed=1 if args.seed is None else args.seed,
             jobs=args.jobs,
-            topology=args.topology,
-            placement=args.placement,
         )
-        # Newer axes (--workload, --metrics) are opt-in per harness:
-        # passed only where the signature declares them, and asking an
-        # unaware harness for one is an error, not a silent ignore.
+        # Every other axis is opt-in per harness: passed only where the
+        # signature declares it, and asking an unaware harness for one
+        # is an error, not a silent ignore.
+        requested = {
+            axis: UNREQUESTED if value is None else value
+            for axis, value in (
+                ("topology", args.topology),
+                ("placement", args.placement),
+                ("workload", args.workload),
+                ("metrics", args.metrics),
+            )
+        }
         try:
             kwargs.update(
                 gate_harness_axes(
                     harness,
                     experiment_id,
-                    requested={
-                        "workload": (
-                            UNREQUESTED if args.workload is None else args.workload
-                        ),
-                        "metrics": (
-                            UNREQUESTED if args.metrics is None else args.metrics
-                        ),
-                    },
+                    requested=requested,
                     defaults={"workload": None, "metrics": "exact"},
                 )
             )

@@ -1,12 +1,28 @@
 """Experiment harnesses: one module per paper figure/table.
 
-Each module exposes a ``run(scale=1.0, seed=..., jobs=1,
-topology=None)`` function returning a structured result and prints
-the same rows/series the paper reports.  The registry maps experiment
-IDs (``fig7``, ``fig13``, ``table1``, ...) to those entry points;
-``python -m repro <id>`` runs one, ``--jobs N`` fans the sweep points
-out over worker processes, and ``--topology NAME`` re-runs it on any
-registered fabric.
+Each module exposes a ``run(scale=1.0, seed=1, jobs=1, ...)`` function
+that prints the same rows/series the paper reports and returns that
+report as a string.  Harnesses that honour a fabric or placement
+override also take ``topology=None`` / ``placement=None``, and those
+with a workload or latency-metrics axis take ``workload`` /
+``metrics``; the CLI passes an axis only where ``run`` declares it and
+rejects it elsewhere.  The registry maps experiment IDs (``fig7``,
+``fig13``, ``table1``, ...) to those entry points; ``python -m repro
+<id>`` runs one, ``--jobs N`` fans the sweep points out over worker
+processes, and ``--topology NAME`` re-runs it on any registered
+fabric.
+
+Adding a figure
+---------------
+Build one scaled :class:`~repro.experiments.common.ClusterConfig` per
+panel (:func:`~repro.experiments.harness.scaled_config`), pass the
+``{panel: config}`` dict and the schemes to
+:func:`~repro.experiments.harness.sweep_panels` — it sweeps each
+panel's load grid for every scheme in one executor batch and returns
+``{panel: {scheme: SweepResult}}`` — format the curves with
+:func:`~repro.experiments.harness.format_series`, and put
+``@register(id, description)`` on ``run`` (then import the module in
+:func:`repro.experiments.registry._ensure_loaded`).
 
 Cluster assembly is generic over plugin axes that compose freely:
 

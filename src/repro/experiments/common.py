@@ -28,7 +28,7 @@ from __future__ import annotations
 import gc
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.client import OpenLoopClient
 from repro.core.placement import PlacementContext
@@ -558,14 +558,50 @@ def run_sweep(
     parallel worker processes; results are bit-identical to the serial
     path because every point seeds its own RNG registry.
     """
-    chosen_scheme = scheme if scheme is not None else config.scheme
-    chosen_scheme = SCHEMES.get(chosen_scheme).name
-    overrides = sweep_override_kwargs(config, topology, placement)
-    result = SweepResult(scheme=chosen_scheme, workload=config.workload.name)
-    point_configs = [
-        replace(config, scheme=chosen_scheme, rate_rps=rate, **overrides)
-        for rate in offered_loads_rps
-    ]
-    for point in resolve_executor(executor, jobs).run_points(point_configs):
-        result.add(point)
-    return result
+    chosen = scheme if scheme is not None else config.scheme
+    panels = _sweep_grid(
+        {None: (config, list(offered_loads_rps))},
+        [chosen],
+        resolve_executor(executor, jobs),
+        topology,
+        placement,
+    )
+    return panels[None][chosen]
+
+
+def _sweep_grid(
+    panels: Dict[Any, Tuple[ClusterConfig, Sequence[float]]],
+    schemes: Sequence[str],
+    executor: SweepExecutor,
+    topology: Optional[str] = None,
+    placement: Optional[str] = None,
+) -> Dict[Any, Dict[str, SweepResult]]:
+    """Every panel × scheme × load point as one executor batch.
+
+    *panels* maps a panel key to its config and offered loads.  The
+    result maps each panel key to one curve per scheme, keyed by the
+    names the caller passed (aliases intact); the curve labels use the
+    canonical names the configs resolved to.  *topology* / *placement*
+    override every panel's fabric and group placement.
+    """
+    schemes = list(schemes)
+    canonical = [SCHEMES.get(scheme).name for scheme in schemes]
+    point_configs: List[ClusterConfig] = []
+    for config, loads in panels.values():
+        overrides = sweep_override_kwargs(config, topology, placement)
+        point_configs.extend(
+            replace(config, scheme=name, rate_rps=rate, **overrides)
+            for name in canonical
+            for rate in loads
+        )
+    points = iter(executor.run_points(point_configs))
+    results: Dict[Any, Dict[str, SweepResult]] = {}
+    for key, (config, loads) in panels.items():
+        curves = results[key] = {}
+        for scheme, name in zip(schemes, canonical):
+            curve = curves[scheme] = SweepResult(
+                scheme=name, workload=config.workload.name
+            )
+            for _ in loads:
+                curve.add(next(points))
+    return results

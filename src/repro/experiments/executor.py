@@ -86,7 +86,7 @@ def submission_order(configs: Sequence["ClusterConfig"]) -> List[int]:
 @dataclass(frozen=True)
 class _SpecRef:
     """Per-point placeholder for a workload spec shipped via the pool
-    initializer (resolved back by :func:`_run_point` in the worker)."""
+    initializer (resolved back by :func:`_measure_point` in the worker)."""
 
     key: int
 
@@ -113,7 +113,7 @@ def _strip_specs(
     return stripped, table
 
 
-def _run_point(config: "ClusterConfig") -> "LoadPoint":
+def _measure_point(config: "ClusterConfig") -> "LoadPoint":
     # Top-level wrapper: picklable by reference for pool workers, and
     # the late import keeps executor.py importable before common.py.
     from repro.experiments.common import run_point
@@ -183,13 +183,13 @@ class SweepExecutor:
                 for index, config in enumerate(configs)
             ]
         if self.jobs <= 1 or len(configs) <= 1:
-            return [_run_point(config) for config in configs]
+            return [_measure_point(config) for config in configs]
         stripped, spec_table = _strip_specs(configs)
         if not self._picklable(stripped, spec_table):
-            return [_run_point(config) for config in configs]
+            return [_measure_point(config) for config in configs]
         return self._with_serial_fallback(
             lambda: self._run_pool(stripped, spec_table),
-            lambda: [_run_point(config) for config in configs],
+            lambda: [_measure_point(config) for config in configs],
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +269,7 @@ class SweepExecutor:
             # Longest-first submission shrinks tail stragglers; the
             # future map restores submission order on collection.
             futures = {
-                index: pool.submit(_run_point, stripped[index])
+                index: pool.submit(_measure_point, stripped[index])
                 for index in submission_order(stripped)
             }
             return [futures[index].result() for index in range(len(stripped))]

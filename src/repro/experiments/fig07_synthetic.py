@@ -15,13 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
@@ -70,9 +64,8 @@ def collect(
             panel: make_synthetic_spec(kind, mean_us=mean_us or 25.0, modes=modes)
             for panel, (kind, mean_us, modes) in PANELS.items()
         }
-    results: Dict[str, Dict[str, SweepResult]] = {}
-    for panel, spec in panels.items():
-        config = scaled_config(
+    configs = {
+        panel: scaled_config(
             ClusterConfig(
                 workload=spec,
                 topology=topology,
@@ -84,12 +77,12 @@ def collect(
             ),
             scale,
         )
-        capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
-        loads = load_grid(capacity, scale)
-        results[panel] = sweep_schemes(config, SCHEMES, loads, jobs=jobs)
-    return results
+        for panel, spec in panels.items()
+    }
+    return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
+@register("fig7", "synthetic workloads: Baseline vs C-Clone vs NetClone (4 panels)")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -129,24 +122,3 @@ def run(
     report = "\n".join(sections)
     print(report)
     return report
-
-
-@register("fig7", "synthetic workloads: Baseline vs C-Clone vs NetClone (4 panels)")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-    workload: Optional[str] = None,
-    metrics: str = "exact",
-) -> str:
-    return run(
-        scale,
-        seed,
-        jobs=jobs,
-        topology=topology,
-        placement=placement,
-        workload=workload,
-        metrics=metrics,
-    )

@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
@@ -39,13 +33,10 @@ def collect(
     placement: Optional[str] = None,
 ) -> Dict[int, Dict[str, SweepResult]]:
     """Curves keyed by server count then scheme."""
-    results: Dict[int, Dict[str, SweepResult]] = {}
-    spec_factory = lambda: make_synthetic_spec("exp", mean_us=25.0)  # noqa: E731
-    for num_servers in SERVER_COUNTS:
-        spec = spec_factory()
-        config = scaled_config(
+    configs = {
+        num_servers: scaled_config(
             ClusterConfig(
-                workload=spec,
+                workload=make_synthetic_spec("exp", mean_us=25.0),
                 topology=topology,
                 placement=placement,
                 num_servers=num_servers,
@@ -54,12 +45,12 @@ def collect(
             ),
             scale,
         )
-        capacity = capacity_rps(num_servers * WORKERS, spec.mean_service_ns)
-        loads = load_grid(capacity, scale)
-        results[num_servers] = sweep_schemes(config, SCHEMES, loads, jobs=jobs)
-    return results
+        for num_servers in SERVER_COUNTS
+    }
+    return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
+@register("fig9", "impact of the number of worker servers (2/4/6)")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -87,14 +78,3 @@ def run(
     report = "\n".join(sections)
     print(report)
     return report
-
-
-@register("fig9", "impact of the number of worker servers (2/4/6)")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

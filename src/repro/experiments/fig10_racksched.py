@@ -15,13 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
@@ -51,12 +45,10 @@ def collect(
     placement: Optional[str] = None,
 ) -> Dict[str, Dict[str, SweepResult]]:
     """All four panels' curves, keyed by panel then scheme."""
-    results: Dict[str, Dict[str, SweepResult]] = {}
-    for panel, (kind, modes, workers) in PANELS.items():
-        spec = make_synthetic_spec(kind, mean_us=25.0, modes=modes)
-        config = scaled_config(
+    configs = {
+        panel: scaled_config(
             ClusterConfig(
-                workload=spec,
+                workload=make_synthetic_spec(kind, mean_us=25.0, modes=modes),
                 topology=topology,
                 placement=placement,
                 num_servers=NUM_SERVERS,
@@ -65,15 +57,12 @@ def collect(
             ),
             scale,
         )
-        total_workers = (
-            NUM_SERVERS * workers if isinstance(workers, int) else sum(workers)
-        )
-        capacity = capacity_rps(total_workers, spec.mean_service_ns)
-        loads = load_grid(capacity, scale)
-        results[panel] = sweep_schemes(config, SCHEMES, loads, jobs=jobs)
-    return results
+        for panel, (kind, modes, workers) in PANELS.items()
+    }
+    return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
+@register("fig10", "NetClone with RackSched, homogeneous and heterogeneous clusters")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -95,14 +84,3 @@ def run(
     report = "\n".join(sections)
     print(report)
     return report
-
-
-@register("fig10", "NetClone with RackSched, homogeneous and heterogeneous clusters")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

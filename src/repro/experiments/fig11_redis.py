@@ -18,18 +18,12 @@ from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import KvSpec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "run"]
+__all__ = ["collect", "format_report", "run"]
 
 SCHEMES = ("baseline", "cclone", "netclone")
 
@@ -52,13 +46,14 @@ def collect(
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
+    cost_model: str = COST_MODEL,
 ) -> Dict[str, Dict[str, SweepResult]]:
-    """Both mix panels' curves, keyed by panel then scheme."""
-    results: Dict[str, Dict[str, SweepResult]] = {}
+    """Both mix panels' curves under *cost_model*, keyed by panel then scheme."""
     num_keys = FULL_KEYS if scale >= 1.0 else QUICK_KEYS
+    configs = {}
     for panel, scan_fraction in PANELS.items():
         spec = KvSpec(
-            cost_model=COST_MODEL, scan_fraction=scan_fraction, num_keys=num_keys
+            cost_model=cost_model, scan_fraction=scan_fraction, num_keys=num_keys
         )
         config = scaled_config(
             ClusterConfig(
@@ -73,24 +68,18 @@ def collect(
         )
         # KV event rates are low (tens of microseconds per op), so the
         # windows can be 3x longer at the same cost -- more samples
-        # around the boundary-sensitive p99.
-        config = replace(config, measure_ns=config.measure_ns * 3)
-        capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
-        loads = load_grid(capacity, scale)
-        results[panel] = sweep_schemes(config, SCHEMES, loads, jobs=jobs)
-    return results
+        # around the boundary-sensitive p99.  Lengthened after scaling,
+        # so small scales keep 3x the floored window.
+        configs[panel] = replace(config, measure_ns=config.measure_ns * 3)
+    return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
+def format_report(
+    title: str, results: Dict[str, Dict[str, SweepResult]], paper: str
 ) -> str:
-    """Run Figure 11 and return the formatted report."""
+    """One section per mix panel; *paper* is the reported p99 improvement."""
     sections = []
-    for panel, series in collect(scale, seed, jobs=jobs, topology=topology, placement=placement).items():
+    for panel, series in results.items():
         base = series["baseline"]
         netclone = series["netclone"]
         low = base.points[0].offered_rps
@@ -106,22 +95,27 @@ def run(
         notes = [
             f"low-load p99 improvement: {improvement:.2f}x, "
             f"best across loads: {best:.2f}x "
-            f"(paper: up to 22.6x for 99/1, 1.77x for 90/10)",
+            f"(paper: {paper})",
             f"C-Clone max throughput {series['cclone'].max_throughput_mrps():.3f} MRPS vs "
             f"NetClone {netclone.max_throughput_mrps():.3f} MRPS (paper: about half)",
         ]
-        sections.append(format_series(f"Figure 11 Redis ({panel})", series, notes))
-    report = "\n".join(sections)
-    print(report)
-    return report
+        sections.append(format_series(f"{title} ({panel})", series, notes))
+    return "\n".join(sections)
 
 
 @register("fig11", "Redis key-value store, 99/1 and 90/10 GET/SCAN mixes")
-def _run(
+def run(
     scale: float = 1.0,
     seed: int = 1,
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
 ) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)
+    """Run Figure 11 and return the formatted report."""
+    report = format_report(
+        "Figure 11 Redis",
+        collect(scale, seed, jobs=jobs, topology=topology, placement=placement),
+        "up to 22.6x for 99/1, 1.77x for 90/10",
+    )
+    print(report)
+    return report

@@ -7,65 +7,15 @@ reports the same trends as Redis: up to 22× p99 improvement at the
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.experiments import fig11_redis
-from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
 from repro.experiments.registry import register
-from repro.experiments.specs import KvSpec
-from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "run"]
-
-SCHEMES = fig11_redis.SCHEMES
-PANELS = fig11_redis.PANELS
-NUM_SERVERS = fig11_redis.NUM_SERVERS
-WORKERS = fig11_redis.WORKERS
+__all__ = ["run"]
 
 
-def collect(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> Dict[str, Dict[str, SweepResult]]:
-    """Both mix panels' curves with the Memcached cost model."""
-    results: Dict[str, Dict[str, SweepResult]] = {}
-    num_keys = fig11_redis.FULL_KEYS if scale >= 1.0 else fig11_redis.QUICK_KEYS
-    for panel, scan_fraction in PANELS.items():
-        spec = KvSpec(
-            cost_model="memcached", scan_fraction=scan_fraction, num_keys=num_keys
-        )
-        config = scaled_config(
-            ClusterConfig(
-                workload=spec,
-                topology=topology,
-                placement=placement,
-                num_servers=NUM_SERVERS,
-                workers_per_server=WORKERS,
-                seed=seed,
-            ),
-            scale,
-        )
-        # KV event rates are low (tens of microseconds per op), so the
-        # windows can be 3x longer at the same cost -- more samples
-        # around the boundary-sensitive p99.
-        config = replace(config, measure_ns=config.measure_ns * 3)
-        capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
-        loads = load_grid(capacity, scale)
-        results[panel] = sweep_schemes(config, SCHEMES, loads, jobs=jobs)
-    return results
-
-
+@register("fig12", "Memcached key-value store, 99/1 and 90/10 GET/SCAN mixes")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -74,39 +24,17 @@ def run(
     placement: Optional[str] = None,
 ) -> str:
     """Run Figure 12 and return the formatted report."""
-    sections = []
-    for panel, series in collect(scale, seed, jobs=jobs, topology=topology, placement=placement).items():
-        base = series["baseline"]
-        netclone = series["netclone"]
-        low = base.points[0].offered_rps
-        base_p99 = base.p99_at_load(low)
-        nc_p99 = netclone.p99_at_load(low)
-        improvement = base_p99 / nc_p99 if nc_p99 and nc_p99 == nc_p99 else float("nan")
-        ratios = [
-            b.p99_us / n.p99_us
-            for b, n in zip(base.points, netclone.points)
-            if n.p99_us == n.p99_us and n.p99_us > 0
-        ]
-        best = max(ratios) if ratios else float("nan")
-        notes = [
-            f"low-load p99 improvement: {improvement:.2f}x, "
-            f"best across loads: {best:.2f}x "
-            f"(paper: up to 22x for 99/1, ~1.24x average for 90/10)",
-            f"C-Clone max throughput {series['cclone'].max_throughput_mrps():.3f} MRPS vs "
-            f"NetClone {netclone.max_throughput_mrps():.3f} MRPS (paper: about half)",
-        ]
-        sections.append(format_series(f"Figure 12 Memcached ({panel})", series, notes))
-    report = "\n".join(sections)
+    report = fig11_redis.format_report(
+        "Figure 12 Memcached",
+        fig11_redis.collect(
+            scale,
+            seed,
+            jobs=jobs,
+            topology=topology,
+            placement=placement,
+            cost_model="memcached",
+        ),
+        "up to 22x for 99/1, ~1.24x average for 90/10",
+    )
     print(report)
     return report
-
-
-@register("fig12", "Memcached key-value store, 99/1 and 90/10 GET/SCAN mixes")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

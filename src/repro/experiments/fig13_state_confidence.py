@@ -114,6 +114,7 @@ def collect_repeated_p99(
     return out
 
 
+@register("fig13", "confidence of the empty-queue state signal")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -164,14 +165,3 @@ def run(
     report = "\n".join(lines)
     print(report)
     return report
-
-
-@register("fig13", "confidence of the empty-queue state signal")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

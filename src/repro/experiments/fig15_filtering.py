@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-    sweep_schemes,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
@@ -40,10 +34,9 @@ def collect(
     placement: Optional[str] = None,
 ) -> Dict[str, SweepResult]:
     """The three curves keyed by scheme."""
-    spec = make_synthetic_spec("exp", mean_us=25.0)
     config = scaled_config(
         ClusterConfig(
-            workload=spec,
+            workload=make_synthetic_spec("exp", mean_us=25.0),
             topology=topology,
             placement=placement,
             num_servers=NUM_SERVERS,
@@ -52,11 +45,10 @@ def collect(
         ),
         scale,
     )
-    capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
-    loads = load_grid(capacity, scale)
-    return sweep_schemes(config, SCHEMES, loads, jobs=jobs)
+    return sweep_panels({"exp": config}, SCHEMES, scale, jobs)["exp"]
 
 
+@register("fig15", "ablation: redundant response filtering on/off")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -83,14 +75,3 @@ def run(
     report = format_series("Figure 15 (redundant response filtering)", series, notes)
     print(report)
     return report
-
-
-@register("fig15", "ablation: redundant response filtering on/off")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

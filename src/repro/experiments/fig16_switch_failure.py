@@ -58,7 +58,7 @@ RECOVER_AT_S = 7
 REINIT_S = 3
 
 
-def _run_gated(spec: Dict[str, Any], scale: float) -> ScenarioRun:
+def _gated_scenario(spec: Dict[str, Any], scale: float) -> ScenarioRun:
     """Run one panel's scenario; raise when any invariant failed."""
     run = run_scenario(Scenario.from_dict(spec), scale=scale)
     if not run.report.passed:
@@ -74,7 +74,7 @@ def collect(
 ) -> Tuple[List[float], List[float], dict]:
     """(window starts s, throughput KRPS per window, integrity stats)."""
     horizon_s = HORIZON_S if scale >= 1.0 else max(10, int(HORIZON_S * scale))
-    run = _run_gated(
+    run = _gated_scenario(
         {
             "name": "fig16-switch-failure",
             "cluster": {
@@ -146,7 +146,7 @@ def _sf_placements(pinned: Optional[str]) -> Tuple[str, ...]:
 def _server_failure_cell(args: Tuple[str, float, int, Dict[str, Any]]) -> Dict[str, Any]:
     """One placement's kill → rebuild → restore timeline (picklable)."""
     placement, scale, seed, topology_params = args
-    run = _run_gated(
+    run = _gated_scenario(
         {
             "name": f"fig16-server-failure-{placement}",
             "cluster": {
@@ -298,6 +298,10 @@ def run_server_failure(
     return report
 
 
+@register(
+    "fig16",
+    "throughput across a switch failure + server kill/restore by placement",
+)
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -346,17 +350,3 @@ def run(
         )
         report = report + "\n\n" + panel_b
     return report
-
-
-@register(
-    "fig16",
-    "throughput across a switch failure + server kill/restore by placement",
-)
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

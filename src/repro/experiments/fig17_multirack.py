@@ -18,17 +18,10 @@ filters both response copies.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.executor import resolve_executor
-from repro.experiments.harness import (
-    capacity_rps,
-    format_series,
-    load_grid,
-    scaled_config,
-)
+from repro.experiments.harness import format_series, scaled_config, sweep_panels
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.experiments.topologies import TOPOLOGIES
@@ -54,45 +47,30 @@ def collect(
 ) -> Dict[str, Dict[str, SweepResult]]:
     """One panel per fabric (or just *topology* when given).
 
-    The whole fabric × scheme × load grid is flattened into a single
-    executor batch — one process pool for the entire figure — so
-    parallel workers stay busy across panels, not just within one.
+    The whole fabric × scheme × load grid is one executor batch — one
+    process pool for the entire figure — so parallel workers stay busy
+    across panels, not just within one.
     """
     fabrics = FABRICS if topology is None else (TOPOLOGIES.canonical(topology),)
     spec = make_synthetic_spec("exp", mean_us=25.0)
-    capacity = capacity_rps(NUM_SERVERS * WORKERS, spec.mean_service_ns)
-    loads = load_grid(capacity, scale)
-    config = scaled_config(
-        ClusterConfig(
-            workload=spec,
-            placement=placement,
-            num_servers=NUM_SERVERS,
-            workers_per_server=WORKERS,
-            seed=seed,
-        ),
-        scale,
-    )
-    # One (panel-key, config) pair per point, built by a single
-    # comprehension so collection can never drift from submission.
-    grid = [
-        ((fabric, scheme), replace(config, topology=fabric, scheme=scheme,
-                                   rate_rps=rate))
+    configs = {
+        fabric: scaled_config(
+            ClusterConfig(
+                workload=spec,
+                topology=fabric,
+                placement=placement,
+                num_servers=NUM_SERVERS,
+                workers_per_server=WORKERS,
+                seed=seed,
+            ),
+            scale,
+        )
         for fabric in fabrics
-        for scheme in SCHEMES
-        for rate in loads
-    ]
-    points = resolve_executor(None, jobs).run_points([cfg for _, cfg in grid])
-    results: Dict[str, Dict[str, SweepResult]] = {}
-    for ((fabric, scheme), point_config), point in zip(grid, points):
-        panel = results.setdefault(fabric, {})
-        if scheme not in panel:
-            panel[scheme] = SweepResult(
-                scheme=point_config.scheme, workload=config.workload.name
-            )
-        panel[scheme].add(point)
-    return results
+    }
+    return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
+@register("fig17", "multi-rack fabrics: same schemes over star/two-rack/spine-leaf (§3.7)")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -134,14 +112,3 @@ def run(
     report = "\n".join(sections)
     print(report)
     return report
-
-
-@register("fig17", "multi-rack fabrics: same schemes over star/two-rack/spine-leaf (§3.7)")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

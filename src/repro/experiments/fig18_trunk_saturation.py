@@ -153,6 +153,10 @@ def collect(
     return results
 
 
+@register(
+    "fig18",
+    "trunk saturation: trunk bandwidth × cloning scheme × spine policy on spine-leaf",
+)
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -232,27 +236,3 @@ def run(
     report = "\n".join(lines)
     print(report)
     return report
-
-
-@register(
-    "fig18",
-    "trunk saturation: trunk bandwidth × cloning scheme × spine policy on spine-leaf",
-)
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-    workload: Optional[str] = None,
-    metrics: str = "exact",
-) -> str:
-    return run(
-        scale,
-        seed,
-        jobs=jobs,
-        topology=topology,
-        placement=placement,
-        workload=workload,
-        metrics=metrics,
-    )

@@ -141,6 +141,10 @@ def collect(
     return results
 
 
+@register(
+    "fig19",
+    "placement locality: group placement × cloning scheme × rack count on spine-leaf",
+)
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -213,17 +217,3 @@ def run(
     report = "\n".join(lines)
     print(report)
     return report
-
-
-@register(
-    "fig19",
-    "placement locality: group placement × cloning scheme × rack count on spine-leaf",
-)
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

@@ -1,24 +1,27 @@
 """Shared utilities for the figure/table harnesses.
 
-Every throughput-latency figure is driven the same way: compute the
-cluster's theoretical capacity from worker count and mean service
-time, sweep offered load over fractions of it, and print one curve per
-scheme.  ``scale`` shrinks the measurement windows and thins the load
-grid so the identical harness serves CI smoke tests, pytest-benchmark
-runs, and full reproductions.
+Every throughput-latency figure is driven the same way: a figure
+builds one scaled :class:`ClusterConfig` per panel and hands them to
+:func:`sweep_panels`, which sweeps offered load over fractions of each
+panel's worker-pool capacity for every scheme and runs the whole
+panel × scheme × load grid as one executor batch; :func:`format_series`
+formats one curve per scheme.  ``scale`` shrinks the measurement
+windows (:func:`scaled_config`) and thins the load grid
+(:func:`load_grid`) so the identical harness serves CI smoke tests,
+pytest-benchmark runs, and full reproductions.  :func:`sweep_schemes`
+is the single-panel form for callers with their own load grid.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.common import ClusterConfig, run_sweep, sweep_override_kwargs
+from repro.experiments.common import ClusterConfig, _sweep_grid
 from repro.experiments.executor import SweepExecutor, resolve_executor
-from repro.experiments.schemes import SCHEMES
-from repro.metrics.sweep import LoadPoint, SweepResult
+from repro.metrics.sweep import SweepResult
 from repro.sim.units import ms
 
 _LOG = logging.getLogger(__name__)
@@ -29,6 +32,7 @@ __all__ = [
     "format_series",
     "load_grid",
     "scaled_config",
+    "sweep_panels",
     "sweep_schemes",
 ]
 
@@ -69,6 +73,36 @@ def scaled_config(config: ClusterConfig, scale: float) -> ClusterConfig:
     )
 
 
+def sweep_panels(
+    panels: Dict[Any, ClusterConfig],
+    schemes: Sequence[str],
+    scale: float,
+    jobs: int = 1,
+) -> Dict[Any, Dict[str, SweepResult]]:
+    """One curve per scheme for every panel, as a single executor batch.
+
+    *panels* maps a panel key to an already-scaled config.  Each
+    panel's loads are :func:`load_grid` fractions of its worker pool's
+    capacity, and the whole panel × scheme × load grid runs as one
+    batch, so a parallel executor keeps every worker busy across
+    panels and curves.  Results are keyed by panel, then by the scheme
+    names the caller passed.
+    """
+    grid = {
+        key: (
+            config,
+            load_grid(
+                capacity_rps(
+                    sum(config.worker_counts()), config.workload.mean_service_ns
+                ),
+                scale,
+            ),
+        )
+        for key, config in panels.items()
+    }
+    return _sweep_grid(grid, schemes, resolve_executor(None, jobs))
+
+
 def sweep_schemes(
     config: ClusterConfig,
     schemes: Sequence[str],
@@ -78,35 +112,20 @@ def sweep_schemes(
     topology: Optional[str] = None,
     placement: Optional[str] = None,
 ) -> Dict[str, SweepResult]:
-    """One curve per scheme over the same load grid.
+    """One curve per scheme over an explicit load grid.
 
-    The whole scheme × load grid is flattened into one batch so a
-    parallel executor keeps every worker busy across curves, not just
-    within one; the serial default matches ``run_sweep`` per scheme.
-    *topology* / *placement* override the config's fabric and group
-    placement for every curve.
+    The scheme × load grid runs as one batch; the serial default
+    matches ``run_sweep`` per scheme.  *topology* / *placement*
+    override the config's fabric and group placement for every curve.
     """
-    chosen = resolve_executor(executor, jobs)
-    schemes = list(schemes)
-    canonical = [SCHEMES.get(scheme).name for scheme in schemes]
-    overrides = sweep_override_kwargs(config, topology, placement)
-    loads = list(loads)
-    point_configs = [
-        replace(config, scheme=name, rate_rps=rate, **overrides)
-        for name in canonical
-        for rate in loads
-    ]
-    points: List[LoadPoint] = chosen.run_points(point_configs)
-    # Results are keyed by the names the caller passed (aliases intact);
-    # the curve labels use the canonical names the configs resolved to.
-    results: Dict[str, SweepResult] = {}
-    per_scheme = len(loads)
-    for index, (key, name) in enumerate(zip(schemes, canonical)):
-        result = SweepResult(scheme=name, workload=config.workload.name)
-        for point in points[index * per_scheme : (index + 1) * per_scheme]:
-            result.add(point)
-        results[key] = result
-    return results
+    results = _sweep_grid(
+        {None: (config, list(loads))},
+        schemes,
+        resolve_executor(executor, jobs),
+        topology,
+        placement,
+    )
+    return results[None]
 
 
 def format_series(

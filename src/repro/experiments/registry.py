@@ -1,16 +1,18 @@
 """Experiment registry: IDs → harness entry points.
 
-Each entry point is ``run(scale: float, seed: int, jobs: int,
-topology: Optional[str], placement: Optional[str]) -> str`` returning
-the formatted report it also prints.  ``scale`` shrinks measurement
-windows (and sweep densities) so the same harness serves quick smoke
-runs, benchmarks, and full reproductions; ``jobs`` is the sweep
-worker-process count; ``topology`` selects a registered fabric
-(``None`` keeps each harness's own default, usually the single-rack
-star); ``placement`` selects a registered group-placement policy
-(``None`` keeps ``global``).  The CLI passes all of them to every
-harness, so registered entry points must accept them even if they
-ignore them.
+Each entry point is a module's ``run`` function, registered by putting
+``@register(id, description)`` on it; it prints the formatted report
+and returns it as a string.  Every ``run`` accepts ``scale: float``
+(shrinks measurement windows and sweep densities so the same harness
+serves quick smoke runs, benchmarks, and full reproductions), ``seed:
+int`` and ``jobs: int`` (the sweep worker-process count); the CLI
+passes those three to every harness.  The other axes — ``topology``
+(a registered fabric; ``None`` keeps the harness's default, usually
+the single-rack star), ``placement`` (a registered group-placement
+policy; ``None`` keeps ``global``), ``workload`` and ``metrics`` — are
+gated on the signature by :func:`gate_harness_axes`: a harness
+declares only the axes it honours, and asking a harness for an axis it
+does not declare is an error, never a silent ignore.
 """
 
 from __future__ import annotations

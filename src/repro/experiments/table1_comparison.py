@@ -110,6 +110,7 @@ def _redundancy_rate(scheme: str, point) -> float:
     return 0.0
 
 
+@register("table1", "qualitative comparison matrix, derived from probe runs")
 def run(
     scale: float = 1.0,
     seed: int = 1,
@@ -148,14 +149,3 @@ def run(
     )
     print(report)
     return report
-
-
-@register("table1", "qualitative comparison matrix, derived from probe runs")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed, jobs=jobs, topology=topology, placement=placement)

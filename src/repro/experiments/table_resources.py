@@ -9,8 +9,6 @@ SRAM, and the 20 KRPS-per-slot back-of-the-envelope supporting
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.program import NetCloneProgram
 from repro.experiments.registry import register
 from repro.switchsim.resources import ResourceModel
@@ -29,15 +27,11 @@ def report():
     )
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Print the §4.1 resource rows (*jobs*/*topology* accepted for CLI
-    symmetry; the footprint is per ToR and fabric-independent)."""
+@register("resources", "switch ASIC resource accounting (§4.1)")
+def run(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
+    """Print the §4.1 resource rows (*scale*/*seed*/*jobs* accepted for
+    CLI symmetry; the footprint is per ToR and fabric-independent, so
+    there is no topology or placement axis)."""
     lines = ["== §4.1 switch resource usage (recomputed from the pipeline) =="]
     lines.extend(report().rows())
     lines.append(
@@ -46,14 +40,3 @@ def run(
     text = "\n".join(lines)
     print(text)
     return text
-
-
-@register("resources", "switch ASIC resource accounting (§4.1)")
-def _run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    return run(scale, seed)

@@ -5,12 +5,19 @@ the same code paths at tiny scale and assert structure plus the
 cheapest shape invariants.
 """
 
+import os
+
 import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments import fig16_switch_failure, table_resources
+from repro.experiments import (
+    fig11_redis,
+    fig15_filtering,
+    fig16_switch_failure,
+    table_resources,
+)
 from repro.experiments.common import ClusterConfig
 from repro.experiments.harness import (
     capacity_rps,
@@ -22,13 +29,15 @@ from repro.experiments.specs import KvSpec, SyntheticSpec, make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 from repro.sim.units import ms
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
 
 # ----------------------------------------------------------------------
 # Registry and CLI
 # ----------------------------------------------------------------------
 def test_registry_lists_all_experiments():
-    listed = "\n".join(list_experiments())
-    for experiment_id in (
+    registered = {line.split(" — ")[0] for line in list_experiments()}
+    assert registered == {
         "fig7",
         "fig8",
         "fig9",
@@ -39,10 +48,12 @@ def test_registry_lists_all_experiments():
         "fig14",
         "fig15",
         "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
         "table1",
         "resources",
-    ):
-        assert experiment_id in listed
+    }
 
 
 def test_registry_unknown_experiment():
@@ -65,6 +76,40 @@ def test_cli_runs_resources(capsys):
     assert main(["resources"]) == 0
     out = capsys.readouterr().out
     assert "stages" in out
+
+
+@pytest.mark.parametrize("axis", ["topology", "placement"])
+def test_cli_rejects_axis_the_harness_does_not_declare(capsys, axis):
+    value = {"topology": "spine_leaf", "placement": "rack-local"}[axis]
+    assert main(["resources", f"--{axis}", value]) == 2
+    out = capsys.readouterr().out
+    assert f"has no --{axis} axis" in out
+    assert "stages" not in out
+
+
+# ----------------------------------------------------------------------
+# Figure reports pinned to checked-in goldens
+# ----------------------------------------------------------------------
+def _golden(name):
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_fig15_report_matches_golden():
+    report = fig15_filtering.run(scale=0.05, seed=1)
+    assert report == _golden("fig15_scale0.05_seed1.txt")
+
+
+def test_fig11_report_matches_golden():
+    report = fig11_redis.run(scale=0.05, seed=1)
+    assert report == _golden("fig11_scale0.05_seed1.txt")
+
+
+@pytest.mark.slow
+def test_fig11_parallel_report_matches_golden():
+    # Two KV panels with distinct specs: one flattened batch ships both.
+    report = fig11_redis.run(scale=0.05, seed=1, jobs=2)
+    assert report == _golden("fig11_scale0.05_seed1.txt")
 
 
 # ----------------------------------------------------------------------

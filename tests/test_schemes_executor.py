@@ -15,9 +15,9 @@ from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, run_point, run_sweep
 from repro.experiments.executor import SweepExecutor, point_seed, resolve_executor
-from repro.experiments.harness import format_series, sweep_schemes
+from repro.experiments.harness import format_series, sweep_panels, sweep_schemes
 from repro.experiments.schemes import SCHEMES, SchemeSpec
-from repro.experiments.specs import SyntheticSpec
+from repro.experiments.specs import SyntheticSpec, make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 from repro.sim.core import Simulator
 from repro.sim.units import ms
@@ -189,12 +189,27 @@ def test_parallel_run_sweep_matches_serial():
 def test_parallel_sweep_schemes_matches_serial():
     loads = [0.1e6, 0.2e6]
     schemes = ("baseline", "jsq-d3")
-    serial = sweep_schemes(tiny_config(), schemes, loads)
-    parallel = sweep_schemes(tiny_config(), schemes, loads, jobs=2)
-    assert set(serial) == set(parallel) == set(schemes)
-    for scheme in schemes:
-        for a, b in zip(serial[scheme].points, parallel[scheme].points):
-            assert_points_identical(a, b)
+    serial = {0: sweep_schemes(tiny_config(), schemes, loads)}
+    parallel = {0: sweep_schemes(tiny_config(), schemes, loads, jobs=2)}
+    # Two panels with distinct specs and int keys: one flattened batch
+    # ships both specs to the workers and folds each panel's points back.
+    panels = {
+        4: tiny_config(),
+        3: tiny_config(
+            workers_per_server=3, workload=make_synthetic_spec("bimodal")
+        ),
+    }
+    serial.update(sweep_panels(panels, schemes, scale=0.05))
+    parallel.update(sweep_panels(panels, schemes, scale=0.05, jobs=2))
+    assert list(serial) == list(parallel) == [0, 4, 3]
+    for panel in serial:
+        assert list(serial[panel]) == list(parallel[panel]) == list(schemes)
+        for scheme in schemes:
+            a_points = serial[panel][scheme].points
+            b_points = parallel[panel][scheme].points
+            assert len(a_points) == len(b_points) == (2 if panel == 0 else 4)
+            for a, b in zip(a_points, b_points):
+                assert_points_identical(a, b)
 
 
 def test_executor_falls_back_serially_on_unpicklable_config(caplog):
