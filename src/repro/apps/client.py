@@ -13,12 +13,16 @@ differs between Baseline, C-Clone, LÆDGE and NetClone clients.
 Arrival generation is batched: instead of one RNG call + payload
 object + reschedule per request, the client pre-draws whole arrival
 records (request payload, packets, next gap) in chunks of
-``ARRIVAL_CHUNK`` and consumes them index-wise.  The draws come from
-the same per-client RNG streams in the same order as the per-call
-code path, so simulated trajectories are bit-identical — only the
-Python-level bookkeeping is amortised.  Subclasses whose
-``build_packets`` reads simulation time or live client state (and so
-cannot be evaluated early) opt out with ``ARRIVAL_PREDRAW = False``.
+``ARRIVAL_CHUNK`` and consumes them index-wise.  Per request the draws
+keep their order — request payload (workload stream), then packets,
+then gap (client stream) — so ``build_packets`` must depend only on
+the client RNG and the client's static configuration, never on
+``sim.now`` or live state.  As long as no record is flushed, the
+trajectory does not depend on ``ARRIVAL_CHUNK``.  A control-plane
+update (:meth:`set_rate`, a new group table) flushes the unsent
+records and re-draws their sequence numbers; the RNG draws the
+flushed records spent are lost, so from the first flush on the
+trajectory is a function of ``ARRIVAL_CHUNK`` too.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ __all__ = ["OpenLoopClient"]
 class OpenLoopClient(Host):
     """Generates requests at a fixed average rate and measures latency."""
 
-    #: Whether arrival records may be pre-drawn ahead of simulated time.
-    #: Requires ``build_packets`` to depend only on the client RNG and
-    #: static configuration — never on ``sim.now`` or live state.
-    ARRIVAL_PREDRAW = True
     #: Arrival records drawn per refill.
     ARRIVAL_CHUNK = 64
 
@@ -124,8 +124,7 @@ class OpenLoopClient(Host):
             set_rate = getattr(self.arrival_process, "set_rate", None)
             if set_rate is not None:
                 set_rate(rate_rps)
-        if self.ARRIVAL_PREDRAW:
-            self._flush_arrivals()
+        self._flush_arrivals()
 
     def _new_packet(
         self,
@@ -149,11 +148,10 @@ class OpenLoopClient(Host):
     def _refill_arrivals(self) -> None:
         """Pre-draw the next chunk of arrival records.
 
-        Draw order per request matches the per-call path exactly —
-        request payload (workload stream), then packets, then gap
-        (client stream) — so both RNG streams stay bit-identical; only
-        *when* the draws happen (in batches, ahead of simulated time)
-        changes, which no draw depends on.
+        Per request: request payload (workload stream), then packets,
+        then gap (client stream).  Only *when* the draws happen (in
+        batches, ahead of simulated time) depends on the chunk size,
+        and no draw depends on that.
         """
         chunk = self.ARRIVAL_CHUNK
         seq = self._predrawn_seq
@@ -203,41 +201,30 @@ class OpenLoopClient(Host):
     def _send_one(self) -> None:
         if self.stop_at_ns is not None and self.sim.now >= self.stop_at_ns:
             return
-        if self.ARRIVAL_PREDRAW:
-            idx = self._arrival_idx
-            if idx >= len(self._arrivals):
-                self._refill_arrivals()
-                idx = 0
-            record = self._arrivals[idx]
-            self._arrivals[idx] = None  # the record's refs die with the send
-            self._arrival_idx = idx + 1
-            seq, request, packets, gap = record
-            self._seq = seq
-            send_time = self.sim.now
-            self._outstanding[seq] = send_time
-            self.recorder.note_sent(send_time)
-            for packet in packets:
-                packet.created_at = send_time
-                self.send(packet)
-            self.sim.call_after(gap, self._send_one)
-            return
-        # Per-call path for clients whose packet construction must see
-        # live state (time-based hedging, retransmit bookkeeping, ...).
-        self._seq += 1
-        self._predrawn_seq = self._seq
-        seq = self._seq
-        request = self.workload.make_request(self.client_id, seq)
+        idx = self._arrival_idx
+        if idx >= len(self._arrivals):
+            self._refill_arrivals()
+            idx = 0
+        record = self._arrivals[idx]
+        self._arrivals[idx] = None  # the record's refs die with the send
+        self._arrival_idx = idx + 1
+        seq, request, packets, gap = record
+        self._seq = seq
         send_time = self.sim.now
         self._outstanding[seq] = send_time
         self.recorder.note_sent(send_time)
-        for packet in self.build_packets(request):
+        for packet in packets:
             packet.created_at = send_time
             self.send(packet)
-        self.sim.call_after(self._next_gap(), self._send_one)
+        self.sim.call_after(gap, self._send_one)
 
     # ------------------------------------------------------------------
     def build_packets(self, request: Any) -> List[Packet]:
-        """Packets to emit for one request; scheme-specific."""
+        """Packets to emit for one request; scheme-specific.
+
+        Runs when the request is pre-drawn, ahead of its send time, so
+        it may read only the client RNG and static configuration.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -3,10 +3,6 @@
 * :mod:`random_lb` — Baseline: clients pick a random server, no cloning.
 * :mod:`cclone` — C-Clone: static client-side cloning (d = 2).
 * :mod:`laedge` — LÆDGE: coordinator-based dynamic cloning.
-* :mod:`jsq_d` — JSQ(d): client-side power-of-d-choices.  Not imported
-  here: it is the demonstration *plugin* scheme, loaded lazily through
-  :data:`repro.experiments.schemes.PLUGIN_MODULES` on first registry
-  lookup.
 """
 
 from repro.baselines.cclone import CCloneClient

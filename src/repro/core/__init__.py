@@ -10,8 +10,9 @@
 * :mod:`racksched` — RackSched (JSQ / power-of-two) and the
   NetClone+RackSched integration (§3.7).
 * :mod:`client` / :mod:`server` — NetClone-aware end hosts.
-* :mod:`reliability` — §3.7 retransmission with client-assigned
-  request IDs, which the program keeps.
+* :mod:`reliability` — §3.7 retransmission: a NetClone client that
+  stamps client-assigned request IDs (which the program keeps) and
+  retransmits on timeout.
 * Multi-rack deployment (§3.7): the switch-ID gate opens every
   NetClone pass (stated alone as :meth:`NetCloneProgram.matches`), the
   rack wiring lives in the fabrics of :mod:`repro.net.topology`.

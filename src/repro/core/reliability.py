@@ -20,23 +20,18 @@ retransmit.  §3.7 works through what that means for NetClone:
   keeps retransmitting until a response lands, which is exactly what
   a real framework's timeout loop does.
 
-:class:`ReliableNetCloneClient` is an open-loop NetClone client with a
-timeout/retransmit loop bounded by ``max_attempts``.
+:class:`ReliableNetCloneClient` is a :class:`~repro.core.client.NetCloneClient`
+with a timeout/retransmit loop bounded by ``max_attempts``.  It builds
+its packets with the parent's ``build_packets`` — so group IDs come
+from the installed group table, and a §3.6 rebuild reaches it like any
+NetClone client — and only stamps the client-assigned request ID.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.apps.client import OpenLoopClient
-from repro.core.constants import (
-    CLO_NOT_CLONED,
-    MSG_REQ,
-    NETCLONE_UDP_PORT,
-    VIRTUAL_SERVICE_IP,
-)
-from repro.core.header import NetCloneHeader
-from repro.core.program import CLO_NEVER_CLONE
+from repro.core.client import NetCloneClient
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
 
@@ -57,63 +52,50 @@ def client_request_id(client_id: int, local_seq: int) -> int:
     return ((client_id + 1) << _CLIENT_SEQ_BITS) | (local_seq & _CLIENT_SEQ_MASK)
 
 
-class ReliableNetCloneClient(OpenLoopClient):
+class ReliableNetCloneClient(NetCloneClient):
     """NetClone client with client-assigned IDs and retransmission."""
-
-    #: ``build_packets`` arms the retransmit timer (live bookkeeping),
-    #: so arrivals cannot be pre-drawn ahead of simulated time.
-    ARRIVAL_PREDRAW = False
 
     def __init__(
         self,
         *args: Any,
-        num_groups: int,
-        num_filter_tables: int = 2,
         retransmit_timeout_ns: int = 1_000_000,
         max_attempts: int = 5,
         **kwargs: Any,
     ):
         super().__init__(*args, **kwargs)
-        if num_groups < 2:
-            raise ExperimentError("NetClone needs at least two groups")
         if retransmit_timeout_ns <= 0:
             raise ExperimentError("retransmit timeout must be positive")
         if max_attempts < 1:
             raise ExperimentError("need at least one attempt")
-        self.num_groups = num_groups
-        self.num_filter_tables = num_filter_tables
         self.retransmit_timeout_ns = retransmit_timeout_ns
         self.max_attempts = max_attempts
         self.retransmissions = 0
         self.abandoned = 0
+        #: Attempts made so far, for requests retransmitted at least once.
         self._attempts: Dict[int, int] = {}
+        #: Sent, unanswered requests (what a retransmission rebuilds).
         self._requests: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     def build_packets(self, request: Any) -> List[Packet]:
-        seq = request.client_seq
-        self._attempts[seq] = 1
-        self._requests[seq] = request
-        self.sim.call_after(self.retransmit_timeout_ns, self._maybe_retransmit, seq)
-        return [self._packet_for(request)]
+        packets = super().build_packets(request)
+        req_id = client_request_id(self.client_id, request.client_seq)
+        for packet in packets:
+            packet.nc.req_id = req_id
+        return packets
 
-    def _packet_for(self, request: Any) -> Packet:
-        header = NetCloneHeader(
-            msg_type=MSG_REQ,
-            req_id=client_request_id(self.client_id, request.client_seq),
-            grp=self.rng.randrange(self.num_groups),
-            clo=CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED,
-            idx=self.rng.randrange(self.num_filter_tables),
-        )
-        return Packet(
-            src=self.ip,
-            dst=VIRTUAL_SERVICE_IP,
-            sport=NETCLONE_UDP_PORT,
-            dport=NETCLONE_UDP_PORT,
-            size=self.workload.request_size(request) + NetCloneHeader.WIRE_SIZE,
-            payload=request,
-            nc=header,
-        )
+    def send(self, packet: Packet) -> None:
+        """Send one attempt of a request and arm its retransmit timer.
+
+        Arming here, not in :meth:`build_packets`, keeps packet
+        construction free of live state, so arrivals pre-draw like
+        every other client's.
+        """
+        request = packet.payload
+        seq = request.client_seq
+        self._requests[seq] = request
+        super().send(packet)
+        self.sim.call_after(self.retransmit_timeout_ns, self._maybe_retransmit, seq)
 
     # ------------------------------------------------------------------
     def _maybe_retransmit(self, seq: int) -> None:
@@ -121,7 +103,7 @@ class ReliableNetCloneClient(OpenLoopClient):
             self._attempts.pop(seq, None)
             self._requests.pop(seq, None)
             return
-        attempts = self._attempts.get(seq, 0)
+        attempts = self._attempts.get(seq, 1)
         if attempts >= self.max_attempts:
             # Give up: account the request as abandoned (it stays
             # incomplete in the recorder, which is the honest outcome).
@@ -132,10 +114,9 @@ class ReliableNetCloneClient(OpenLoopClient):
             return
         self._attempts[seq] = attempts + 1
         self.retransmissions += 1
-        packet = self._packet_for(self._requests[seq])
-        packet.created_at = self.sim.now
-        self.send(packet)
-        self.sim.call_after(self.retransmit_timeout_ns, self._maybe_retransmit, seq)
+        for packet in self.build_packets(self._requests[seq]):
+            packet.created_at = self.sim.now
+            self.send(packet)
 
     def handle(self, packet: Packet) -> None:
         payload = packet.payload

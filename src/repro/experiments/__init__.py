@@ -50,6 +50,9 @@ A scheme, for example:
 
 1. Write a client class (subclass
    :class:`~repro.apps.client.OpenLoopClient`) in your own module.
+   Its ``build_packets`` must depend only on the client RNG and the
+   client's static configuration: arrivals are pre-drawn ahead of
+   simulated time.
 2. Declare and register a spec::
 
        from repro.experiments.schemes import SCHEMES, SchemeSpec
@@ -64,17 +67,16 @@ A scheme, for example:
                ),
            )
 
-3. Ensure the module is imported (add it to
-   :data:`repro.experiments.schemes.PLUGIN_MODULES`, or import it from
-   your driver script) and run
+3. Import the module from your driver script (sweep workers re-import
+   it from ``SchemeSpec.module``) and run
    ``run_sweep(ClusterConfig(scheme="my-scheme"), loads)``.
 
 Optional ``SchemeSpec`` hooks add a switch program (``make_program``;
 called once per ToR with ``ctx.switch_id`` set to the rack's §3.7
 switch ID), a coordinator host (``make_coordinator``),
 NetClone-speaking servers (``netclone_mode``) and post-assembly
-tweaks (``post_build``).  :mod:`repro.baselines.jsq_d` and
-:mod:`repro.baselines.bounded_random` are complete examples.
+tweaks (``post_build``).  The test-local schemes in
+``tests/test_schemes_executor.py`` are complete examples.
 
 The other axes work the same way:
 

@@ -24,9 +24,7 @@ Registering a scheme::
         )
 
 ``SCHEMES.register`` also accepts a :class:`SchemeSpec` directly.  The
-paper's eight schemes are registered at the bottom of this module;
-extra plugin modules listed in :data:`PLUGIN_MODULES` are imported
-lazily on first lookup so they never burden import time.
+paper's eight schemes are registered at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -37,18 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.plugin_registry import PluginRegistry
 
-__all__ = ["PLUGIN_MODULES", "SCHEMES", "SchemeContext", "SchemeSpec"]
-
-#: Modules imported lazily on registry access so self-registering
-#: plugin schemes that live outside this package become visible without
-#: the core ever importing them eagerly (or them importing the core).
-#: Append to this list at any time; not-yet-imported entries load on
-#: the next lookup.
-PLUGIN_MODULES: List[str] = [
-    "repro.baselines.jsq_d",
-    "repro.baselines.bounded_random",
-    "repro.baselines.cclone",
-]
+__all__ = ["SCHEMES", "SchemeContext", "SchemeSpec"]
 
 
 @dataclass
@@ -144,7 +131,6 @@ SCHEMES = PluginRegistry(
     kind="scheme",
     spec_type=SchemeSpec,
     factory_field="make_client",
-    plugin_modules=PLUGIN_MODULES,
 )
 
 

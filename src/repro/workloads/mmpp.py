@@ -22,9 +22,9 @@ for both, consumed through the client's ``arrival_process`` hook:
 Both generators keep an **internal clock** advanced by every gap they
 emit.  Because the client consumes gaps in order and each gap extends
 simulated time by exactly that amount, the internal clock tracks
-simulation time even when gaps are pre-drawn ahead of it
-(``ARRIVAL_PREDRAW``) — state sojourns and sine phases land at the
-right sim instants regardless of when the draws happen.
+simulation time even though the client pre-draws gaps ahead of it —
+state sojourns and sine phases land at the right sim instants
+regardless of when the draws happen.
 """
 
 from __future__ import annotations

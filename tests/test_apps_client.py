@@ -5,12 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import assert_points_identical, tiny_config
 
 from repro.apps.client import OpenLoopClient
 from repro.core import NetCloneProgram
 from repro.core.constants import MSG_RESP, NETCLONE_UDP_PORT
 from repro.core.header import NetCloneHeader
 from repro.errors import ExperimentError
+from repro.experiments.common import run_point
+from repro.experiments.schemes import SCHEMES
 from repro.metrics.latency import LatencyRecorder
 from repro.net import Host, Link, Packet
 from repro.sim import Simulator
@@ -146,6 +149,29 @@ def test_rate_validation():
             recorder=LatencyRecorder(),
             rng=random.Random(0),
         )
+
+
+# ----------------------------------------------------------------------
+# Pre-drawn arrivals: the chunk size never shows in a result
+# ----------------------------------------------------------------------
+# With ARRIVAL_CHUNK = 1 each record is drawn at its own send time, so a
+# build_packets that read the clock or live client state would diverge
+# from the default chunk here.  Only runs without a mid-run flush
+# qualify: set_rate and a group-table swap discard the unsent records
+# together with the RNG draws they spent, so after a flush the
+# trajectory depends on the chunk size by design.
+PREDRAW_CASES = [(scheme, "star") for scheme in SCHEMES.names()] + [
+    ("netclone", "spine_leaf"),
+    ("laedge", "spine_leaf"),
+]
+
+
+@pytest.mark.parametrize("scheme, topology", PREDRAW_CASES)
+def test_arrival_chunk_does_not_change_the_point(scheme, topology, monkeypatch):
+    config = tiny_config(scheme=scheme, topology=topology)
+    default = run_point(config)
+    monkeypatch.setattr(OpenLoopClient, "ARRIVAL_CHUNK", 1)
+    assert_points_identical(run_point(config), default)
 
 
 # ----------------------------------------------------------------------

@@ -1,71 +1,48 @@
-"""C-Clone with d > 2: the deeper static-cloning plugin schemes.
+"""C-Clone's duplication degree: the paper's d = 2, fixed.
 
-``cclone-d3`` / ``cclone-d4`` register from
-:mod:`repro.baselines.cclone` through the scheme registry alone (zero
-cluster-assembly edits) — the third zero-core-edit plugin after
-``jsq-d3`` and ``bounded-random``.  The paper's ``cclone`` (d = 2)
-must keep its exact seed behaviour: the generalised client makes the
-same single ``rng.sample`` call.
+The client must spend exactly one ``rng.sample(server_ips, 2)`` per
+request, so ``cclone`` keeps its seed behaviour draw for draw.
 """
+
+import random
 
 import pytest
 from helpers import tiny_config
 
 from repro.baselines.cclone import CCloneClient
 from repro.errors import ExperimentError
-from repro.experiments.common import run_point
-from repro.experiments.schemes import SCHEMES
 
 
-def test_cclone_d_variants_registered_as_plugins():
-    assert {"cclone-d3", "cclone-d4"} <= set(SCHEMES.names())
-    assert SCHEMES.get("cclone-d3").module == "repro.baselines.cclone"
-
-
-def test_cclone_d_validation():
-    cfg = tiny_config()  # only for workload plumbing below
-    with pytest.raises(ExperimentError, match="d >= 2"):
-        _make_client(cfg, d=1)
-    with pytest.raises(ExperimentError, match="at least 5 servers"):
-        _make_client(cfg, d=5, num_servers=3)
-
-
-def _make_client(cfg, d, num_servers=3):
-    import random
-
+def _make_client(num_servers=3, seed=2):
     from repro.metrics.latency import LatencyRecorder
     from repro.sim.core import Simulator
 
-    sim = Simulator()
     return CCloneClient(
-        sim,
+        Simulator(),
         name="c",
         ip=1,
         client_id=0,
-        workload=cfg.workload.make_workload(random.Random(1)),
+        workload=tiny_config().workload.make_workload(random.Random(1)),
         rate_rps=1e5,
         recorder=LatencyRecorder(warmup_ns=0, end_ns=1),
-        rng=random.Random(2),
+        rng=random.Random(seed),
         server_ips=list(range(10, 10 + num_servers)),
-        d=d,
     )
 
 
-def test_cclone_d3_sends_three_distinct_copies():
-    client = _make_client(tiny_config(), d=3, num_servers=5)
+def test_cclone_d_validation():
+    message = r"C-Clone\(d=2\) needs at least 2 servers, got 1"
+    with pytest.raises(ExperimentError, match=message):
+        _make_client(num_servers=1)
+    assert _make_client(num_servers=2).d == 2
+
+
+def test_cclone_sends_two_distinct_copies():
+    client = _make_client(num_servers=5, seed=2)
     request = client.workload.make_request(0, 1)
     packets = client.build_packets(request)
-    assert len(packets) == 3
-    assert len({p.dst for p in packets}) == 3
-
-
-def test_deeper_cloning_pays_at_the_tail():
-    # Same offered load near d=2's saturation: every extra duplicate
-    # adds load-agnostic work, so the tail degrades monotonically in d
-    # (and by d=4 the pool is overloaded outright).
-    base = dict(num_servers=4, workers_per_server=3, rate_rps=0.15e6)
-    d2 = run_point(tiny_config(scheme="cclone", **base))
-    d3 = run_point(tiny_config(scheme="cclone-d3", **base))
-    d4 = run_point(tiny_config(scheme="cclone-d4", **base))
-    assert d2.p99_us < d3.p99_us < d4.p99_us
-    assert d4.throughput_rps < d2.throughput_rps
+    assert len(packets) == 2
+    # One sample(server_ips, 2) draw, nothing else from the client RNG.
+    reference = random.Random(2)
+    assert [p.dst for p in packets] == reference.sample(client.server_ips, 2)
+    assert client.rng.getstate() == reference.getstate()

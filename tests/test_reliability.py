@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.service import SyntheticService
 from repro.core.constants import MSG_REQ
+from repro.core.placement import GroupTable
 from repro.core.program import NetCloneProgram
 from repro.core.reliability import ReliableNetCloneClient, client_request_id
 from repro.core.server import RpcServer
@@ -51,7 +52,7 @@ def build_lossy_cluster(loss=0.05, rate=40e3, horizon=ms(30), max_attempts=6):
         recorder=recorder,
         rng=random.Random(9),
         stop_at_ns=horizon,
-        num_groups=program.num_groups,
+        group_table=program.group_table,
         retransmit_timeout_ns=us(400),
         max_attempts=max_attempts,
     )
@@ -110,10 +111,48 @@ def test_retransmission_keeps_request_id_stable():
     """The Lamport-style ID is identical across attempts (§3.7)."""
     sim, switch, client, servers, recorder = build_lossy_cluster(loss=0.0)
     request = client.workload.make_request(0, 1)
-    first = client._packet_for(request)
-    second = client._packet_for(request)
+    (first,) = client.build_packets(request)
+    (second,) = client.build_packets(request)
     assert first.nc.req_id == second.nc.req_id
     assert first.nc.req_id == client_request_id(0, 1)
+
+
+def test_retransmissions_follow_a_rebuilt_group_table():
+    """A §3.6 table swap reaches every later attempt, IDs unchanged."""
+    sim, switch, client, servers, recorder = build_lossy_cluster(loss=0.1)
+    assert client.num_groups == 6
+    smaller = GroupTable(pairs=((0, 1), (1, 0)), split=2, epoch=1)
+
+    swapped = []
+
+    def rebuild():
+        switch.program.install_group_table(smaller)
+        client.install_group_table(smaller)
+        swapped.append(sim.now)
+
+    sim.call_at(ms(10), rebuild)
+    before, after = set(), []
+    send = client.send
+
+    def logging_send(packet):
+        seq = packet.payload.client_seq
+        if swapped:
+            after.append((seq, packet.nc.grp, packet.nc.req_id))
+        else:
+            before.add(seq)
+        send(packet)
+
+    client.send = logging_send
+    client.start()
+    sim.run(until=ms(60))
+    assert client.group_table is smaller
+    after_seqs = [seq for seq, _, _ in after]
+    # Requests first sent before the swap are retransmitted after it,
+    # and some requests take several attempts after it.
+    assert before & set(after_seqs)
+    assert len(set(after_seqs)) < len(after_seqs)
+    assert all(0 <= grp < smaller.num_groups for _, grp, _ in after)
+    assert all(req_id == client_request_id(0, seq) for seq, _, req_id in after)
 
 
 def test_client_request_id_distinct_per_client_and_seq():
@@ -154,7 +193,7 @@ def test_reliable_client_validation():
             rate_rps=1.0,
             recorder=recorder,
             rng=random.Random(0),
-            num_groups=6,
+            group_table=client.group_table,
             retransmit_timeout_ns=0,
         )
     with pytest.raises(ExperimentError):
@@ -167,7 +206,7 @@ def test_reliable_client_validation():
             rate_rps=1.0,
             recorder=recorder,
             rng=random.Random(0),
-            num_groups=6,
+            group_table=client.group_table,
             max_attempts=0,
         )
 

@@ -1,7 +1,7 @@
 """Scheme plugin registry and parallel sweep engine tests.
 
 Covers the registry round-trip (register/lookup/alias/unregister and
-the error paths), the demonstration plugin scheme, determinism of the
+the error paths), a test-local plugin scheme, determinism of the
 parallel executor against the serial path, and the CLI surface that
 exposes both (``schemes`` subcommand, ``--jobs``).
 """
@@ -25,6 +25,32 @@ from repro.workloads.distributions import ExponentialDistribution
 
 
 # ----------------------------------------------------------------------
+# A test-local plugin scheme.  It registers at import, like any plugin
+# module, so a spawned sweep worker sees it by re-importing this module
+# (``module=__name__``); forked workers inherit it.
+# ----------------------------------------------------------------------
+PLUGIN = "local-random"
+PLUGIN_ALIAS = "local-alias"
+
+
+def _local_random_client(ctx, common):
+    from repro.baselines.random_lb import BaselineClient
+
+    return BaselineClient(server_ips=ctx.server_ips, **common)
+
+
+SCHEMES.register(
+    SchemeSpec(
+        name=PLUGIN,
+        description="test-local plugin: random server, no cloning",
+        aliases=(PLUGIN_ALIAS,),
+        make_client=_local_random_client,
+        module=__name__,
+    )
+)
+
+
+# ----------------------------------------------------------------------
 # Registry round-trip
 # ----------------------------------------------------------------------
 def test_builtin_schemes_registered():
@@ -43,9 +69,11 @@ def test_builtin_schemes_registered():
 
 
 def test_plugin_scheme_visible_without_common_edits():
-    assert "jsq-d3" in SCHEMES.names()
-    assert SCHEMES.get("p3c").name == "jsq-d3"  # alias resolves
-    assert any("jsq-d3" in line for line in SCHEMES.describe())
+    assert PLUGIN in SCHEMES.names()
+    assert SCHEMES.get(PLUGIN_ALIAS).name == PLUGIN  # alias resolves
+    assert any(line.startswith(PLUGIN) for line in SCHEMES.describe())
+    point = run_point(tiny_config(scheme=PLUGIN))
+    assert point.samples > 0
 
 
 def test_unknown_scheme_raises_with_known_names():
@@ -56,7 +84,7 @@ def test_unknown_scheme_raises_with_known_names():
 
 
 def test_alias_normalises_in_config():
-    assert ClusterConfig(scheme="p3c").scheme == "jsq-d3"
+    assert ClusterConfig(scheme=PLUGIN_ALIAS).scheme == PLUGIN
 
 
 def test_register_lookup_unregister_round_trip():
@@ -94,84 +122,28 @@ def test_register_lookup_unregister_round_trip():
         SCHEMES.unregister("tmp-test-scheme")
 
 
-# ----------------------------------------------------------------------
-# Demonstration plugin end-to-end
-# ----------------------------------------------------------------------
-def test_jsq_d3_runs_end_to_end():
-    result = run_sweep(tiny_config(scheme="jsq-d3"), [0.1e6, 0.2e6])
-    assert result.scheme == "jsq-d3"
-    assert len(result.points) == 2
-    assert all(point.samples > 0 for point in result.points)
-
-
-def test_jsq_d3_needs_enough_servers():
-    with pytest.raises(ExperimentError, match="at least 3 servers"):
-        run_point(tiny_config(scheme="jsq-d3", num_servers=2))
-
-
-def test_jsq_d_expires_stale_outstanding_marks():
-    import random
-    from types import SimpleNamespace
-
-    from repro.baselines.jsq_d import JsqDClient
-    from repro.metrics.latency import LatencyRecorder
-
-    class FakeWorkload:
-        def make_request(self, client_id, seq):
-            return SimpleNamespace(client_id=client_id, client_seq=seq)
-
-        def request_size(self, request):
-            return 100
-
-    sim = Simulator()
-    workload = FakeWorkload()
-    client = JsqDClient(
-        sim,
-        "c1",
-        1,
-        client_id=0,
-        workload=workload,
-        rate_rps=1e6,
-        recorder=LatencyRecorder(warmup_ns=0, end_ns=10**9),
-        rng=random.Random(1),
-        server_ips=[10, 11, 12],
-        d=3,
-        stale_after_ns=1_000,
-    )
-    client._seq = 1
-    dest = client.build_packets(workload.make_request(0, 1))[0].dst
-    assert client._outstanding_at[dest] == 1
-    # The response was dropped; past the staleness window the mark must
-    # expire instead of biasing routing away from `dest` forever.
-    sim.now = 5_000
-    client._seq = 2
-    client.build_packets(workload.make_request(0, 2))
-    assert 1 not in client._inflight_server
-    assert sum(client._outstanding_at.values()) == 1  # only the live request
-
-
 def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
-    from repro.experiments import schemes
+    # The lint-rule registry is the one axis that still loads its
+    # plugin modules lazily, from the shared RULE_MODULES list.
+    from repro.analysis import core
 
-    assert "baseline" in schemes.SCHEMES.names()  # registry already warm
+    assert "param-guard" in core.RULES.names()  # registry already warm
     plugin = tmp_path / "late_plugin_mod.py"
     plugin.write_text(
-        "from repro.baselines.random_lb import BaselineClient\n"
-        "from repro.experiments.schemes import SCHEMES, SchemeSpec\n"
-        "SCHEMES.register(SchemeSpec(\n"
+        "from repro.analysis.core import RULES, RuleSpec\n"
+        "RULES.register(RuleSpec(\n"
         "    name='late-plugin', description='registered after first lookup',\n"
-        "    make_client=lambda ctx, common: BaselineClient(\n"
-        "        server_ips=ctx.server_ips, **common),\n"
+        "    make_checker=object,\n"
         "))\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
-    schemes.PLUGIN_MODULES.append("late_plugin_mod")
+    core.RULE_MODULES.append("late_plugin_mod")
     try:
-        assert schemes.SCHEMES.get("late-plugin").name == "late-plugin"
+        assert core.RULES.get("late-plugin").name == "late-plugin"
     finally:
-        schemes.PLUGIN_MODULES.remove("late_plugin_mod")
-        schemes.SCHEMES._loaded_plugins.discard("late_plugin_mod")
-        schemes.SCHEMES.unregister("late-plugin")
+        core.RULE_MODULES.remove("late_plugin_mod")
+        core.RULES._loaded_plugins.discard("late_plugin_mod")
+        core.RULES.unregister("late-plugin")
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +160,7 @@ def test_parallel_run_sweep_matches_serial():
 
 def test_parallel_sweep_schemes_matches_serial():
     loads = [0.1e6, 0.2e6]
-    schemes = ("baseline", "jsq-d3")
+    schemes = ("baseline", PLUGIN)
     serial = {0: sweep_schemes(tiny_config(), schemes, loads)}
     parallel = {0: sweep_schemes(tiny_config(), schemes, loads, jobs=2)}
     # Two panels with distinct specs and int keys: one flattened batch
@@ -339,7 +311,7 @@ def test_executor_reseed_derives_distinct_deterministic_seeds():
 def test_cli_schemes_subcommand(capsys):
     assert main(["schemes"]) == 0
     out = capsys.readouterr().out
-    assert "netclone" in out and "jsq-d3" in out and "coordinator" in out
+    assert "netclone" in out and PLUGIN in out and "coordinator" in out
 
 
 def test_cli_list_mentions_schemes(capsys):
@@ -422,6 +394,6 @@ def test_simulator_cancel_idempotent_after_run():
 
 
 def test_sweep_schemes_keeps_caller_keys_for_aliases():
-    results = sweep_schemes(tiny_config(), ["p3c"], [0.1e6])
-    assert set(results) == {"p3c"}  # caller's key preserved
-    assert results["p3c"].scheme == "jsq-d3"  # curve label canonical
+    results = sweep_schemes(tiny_config(), [PLUGIN_ALIAS], [0.1e6])
+    assert set(results) == {PLUGIN_ALIAS}  # caller's key preserved
+    assert results[PLUGIN_ALIAS].scheme == PLUGIN  # curve label canonical

@@ -239,72 +239,6 @@ def test_run_sweep_topology_override():
 
 
 # ----------------------------------------------------------------------
-# bounded-random plugin × topology axis
-# ----------------------------------------------------------------------
-def test_bounded_random_registered_and_visible():
-    from repro.experiments.schemes import SCHEMES
-
-    assert SCHEMES.get("bounded_random").name == "bounded-random"  # alias
-    assert any("bounded-random" in line for line in SCHEMES.describe())
-
-
-def test_bounded_random_respects_bound_with_retries():
-    import random
-    from types import SimpleNamespace
-
-    from repro.baselines.bounded_random import BoundedRandomClient
-    from repro.metrics.latency import LatencyRecorder
-
-    class FakeWorkload:
-        def make_request(self, client_id, seq):
-            return SimpleNamespace(client_id=client_id, client_seq=seq)
-
-        def request_size(self, request):
-            return 100
-
-    sim = Simulator()
-    workload = FakeWorkload()
-    client = BoundedRandomClient(
-        sim,
-        "c1",
-        1,
-        client_id=0,
-        workload=workload,
-        rate_rps=1e6,
-        recorder=LatencyRecorder(warmup_ns=0, end_ns=10**9),
-        rng=random.Random(1),
-        server_ips=[10, 11],
-        bound=1,
-        max_retries=8,
-    )
-    # With bound=1 and generous retries, the first two requests must
-    # land on distinct servers (the second draw re-rolls off the busy
-    # one with probability 1 - 0.5^8).
-    destinations = set()
-    for seq in (1, 2):
-        client._seq = seq
-        destinations.add(client.build_packets(workload.make_request(0, seq))[0].dst)
-    assert destinations == {10, 11}
-    assert sum(client._outstanding_at.values()) == 2
-
-    with pytest.raises(ExperimentError):
-        BoundedRandomClient(
-            sim, "c2", 2, client_id=1, workload=workload, rate_rps=1e6,
-            recorder=LatencyRecorder(warmup_ns=0, end_ns=10**9),
-            rng=random.Random(2), server_ips=[10], bound=0,
-        )
-
-
-def test_bounded_random_runs_on_two_rack_fabric():
-    # Second zero-edit plugin path, exercised on the new topology axis.
-    result = run_sweep(
-        tiny_config(scheme="bounded-random", topology="two_rack"), [0.1e6, 0.2e6]
-    )
-    assert result.scheme == "bounded-random"
-    assert all(point.samples > 0 for point in result.points)
-
-
-# ----------------------------------------------------------------------
 # fig17 harness + CLI surface
 # ----------------------------------------------------------------------
 @pytest.mark.slow
