@@ -32,12 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ExperimentError
 from repro.experiments.placements import PLACEMENTS
-from repro.experiments.registry import (
-    UNREQUESTED,
-    gate_harness_axes,
-    get_experiment,
-    list_experiments,
-)
+from repro.experiments.registry import EXPERIMENTS, UNREQUESTED, gate_harness_axes
 from repro.experiments.schemes import SCHEMES
 from repro.experiments.topologies import TOPOLOGIES
 from repro.experiments.workloads_registry import WORKLOADS
@@ -298,8 +293,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.workload = WORKLOADS.canonical(args.workload)
     if args.list or not experiments:
         print("available experiments:")
-        for line in list_experiments():
-            print(f"  {line}")
+        for spec in sorted(EXPERIMENTS.specs(), key=lambda spec: spec.name):
+            print(f"  {spec.name} — {spec.description}")
         print("  schemes — list registered load-balancing/cloning schemes")
         print("  topologies — list registered fabric layouts")
         print("  placements — list registered group-placement policies")
@@ -327,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for line in registry.describe():
                 print(f"  {line}")
             continue
-        harness = get_experiment(experiment_id)
+        harness = EXPERIMENTS.get(experiment_id).run
         kwargs: Dict[str, Any] = dict(
             scale=args.scale,
             seed=1 if args.seed is None else args.seed,

@@ -21,8 +21,9 @@ panel (:func:`~repro.experiments.harness.scaled_config`), pass the
 panel's load grid for every scheme in one executor batch and returns
 ``{panel: {scheme: SweepResult}}`` — format the curves with
 :func:`~repro.experiments.harness.format_series`, and put
-``@register(id, description)`` on ``run`` (then import the module in
-:func:`repro.experiments.registry._ensure_loaded`).
+``@register(id, description)`` on ``run``, then add the module to
+``EXPERIMENTS``' plugin-module list in :mod:`repro.experiments.registry`
+(the registry imports it on the first lookup).
 
 Cluster assembly is generic over plugin axes that compose freely:
 
@@ -89,6 +90,10 @@ The other axes work the same way:
 * ``@WORKLOADS.register`` a :class:`WorkloadDef` whose
   ``make_spec(params)`` builds a
   :class:`~repro.experiments.specs.WorkloadSpec`.
+* ``@SPINE_POLICIES.register`` a :class:`SpinePolicySpec` whose
+  ``make_policy(fabric, **params)`` builds a
+  :class:`~repro.net.topology.SpinePolicy`; select it with
+  ``--topology spine_leaf:spine_policy=NAME``.
 
 Factories that take params reject unknown keys with
 ``registry.check_params(params, known, name)`` — a typo must never
@@ -96,21 +101,27 @@ silently run the defaults.
 """
 
 from repro.experiments.placements import PLACEMENTS, PlacementSpec
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.experiments.schemes import SCHEMES, SchemeSpec
-from repro.experiments.topologies import TOPOLOGIES, TopologySpec
+from repro.experiments.topologies import (
+    SPINE_POLICIES,
+    TOPOLOGIES,
+    SpinePolicySpec,
+    TopologySpec,
+)
 from repro.experiments.workloads_registry import WORKLOADS, WorkloadDef
 
 __all__ = [
     "EXPERIMENTS",
+    "ExperimentSpec",
     "PLACEMENTS",
     "PlacementSpec",
     "SCHEMES",
+    "SPINE_POLICIES",
     "SchemeSpec",
+    "SpinePolicySpec",
     "TOPOLOGIES",
     "TopologySpec",
     "WORKLOADS",
     "WorkloadDef",
-    "get_experiment",
-    "list_experiments",
 ]

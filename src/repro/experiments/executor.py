@@ -278,14 +278,14 @@ class SweepExecutor:
     def _registered_plugin_modules() -> Tuple[str, ...]:
         from repro.experiments.placements import PLACEMENTS
         from repro.experiments.schemes import SCHEMES
-        from repro.experiments.topologies import TOPOLOGIES
+        from repro.experiments.topologies import SPINE_POLICIES, TOPOLOGIES
         from repro.experiments.workloads_registry import WORKLOADS
-        from repro.net.topology import spine_policy_modules
 
-        modules = set(spine_policy_modules())
-        for registry in (SCHEMES, TOPOLOGIES, PLACEMENTS, WORKLOADS):
-            modules.update(registry.registered_modules())
-        return tuple(sorted(modules))
+        # Not EXPERIMENTS: sweep workers never run a figure harness.
+        registries = (SCHEMES, TOPOLOGIES, PLACEMENTS, WORKLOADS, SPINE_POLICIES)
+        return tuple(
+            sorted({m for r in registries for m in r.registered_modules()})
+        )
 
     def _picklable(
         self, stripped: List["ClusterConfig"], spec_table: Dict[int, Any]

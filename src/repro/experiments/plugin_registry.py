@@ -1,7 +1,8 @@
 """The one plugin-registry class behind every plugin axis.
 
-Schemes (``SCHEMES``), topologies (``TOPOLOGIES``), placements
-(``PLACEMENTS``), workloads (``WORKLOADS``) and detlint rules
+Schemes (``SCHEMES``), topologies (``TOPOLOGIES``), spine policies
+(``SPINE_POLICIES``), placements (``PLACEMENTS``), workloads
+(``WORKLOADS``), figure harnesses (``EXPERIMENTS``) and detlint rules
 (``RULES``) are each one :class:`PluginRegistry` instance, exported by
 its axis module and called directly: register a declarative spec
 (``@SCHEMES.register`` or a direct call), look it up by canonical
@@ -10,8 +11,9 @@ name or alias (``SCHEMES.get(name)``), parse and canonicalise the
 ``PLACEMENTS.canonical(value)``), reject unknown factory knobs
 (``check_params``), list and describe what is registered, and lazily
 import plugin modules so self-registering specs become visible
-without the core importing them eagerly.  An axis module holds only
-its spec dataclass and its built-in factories.
+without the core importing them eagerly (``RULES`` and
+``EXPERIMENTS`` load that way).  An axis module holds only its spec
+dataclass and its built-in factories.
 """
 
 from __future__ import annotations

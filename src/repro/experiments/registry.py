@@ -1,6 +1,9 @@
 """Experiment registry: IDs → harness entry points.
 
-Each entry point is a module's ``run`` function, registered by putting
+:data:`EXPERIMENTS` is a :class:`PluginRegistry` of
+:class:`ExperimentSpec`, like every other plugin axis; its plugin
+modules are the harness modules, imported on the first lookup.  Each
+entry point is a module's ``run`` function, registered by putting
 ``@register(id, description)`` on it; it prints the formatted report
 and returns it as a string.  Every ``run`` accepts ``scale: float``
 (shrinks measurement windows and sweep densities so the same harness
@@ -18,16 +21,17 @@ does not declare is an error, never a silent ignore.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ExperimentError
+from repro.experiments.plugin_registry import PluginRegistry
 
 __all__ = [
     "EXPERIMENTS",
+    "ExperimentSpec",
     "UNREQUESTED",
     "gate_harness_axes",
-    "get_experiment",
-    "list_experiments",
     "register",
 ]
 
@@ -72,57 +76,56 @@ def gate_harness_axes(
             )
     return kwargs
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {}
-_DESCRIPTIONS: Dict[str, str] = {}
+
+@dataclass
+class ExperimentSpec:
+    """One figure/table harness."""
+
+    #: Experiment id (``fig7``, ``table1``, ...).
+    name: str
+    #: One-line description shown by ``repro-netclone --list``.
+    description: str
+    #: The harness entry point: prints its report and returns it.
+    run: Callable[..., str]
+    #: Alternative lookup names.
+    aliases: Tuple[str, ...] = ()
+    #: Module that registered the spec (filled in by ``EXPERIMENTS.register``).
+    module: Optional[str] = None
+
+
+#: Every figure/table harness, loaded lazily from its module.
+EXPERIMENTS = PluginRegistry(
+    kind="experiment",
+    spec_type=ExperimentSpec,
+    factory_field="run",
+    plugin_modules=[
+        f"repro.experiments.{module}"
+        for module in (
+            "fig07_synthetic",
+            "fig08_comparison",
+            "fig09_scalability",
+            "fig10_racksched",
+            "fig11_redis",
+            "fig12_memcached",
+            "fig13_state_confidence",
+            "fig14_low_variability",
+            "fig15_filtering",
+            "fig16_switch_failure",
+            "fig17_multirack",
+            "fig18_trunk_saturation",
+            "fig19_locality",
+            "table1_comparison",
+            "table_resources",
+        )
+    ],
+)
 
 
 def register(experiment_id: str, description: str):
-    """Decorator registering an experiment harness."""
+    """Decorator registering a harness's ``run`` as *experiment_id*."""
 
-    def wrap(fn: Callable[..., str]) -> Callable[..., str]:
-        if experiment_id in EXPERIMENTS:
-            raise ExperimentError(f"duplicate experiment id {experiment_id!r}")
-        EXPERIMENTS[experiment_id] = fn
-        _DESCRIPTIONS[experiment_id] = description
-        return fn
+    def wrap(run: Callable[..., str]) -> Callable[..., str]:
+        EXPERIMENTS.register(ExperimentSpec(experiment_id, description, run))
+        return run
 
     return wrap
-
-
-def get_experiment(experiment_id: str) -> Callable[..., str]:
-    """The harness registered under *experiment_id*."""
-    _ensure_loaded()
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
-
-
-def list_experiments() -> List[str]:
-    """``id — description`` lines for every registered experiment."""
-    _ensure_loaded()
-    return [f"{key} — {_DESCRIPTIONS[key]}" for key in sorted(EXPERIMENTS)]
-
-
-def _ensure_loaded() -> None:
-    """Import every harness module so registrations run."""
-    from repro.experiments import (  # noqa: F401
-        fig07_synthetic,
-        fig08_comparison,
-        fig09_scalability,
-        fig10_racksched,
-        fig11_redis,
-        fig12_memcached,
-        fig13_state_confidence,
-        fig14_low_variability,
-        fig15_filtering,
-        fig16_switch_failure,
-        fig17_multirack,
-        fig18_trunk_saturation,
-        fig19_locality,
-        table1_comparison,
-        table_resources,
-    )

@@ -26,6 +26,11 @@ Registering a topology::
 Builders read free-form knobs from ``ctx.config.topology_params``
 (e.g. ``spine_leaf`` honours ``racks`` and ``spines``) and reject
 unknown ones with ``TOPOLOGIES.check_params``.
+
+``spine_leaf``'s ``spine_policy`` knob names an entry of
+:data:`SPINE_POLICIES`, whose :class:`SpinePolicySpec` wraps a
+:class:`~repro.net.topology.SpinePolicy` class; a registered policy is
+reachable as ``--topology spine_leaf:spine_policy=NAME``.
 """
 
 from __future__ import annotations
@@ -36,14 +41,23 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.plugin_registry import PluginRegistry
 from repro.net.topology import (
+    EcmpSpinePolicy,
     Fabric,
+    FlowletSpinePolicy,
+    LeastLoadedSpinePolicy,
     SingleRackFabric,
     SpineLeafFabric,
+    SpinePolicy,
     TwoRackFabric,
-    spine_policy_names,
 )
 
-__all__ = ["TOPOLOGIES", "TopologyContext", "TopologySpec"]
+__all__ = [
+    "SPINE_POLICIES",
+    "SpinePolicySpec",
+    "TOPOLOGIES",
+    "TopologyContext",
+    "TopologySpec",
+]
 
 
 #: Switch timing: ingress-to-egress pipeline latency and the extra
@@ -98,6 +112,28 @@ class TopologySpec:
 #: Every registered topology, by canonical name and alias.
 TOPOLOGIES = PluginRegistry(
     kind="topology", spec_type=TopologySpec, factory_field="make_fabric"
+)
+
+
+@dataclass
+class SpinePolicySpec:
+    """Declarative description of one ``spine_leaf`` spine policy."""
+
+    #: Canonical name (the ``spine_policy`` topology parameter's value).
+    name: str
+    #: One-line description of the selection rule.
+    description: str
+    #: ``(fabric, **params) -> SpinePolicy`` — usually the policy class.
+    make_policy: Callable[..., SpinePolicy]
+    #: Alternative lookup names.
+    aliases: Tuple[str, ...] = ()
+    #: Module that registered the spec (filled in by ``SPINE_POLICIES.register``).
+    module: Optional[str] = None
+
+
+#: Every registered spine policy, by canonical name and alias.
+SPINE_POLICIES = PluginRegistry(
+    kind="spine policy", spec_type=SpinePolicySpec, factory_field="make_policy"
 )
 
 
@@ -167,12 +203,7 @@ def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
          "spine_policy", "flowlet_gap_ns"),
         "spine_leaf",
     )
-    policy = str(params.get("spine_policy", "ecmp"))
-    if policy not in spine_policy_names():
-        raise ExperimentError(
-            f"topology parameter spine_policy={policy!r} must be one of: "
-            f"{', '.join(sorted(spine_policy_names()))}"
-        )
+    policy = SPINE_POLICIES.get(str(params.get("spine_policy", "ecmp")))
     return SpineLeafFabric(
         ctx.sim,
         ctx.make_switch,
@@ -180,10 +211,37 @@ def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
         spines=_param(params, "spines", 2, _strict_int),
         trunk_propagation_ns=_param(params, "trunk_propagation_ns", 1000, _strict_int),
         trunk_bandwidth_bps=_param(params, "trunk_bandwidth_bps", 400e9, float),
-        spine_policy=policy,
+        make_policy=policy.make_policy,
         flowlet_gap_ns=_param(params, "flowlet_gap_ns", 100_000, _strict_int),
     )
 
+
+SPINE_POLICIES.register(
+    SpinePolicySpec(
+        name="ecmp",
+        description="each destination ip pinned to one spine (static routes)",
+        make_policy=EcmpSpinePolicy,
+        module=__name__,
+    )
+)
+
+SPINE_POLICIES.register(
+    SpinePolicySpec(
+        name="least-loaded",
+        description="the uplink with the shallowest backlog; ECMP wins ties",
+        make_policy=LeastLoadedSpinePolicy,
+        module=__name__,
+    )
+)
+
+SPINE_POLICIES.register(
+    SpinePolicySpec(
+        name="flowlet",
+        description="least-loaded, re-picked only after a flowlet_gap_ns idle gap",
+        make_policy=FlowletSpinePolicy,
+        module=__name__,
+    )
+)
 
 TOPOLOGIES.register(
     TopologySpec(

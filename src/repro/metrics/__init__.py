@@ -15,7 +15,6 @@ __all__ = [
 ]
 
 from repro.metrics.charts import render_chart, render_sweeps  # noqa: E402
-from repro.metrics.export import sweeps_to_csv, write_sweeps_csv  # noqa: E402
 from repro.metrics.links import (  # noqa: E402
     LinkLoad,
     collect_link_loads,
@@ -29,7 +28,5 @@ __all__ += [
     "format_link_loads",
     "render_chart",
     "render_sweeps",
-    "sweeps_to_csv",
     "trunk_summary",
-    "write_sweeps_csv",
 ]

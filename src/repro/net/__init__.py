@@ -3,7 +3,7 @@
 The model is intra-rack Ethernet/IPv4/UDP.  Addresses are stored as
 integers on the hot path (see :mod:`addresses`); byte-level codecs for
 the Ethernet/IPv4/UDP headers live in :mod:`headers` and are used by
-tests and the pcap writer, not per simulated packet.
+tests, not per simulated packet.
 """
 
 from repro.net.addresses import (
@@ -31,10 +31,6 @@ from repro.net.topology import (
     SpinePolicy,
     StarTopology,
     TwoRackFabric,
-    make_spine_policy,
-    register_spine_policy,
-    spine_policy_names,
-    unregister_spine_policy,
 )
 
 __all__ = [
@@ -60,8 +56,4 @@ __all__ = [
     "format_mac",
     "ip_to_int",
     "mac_to_int",
-    "make_spine_policy",
-    "register_spine_policy",
-    "spine_policy_names",
-    "unregister_spine_policy",
 ]

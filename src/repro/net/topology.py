@@ -26,15 +26,20 @@ Experiment code never wires fabrics by hand; it resolves them through
 the topology plugin registry in :mod:`repro.experiments.topologies`.
 
 Spine selection on :class:`SpineLeafFabric` is a pluggable
-:class:`SpinePolicy`: ``ecmp`` pins each destination ip to one spine
-(a pure function of the address, compiled into static ToR routes and
-re-resolved when the active-spine set changes), ``least-loaded``
-reads the exact serialisation backlog of each candidate uplink
-(:meth:`Link.backlog_ns`) and takes the shallowest, and ``flowlet``
-keeps a flow on its spine until an idle gap lets it re-pick without
-reordering.  Policies see only the
-*active* spines, so :meth:`SpineLeafFabric.withdraw_spine` /
-:meth:`SpineLeafFabric.restore_spine` give failure drills dynamic
+:class:`SpinePolicy`: :class:`EcmpSpinePolicy` pins each destination
+ip to one spine (a pure function of the address, compiled into static
+ToR routes and re-resolved when the active-spine set changes),
+:class:`LeastLoadedSpinePolicy` reads the exact serialisation backlog
+of each candidate uplink (:meth:`Link.backlog_ns`) and takes the
+shallowest, and :class:`FlowletSpinePolicy` keeps a flow on its spine
+until an idle gap lets it re-pick without reordering.  The fabric
+takes the policy class (any ``make_policy(fabric, **params)``
+factory), never a name: the name → policy table is the
+``SPINE_POLICIES`` plugin registry in
+:mod:`repro.experiments.topologies`, which the ``spine_leaf``
+topology resolves its ``spine_policy`` parameter through.  Policies
+see only the *active* spines, so :meth:`SpineLeafFabric.withdraw_spine`
+/ :meth:`SpineLeafFabric.restore_spine` give failure drills dynamic
 route updates: withdrawn spines stop receiving new traffic
 immediately while in-flight packets still drain.
 """
@@ -59,10 +64,6 @@ __all__ = [
     "SpinePolicy",
     "StarTopology",
     "TwoRackFabric",
-    "make_spine_policy",
-    "register_spine_policy",
-    "spine_policy_names",
-    "unregister_spine_policy",
 ]
 
 
@@ -145,9 +146,6 @@ class SpinePolicy:
     models a match-action lookup already inside the pipeline pass).
     """
 
-    #: Registry key (``ecmp``, ``least-loaded``, ``flowlet``).
-    name: str = ""
-
     #: True when the choice depends only on the destination and the
     #: active-spine set.  The fabric then compiles it into static ToR
     #: routes through the policy's ``spine_for(dst)`` (re-resolved on
@@ -170,7 +168,6 @@ class EcmpSpinePolicy(SpinePolicy):
     re-maps over the surviving spines, so recovery needs no state.
     """
 
-    name = "ecmp"
     static = True
 
     def select(self, tor: int, packet: Any) -> int:
@@ -190,8 +187,6 @@ class LeastLoadedSpinePolicy(SpinePolicy):
     when a trunk actually queues — the near-source congestion
     signaling that deterministic ECMP lacks.
     """
-
-    name = "least-loaded"
 
     def select(self, tor: int, packet: Any) -> int:
         fabric = self.fabric
@@ -217,8 +212,6 @@ class FlowletSpinePolicy(LeastLoadedSpinePolicy):
     gaps is what lets real fabrics rebalance without reordering.
     """
 
-    name = "flowlet"
-
     def __init__(self, fabric: "SpineLeafFabric", **params: Any):
         super().__init__(fabric, **params)
         self.gap_ns = int(params.get("flowlet_gap_ns", 100_000))
@@ -241,64 +234,6 @@ class FlowletSpinePolicy(LeastLoadedSpinePolicy):
         spine = super().select(tor, packet)
         self._flows[key] = [spine, now]
         return spine
-
-
-#: Policy name → class; extend via :func:`register_spine_policy`.
-SPINE_POLICIES: Dict[str, Any] = {}
-
-
-def register_spine_policy(cls):
-    """Register a :class:`SpinePolicy` subclass under its ``name``.
-
-    Usable as a decorator.  Once registered, the policy is reachable
-    from every layer above (``topology_params={"spine_policy": ...}``,
-    ``--topology spine_leaf:spine_policy=...``) with zero further
-    edits.  Duplicate names raise.
-    """
-    name = getattr(cls, "name", "")
-    if not name:
-        raise NetworkError("spine policy classes need a non-empty `name`")
-    if name in SPINE_POLICIES:
-        raise NetworkError(f"spine policy {name!r} already registered")
-    SPINE_POLICIES[name] = cls
-    return cls
-
-
-def unregister_spine_policy(name: str) -> None:
-    """Remove a policy registration (mainly for tests)."""
-    if name not in SPINE_POLICIES:
-        raise NetworkError(f"spine policy {name!r} is not registered")
-    del SPINE_POLICIES[name]
-
-
-for _cls in (EcmpSpinePolicy, LeastLoadedSpinePolicy, FlowletSpinePolicy):
-    register_spine_policy(_cls)
-del _cls
-
-
-def spine_policy_names() -> Tuple[str, ...]:
-    """Registered spine-policy names."""
-    return tuple(SPINE_POLICIES)
-
-
-def spine_policy_modules() -> Tuple[str, ...]:
-    """Modules of the registered policies, for sweep worker re-imports.
-
-    Spawned workers start clean, so these modules are shipped to them
-    and plugin policies resolve under ``jobs > 1`` exactly like plugin
-    schemes and topologies.
-    """
-    return tuple(sorted({cls.__module__ for cls in SPINE_POLICIES.values()}))
-
-
-def make_spine_policy(name: str, fabric: "SpineLeafFabric", **params: Any) -> SpinePolicy:
-    """Instantiate the policy registered under *name* for *fabric*."""
-    try:
-        cls = SPINE_POLICIES[name]
-    except KeyError:
-        known = ", ".join(sorted(SPINE_POLICIES))
-        raise NetworkError(f"unknown spine policy {name!r}; known: {known}") from None
-    return cls(fabric, **params)
 
 
 # ----------------------------------------------------------------------
@@ -505,13 +440,14 @@ class SpineLeafFabric(Fabric):
 
     Servers and clients are spread round-robin across racks
     (host ``i`` lands in rack ``i % racks``); the coordinator lives in
-    rack 0.  Inter-rack traffic picks its spine through the fabric's
-    :class:`SpinePolicy` (``spine_policy``): the default ``ecmp`` pins
-    each destination to ``ip % spines`` and is compiled into static
-    ToR routes when a host is announced, while ``least-loaded`` and
-    ``flowlet`` read uplink backlog at egress time through per-packet
-    selectors.  ToRs run the scheme's switch program (with their
-    1-based rack number as §3.7 switch ID); spines stay plain L3.
+    rack 0.  Inter-rack traffic picks its spine through the
+    :class:`SpinePolicy` that ``make_policy(fabric, **params)`` builds
+    (a policy class works as is): the default :class:`EcmpSpinePolicy`
+    pins each destination to ``ip % spines`` and is compiled into
+    static ToR routes when a host is announced, while the least-loaded
+    and flowlet policies read uplink backlog at egress time through
+    per-packet selectors.  ToRs run the scheme's switch program (with
+    their 1-based rack number as §3.7 switch ID); spines stay plain L3.
 
     Spines can be withdrawn and restored at runtime
     (:meth:`withdraw_spine` / :meth:`restore_spine`), which every
@@ -530,7 +466,7 @@ class SpineLeafFabric(Fabric):
         bandwidth_bps: float = 100e9,
         trunk_propagation_ns: int = 1000,
         trunk_bandwidth_bps: float = 400e9,
-        spine_policy: str = "ecmp",
+        make_policy: Callable[..., SpinePolicy] = EcmpSpinePolicy,
         flowlet_gap_ns: int = 100_000,
     ):
         super().__init__(sim)
@@ -578,9 +514,7 @@ class SpineLeafFabric(Fabric):
         #: Per-spine withdrawal generation; a delayed restore callback
         #: from an older generation must not re-activate the spine.
         self._spine_epoch = [0] * spines
-        self.policy = make_spine_policy(
-            spine_policy, self, flowlet_gap_ns=flowlet_gap_ns
-        )
+        self.policy = make_policy(self, flowlet_gap_ns=flowlet_gap_ns)
         self._selectors = [self._make_selector(t) for t in range(racks)]
         #: Announced host ip → its rack: the remote routes a static
         #: policy re-resolves.

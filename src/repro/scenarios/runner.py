@@ -308,8 +308,11 @@ class _ScenarioExecution:
                 - sw.counters.get("nc_filtered")
                 for sw in cluster.switches
             ),
+            # Fresh arrivals (rx_dropped_down) and recirculated copies
+            # (dropped_down) that met a powered-off switch.
             "switch_drops_down": sum(
-                sw.counters.get("rx_dropped_down") for sw in cluster.switches
+                sw.counters.get("rx_dropped_down") + sw.counters.get("dropped_down")
+                for sw in cluster.switches
             ),
             "switch_failures": sum(
                 sw.counters.get("failures") for sw in cluster.switches

@@ -1,7 +1,4 @@
-"""Tests for ASCII charts and CSV export, plus a cluster fuzz property."""
-
-import csv
-import io
+"""Tests for the ASCII chart renderer."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.metrics.charts import render_chart, render_sweeps
-from repro.metrics.export import sweeps_to_csv, write_sweeps_csv
 from repro.metrics.sweep import LoadPoint, SweepResult
 
 
@@ -78,21 +74,3 @@ def test_property_chart_never_crashes_and_is_rectangular(points):
     assert len(body) == 10
     assert len({len(line) for line in body}) == 1  # aligned rows
 
-
-def test_csv_roundtrip():
-    sweeps = [make_sweep("baseline"), make_sweep("netclone", n=2)]
-    text = sweeps_to_csv(sweeps)
-    rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == 6
-    assert rows[0]["scheme"] == "baseline"
-    assert float(rows[0]["p99_us"]) == 100.0
-    assert rows[-1]["workload"] == "Exp(25)"
-
-
-def test_csv_write_to_file(tmp_path):
-    path = tmp_path / "out.csv"
-    count = write_sweeps_csv(str(path), [make_sweep(n=3)])
-    assert count == 3
-    content = path.read_text()
-    assert content.startswith("scheme,workload,offered_rps")
-    assert len(content.splitlines()) == 4

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.experiments import get_experiment, list_experiments
+from repro.experiments import EXPERIMENTS
 from repro.experiments import (
     fig11_redis,
     fig15_filtering,
@@ -36,8 +36,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # Registry and CLI
 # ----------------------------------------------------------------------
 def test_registry_lists_all_experiments():
-    registered = {line.split(" — ")[0] for line in list_experiments()}
-    assert registered == {
+    assert set(EXPERIMENTS.names()) == {
         "fig7",
         "fig8",
         "fig9",
@@ -58,7 +57,7 @@ def test_registry_lists_all_experiments():
 
 def test_registry_unknown_experiment():
     with pytest.raises(ExperimentError):
-        get_experiment("fig99")
+        EXPERIMENTS.get("fig99")
 
 
 def test_cli_list(capsys):

@@ -25,10 +25,14 @@ from helpers import tiny_config
 
 from repro.errors import NetworkError
 from repro.experiments.common import run_point
-from repro.experiments.topologies import TOPOLOGIES, TopologyContext
+from repro.experiments.topologies import (
+    SPINE_POLICIES,
+    TOPOLOGIES,
+    TopologyContext,
+)
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.net.topology import SpineLeafFabric, spine_policy_names
+from repro.net.topology import SpineLeafFabric
 from repro.sim.core import Simulator
 from repro.sim.units import ms
 from repro.switchsim.switch import ProgrammableSwitch
@@ -189,7 +193,7 @@ def test_least_loaded_matches_ecmp_on_an_idle_fabric():
 
 
 def test_all_registered_spine_policies_cover_the_builtins():
-    assert {"ecmp", "least-loaded", "flowlet"} <= set(spine_policy_names())
+    assert {"ecmp", "least-loaded", "flowlet"} <= set(SPINE_POLICIES.names())
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The ``PluginRegistry`` contract, checked on every registry instance.
 
-Schemes, topologies, placements, workloads and detlint rules all live
-on one :class:`~repro.experiments.plugin_registry.PluginRegistry`
-class, and callers use the instances directly.  Each test here runs
+Schemes, topologies, placements, workloads, spine policies, figure
+harnesses and detlint rules all live on one
+:class:`~repro.experiments.plugin_registry.PluginRegistry` class, and
+callers use the instances directly.  Each test here runs
 once per instance with a throwaway spec, so an axis cannot drift from
 the shared behaviour: aliases, duplicate rejection, unknown-name
 errors, the register/unregister round trip, the listing lines, and
@@ -15,8 +16,9 @@ import pytest
 from repro.analysis import RULES
 from repro.errors import ExperimentError
 from repro.experiments.placements import PLACEMENTS
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.schemes import SCHEMES
-from repro.experiments.topologies import TOPOLOGIES
+from repro.experiments.topologies import SPINE_POLICIES, TOPOLOGIES
 from repro.experiments.workloads_registry import WORKLOADS
 
 REGISTRIES = {
@@ -24,6 +26,8 @@ REGISTRIES = {
     "topology": TOPOLOGIES,
     "placement": PLACEMENTS,
     "workload": WORKLOADS,
+    "spine_policy": SPINE_POLICIES,
+    "experiment": EXPERIMENTS,
     "rule": RULES,
 }
 AXES = ("scheme", "topology", "placement", "workload")

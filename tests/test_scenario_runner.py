@@ -17,6 +17,7 @@ import pytest
 from helpers import tiny_scenario
 
 from repro.errors import ExperimentError
+from repro.experiments.common import Cluster
 from repro.scenarios import (
     ScenarioReport,
     catalog,
@@ -27,6 +28,7 @@ from repro.scenarios import (
     run_scenario_grid,
     scenario_grid,
 )
+from repro.scenarios.runner import _ScenarioExecution
 from repro.sim.units import ms
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -119,6 +121,30 @@ def test_zero_delay_switch_wipe_counts_its_recovery():
     final = report.final
     assert final["switch_failures"] == 1
     assert final["switch_recoveries"] == final["switch_failures"]
+
+
+def test_snapshot_counts_a_recirculated_copy_dropped_at_a_down_tor():
+    # The first clone a ToR recirculates finds the ToR powered off when
+    # it comes back around: that loss must reach the loss budget too.
+    scenario = tiny_scenario(name="recirc-drop")
+    cluster = Cluster(scenario.config())
+    execution = _ScenarioExecution(scenario, cluster)
+    tor = cluster.tors[0]
+    recirculate = tor.recirculate
+
+    def recirculate_then_fail(packet):
+        recirculate(packet)
+        if not tor.down:
+            cluster.sim.call_after(0, tor.fail)
+
+    tor.recirculate = recirculate_then_fail
+    cluster.start()
+    cluster.run()
+    assert tor.counters.get("dropped_down") == 1
+    snapshot = execution.snapshot("end")
+    assert snapshot["switch_drops_down"] == (
+        tor.counters.get("rx_dropped_down") + 1
+    )
 
 
 def test_meta_records_liveness_floor():

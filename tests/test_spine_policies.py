@@ -14,19 +14,29 @@ from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
 from repro.experiments.harness import sweep_schemes
 from repro.experiments.plugin_registry import format_plugin_params
-from repro.experiments.topologies import TOPOLOGIES, TopologySpec
+from repro.experiments.topologies import (
+    SPINE_POLICIES,
+    TOPOLOGIES,
+    SpinePolicySpec,
+    TopologySpec,
+)
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.net.topology import SpineLeafFabric, make_spine_policy
+from repro.net.topology import LeastLoadedSpinePolicy, SpineLeafFabric
 from repro.sim.core import Simulator
 from repro.sim.units import ms, us
 from repro.switchsim.switch import ProgrammableSwitch
 
 
-def make_fabric(**kwargs):
+def make_fabric(spine_policy="ecmp", **kwargs):
+    """A bare spine-leaf fabric; *spine_policy* resolves by registry name."""
+    make_policy = SPINE_POLICIES.get(spine_policy).make_policy
     sim = Simulator()
     fabric = SpineLeafFabric(
-        sim, lambda name: ProgrammableSwitch(sim, name=name), **kwargs
+        sim,
+        lambda name: ProgrammableSwitch(sim, name=name),
+        make_policy=make_policy,
+        **kwargs,
     )
     return sim, fabric
 
@@ -39,11 +49,10 @@ def probe(dst, src=1):
 # Policy units
 # ----------------------------------------------------------------------
 def test_unknown_spine_policy_raises_with_known_names():
-    sim, fabric = make_fabric(racks=2, spines=2)
-    with pytest.raises(NetworkError, match="least-loaded"):
-        make_spine_policy("hottest-first", fabric)
-    with pytest.raises(NetworkError):
+    with pytest.raises(ExperimentError, match="unknown spine policy") as excinfo:
         make_fabric(racks=2, spines=2, spine_policy="hottest-first")
+    for name in ("ecmp", "least-loaded", "flowlet"):
+        assert repr(name) in str(excinfo.value)
 
 
 def test_least_loaded_avoids_a_backlogged_uplink():
@@ -193,7 +202,7 @@ def test_cluster_builds_policy_from_inline_params():
     cluster = Cluster(
         tiny_config(topology="spine_leaf:racks=2,spines=2,spine_policy=least-loaded")
     )
-    assert cluster.topology.policy.name == "least-loaded"
+    assert type(cluster.topology.policy) is LeastLoadedSpinePolicy
     assert len(cluster.topology.spines) == 2
 
 
@@ -243,40 +252,40 @@ def test_typoed_topology_param_raises_instead_of_silently_defaulting():
 
 
 def test_plugin_spine_policy_reachable_from_topology_params():
-    from repro.net.topology import (
-        SpinePolicy,
-        register_spine_policy,
-        unregister_spine_policy,
-    )
+    from repro.experiments.executor import SweepExecutor
+    from repro.net.topology import SpinePolicy
 
-    @register_spine_policy
     class _AlwaysLast(SpinePolicy):
-        name = "always-last"
-
         def select(self, tor, packet):
             return self.fabric.active_spines()[-1]
 
+    @SPINE_POLICIES.register
+    def _always_last():
+        return SpinePolicySpec(
+            name="always-last",
+            description="every packet to the last active spine",
+            make_policy=_AlwaysLast,
+        )
+
     try:
-        with pytest.raises(NetworkError, match="already registered"):
-            register_spine_policy(_AlwaysLast)
+        with pytest.raises(ExperimentError, match="already registered"):
+            SPINE_POLICIES.register(_always_last)
         point = run_point(
             tiny_config(topology="spine_leaf:racks=2,spines=2,spine_policy=always-last")
         )
         assert point.samples > 0
         # The registering module ships to sweep workers, like the
         # scheme/topology registries.
-        from repro.experiments.executor import SweepExecutor
-        from repro.net.topology import spine_policy_modules
-
-        assert __name__ in spine_policy_modules()
+        assert __name__ in SPINE_POLICIES.registered_modules()
         assert __name__ in SweepExecutor._registered_plugin_modules()
     finally:
-        unregister_spine_policy("always-last")
+        SPINE_POLICIES.unregister("always-last")
     # Unregistered, its module no longer ships: a worker importing it
     # would register the policy again.
-    assert __name__ not in spine_policy_modules()
-    with pytest.raises(NetworkError):
-        unregister_spine_policy("always-last")
+    assert __name__ not in SPINE_POLICIES.registered_modules()
+    assert __name__ not in SweepExecutor._registered_plugin_modules()
+    with pytest.raises(ExperimentError):
+        SPINE_POLICIES.unregister("always-last")
 
 
 def test_link_load_series_counts_and_formats():
