@@ -1,14 +1,14 @@
 """Benchmark: raw engine throughput, no network model on top.
 
 Two substrates every experiment sits on, measured in isolation: the
-event loop's fast lane (``call_at`` pushing bare tuples) and the
+event loop (``call_at`` pushing bare tuples) and the
 packet free-list pool.  ``REPRO_BENCH_SCALE`` scales the cycle counts
 (1M schedule/run cycles at the default 0.25).  The event-loop bodies
 live in :mod:`microbench`, shared with ``tools/bench_baseline.py``.
 """
 
 from conftest import run_once
-from microbench import churn_executed, core_events, schedule_run, schedule_run_churn
+from microbench import core_events, schedule_run
 
 from repro.net.packet import PacketPool
 
@@ -25,12 +25,6 @@ def bench_core_schedule_run(benchmark, bench_scale):
     n = core_events(bench_scale)
     executed = run_once(benchmark, schedule_run, n=n)
     assert executed == n
-
-
-def bench_core_schedule_run_churn(benchmark, bench_scale):
-    n = core_events(bench_scale)
-    executed = run_once(benchmark, schedule_run_churn, n=n)
-    assert executed == churn_executed(n)
 
 
 def bench_core_packet_pool(benchmark, bench_scale):

@@ -14,7 +14,7 @@ from repro.metrics.latency import percentile
 from repro.metrics.sketch import LatencySketch
 from repro.sim.core import Simulator
 
-#: Fast-lane events per schedule/run cycle at scale 1.0.
+#: Events per schedule/run cycle at scale 1.0.
 CORE_EVENTS = 4_000_000
 
 #: Metrics-pipeline latency samples at scale 1.0, split over WORKERS.
@@ -23,40 +23,17 @@ WORKERS = 4
 
 
 def core_events(scale: float) -> int:
-    """Schedule/run cycle length at *scale* (at least one churn stride)."""
-    return max(4, int(CORE_EVENTS * scale))
-
-
-def churn_executed(n: int) -> int:
-    """Events :func:`schedule_run_churn` executes out of *n* scheduled."""
-    return n - (n + 3) // 4
+    """Schedule/run cycle length at *scale* (at least one event)."""
+    return max(1, int(CORE_EVENTS * scale))
 
 
 def schedule_run(n: int) -> int:
-    """Schedule *n* monotone fast-lane events, then drain them."""
+    """Schedule *n* monotone events, then drain them."""
     sim = Simulator()
     call_at = sim.call_at
     noop = int
     for t in range(n):
         call_at(t, noop)
-    return sim.run()
-
-
-def schedule_run_churn(n: int) -> int:
-    """Same, with every fourth event a cancellable that gets cancelled.
-
-    Exercises the slow lane, lazy deletion and heap compaction under
-    the fast lane's feet.
-    """
-    sim = Simulator()
-    call_at = sim.call_at
-    at = sim.at
-    noop = int
-    for t in range(n):
-        if t & 3:
-            call_at(t, noop)
-        else:
-            at(t, noop).cancel()
     return sim.run()
 
 

@@ -5,8 +5,8 @@ Every claim this reproduction makes — bit-identical seed goldens,
 on determinism and resource discipline.  Goldens catch violations
 *after* they land; this engine catches the hazard classes we have
 actually been bitten by (unseeded global RNG draws, wall-clock reads
-inside the simulation, leaked pool packets, dropped scheduler handles,
-un-stamped group tables) at review time, where they originate.
+inside the simulation, leaked pool packets, un-stamped group tables) at
+review time, where they originate.
 
 Rules are plugins on the same :class:`~repro.experiments.
 plugin_registry.PluginRegistry` the scheme/topology/placement/workload

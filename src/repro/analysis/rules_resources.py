@@ -2,13 +2,9 @@
 
 * ``packet-leak`` — a ``PacketPool.acquire`` result that is neither
   released nor handed off starves the free list and (worse) silently
-  shifts every later uid if someone "fixes" it, breaking goldens;
-* ``dropped-handle`` — ``sim.at`` / ``sim.schedule`` allocate a
-  cancellable :class:`~repro.sim.core.EventHandle`; discarding it
-  means nobody can ever cancel, so the call belongs on the handle-free
-  fast lane (``call_at`` / ``call_after``, bit-identical seq-for-seq).
+  shifts every later uid if someone "fixes" it, breaking goldens.
 
-The checkers are deliberately intra-function heuristics: returning,
+The checker is a deliberately intra-function heuristic: returning,
 storing, or passing an acquired packet counts as an ownership hand-off
 (the receiver releases it), so the rule only fires when a packet
 provably cannot escape the function alive.
@@ -21,10 +17,9 @@ from typing import List, Optional
 
 from repro.analysis.core import RULES, RuleContext, RuleSpec
 
-__all__ = ["DROPPED_HANDLE", "PACKET_LEAK"]
+__all__ = ["PACKET_LEAK"]
 
 PACKET_LEAK = "packet-leak"
-DROPPED_HANDLE = "dropped-handle"
 
 
 def _receiver_text(node: ast.AST) -> Optional[str]:
@@ -135,30 +130,6 @@ class _PacketLeakChecker:
         return False
 
 
-class _DroppedHandleChecker:
-    def visit_Expr(self, node: ast.Expr, ctx: RuleContext) -> None:
-        call = node.value
-        if not (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr in ("at", "schedule")
-        ):
-            return
-        receiver = _receiver_text(call.func.value)
-        if receiver is None or not (
-            receiver == "sim" or receiver.endswith(".sim")
-        ):
-            return
-        fast = "call_at" if call.func.attr == "at" else "call_after"
-        ctx.report(
-            node,
-            f"cancellable handle from {receiver}.{call.func.attr}(...) is "
-            f"dropped; use {receiver}.{fast}(...) on the handle-free fast "
-            "lane (same seq consumption, bit-identical order) or store the "
-            "handle for cancel",
-        )
-
-
 RULES.register(
     RuleSpec(
         name=PACKET_LEAK,
@@ -166,17 +137,6 @@ RULES.register(
         "hand-off on the enclosing function's exit paths",
         make_checker=_PacketLeakChecker,
         severity="error",
-        module=__name__,
-    )
-)
-
-RULES.register(
-    RuleSpec(
-        name=DROPPED_HANDLE,
-        description="sim.at/sim.schedule handles dropped without "
-        "cancel-or-store; fire-and-forget events belong on call_at/call_after",
-        make_checker=_DroppedHandleChecker,
-        severity="warning",
         module=__name__,
     )
 )

@@ -87,8 +87,8 @@ class RpcServer(Host):
         self.busy_workers = 0
         self.counters = Counter()
         # Hot-path shortcuts: per-request counter bumps go straight to
-        # the dict (Counter.reset clears in place, alias stays valid),
-        # and trivial-spin services skip two dispatches per execution.
+        # the counters' dict, and trivial-spin services skip two
+        # dispatches per execution.
         self._counts = self.counters._counts
         self._trivial_spin = bool(getattr(service, "trivial_spin", False))
         self._fixed_resp_size = getattr(service, "fixed_response_size", None)

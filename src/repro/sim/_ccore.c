@@ -20,14 +20,17 @@
  * inlined Python push.
  *
  * Entry tuples are allocated from the interpreter's pooled small-tuple
- * free list, and the zero-argument `call_after` fast lane reuses the
- * empty-tuple singleton, so steady-state scheduling does no allocator
- * round-trips beyond the entry itself.
+ * free list, and zero-argument calls reuse the empty-tuple singleton,
+ * so steady-state scheduling does no allocator round-trips beyond the
+ * entry itself.
+ *
+ * The API is the Python engine's single scheduling path: `call_at` /
+ * `call_after` push a fire-and-forget entry; `run` / `peek` consume
+ * and inspect the lanes.
  *
  * Ordering contract (identical to the Python engine): events fire in
- * total `(time, seq)` order; seq is unique and monotone across both
- * APIs, so same-instant events are FIFO and payloads are never
- * compared.
+ * total `(time, seq)` order; seq is unique and monotone, so
+ * same-instant events are FIFO and payloads are never compared.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -35,21 +38,13 @@
 #include <structmember.h>
 
 /* Configured once from Python via _ccore.configure(...). */
-static PyObject *g_event_handle = NULL;   /* EventHandle class */
 static PyObject *g_sched_error = NULL;    /* SchedulingError class */
-static PyObject *g_str_cancelled = NULL;
-static PyObject *g_str_sim = NULL;
-static PyObject *g_str_fn = NULL;
-static PyObject *g_str_args = NULL;
-static PyObject *g_str_compact = NULL;    /* "COMPACT_THRESHOLD" */
 
 typedef struct {
     PyObject_HEAD
     long long now;
     long long seq;
     long long event_count;
-    long long cancelled;
-    int running;
     PyObject *heap;          /* list, heapq invariant */
     PyObject *tail;          /* list, sorted; live region starts at tail_head */
     Py_ssize_t tail_head;
@@ -184,19 +179,6 @@ heap_pop(PyObject *heap)
     return min;
 }
 
-/* Floyd heapify in place. */
-static int
-heap_heapify(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    Py_ssize_t i;
-    for (i = n / 2 - 1; i >= 0; i--) {
-        if (heap_siftup(heap, i) < 0)
-            return -1;
-    }
-    return 0;
-}
-
 /* ------------------------------------------------------------------ */
 /* Tail lane (sorted list with a C-side head index)                    */
 /* ------------------------------------------------------------------ */
@@ -282,11 +264,11 @@ lane_push(SimObject *self, PyObject *entry, long long time)
     return PyList_Append(self->tail, entry);
 }
 
-/* Build the 4-tuple entry and push it.  `args` is a borrowed tuple (or
- * Py_None for handle entries); `target` is fn or the EventHandle. */
+/* Build the 4-tuple entry and push it.  `fn` and `args` (a tuple) are
+ * borrowed. */
 static int
 schedule_entry(SimObject *self, PyObject *time_obj, long long time,
-               PyObject *target, PyObject *args)
+               PyObject *fn, PyObject *args)
 {
     long long seq = self->seq + 1;
     PyObject *entry, *seq_obj;
@@ -302,8 +284,8 @@ schedule_entry(SimObject *self, PyObject *time_obj, long long time,
     Py_INCREF(time_obj);
     PyTuple_SET_ITEM(entry, 0, time_obj);
     PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(target);
-    PyTuple_SET_ITEM(entry, 2, target);
+    Py_INCREF(fn);
+    PyTuple_SET_ITEM(entry, 2, fn);
     Py_INCREF(args);
     PyTuple_SET_ITEM(entry, 3, args);
     if (lane_push(self, entry, time) < 0) {
@@ -314,8 +296,8 @@ schedule_entry(SimObject *self, PyObject *time_obj, long long time,
     return 0;
 }
 
-/* Shared argument unpacking for the four scheduling methods:
- * (when, fn, *args).  Fills *time/*time_obj (new ref) and *extra
+/* Shared argument unpacking for the two scheduling methods:
+ * (when, fn, *args).  Fills *time, *time_obj (new ref) and *extra
  * (new ref, the packed varargs tuple). */
 static int
 parse_schedule_args(PyObject *const *args, Py_ssize_t nargs,
@@ -408,163 +390,11 @@ sim_call_after(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* Cancellable lane: build an EventHandle and push (time, seq, handle,
- * None).  Shared by at() and schedule(). */
-static PyObject *
-make_handle_entry(SimObject *self, PyObject *time_obj, long long time,
-                  PyObject *fn, PyObject *extra)
-{
-    PyObject *handle;
-    int rc;
-    handle = PyObject_CallFunction(g_event_handle, "OOOO",
-                                   time_obj, fn, extra, (PyObject *)self);
-    if (handle == NULL)
-        return NULL;
-    rc = schedule_entry(self, time_obj, time, handle, Py_None);
-    if (rc < 0) {
-        Py_DECREF(handle);
-        return NULL;
-    }
-    return handle;
-}
-
-static PyObject *
-sim_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *time_obj, *fn, *extra, *handle;
-    long long time;
-    if (parse_schedule_args(args, nargs, "at",
-                            &time_obj, &time, &fn, &extra) < 0)
-        return NULL;
-    if (time < self->now) {
-        PyErr_Format(g_sched_error,
-                     "cannot schedule at t=%lld which is before now=%lld",
-                     time, self->now);
-        Py_DECREF(time_obj);
-        Py_DECREF(extra);
-        return NULL;
-    }
-    handle = make_handle_entry(self, time_obj, time, fn, extra);
-    Py_DECREF(time_obj);
-    Py_DECREF(extra);
-    return handle;
-}
-
-static PyObject *
-sim_schedule(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *time_obj, *fn, *extra, *handle;
-    long long delay, time;
-    if (parse_schedule_args(args, nargs, "schedule",
-                            &time_obj, &delay, &fn, &extra) < 0)
-        return NULL;
-    Py_DECREF(time_obj);
-    if (delay < 0) {
-        PyErr_Format(g_sched_error, "negative delay %lld", delay);
-        Py_DECREF(extra);
-        return NULL;
-    }
-    time = self->now + delay;
-    time_obj = PyLong_FromLongLong(time);
-    if (time_obj == NULL) {
-        Py_DECREF(extra);
-        return NULL;
-    }
-    handle = make_handle_entry(self, time_obj, time, fn, extra);
-    Py_DECREF(time_obj);
-    Py_DECREF(extra);
-    return handle;
-}
-
-/* ------------------------------------------------------------------ */
-/* Cancellation bookkeeping                                            */
-/* ------------------------------------------------------------------ */
-
-/* entry is live iff args is not None, or the handle is not cancelled.
- * Returns 1/0, or -1 on error. */
-static int
-entry_live(PyObject *entry)
-{
-    PyObject *args = PyTuple_GET_ITEM(entry, 3);
-    PyObject *flag;
-    int live;
-    if (args != Py_None)
-        return 1;
-    flag = PyObject_GetAttr(PyTuple_GET_ITEM(entry, 2), g_str_cancelled);
-    if (flag == NULL)
-        return -1;
-    live = !PyObject_IsTrue(flag);
-    Py_DECREF(flag);
-    return live;
-}
-
-static PyObject *
-sim_note_cancelled(SimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    long long threshold = 64;
-    Py_ssize_t pending;
-    PyObject *thr;
-    self->cancelled++;
-    thr = PyObject_GetAttr((PyObject *)self, g_str_compact);
-    if (thr == NULL)
-        return NULL;
-    threshold = PyLong_AsLongLong(thr);
-    Py_DECREF(thr);
-    if (threshold == -1 && PyErr_Occurred())
-        return NULL;
-    pending = PyList_GET_SIZE(self->heap)
-              + PyList_GET_SIZE(self->tail) - self->tail_head;
-    if (self->cancelled >= threshold
-        && self->cancelled * 2 >= (long long)pending) {
-        /* Compact both lanes in place (object identity preserved for
-         * any Python code holding sim._tail / sim._heap). */
-        PyObject *live = PyList_New(0);
-        Py_ssize_t i, n;
-        if (live == NULL)
-            return NULL;
-        n = PyList_GET_SIZE(self->heap);
-        for (i = 0; i < n; i++) {
-            PyObject *e = PyList_GET_ITEM(self->heap, i);
-            int ok = entry_live(e);
-            if (ok < 0 || (ok && PyList_Append(live, e) < 0)) {
-                Py_DECREF(live);
-                return NULL;
-            }
-        }
-        if (PyList_SetSlice(self->heap, 0, n, live) < 0
-            || heap_heapify(self->heap) < 0) {
-            Py_DECREF(live);
-            return NULL;
-        }
-        if (PyList_SetSlice(live, 0, PyList_GET_SIZE(live), NULL) < 0) {
-            Py_DECREF(live);
-            return NULL;
-        }
-        n = PyList_GET_SIZE(self->tail);
-        for (i = self->tail_head; i < n; i++) {
-            PyObject *e = PyList_GET_ITEM(self->tail, i);
-            int ok = entry_live(e);
-            if (ok < 0 || (ok && PyList_Append(live, e) < 0)) {
-                Py_DECREF(live);
-                return NULL;
-            }
-        }
-        if (PyList_SetSlice(self->tail, 0, n, live) < 0) {
-            Py_DECREF(live);
-            return NULL;
-        }
-        self->tail_head = 0;
-        Py_DECREF(live);
-        self->cancelled = 0;
-    }
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------------------ */
 /* Execution                                                           */
 /* ------------------------------------------------------------------ */
 
-/* Dispatch one live entry: advance the clock and invoke the callback.
+/* Dispatch one entry: advance the clock and invoke the callback.
  * Caller owns `entry` and keeps ownership.  Returns 0, or -1 with an
  * exception set. */
 static int
@@ -573,27 +403,7 @@ dispatch(SimObject *self, PyObject *entry, long long time)
     PyObject *args = PyTuple_GET_ITEM(entry, 3);
     PyObject *res;
     self->now = time;
-    if (args != Py_None) {
-        res = PyObject_Call(PyTuple_GET_ITEM(entry, 2), args, NULL);
-    }
-    else {
-        /* fired: a later cancel() must not count it */
-        PyObject *handle = PyTuple_GET_ITEM(entry, 2);
-        PyObject *fn, *hargs;
-        if (PyObject_SetAttr(handle, g_str_sim, Py_None) < 0)
-            return -1;
-        fn = PyObject_GetAttr(handle, g_str_fn);
-        if (fn == NULL)
-            return -1;
-        hargs = PyObject_GetAttr(handle, g_str_args);
-        if (hargs == NULL) {
-            Py_DECREF(fn);
-            return -1;
-        }
-        res = PyObject_Call(fn, hargs, NULL);
-        Py_DECREF(fn);
-        Py_DECREF(hargs);
-    }
+    res = PyObject_Call(PyTuple_GET_ITEM(entry, 2), args, NULL);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -647,24 +457,6 @@ run_inner(SimObject *self, int has_until, long long until,
                 Py_DECREF(entry);
                 return -1;
             }
-            if (PyTuple_GET_ITEM(entry, 3) == Py_None) {
-                int live = entry_live(entry);
-                if (live < 0) {
-                    Py_DECREF(entry);
-                    return -1;
-                }
-                if (!live) {
-                    PyObject *popped = from_tail ? tail_pop(self)
-                                                 : heap_pop(self->heap);
-                    Py_DECREF(entry);
-                    if (popped == NULL)
-                        return -1;
-                    Py_DECREF(popped);
-                    if (self->cancelled)
-                        self->cancelled--;
-                    continue;
-                }
-            }
             if (has_until && time > until) {
                 Py_DECREF(entry);
                 self->now = until;
@@ -688,19 +480,6 @@ run_inner(SimObject *self, int has_until, long long until,
             if (entry_key(entry, &time, &seq) < 0) {
                 Py_DECREF(entry);
                 return -1;
-            }
-            if (PyTuple_GET_ITEM(entry, 3) == Py_None) {
-                int live = entry_live(entry);
-                if (live < 0) {
-                    Py_DECREF(entry);
-                    return -1;
-                }
-                if (!live) {
-                    Py_DECREF(entry);
-                    if (self->cancelled)
-                        self->cancelled--;
-                    continue;
-                }
             }
             if (has_until && time > until) {
                 /* Past the horizon: restore it for a later run(). */
@@ -745,123 +524,32 @@ sim_run(SimObject *self, PyObject *args, PyObject *kwargs)
         if (max_events == -1 && PyErr_Occurred())
             return NULL;
     }
-    self->running = 1;
     rc = run_inner(self, has_until, until, has_max, max_events, &executed);
-    self->running = 0;
     self->event_count += executed;
     if (rc < 0)
         return NULL;
     return PyLong_FromLongLong(executed);
 }
 
-/* The earliest live entry without popping it.  Mirrors _live_head:
- * discards cancelled heads as a side effect.  Returns a borrowed
- * "which lane" decision via *from_tail and a NEW reference to the
- * entry, or NULL with no exception when drained. */
-static PyObject *
-live_head(SimObject *self, int *from_tail)
-{
-    for (;;) {
-        Py_ssize_t tsize = PyList_GET_SIZE(self->tail);
-        Py_ssize_t hsize = PyList_GET_SIZE(self->heap);
-        PyObject *head = NULL;
-        if (self->tail_head < tsize) {
-            head = PyList_GET_ITEM(self->tail, self->tail_head);
-            int live = entry_live(head);
-            if (live < 0)
-                return NULL;
-            if (!live) {
-                PyObject *popped = tail_pop(self);
-                if (popped == NULL)
-                    return NULL;
-                Py_DECREF(popped);
-                if (self->cancelled)
-                    self->cancelled--;
-                continue;
-            }
-        }
-        if (hsize) {
-            PyObject *hh = PyList_GET_ITEM(self->heap, 0);
-            int live = entry_live(hh);
-            if (live < 0)
-                return NULL;
-            if (!live) {
-                PyObject *popped = heap_pop(self->heap);
-                if (popped == NULL)
-                    return NULL;
-                Py_DECREF(popped);
-                if (self->cancelled)
-                    self->cancelled--;
-                continue;
-            }
-            if (head == NULL) {
-                *from_tail = 0;
-                Py_INCREF(hh);
-                return hh;
-            }
-            int lt = entry_lt(hh, head);
-            if (lt < 0)
-                return NULL;
-            if (lt) {
-                *from_tail = 0;
-                Py_INCREF(hh);
-                return hh;
-            }
-        }
-        if (head == NULL)
-            return NULL;  /* drained; no exception */
-        *from_tail = 1;
-        Py_INCREF(head);
-        return head;
-    }
-}
-
-static PyObject *
-sim_step(SimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    int from_tail = 0;
-    long long time, seq;
-    PyObject *entry = live_head(self, &from_tail);
-    PyObject *popped;
-    if (entry == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        Py_RETURN_FALSE;
-    }
-    popped = from_tail ? tail_pop(self) : heap_pop(self->heap);
-    if (popped == NULL) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_DECREF(popped);
-    if (entry_key(entry, &time, &seq) < 0) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    self->event_count++;
-    if (dispatch(self, entry, time) < 0) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_DECREF(entry);
-    Py_RETURN_TRUE;
-}
-
+/* Timestamp of the earlier of the two lane heads; nothing is popped. */
 static PyObject *
 sim_peek(SimObject *self, PyObject *Py_UNUSED(ignored))
 {
-    int from_tail = 0;
-    PyObject *entry = live_head(self, &from_tail);
-    PyObject *time;
-    if (entry == NULL) {
-        if (PyErr_Occurred())
+    PyObject *head = NULL;
+    if (self->tail_head < PyList_GET_SIZE(self->tail))
+        head = PyList_GET_ITEM(self->tail, self->tail_head);
+    if (PyList_GET_SIZE(self->heap)) {
+        PyObject *hh = PyList_GET_ITEM(self->heap, 0);
+        int lt = head == NULL ? 1 : entry_lt(hh, head);
+        if (lt < 0)
             return NULL;
-        Py_RETURN_NONE;
+        if (lt)
+            head = hh;
     }
-    time = PyTuple_GET_ITEM(entry, 0);
-    Py_INCREF(time);
-    Py_DECREF(entry);
-    return time;
+    if (head == NULL)
+        Py_RETURN_NONE;
+    Py_INCREF(PyTuple_GET_ITEM(head, 0));
+    return PyTuple_GET_ITEM(head, 0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -878,8 +566,6 @@ sim_init(SimObject *self, PyObject *args, PyObject *kwargs)
     self->now = 0;
     self->seq = 0;
     self->event_count = 0;
-    self->cancelled = 0;
-    self->running = 0;
     self->tail_head = 0;
     Py_CLEAR(self->heap);
     Py_CLEAR(self->tail);
@@ -941,9 +627,7 @@ static PyMemberDef sim_members[] = {
     {"now", T_LONGLONG, offsetof(SimObject, now), 0,
      "Current simulated time in nanoseconds."},
     {"_seq", T_LONGLONG, offsetof(SimObject, seq), 0, NULL},
-    {"_cancelled", T_LONGLONG, offsetof(SimObject, cancelled), 0, NULL},
     {"_event_count", T_LONGLONG, offsetof(SimObject, event_count), 0, NULL},
-    {"_running", T_INT, offsetof(SimObject, running), READONLY, NULL},
     {"_heap", T_OBJECT_EX, offsetof(SimObject, heap), READONLY, NULL},
     {"_tail", T_OBJECT_EX, offsetof(SimObject, tail), READONLY, NULL},
     {NULL}
@@ -951,7 +635,7 @@ static PyMemberDef sim_members[] = {
 
 static PyGetSetDef sim_getset[] = {
     {"pending", (getter)sim_get_pending, NULL,
-     "Number of queue entries, including lazily-cancelled ones.", NULL},
+     "Number of scheduled events that have not run yet.", NULL},
     {"event_count", (getter)sim_get_event_count, NULL,
      "Total number of events executed since construction.", NULL},
     {NULL}
@@ -959,21 +643,14 @@ static PyGetSetDef sim_getset[] = {
 
 static PyMethodDef sim_methods[] = {
     {"call_at", (PyCFunction)(void (*)(void))sim_call_at,
-     METH_FASTCALL, "Schedule fn(*args) at absolute time ns (fast path)."},
+     METH_FASTCALL, "Schedule fn(*args) at absolute time ns."},
     {"call_after", (PyCFunction)(void (*)(void))sim_call_after,
-     METH_FASTCALL, "Schedule fn(*args) delay ns after now (fast path)."},
-    {"at", (PyCFunction)(void (*)(void))sim_at,
-     METH_FASTCALL, "Schedule fn(*args) at absolute time ns; cancellable."},
-    {"schedule", (PyCFunction)(void (*)(void))sim_schedule,
-     METH_FASTCALL, "Schedule fn(*args) delay ns after now; cancellable."},
+     METH_FASTCALL, "Schedule fn(*args) delay ns after now."},
     {"run", (PyCFunction)(void (*)(void))sim_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run events until the queue drains or a limit is hit."},
-    {"step", (PyCFunction)sim_step, METH_NOARGS,
-     "Run the single next pending event."},
     {"peek", (PyCFunction)sim_peek, METH_NOARGS,
-     "Timestamp of the next live event, or None if drained."},
-    {"_note_cancelled", (PyCFunction)sim_note_cancelled, METH_NOARGS, NULL},
+     "Timestamp of the next event, or None if drained."},
     {NULL}
 };
 
@@ -1002,11 +679,9 @@ static PyTypeObject SimType = {
 static PyObject *
 mod_configure(PyObject *module, PyObject *args)
 {
-    PyObject *handle_cls, *error_cls;
-    if (!PyArg_ParseTuple(args, "OO", &handle_cls, &error_cls))
+    PyObject *error_cls;
+    if (!PyArg_ParseTuple(args, "O", &error_cls))
         return NULL;
-    Py_INCREF(handle_cls);
-    Py_XSETREF(g_event_handle, handle_cls);
     Py_INCREF(error_cls);
     Py_XSETREF(g_sched_error, error_cls);
     Py_RETURN_NONE;
@@ -1014,7 +689,7 @@ mod_configure(PyObject *module, PyObject *args)
 
 static PyMethodDef mod_methods[] = {
     {"configure", mod_configure, METH_VARARGS,
-     "configure(EventHandle, SchedulingError): wire the Python classes."},
+     "configure(SchedulingError): wire the Python error class."},
     {NULL}
 };
 
@@ -1029,25 +704,9 @@ static struct PyModuleDef ccore_module = {
 PyMODINIT_FUNC
 PyInit__ccore(void)
 {
-    PyObject *module, *threshold;
-    g_str_cancelled = PyUnicode_InternFromString("cancelled");
-    g_str_sim = PyUnicode_InternFromString("sim");
-    g_str_fn = PyUnicode_InternFromString("fn");
-    g_str_args = PyUnicode_InternFromString("args");
-    g_str_compact = PyUnicode_InternFromString("COMPACT_THRESHOLD");
-    if (!g_str_cancelled || !g_str_sim || !g_str_fn || !g_str_args
-        || !g_str_compact)
-        return NULL;
+    PyObject *module;
     if (PyType_Ready(&SimType) < 0)
         return NULL;
-    threshold = PyLong_FromLong(64);
-    if (threshold == NULL)
-        return NULL;
-    if (PyDict_SetItem(SimType.tp_dict, g_str_compact, threshold) < 0) {
-        Py_DECREF(threshold);
-        return NULL;
-    }
-    Py_DECREF(threshold);
     module = PyModule_Create(&ccore_module);
     if (module == NULL)
         return NULL;

@@ -1,7 +1,6 @@
 """Measurement probes for simulations.
 
 * :class:`Counter` — named integer counters (drops, clones, ...).
-* :class:`TimeSeries` — (time, value) samples with summary helpers.
 * :class:`IntervalMonitor` — bins occurrences into fixed windows,
   used e.g. for the throughput-over-time plot of Figure 16.
 """
@@ -9,13 +8,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.sim.units import SECONDS
 
-__all__ = ["Counter", "IntervalMonitor", "TimeSeries"]
+__all__ = ["Counter", "IntervalMonitor"]
 
 
 class Counter:
@@ -35,47 +32,8 @@ class Counter:
         """Current value of *name* (zero if never incremented)."""
         return self._counts.get(name, 0)
 
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self._counts!r})"
-
-
-class TimeSeries:
-    """An append-only series of ``(time_ns, value)`` samples."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: List[int] = []
-        self.values: List[float] = []
-
-    def record(self, time_ns: int, value: float) -> None:
-        """Append one sample."""
-        self.times.append(time_ns)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def mean(self) -> float:
-        """Arithmetic mean of the recorded values (nan when empty)."""
-        if not self.values:
-            return float("nan")
-        return float(np.mean(self.values))
-
-    def last(self) -> float:
-        """Most recent value (nan when empty)."""
-        return self.values[-1] if self.values else float("nan")
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The series as ``(times, values)`` numpy arrays."""
-        return np.asarray(self.times, dtype=np.int64), np.asarray(self.values)
 
 
 class IntervalMonitor:

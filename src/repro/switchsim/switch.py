@@ -105,8 +105,7 @@ class ProgrammableSwitch:
         #: pass costs one attribute load); ``None`` without a program.
         self._fast_apply = None
         self.counters = Counter()
-        # Per-packet counter sites bump the underlying dict directly;
-        # ``Counter.reset`` clears in place, so the alias stays valid.
+        # Per-packet counter sites bump the underlying dict directly.
         self._counts = self.counters._counts
         self.down = False
         # Failure generation: a recovery scheduled before a later

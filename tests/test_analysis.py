@@ -95,7 +95,7 @@ class MeasuringClient(Host):
         self._seq = 0
 
     def start(self):
-        self.sim.schedule(self._gap(), self._send)
+        self.sim.call_after(self._gap(), self._send)
 
     def _gap(self):
         return int(self.rng.expovariate(1.0) * 1e9 / self.rate) + 1
@@ -117,7 +117,7 @@ class MeasuringClient(Host):
                 created_at=self.sim.now,
             )
         )
-        self.sim.schedule(self._gap(), self._send)
+        self.sim.call_after(self._gap(), self._send)
 
     def handle(self, packet):
         self.sojourn_times.append(self.sim.now - packet.created_at)

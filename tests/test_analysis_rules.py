@@ -108,21 +108,24 @@ VIOLATIONS = [
         "packet acquired into 'packet' is neither released nor "
         "handed off on any path of burst()",
     ),
+    # A dotted receiver inside a method, and an async def.
     (
-        "dropped-handle",
+        "packet-leak",
         PLAIN_MODULE,
-        "def arm(sim, cb):\n    sim.at(5, cb)\n",
-        "cancellable handle from sim.at(...) is dropped; use "
-        "sim.call_at(...) on the handle-free fast lane (same seq "
-        "consumption, bit-identical order) or store the handle for cancel",
+        "class Burst:\n"
+        "    def burst(self):\n"
+        "        self.pool.acquire(1, 2, 3, 4, 64)\n",
+        "self.pool.acquire(...) result is discarded in Burst.burst(); the "
+        "packet can never be released",
     ),
     (
-        "dropped-handle",
+        "packet-leak",
         PLAIN_MODULE,
-        "def arm(self, cb):\n    self.sim.schedule(5, cb)\n",
-        "cancellable handle from self.sim.schedule(...) is dropped; use "
-        "self.sim.call_after(...) on the handle-free fast lane (same seq "
-        "consumption, bit-identical order) or store the handle for cancel",
+        "async def burst(pool):\n"
+        "    packet = pool.acquire(1, 2, 3, 4, 64)\n"
+        "    packet.size = 128\n",
+        "packet acquired into 'packet' is neither released nor "
+        "handed off on any path of burst()",
     ),
     (
         "spec-lambda",
@@ -198,9 +201,8 @@ POSITIVES = [
     "def burst(self, pool):\n"
     "    packet = pool.acquire(1, 2, 3, 4, 64)\n"
     "    self.send(packet)\n",
-    # Fast-lane scheduling needs no handle; stored handles can cancel.
+    # Scheduling a callback is clean under every rule.
     "def arm(sim, cb):\n    sim.call_at(5, cb)\n",
-    "def arm(self, sim, cb):\n    self.timer = sim.at(5, cb)\n",
     # Module-level factories pickle; guarded params reject typos.
     "spec = SchemeSpec(name='x', make_clients=build_clients)\n",
     "def make_policy(params):\n"

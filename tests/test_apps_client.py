@@ -40,7 +40,7 @@ class EchoPeer(Host):
             payload=packet.payload,
             created_at=packet.created_at,
         )
-        self.sim.schedule(self.delay_ns, self.send, response)
+        self.sim.call_after(self.delay_ns, self.send, response)
 
 
 class DirectClient(OpenLoopClient):

@@ -1,13 +1,11 @@
-"""The engine fast path: ordering, compaction, and seed bit-identity.
+"""The engine fast path: ordering and seed bit-identity.
 
-The hot-path overhaul split scheduling into two lanes — handle-free
-``call_at``/``call_after`` tuples and cancellable ``at``/``schedule``
-handles — sharing one sequence counter and one calendar queue.  These
-tests pin the contract that makes that safe:
+The engine has one scheduling API, ``call_at``/``call_after``, over a
+two-lane calendar queue (a sorted tail plus a heap) with one sequence
+counter.  These tests pin the contract that makes that safe:
 
-* the two lanes interleave in strict FIFO order at equal timestamps;
-* cancellation is lazy but bounded: compaction keeps the queue from
-  accumulating dead entries under churn;
+* ``call_at`` and ``call_after`` interleave in strict FIFO order at
+  equal timestamps, and out-of-order entries still sort;
 * none of it changes simulation results — tiny fig08-star and
   fig18-one-rack runs stay bit-identical to goldens captured at the
   pre-overhaul revision;
@@ -34,29 +32,32 @@ from repro.sim.units import ms
 
 
 # ----------------------------------------------------------------------
-# FIFO tie-break across both scheduling lanes
+# FIFO tie-break across call_at and call_after
 # ----------------------------------------------------------------------
-def test_fast_and_cancellable_lanes_interleave_fifo():
+def test_call_at_and_call_after_interleave_fifo():
     sim = Simulator()
     order = []
-    # Alternate lanes at one timestamp: scheduling order must win.
+    # Alternate the two calls at one timestamp: scheduling order must win.
     for i in range(20):
         if i % 2:
-            sim.at(100, order.append, i)
+            sim.call_after(100, order.append, i)
         else:
             sim.call_at(100, order.append, i)
     sim.run()
     assert order == list(range(20))
 
 
-def test_call_after_matches_schedule_at_equal_delay():
+def test_call_after_matches_call_at_at_equal_time():
     sim = Simulator()
     order = []
-    sim.call_after(5, order.append, "fast-0")
-    sim.schedule(5, order.append, "slow-1")
-    sim.call_after(5, order.append, "fast-2")
+    sim.call_at(7, order.append, "start")
     sim.run()
-    assert order == ["fast-0", "slow-1", "fast-2"]
+    # now == 7: a delay of 5 and an absolute 12 name the same instant.
+    sim.call_after(5, order.append, "after-0")
+    sim.call_at(12, order.append, "at-1")
+    sim.call_after(5, order.append, "after-2")
+    sim.run()
+    assert order == ["start", "after-0", "at-1", "after-2"]
 
 
 def test_fast_lane_out_of_order_times_still_sort():
@@ -68,39 +69,6 @@ def test_fast_lane_out_of_order_times_still_sort():
     sim.run()
     assert order == [5, 10, 10, 20, 30, 30]
     assert sim.now == 30
-
-
-# ----------------------------------------------------------------------
-# Lazy deletion stays bounded under cancellation churn
-# ----------------------------------------------------------------------
-def test_compaction_bounds_cancelled_entries():
-    sim = Simulator()
-    survivors = []
-    handles = [sim.at(1000 + i, survivors.append, i) for i in range(5000)]
-    for i, handle in enumerate(handles):
-        if i % 10:
-            handle.cancel()
-    # Compaction triggers whenever cancelled entries reach half the
-    # queue; after this much churn the backlog must be a small
-    # fraction of the cancellations, not proportional to them.
-    pending = len(sim._heap) + len(sim._tail)
-    assert pending < 2 * 500 + Simulator.COMPACT_THRESHOLD
-    assert sim._cancelled <= pending
-    sim.run()
-    assert survivors == [i for i in range(5000) if i % 10 == 0]
-    assert sim._cancelled == 0
-    assert not sim._heap and not sim._tail
-
-
-def test_cancel_churn_preserves_fast_lane_order():
-    sim = Simulator()
-    order = []
-    for i in range(200):
-        handle = sim.at(50, order.append, ("dead", i))
-        handle.cancel()
-        sim.call_at(50, order.append, ("live", i))
-    sim.run()
-    assert order == [("live", i) for i in range(200)]
 
 
 # ----------------------------------------------------------------------

@@ -168,8 +168,8 @@ def test_switch_failure_recovery_no_duplicates():
         drain_ns=ms(5),
     )
     cluster = Cluster(config)
-    cluster.sim.at(ms(10), cluster.switch.fail)
-    cluster.sim.at(ms(14), cluster.switch.recover, ms(4))
+    cluster.sim.call_at(ms(10), cluster.switch.fail)
+    cluster.sim.call_at(ms(14), cluster.switch.recover, ms(4))
     cluster.start()
     cluster.run()
     # No duplicate deliveries despite the register wipe.

@@ -131,7 +131,7 @@ class ScriptedServer(Host):
             payload=packet.payload,
             created_at=packet.created_at,
         )
-        self.sim.schedule(self.delay_ns, self.send, response)
+        self.sim.call_after(self.delay_ns, self.send, response)
 
 
 class FakeClient(Host):

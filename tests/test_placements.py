@@ -342,10 +342,10 @@ def test_rack_local_keeps_trunks_silent_across_kill_and_restore():
     cluster, handler = _failure_cluster(num_servers=12)
     fabric = cluster.topology
     victim = cluster.servers[0]
-    cluster.sim.at(ms(1), fabric.fail_host, victim)
-    cluster.sim.at(ms(1), handler.remove_server, 0)
-    cluster.sim.at(ms(3), fabric.restore_host, victim)
-    cluster.sim.at(ms(3), handler.restore_server, 0)
+    cluster.sim.call_at(ms(1), fabric.fail_host, victim)
+    cluster.sim.call_at(ms(1), handler.remove_server, 0)
+    cluster.sim.call_at(ms(3), fabric.restore_host, victim)
+    cluster.sim.call_at(ms(3), handler.restore_server, 0)
     cluster.start()
     cluster.run()
     point = cluster.load_point()

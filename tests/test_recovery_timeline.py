@@ -43,9 +43,9 @@ def test_trunk_byte_monitor_bins_deltas_per_window():
         dst = 1
 
     # Two sends in window 0, one in window 2, none in window 1.
-    sim.at(us(1), link.send, _Pkt(), a)
-    sim.at(us(2), link.send, _Pkt(), a)
-    sim.at(us(25), link.send, _Pkt(), a)
+    sim.call_at(us(1), link.send, _Pkt(), a)
+    sim.call_at(us(2), link.send, _Pkt(), a)
+    sim.call_at(us(25), link.send, _Pkt(), a)
     monitor = TrunkByteMonitor(sim, [link], window_ns=us(10), horizon_ns=us(40))
     sim.run(until=us(50))
     assert monitor.deltas() == {"t": [200, 0, 100, 0]}
@@ -80,9 +80,9 @@ def test_spine_drill_timeline_is_hitless_and_recovers():
     completions = IntervalMonitor(window_ns=window, horizon_ns=horizon)
     cluster.recorder.completion_monitor = completions
     trunks = TrunkByteMonitor(cluster.sim, fabric.trunks, window, horizon)
-    cluster.sim.at(ms(3), fabric.withdraw_spine, 0)
-    cluster.sim.at(ms(6), fabric.spines[0].fail)
-    cluster.sim.at(ms(8), fabric.restore_spine, 0, us(100))
+    cluster.sim.call_at(ms(3), fabric.withdraw_spine, 0)
+    cluster.sim.call_at(ms(6), fabric.spines[0].fail)
+    cluster.sim.call_at(ms(8), fabric.restore_spine, 0, us(100))
     cluster.start()
     cluster.run()
 

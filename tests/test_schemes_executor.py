@@ -19,7 +19,6 @@ from repro.experiments.harness import format_series, sweep_panels, sweep_schemes
 from repro.experiments.schemes import SCHEMES, SchemeSpec
 from repro.experiments.specs import SyntheticSpec, make_synthetic_spec
 from repro.metrics.sweep import SweepResult
-from repro.sim.core import Simulator
 from repro.sim.units import ms
 from repro.workloads.distributions import ExponentialDistribution
 
@@ -346,51 +345,6 @@ def test_format_series_logs_unexpected_chart_failures(caplog, monkeypatch):
         text = format_series("Panel", series)
     assert "Panel" in text  # report still produced
     assert any("chart rendering failed" in r.message for r in caplog.records)
-
-
-# ----------------------------------------------------------------------
-# Simulator cancelled-entry handling
-# ----------------------------------------------------------------------
-def _noop():
-    pass
-
-
-def test_simulator_compacts_dominating_cancelled_entries():
-    sim = Simulator()
-    handles = [sim.at(i + 1, _noop) for i in range(200)]
-    assert sim.pending == 200
-    for handle in handles[:150]:
-        handle.cancel()
-    # Cancelled entries dominate -> the heap was compacted in place
-    # (at least once; later cancels may sit below the threshold).
-    assert sim.pending <= 100
-    assert sim.run() == 50
-    assert sim.event_count == 50
-
-
-def test_simulator_step_run_peek_skip_cancelled():
-    sim = Simulator()
-    first = sim.at(10, _noop)
-    sim.at(20, _noop)
-    first.cancel()
-    assert sim.peek() == 20
-    assert sim.step()
-    assert sim.now == 20
-    assert not sim.step()
-
-
-def test_simulator_cancel_idempotent_after_run():
-    sim = Simulator()
-    handle = sim.at(5, _noop)
-    sim.run()
-    # Cancelling an already-fired handle must not corrupt bookkeeping:
-    # it is no longer in the heap, so it must not count towards the
-    # compaction trigger either.
-    handle.cancel()
-    handle.cancel()
-    assert sim.pending == 0
-    assert sim._cancelled == 0
-    assert sim.peek() is None
 
 
 def test_sweep_schemes_keeps_caller_keys_for_aliases():

@@ -74,8 +74,8 @@ def test_traffic_continues_after_removal():
     cluster, handler = build(num_servers=4)
     dead = cluster.servers[1]
     # Kill the server brutally: its uplink swallows everything.
-    cluster.sim.at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
-    cluster.sim.at(ms(5), handler.remove_server, 1)
+    cluster.sim.call_at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
+    cluster.sim.call_at(ms(5), handler.remove_server, 1)
     cluster.start()
     cluster.run()
     point = cluster.load_point()
@@ -155,8 +155,8 @@ def test_explicit_global_failure_rebuild_matches_seed_replica():
     cluster = Cluster(config)
     handler = cluster.failure_handler(op_latency_ns=ms(1))
     dead = cluster.servers[1]
-    cluster.sim.at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
-    cluster.sim.at(ms(5), handler.remove_server, 1)
+    cluster.sim.call_at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
+    cluster.sim.call_at(ms(5), handler.remove_server, 1)
     cluster.start()
     cluster.run()
     point = cluster.load_point()
@@ -201,12 +201,12 @@ def test_traffic_returns_to_restored_server():
     cluster, handler = build(num_servers=4)
     victim = cluster.servers[2]
     fabric = cluster.topology
-    cluster.sim.at(ms(5), fabric.fail_host, victim)
-    cluster.sim.at(ms(5), handler.remove_server, 2)
-    cluster.sim.at(ms(15), fabric.restore_host, victim)
-    cluster.sim.at(ms(15), handler.restore_server, 2)
+    cluster.sim.call_at(ms(5), fabric.fail_host, victim)
+    cluster.sim.call_at(ms(5), handler.remove_server, 2)
+    cluster.sim.call_at(ms(15), fabric.restore_host, victim)
+    cluster.sim.call_at(ms(15), handler.restore_server, 2)
     accepted_mid = {}
-    cluster.sim.at(ms(17), lambda: accepted_mid.update(
+    cluster.sim.call_at(ms(17), lambda: accepted_mid.update(
         at_restore=victim.counters.get("requests_accepted")
     ))
     cluster.start()

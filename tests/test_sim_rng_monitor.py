@@ -1,10 +1,10 @@
-"""Tests for RNG streams, counters, time series and interval monitors."""
+"""Tests for RNG streams, counters and interval monitors."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Counter, IntervalMonitor, RngRegistry, TimeSeries, splitmix64
+from repro.sim import Counter, IntervalMonitor, RngRegistry, splitmix64
 from repro.sim.rng import stream_seed
 from repro.sim.units import ms, sec, to_ms, to_sec, to_us, us
 
@@ -65,23 +65,6 @@ def test_counter_basics():
     counter.incr("drops", 2)
     assert counter.get("drops") == 3
     assert counter.get("missing") == 0
-    assert counter.as_dict() == {"drops": 3}
-    counter.reset()
-    assert counter.get("drops") == 0
-
-
-def test_timeseries_records_and_summarises():
-    series = TimeSeries("queue")
-    assert len(series) == 0
-    assert series.mean() != series.mean()  # NaN
-    series.record(10, 1.0)
-    series.record(20, 3.0)
-    assert len(series) == 2
-    assert series.mean() == pytest.approx(2.0)
-    assert series.last() == 3.0
-    times, values = series.as_arrays()
-    assert list(times) == [10, 20]
-    assert list(values) == [1.0, 3.0]
 
 
 def test_interval_monitor_bins_and_rates():

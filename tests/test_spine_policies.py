@@ -374,10 +374,10 @@ def test_hitless_withdraw_reroutes_without_losing_requests():
     # Restore well before the clients stop (end of measure window) so
     # live traffic exercises the restored routes.
     t_withdraw, t_restore = ms(2), ms(3)
-    cluster.sim.at(t_withdraw, fabric.withdraw_spine, 0)
-    cluster.sim.at(t_withdraw + 1, snapshot, "after_withdraw")
-    cluster.sim.at(t_restore, snapshot, "before_restore")
-    cluster.sim.at(t_restore, fabric.restore_spine, 0)
+    cluster.sim.call_at(t_withdraw, fabric.withdraw_spine, 0)
+    cluster.sim.call_at(t_withdraw + 1, snapshot, "after_withdraw")
+    cluster.sim.call_at(t_restore, snapshot, "before_restore")
+    cluster.sim.call_at(t_restore, fabric.restore_spine, 0)
     cluster.start()
     cluster.run()
     point = cluster.load_point()
@@ -408,8 +408,8 @@ def test_failed_spine_drill_drops_only_the_window_and_recovers():
     config = tiny_config(topology="spine_leaf", topology_params=dict(params))
     cluster = Cluster(config)
     fabric = cluster.topology
-    cluster.sim.at(ms(2), fabric.withdraw_spine, 0, True)
-    cluster.sim.at(ms(3), fabric.restore_spine, 0, us(100))
+    cluster.sim.call_at(ms(2), fabric.withdraw_spine, 0, True)
+    cluster.sim.call_at(ms(3), fabric.restore_spine, 0, us(100))
     cluster.start()
     cluster.run()
     point = cluster.load_point()

@@ -4,10 +4,7 @@
 Two baselines are kept checked in at the repo root:
 
 * ``BENCH_core.json`` — raw engine throughput: schedule/run cycles of
-  bare fast-lane events (``Simulator.call_at``), in events/sec, plus
-  the cancel-churn variant (every fourth event a cancellable that gets
-  cancelled) exercising lazy deletion and compaction under the fast
-  lane's feet.
+  bare events (``Simulator.call_at``), in events/sec.
 * ``BENCH_metrics.json`` — the metrics-collection pipeline of the
   streaming metrics plane: per-worker result payloads serialized,
   merged and reduced to p50/p99/p99.9, once from exact sample arrays
@@ -70,21 +67,13 @@ HISTORY = "BENCH_history.jsonl"
 
 def _measure_core(scale: float, seed: int, rounds: int) -> dict:
     n = microbench.core_events(scale)
-    churn_executed = microbench.churn_executed(n)
     walls = []
-    churn_walls = []
     for _ in range(rounds):
         start = time.perf_counter()
         executed = microbench.schedule_run(n)
         walls.append(time.perf_counter() - start)
         assert executed == n
-
-        start = time.perf_counter()
-        executed = microbench.schedule_run_churn(n)
-        churn_walls.append(time.perf_counter() - start)
-        assert executed == churn_executed
     wall = statistics.median(walls)
-    churn_wall = statistics.median(churn_walls)
     return {
         "bench": "core",
         "scale": scale,
@@ -92,8 +81,6 @@ def _measure_core(scale: float, seed: int, rounds: int) -> dict:
         "rounds": rounds,
         "wall_s_p50": round(wall, 4),
         "events_per_sec": round(n / wall, 1),
-        "churn_wall_s_p50": round(churn_wall, 4),
-        "churn_events_per_sec": round(churn_executed / churn_wall, 1),
     }
 
 
@@ -149,7 +136,7 @@ def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
 
 
 BASELINES = (
-    ("BENCH_core.json", ("events_per_sec", "churn_events_per_sec"), _measure_core),
+    ("BENCH_core.json", ("events_per_sec",), _measure_core),
     (
         "BENCH_metrics.json",
         ("sketch_collects_per_sec", "exact_samples_per_sec", "ingest_samples_per_sec"),

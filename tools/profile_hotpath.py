@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """One-command cProfile harness over the checked-in bench workloads.
 
-Runs the engine schedule/run cycle (``core``) and its cancel-churn
-variant (``churn``) — the bodies ``tools/bench_baseline.py`` gates,
-imported from ``benchmarks/microbench.py`` — plus the fig18
+Runs the engine schedule/run cycle (``core``) — the body
+``tools/bench_baseline.py`` gates, imported from
+``benchmarks/microbench.py`` — plus the fig18
 trunk-saturation packet grid (``fig18``) under :mod:`cProfile`, and
 prints the top entries, so perf PRs start from data instead of
 guesses.  The four packet-path workloads the end-to-end benchmark
@@ -11,7 +11,7 @@ gates (``star-clone``, ``star-baseline-hi``, ``spine-global``,
 ``kv-netclone``, read from ``benchmarks/e2e/workloads.py``) are
 targets too; only their ``Cluster.run()`` is profiled, not the build::
 
-    python tools/profile_hotpath.py                 # core, churn, fig18
+    python tools/profile_hotpath.py                 # core, fig18
     python tools/profile_hotpath.py core fig18      # a subset
     python tools/profile_hotpath.py star-clone --sort tottime
     python tools/profile_hotpath.py --top 40 --dump prof-out
@@ -68,15 +68,6 @@ def _core(scale: float, seed: int) -> Callable[[], None]:
     return run
 
 
-def _churn(scale: float, seed: int) -> Callable[[], None]:
-    n = microbench.core_events(scale)
-
-    def run() -> None:
-        assert microbench.schedule_run_churn(n) == microbench.churn_executed(n)
-
-    return run
-
-
 def _fig18(scale: float, seed: int) -> Callable[[], None]:
     from repro.experiments import fig18_trunk_saturation
 
@@ -102,12 +93,11 @@ def _e2e(name: str) -> Target:
 
 TARGETS = {
     "core": _core,
-    "churn": _churn,
     "fig18": _fig18,
     **{name: _e2e(name) for name in E2E.WORKLOADS},
 }
 #: What runs when no target is named.
-DEFAULT_TARGETS = ("core", "churn", "fig18")
+DEFAULT_TARGETS = ("core", "fig18")
 SORTS = ("cumulative", "tottime", "ncalls")
 
 
