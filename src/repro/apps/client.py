@@ -33,14 +33,17 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ExperimentError
 from repro.metrics.latency import LatencyRecorder
 from repro.net.host import Host
-from repro.net.packet import PROTO_UDP, Packet, PacketPool
+from repro.net.packet import Packet
 from repro.sim.core import Simulator
 
 __all__ = ["OpenLoopClient"]
 
 
 class OpenLoopClient(Host):
-    """Generates requests at a fixed average rate and measures latency."""
+    """Generates requests at a fixed average rate and measures latency.
+
+    Extra keyword arguments (``packet_pool``) go to :class:`Host`.
+    """
 
     #: Arrival records drawn per refill.
     ARRIVAL_CHUNK = 64
@@ -59,8 +62,8 @@ class OpenLoopClient(Host):
         tx_cost_ns: int = 700,
         rx_cost_ns: int = 300,
         rx_queue_limit: int = 4096,
-        packet_pool: Optional[PacketPool] = None,
         arrival_process: Optional[Any] = None,
+        **host_kwargs: Any,
     ):
         super().__init__(
             sim,
@@ -69,6 +72,7 @@ class OpenLoopClient(Host):
             tx_cost_ns=tx_cost_ns,
             rx_cost_ns=rx_cost_ns,
             rx_queue_limit=rx_queue_limit,
+            **host_kwargs,
         )
         if rate_rps <= 0:
             raise ExperimentError("client rate must be positive")
@@ -78,7 +82,6 @@ class OpenLoopClient(Host):
         self.recorder = recorder
         self.rng = rng
         self.stop_at_ns = stop_at_ns
-        self.packet_pool = packet_pool
         #: Optional open-loop modulation (MMPP bursts, diurnal waves):
         #: an object with ``next_gap() -> int ns`` (and optionally
         #: ``set_rate``).  ``None`` keeps the plain exponential gaps —
@@ -125,25 +128,6 @@ class OpenLoopClient(Host):
             if set_rate is not None:
                 set_rate(rate_rps)
         self._flush_arrivals()
-
-    def _new_packet(
-        self,
-        src: int,
-        dst: int,
-        sport: int,
-        dport: int,
-        size: int,
-        payload: Any = None,
-        nc: Optional[Any] = None,
-        proto: int = PROTO_UDP,
-    ) -> Packet:
-        """Build one outbound packet, recycling through the pool if set."""
-        pool = self.packet_pool
-        if pool is not None:
-            return pool.acquire(
-                src, dst, sport, dport, size, payload=payload, nc=nc, proto=proto
-            )
-        return Packet(src, dst, sport, dport, size, payload=payload, nc=nc, proto=proto)
 
     def _refill_arrivals(self) -> None:
         """Pre-draw the next chunk of arrival records.

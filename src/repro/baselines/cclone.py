@@ -39,14 +39,8 @@ class CCloneClient(OpenLoopClient):
     def build_packets(self, request: Any) -> List[Packet]:
         destinations = self.rng.sample(self.server_ips, self.d)
         size = self.workload.request_size(request)
+        acquire = self.packet_pool.acquire
         return [
-            self._new_packet(
-                src=self.ip,
-                dst=destination,
-                sport=PLAIN_RPC_PORT,
-                dport=PLAIN_RPC_PORT,
-                size=size,
-                payload=request,
-            )
+            acquire(self.ip, destination, PLAIN_RPC_PORT, PLAIN_RPC_PORT, size, request)
             for destination in destinations
         ]

@@ -48,13 +48,13 @@ class LaedgeClient(OpenLoopClient):
 
     def build_packets(self, request: Any) -> List[Packet]:
         return [
-            self._new_packet(
-                src=self.ip,
-                dst=self.coordinator_ip,
-                sport=LAEDGE_PORT,
-                dport=LAEDGE_PORT,
-                size=self.workload.request_size(request),
-                payload=request,
+            self.packet_pool.acquire(
+                self.ip,
+                self.coordinator_ip,
+                LAEDGE_PORT,
+                LAEDGE_PORT,
+                self.workload.request_size(request),
+                request,
             )
         ]
 
@@ -68,6 +68,12 @@ class LaedgeCoordinator(Host):
     worker-thread count is the generous reading that lets LÆDGE use
     multi-threaded servers.  The coordinator is the bottleneck either
     way, which is the point of Figure 8.
+
+    Every packet it forwards is a fresh one from its pool, and every
+    packet it consumes goes back: a client request once it is
+    dispatched (after both copies, when cloned), a server response
+    once it is forwarded or absorbed.  Extra keyword arguments
+    (``packet_pool``) go to :class:`Host`.
     """
 
     def __init__(
@@ -79,6 +85,7 @@ class LaedgeCoordinator(Host):
         rng: random.Random,
         slots_per_server: int = 15,
         cpu_cost_ns: int = 600,
+        **host_kwargs: Any,
     ):
         super().__init__(
             sim,
@@ -87,6 +94,7 @@ class LaedgeCoordinator(Host):
             tx_cost_ns=cpu_cost_ns,
             rx_cost_ns=cpu_cost_ns,
             rx_queue_limit=65536,
+            **host_kwargs,
         )
         if len(server_ips) < 2:
             raise ExperimentError("LÆDGE needs at least two servers")
@@ -105,6 +113,7 @@ class LaedgeCoordinator(Host):
     def handle(self, packet: Packet) -> None:
         payload = packet.payload
         if payload is None:
+            packet.release()
             return
         if packet.src in self.outstanding:
             self._handle_response(packet)
@@ -122,6 +131,7 @@ class LaedgeCoordinator(Host):
             self.counters.incr("cloned")
             for target in targets:
                 self._dispatch(packet, target)
+            packet.release()
             return
         below_limit = [
             ip_ for ip_, used in self.outstanding.items() if used < self.slots_per_server
@@ -131,20 +141,25 @@ class LaedgeCoordinator(Host):
             self._inflight[key] = [packet.src, 1, 0]
             self.counters.incr("forwarded")
             self._dispatch(packet, target)
+            packet.release()
             return
         self.counters.incr("queued")
         self.pending.append(packet)
 
     def _dispatch(self, packet: Packet, server_ip: int) -> None:
         self.outstanding[server_ip] += 1
+        self._forward(packet, server_ip, PLAIN_RPC_PORT)
+
+    def _forward(self, packet: Packet, dst: int, port: int) -> None:
+        """Send a fresh pooled copy of *packet* to *dst* on *port*."""
         self.send(
-            Packet(
-                src=self.ip,
-                dst=server_ip,
-                sport=PLAIN_RPC_PORT,
-                dport=PLAIN_RPC_PORT,
-                size=packet.size,
-                payload=packet.payload,
+            self.packet_pool.acquire(
+                self.ip,
+                dst,
+                port,
+                port,
+                packet.size,
+                packet.payload,
                 created_at=packet.created_at,
             )
         )
@@ -166,19 +181,10 @@ class LaedgeCoordinator(Host):
                 del self._inflight[key]
             if received == 1:
                 self.counters.incr("responses_forwarded")
-                self.send(
-                    Packet(
-                        src=self.ip,
-                        dst=client_ip,
-                        sport=LAEDGE_PORT,
-                        dport=LAEDGE_PORT,
-                        size=packet.size,
-                        payload=packet.payload,
-                        created_at=packet.created_at,
-                    )
-                )
+                self._forward(packet, client_ip, LAEDGE_PORT)
             else:
                 self.counters.incr("responses_absorbed")
+        packet.release()
         self._drain_queue()
 
     def _drain_queue(self) -> None:
@@ -197,6 +203,7 @@ class LaedgeCoordinator(Host):
             self._inflight[key] = [queued.src, 1, 0]
             self.counters.incr("dispatched_from_queue")
             self._dispatch(queued, target)
+            queued.release()
 
     @property
     def queue_len(self) -> int:

@@ -31,12 +31,12 @@ class BaselineClient(OpenLoopClient):
     def build_packets(self, request: Any) -> List[Packet]:
         destination = self.rng.choice(self.server_ips)
         return [
-            self._new_packet(
-                src=self.ip,
-                dst=destination,
-                sport=PLAIN_RPC_PORT,
-                dport=PLAIN_RPC_PORT,
-                size=self.workload.request_size(request),
-                payload=request,
+            self.packet_pool.acquire(
+                self.ip,
+                destination,
+                PLAIN_RPC_PORT,
+                PLAIN_RPC_PORT,
+                self.workload.request_size(request),
+                request,
             )
         ]

@@ -94,20 +94,9 @@ class NetCloneClient(OpenLoopClient):
             swid=0,
         )
         size = self.workload.request_size(request) + NetCloneHeader.WIRE_SIZE
-        pool = self.packet_pool
-        if pool is not None:
-            packet = pool.acquire(
+        return [
+            self.packet_pool.acquire(
                 self.ip, VIRTUAL_SERVICE_IP, NETCLONE_UDP_PORT, NETCLONE_UDP_PORT,
                 size, request, header,
             )
-        else:
-            packet = Packet(
-                src=self.ip,
-                dst=VIRTUAL_SERVICE_IP,
-                sport=NETCLONE_UDP_PORT,
-                dport=NETCLONE_UDP_PORT,
-                size=size,
-                payload=request,
-                nc=header,
-            )
-        return [packet]
+        ]

@@ -31,7 +31,7 @@ from repro.core.constants import (
 )
 from repro.errors import ExperimentError
 from repro.net.host import Host
-from repro.net.packet import PROTO_UDP, Packet
+from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 from repro.workloads.distributions import JitterModel
@@ -40,7 +40,10 @@ __all__ = ["RpcServer"]
 
 
 class RpcServer(Host):
-    """A worker server with a dispatcher queue and worker threads."""
+    """A worker server with a dispatcher queue and worker threads.
+
+    Extra keyword arguments (``packet_pool``) go to :class:`Host`.
+    """
 
     def __init__(
         self,
@@ -58,7 +61,7 @@ class RpcServer(Host):
         tx_cost_ns: int = 700,
         rx_cost_ns: int = 500,
         rx_queue_limit: int = 16384,
-        packet_pool: Optional[Any] = None,
+        **host_kwargs: Any,
     ):
         super().__init__(
             sim,
@@ -67,6 +70,7 @@ class RpcServer(Host):
             tx_cost_ns=tx_cost_ns,
             rx_cost_ns=rx_cost_ns,
             rx_queue_limit=rx_queue_limit,
+            **host_kwargs,
         )
         if num_workers <= 0:
             raise ExperimentError("server needs at least one worker thread")
@@ -81,8 +85,6 @@ class RpcServer(Host):
         self.drop_stale_clones = drop_stale_clones
         #: LÆDGE routes responses through the coordinator.
         self.reply_to_ip = reply_to_ip
-        #: Pool to recycle request packets into / draw responses from.
-        self.packet_pool = packet_pool
         self.queue: Deque[Packet] = deque()
         self.busy_workers = 0
         self.counters = Counter()
@@ -175,30 +177,16 @@ class RpcServer(Host):
         size = self._fixed_resp_size
         if size is None:
             size = self.service.response_size(request.payload)
-        pool = self.packet_pool
-        if pool is not None:
-            response = pool.acquire(
-                self.ip,
-                dst,
-                NETCLONE_UDP_PORT,
-                dport,
-                size,
-                request.payload,
-                resp_nc,
-                PROTO_UDP,
-                request.created_at,
-            )
-        else:
-            response = Packet(
-                src=self.ip,
-                dst=dst,
-                sport=NETCLONE_UDP_PORT,
-                dport=dport,
-                size=size,
-                payload=request.payload,
-                nc=resp_nc,
-                created_at=request.created_at,
-            )
+        response = self.packet_pool.acquire(
+            self.ip,
+            dst,
+            NETCLONE_UDP_PORT,
+            dport,
+            size,
+            request.payload,
+            resp_nc,
+            request.created_at,
+        )
         # The response now owns the payload reference; the request's
         # life on the wire is over.
         request.release()

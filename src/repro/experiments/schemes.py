@@ -172,6 +172,7 @@ def _laedge_coordinator(ctx: SchemeContext):
         rng=ctx.cluster.rngs.stream("coordinator"),
         slots_per_server=max(ctx.config.worker_counts()),
         cpu_cost_ns=COORDINATOR_CPU_NS,
+        packet_pool=ctx.cluster.packet_pool,
     )
 
 

@@ -1,18 +1,17 @@
-"""IPv4 and MAC address helpers.
+"""IPv4 address helpers.
 
 Addresses travel through the simulator as plain integers (cheap to
 hash, compare and copy); these helpers convert between the integer
-form and the usual dotted/colon-separated text form.
+form and the usual dotted-quad text form.
 """
 
 from __future__ import annotations
 
 from repro.errors import AddressError
 
-__all__ = ["format_ip", "format_mac", "ip_to_int", "mac_to_int"]
+__all__ = ["format_ip", "ip_to_int"]
 
 _IP_MAX = (1 << 32) - 1
-_MAC_MAX = (1 << 48) - 1
 
 
 def ip_to_int(text: str) -> int:
@@ -37,27 +36,3 @@ def format_ip(value: int) -> str:
     if not 0 <= value <= _IP_MAX:
         raise AddressError(f"IPv4 value out of range: {value!r}")
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def mac_to_int(text: str) -> int:
-    """Parse colon-separated *text* (e.g. ``"02:00:00:00:01:0a"``)."""
-    parts = text.split(":")
-    if len(parts) != 6:
-        raise AddressError(f"malformed MAC address {text!r}")
-    value = 0
-    for part in parts:
-        try:
-            byte = int(part, 16)
-        except ValueError as exc:
-            raise AddressError(f"malformed MAC address {text!r}") from exc
-        if not 0 <= byte <= 255:
-            raise AddressError(f"MAC byte out of range in {text!r}")
-        value = (value << 8) | byte
-    return value
-
-
-def format_mac(value: int) -> str:
-    """Format integer *value* as colon-separated hex bytes."""
-    if not 0 <= value <= _MAC_MAX:
-        raise AddressError(f"MAC value out of range: {value!r}")
-    return ":".join(f"{(value >> shift) & 0xFF:02x}" for shift in (40, 32, 24, 16, 8, 0))

@@ -2,7 +2,9 @@
 
 A host is attached to exactly one link (its ToR uplink in every
 fabric here) and dispatches received packets to :meth:`handle`, which
-applications override.
+applications override.  Every packet a host sends comes from its
+``packet_pool`` — in a cluster, the one pool every host shares; a
+stand-alone host gets a fresh pool of its own.
 
 The testbed in the paper uses VMA kernel-bypass networking, where each
 packet still costs on the order of a microsecond of CPU in the send and
@@ -24,7 +26,7 @@ from typing import Optional
 
 from repro.errors import NetworkError
 from repro.net.link import Direction, Link
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketPool
 from repro.sim.core import Simulator
 
 __all__ = ["Host"]
@@ -36,12 +38,13 @@ class Host:
     # Slots keep the host's own state out of the subclasses' instance
     # dicts.  Clients and servers add ~17 attributes of their own, and
     # CPython shares one compact key table per class only up to 30
-    # keys: with these 11 in the dict too, every attribute access on a
-    # client or server took the slow path (star-baseline-hi lost ~7%
-    # of its simulated requests per second).
+    # keys: with the host's state in the dict too, every attribute
+    # access on a client or server took the slow path
+    # (star-baseline-hi lost ~7% of its simulated requests per second).
     __slots__ = (
         "sim", "name", "ip", "tx_cost_ns", "rx_cost_ns", "rx_queue_limit",
         "_tx_free_at", "_rx_free_at", "rx_dropped", "link", "_uplink",
+        "packet_pool",
     )
 
     def __init__(
@@ -52,6 +55,7 @@ class Host:
         tx_cost_ns: int = 700,
         rx_cost_ns: int = 700,
         rx_queue_limit: int = 4096,
+        packet_pool: Optional[PacketPool] = None,
     ):
         if tx_cost_ns < 0 or rx_cost_ns < 0:
             raise NetworkError("per-packet costs must be non-negative")
@@ -70,6 +74,8 @@ class Host:
         self.link: Optional[Link] = None
         #: The uplink direction this host transmits on.
         self._uplink: Optional[Direction] = None
+        #: Where this host's packets come from and recycle into.
+        self.packet_pool = packet_pool or PacketPool()
 
     # ------------------------------------------------------------------
     def attach_link(self, link: Link) -> None:

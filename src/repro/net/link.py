@@ -1,8 +1,7 @@
 """Point-to-point full-duplex links.
 
-A link connects two endpoints: switches (``link_ingress``), hosts
-(``link_rx_at``), or anything with a ``deliver(packet, link)`` method.
-Each direction models:
+A link connects two endpoints, each a switch (``link_ingress``) or a
+:class:`~repro.net.host.Host` (``link_rx_at``).  Each direction models:
 
 * **serialisation** — back-to-back packets queue behind one another at
   the line rate (a per-direction "next free" timestamp), and
@@ -48,8 +47,7 @@ class Direction:
       latency with this direction as its second argument, so the
       switch reads its ingress port from :attr:`rx_port`;
     * a host's ``link_rx_at`` is called at send time with the arrival
-      time (it books its RX slot up front);
-    * anything else gets a ``deliver(packet, link)`` event at arrival.
+      time (it books its RX slot up front).
     """
 
     __slots__ = (
@@ -60,7 +58,6 @@ class Direction:
         "tx_bytes",
         "tx_count",
         "entry",
-        "rx_arg",
         "rx_at_send",
         "rx_latency_ns",
         "rx_port",
@@ -84,17 +81,12 @@ class Direction:
         self.rx_port: Optional[int] = None
         self.rx_at_send = False
         self.rx_latency_ns = 0
-        self.rx_arg: Any = link
         entry = getattr(receiver, "link_ingress", None)
         if entry is not None:
             self.rx_latency_ns = receiver.pipeline_latency_ns
-            self.rx_arg = self
         else:
-            entry = getattr(receiver, "link_rx_at", None)
-            if entry is not None:
-                self.rx_at_send = True
-            else:
-                entry = receiver.deliver
+            entry = receiver.link_rx_at
+            self.rx_at_send = True
         self.entry = entry
         #: Serialisation-done → scheduled callback time: propagation
         #: plus the receiver's pipeline latency, derived by the link's
@@ -124,7 +116,7 @@ class Direction:
         if self.rx_at_send:
             self.entry(packet, when)
             return
-        self.sim.call_at(when, self.entry, packet, self.rx_arg)
+        self.sim.call_at(when, self.entry, packet, self)
 
 
 class Link:
@@ -260,7 +252,7 @@ class Link:
         """Transmit *packet* from one endpoint toward the other.
 
         Returns the delivery time, or ``None`` if the link is down (or
-        lossy) and the packet was dropped.  Dropped pooled packets are
+        lossy) and the packet was dropped.  Dropped packets are
         recycled — nobody downstream will ever see them.
         """
         direction = self.direction_from(from_endpoint)
@@ -269,9 +261,7 @@ class Link:
             and self._loss_rng.random() < self.loss_probability
         ):
             self.drop_count += 1
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
+            packet.release()
             return None
         direction.push(packet, self.sim.now)
         return direction.free_at + self._propagation_ns

@@ -2,45 +2,37 @@
 
 A :class:`Packet` is a slotted object rather than real bytes: the hot
 path copies and inspects fields millions of times per experiment, so we
-keep it as lean as possible.  Byte-exact encodings of the protocol
-headers exist in :mod:`repro.net.headers` (and
-:mod:`repro.core.header` for the NetClone header) and are exercised by
-the test suite to show the wire format is well defined.
+keep it as lean as possible.  Every packet is UDP; the one byte-exact
+encoding that matters, the NetClone header, lives in
+:mod:`repro.core.header`.
 
-Switch-internal metadata (ingress port, recirculation flag, multicast
-group) also lives here, mirroring how PISA attaches per-packet metadata
+Switch-internal metadata (ingress port, recirculation flag) also
+lives here, mirroring how PISA attaches per-packet metadata
 alongside the parsed header vector.
 
-Packets on the experiment hot path come from a :class:`PacketPool`: a
-free list that recycles the slotted objects (client request → server
-response → client release) instead of allocating one per hop, and —
-just as importantly — owns its own uid counter.  Uids therefore depend
-only on what the owning experiment does, not on whatever else ran
-earlier in the process, so two identical experiments produce identical
-uid streams no matter what preceded them.  Bare ``Packet(...)``
-construction (tests, one-off control traffic) still works and draws
-from a process-wide fallback counter.
+Every packet comes from a :class:`PacketPool`: a free list that
+recycles the slotted objects (client request → server response →
+client release) instead of allocating one per hop, and — just as
+importantly — owns its own uid counter.  Uids therefore depend only on
+what the owning experiment does, not on whatever else ran earlier in
+the process, so two identical experiments produce identical uid
+streams no matter what preceded them.  :meth:`PacketPool.acquire` is
+the only way to make a packet, so every packet knows its pool and
+every release recycles.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, List, Optional
 
-__all__ = ["PROTO_TCP", "PROTO_UDP", "Packet", "PacketPool"]
-
-#: IANA protocol number for UDP.
-PROTO_UDP = 17
-#: IANA protocol number for TCP.
-PROTO_TCP = 6
-
-#: Fallback uid stream for packets built outside any pool.
-_packet_uid = count(1)
+__all__ = ["Packet", "PacketPool"]
 
 
 class Packet:
-    """One simulated datagram.
+    """One simulated UDP datagram, built only by :meth:`PacketPool.acquire`.
 
+    :param pool: the owning :class:`PacketPool`.
+    :param uid: the packet life's number, drawn from *pool*.
     :param src: source IPv4 address (integer form).
     :param dst: destination IPv4 address (integer form).
     :param sport: source L4 port.
@@ -50,7 +42,7 @@ class Packet:
     :param payload: opaque application payload object.
     :param nc: optional NetClone header (``repro.core.header.
         NetCloneHeader``); ``None`` for normal traffic.
-    :param proto: L4 protocol number, UDP by default.
+    :param created_at: simulated time the request was sent.
     """
 
     __slots__ = (
@@ -59,7 +51,6 @@ class Packet:
         "dst",
         "sport",
         "dport",
-        "proto",
         "size",
         "payload",
         "nc",
@@ -72,22 +63,22 @@ class Packet:
 
     def __init__(
         self,
+        pool: "PacketPool",
+        uid: int,
         src: int,
         dst: int,
         sport: int,
         dport: int,
         size: int,
-        payload: Any = None,
-        nc: Optional[Any] = None,
-        proto: int = PROTO_UDP,
-        created_at: int = 0,
+        payload: Any,
+        nc: Optional[Any],
+        created_at: int,
     ):
-        self.uid = next(_packet_uid)
+        self.uid = uid
         self.src = src
         self.dst = dst
         self.sport = sport
         self.dport = dport
-        self.proto = proto
         self.size = size
         self.payload = payload
         self.nc = nc
@@ -97,24 +88,24 @@ class Packet:
         self.recirculated: bool = False
         #: Simulated time the packet object was created (client send time).
         self.created_at = created_at
-        #: Owning :class:`PacketPool`, or ``None`` for bare packets.
-        self.pool: Optional["PacketPool"] = None
+        #: Owning :class:`PacketPool`.
+        self.pool = pool
         self._freed = False
 
     def release(self) -> None:
-        """Return this packet to its pool.  No-op for bare packets.
+        """Return this packet to its pool.
 
         Idempotent: a second release of the same life is ignored (the
         pool would otherwise hand the object out twice).  Payload and
         header references are dropped so released packets keep nothing
         alive.
         """
-        pool = self.pool
-        if pool is None or self._freed:
+        if self._freed:
             return
         self._freed = True
         self.payload = None
         self.nc = None
+        pool = self.pool
         pool._free.append(self)
         pool.released += 1
 
@@ -123,33 +114,19 @@ class Packet:
 
         The NetClone header is copied too (it is mutable); the payload
         is shared, matching how a hardware clone duplicates bytes but
-        our simulator treats the payload as opaque.  Pooled packets
-        clone from their pool, so switch clones recycle too.
+        our simulator treats the payload as opaque.  The copy comes
+        from this packet's pool, so switch clones recycle too.
         """
         nc = self.nc.copy() if self.nc is not None else None
-        pool = self.pool
-        if pool is not None:
-            return pool.acquire(
-                self.src,
-                self.dst,
-                self.sport,
-                self.dport,
-                self.size,
-                payload=self.payload,
-                nc=nc,
-                proto=self.proto,
-                created_at=self.created_at,
-            )
-        return Packet(
+        return self.pool.acquire(
             self.src,
             self.dst,
             self.sport,
             self.dport,
             self.size,
-            payload=self.payload,
-            nc=nc,
-            proto=self.proto,
-            created_at=self.created_at,
+            self.payload,
+            nc,
+            self.created_at,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -192,7 +169,6 @@ class PacketPool:
         size: int,
         payload: Any = None,
         nc: Optional[Any] = None,
-        proto: int = PROTO_UDP,
         created_at: int = 0,
     ) -> Packet:
         """A packet owned by this pool, recycled when possible."""
@@ -208,7 +184,6 @@ class PacketPool:
             packet.dst = dst
             packet.sport = sport
             packet.dport = dport
-            packet.proto = proto
             packet.size = size
             packet.payload = payload
             packet.nc = nc
@@ -217,14 +192,10 @@ class PacketPool:
             packet.created_at = created_at
             packet._freed = False
             return packet
-        packet = Packet(
-            src, dst, sport, dport, size,
-            payload=payload, nc=nc, proto=proto, created_at=created_at,
-        )
-        packet.uid = uid
-        packet.pool = self
         self.allocated += 1
-        return packet
+        return Packet(
+            self, uid, src, dst, sport, dport, size, payload, nc, created_at
+        )
 
     @property
     def free_count(self) -> int:

@@ -24,14 +24,14 @@ used instead:
 
 Wiring: :class:`~repro.experiments.common.Cluster` swaps in the
 sanitizing classes when :func:`enabled` is true, and both
-``run_point`` and the scenario runner call ``cluster.sanitize_check()``
-after the drain, so a leak fails the run with the acquiring site in the
-message instead of vanishing into the free list's accounting.
+``run_point`` and the scenario runner run the simulator until its
+queue empties and then call ``cluster.sanitize_check()``, so a leak
+fails the run with the acquiring site in the message instead of
+vanishing into the free list's accounting.
 
-The ledger reports whatever is outstanding when the simulation stops:
-a drain window too short for the last in-flight requests to complete
-shows those packets as leaks.  That is the run being truncated, not a
-pool bug — keep ``drain_ns`` at its default few milliseconds.
+The ledger reports whatever is outstanding when it is asked: a caller
+that builds a report before the queue empties sees the packets still
+in flight as leaks.  That is the run being truncated, not a pool bug.
 """
 
 from __future__ import annotations
@@ -91,35 +91,35 @@ def _call_site() -> str:
 class PacketLedger:
     """Open-entry accounting of packet lives.
 
-    Keyed by object identity: a recycled object re-enters the ledger on
-    its next acquire, so one slot tracks one *live* at a time and the
-    ledger's size is the number of packets currently out of the pool.
+    Keyed by uid, which numbers packet lives and is never reused within
+    a pool: a leaked packet that is garbage-collected keeps its entry
+    open, even when a later acquire reuses its address.  The ledger's
+    size is the number of packets currently out of the pool.
     """
 
     __slots__ = ("outstanding", "acquired", "retired", "foreign_releases")
 
     def __init__(self) -> None:
-        #: id(packet) -> (uid, acquiring call site).
-        self.outstanding: Dict[int, Tuple[int, str]] = {}
+        #: uid -> acquiring call site.
+        self.outstanding: Dict[int, str] = {}
         self.acquired = 0
         self.retired = 0
-        #: Releases of packets this ledger never admitted (a packet
-        #: from another pool, or acquired before sanitizing started).
+        #: Releases of packets this ledger never admitted.
         self.foreign_releases = 0
 
     def admit(self, packet: Packet) -> None:
         self.acquired += 1
-        self.outstanding[id(packet)] = (packet.uid, _call_site())  # detlint: ignore[unordered-iteration] -- identity key is the point; leaks() sorts by uid before reporting
+        self.outstanding[packet.uid] = _call_site()
 
     def retire(self, packet: Packet) -> None:
-        if self.outstanding.pop(id(packet), None) is None:
+        if self.outstanding.pop(packet.uid, None) is None:
             self.foreign_releases += 1
         else:
             self.retired += 1
 
     def leaks(self) -> List[Tuple[int, str]]:
         """Open entries as ``(uid, site)``, oldest life first."""
-        return sorted(self.outstanding.values())
+        return sorted(self.outstanding.items())
 
 
 class _LedgerList(list):

@@ -9,6 +9,7 @@ collected in one pytest run.
 import math
 
 from repro.experiments.common import ClusterConfig
+from repro.net import PacketPool
 from repro.sim import Simulator
 from repro.sim.units import ms
 from repro.switchsim import ProgrammableSwitch
@@ -29,6 +30,18 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+def make_packet(
+    src=1, dst=2, sport=0, dport=0, size=64, payload=None, nc=None, pool=None
+):
+    """One packet acquired from *pool* (default: a fresh pool).
+
+    ``PacketPool.acquire`` is the only way to make a packet; tests that
+    need a packet outside a cluster get it here, usually from the
+    sending host's ``packet_pool``.
+    """
+    return (pool or PacketPool()).acquire(src, dst, sport, dport, size, payload, nc)
 
 
 class RecordingSwitch(ProgrammableSwitch):

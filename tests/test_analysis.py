@@ -22,7 +22,7 @@ from repro.analysis import (
 from repro.apps.service import SyntheticService
 from repro.core import RpcServer
 from repro.errors import ExperimentError
-from repro.net import Host, Link, Packet
+from repro.net import Host, Link
 from repro.sim import Simulator
 from repro.sim.units import ms, us
 from repro.workloads import JitterModel, RpcRequest
@@ -107,7 +107,7 @@ class MeasuringClient(Host):
         service = int(self.rng.expovariate(1.0 / self.mean_service_ns)) + 1
         payload = RpcRequest(client_id=0, client_seq=self._seq, service_ns=service)
         self.send(
-            Packet(
+            self.packet_pool.acquire(
                 src=self.ip,
                 dst=self.server_ip,
                 sport=7000,

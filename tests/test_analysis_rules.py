@@ -9,10 +9,13 @@ registered and enabled.
 
 Also here: suppression and baseline round-trips, the signature-gating
 helper the CLI and tools share, and the runtime sanitizers (planted
-packet leak, RNG draw accounting).
+packet leak, every scheme leak-free, RNG draw accounting).
 """
 
+import gc
+
 import pytest
+from helpers import tiny_config
 
 from repro.analysis import (
     RULES,
@@ -30,6 +33,7 @@ from repro.sim.sanitize import (
     build_report,
     diff_draw_counts,
 )
+from repro.sim.units import ms
 
 SIM_MODULE = "repro.sim.fake"
 PLAIN_MODULE = "repro.charts.fake"
@@ -396,6 +400,20 @@ def test_packet_ledger_tracks_recycled_lives():
     assert [uid for uid, _ in report.packet_leaks] == [second.uid]
 
 
+def test_packet_ledger_counts_leaks_whose_objects_were_freed():
+    # Dropped leaks are garbage-collected and later acquires may reuse
+    # their addresses; a freed address must not retire an open life.
+    pool = SanitizingPacketPool()
+    for _ in range(100):
+        pool.acquire(1, 2, 3, 4, 64)
+    gc.collect()
+    for _ in range(100):
+        pool.acquire(1, 2, 3, 4, 64).release()
+    report = build_report(pool, SanitizingRngRegistry(7))
+    assert len(report.packet_leaks) == 100
+    assert not report.clean
+
+
 def test_counting_random_counts_derived_draws():
     rng = CountingRandom(7)
     rng.random()
@@ -449,6 +467,49 @@ def test_sanitized_cluster_run_is_clean(monkeypatch):
     assert report is not None and report.clean
     assert report.acquired > 0 and report.draw_counts
     assert report.draw_digest  # stable digest, usable for run-vs-run diffs
+
+
+def test_every_scheme_is_leak_free_and_recycles(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    from repro.experiments.common import Cluster
+    from repro.experiments.schemes import SCHEMES
+
+    def run(scheme, topology):
+        cluster = Cluster(
+            tiny_config(
+                scheme=scheme,
+                topology=topology,
+                warmup_ns=ms(2),
+                measure_ns=ms(5),
+                drain_ns=ms(3),
+            )
+        )
+        cluster.start()
+        cluster.run()
+        return cluster
+
+    for topology in ("star", "spine_leaf"):
+        for scheme in SCHEMES.names():
+            cluster = run(scheme, topology)
+            report = cluster.sanitize_report()
+            assert report.clean, (scheme, topology, report.format())
+            pool = cluster.packet_pool
+            assert pool.allocated * 4 < pool.uid_count, (scheme, topology)
+    # Uid streams are per cluster: the same experiment twice in one
+    # process hands out the same number of packet lives.
+    first, second = run("laedge", "star"), run("laedge", "star")
+    assert first.packet_pool.uid_count == second.packet_pool.uid_count
+
+
+def test_sanitized_run_point_drains_an_overloaded_point(monkeypatch):
+    # C-Clone doubles the offered load past capacity, so requests are
+    # still queued at the servers when the window closes; run_point
+    # drains them before the ledger check instead of calling them leaks.
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    from repro.experiments.common import run_point
+
+    point = run_point(tiny_config(scheme="cclone", rate_rps=0.6e6))
+    assert point.samples > 0
 
 
 def test_unsanitized_cluster_pays_nothing(monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import assert_points_identical, tiny_config
+from helpers import assert_points_identical, make_packet, tiny_config
 
 from repro.apps.client import OpenLoopClient
 from repro.core import NetCloneProgram
@@ -15,7 +15,7 @@ from repro.errors import ExperimentError
 from repro.experiments.common import run_point
 from repro.experiments.schemes import SCHEMES
 from repro.metrics.latency import LatencyRecorder
-from repro.net import Host, Link, Packet
+from repro.net import Host, Link
 from repro.sim import Simulator
 from repro.sim.units import ms, us
 from repro.workloads import ExponentialDistribution, SyntheticWorkload
@@ -31,7 +31,7 @@ class EchoPeer(Host):
 
     def handle(self, packet):
         self.count += 1
-        response = Packet(
+        response = self.packet_pool.acquire(
             src=self.ip,
             dst=packet.src,
             sport=packet.dport,
@@ -48,7 +48,7 @@ class DirectClient(OpenLoopClient):
 
     def build_packets(self, request):
         return [
-            Packet(
+            self.packet_pool.acquire(
                 src=self.ip,
                 dst=2,
                 sport=1111,
@@ -123,7 +123,7 @@ def test_foreign_payload_ignored():
         client_seq = 1
 
     client.handle(
-        Packet(src=2, dst=1, sport=0, dport=0, size=64, payload=ForeignPayload())
+        make_packet(src=2, dst=1, sport=0, dport=0, size=64, payload=ForeignPayload())
     )
     assert client.responses_received == 0
 
@@ -202,7 +202,7 @@ def test_property_filter_register_matches_reference_model(events):
     switch = ProgrammableSwitch(Simulator())
     slot_model = 0
     for req_id, _unused in events:
-        packet = Packet(
+        packet = make_packet(
             src=11,
             dst=5,
             sport=NETCLONE_UDP_PORT,

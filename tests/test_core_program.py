@@ -18,10 +18,9 @@ from repro.core import (
 from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
 from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
 from repro.errors import PipelineConfigError, StageAccessError
-from repro.net.packet import Packet
 from repro.switchsim import crc32_hash
 
-from helpers import RecordingSwitch, run_pass
+from helpers import RecordingSwitch, make_packet, run_pass
 
 SERVER_IPS = [1001, 1002, 1003]
 
@@ -36,7 +35,7 @@ def make_switch():
 
 
 def request(grp=0, clo=CLO_NOT_CLONED, idx=0, swid=0, req_id=0):
-    return Packet(
+    return make_packet(
         src=5000,
         dst=VIRTUAL_SERVICE_IP,
         sport=NETCLONE_UDP_PORT,
@@ -47,7 +46,7 @@ def request(grp=0, clo=CLO_NOT_CLONED, idx=0, swid=0, req_id=0):
 
 
 def response(req_id, sid, state=STATE_IDLE, clo=CLO_CLONED_ORIGINAL, idx=0):
-    return Packet(
+    return make_packet(
         src=SERVER_IPS[sid],
         dst=5000,
         sport=NETCLONE_UDP_PORT,
@@ -279,7 +278,7 @@ def test_compiled_pass_rejects_response_sid_past_max_servers(sid):
 def test_matches_requires_netclone_port_and_header():
     program = make_program()
     assert program.matches(request())
-    plain = Packet(src=1, dst=2, sport=80, dport=80, size=64)
+    plain = make_packet(src=1, dst=2, sport=80, dport=80, size=64)
     assert not program.matches(plain)
     wrong_port = request()
     wrong_port.dport = 1234
@@ -295,10 +294,10 @@ def test_matches_swid_gate_for_multirack():
 
 GATE_CASES = {
     # name -> (packet factory, whether a ToR with switch_id=2 claims it)
-    "plain": (lambda: Packet(src=1, dst=2, sport=80, dport=80, size=64), False),
+    "plain": (lambda: make_packet(src=1, dst=2, sport=80, dport=80, size=64), False),
     "wrong-port": (lambda: request_on_port(1234), False),
     "no-header": (
-        lambda: Packet(
+        lambda: make_packet(
             src=5000,
             dst=VIRTUAL_SERVICE_IP,
             sport=NETCLONE_UDP_PORT,

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from helpers import make_packet
+
 from repro.apps.service import KvService, SyntheticService
 from repro.core import (
     CLO_CLONED_COPY,
@@ -16,7 +18,7 @@ from repro.core import (
 )
 from repro.errors import ExperimentError
 from repro.kvstore import KeyValueStore, RedisCostModel
-from repro.net import Host, Link, Packet
+from repro.net import Host, Link
 from repro.sim import Simulator
 from repro.workloads import JitterModel, KvOp, KvRequest, RpcRequest
 
@@ -54,7 +56,7 @@ def make_server(sim, collector, num_workers=2, jitter_p=0.0, **kwargs):
 
 def nc_request(seq, service_ns=1000, clo=0):
     payload = RpcRequest(client_id=0, client_seq=seq, service_ns=service_ns)
-    return Packet(
+    return make_packet(
         src=42,
         dst=99,
         sport=NETCLONE_UDP_PORT,
@@ -154,7 +156,7 @@ def test_server_plain_request_gets_plain_response():
     collector = Collector(sim)
     server = make_server(sim, collector, netclone_mode=False)
     payload = RpcRequest(client_id=0, client_seq=1, service_ns=100)
-    server.handle(Packet(src=42, dst=99, sport=7000, dport=7000, size=128, payload=payload))
+    server.handle(make_packet(src=42, dst=99, sport=7000, dport=7000, size=128, payload=payload))
     sim.run()
     _, packet = collector.received[0]
     assert packet.nc is None
@@ -166,7 +168,7 @@ def test_server_ignores_response_packets():
     collector = Collector(sim)
     server = make_server(sim, collector)
     server.handle(
-        Packet(
+        make_packet(
             src=1,
             dst=99,
             sport=NETCLONE_UDP_PORT,

@@ -21,12 +21,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import assert_points_identical, tiny_config
+from helpers import assert_points_identical, make_packet, tiny_config
 
 import repro
 from repro.experiments.common import Cluster, run_point
+from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.sim.units import ms
 
@@ -173,21 +173,12 @@ def test_identical_runs_produce_identical_uid_streams():
 # ----------------------------------------------------------------------
 # Link serialisation memo: cached == computed, invalidated on retune
 # ----------------------------------------------------------------------
-class _Sink:
-    """Bare link endpoint (generic deliver path)."""
-
-    name = "sink"
-
-    def deliver(self, packet, from_a):
-        pass
-
-
 def test_serialization_memo_matches_direct_computation():
     sim = Simulator()
     # The fig18 grid's line rates (trunks) plus the edge default, over
     # the packet sizes the workloads actually emit.
     for gbps in (0.5, 0.7, 1.0, 2.0, 100.0):
-        link = Link(sim, _Sink(), _Sink(), bandwidth_bps=gbps * 1e9)
+        link = Link(sim, Host(sim, "a", 1), Host(sim, "b", 2), bandwidth_bps=gbps * 1e9)
         for size in (64, 128, 256, 1024, 1500):
             direct = int(round(size * 8 / (gbps * 1e9) * 1e9))
             assert link.serialization_ns(size) == direct
@@ -198,10 +189,10 @@ def test_serialization_memo_matches_direct_computation():
 
 def test_serialization_memo_invalidated_by_bandwidth_change():
     sim = Simulator()
-    a, b = _Sink(), _Sink()
+    a, b = Host(sim, "a", 1), Host(sim, "b", 2)
     link = Link(sim, a, b, bandwidth_bps=1e9)
     for end in (a, b):  # warm the memo at the old rate, both ways
-        link.send(Packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
+        link.send(make_packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
     before = link.serialization_ns(1500)
     link.bandwidth_bps = 2e9
     assert not link._ser_ns  # memo dropped with the old line rate
@@ -211,7 +202,7 @@ def test_serialization_memo_invalidated_by_bandwidth_change():
     # Both directions share the memo, so both book at the new rate.
     sim.run()
     for end in (a, b):
-        arrival = link.send(Packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
+        arrival = link.send(make_packet(src=1, dst=2, sport=1, dport=1, size=1500), end)
         assert arrival == sim.now + after + link.propagation_ns
 
 

@@ -21,7 +21,7 @@ from math import isnan
 from types import SimpleNamespace
 
 import pytest
-from helpers import tiny_config
+from helpers import make_packet, tiny_config
 
 from repro.errors import NetworkError
 from repro.experiments.common import run_point
@@ -31,7 +31,6 @@ from repro.experiments.topologies import (
     TopologyContext,
 )
 from repro.net.host import Host
-from repro.net.packet import Packet
 from repro.net.topology import SpineLeafFabric
 from repro.sim.core import Simulator
 from repro.sim.units import ms
@@ -106,7 +105,7 @@ def test_every_host_reaches_every_other(name, params):
         for receiver in probes:
             if receiver is not sender:
                 sender.send(
-                    Packet(src=sender.ip, dst=receiver.ip, sport=1, dport=1, size=64)
+                    make_packet(src=sender.ip, dst=receiver.ip, sport=1, dport=1, size=64)
                 )
     sim.run(until=ms(10))
     expected = {probe.ip for probe in probes}
@@ -169,9 +168,9 @@ def test_ecmp_is_a_pure_function_of_destination_ip():
     # Different sources, repeated sends, later times: always one uplink.
     for src in (1, 99, 2**31):
         for _ in range(3):
-            client.send(Packet(src=src, dst=server.ip, sport=7, dport=9, size=64))
+            client.send(make_packet(src=src, dst=server.ip, sport=7, dport=9, size=64))
     sim.run(until=ms(1))
-    client.send(Packet(src=5, dst=server.ip, sport=1, dport=1, size=64))
+    client.send(make_packet(src=5, dst=server.ip, sport=1, dport=1, size=64))
     sim.run(until=ms(2))
     sent = [link.bytes_from(fabric.tors[1]) for link in fabric.uplinks[1]]
     assert sent == [10 * 64 if s == pinned else 0 for s in range(4)]
@@ -188,7 +187,7 @@ def test_least_loaded_matches_ecmp_on_an_idle_fabric():
     fabric.attach(server, "server", 0)
     selector = fabric.tors[1].routes[server.ip]
     assert callable(selector)  # per-packet, unlike compiled ECMP
-    probe = Packet(src=1, dst=server.ip, sport=1, dport=1, size=64)
+    probe = make_packet(src=1, dst=server.ip, sport=1, dport=1, size=64)
     assert selector(probe) == fabric._uplink_port[1][server.ip % 4]
 
 

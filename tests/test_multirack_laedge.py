@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from helpers import make_packet
+
 from repro.apps.service import SyntheticService
 from repro.baselines.laedge import LaedgeCoordinator
 from repro.baselines.random_lb import PLAIN_RPC_PORT
@@ -20,7 +22,7 @@ from repro.core import (
 )
 from repro.errors import ExperimentError
 from repro.metrics.latency import LatencyRecorder
-from repro.net import Host, Link, Packet
+from repro.net import Host, Link
 from repro.net.topology import TwoRackFabric
 from repro.sim import Simulator
 from repro.sim.units import ms, us
@@ -122,7 +124,7 @@ class ScriptedServer(Host):
 
     def handle(self, packet):
         self.seen.append(packet)
-        response = Packet(
+        response = self.packet_pool.acquire(
             src=self.ip,
             dst=packet.src,
             sport=PLAIN_RPC_PORT,
@@ -174,7 +176,7 @@ def build_laedge(num_servers=3, slots=1, delay_ns=10_000):
 
 
 def send_request(sim, client, coordinator, seq):
-    packet = Packet(
+    packet = make_packet(
         src=client.ip,
         dst=coordinator.ip,
         sport=PLAIN_RPC_PORT + 1,
@@ -212,7 +214,7 @@ def test_laedge_forwards_when_one_slot_free():
 
 def test_laedge_writes_not_cloned():
     sim, switch, client, coordinator, servers = build_laedge()
-    packet = Packet(
+    packet = make_packet(
         src=client.ip,
         dst=coordinator.ip,
         sport=PLAIN_RPC_PORT + 1,

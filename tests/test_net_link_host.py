@@ -2,8 +2,10 @@
 
 import pytest
 
+from helpers import make_packet
+
 from repro.errors import NetworkError, PortError
-from repro.net import Host, Link, Packet, StarTopology
+from repro.net import Host, Link, StarTopology
 from repro.net.addresses import ip_to_int
 from repro.sim import Simulator
 
@@ -29,7 +31,7 @@ def make_pair(sim, tx_cost=0, rx_cost=0, propagation=300, bandwidth=100e9):
 
 
 def packet_between(a, b, size=128):
-    return Packet(src=a.ip, dst=b.ip, sport=1, dport=2, size=size)
+    return make_packet(src=a.ip, dst=b.ip, sport=1, dport=2, size=size)
 
 
 def test_link_delivers_with_propagation_and_serialisation():
@@ -104,26 +106,13 @@ class _IngressProbe:
         self.times.append(self.sim.now)
 
 
-class _DeliverProbe:
-    """Generic receiver: records when each ``deliver`` event runs."""
-
-    name = "sink"
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.times = []
-
-    def deliver(self, packet, link):
-        self.times.append(self.sim.now)
-
-
 def test_propagation_change_after_wiring_reaches_the_schedule():
     # The delay is re-derived for both directions when it changes, so
-    # every receiver kind sees the packet when Link.send says it lands.
+    # both receiver kinds see the packet when Link.send says it lands.
     sim = Simulator()
     a, b, pair = make_pair(sim)
     switch = _IngressProbe(sim)
-    sink = _DeliverProbe(sim)
+    sink = RecordingHost(sim, "sink", 3, rx_cost_ns=0)
     to_switch = Link(sim, sink, switch)
     for link in (pair, to_switch):
         link.propagation_ns = 1000
@@ -135,7 +124,7 @@ def test_propagation_change_after_wiring_reaches_the_schedule():
     assert [t for t, _ in b.received] == [1100]
     assert [t for t, _ in a.received] == [1100]
     assert switch.times == [1100 + 400]
-    assert sink.times == [1100]
+    assert [t for t, _ in sink.received] == [1100]
     with pytest.raises(NetworkError):
         pair.propagation_ns = -1
 
@@ -186,7 +175,7 @@ def _run_switched(lossy):
         (10, b, a, 64), (900, a, b, 128), (905, b, a, 128), (5000, a, b, 1500),
     ]
     for t, src, dst, size in sends:
-        packet = Packet(src=src.ip, dst=dst.ip, sport=1, dport=2, size=size)
+        packet = make_packet(src=src.ip, dst=dst.ip, sport=1, dport=2, size=size)
         sim.call_at(t, src.send, packet)
     sim.run()
     assert rng.draws == (2 * len(sends) if lossy else 0)
@@ -221,7 +210,7 @@ def test_host_tx_serialises_back_to_back_sends():
 def test_host_rx_queue_limit_drops_same_instant_arrivals():
     sim = Simulator()
     host = RecordingHost(sim, "h", 1, rx_cost_ns=100, rx_queue_limit=2)
-    packets = [Packet(src=2, dst=1, sport=1, dport=2, size=64) for _ in range(3)]
+    packets = [make_packet(src=2, dst=1, sport=1, dport=2, size=64) for _ in range(3)]
     for packet in packets:
         host.link_rx_at(packet, 500)
     # The third arrival finds two packets' worth of RX work booked.
@@ -263,7 +252,7 @@ def test_host_requires_link():
     sim = Simulator()
     host = RecordingHost(sim, "solo", 1)
     with pytest.raises(NetworkError):
-        host.send(Packet(src=1, dst=2, sport=0, dport=0, size=64))
+        host.send(make_packet(src=1, dst=2, sport=0, dport=0, size=64))
 
 
 def test_host_single_link_only():
@@ -276,6 +265,8 @@ def test_host_single_link_only():
 class FakeSwitch:
     """Minimal switch-like object for topology tests."""
 
+    pipeline_latency_ns = 0
+
     def __init__(self):
         self.name = "fake"
         self.connections = {}
@@ -287,7 +278,7 @@ class FakeSwitch:
     def install_route(self, ip, port):
         self.routes[ip] = port
 
-    def deliver(self, packet, link):
+    def link_ingress(self, packet, arriving):
         pass
 
 
@@ -323,7 +314,7 @@ def test_star_topology_allocates_distinct_ips():
 
 
 def test_packet_copy_is_independent():
-    packet = Packet(src=1, dst=2, sport=3, dport=4, size=100, payload="shared")
+    packet = make_packet(src=1, dst=2, sport=3, dport=4, size=100, payload="shared")
     packet.ingress_port = 7
     clone = packet.copy()
     assert clone.uid != packet.uid

@@ -10,42 +10,26 @@ and the trunks carry bytes again after restoration.
 """
 
 import pytest
-from helpers import tiny_config
+from helpers import make_packet, tiny_config
 
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster
 from repro.metrics.links import TrunkByteMonitor
+from repro.net.host import Host
 from repro.net.link import Link
 from repro.sim.core import Simulator
 from repro.sim.monitor import IntervalMonitor
 from repro.sim.units import ms, us
 
 
-class _Node:
-    """Minimal link endpoint (handles deliveries, drops them)."""
-
-    name = "node"
-
-    def deliver(self, packet, source):  # pragma: no cover - sink
-        pass
-
-    def handle(self, packet):  # pragma: no cover - sink
-        pass
-
-
 def test_trunk_byte_monitor_bins_deltas_per_window():
     sim = Simulator()
-    a, b = _Node(), _Node()
+    a, b = Host(sim, "a", 1), Host(sim, "b", 2)
     link = Link(sim, a, b, propagation_ns=10, bandwidth_bps=1e12, name="t")
 
-    class _Pkt:
-        size = 100
-        dst = 1
-
     # Two sends in window 0, one in window 2, none in window 1.
-    sim.call_at(us(1), link.send, _Pkt(), a)
-    sim.call_at(us(2), link.send, _Pkt(), a)
-    sim.call_at(us(25), link.send, _Pkt(), a)
+    for at in (us(1), us(2), us(25)):
+        sim.call_at(at, link.send, make_packet(size=100, pool=a.packet_pool), a)
     monitor = TrunkByteMonitor(sim, [link], window_ns=us(10), horizon_ns=us(40))
     sim.run(until=us(50))
     assert monitor.deltas() == {"t": [200, 0, 100, 0]}
@@ -55,7 +39,7 @@ def test_trunk_byte_monitor_bins_deltas_per_window():
 
 def test_trunk_byte_monitor_zero_fills_unreached_windows():
     sim = Simulator()
-    a, b = _Node(), _Node()
+    a, b = Host(sim, "a", 1), Host(sim, "b", 2)
     link = Link(sim, a, b, propagation_ns=10, bandwidth_bps=1e12, name="t")
     monitor = TrunkByteMonitor(sim, [link], window_ns=us(10), horizon_ns=us(100))
     sim.run(until=us(35))  # only 3 of 10 windows sampled

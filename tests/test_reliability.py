@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import make_packet
 
 from repro.apps.service import SyntheticService
 from repro.core.constants import MSG_REQ
@@ -12,7 +13,7 @@ from repro.core.reliability import ReliableNetCloneClient, client_request_id
 from repro.core.server import RpcServer
 from repro.errors import ExperimentError, NetworkError
 from repro.metrics.latency import LatencyRecorder
-from repro.net import Link, StarTopology
+from repro.net import Host, Link, StarTopology
 from repro.sim import Simulator
 from repro.sim.units import ms, us
 from repro.switchsim import ProgrammableSwitch
@@ -213,24 +214,14 @@ def test_reliable_client_validation():
 
 def test_link_loss_validation_and_counting():
     sim = Simulator()
-
-    class Sink:
-        name = "sink"
-
-        def deliver(self, packet, link):
-            pass
-
-    a, b = Sink(), Sink()
+    a, b = Host(sim, "a", 1), Host(sim, "b", 2)
     with pytest.raises(NetworkError):
         Link(sim, a, b, loss_probability=1.0)
     lossy = Link(sim, a, b, loss_probability=0.5, loss_rng=random.Random(7))
 
-    class P:
-        size = 100
-
     drops = 0
     for _ in range(200):
-        if lossy.send(P(), a) is None:
+        if lossy.send(make_packet(size=100, pool=a.packet_pool), a) is None:
             drops += 1
     assert drops == lossy.drop_count
     assert 60 < drops < 140

@@ -8,7 +8,7 @@ cluster, and determinism of the fig18 trunk-saturation grid.
 """
 
 import pytest
-from helpers import assert_points_identical, tiny_config
+from helpers import assert_points_identical, make_packet, tiny_config
 
 from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
@@ -21,7 +21,6 @@ from repro.experiments.topologies import (
     TopologySpec,
 )
 from repro.net.host import Host
-from repro.net.packet import Packet
 from repro.net.topology import LeastLoadedSpinePolicy, SpineLeafFabric
 from repro.sim.core import Simulator
 from repro.sim.units import ms, us
@@ -42,7 +41,7 @@ def make_fabric(spine_policy="ecmp", **kwargs):
 
 
 def probe(dst, src=1):
-    return Packet(src=src, dst=dst, sport=1, dport=1, size=64)
+    return make_packet(src=src, dst=dst, sport=1, dport=1, size=64)
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_least_loaded_avoids_a_backlogged_uplink():
     anchor = server.ip % 2
     assert selector(probe(server.ip)) == fabric._uplink_port[1][anchor]
     # Pile bytes onto the anchor uplink: the policy must swerve.
-    big = Packet(src=1, dst=server.ip, sport=1, dport=1, size=500_000)
+    big = make_packet(src=1, dst=server.ip, sport=1, dport=1, size=500_000)
     fabric.uplinks[1][anchor].send(big, fabric.tors[1])
     assert fabric.uplink_backlog_ns(1, anchor) > 0
     assert selector(probe(server.ip)) == fabric._uplink_port[1][1 - anchor]
@@ -83,7 +82,7 @@ def test_flowlet_sticks_within_gap_and_repicks_after_idle():
     assert first == fabric._uplink_port[1][anchor]
     # Backlog the anchor (~100 us at 400 Gb/s, outlasting the gap):
     # a packet inside the gap still sticks ...
-    big = Packet(src=1, dst=server.ip, sport=1, dport=1, size=5_000_000)
+    big = make_packet(src=1, dst=server.ip, sport=1, dport=1, size=5_000_000)
     fabric.uplinks[1][anchor].send(big, fabric.tors[1])
     assert selector(probe(server.ip)) == first
     # ... but after an idle gap the flowlet re-picks off the hot trunk.

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_packet
+
 from repro.errors import (
     PipelineConfigError,
     PortError,
@@ -11,7 +13,7 @@ from repro.errors import (
     SwitchError,
     TableError,
 )
-from repro.net import Host, Link, Packet
+from repro.net import Host, Link
 from repro.sim import Simulator
 from repro.switchsim import (
     ControlPlane,
@@ -204,7 +206,7 @@ def test_switch_l3_forwarding():
     b = SinkHost(sim, "b", 2)
     wire(sim, switch, a, 0)
     wire(sim, switch, b, 1)
-    a.send(Packet(src=1, dst=2, sport=0, dport=0, size=125))
+    a.send(make_packet(src=1, dst=2, sport=0, dport=0, size=125))
     sim.run()
     assert len(b.received) == 1
     # 10 ns serialisation + 100 ns prop + 400 ns pipeline + 10 + 100.
@@ -217,7 +219,7 @@ def test_switch_no_route_counts():
     switch = ProgrammableSwitch(sim)
     a = SinkHost(sim, "a", 1)
     wire(sim, switch, a, 0)
-    a.send(Packet(src=1, dst=99, sport=0, dport=0, size=64))
+    a.send(make_packet(src=1, dst=99, sport=0, dport=0, size=64))
     sim.run()
     assert switch.counters.get("no_route") == 1
 
@@ -264,9 +266,9 @@ def test_switch_program_drop_and_passthrough():
     b = SinkHost(sim, "b", 2)
     wire(sim, switch, a, 0)
     wire(sim, switch, b, 1)
-    a.send(Packet(src=1, dst=2, sport=3, dport=7777, size=64))  # dropped
-    a.send(Packet(src=1, dst=2, sport=2, dport=7777, size=64))  # forwarded
-    a.send(Packet(src=1, dst=2, sport=2, dport=9999, size=64))  # not matched
+    a.send(make_packet(src=1, dst=2, sport=3, dport=7777, size=64))  # dropped
+    a.send(make_packet(src=1, dst=2, sport=2, dport=7777, size=64))  # forwarded
+    a.send(make_packet(src=1, dst=2, sport=2, dport=9999, size=64))  # not matched
     sim.run()
     assert len(b.received) == 2
     assert switch.counters.get("dropped_by_program") == 1
@@ -282,7 +284,7 @@ def test_switch_recirculation_reenters_pipeline():
     b = SinkHost(sim, "b", 2)
     wire(sim, switch, a, 0)
     wire(sim, switch, b, 1)
-    a.send(Packet(src=1, dst=2, sport=100, dport=7777, size=64))
+    a.send(make_packet(src=1, dst=2, sport=100, dport=7777, size=64))
     sim.run()
     # Original + recirculated copy both reach b.
     assert len(b.received) == 2
@@ -311,7 +313,7 @@ def test_switch_failure_drops_then_recovers_with_wiped_state():
     reg.poke(0, 42)
 
     switch.fail()
-    a.send(Packet(src=1, dst=2, sport=2, dport=7777, size=64))
+    a.send(make_packet(src=1, dst=2, sport=2, dport=7777, size=64))
     sim.run()
     assert b.received == []
     assert switch.counters.get("rx_dropped_down") == 1
@@ -321,7 +323,7 @@ def test_switch_failure_drops_then_recovers_with_wiped_state():
     assert reg.peek(0) == 0  # soft state wiped
     sim.run()
     assert not switch.down
-    a.send(Packet(src=1, dst=2, sport=2, dport=7777, size=64))
+    a.send(make_packet(src=1, dst=2, sport=2, dport=7777, size=64))
     sim.run()
     assert len(b.received) == 1
 
