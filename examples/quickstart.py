@@ -36,13 +36,14 @@ def run_scheme(scheme: str) -> None:
     print(f"  99th pct     : {point.p99_us:6.1f} us")
     print(f"  99.9th pct   : {point.p999_us:6.1f} us")
     if scheme == "netclone":
-        counters = cluster.switch.counters
-        print(f"  clones issued by the switch   : {counters.get('nc_cloned')}")
-        print(f"  slower responses filtered     : {counters.get('nc_filtered')}")
-        dropped = sum(s.counters.get("clones_dropped") for s in cluster.servers)
-        print(f"  stale clones dropped at hosts : {dropped}")
-        redundant = sum(c.redundant_responses for c in cluster.clients)
-        print(f"  redundant responses at client : {redundant} (filtering works)")
+        telemetry = cluster.telemetry()
+        print(f"  clones issued by the switch   : {telemetry['nc_cloned']}")
+        print(f"  slower responses filtered     : {telemetry['nc_filtered']}")
+        print(f"  stale clones dropped at hosts : {telemetry['clones_dropped']}")
+        print(
+            f"  redundant responses at client : {telemetry['redundant']} "
+            "(filtering works)"
+        )
     print()
 
 

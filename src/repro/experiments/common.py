@@ -4,6 +4,8 @@ This module turns a :class:`ClusterConfig` into a simulated testbed —
 the fabric (ToR switches, optionally spines), client hosts, worker
 servers (plus a coordinator host when the scheme deploys one) — runs
 it, and reduces the run to a :class:`~repro.metrics.sweep.LoadPoint`.
+:meth:`Cluster.telemetry` is the one reader of component counters: a
+point's ``extra`` and a scenario checkpoint are projections of it.
 
 Neither schemes, topologies nor placements are hardcoded here:
 :class:`Cluster` is generic assembly driven by three plugin
@@ -39,7 +41,6 @@ from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 from repro.experiments.specs import WorkloadSpec, make_synthetic_spec
 from repro.experiments.topologies import TOPOLOGIES, TopologyContext, TopologySpec
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.links import trunk_summary
 from repro.metrics.sweep import LoadPoint, SweepResult
 from repro.net.host import Host
 from repro.net.packet import PacketPool
@@ -227,11 +228,11 @@ class Cluster:
         self.topology: Fabric = self.topology_spec.make_fabric(
             TopologyContext(sim=self.sim, config=config)
         )
-        # Trunk stats are captured when the clients stop: counting the
-        # drain's response tail (or dividing by a window that includes
-        # the drain) would misstate utilization either way.
-        self._trunk_stats: Optional[Dict[str, float]] = None
-        self.sim.call_at(config.end_ns, self._capture_trunk_stats)
+        # Telemetry at end_ns feeds the trunk keys of ``extra``: counting
+        # the drain's response tail (or dividing by a window that
+        # includes the drain) would misstate utilization either way.
+        self._end_telemetry: Optional[Dict[str, Any]] = None
+        self.sim.call_at(config.end_ns, self._capture_end_telemetry)
         self.tors: List[Any] = list(self.topology.tors)
         self.switches: List[Any] = list(self.topology.switches)
         self.switch = self.tors[0]
@@ -390,8 +391,8 @@ class Cluster:
         )
 
     # ------------------------------------------------------------------
-    def _capture_trunk_stats(self) -> None:
-        self._trunk_stats = trunk_summary(self.topology.trunks, self.config.end_ns)
+    def _capture_end_telemetry(self) -> None:
+        self._end_telemetry = self.telemetry()
 
     def start(self) -> None:
         """Arm every client's arrival process."""
@@ -439,42 +440,130 @@ class Cluster:
         return report
 
     # ------------------------------------------------------------------
-    def load_point(self) -> LoadPoint:
-        """Reduce the finished run to one measured point."""
-        recorder = self.recorder
-        extra: Dict[str, float] = {
-            "redundant_responses": float(
-                sum(client.redundant_responses for client in self.clients)
-            ),
-            "clones_dropped": float(
-                sum(server.counters.get("clones_dropped") for server in self.servers)
+    def telemetry(self) -> Dict[str, Any]:
+        """Every component counter at the current instant, as plain data.
+
+        The one reader of client, server, switch, link, pool and
+        program counters: ``load_point().extra`` and the scenario
+        checkpoints are projections of this flat dict.  Per-host lists
+        follow ``clients``/``servers`` order; trunk utilization is the
+        offered share of line rate over the run so far.
+        """
+        clients = self.clients
+        servers = self.servers
+        switches = self.switches
+        fabric = self.topology
+        trunks = fabric.trunks
+        pool = self.packet_pool
+        now = self.sim.now
+        utilizations = [link.utilization(max(1, now)) for link in trunks]
+        uplinks = getattr(fabric, "uplinks", None)
+        seq = getattr(self.program, "seq", None)
+
+        def switch_sum(key: str) -> int:
+            return sum(switch.counters.get(key) for switch in switches)
+
+        telemetry: Dict[str, Any] = {
+            "time_ns": now,
+            "client_sent": [client._seq for client in clients],
+            "client_completed": [
+                client.responses_received - client.redundant_responses
+                for client in clients
+            ],
+            "client_outstanding": [client.outstanding for client in clients],
+            "redundant": sum(client.redundant_responses for client in clients),
+            "outstanding": sum(client.outstanding for client in clients),
+            "server_accepted": [
+                server.counters.get("requests_accepted") for server in servers
+            ],
+            "server_responses": [
+                server.counters.get("responses_sent") for server in servers
+            ],
+            "server_queue": [server.queue_len for server in servers],
+            "server_busy": [server.busy_workers for server in servers],
+            "clones_dropped": sum(
+                server.counters.get("clones_dropped") for server in servers
             ),
             "empty_queue_fraction": _mean_or_nan(
-                [server.empty_queue_fraction() for server in self.servers]
+                [server.empty_queue_fraction() for server in servers]
             ),
-            "state_samples_zero": float(
-                sum(server.state_samples_zero for server in self.servers)
+            "state_samples_zero": sum(server.state_samples_zero for server in servers),
+            "state_samples_total": sum(
+                server.state_samples_total for server in servers
             ),
-            "state_samples_total": float(
-                sum(server.state_samples_total for server in self.servers)
+            # Program drops minus duplicate-response filtering: packets
+            # the pipeline dropped because their target left the address
+            # table mid-rebuild (nc_unknown_server and kin) — real
+            # in-network losses, unlike the intentional filter drops.
+            "switch_program_drops": (
+                switch_sum("dropped_by_program") - switch_sum("nc_filtered")
             ),
-        }
-        for key in ("nc_cloned", "nc_filtered", "nc_fingerprint_overwrite"):
-            extra[key] = float(
-                sum(switch.counters.get(key) for switch in self.switches)
+            # Fresh arrivals (rx_dropped_down) and recirculated copies
+            # (dropped_down) that met a powered-off switch.
+            "switch_drops_down": (
+                switch_sum("rx_dropped_down") + switch_sum("dropped_down")
+            ),
+            "switch_failures": switch_sum("failures"),
+            "switch_recoveries": switch_sum("recoveries"),
+            "nc_cloned": switch_sum("nc_cloned"),
+            "nc_filtered": switch_sum("nc_filtered"),
+            "nc_fingerprint_overwrite": switch_sum("nc_fingerprint_overwrite"),
+            "link_drops": sum(
+                link.drop_count for star in fabric.stars for link in star.links
             )
-        # The end_ns snapshot, unless the run never got that far (e.g.
-        # a timeline experiment stopped early) — then measure what ran.
-        extra.update(
-            self._trunk_stats
-            if self._trunk_stats is not None
-            else trunk_summary(self.topology.trunks, max(1, self.sim.now))
-        )
+            + sum(link.drop_count for link in trunks),
+            "host_rx_drops": sum(
+                host.rx_dropped
+                for host in (*clients, *servers, self.coordinator)
+                if host is not None
+            ),
+            "trunk_tx_bytes": sum(link.tx_bytes for link in trunks),
+            "trunk_drops": sum(link.drop_count for link in trunks),
+            "trunk_util_max": max(utilizations, default=0.0),
+            "trunk_util_mean": (
+                sum(utilizations) / len(utilizations) if utilizations else 0.0
+            ),
+            "rack_tx_bytes": (
+                []
+                if uplinks is None
+                else [
+                    float(sum(link.bytes_from(tor) for link in uplinks[t]))
+                    for t, tor in enumerate(fabric.tors)
+                ]
+            ),
+            "program_epochs": [program.table_epoch for program in self.programs],
+            "client_epochs": [
+                getattr(getattr(client, "group_table", None), "epoch", None)
+                for client in clients
+            ],
+            "seq_register": seq.peek(0) if seq is not None else None,
+            "pool_uids": pool.uid_count,
+            "pool_allocated": pool.allocated,
+            "pool_free": pool.free_count,
+        }
         coordinator = self.coordinator
         queue_len = getattr(coordinator, "queue_len", None)
         if queue_len is not None:
-            extra["coordinator_queue"] = float(queue_len)
-            extra["coordinator_cloned"] = float(coordinator.counters.get("cloned"))
+            telemetry["coordinator_queue"] = queue_len
+            telemetry["coordinator_cloned"] = coordinator.counters.get("cloned")
+        return telemetry
+
+    def load_point(self) -> LoadPoint:
+        """Reduce the finished run to one measured point.
+
+        ``extra`` projects :meth:`telemetry` as floats; its trunk keys
+        come from the ``end_ns`` snapshot, unless the run never got
+        that far (e.g. a timeline experiment stopped early) — then
+        from what ran.
+        """
+        recorder = self.recorder
+        now = self.telemetry()
+        end = self._end_telemetry if self._end_telemetry is not None else now
+        extra = {key: float(now[source]) for key, source in _EXTRA_KEYS.items()}
+        extra.update((key, float(end[key])) for key in _TRUNK_KEYS)
+        extra.update(
+            (key, float(now[key])) for key in _COORDINATOR_KEYS if key in now
+        )
         return LoadPoint(
             offered_rps=recorder.offered_rps(),
             throughput_rps=recorder.throughput_rps(),
@@ -486,6 +575,21 @@ class Cluster:
             extra=extra,
             latency_sketch=recorder.sketch_bytes(),
         )
+
+
+#: ``LoadPoint.extra`` key → the :meth:`Cluster.telemetry` key it reads.
+_EXTRA_KEYS = {
+    "redundant_responses": "redundant",
+    "clones_dropped": "clones_dropped",
+    "empty_queue_fraction": "empty_queue_fraction",
+    "state_samples_zero": "state_samples_zero",
+    "state_samples_total": "state_samples_total",
+    "nc_cloned": "nc_cloned",
+    "nc_filtered": "nc_filtered",
+    "nc_fingerprint_overwrite": "nc_fingerprint_overwrite",
+}
+_TRUNK_KEYS = ("trunk_util_max", "trunk_util_mean", "trunk_tx_bytes", "trunk_drops")
+_COORDINATOR_KEYS = ("coordinator_queue", "coordinator_cloned")
 
 
 def _mean_or_nan(values: Sequence[float]) -> float:

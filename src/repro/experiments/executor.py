@@ -38,8 +38,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.rng import stream_seed
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import ClusterConfig
     from repro.metrics.sweep import LoadPoint
@@ -47,23 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SweepExecutor",
     "point_cost",
-    "point_seed",
     "resolve_executor",
     "submission_order",
 ]
 
 _LOG = logging.getLogger(__name__)
-
-
-def point_seed(root_seed: int, label: str) -> int:
-    """Deterministic per-point seed derived from *root_seed*.
-
-    Uses the same SplitMix64 stream derivation as
-    :class:`~repro.sim.rng.RngRegistry`, so replicated runs (e.g. ten
-    repetitions of one operating point) get independent-looking but
-    reproducible seeds regardless of execution order.
-    """
-    return stream_seed(root_seed, f"sweep-point:{label}")
 
 
 def point_cost(config: "ClusterConfig") -> float:
@@ -152,36 +138,19 @@ class SweepExecutor:
     """Runs batches of independent cluster measurements.
 
     :param jobs: worker processes; 1 means in-process serial execution
-        and values < 1 mean "all CPUs".
-    :param plugin_modules: modules to import in each worker before any
-        point runs (defaults to every module that registered a scheme
-        or a topology).
+        and values < 1 mean "all CPUs".  Workers import every module
+        that registered a plugin before any point runs.
     """
 
-    def __init__(self, jobs: int = 1, plugin_modules: Optional[Sequence[str]] = None):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
-        self._plugin_modules = (
-            tuple(plugin_modules) if plugin_modules is not None else None
-        )
 
     # ------------------------------------------------------------------
-    def run_points(
-        self, configs: Sequence["ClusterConfig"], reseed: bool = False
-    ) -> List["LoadPoint"]:
-        """Measure every config; results keep the input order.
-
-        With ``reseed=True`` each config's seed is replaced by a
-        deterministic per-index derivation of it (for replicated runs
-        of otherwise identical configs).
-        """
+    def run_points(self, configs: Sequence["ClusterConfig"]) -> List["LoadPoint"]:
+        """Measure every config; results keep the input order."""
         configs = list(configs)
-        if reseed:
-            configs = [
-                replace(config, seed=point_seed(config.seed, str(index)))
-                for index, config in enumerate(configs)
-            ]
         if self.jobs <= 1 or len(configs) <= 1:
             return [_measure_point(config) for config in configs]
         stripped, spec_table = _strip_specs(configs)
@@ -229,13 +198,10 @@ class SweepExecutor:
         self, num_items: int, spec_table: Optional[Dict[int, Any]] = None
     ) -> ProcessPoolExecutor:
         """A worker pool with the plugin-registry initializer armed."""
-        plugins = self._plugin_modules
-        if plugins is None:
-            plugins = self._registered_plugin_modules()
         return ProcessPoolExecutor(
             max_workers=min(self.jobs, num_items),
             initializer=_worker_init,
-            initargs=(plugins, spec_table),
+            initargs=(self._registered_plugin_modules(), spec_table),
         )
 
     @staticmethod

@@ -1,4 +1,10 @@
-"""Measurement: latency recording, sketches, percentiles, sweeps, tables."""
+"""Measurement: latency recording, sketches, percentiles, sweeps, tables.
+
+Component counters are not read here: ``Cluster.telemetry()``
+(:mod:`repro.experiments.common`) is their one reader.  Of link
+traffic, :mod:`repro.metrics.links` keeps only the per-trunk byte
+timeline (:class:`~repro.metrics.links.TrunkByteMonitor`).
+"""
 
 from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.sketch import LatencySketch
@@ -15,18 +21,5 @@ __all__ = [
 ]
 
 from repro.metrics.charts import render_chart, render_sweeps  # noqa: E402
-from repro.metrics.links import (  # noqa: E402
-    LinkLoad,
-    collect_link_loads,
-    format_link_loads,
-    trunk_summary,
-)
 
-__all__ += [
-    "LinkLoad",
-    "collect_link_loads",
-    "format_link_loads",
-    "render_chart",
-    "render_sweeps",
-    "trunk_summary",
-]
+__all__ += ["render_chart", "render_sweeps"]

@@ -16,8 +16,8 @@ Two storage backends share one API (``mode=`` at construction):
   samples — O(buckets) memory at any request count, quantiles within
   the sketch's ≤1% relative-error contract.
 
-``percentile``/``p50_us``/``p99_us``/``p999_us``/``mean_us``/``merge``
-behave identically over both backends (empty recorders answer NaN in
+``percentile``/``p50_us``/``p99_us``/``p999_us``/``mean_us`` behave
+identically over both backends (empty recorders answer NaN in
 both modes); ``mean_us`` is exact in both (a running sum, no sample
 materialisation).
 """
@@ -171,30 +171,6 @@ class LatencyRecorder:
         if count == 0:
             return float("nan")
         return self._sum_ns / count / 1000.0
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's samples into this one.
-
-        Exact merges into exact, sketch merges into sketch, and a
-        sketch recorder absorbs an exact one (its samples fold into
-        the buckets); an exact recorder cannot absorb a sketch — the
-        raw samples no longer exist.
-        """
-        if self.latencies_ns is not None:
-            if other.latencies_ns is None:
-                raise ExperimentError(
-                    "cannot merge a sketch recorder into an exact one "
-                    "(raw samples were never stored)"
-                )
-            self.latencies_ns.extend(other.latencies_ns)
-        elif other.latencies_ns is not None:
-            if len(other.latencies_ns):
-                self.sketch.add_many(other.latencies_ns)
-        else:
-            self.sketch.merge(other.sketch)
-        self._sum_ns += other._sum_ns
-        self.sent_in_window += other.sent_in_window
-        self.completed_in_window += other.completed_in_window
 
     def sketch_bytes(self) -> Optional[bytes]:
         """Serialized sketch (sketch mode only; ``None`` in exact mode)."""

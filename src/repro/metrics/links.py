@@ -1,82 +1,24 @@
-"""Per-link utilization series.
+"""Per-trunk byte timeline.
 
 Every :class:`~repro.net.link.Link` counts the bytes it clocks onto
-the wire per direction; this module reduces those counters to a
-utilization series — one :class:`LinkLoad` per link — so trunk
-saturation experiments (fig18) can report how hot each inter-rack
-link ran alongside the latency percentiles.  Utilization is the
-busiest direction's *offered* share of the line rate over the whole
-simulated window (the link is full duplex, so each direction owns the
-full rate); values above 1.0 mean the direction was oversubscribed
-and queued a growing backlog.
-
-:class:`TrunkByteMonitor` turns the same counters into a *timeline*:
-it samples each link's cumulative byte count at fixed window
-boundaries, so fig16-style drills can plot per-trunk throughput over
-time next to the request-completion rate — e.g. traffic draining off
-a withdrawn spine and returning after restoration.
+the wire per direction.  :class:`TrunkByteMonitor` turns those
+counters into a *timeline*: it samples each link's cumulative byte
+count at fixed window boundaries, so fig16-style drills can plot
+per-trunk throughput over time next to the request-completion rate —
+e.g. traffic draining off a withdrawn spine and returning after
+restoration.  Whole-run trunk totals and utilization are not a
+timeline; they are keys of
+:meth:`~repro.experiments.common.Cluster.telemetry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from repro.errors import ExperimentError
-from repro.metrics.tables import format_table
 from repro.net.link import Link
 
-__all__ = [
-    "LinkLoad",
-    "TrunkByteMonitor",
-    "collect_link_loads",
-    "format_link_loads",
-    "trunk_summary",
-]
-
-
-@dataclass
-class LinkLoad:
-    """One link's traffic totals over a finished run."""
-
-    name: str
-    tx_bytes: int
-    tx_count: int
-    drop_count: int
-    #: Busiest-direction offered fraction of the line rate over the
-    #: window (> 1.0 = oversubscribed).
-    utilization: float
-
-    def row(self) -> tuple:
-        return (
-            self.name,
-            f"{self.tx_bytes}",
-            f"{self.tx_count}",
-            f"{self.drop_count}",
-            f"{self.utilization:.3f}",
-        )
-
-
-def collect_link_loads(links: Sequence[Link], window_ns: int) -> List[LinkLoad]:
-    """One :class:`LinkLoad` per link, measured over *window_ns*."""
-    return [
-        LinkLoad(
-            name=link.name,
-            tx_bytes=link.tx_bytes,
-            tx_count=link.tx_count,
-            drop_count=link.drop_count,
-            utilization=link.utilization(window_ns),
-        )
-        for link in links
-    ]
-
-
-def format_link_loads(loads: Sequence[LinkLoad]) -> str:
-    """A printable table of per-link traffic totals."""
-    return format_table(
-        ["link", "tx_bytes", "tx_pkts", "drops", "util"],
-        [load.row() for load in loads],
-    )
+__all__ = ["TrunkByteMonitor"]
 
 
 class TrunkByteMonitor:
@@ -126,22 +68,3 @@ class TrunkByteMonitor:
         """Bytes across all monitored links, per window."""
         per_link = self.deltas().values()
         return [sum(window) for window in zip(*per_link)] if per_link else []
-
-
-def trunk_summary(trunks: Sequence[Link], window_ns: int) -> Dict[str, float]:
-    """Reduce a fabric's trunk set to sweep-point extras.
-
-    Always returns the same keys (zeros on trunkless fabrics such as
-    the single-rack star) so load points stay field-compatible across
-    topologies — determinism tests compare ``extra`` dicts key for key.
-    """
-    loads = collect_link_loads(trunks, window_ns)
-    return {
-        "trunk_util_max": max((l.utilization for l in loads), default=0.0),
-        "trunk_util_mean": (
-            sum(l.utilization for l in loads) / len(loads) if loads else 0.0
-        ),
-        "trunk_tx_bytes": float(sum(l.tx_bytes for l in loads)),
-        "trunk_drops": float(sum(l.drop_count for l in loads)),
-    }
-

@@ -2,14 +2,19 @@
 
 :func:`run_scenario` builds the scenario's cluster exactly the way the
 hand-written drills did — fabric, monitors, failure handler — then
-schedules every spec event on the simulator (``sim.at``; same-time
-events apply in spec order), snapshots telemetry at each checkpoint,
-runs the timeline, drains the event queue dry, and reduces the whole
-run to a :class:`ScenarioReport`: plain data (picklable, JSON-able,
-bit-comparable across worker processes) carrying the checkpoint
-series, the throughput/trunk timeline, and one
-:class:`~repro.scenarios.invariants.InvariantResult` per library
+schedules every spec event on the simulator (``sim.call_at``;
+same-time events apply in spec order), takes a checkpoint snapshot at
+each checkpoint time, runs the timeline, drains the event queue dry,
+and reduces the whole run to a :class:`ScenarioReport`: plain data
+(picklable, JSON-able, bit-comparable across worker processes)
+carrying the checkpoint series, the throughput/trunk timeline, and
+one :class:`~repro.scenarios.invariants.InvariantResult` per library
 invariant.
+
+A checkpoint snapshot is the checkpoint's label, a fixed projection
+of :meth:`~repro.experiments.common.Cluster.telemetry` (the cluster's
+one counter reader; see ``_SNAPSHOT_KEYS``) and the failure handler's
+``handler_epoch`` and ``active_servers``.
 
 The report's ``final`` snapshot is taken *after* the drain (with every
 in-flight packet delivered or dropped and every pre-drawn arrival
@@ -212,7 +217,7 @@ class _ScenarioExecution:
 
     # ------------------------------------------------------------------
     # Event application (same-time events run in spec order: they were
-    # registered with sim.at in spec order and ties break by sequence).
+    # registered with sim.call_at in spec order and ties break by sequence).
     # ------------------------------------------------------------------
     def apply(self, event: ScenarioEvent) -> None:
         getattr(self, f"_apply_{event.action}")(**event.param_dict())
@@ -268,99 +273,31 @@ class _ScenarioExecution:
     # ------------------------------------------------------------------
     def snapshot(self, label: str) -> Dict[str, Any]:
         """Plain-data telemetry at the current simulated instant."""
-        cluster = self.cluster
-        fabric = self.fabric
+        telemetry = self.cluster.telemetry()
         handler = self.handler
-        clients = cluster.clients
-        servers = cluster.servers
-        client_completed = [
-            client.responses_received - client.redundant_responses
-            for client in clients
-        ]
-        link_drops = sum(
-            link.drop_count for star in fabric.stars for link in star.links
-        ) + sum(link.drop_count for link in fabric.trunks)
-        snap: Dict[str, Any] = {
-            "label": label,
-            "time_ns": cluster.sim.now,
-            "client_sent": [client._seq for client in clients],
-            "client_completed": client_completed,
-            "client_outstanding": [client.outstanding for client in clients],
-            "redundant": sum(c.redundant_responses for c in clients),
-            "outstanding": sum(c.outstanding for c in clients),
-            "server_accepted": [
-                s.counters.get("requests_accepted") for s in servers
-            ],
-            "server_responses": [
-                s.counters.get("responses_sent") for s in servers
-            ],
-            "server_queue": [s.queue_len for s in servers],
-            "server_busy": [s.busy_workers for s in servers],
-            "clones_dropped": sum(
-                s.counters.get("clones_dropped") for s in servers
-            ),
-            # Program drops minus duplicate-response filtering: packets
-            # the pipeline dropped because their target left the address
-            # table mid-rebuild (nc_unknown_server and kin) — real
-            # in-network losses, unlike the intentional filter drops.
-            "switch_program_drops": sum(
-                sw.counters.get("dropped_by_program")
-                - sw.counters.get("nc_filtered")
-                for sw in cluster.switches
-            ),
-            # Fresh arrivals (rx_dropped_down) and recirculated copies
-            # (dropped_down) that met a powered-off switch.
-            "switch_drops_down": sum(
-                sw.counters.get("rx_dropped_down") + sw.counters.get("dropped_down")
-                for sw in cluster.switches
-            ),
-            "switch_failures": sum(
-                sw.counters.get("failures") for sw in cluster.switches
-            ),
-            "switch_recoveries": sum(
-                sw.counters.get("recoveries") for sw in cluster.switches
-            ),
-            "link_drops": link_drops,
-            "host_rx_drops": sum(
-                host.rx_dropped
-                for host in (*clients, *servers, cluster.coordinator)
-                if host is not None
-            ),
-            "trunk_tx_bytes": sum(link.tx_bytes for link in fabric.trunks),
-            "rack_tx_bytes": self._rack_tx_bytes(),
-            "handler_epoch": handler.epoch if handler is not None else None,
-            "program_epochs": [program.table_epoch for program in cluster.programs],
-            "client_epochs": [
-                getattr(getattr(client, "group_table", None), "epoch", None)
-                for client in clients
-            ],
-            "seq_register": self._seq_register(),
-            "active_servers": (
-                list(handler.active_server_ids) if handler is not None else None
-            ),
-            "pool_uids": cluster.packet_pool.uid_count,
-            "pool_allocated": cluster.packet_pool.allocated,
-            "pool_free": cluster.packet_pool.free_count,
-        }
+        snap: Dict[str, Any] = {"label": label}
+        snap.update((key, telemetry[key]) for key in _SNAPSHOT_KEYS)
+        snap["handler_epoch"] = handler.epoch if handler is not None else None
+        snap["active_servers"] = (
+            list(handler.active_server_ids) if handler is not None else None
+        )
         return snap
-
-    def _rack_tx_bytes(self) -> List[float]:
-        uplinks = getattr(self.fabric, "uplinks", None)
-        if uplinks is None:
-            return []
-        return [
-            float(sum(link.bytes_from(tor) for link in uplinks[t]))
-            for t, tor in enumerate(self.fabric.tors)
-        ]
-
-    def _seq_register(self) -> Optional[int]:
-        seq = getattr(self.cluster.program, "seq", None)
-        if seq is None:
-            return None
-        return seq.peek(0)
 
     def take_checkpoint(self, label: str) -> None:
         self.checkpoints.append(self.snapshot(label))
+
+
+#: The :meth:`~repro.experiments.common.Cluster.telemetry` keys every
+#: checkpoint carries (the handler adds ``handler_epoch`` and
+#: ``active_servers``).
+_SNAPSHOT_KEYS = (
+    "time_ns", "client_sent", "client_completed", "client_outstanding",
+    "redundant", "outstanding", "server_accepted", "server_responses",
+    "server_queue", "server_busy", "clones_dropped", "switch_program_drops",
+    "switch_drops_down", "switch_failures", "switch_recoveries", "link_drops",
+    "host_rx_drops", "trunk_tx_bytes", "rack_tx_bytes", "program_epochs",
+    "client_epochs", "seq_register", "pool_uids", "pool_allocated", "pool_free",
+)
 
 
 def _checkpoint_schedule(scenario: Scenario) -> List[tuple]:

@@ -9,9 +9,11 @@ cloning/filtering bookkeeping, failure resilience.
 from dataclasses import replace
 
 import pytest
+from helpers import tiny_config, tiny_scenario
 
 from repro.experiments.common import Cluster, ClusterConfig, run_point
 from repro.experiments.specs import KvSpec, make_synthetic_spec
+from repro.scenarios.runner import _ScenarioExecution
 from repro.sim.units import ms, sec, us
 
 
@@ -45,19 +47,39 @@ def test_netclone_exactly_one_response_per_request():
     assert cluster.recorder.completed_in_window > 0
 
 
+def _settled_clone_accounting(cluster):
+    """``(cloned, redundant)`` once the drain has settled, checking that
+    every clone was dropped at a server, filtered at the switch, or
+    reached a client as a redundant response — exactly."""
+    cluster.sim.run()
+    telemetry = cluster.telemetry()
+    cloned = telemetry["nc_cloned"]
+    redundant = telemetry["redundant"]
+    assert cloned == (
+        telemetry["clones_dropped"] + telemetry["nc_filtered"] + redundant
+    )
+    return cloned, redundant
+
+
 def test_netclone_cloning_and_filtering_bookkeeping():
     """Every completed clone pair costs exactly one filtered response."""
-    cluster = run_cluster()
-    counters = cluster.switch.counters
-    cloned = counters.get("nc_cloned")
-    filtered = counters.get("nc_filtered")
-    dropped_at_server = sum(
-        server.counters.get("clones_dropped") for server in cluster.servers
-    )
+    cloned, redundant = _settled_clone_accounting(run_cluster())
     assert cloned > 0
-    # Each cloned request either had its slower response filtered or its
-    # clone dropped server-side (allow a few in flight at the horizon).
-    assert abs(cloned - (filtered + dropped_at_server)) <= 25
+    assert redundant == 0
+
+
+@pytest.mark.parametrize("topology", ["star", "two_rack", "spine_leaf"])
+@pytest.mark.parametrize(
+    "scheme",
+    ["netclone", "netclone-nofilter", "netclone-noclonedrop", "netclone-racksched"],
+)
+@pytest.mark.parametrize("rate_rps", [0.2e6, 3.0e6])
+def test_clone_accounting_is_exact(scheme, topology, rate_rps):
+    cluster = Cluster(tiny_config(scheme=scheme, topology=topology, rate_rps=rate_rps))
+    cluster.start()
+    cluster.run()
+    cloned, _ = _settled_clone_accounting(cluster)
+    assert cloned > 0
 
 
 def test_netclone_conservation_of_requests():
@@ -99,12 +121,67 @@ def test_cclone_redundant_responses_reach_client():
 
 
 def test_nofilter_redundant_responses_reach_client():
-    cluster = run_cluster(scheme="netclone-nofilter")
-    redundant = sum(client.redundant_responses for client in cluster.clients)
-    cloned = cluster.switch.counters.get("nc_cloned")
-    dropped = sum(server.counters.get("clones_dropped") for server in cluster.servers)
+    _, redundant = _settled_clone_accounting(run_cluster(scheme="netclone-nofilter"))
     assert redundant > 0
-    assert abs(redundant - (cloned - dropped)) <= 25
+
+
+#: ``LoadPoint.extra`` keys: the telemetry projection every figure reads.
+EXTRA_KEYS = {
+    "redundant_responses", "clones_dropped", "empty_queue_fraction",
+    "state_samples_zero", "state_samples_total", "nc_cloned", "nc_filtered",
+    "nc_fingerprint_overwrite", "trunk_util_max", "trunk_util_mean",
+    "trunk_tx_bytes", "trunk_drops",
+}
+#: Scenario checkpoint keys (the scenario golden's snapshot shape).
+SNAPSHOT_KEYS = {
+    "label", "time_ns", "client_sent", "client_completed",
+    "client_outstanding", "redundant", "outstanding", "server_accepted",
+    "server_responses", "server_queue", "server_busy", "clones_dropped",
+    "switch_program_drops", "switch_drops_down", "switch_failures",
+    "switch_recoveries", "link_drops", "host_rx_drops", "trunk_tx_bytes",
+    "rack_tx_bytes", "handler_epoch", "program_epochs", "client_epochs",
+    "seq_register", "active_servers", "pool_uids", "pool_allocated",
+    "pool_free",
+}
+
+
+def _same(value, expected):
+    return value == expected or (value != value and expected != expected)
+
+
+@pytest.mark.parametrize("topology", ["star", "spine_leaf"])
+@pytest.mark.parametrize("scheme", ["baseline", "laedge", "netclone"])
+def test_extra_and_snapshot_are_projections_of_telemetry(scheme, topology):
+    scenario = tiny_scenario(cluster={"scheme": scheme, "topology": topology})
+    cluster = Cluster(scenario.config())
+    execution = _ScenarioExecution(scenario, cluster)
+    at_end = []
+    cluster.sim.call_at(
+        cluster.config.end_ns, lambda: at_end.append(cluster.telemetry())
+    )
+    cluster.start()
+    cluster.run()
+    telemetry = cluster.telemetry()
+
+    extra = cluster.load_point().extra
+    coordinator_keys = {"coordinator_queue", "coordinator_cloned"}
+    expected_keys = EXTRA_KEYS | (coordinator_keys if scheme == "laedge" else set())
+    assert set(extra) == expected_keys
+    for key, value in extra.items():
+        # Trunk keys are read when the clients stop, the rest now.
+        source = at_end[0] if key.startswith("trunk_") else telemetry
+        expected = source["redundant" if key == "redundant_responses" else key]
+        assert isinstance(value, float)
+        assert _same(value, float(expected)), key
+
+    snapshot = execution.snapshot("end")
+    assert set(snapshot) == SNAPSHOT_KEYS
+    assert snapshot.pop("label") == "end"
+    # No failure handler: its two keys are empty.
+    assert snapshot.pop("handler_epoch") is None
+    assert snapshot.pop("active_servers") is None
+    for key, value in snapshot.items():
+        assert value == telemetry[key], key
 
 
 def test_laedge_runs_and_clones_dynamically():

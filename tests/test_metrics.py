@@ -71,17 +71,6 @@ def test_recorder_percentile_helpers():
     assert recorder.mean_us() == pytest.approx(26.5)
 
 
-def test_recorder_merge():
-    a = LatencyRecorder(warmup_ns=0, end_ns=100)
-    b = LatencyRecorder(warmup_ns=0, end_ns=100)
-    a.record(1, 11)
-    b.record(2, 22)
-    b.note_sent(2)
-    a.merge(b)
-    assert len(a) == 2
-    assert a.sent_in_window == 1
-
-
 def test_recorder_completion_monitor_feed():
     recorder = LatencyRecorder(warmup_ns=0, end_ns=sec(10))
     monitor = IntervalMonitor(window_ns=sec(1), horizon_ns=sec(10))

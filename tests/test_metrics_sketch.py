@@ -174,40 +174,6 @@ def test_recorder_empty_is_nan_in_both_modes():
         assert math.isnan(recorder.mean_us())
 
 
-def test_recorder_merge_rules():
-    samples_a = _exp_samples(random.Random(1), 500)
-    samples_b = _exp_samples(random.Random(2), 700)
-    exact_a = LatencyRecorder(mode="exact")
-    exact_b = LatencyRecorder(mode="exact")
-    _fill(exact_a, samples_a)
-    _fill(exact_b, samples_b)
-    exact_a.merge(exact_b)
-    assert len(exact_a) == 1200
-
-    sketch = LatencyRecorder(mode="sketch")
-    _fill(sketch, samples_a)
-    sketch.merge(exact_b)  # sketch absorbs exact samples
-    assert len(sketch) == 1200
-    both = LatencySketch()
-    both.add_many(samples_a)
-    both.add_many(samples_b)
-    assert sketch.sketch == both
-
-    other_sketch = LatencyRecorder(mode="sketch")
-    _fill(other_sketch, samples_b)
-    merged = LatencyRecorder(mode="sketch")
-    _fill(merged, samples_a)
-    merged.merge(other_sketch)
-    assert len(merged) == 1200
-
-    exact = LatencyRecorder(mode="exact")
-    with pytest.raises(ExperimentError):
-        exact.merge(other_sketch)  # raw samples no longer exist
-
-    with pytest.raises(ExperimentError):
-        LatencyRecorder(mode="histogram")
-
-
 def test_recorder_mean_needs_no_numpy_materialisation():
     recorder = LatencyRecorder(mode="exact")
     _fill(recorder, [1000, 2000, 3000])
@@ -289,6 +255,8 @@ def test_run_point_sketch_mode_attaches_sketch_and_matches_exact():
 def test_config_rejects_unknown_metrics_mode():
     with pytest.raises(ExperimentError):
         _tiny_config(metrics="histogram")
+    with pytest.raises(ExperimentError):
+        LatencyRecorder(mode="histogram")
 
 
 def test_sketch_points_identical_across_jobs():

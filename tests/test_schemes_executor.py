@@ -14,7 +14,7 @@ from helpers import assert_points_identical, tiny_config
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, run_point, run_sweep
-from repro.experiments.executor import SweepExecutor, point_seed, resolve_executor
+from repro.experiments.executor import SweepExecutor, resolve_executor
 from repro.experiments.harness import format_series, sweep_panels, sweep_schemes
 from repro.experiments.schemes import SCHEMES, SchemeSpec
 from repro.experiments.specs import SyntheticSpec, make_synthetic_spec
@@ -283,25 +283,12 @@ def test_submission_order_is_longest_first_but_results_ordered():
     ]
 
 
-def test_resolve_executor_and_point_seed():
+def test_resolve_executor():
     executor = SweepExecutor(jobs=3)
     assert resolve_executor(executor, None) is executor
     assert resolve_executor(None, None).jobs == 1
     assert resolve_executor(None, 4).jobs == 4
     assert SweepExecutor(jobs=0).jobs >= 1  # 0 = all cores
-    assert point_seed(1, "a") == point_seed(1, "a")
-    assert point_seed(1, "a") != point_seed(1, "b")
-    assert point_seed(1, "a") != point_seed(2, "a")
-
-
-def test_executor_reseed_derives_distinct_deterministic_seeds():
-    configs = [tiny_config(rate_rps=0.05e6)] * 2
-    once = SweepExecutor().run_points(configs, reseed=True)
-    again = SweepExecutor().run_points(configs, reseed=True)
-    for a, b in zip(once, again):
-        assert_points_identical(a, b)
-    # Distinct derived seeds give distinct arrival processes.
-    assert once[0].p50_us != once[1].p50_us
 
 
 # ----------------------------------------------------------------------

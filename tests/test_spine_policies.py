@@ -287,24 +287,25 @@ def test_plugin_spine_policy_reachable_from_topology_params():
         SPINE_POLICIES.unregister("always-last")
 
 
-def test_link_load_series_counts_and_formats():
-    from repro.metrics.links import collect_link_loads, format_link_loads
-
-    sim, fabric = make_fabric(racks=2, spines=1)
-    server = Host(sim, "s0", fabric.allocate_ip("server", 0))
-    fabric.attach(server, "server", 0)
+def test_telemetry_trunk_keys_count_bytes_and_utilization():
+    cluster = Cluster(tiny_config(topology="spine_leaf:racks=2,spines=1"))
+    fabric = cluster.topology
     trunk = fabric.uplinks[1][0]
-    trunk.send(probe(server.ip), fabric.tors[1])
-    trunk.send(probe(server.ip), fabric.tors[1])
-    loads = collect_link_loads(fabric.trunks, window_ns=ms(1))
-    by_name = {load.name: load for load in loads}
-    assert by_name[trunk.name].tx_bytes == 128
-    assert by_name[trunk.name].tx_count == 2
-    assert by_name[trunk.name].utilization == pytest.approx(
-        128 * 8 / (trunk.bandwidth_bps * 1e-3)
+    # Two probes up one trunk to an address the spine has no route for:
+    # the trunk clocks them out and the spine drops them.
+    unrouted = 1 << 30
+    trunk.send(probe(unrouted), fabric.tors[1])
+    trunk.send(probe(unrouted), fabric.tors[1])
+    cluster.sim.run(until=ms(1))
+    telemetry = cluster.telemetry()
+    assert trunk.tx_count == 2
+    assert telemetry["trunk_tx_bytes"] == 128
+    assert telemetry["trunk_drops"] == 0
+    utilization = 128 * 8 / (trunk.bandwidth_bps * 1e-3)
+    assert telemetry["trunk_util_max"] == pytest.approx(utilization)
+    assert telemetry["trunk_util_mean"] == pytest.approx(
+        utilization / len(fabric.trunks)
     )
-    table = format_link_loads(loads)
-    assert trunk.name in table and "util" in table
 
 
 # ----------------------------------------------------------------------
