@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test smoke bench bench-e2e bench-compare bench-update drill scenarios profile rss-guard lint lint-baseline
+.PHONY: test smoke bench-e2e bench-compare bench-update drill scenarios profile rss-guard lint lint-baseline
 
 test:  ## full tier-1 suite (what the roadmap's verify line runs)
 	$(PY) -m pytest -x -q
@@ -19,11 +19,8 @@ drill:  ## failure drills (with their historical output) + fig16 at reduced scal
 scenarios:  ## chaos-scenario catalog only (see `repro-netclone scenarios` for the list)
 	$(PY) -m repro run-scenario all
 
-bench:  ## pytest-benchmark harnesses at reduced scale (REPRO_BENCH_SCALE=0.25)
-	$(PY) -m pytest benchmarks -q -o python_files="bench_*.py" -o python_functions="bench_*"
-
 bench-e2e:  ## the end-to-end packet-path benchmark's own tests (benchmarks/e2e, under a minute)
-	$(PY) -m pytest benchmarks/e2e -q
+	$(PY) -m pytest -q benchmarks/e2e
 
 bench-compare:  ## re-measure the BENCH_core/BENCH_metrics micro-benchmarks; fail on a >30% regression; print delta vs BENCH_history.jsonl
 	$(PY) tools/bench_baseline.py

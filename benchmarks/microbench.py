@@ -1,9 +1,8 @@
 """Micro-benchmark bodies, defined once.
 
-The pytest-benchmark harnesses (``bench_core.py``, ``bench_metrics.py``),
-the baseline gate (``tools/bench_baseline.py``) and the profiler
-(``tools/profile_hotpath.py``) all import their workloads from here, so
-the gated numbers and the profiled code are the same code.  Plain
+The baseline gate (``tools/bench_baseline.py``) and the profiler
+(``tools/profile_hotpath.py``) both import their workloads from here,
+so the gated numbers and the profiled code are the same code.  Plain
 module: no pytest imports, so the tools can load it by putting this
 directory on ``sys.path``.
 """

@@ -2,7 +2,8 @@
 
 Each module exposes a ``run(scale=1.0, seed=1, jobs=1, ...)`` function
 that prints the same rows/series the paper reports and returns that
-report as a string.  Harnesses that honour a fabric or placement
+report as a string; :mod:`~repro.experiments.ablations` holds the three
+design ablations (§3.3–§3.5), one registered function each.  Harnesses that honour a fabric or placement
 override also take ``topology=None`` / ``placement=None``, and those
 with a workload or latency-metrics axis take ``workload`` /
 ``metrics``; the CLI passes an axis only where ``run`` declares it and

@@ -7,9 +7,9 @@ panel's worker-pool capacity for every scheme and runs the whole
 panel × scheme × load grid as one executor batch; :func:`format_series`
 formats one curve per scheme.  ``scale`` shrinks the measurement
 windows (:func:`scaled_config`) and thins the load grid
-(:func:`load_grid`) so the identical harness serves CI smoke tests,
-pytest-benchmark runs, and full reproductions.  :func:`sweep_schemes`
-is the single-panel form for callers with their own load grid.
+(:func:`load_grid`) so the identical harness serves CI smoke tests
+and full reproductions.  :func:`sweep_schemes` is the single-panel
+form for callers with their own load grid.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class ExperimentSpec:
     module: Optional[str] = None
 
 
-#: Every figure/table harness, loaded lazily from its module.
+#: Every figure, table and ablation harness, loaded lazily from its module.
 EXPERIMENTS = PluginRegistry(
     kind="experiment",
     spec_type=ExperimentSpec,
@@ -116,6 +116,7 @@ EXPERIMENTS = PluginRegistry(
             "fig19_locality",
             "table1_comparison",
             "table_resources",
+            "ablations",
         )
     ],
 )

@@ -1,9 +1,7 @@
 """Shared helpers for the test suite.
 
-Import explicitly (``from helpers import tiny_config``); not a
-conftest.py on purpose — that module name is claimed by
-benchmarks/conftest.py and would collide when both trees are
-collected in one pytest run.
+Import explicitly (``from helpers import tiny_config``), so every
+test module names the helpers it uses.
 """
 
 import math

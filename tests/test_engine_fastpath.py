@@ -10,7 +10,8 @@ counter.  These tests pin the contract that makes that safe:
   fig18-one-rack runs stay bit-identical to goldens captured at the
   pre-overhaul revision;
 * the packet pool's uid stream and the link serialisation memo are
-  deterministic and exact;
+  deterministic and exact, and a steady acquire/release loop recycles
+  one backing packet;
 * the pure-Python engine (``REPRO_PURE_SIM=1``) and the C core produce
   identical points.
 """
@@ -27,6 +28,7 @@ import repro
 from repro.experiments.common import Cluster, run_point
 from repro.net.host import Host
 from repro.net.link import Link
+from repro.net.packet import PacketPool
 from repro.sim.core import Simulator
 from repro.sim.units import ms
 
@@ -168,6 +170,16 @@ def test_identical_runs_produce_identical_uid_streams():
     assert uids_a == uids_b
     assert uids_a[1] < uids_a[0] - 1  # recycling actually happened
     assert_points_identical(point_a, point_b)
+
+
+def test_pool_recycles_one_backing_packet_in_steady_state():
+    pool = PacketPool()
+    n = 10_000
+    for _ in range(n):
+        pool.acquire(1, 2, 3, 4, 128).release()
+    # One backing object recycled for every life.
+    assert pool.allocated == 1
+    assert pool.released == n
 
 
 # ----------------------------------------------------------------------

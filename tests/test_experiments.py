@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS
 from repro.experiments import (
+    ablations,
     fig11_redis,
     fig15_filtering,
     fig16_switch_failure,
@@ -52,6 +53,9 @@ def test_registry_lists_all_experiments():
         "fig19",
         "table1",
         "resources",
+        "ablation-groups",
+        "ablation-clone-drop",
+        "ablation-filters",
     }
 
 
@@ -75,6 +79,7 @@ def test_cli_runs_resources(capsys):
     assert main(["resources"]) == 0
     out = capsys.readouterr().out
     assert "stages" in out
+    assert "4.7" in out or "4.5" in out
 
 
 @pytest.mark.parametrize("axis", ["topology", "placement"])
@@ -213,3 +218,61 @@ def test_fig16_raises_on_a_violated_invariant(monkeypatch):
     )
     with pytest.raises(ExperimentError, match="planted violation"):
         fig16_switch_failure.collect(scale=0.05)
+
+
+# ----------------------------------------------------------------------
+# Design ablations (§3.3, §3.5): the shape each one exists to show
+# ----------------------------------------------------------------------
+def _imbalance(report, label):
+    """The max/mean column of the row whose label starts with *label*."""
+    row = next(line for line in report.splitlines() if line.startswith(label))
+    return float(row.split()[-2])
+
+
+def test_unordered_groups_skew_load_more_than_ordered():
+    # §3.3: without the reversed pairs, non-cloned requests herd onto
+    # the low-numbered first candidates.
+    report = ablations.run_groups(scale=0.25, seed=1)
+    assert _imbalance(report, "unordered") > _imbalance(report, "ordered")
+
+
+def test_paper_filter_sizing_filters_every_redundant_response():
+    report = ablations.run_filters(scale=0.25, seed=1)
+    assert "miss rate" in report
+    # The last row is the paper's 2 x 2^17 configuration.
+    assert "0.000%" in report.splitlines()[-1]
+
+
+# ----------------------------------------------------------------------
+# Every registered harness, end to end at tiny scale
+# ----------------------------------------------------------------------
+#: Substrings each harness's report must contain: its title plus the
+#: scheme, series or verdict names it exists to show.
+REPORT_TITLES = {
+    "fig7": ("Figure 7", "baseline", "netclone"),
+    "fig8": ("Figure 8", "laedge"),
+    "fig9": ("Figure 9", "scalability"),
+    "fig10": ("Figure 10", "netclone-racksched"),
+    "fig11": ("Figure 11", "GET"),
+    "fig12": ("Figure 12",),
+    "fig13": ("Figure 13", "empty-queue"),
+    "fig14": ("Figure 14",),
+    "fig15": ("Figure 15", "netclone-nofilter"),
+    "fig16": ("Figure 16", "recovered", "rack-local", "clones stayed in-rack"),
+    "fig17": ("Figure 17",),
+    "fig18": ("Figure 18", "least-loaded"),
+    "fig19": ("Figure 19", "rack-local"),
+    "table1": ("Table 1", "Switch"),
+    "resources": ("stages",),
+    "ablation-groups": ("group construction",),
+    "ablation-clone-drop": ("with drop",),
+    "ablation-filters": ("miss rate",),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS.names()))
+def test_every_harness_report_names_itself(experiment_id):
+    report = EXPERIMENTS.get(experiment_id).run(scale=0.05, seed=1)
+    for substring in REPORT_TITLES[experiment_id]:
+        assert substring in report

@@ -264,7 +264,7 @@ def test_seed_determinism():
     assert a.p99_us == b.p99_us
     assert a.samples == b.samples
     # Different seed gives a different (but close) measurement.
-    assert a.latencies_differ_from(c) if hasattr(a, "latencies_differ_from") else True
+    assert (a.p99_us, a.samples) != (c.p99_us, c.samples)
 
 
 def test_scheme_validation():

@@ -161,7 +161,7 @@ def test_recorder_modes_agree_within_sketch_error():
     assert exact.sketch_bytes() is None
     assert sketch.sketch_bytes() == sketch.sketch.to_bytes()
     # Payloads: O(requests) vs O(buckets) — the gap widens with n; the
-    # 10x-at-10M contract is policed by benchmarks/bench_metrics.py.
+    # 10x-at-10M contract is policed by tools/bench_baseline.py.
     assert len(sketch.result_payload()) < len(exact.result_payload())
 
 

@@ -14,9 +14,12 @@ Two baselines are kept checked in at the repo root:
   samples).
 
 Both time the workload bodies of ``benchmarks/microbench.py``, the
-same code the pytest-benchmark harnesses and ``tools/profile_hotpath.py``
-run.  End-to-end packet-path numbers come from ``benchmarks/e2e``
-(see its README), not from here.
+same code ``tools/profile_hotpath.py`` runs.  Each measurement also
+checks its workload's contract: every scheduled event executes, the
+sketch pipeline sees exactly the ingested samples, ships at most a
+tenth of the exact payload and agrees with exact p50/p99/p99.9 within
+the sketch's 1% relative error.  End-to-end packet-path numbers come
+from ``benchmarks/e2e`` (see its README), not from here.
 
 Every ``--update`` also appends one timestamped record per bench to
 ``BENCH_history.jsonl`` (bench, commit, wall_s_p50, throughput), and
@@ -113,6 +116,15 @@ def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
     exact_wall = statistics.median(exact_walls)
     sketch_wall = statistics.median(sketch_walls)
     ingest_wall = statistics.median(ingest_walls)
+    ingested = sum(backend.count for backend in sketches)
+    assert exact["count"] == sketch["count"] == ingested == n, (
+        f"sample counts disagree: exact {exact['count']}, "
+        f"sketch {sketch['count']}, ingested {ingested}, expected {n}"
+    )
+    assert sketch["payload_bytes"] * 10 <= exact["payload_bytes"], (
+        f"sketch payload {sketch['payload_bytes']} B exceeds a tenth of "
+        f"the exact payload {exact['payload_bytes']} B"
+    )
     for q in ("p50", "p99", "p999"):
         drift = abs(sketch[q] - exact[q]) / exact[q]
         assert drift <= 0.0101, f"sketch {q} drifted {drift:.2%} from exact"
