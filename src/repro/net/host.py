@@ -18,6 +18,14 @@ explicitly:
   bounded RX queue drops a packet whose arrival finds
   ``rx_queue_limit`` packets' worth of RX work still booked, as a
   real userspace poll loop would when its ring fills.
+
+Those two slots — :meth:`Host.send` and :meth:`Host.link_rx_at`, with
+the state they book — live on :class:`_HostCore`, the base of
+:class:`Host`.  With the C core live (``USING_CCORE``) that base is
+``_ccore.HostCore``, which runs both with no Python frame and calls
+back into Python only for ``handle``, ``_emit``, ``Link.send`` and
+``Packet.release``.  The Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
@@ -27,25 +35,92 @@ from typing import Optional
 from repro.errors import NetworkError
 from repro.net.link import Direction, Link
 from repro.net.packet import Packet, PacketPool
-from repro.sim.core import Simulator
+from repro.sim.core import USING_CCORE, Simulator
 
 __all__ = ["Host"]
 
 
-class Host:
+class _HostCore:
+    """The NIC half of a :class:`Host`: the TX and RX slots.
+    ``_ccore.HostCore`` replaces it when the C core is live."""
+
+    __slots__ = (
+        "sim", "link", "_uplink", "tx_cost_ns", "rx_cost_ns",
+        "rx_queue_limit", "_tx_free_at", "_rx_free_at", "rx_dropped",
+    )
+
+    def send(self, packet: Packet) -> None:
+        """Send *packet* through the TX path onto the uplink.
+
+        The hot path books the TX slot *and* the uplink's serialisation
+        slot in one step, at call time: each direction of the uplink
+        has this host as its only sender and TX completion times are
+        nondecreasing, so the link booking a departure at ``done``
+        would make is already known now — no TX-done event.  Links
+        that can drop (down or lossy) fall back to the evented path,
+        which re-evaluates the link when the packet actually leaves
+        the host.
+        """
+        link = self.link
+        if link is None:
+            raise NetworkError(f"{self.name} has no link attached")
+        now = self.sim.now
+        start = self._tx_free_at
+        if start < now:
+            start = now
+        done = start + self.tx_cost_ns
+        self._tx_free_at = done
+        if link.down or link.loss_probability > 0.0:
+            if done == now:
+                link.send(packet, self)
+            else:
+                self.sim.call_at(done, self._emit, packet)
+            return
+        self._uplink.push(packet, done)
+
+    def link_rx_at(self, packet: Packet, arrival: int) -> None:
+        """Link arrival + RX booking, called at *send* time.
+
+        A host has exactly one uplink, and a link direction delivers in
+        nondecreasing arrival order, so the RX resource booking for an
+        arrival at ``arrival`` can be computed when the packet is put
+        on the wire — there is no deliver event, only the handler
+        dispatch at RX completion.
+        """
+        start = self._rx_free_at
+        if start < arrival:
+            start = arrival
+        cost = self.rx_cost_ns
+        if cost > 0 and (start - arrival) // cost >= self.rx_queue_limit:
+            self.rx_dropped += 1
+            packet.release()
+            return
+        done = start + cost
+        self._rx_free_at = done
+        self.sim.call_at(done, self.handle, packet)
+
+
+if USING_CCORE:
+    from repro.sim._ccore import HostCore as _HostCore  # noqa: F811
+
+
+class Host(_HostCore):
     """One end host (client, server, or coordinator)."""
 
     # Slots keep the host's own state out of the subclasses' instance
-    # dicts.  Clients and servers add ~17 attributes of their own, and
+    # dicts (the NIC state is on the base, in slots or C fields).
+    # Clients and servers add ~17 attributes of their own, and
     # CPython shares one compact key table per class only up to 30
     # keys: with the host's state in the dict too, every attribute
     # access on a client or server took the slow path
     # (star-baseline-hi lost ~7% of its simulated requests per second).
-    __slots__ = (
-        "sim", "name", "ip", "tx_cost_ns", "rx_cost_ns", "rx_queue_limit",
-        "_tx_free_at", "_rx_free_at", "rx_dropped", "link", "_uplink",
-        "packet_pool",
-    )
+    __slots__ = ("name", "ip", "packet_pool")
+
+    # The NIC entry points sit in this class's own dict, so tracers
+    # that wrap ``Host.send`` / ``Host.link_rx_at`` at class level find
+    # them here on either base.
+    send = _HostCore.send
+    link_rx_at = _HostCore.link_rx_at
 
     def __init__(
         self,
@@ -85,59 +160,9 @@ class Host:
         self.link = link
         self._uplink = link.direction_from(self)
 
-    def send(self, packet: Packet) -> None:
-        """Send *packet* through the TX path onto the uplink.
-
-        The hot path books the TX slot *and* the uplink's serialisation
-        slot in one step, at call time: each direction of the uplink
-        has this host as its only sender and TX completion times are
-        nondecreasing, so the link booking a departure at ``done``
-        would make is already known now — no TX-done event.  Links
-        that can drop (down or lossy) fall back to the evented path,
-        which re-evaluates the link when the packet actually leaves
-        the host.
-        """
-        link = self.link
-        if link is None:
-            raise NetworkError(f"{self.name} has no link attached")
-        now = self.sim.now
-        start = self._tx_free_at
-        if start < now:
-            start = now
-        done = start + self.tx_cost_ns
-        self._tx_free_at = done
-        if link.down or link.loss_probability > 0.0:
-            if done == now:
-                link.send(packet, self)
-            else:
-                self.sim.call_at(done, self._emit, packet)
-            return
-        self._uplink.push(packet, done)
-
     def _emit(self, packet: Packet) -> None:
         assert self.link is not None
         self.link.send(packet, self)
-
-    def link_rx_at(self, packet: Packet, arrival: int) -> None:
-        """Link arrival + RX booking, called at *send* time.
-
-        A host has exactly one uplink, and a link direction delivers in
-        nondecreasing arrival order, so the RX resource booking for an
-        arrival at ``arrival`` can be computed when the packet is put
-        on the wire — there is no deliver event, only the handler
-        dispatch at RX completion.
-        """
-        start = self._rx_free_at
-        if start < arrival:
-            start = arrival
-        cost = self.rx_cost_ns
-        if cost > 0 and (start - arrival) // cost >= self.rx_queue_limit:
-            self.rx_dropped += 1
-            packet.release()
-            return
-        done = start + cost
-        self._rx_free_at = done
-        self.sim.call_at(done, self.handle, packet)
 
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:

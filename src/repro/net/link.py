@@ -21,6 +21,15 @@ Hosts and switches hold the direction they send on, so a hop resolves
 no endpoint identity.  The serialisation delay is memoised per packet
 size in one dict both directions share (experiments use a handful of
 sizes, recomputing float math per send is pure waste).
+
+The booking itself lives on :class:`_DirectionCore`, the base of
+:class:`Direction`.  With the C core live (``USING_CCORE``) that base
+is ``_ccore.DirectionCore``: the same fields and the same ``push``
+with no Python frame.  It calls the wiring-time entry of a host
+receiver, and on the C engine pushes a switch receiver's entry
+straight onto the scheduler lanes (any other engine gets
+``sim.call_at``).  The Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import random
 from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError
-from repro.sim.core import Simulator
+from repro.sim.core import USING_CCORE, Simulator
 
 __all__ = ["Direction", "Link"]
 
@@ -37,18 +46,10 @@ __all__ = ["Direction", "Link"]
 _BITS = 8
 
 
-class Direction:
-    """One direction of a :class:`Link`: its serialisation queue and the
-    receiver at the far end.
-
-    The receiver's delivery is resolved once, here:
-
-    * a switch's ``link_ingress`` is scheduled at arrival + pipeline
-      latency with this direction as its second argument, so the
-      switch reads its ingress port from :attr:`rx_port`;
-    * a host's ``link_rx_at`` is called at send time with the arrival
-      time (it books its RX slot up front).
-    """
+class _DirectionCore:
+    """The per-packet half of a :class:`Direction`: its booking state
+    and :meth:`push`.  ``_ccore.DirectionCore`` replaces it when the C
+    core is live."""
 
     __slots__ = (
         "link",
@@ -63,6 +64,51 @@ class Direction:
         "rx_port",
         "sched_off",
     )
+
+    def push(self, packet: Any, earliest: int) -> None:
+        """Book *packet* onto the wire no earlier than *earliest* and
+        hand it to the receiver.
+
+        The caller has already decided the packet survives the link
+        (see :meth:`Link.send` for the down/lossy checks).  *earliest*
+        is the sender's ready time and never precedes ``sim.now``.
+        """
+        size = packet.size
+        ser = self.ser_ns.get(size)
+        if ser is None:
+            ser = self.link.serialization_ns(size)
+        start = self.free_at
+        if start < earliest:
+            start = earliest
+        done = start + ser
+        self.free_at = done
+        self.tx_bytes += size
+        self.tx_count += 1
+        when = done + self.sched_off
+        if self.rx_at_send:
+            self.entry(packet, when)
+            return
+        self.sim.call_at(when, self.entry, packet, self)
+
+
+if USING_CCORE:
+    from repro.sim._ccore import DirectionCore as _DirectionCore  # noqa: F811
+
+
+class Direction(_DirectionCore):
+    """One direction of a :class:`Link`: its serialisation queue and the
+    receiver at the far end.
+
+    The receiver's delivery is resolved once, here:
+
+    * a switch's ``link_ingress`` is scheduled at arrival + pipeline
+      latency with this direction as its second argument, so the
+      switch reads its ingress port from :attr:`rx_port`;
+    * a host's ``link_rx_at`` is called at send time with the arrival
+      time (it books its RX slot up front).
+    """
+
+    __slots__ = ()
 
     def __init__(self, link: "Link", receiver: Any):
         self.link = link
@@ -93,31 +139,6 @@ class Direction:
         #: ``propagation_ns`` setter.
         self.sched_off = 0
 
-    def push(self, packet: Any, earliest: int) -> None:
-        """Book *packet* onto the wire no earlier than *earliest* and
-        hand it to the receiver.
-
-        The caller has already decided the packet survives the link
-        (see :meth:`Link.send` for the down/lossy checks).  *earliest*
-        is the sender's ready time and never precedes ``sim.now``.
-        """
-        size = packet.size
-        ser = self.ser_ns.get(size)
-        if ser is None:
-            ser = self.link.serialization_ns(size)
-        start = self.free_at
-        if start < earliest:
-            start = earliest
-        done = start + ser
-        self.free_at = done
-        self.tx_bytes += size
-        self.tx_count += 1
-        when = done + self.sched_off
-        if self.rx_at_send:
-            self.entry(packet, when)
-            return
-        self.sim.call_at(when, self.entry, packet, self)
-
 
 class Link:
     """A full-duplex cable between endpoints ``a`` and ``b``."""
@@ -147,7 +168,9 @@ class Link:
         self.down = False
         #: Random per-packet loss (used by the reliability tests).
         self.loss_probability = loss_probability
-        self._loss_rng = loss_rng if loss_rng is not None else random.Random(0x105)
+        #: The loss stream; the default one is seeded on first draw, so
+        #: wiring a lossless link (nearly every link) seeds no generator.
+        self._loss_rng = loss_rng
         self.drop_count = 0
         #: The a → b and b → a directions, built at wiring time.
         self.from_a = Direction(self, b)
@@ -248,6 +271,12 @@ class Link:
             return self.a
         raise NetworkError(f"{endpoint!r} is not attached to {self.name}")
 
+    def _loss_draw(self) -> float:
+        rng = self._loss_rng
+        if rng is None:
+            rng = self._loss_rng = random.Random(0x105)
+        return rng.random()
+
     def send(self, packet: Any, from_endpoint: Any) -> Optional[int]:
         """Transmit *packet* from one endpoint toward the other.
 
@@ -257,8 +286,7 @@ class Link:
         """
         direction = self.direction_from(from_endpoint)
         if self.down or (
-            self.loss_probability > 0.0
-            and self._loss_rng.random() < self.loss_probability
+            self.loss_probability > 0.0 and self._loss_draw() < self.loss_probability
         ):
             self.drop_count += 1
             packet.release()

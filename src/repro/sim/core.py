@@ -30,7 +30,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.errors import SchedulingError
+from repro.errors import NetworkError, PortError, SchedulingError
 
 __all__ = ["Simulator"]
 
@@ -247,7 +247,9 @@ class Simulator:
 #: and checks it against the in-process (C core) result.
 PySimulator = Simulator
 
-#: True when the C scheduler core is active.
+#: True when the C core is active: the scheduler here, and the
+#: forwarding hop's base classes in net/link.py, net/host.py and
+#: switchsim/switch.py, which select their C twins on this flag.
 USING_CCORE = False
 
 
@@ -258,7 +260,7 @@ def _load_c_engine():
         module = load_ccore()
         if module is None:
             return None
-        module.configure(SchedulingError)
+        module.configure(SchedulingError, NetworkError, PortError)
         return module
     except Exception:  # pragma: no cover - any failure means fallback
         return None

@@ -29,6 +29,17 @@ Failure model (§5.6.4): :meth:`fail` makes the switch drop everything;
 :meth:`recover` brings it back after a re-initialisation delay, with
 **all register state cleared** — NetClone must survive on soft state
 alone, which the Figure 16 experiment demonstrates.
+
+The forwarding hop — :meth:`~ProgrammableSwitch.link_ingress` and
+``_egress``, with the state they read — lives on :class:`_SwitchCore`,
+the base of :class:`ProgrammableSwitch`.  With the C core live
+(``USING_CCORE``) that base is ``_ccore.SwitchCore``: ingress
+bookkeeping, route lookup and the egress booking run with no Python
+frame, and it calls back into Python for the program's pass, dynamic
+route selectors, ``Link.send`` on a link that can drop and
+``Packet.release``.  Recirculation, wiring and fail/recover stay here
+in Python; the Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import Any, Dict, Optional
 from repro.errors import PortError, SwitchError
 from repro.net.link import Direction, Link
 from repro.net.packet import Packet
-from repro.sim.core import Simulator
+from repro.sim.core import USING_CCORE, Simulator
 from repro.sim.monitor import Counter
 from repro.switchsim.pipeline import Pipeline
 
@@ -72,8 +83,80 @@ class SwitchProgram:
         """Hook invoked when the switch loses state (power cycle)."""
 
 
-class ProgrammableSwitch:
+class _SwitchCore:
+    """The forwarding half of a :class:`ProgrammableSwitch`: ingress
+    pass and egress.  ``_ccore.SwitchCore`` replaces it when the C core
+    is live."""
+
+    __slots__ = (
+        "sim", "_counts", "_fast_apply", "routes", "_port_tx",
+        "_tx_for_ip", "down",
+    )
+
+    def link_ingress(self, packet: Packet, arriving: Direction) -> None:
+        """Fused arrival + pipeline pass, one event per switch hop.
+
+        The arriving link :class:`~repro.net.link.Direction` schedules
+        this directly at ``arrival + pipeline_latency_ns``, so a switch
+        hop costs no separate arrival event.  Ingress bookkeeping and
+        the down check consequently happen at pass time: a packet in
+        flight into the pipeline when the switch powers off counts as
+        ``rx_dropped_down`` rather than ``rx`` + ``dropped_down`` —
+        either way it died with the power, and ``rx + recirculated ==
+        tx + dropped_by_program + no_route + dropped_down`` still holds.
+        """
+        if self.down:
+            self._counts["rx_dropped_down"] += 1
+            packet.release()
+            return
+        port = arriving.rx_port
+        if port is None:
+            raise PortError(
+                f"{self.name}: packet arrived on unknown link {arriving.link.name}"
+            )
+        packet.ingress_port = port
+        packet.recirculated = False
+        self._counts["rx"] += 1
+        fast_apply = self._fast_apply
+        if fast_apply is not None and fast_apply(packet, self):
+            self._counts["dropped_by_program"] += 1
+            packet.release()
+            return
+        self._egress(packet)
+
+    def _egress(self, packet: Packet) -> None:
+        # Fast path: a statically routed destination resolves its
+        # transmit direction in one dict get.
+        tx = self._tx_for_ip.get(packet.dst)
+        if tx is None:
+            route = self.routes.get(packet.dst)
+            if route is not None and not isinstance(route, int):
+                route = route(packet)
+            tx = self._port_tx.get(route)
+            if tx is None:
+                self._counts["no_route"] += 1
+                packet.release()
+                return
+        self._counts["tx"] += 1
+        link = tx.link
+        if link.down or link.loss_probability > 0.0:
+            link.send(packet, self)
+            return
+        tx.push(packet, self.sim.now)
+
+
+if USING_CCORE:
+    from repro.sim._ccore import SwitchCore as _SwitchCore  # noqa: F811
+
+
+class ProgrammableSwitch(_SwitchCore):
     """A single-pipeline programmable switch with recirculation."""
+
+    # The hop's entry points sit in this class's own dict, so tracers
+    # that wrap ``ProgrammableSwitch.link_ingress`` at class level find
+    # it here on either base.
+    link_ingress = _SwitchCore.link_ingress
+    _egress = _SwitchCore._egress
 
     def __init__(
         self,
@@ -163,37 +246,6 @@ class ProgrammableSwitch:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def link_ingress(self, packet: Packet, arriving: Direction) -> None:
-        """Fused arrival + pipeline pass, one event per switch hop.
-
-        The arriving link :class:`~repro.net.link.Direction` schedules
-        this directly at ``arrival + pipeline_latency_ns``, so a switch
-        hop costs no separate arrival event.  Ingress bookkeeping and
-        the down check consequently happen at pass time: a packet in
-        flight into the pipeline when the switch powers off counts as
-        ``rx_dropped_down`` rather than ``rx`` + ``dropped_down`` —
-        either way it died with the power, and ``rx + recirculated ==
-        tx + dropped_by_program + no_route + dropped_down`` still holds.
-        """
-        if self.down:
-            self._counts["rx_dropped_down"] += 1
-            packet.release()
-            return
-        port = arriving.rx_port
-        if port is None:
-            raise PortError(
-                f"{self.name}: packet arrived on unknown link {arriving.link.name}"
-            )
-        packet.ingress_port = port
-        packet.recirculated = False
-        self._counts["rx"] += 1
-        fast_apply = self._fast_apply
-        if fast_apply is not None and fast_apply(packet, self):
-            self._counts["dropped_by_program"] += 1
-            packet.release()
-            return
-        self._egress(packet)
-
     def recirculate(self, packet: Packet) -> None:
         """Loop *packet* back through a loopback port for another pass.
 
@@ -220,26 +272,6 @@ class ProgrammableSwitch:
             packet.release()
             return
         self._egress(packet)
-
-    def _egress(self, packet: Packet) -> None:
-        # Fast path: a statically routed destination resolves its
-        # transmit direction in one dict get.
-        tx = self._tx_for_ip.get(packet.dst)
-        if tx is None:
-            route = self.routes.get(packet.dst)
-            if route is not None and not isinstance(route, int):
-                route = route(packet)
-            tx = self._port_tx.get(route)
-            if tx is None:
-                self._counts["no_route"] += 1
-                packet.release()
-                return
-        self._counts["tx"] += 1
-        link = tx.link
-        if link.down or link.loss_probability > 0.0:
-            link.send(packet, self)
-            return
-        tx.push(packet, self.sim.now)
 
     # ------------------------------------------------------------------
     # Failure handling (§5.6.4)

@@ -5,6 +5,11 @@ named class attributes (``ENTRY_POINTS``) and each ToR's cached
 ``_fast_apply``.  A rename on the simulator side would only break the
 benchmark's traced run; these tests catch it in the smoke tier.  They
 read ``spans.py`` and never install its class-level wrappers.
+
+The hop entry points may be C methods (the forwarding hop in
+``sim/_ccore.c``); a wrapper installed on the class before a cluster is
+built must still see every hop, so the C link direction has to call the
+entry it resolved at wiring time rather than the C method behind it.
 """
 
 import importlib
@@ -15,6 +20,8 @@ import pytest
 
 from helpers import tiny_config
 from repro.experiments.common import Cluster
+from repro.net.host import Host
+from repro.switchsim.switch import ProgrammableSwitch
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
 
@@ -60,4 +67,36 @@ def test_wrapped_program_sees_every_pass():
     assert len(recirculated_passes) == tor.counters.get("recirculated") == cloned
     assert tracer.calls("core.program") == (
         tor.counters.get("rx") + tor.counters.get("recirculated")
+    )
+
+
+def test_class_level_hop_wrappers_see_every_hop(monkeypatch):
+    calls = {"link_rx_at": 0, "link_ingress": 0}
+    for cls, attr in ((Host, "link_rx_at"), (ProgrammableSwitch, "link_ingress")):
+
+        def counted(*args, inner=cls.__dict__[attr], attr=attr):
+            calls[attr] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cls, attr, counted)
+    cluster = Cluster(
+        tiny_config(
+            topology="spine_leaf",
+            topology_params={"racks": 2, "spines": 2},
+            placement="global",
+        )
+    )
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    fabric = cluster.topology
+    links = [link for star in fabric.stars for link in star.links] + list(fabric.trunks)
+    directions = [d for link in links for d in (link.from_a, link.from_b)]
+    host_bookings = sum(d.tx_count for d in directions if d.rx_at_send)
+    switch_arrivals = sum(d.tx_count for d in directions if not d.rx_at_send)
+    assert host_bookings > 0 and switch_arrivals > 0
+    assert calls["link_rx_at"] == host_bookings
+    assert calls["link_ingress"] == switch_arrivals == sum(
+        switch.counters.get("rx") for switch in cluster.switches
     )

@@ -13,24 +13,31 @@ counter.  These tests pin the contract that makes that safe:
   deterministic and exact, and a steady acquire/release loop recycles
   one backing packet;
 * the pure-Python engine (``REPRO_PURE_SIM=1``) and the C core produce
-  identical points.
+  identical points and telemetry — on a plain spine-leaf point and on
+  drills that drive every forwarding-hop fallback (recirculation,
+  dynamic routes, down and lossy links, a powered-off switch, a
+  missing route) — and raise the same error classes.
 """
 
+import math
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from helpers import assert_points_identical, make_packet, tiny_config
 
 import repro
+from repro.errors import NetworkError
 from repro.experiments.common import Cluster, run_point
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import PacketPool
 from repro.sim.core import Simulator
 from repro.sim.units import ms
+from repro.switchsim.switch import ProgrammableSwitch
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +228,26 @@ def test_serialization_memo_invalidated_by_bandwidth_change():
 # ----------------------------------------------------------------------
 # Engine pinning: the pure-Python engine against the live one
 # ----------------------------------------------------------------------
+def run_on_pure_engine(body):
+    """Run *body*, which binds ``result``, in a fresh interpreter under
+    ``REPRO_PURE_SIM=1`` (this directory importable) and return
+    ``result``."""
+    script = (
+        "import pickle, sys\n"
+        "from repro.sim.core import PySimulator, Simulator, USING_CCORE\n"
+        "assert Simulator is PySimulator and not USING_CCORE\n"
+        f"{body}\n"
+        "sys.stdout.buffer.write(pickle.dumps(result))\n"
+    )
+    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, REPRO_PURE_SIM="1", PYTHONPATH=os.pathsep.join(paths))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=False
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    return pickle.loads(completed.stdout)
+
+
 def test_pure_python_engine_matches_live_engine_on_spine_leaf():
     """``REPRO_PURE_SIM=1`` runs :class:`PySimulator`; a spine-leaf
     NetClone point must come out identical to the in-process engine
@@ -230,21 +257,174 @@ def test_pure_python_engine_matches_live_engine_on_spine_leaf():
         topology_params={"racks": 2, "spines": 2},
         placement="global",
     )
-    script = (
-        "import pickle, sys\n"
+    pure = run_on_pure_engine(
         "from helpers import tiny_config\n"
         "from repro.experiments.common import run_point\n"
-        "from repro.sim.core import PySimulator, Simulator, USING_CCORE\n"
-        "assert Simulator is PySimulator and not USING_CCORE\n"
-        f"point = run_point(tiny_config(**{config!r}))\n"
-        "sys.stdout.buffer.write(pickle.dumps(point))\n"
+        f"result = run_point(tiny_config(**{config!r}))"
     )
-    paths = [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, REPRO_PURE_SIM="1", PYTHONPATH=os.pathsep.join(paths))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, check=False
+    assert_points_identical(pure, run_point(tiny_config(**config)))
+
+
+# ----------------------------------------------------------------------
+# Forwarding-hop drills: every fallback, on both engines
+# ----------------------------------------------------------------------
+SPINE_LEAF = dict(
+    topology="spine_leaf",
+    topology_params={"racks": 2, "spines": 2},
+    placement="global",
+)
+
+
+def _during_measurement(cluster, fraction, fn, *args):
+    config = cluster.config
+    when = config.warmup_ns + int(config.measure_ns * fraction)
+    cluster.sim.call_at(when, fn, *args)
+
+
+def _lossy_link(cluster):
+    # Host sends take the evented _emit path; switch egress Link.send.
+    cluster.topology.link_of(cluster.clients[0]).loss_probability = 0.05
+
+
+def _down_link(cluster):
+    server = cluster.servers[0]
+    _during_measurement(cluster, 0.3, cluster.topology.fail_host, server)
+    _during_measurement(cluster, 0.6, cluster.topology.restore_host, server)
+
+
+def _switch_down(cluster):
+    tor = cluster.tors[-1]
+    _during_measurement(cluster, 0.3, tor.fail)
+    _during_measurement(cluster, 0.5, tor.recover)
+
+
+def _no_route(cluster):
+    tor = cluster.switch
+    ip = cluster.servers[0].ip
+    port = tor.routes[ip]
+    _during_measurement(cluster, 0.3, tor.remove_route, ip)
+    _during_measurement(cluster, 0.6, tor.install_route, ip, port)
+
+
+def _switch_total(counters, key):
+    return sum(switch.get(key, 0) for switch in counters)
+
+
+#: name → (tiny_config overrides, perturbation, check that the drill
+#: reached the path it exists for).
+HOP_DRILLS = {
+    "star-netclone": (
+        dict(topology="star"),
+        None,
+        lambda tel, counters: _switch_total(counters, "recirculated") > 0,
+    ),
+    "spine-least-loaded": (
+        dict(
+            SPINE_LEAF,
+            topology_params={"racks": 2, "spines": 2, "spine_policy": "least-loaded"},
+        ),
+        None,
+        lambda tel, counters: tel["trunk_tx_bytes"] > 0,
+    ),
+    "lossy-link": (
+        dict(topology="star"),
+        _lossy_link,
+        lambda tel, counters: tel["link_drops"] > 0,
+    ),
+    "down-link": (
+        dict(topology="star"),
+        _down_link,
+        lambda tel, counters: tel["link_drops"] > 0,
+    ),
+    "switch-down": (
+        SPINE_LEAF,
+        _switch_down,
+        lambda tel, counters: _switch_total(counters, "rx_dropped_down") > 0,
+    ),
+    "no-route": (
+        dict(topology="star"),
+        _no_route,
+        lambda tel, counters: _switch_total(counters, "no_route") > 0,
+    ),
+}
+
+
+def run_hop_drill(name):
+    """One drill's ``(LoadPoint, telemetry, switch counters)``; the
+    queue is drained before the telemetry is read, so packets in flight
+    at the end meet the same drops on either engine."""
+    overrides, perturb, _ = HOP_DRILLS[name]
+    cluster = Cluster(tiny_config(**overrides))
+    if perturb is not None:
+        perturb(cluster)
+    cluster.start()
+    cluster.run()
+    point = cluster.load_point()
+    cluster.sim.run()
+    counters = [dict(switch.counters._counts) for switch in cluster.switches]
+    return point, cluster.telemetry(), counters
+
+
+def _nan_as_none(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, list):
+        return [_nan_as_none(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _nan_as_none(item) for key, item in value.items()}
+    return value
+
+
+@pytest.fixture(scope="module")
+def pure_hop_drills():
+    return run_on_pure_engine(
+        "from test_engine_fastpath import HOP_DRILLS, run_hop_drill\n"
+        "result = {name: run_hop_drill(name) for name in HOP_DRILLS}"
     )
-    assert result.returncode == 0, result.stderr.decode()
-    assert_points_identical(
-        pickle.loads(result.stdout), run_point(tiny_config(**config))
+
+
+@pytest.mark.parametrize("name", list(HOP_DRILLS))
+def test_pure_python_engine_matches_live_engine_on_hop_drill(name, pure_hop_drills):
+    point, telemetry, counters = run_hop_drill(name)
+    pure_point, pure_telemetry, pure_counters = pure_hop_drills[name]
+    assert HOP_DRILLS[name][2](telemetry, counters), f"{name} missed its path"
+    assert_points_identical(pure_point, point)
+    assert _nan_as_none(pure_telemetry) == _nan_as_none(telemetry)
+    assert pure_counters == counters
+
+
+def hop_wiring_errors():
+    """``(class name, message)`` of the hop's two wiring errors: a host
+    sending with no link, and a packet arriving on an unconnected port."""
+    sim = Simulator()
+    lonely = Host(sim, "lonely", 1)
+    switch = ProgrammableSwitch(sim, "sw")
+    stray = Link(sim, Host(sim, "h", 2), switch)  # never given a port
+    calls = (
+        lambda: lonely.send(make_packet(pool=lonely.packet_pool)),
+        lambda: switch.link_ingress(make_packet(), stray.from_a),
     )
+    raised = []
+    for call in calls:
+        with pytest.raises(NetworkError) as info:
+            call()
+        raised.append((type(info.value).__name__, str(info.value)))
+    return raised
+
+
+HOP_WIRING_ERRORS = [
+    ("NetworkError", "lonely has no link attached"),
+    ("PortError", "sw: packet arrived on unknown link link(h-sw)"),
+]
+
+
+def test_hop_wiring_errors_on_live_engine():
+    assert hop_wiring_errors() == HOP_WIRING_ERRORS
+
+
+def test_hop_wiring_errors_on_pure_engine():
+    result = run_on_pure_engine(
+        "from test_engine_fastpath import hop_wiring_errors\n"
+        "result = hop_wiring_errors()"
+    )
+    assert result == HOP_WIRING_ERRORS
