@@ -20,7 +20,7 @@ the shadow copy — exactly the §3.4 trick — and giving the cloned copy
 its destination IP requires a second pass through ``AddrT`` via
 recirculation (§3.4 "Cloning in the switch").
 
-Algorithm 1 runs as one function, :attr:`NetCloneProgram.apply`,
+Algorithm 1 runs as one callable, :attr:`NetCloneProgram.apply`,
 compiled when the program is built.  Before compiling it,
 :meth:`~repro.switchsim.pipeline.Pipeline.compile_plan` proves that
 the three pass shapes (request, recirculated clone, response) obey
@@ -28,7 +28,12 @@ those rules, and construction fails if one does not.  The proven pass
 then runs with no per-packet stage checks, addressing register state
 by flat offsets into the program's
 :class:`~repro.switchsim.registers.RegisterFile`; it checks only that
-server IDs index inside the state tables.
+server IDs index inside the state tables.  With the C core live
+(``USING_CCORE``) the pass is a ``_ccore.NetClonePass`` over the same
+register memory and table dicts, which the switch runs with no Python
+frame; otherwise, and as the reference, it is a Python closure.  The
+program's flags (cloning, filtering, scheduler) are compiled into the
+pass, so they are fixed at construction.
 
 The same class also implements two §3.7 extensions.  RackSched
 integration: the state table generalises to a *load* table holding
@@ -60,6 +65,7 @@ from repro.core.groups import ordered_pairs
 from repro.core.placement import GroupTable
 from repro.errors import PipelineConfigError, StageAccessError
 from repro.net.packet import Packet
+from repro.sim.core import USING_CCORE
 from repro.switchsim.hashing import HashUnit
 from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.registers import RegisterArray, RegisterFile
@@ -67,6 +73,9 @@ from repro.switchsim.switch import SwitchProgram
 from repro.switchsim.tables import MatchActionTable
 
 from zlib import crc32
+
+if USING_CCORE:
+    from repro.sim._ccore import NetClonePass
 
 __all__ = ["NetCloneProgram"]
 
@@ -85,8 +94,9 @@ class NetCloneProgram(SwitchProgram):
 
     ``apply(packet, switch)`` is Algorithm 1: lines 1-10 for a fresh
     request, 11-13 for its recirculated clone, 14-26 for a response.
-    It is an instance attribute bound by :meth:`_compile_apply`.  It
-    returns ``True`` to drop the packet and ``None`` to forward it,
+    It is an instance attribute bound by :meth:`_compile_apply`: a C
+    ``NetClonePass`` on the C core, the reference closure otherwise.
+    It returns ``True`` to drop the packet and ``None`` to forward it,
     and hands a clone to ``switch.recirculate`` during the pass.  The
     pass opens with the :meth:`matches` gate, so packets that are not
     this ToR's NetClone traffic pass through untouched.
@@ -122,11 +132,10 @@ class NetCloneProgram(SwitchProgram):
         )
         self.pipeline = Pipeline(num_stages=num_stages)
         self.switch_id = switch_id
-        self.cloning_enabled = cloning_enabled
-        self.filtering_enabled = filtering_enabled
-        self.scheduler = scheduler
-        # Per-packet paths test a bool, not a string compare.
-        self._jsq = scheduler == SCHED_JSQ
+        # Compiled into the pass below, so read-only from here on.
+        self._cloning_enabled = cloning_enabled
+        self._filtering_enabled = filtering_enabled
+        self._scheduler = scheduler
         self.num_servers = len(server_ips)
 
         place = self.pipeline
@@ -196,9 +205,11 @@ class NetCloneProgram(SwitchProgram):
         PISA rules for each — feed-forward stage order, placement, one
         access per register per pass — and raises
         :class:`~repro.errors.PipelineConfigError` if one fails.  That
-        proof is what lets the per-packet closure below run without
-        checks of its own: it addresses register state through flat
-        ``base + index`` offsets into the shared register file.
+        proof is what lets the per-packet pass run without checks of
+        its own: it addresses register state through flat ``base +
+        index`` offsets into the shared register file.  The C pass and
+        the closure below capture the same state, and
+        ``tests/test_engine_fastpath.py`` drills every branch on both.
         """
         pipeline = self.pipeline
         pipeline.compile_plan(
@@ -213,21 +224,46 @@ class NetCloneProgram(SwitchProgram):
             (self.state_table, self.shadow_table, self.hash_unit, *self.filters)
         )
 
-        program = self
         switch_id = self.switch_id
         cells = self._register_file.data
         seq_i = self.seq.base
-        grp_get = self.grp_table._entries.get
         state_reg = self.state_table
         shadow_reg = self.shadow_table
         state_base = state_reg.base
         shadow_base = shadow_reg.base
         state_size = state_reg.size
         state_mask = state_reg._mask
-        addr_get = self.addr_table._entries.get
         buckets = self.hash_unit.buckets
         filter_bases = tuple(f.base for f in self.filters)
         filter_mask = self.filters[0]._mask
+        cloning_enabled = self._cloning_enabled
+        filtering_enabled = self._filtering_enabled
+        jsq = self._scheduler == SCHED_JSQ
+        if USING_CCORE:
+            # The same pass in C, over the same register memory and the
+            # same (live) table dicts.
+            return NetClonePass(
+                cells=cells,
+                grp_entries=self.grp_table._entries,
+                addr_entries=self.addr_table._entries,
+                seq_index=seq_i,
+                state_base=state_base,
+                shadow_base=shadow_base,
+                state_size=state_size,
+                state_mask=state_mask,
+                state_name=state_reg.name,
+                shadow_name=shadow_reg.name,
+                filter_bases=filter_bases,
+                filter_mask=filter_mask,
+                buckets=buckets,
+                switch_id=switch_id,
+                cloning=cloning_enabled,
+                filtering=filtering_enabled,
+                jsq=jsq,
+            )
+
+        grp_get = self.grp_table._entries.get
+        addr_get = self.addr_table._entries.get
         num_filters = len(filter_bases)
 
         def apply(packet, switch):
@@ -279,7 +315,7 @@ class NetCloneProgram(SwitchProgram):
                 state2 = cells[shadow_base + srv2]
                 destination = srv1
                 if (
-                    program.cloning_enabled
+                    cloning_enabled
                     and nc.clo != CLO_NEVER_CLONE
                     and state1 == STATE_IDLE
                     and state2 == STATE_IDLE
@@ -294,7 +330,7 @@ class NetCloneProgram(SwitchProgram):
                 else:
                     if nc.clo == CLO_NEVER_CLONE:
                         nc.clo = CLO_NOT_CLONED
-                    if program._jsq and state2 < state1:
+                    if jsq and state2 < state1:
                         # RackSched fallback: join the shorter queue (§3.7).
                         destination = srv2
                         switch._counts["nc_jsq_second_choice"] += 1
@@ -315,7 +351,7 @@ class NetCloneProgram(SwitchProgram):
                 value = nc.state & state_mask
                 cells[state_base + sid] = value
                 cells[shadow_base + sid] = value
-                if nc.clo == CLO_NOT_CLONED or not program.filtering_enabled:
+                if nc.clo == CLO_NOT_CLONED or not filtering_enabled:
                     return None
                 req_id = nc.req_id
                 slot = crc32(
@@ -339,6 +375,24 @@ class NetCloneProgram(SwitchProgram):
             return None
 
         return apply
+
+    # ------------------------------------------------------------------
+    @property
+    def cloning_enabled(self) -> bool:
+        """Whether fresh requests to an idle pair are cloned (fixed at
+        construction: the compiled pass captures it)."""
+        return self._cloning_enabled
+
+    @property
+    def filtering_enabled(self) -> bool:
+        """Whether the slower response is filtered (fixed at
+        construction)."""
+        return self._filtering_enabled
+
+    @property
+    def scheduler(self) -> str:
+        """``random`` or ``jsq`` (fixed at construction)."""
+        return self._scheduler
 
     # ------------------------------------------------------------------
     def install_group_table(self, table: GroupTable) -> None:

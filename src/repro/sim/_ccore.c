@@ -1,4 +1,5 @@
-/* C core: the two-lane calendar-queue Simulator and the forwarding hop.
+/* C core: the two-lane calendar-queue Simulator, the forwarding hop and
+ * the NetClone switch pass.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -40,12 +41,28 @@
  * (net/host.py's `send` and `link_rx_at`).  Each is the C twin of a
  * pure-Python class of the same name in its module, which stays the
  * reference; the Python classes subclass whichever is live.  The hop
- * calls into Python for everything that is not plain forwarding: the
- * switch program's pass, dynamic route selectors, `Link.send` for a
- * link that can drop, `Packet.release`, and the receiver's entry
- * point (so class-level wrappers installed before wiring still see
- * every call).  Scheduling from the hop consumes one seq per event,
- * exactly like the `call_at` it replaces.
+ * calls into Python for everything that is not plain forwarding:
+ * dynamic route selectors, `Link.send` for a link that can drop,
+ * `Packet.release`, the receiver's entry point (so class-level
+ * wrappers installed before wiring still see every call), and any
+ * switch program pass other than the one below.  Scheduling from the
+ * hop consumes one seq per event, exactly like the `call_at` it
+ * replaces.
+ *
+ * The NetClone pass.  `NetClonePass` is Algorithm 1 (core/program.py)
+ * compiled for one program: the C twin of the closure
+ * `NetCloneProgram._compile_apply` builds on the pure-Python engine,
+ * which stays the reference.  It works on the program's own register
+ * memory and its live table dicts, and `SwitchCore` runs it with no
+ * Python frame when it is exactly the installed `_fast_apply` (a
+ * tracer's wrapper or any other program is called instead).  Header
+ * and packet fields are read and written at their `__slots__`
+ * offsets.  `SwitchCore.recirculate` and `_run_recirculated` carry a
+ * clone's second pass: the pass calls `switch.recirculate`, which
+ * schedules the `_run_recirculated` the switch resolved when it was
+ * built, so a class-level wrapper still sees every recirculated pass;
+ * `packet.copy()` stays a Python call, so the packet pool keeps its
+ * contract.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -56,6 +73,7 @@
 static PyObject *g_sched_error = NULL;    /* SchedulingError class */
 static PyObject *g_network_error = NULL;  /* NetworkError class */
 static PyObject *g_port_error = NULL;     /* PortError class */
+static PyObject *g_stage_access_error = NULL;  /* StageAccessError class */
 
 typedef struct {
     PyObject_HEAD
@@ -698,7 +716,7 @@ static PyObject *s_size, *s_dst, *s_ingress_port, *s_recirculated,
     *s_release, *s_down, *s_loss_probability, *s_send,
     *s_serialization_ns, *s_call_at, *s_now, *s_handle, *s_emit,
     *s_name, *s_rx, *s_rx_dropped_down, *s_dropped_by_program,
-    *s_no_route, *s_tx;
+    *s_no_route, *s_tx, *s_dropped_down;
 static PyObject *g_zero_float = NULL;     /* 0.0, for loss_probability */
 static PyObject *g_one = NULL;            /* 1, the counter step */
 
@@ -1053,7 +1071,14 @@ typedef struct {
     PyObject *port_tx;       /* port -> transmit direction */
     PyObject *tx_for_ip;     /* static ip -> transmit direction */
     PyObject *down;          /* truthy while powered off */
+    PyObject *recirc_entry;  /* `_run_recirculated`, resolved at build */
+    long long pipeline_latency_ns;
+    long long recirc_latency_ns;
 } SwitchObject;
+
+static PyTypeObject PassType;
+typedef struct PassObject PassObject;
+static int pass_run(PassObject *self, PyObject *packet, PyObject *sw);
 
 /* `ProgrammableSwitch._egress`: route *packet* and book it onto the
  * chosen port's direction. */
@@ -1137,6 +1162,42 @@ switch_egress(SwitchObject *self, PyObject *packet)
     return rc;
 }
 
+/* The installed program's pass over *packet*, then its verdict: drop
+ * (`dropped_by_program`) or egress by route.  A `NetClonePass` runs
+ * in C with no Python frame; any other callable (another program, a
+ * tracer's wrapper) is called. */
+static PyObject *
+switch_pass_then_egress(SwitchObject *self, PyObject *packet)
+{
+    PyObject *apply = self->fast_apply;
+    int r;
+    Py_INCREF(apply);
+    if (Py_IS_TYPE(apply, &PassType))
+        r = pass_run((PassObject *)apply, packet, (PyObject *)self);
+    else {
+        PyObject *stack[3] = {NULL, packet, (PyObject *)self};
+        PyObject *verdict = PyObject_Vectorcall(
+            apply, stack + 1, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        r = -1;
+        if (verdict != NULL) {
+            r = PyObject_IsTrue(verdict);
+            Py_DECREF(verdict);
+        }
+    }
+    Py_DECREF(apply);
+    if (r < 0)
+        return NULL;
+    if (r) {
+        if (count_incr(self->counts, s_dropped_by_program) < 0
+            || release_packet(packet) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    if (switch_egress(self, packet) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 /* PortError("<switch>: packet arrived on unknown link <link>"). */
 static PyObject *
 raise_unknown_link(PyObject *self, DirObject *arriving)
@@ -1190,30 +1251,56 @@ switch_link_ingress(SwitchObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (r < 0 || PyObject_SetAttr(packet, s_recirculated, Py_False) < 0
         || count_incr(self->counts, s_rx) < 0)
         return NULL;
-    if (self->fast_apply != Py_None) {
-        PyObject *apply = self->fast_apply;
-        PyObject *stack[3] = {NULL, packet, (PyObject *)self};
-        PyObject *verdict;
-        Py_INCREF(apply);
-        verdict = PyObject_Vectorcall(apply, stack + 1,
-                                      2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-        Py_DECREF(apply);
-        if (verdict == NULL)
-            return NULL;
-        r = PyObject_IsTrue(verdict);
-        Py_DECREF(verdict);
-        if (r < 0)
-            return NULL;
-        if (r) {
-            if (count_incr(self->counts, s_dropped_by_program) < 0
-                || release_packet(packet) < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
-    }
+    if (self->fast_apply != Py_None)
+        return switch_pass_then_egress(self, packet);
     if (switch_egress(self, packet) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* `ProgrammableSwitch.recirculate`: loop *packet* back for another
+ * pass `recirc_latency_ns + pipeline_latency_ns` from now. */
+static PyObject *
+switch_recirculate(SwitchObject *self, PyObject *packet)
+{
+    long long delay = self->recirc_latency_ns + self->pipeline_latency_ns;
+    long long now;
+    if (require_member(self->sim, "sim") < 0
+        || require_member(self->counts, "_counts") < 0
+        || require_member(self->recirc_entry, "_recirc_entry") < 0
+        || count_incr(self->counts, s_recirculated) < 0)
+        return NULL;
+    if (delay < 0) {
+        PyErr_Format(g_sched_error, "negative delay %lld", delay);
+        return NULL;
+    }
+    if (sim_now_of(self->sim, &now) < 0
+        || hop_call_at(self->sim, now + delay, self->recirc_entry, packet,
+                       NULL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* `ProgrammableSwitch._run_recirculated`: a recirculated copy
+ * re-enters the pipeline as a fresh pass. */
+static PyObject *
+switch_run_recirculated(SwitchObject *self, PyObject *packet)
+{
+    int r;
+    if (require_member(self->counts, "_counts") < 0
+        || require_member(self->fast_apply, "_fast_apply") < 0
+        || require_member(self->down, "down") < 0
+        || (r = PyObject_IsTrue(self->down)) < 0)
+        return NULL;
+    if (r) {
+        if (count_incr(self->counts, s_dropped_down) < 0
+            || release_packet(packet) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    if (PyObject_SetAttr(packet, s_recirculated, Py_True) < 0)
+        return NULL;
+    return switch_pass_then_egress(self, packet);
 }
 
 static PyObject *
@@ -1234,6 +1321,7 @@ switch_traverse(SwitchObject *self, visitproc visit, void *arg)
     Py_VISIT(self->port_tx);
     Py_VISIT(self->tx_for_ip);
     Py_VISIT(self->down);
+    Py_VISIT(self->recirc_entry);
     return 0;
 }
 
@@ -1247,6 +1335,7 @@ switch_clear(SwitchObject *self)
     Py_CLEAR(self->port_tx);
     Py_CLEAR(self->tx_for_ip);
     Py_CLEAR(self->down);
+    Py_CLEAR(self->recirc_entry);
     return 0;
 }
 
@@ -1266,6 +1355,12 @@ static PyMemberDef switch_members[] = {
     {"_port_tx", T_OBJECT_EX, offsetof(SwitchObject, port_tx), 0, NULL},
     {"_tx_for_ip", T_OBJECT_EX, offsetof(SwitchObject, tx_for_ip), 0, NULL},
     {"down", T_OBJECT_EX, offsetof(SwitchObject, down), 0, NULL},
+    {"_recirc_entry", T_OBJECT_EX, offsetof(SwitchObject, recirc_entry), 0,
+     NULL},
+    {"pipeline_latency_ns", T_LONGLONG,
+     offsetof(SwitchObject, pipeline_latency_ns), 0, NULL},
+    {"recirc_latency_ns", T_LONGLONG,
+     offsetof(SwitchObject, recirc_latency_ns), 0, NULL},
     {NULL}
 };
 
@@ -1274,6 +1369,10 @@ static PyMethodDef switch_methods[] = {
      METH_FASTCALL, "Fused arrival + pipeline pass, one event per hop."},
     {"_egress", (PyCFunction)switch_egress_method, METH_O,
      "Route packet and book it onto the egress direction."},
+    {"recirculate", (PyCFunction)switch_recirculate, METH_O,
+     "Loop packet back through the pipeline for another pass."},
+    {"_run_recirculated", (PyCFunction)switch_run_recirculated, METH_O,
+     "A recirculated copy re-enters the pipeline as a fresh pass."},
     {NULL}
 };
 
@@ -1283,12 +1382,740 @@ static PyTypeObject SwitchType = {
     .tp_basicsize = sizeof(SwitchObject),
     .tp_dealloc = (destructor)switch_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "C base of switchsim.switch.ProgrammableSwitch: ingress and egress.",
+    .tp_doc = "C base of switchsim.switch.ProgrammableSwitch: ingress, "
+              "recirculation and egress.",
     .tp_traverse = (traverseproc)switch_traverse,
     .tp_clear = (inquiry)switch_clear,
     .tp_methods = switch_methods,
     .tp_members = switch_members,
     .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
+/* NetClonePass: Algorithm 1, one switch pipeline pass                 */
+/* ------------------------------------------------------------------ */
+
+/* core/program.py's compiled pass, the C twin of the closure
+ * `NetCloneProgram._compile_apply` builds on the pure-Python engine.
+ * It holds what that closure captures: the program's register file
+ * (a buffer on its `array('q')`, addressed by the same flat
+ * `base + index` offsets), the live `GrpT`/`AddrT` entry dicts, the
+ * table geometry and the program's flags. */
+
+#define NC_UDP_PORT 9000       /* core/constants.py NETCLONE_UDP_PORT */
+#define NC_MSG_REQ 1
+#define NC_MSG_RESP 2
+#define NC_STATE_IDLE 0
+#define NC_SWID_UNSET 0
+#define NC_CLO_NOT_CLONED 0
+#define NC_CLO_CLONED_ORIGINAL 1
+#define NC_CLO_CLONED_COPY 2
+#define NC_CLO_NEVER_CLONE 3   /* core/program.py CLO_NEVER_CLONE */
+#define NC_SEQ_MAX 4294967295LL
+
+struct PassObject {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    Py_buffer cells_view;    /* the register file's array('q') */
+    long long *cells;
+    PyObject *grp_entries;   /* GrpT._entries: group -> (srv1, srv2) */
+    PyObject *addr_entries;  /* AddrT._entries: server -> ip */
+    PyObject *state_name;    /* register names, for StageAccessError */
+    PyObject *shadow_name;
+    PyObject *switch_id;     /* this ToR's SWID stamp */
+    long long switch_id_value;
+    Py_ssize_t seq_index;
+    Py_ssize_t state_base;
+    Py_ssize_t shadow_base;
+    Py_ssize_t state_size;
+    Py_ssize_t *filter_bases;
+    Py_ssize_t num_filters;
+    unsigned long long state_mask;
+    unsigned long long filter_mask;
+    unsigned long long buckets;
+    int cloning;
+    int filtering;
+    int jsq;
+};
+
+/* Names the pass reads, writes or calls; interned at module init. */
+static PyObject *s_nc, *s_dport, *s_msg_type, *s_req_id, *s_grp, *s_sid,
+    *s_state, *s_clo, *s_idx, *s_swid, *s_copy, *s_recirculate, *s_counts,
+    *s_nc_unknown_server, *s_nc_unknown_group, *s_nc_cloned,
+    *s_nc_jsq_second_choice, *s_nc_filtered, *s_nc_fingerprint_overwrite,
+    *s_nc_fingerprint_insert;
+
+/* Header fields the pass reads and writes.  `Packet` and
+ * `NetCloneHeader` are `__slots__` classes: CPython's interpreter
+ * reads such an attribute straight out of the object, while
+ * PyObject_GetAttr walks the descriptor protocol, several times
+ * slower.  A SlotMap records each field's slot offset for one exact
+ * type and is keyed on that type's version tag, which any edit of the
+ * class resets; every other type, and a class edited since, goes
+ * through PyObject_GetAttr/SetAttr. */
+enum { P_DPORT, P_NC, P_RECIRCULATED, P_DST, N_PACKET_FIELDS };
+enum {
+    H_SWID, H_MSG_TYPE, H_REQ_ID, H_GRP, H_SID, H_STATE, H_CLO, H_IDX,
+    N_HEADER_FIELDS
+};
+
+typedef struct {
+    PyTypeObject *type;      /* the mapped type (strong ref), or NULL */
+    unsigned int version;    /* its tp_version_tag when mapped */
+    int nfields;
+    PyObject **names;
+    Py_ssize_t offsets[N_HEADER_FIELDS];
+} SlotMap;
+
+static PyObject *packet_field_names[N_PACKET_FIELDS];
+static PyObject *header_field_names[N_HEADER_FIELDS];
+static SlotMap packet_slots = {NULL, 0, N_PACKET_FIELDS, packet_field_names, {0}};
+static SlotMap header_slots = {NULL, 0, N_HEADER_FIELDS, header_field_names, {0}};
+
+/* Map *type* when each field is a writable `__slots__` member of it
+ * and attribute access is the generic one; otherwise keep the map as
+ * it is, and *type* takes the generic path. */
+static void
+slot_map_refresh(SlotMap *map, PyTypeObject *type)
+{
+    Py_ssize_t offsets[N_HEADER_FIELDS];
+    int i;
+    if (type == map->type && type->tp_version_tag == map->version)
+        return;
+    if (type->tp_getattro != PyObject_GenericGetAttr
+        || type->tp_setattro != PyObject_GenericSetAttr)
+        return;
+    for (i = 0; i < map->nfields; i++) {
+        PyObject *descr = _PyType_Lookup(type, map->names[i]);
+        PyMemberDef *member;
+        if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            || !PyType_IsSubtype(type, PyDescr_TYPE(descr)))
+            return;
+        member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type != T_OBJECT_EX || (member->flags & READONLY))
+            return;
+        offsets[i] = member->offset;
+    }
+    if (type->tp_version_tag == 0)
+        return;
+    Py_INCREF(type);
+    Py_XSETREF(map->type, type);
+    map->version = type->tp_version_tag;
+    memcpy(map->offsets, offsets, sizeof(offsets[0]) * map->nfields);
+}
+
+static inline PyObject **
+slot_of(SlotMap *map, PyObject *obj, int field)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    if (type == map->type && type->tp_version_tag == map->version)
+        return (PyObject **)((char *)obj + map->offsets[field]);
+    return NULL;
+}
+
+/* `getattr(obj, <field>)`: a new reference. */
+static PyObject *
+slot_get(SlotMap *map, PyObject *obj, int field)
+{
+    PyObject **slot = slot_of(map, obj, field);
+    if (slot != NULL && *slot != NULL) {
+        Py_INCREF(*slot);
+        return *slot;
+    }
+    return PyObject_GetAttr(obj, map->names[field]);
+}
+
+/* `setattr(obj, <field>, value)`. */
+static int
+slot_set(SlotMap *map, PyObject *obj, int field, PyObject *value)
+{
+    PyObject **slot = slot_of(map, obj, field);
+    if (slot != NULL) {
+        PyObject *old = *slot;
+        Py_INCREF(value);
+        *slot = value;
+        Py_XDECREF(old);
+        return 0;
+    }
+    return PyObject_SetAttr(obj, map->names[field], value);
+}
+
+#define PACKET_GET(obj, f) slot_get(&packet_slots, (obj), (f))
+#define PACKET_SET(obj, f, v) slot_set(&packet_slots, (obj), (f), (v))
+#define HEADER_GET(obj, f) slot_get(&header_slots, (obj), (f))
+#define HEADER_SET(obj, f, v) slot_set(&header_slots, (obj), (f), (v))
+
+static uint32_t crc32_table[256];
+
+/* The IEEE CRC-32 table (zlib's reflected polynomial 0xEDB88320). */
+static void
+crc32_init(void)
+{
+    uint32_t i, bit, c;
+    for (i = 0; i < 256; i++) {
+        c = i;
+        for (bit = 0; bit < 8; bit++)
+            c = c & 1 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        crc32_table[i] = c;
+    }
+}
+
+/* `zlib.crc32(value.to_bytes(8, "little"))`. */
+static uint32_t
+crc32_u64(unsigned long long value)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    int i;
+    for (i = 0; i < 8; i++) {
+        c = crc32_table[(c ^ (uint32_t)(value & 0xFF)) & 0xFF] ^ (c >> 8);
+        value >>= 8;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/* `obj == value` for a header field: 1, 0, or -1 on error.  An int
+ * compares in C; anything else takes Python's `==`. */
+static int
+field_eq(PyObject *obj, long long value)
+{
+    PyObject *other;
+    int r;
+    if (PyLong_CheckExact(obj)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        return !overflow && v == value;
+    }
+    if ((other = PyLong_FromLongLong(value)) == NULL)
+        return -1;
+    r = PyObject_RichCompareBool(obj, other, Py_EQ);
+    Py_DECREF(other);
+    return r;
+}
+
+/* `<field> == value` (a NULL field is a failed read): 1, 0, or -1. */
+static int
+take_eq(PyObject *field, long long value)
+{
+    int r;
+    if (field == NULL)
+        return -1;
+    r = field_eq(field, value);
+    Py_DECREF(field);
+    return r;
+}
+
+/* `nc.<field> = value` for a small int value. */
+static int
+header_set_small(PyObject *nc, int field, long value)
+{
+    PyObject *obj = PyLong_FromLong(value);
+    int r;
+    if (obj == NULL)
+        return -1;
+    r = HEADER_SET(nc, field, obj);
+    Py_DECREF(obj);
+    return r;
+}
+
+/* *index* as a state-table cell: the closure's
+ * `if not 0 <= index < size: raise StageAccessError(...)`. */
+static int
+state_index(PassObject *self, PyObject *index, PyObject *register_name,
+            Py_ssize_t *out)
+{
+    int overflow = 0;
+    long long v;
+    if (!PyLong_Check(index)) {
+        PyErr_SetString(PyExc_TypeError, "array indices must be integers");
+        return -1;
+    }
+    v = PyLong_AsLongLongAndOverflow(index, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v < 0 || v >= self->state_size) {
+        PyErr_Format(g_stage_access_error,
+                     "index %S out of range for register %R (size %zd)",
+                     index, register_name, self->state_size);
+        return -1;
+    }
+    *out = (Py_ssize_t)v;
+    return 0;
+}
+
+/* `<field> & mask` (a NULL field is a failed read), for a mask below
+ * 2**63. */
+static int
+take_masked(PyObject *field, unsigned long long mask, unsigned long long *out)
+{
+    if (field == NULL)
+        return -1;
+    *out = PyLong_AsUnsignedLongLongMask(field);
+    Py_DECREF(field);
+    if (*out == (unsigned long long)-1 && PyErr_Occurred())
+        return -1;
+    *out &= mask;
+    return 0;
+}
+
+/* `<field> % n` for n > 0, as Python computes it (a NULL field is a
+ * failed read); the result must index a table of n entries. */
+static int
+take_mod(PyObject *field, Py_ssize_t n, Py_ssize_t *out)
+{
+    PyObject *divisor, *rem;
+    if (field == NULL)
+        return -1;
+    if (PyLong_CheckExact(field)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(field, &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(field);
+            return -1;
+        }
+        if (!overflow) {
+            Py_DECREF(field);
+            v %= n;
+            *out = (Py_ssize_t)(v < 0 ? v + n : v);
+            return 0;
+        }
+    }
+    divisor = PyLong_FromSsize_t(n);
+    rem = divisor == NULL ? NULL : PyNumber_Remainder(field, divisor);
+    Py_XDECREF(divisor);
+    Py_DECREF(field);
+    if (rem == NULL)
+        return -1;
+    *out = PyLong_AsSsize_t(rem);
+    Py_DECREF(rem);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    if (*out < 0 || *out >= n) {
+        PyErr_SetString(PyExc_IndexError, "filter table index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* `switch._counts[key] += 1`. */
+static int
+switch_count(PyObject *sw, PyObject *key)
+{
+    PyObject *counts;
+    int r;
+    if (PyObject_TypeCheck(sw, &SwitchType)) {
+        counts = ((SwitchObject *)sw)->counts;
+        if (require_member(counts, "_counts") < 0)
+            return -1;
+        Py_INCREF(counts);
+    }
+    else if ((counts = PyObject_GetAttr(sw, s_counts)) == NULL)
+        return -1;
+    r = count_incr(counts, key);
+    Py_DECREF(counts);
+    return r;
+}
+
+/* `switch.recirculate(packet.copy())`: the copy comes from the
+ * packet's pool and the method resolves on the switch as Python
+ * would resolve it, so an override or a wrapper still sees it. */
+static int
+pass_clone(PyObject *packet, PyObject *sw)
+{
+    PyObject *stack[2], *copy, *res;
+    stack[0] = packet;
+    copy = PyObject_VectorcallMethod(s_copy, stack, 1, NULL);
+    if (copy == NULL)
+        return -1;
+    stack[0] = sw;
+    stack[1] = copy;
+    res = PyObject_VectorcallMethod(s_recirculate, stack, 2, NULL);
+    Py_DECREF(copy);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* `packet.dst = addr_get(server)`, or the `nc_unknown_server` drop:
+ * 0 forwards, 1 drops, -1 on error. */
+static int
+pass_route(PassObject *self, PyObject *packet, PyObject *sw,
+           PyObject *server)
+{
+    PyObject *address = PyDict_GetItemWithError(self->addr_entries, server);
+    int r;
+    if (address == NULL) {
+        if (PyErr_Occurred() || switch_count(sw, s_nc_unknown_server) < 0)
+            return -1;
+        return 1;
+    }
+    Py_INCREF(address);
+    r = PACKET_SET(packet, P_DST, address);
+    Py_DECREF(address);
+    return r;
+}
+
+/* A fresh request (lines 1-10).  `unset`: the packet carries no SWID. */
+static int
+pass_request(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw,
+             int unset)
+{
+    PyObject *field, *pair, *srv1, *srv2, *destination;
+    Py_ssize_t i1, i2;
+    long long state1, state2;
+    int r, never;
+    if (unset && HEADER_SET(nc, H_SWID, self->switch_id) < 0)
+        return -1;
+    /* A client-assigned ID (§3.7) is kept and SEQ is left alone; ID 0
+     * asks the switch for the next sequence number. */
+    if ((r = take_eq(HEADER_GET(nc, H_REQ_ID), 0)) < 0)
+        return -1;
+    if (r) {
+        long long *seq = &self->cells[self->seq_index];
+        PyObject *req_id;
+        *seq = *seq >= NC_SEQ_MAX ? 1 : *seq + 1;
+        if ((req_id = PyLong_FromLongLong(*seq)) == NULL)
+            return -1;
+        r = HEADER_SET(nc, H_REQ_ID, req_id);
+        Py_DECREF(req_id);
+        if (r < 0)
+            return -1;
+    }
+    if ((field = HEADER_GET(nc, H_GRP)) == NULL)
+        return -1;
+    pair = PyDict_GetItemWithError(self->grp_entries, field);
+    Py_DECREF(field);
+    if (pair == NULL) {
+        if (PyErr_Occurred() || switch_count(sw, s_nc_unknown_group) < 0)
+            return -1;
+        return 1;
+    }
+    if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "group entry is not a (srv1, srv2) pair: %R", pair);
+        return -1;
+    }
+    /* The pass below calls Python (copy, recirculate): own the pair. */
+    Py_INCREF(pair);
+    srv1 = PyTuple_GET_ITEM(pair, 0);
+    srv2 = PyTuple_GET_ITEM(pair, 1);
+    r = -1;
+    if (state_index(self, srv1, self->state_name, &i1) < 0
+        || state_index(self, srv2, self->shadow_name, &i2) < 0
+        || (never = take_eq(HEADER_GET(nc, H_CLO), NC_CLO_NEVER_CLONE)) < 0)
+        goto done;
+    state1 = self->cells[self->state_base + i1];
+    state2 = self->cells[self->shadow_base + i2];
+    destination = srv1;
+    if (self->cloning && !never && state1 == NC_STATE_IDLE
+        && state2 == NC_STATE_IDLE) {
+        /* Mark as cloned original, remember the clone's server in SID
+         * and recirculate a copy that picks up its IP on the second
+         * pass (lines 7-9). */
+        if (header_set_small(nc, H_CLO, NC_CLO_CLONED_ORIGINAL) < 0
+            || HEADER_SET(nc, H_SID, srv2) < 0
+            || pass_clone(packet, sw) < 0
+            || switch_count(sw, s_nc_cloned) < 0)
+            goto done;
+    }
+    else {
+        if (never && header_set_small(nc, H_CLO, NC_CLO_NOT_CLONED) < 0)
+            goto done;
+        if (self->jsq && state2 < state1) {
+            /* RackSched fallback: join the shorter queue (§3.7). */
+            destination = srv2;
+            if (switch_count(sw, s_nc_jsq_second_choice) < 0)
+                goto done;
+        }
+    }
+    r = pass_route(self, packet, sw, destination);
+done:
+    Py_DECREF(pair);
+    return r;
+}
+
+/* A recirculated clone (lines 11-13). */
+static int
+pass_recirculated(PassObject *self, PyObject *packet, PyObject *nc,
+                  PyObject *sw)
+{
+    PyObject *sid;
+    int r;
+    if (header_set_small(nc, H_CLO, NC_CLO_CLONED_COPY) < 0
+        || (sid = HEADER_GET(nc, H_SID)) == NULL)
+        return -1;
+    r = pass_route(self, packet, sw, sid);
+    Py_DECREF(sid);
+    return r;
+}
+
+/* A response (lines 14-26). */
+static int
+pass_response(PassObject *self, PyObject *nc, PyObject *sw)
+{
+    PyObject *field;
+    Py_ssize_t sid, which, flat;
+    unsigned long long state, req_bits;
+    long long old;
+    int r;
+    if ((field = HEADER_GET(nc, H_SID)) == NULL)
+        return -1;
+    r = state_index(self, field, self->state_name, &sid);
+    Py_DECREF(field);
+    if (r < 0 || take_masked(HEADER_GET(nc, H_STATE), self->state_mask,
+                             &state) < 0)
+        return -1;
+    self->cells[self->state_base + sid] = (long long)state;
+    self->cells[self->shadow_base + sid] = (long long)state;
+    if ((r = take_eq(HEADER_GET(nc, H_CLO), NC_CLO_NOT_CLONED)) != 0
+        || !self->filtering)
+        return r < 0 ? -1 : 0;
+    if ((field = HEADER_GET(nc, H_REQ_ID)) == NULL)
+        return -1;
+    req_bits = PyLong_AsUnsignedLongLongMask(field);
+    if ((req_bits == (unsigned long long)-1 && PyErr_Occurred())
+        || take_mod(HEADER_GET(nc, H_IDX), self->num_filters, &which) < 0) {
+        Py_DECREF(field);
+        return -1;
+    }
+    flat = self->filter_bases[which]
+           + (Py_ssize_t)(crc32_u64(req_bits) % self->buckets);
+    old = self->cells[flat];
+    if ((r = take_eq(field, old)) < 0)
+        return -1;
+    if (r) {
+        /* The faster response already passed: this is the slower one.
+         * Clear the slot for reuse. */
+        self->cells[flat] = 0;
+        return switch_count(sw, s_nc_filtered) < 0 ? -1 : 1;
+    }
+    self->cells[flat] = (long long)(req_bits & self->filter_mask);
+    if ((old != 0 && switch_count(sw, s_nc_fingerprint_overwrite) < 0)
+        || switch_count(sw, s_nc_fingerprint_insert) < 0)
+        return -1;
+    return 0;
+}
+
+/* A packet through the port gate; *nc* is its header. */
+static int
+pass_header(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw)
+{
+    PyObject *field;
+    int unset, r, is_request;
+    slot_map_refresh(&header_slots, Py_TYPE(nc));
+    if ((field = HEADER_GET(nc, H_SWID)) == NULL)
+        return -1;
+    unset = field_eq(field, NC_SWID_UNSET);
+    r = unset ? unset : field_eq(field, self->switch_id_value);
+    Py_DECREF(field);
+    if (r <= 0)
+        return r;  /* another ToR's packet: untouched */
+    if ((field = HEADER_GET(nc, H_MSG_TYPE)) == NULL)
+        return -1;
+    is_request = field_eq(field, NC_MSG_REQ);
+    r = is_request ? is_request : field_eq(field, NC_MSG_RESP);
+    Py_DECREF(field);
+    if (r <= 0)
+        return r;  /* an unknown message type is plainly forwarded */
+    if (!is_request)
+        return pass_response(self, nc, sw);
+    if ((field = PACKET_GET(packet, P_RECIRCULATED)) == NULL)
+        return -1;
+    r = PyObject_IsTrue(field);
+    Py_DECREF(field);
+    if (r < 0)
+        return -1;
+    if (r)
+        return pass_recirculated(self, packet, nc, sw);
+    return pass_request(self, packet, nc, sw, unset);
+}
+
+/* One pass: 1 drops *packet*, 0 forwards it by route, -1 on error. */
+static int
+pass_run(PassObject *self, PyObject *packet, PyObject *sw)
+{
+    PyObject *nc;
+    int r;
+    /* The gate `NetCloneProgram.matches` states, folded into the pass:
+     * NetClone port, parseable header, SWID unset or our own. */
+    slot_map_refresh(&packet_slots, Py_TYPE(packet));
+    if ((r = take_eq(PACKET_GET(packet, P_DPORT), NC_UDP_PORT)) <= 0)
+        return r;
+    if ((nc = PACKET_GET(packet, P_NC)) == NULL)
+        return -1;
+    r = nc == Py_None ? 0 : pass_header(self, packet, nc, sw);
+    Py_DECREF(nc);
+    return r;
+}
+
+/* `apply(packet, switch) -> True | None`, from Python. */
+static PyObject *
+pass_vectorcall(PyObject *callable, PyObject *const *args, size_t nargsf,
+                PyObject *kwnames)
+{
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
+    int r;
+    if (nargs != 2 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "apply() takes exactly 2 positional arguments "
+                        "(packet, switch)");
+        return NULL;
+    }
+    Py_INCREF(callable);
+    r = pass_run((PassObject *)callable, args[0], args[1]);
+    Py_DECREF(callable);
+    if (r < 0)
+        return NULL;
+    if (r)
+        Py_RETURN_TRUE;
+    Py_RETURN_NONE;
+}
+
+/* An unsigned int argument that must fit a non-negative C long long. */
+static int
+nonneg_ll(PyObject *value, const char *name, unsigned long long *out)
+{
+    *out = PyLong_AsUnsignedLongLong(value);
+    if (*out == (unsigned long long)-1 && PyErr_Occurred())
+        return -1;
+    if (*out > (unsigned long long)LLONG_MAX) {
+        PyErr_Format(PyExc_ValueError, "NetClonePass: %s too large", name);
+        return -1;
+    }
+    return 0;
+}
+
+/* `[base, base + size)` must lie inside the register file. */
+static int
+check_span(Py_ssize_t base, unsigned long long size, Py_ssize_t ncells,
+           const char *name)
+{
+    if (base < 0 || size == 0 || size > (unsigned long long)ncells
+        || (unsigned long long)base > (unsigned long long)ncells - size) {
+        PyErr_Format(PyExc_ValueError,
+                     "NetClonePass: %s lies outside the register file", name);
+        return -1;
+    }
+    return 0;
+}
+
+static void pass_dealloc(PassObject *self);
+
+static PyObject *
+pass_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {
+        "cells", "grp_entries", "addr_entries", "seq_index", "state_base",
+        "shadow_base", "state_size", "state_mask", "state_name",
+        "shadow_name", "filter_bases", "filter_mask", "buckets",
+        "switch_id", "cloning", "filtering", "jsq", NULL};
+    PyObject *cells, *grp, *addr, *state_mask, *state_name, *shadow_name,
+        *bases, *filter_mask, *buckets, *switch_id;
+    Py_ssize_t seq_index, state_base, shadow_base, state_size, ncells, i;
+    int cloning, filtering, jsq;
+    PassObject *self;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "OO!O!nnnnOUUO!OOOppp:NetClonePass", kwlist,
+            &cells, &PyDict_Type, &grp, &PyDict_Type, &addr, &seq_index,
+            &state_base, &shadow_base, &state_size, &state_mask,
+            &state_name, &shadow_name, &PyTuple_Type, &bases, &filter_mask,
+            &buckets, &switch_id, &cloning, &filtering, &jsq))
+        return NULL;
+    if ((self = (PassObject *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    self->vectorcall = pass_vectorcall;
+    if (PyObject_GetBuffer(cells, &self->cells_view,
+                           PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_ND) < 0)
+        goto fail;
+    if (self->cells_view.itemsize != sizeof(long long)
+        || self->cells_view.format == NULL
+        || strcmp(self->cells_view.format, "q") != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "NetClonePass: cells must be an array('q')");
+        goto fail;
+    }
+    self->cells = (long long *)self->cells_view.buf;
+    ncells = self->cells_view.len / (Py_ssize_t)sizeof(long long);
+    Py_INCREF(grp);
+    self->grp_entries = grp;
+    Py_INCREF(addr);
+    self->addr_entries = addr;
+    Py_INCREF(state_name);
+    self->state_name = state_name;
+    Py_INCREF(shadow_name);
+    self->shadow_name = shadow_name;
+    Py_INCREF(switch_id);
+    self->switch_id = switch_id;
+    self->switch_id_value = PyLong_AsLongLong(switch_id);
+    if (self->switch_id_value == -1 && PyErr_Occurred())
+        goto fail;
+    self->seq_index = seq_index;
+    self->state_base = state_base;
+    self->shadow_base = shadow_base;
+    self->state_size = state_size;
+    self->cloning = cloning;
+    self->filtering = filtering;
+    self->jsq = jsq;
+    if (nonneg_ll(state_mask, "state_mask", &self->state_mask) < 0
+        || nonneg_ll(filter_mask, "filter_mask", &self->filter_mask) < 0
+        || nonneg_ll(buckets, "buckets", &self->buckets) < 0
+        || check_span(seq_index, 1, ncells, "SEQ") < 0
+        || check_span(state_base, (unsigned long long)state_size, ncells,
+                      "the state table") < 0
+        || check_span(shadow_base, (unsigned long long)state_size, ncells,
+                      "the shadow table") < 0)
+        goto fail;
+    self->num_filters = PyTuple_GET_SIZE(bases);
+    if (self->num_filters == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "NetClonePass: needs at least one filter table");
+        goto fail;
+    }
+    self->filter_bases = PyMem_New(Py_ssize_t, self->num_filters);
+    if (self->filter_bases == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (i = 0; i < self->num_filters; i++) {
+        Py_ssize_t base = PyLong_AsSsize_t(PyTuple_GET_ITEM(bases, i));
+        if ((base == -1 && PyErr_Occurred())
+            || check_span(base, self->buckets, ncells, "a filter table") < 0)
+            goto fail;
+        self->filter_bases[i] = base;
+    }
+    return (PyObject *)self;
+fail:
+    pass_dealloc(self);
+    return NULL;
+}
+
+static void
+pass_dealloc(PassObject *self)
+{
+    if (self->cells_view.obj != NULL)
+        PyBuffer_Release(&self->cells_view);
+    Py_XDECREF(self->grp_entries);
+    Py_XDECREF(self->addr_entries);
+    Py_XDECREF(self->state_name);
+    Py_XDECREF(self->shadow_name);
+    Py_XDECREF(self->switch_id);
+    PyMem_Free(self->filter_bases);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyTypeObject PassType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.NetClonePass",
+    .tp_basicsize = sizeof(PassObject),
+    .tp_dealloc = (destructor)pass_dealloc,
+    .tp_vectorcall_offset = offsetof(PassObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "Algorithm 1 as one switch pass: apply(packet, switch) -> "
+              "True (drop) or None (forward).",
+    .tp_new = pass_new,
 };
 
 /* ------------------------------------------------------------------ */
@@ -1470,9 +2297,9 @@ static PyTypeObject HostType = {
 static PyObject *
 mod_configure(PyObject *module, PyObject *args)
 {
-    PyObject *sched_error, *network_error, *port_error;
-    if (!PyArg_ParseTuple(args, "OOO", &sched_error, &network_error,
-                          &port_error))
+    PyObject *sched_error, *network_error, *port_error, *stage_error;
+    if (!PyArg_ParseTuple(args, "OOOO", &sched_error, &network_error,
+                          &port_error, &stage_error))
         return NULL;
     Py_INCREF(sched_error);
     Py_XSETREF(g_sched_error, sched_error);
@@ -1480,20 +2307,23 @@ mod_configure(PyObject *module, PyObject *args)
     Py_XSETREF(g_network_error, network_error);
     Py_INCREF(port_error);
     Py_XSETREF(g_port_error, port_error);
+    Py_INCREF(stage_error);
+    Py_XSETREF(g_stage_access_error, stage_error);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef mod_methods[] = {
     {"configure", mod_configure, METH_VARARGS,
-     "configure(SchedulingError, NetworkError, PortError): wire the "
-     "Python error classes."},
+     "configure(SchedulingError, NetworkError, PortError, "
+     "StageAccessError): wire the Python error classes."},
     {NULL}
 };
 
 static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._ccore",
-    .m_doc = "C core for the discrete-event scheduler and the forwarding hop.",
+    .m_doc = "C core for the discrete-event scheduler, the forwarding hop "
+             "and the NetClone switch pass.",
     .m_size = -1,
     .m_methods = mod_methods,
 };
@@ -1522,7 +2352,41 @@ intern_names(void)
     INTERN(s_dropped_by_program, "dropped_by_program");
     INTERN(s_no_route, "no_route");
     INTERN(s_tx, "tx");
+    INTERN(s_dropped_down, "dropped_down");
+    INTERN(s_nc, "nc");
+    INTERN(s_dport, "dport");
+    INTERN(s_msg_type, "msg_type");
+    INTERN(s_req_id, "req_id");
+    INTERN(s_grp, "grp");
+    INTERN(s_sid, "sid");
+    INTERN(s_state, "state");
+    INTERN(s_clo, "clo");
+    INTERN(s_idx, "idx");
+    INTERN(s_swid, "swid");
+    INTERN(s_copy, "copy");
+    INTERN(s_recirculate, "recirculate");
+    INTERN(s_counts, "_counts");
+    INTERN(s_nc_unknown_server, "nc_unknown_server");
+    INTERN(s_nc_unknown_group, "nc_unknown_group");
+    INTERN(s_nc_cloned, "nc_cloned");
+    INTERN(s_nc_jsq_second_choice, "nc_jsq_second_choice");
+    INTERN(s_nc_filtered, "nc_filtered");
+    INTERN(s_nc_fingerprint_overwrite, "nc_fingerprint_overwrite");
+    INTERN(s_nc_fingerprint_insert, "nc_fingerprint_insert");
 #undef INTERN
+    packet_field_names[P_DPORT] = s_dport;
+    packet_field_names[P_NC] = s_nc;
+    packet_field_names[P_RECIRCULATED] = s_recirculated;
+    packet_field_names[P_DST] = s_dst;
+    header_field_names[H_SWID] = s_swid;
+    header_field_names[H_MSG_TYPE] = s_msg_type;
+    header_field_names[H_REQ_ID] = s_req_id;
+    header_field_names[H_GRP] = s_grp;
+    header_field_names[H_SID] = s_sid;
+    header_field_names[H_STATE] = s_state;
+    header_field_names[H_CLO] = s_clo;
+    header_field_names[H_IDX] = s_idx;
+    crc32_init();
     if ((g_zero_float = PyFloat_FromDouble(0.0)) == NULL
         || (g_one = PyLong_FromLong(1)) == NULL)
         return -1;
@@ -1540,6 +2404,7 @@ PyInit__ccore(void)
         {"DirectionCore", &DirType},
         {"SwitchCore", &SwitchType},
         {"HostCore", &HostType},
+        {"NetClonePass", &PassType},
     };
     PyObject *module;
     size_t i;

@@ -30,7 +30,12 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.errors import NetworkError, PortError, SchedulingError
+from repro.errors import (
+    NetworkError,
+    PortError,
+    SchedulingError,
+    StageAccessError,
+)
 
 __all__ = ["Simulator"]
 
@@ -260,7 +265,9 @@ def _load_c_engine():
         module = load_ccore()
         if module is None:
             return None
-        module.configure(SchedulingError, NetworkError, PortError)
+        module.configure(
+            SchedulingError, NetworkError, PortError, StageAccessError
+        )
         return module
     except Exception:  # pragma: no cover - any failure means fallback
         return None

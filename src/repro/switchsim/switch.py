@@ -30,15 +30,18 @@ Failure model (§5.6.4): :meth:`fail` makes the switch drop everything;
 **all register state cleared** — NetClone must survive on soft state
 alone, which the Figure 16 experiment demonstrates.
 
-The forwarding hop — :meth:`~ProgrammableSwitch.link_ingress` and
-``_egress``, with the state they read — lives on :class:`_SwitchCore`,
-the base of :class:`ProgrammableSwitch`.  With the C core live
-(``USING_CCORE``) that base is ``_ccore.SwitchCore``: ingress
-bookkeeping, route lookup and the egress booking run with no Python
-frame, and it calls back into Python for the program's pass, dynamic
-route selectors, ``Link.send`` on a link that can drop and
-``Packet.release``.  Recirculation, wiring and fail/recover stay here
-in Python; the Python class below is the reference and the
+The forwarding hop — :meth:`~ProgrammableSwitch.link_ingress`,
+``recirculate``, ``_run_recirculated`` and ``_egress``, with the state
+they read — lives on :class:`_SwitchCore`, the base of
+:class:`ProgrammableSwitch`.  With the C core live (``USING_CCORE``)
+that base is ``_ccore.SwitchCore``: ingress bookkeeping, the NetClone
+program's pass (a ``_ccore.NetClonePass``), recirculation, route
+lookup and the egress booking run with no Python frame.  It calls
+back into Python for any other program's pass, dynamic route
+selectors, ``Link.send`` on a link that can drop, ``Packet.copy`` and
+``Packet.release``.  Recirculation schedules the ``_run_recirculated``
+the switch resolved when it was built.  Wiring and fail/recover stay
+here in Python; the Python class below is the reference and the
 ``REPRO_PURE_SIM=1`` path.
 """
 
@@ -85,12 +88,13 @@ class SwitchProgram:
 
 class _SwitchCore:
     """The forwarding half of a :class:`ProgrammableSwitch`: ingress
-    pass and egress.  ``_ccore.SwitchCore`` replaces it when the C core
-    is live."""
+    pass, recirculation and egress.  ``_ccore.SwitchCore`` replaces it
+    when the C core is live."""
 
     __slots__ = (
         "sim", "_counts", "_fast_apply", "routes", "_port_tx",
-        "_tx_for_ip", "down",
+        "_tx_for_ip", "down", "_recirc_entry", "pipeline_latency_ns",
+        "recirc_latency_ns",
     )
 
     def link_ingress(self, packet: Packet, arriving: Direction) -> None:
@@ -119,6 +123,35 @@ class _SwitchCore:
         self._counts["rx"] += 1
         fast_apply = self._fast_apply
         if fast_apply is not None and fast_apply(packet, self):
+            self._counts["dropped_by_program"] += 1
+            packet.release()
+            return
+        self._egress(packet)
+
+    def recirculate(self, packet: Packet) -> None:
+        """Loop *packet* back through a loopback port for another pass.
+
+        Called by the program during a pass; the copy re-enters the
+        pipeline ``recirc_latency_ns + pipeline_latency_ns`` later,
+        through the ``_run_recirculated`` the switch resolved when it
+        was built.
+        """
+        self._counts["recirculated"] += 1
+        self.sim.call_after(
+            self.recirc_latency_ns + self.pipeline_latency_ns,
+            self._recirc_entry,
+            packet,
+        )
+
+    def _run_recirculated(self, packet: Packet) -> None:
+        """A recirculated copy re-enters the pipeline as a fresh pass."""
+        if self.down:
+            self._counts["dropped_down"] += 1
+            packet.release()
+            return
+        packet.recirculated = True
+        # Only an installed program recirculates packets.
+        if self._fast_apply(packet, self):
             self._counts["dropped_by_program"] += 1
             packet.release()
             return
@@ -153,10 +186,12 @@ class ProgrammableSwitch(_SwitchCore):
     """A single-pipeline programmable switch with recirculation."""
 
     # The hop's entry points sit in this class's own dict, so tracers
-    # that wrap ``ProgrammableSwitch.link_ingress`` at class level find
-    # it here on either base.
+    # that wrap ``ProgrammableSwitch.link_ingress`` or
+    # ``_run_recirculated`` at class level find them here on either
+    # base.
     link_ingress = _SwitchCore.link_ingress
     _egress = _SwitchCore._egress
+    _run_recirculated = _SwitchCore._run_recirculated
 
     def __init__(
         self,
@@ -194,6 +229,10 @@ class ProgrammableSwitch(_SwitchCore):
         # Failure generation: a recovery scheduled before a later
         # fail() must not power the switch back on (flap drills).
         self._power_epoch = 0
+        #: What :meth:`recirculate` schedules, resolved now so that a
+        #: class-level wrapper installed before the switch is built
+        #: sees every recirculated pass.
+        self._recirc_entry = self._run_recirculated
 
     # ------------------------------------------------------------------
     # Wiring (used by StarTopology)
@@ -242,36 +281,6 @@ class ProgrammableSwitch(_SwitchCore):
             raise SwitchError(f"{self.name} already has a program installed")
         self.program = program
         self._fast_apply = program.apply
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def recirculate(self, packet: Packet) -> None:
-        """Loop *packet* back through a loopback port for another pass.
-
-        Called by the program during a pass; the copy re-enters the
-        pipeline ``recirc_latency_ns + pipeline_latency_ns`` later.
-        """
-        self._counts["recirculated"] += 1
-        self.sim.call_after(
-            self.recirc_latency_ns + self.pipeline_latency_ns,
-            self._run_recirculated,
-            packet,
-        )
-
-    def _run_recirculated(self, packet: Packet) -> None:
-        """A recirculated copy re-enters the pipeline as a fresh pass."""
-        if self.down:
-            self.counters.incr("dropped_down")
-            packet.release()
-            return
-        packet.recirculated = True
-        # Only an installed program recirculates packets.
-        if self._fast_apply(packet, self):
-            self._counts["dropped_by_program"] += 1
-            packet.release()
-            return
-        self._egress(packet)
 
     # ------------------------------------------------------------------
     # Failure handling (§5.6.4)

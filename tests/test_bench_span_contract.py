@@ -10,6 +10,9 @@ The hop entry points may be C methods (the forwarding hop in
 ``sim/_ccore.c``); a wrapper installed on the class before a cluster is
 built must still see every hop, so the C link direction has to call the
 entry it resolved at wiring time rather than the C method behind it.
+The same holds for recirculation: the C NetClone pass recirculates
+clones itself, and the switch schedules the ``_run_recirculated`` it
+resolved when it was built.
 """
 
 import importlib
@@ -100,3 +103,23 @@ def test_class_level_hop_wrappers_see_every_hop(monkeypatch):
     assert calls["link_ingress"] == switch_arrivals == sum(
         switch.counters.get("rx") for switch in cluster.switches
     )
+
+
+def test_class_level_recirculation_wrapper_sees_every_recirculated_pass(monkeypatch):
+    calls = []
+    inner = ProgrammableSwitch.__dict__["_run_recirculated"]
+
+    def counted(switch, packet):
+        calls.append(packet.uid)
+        return inner(switch, packet)
+
+    monkeypatch.setattr(ProgrammableSwitch, "_run_recirculated", counted)
+    cluster = Cluster(tiny_config(topology="star"))
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    (tor,) = cluster.tors
+    recirculated = tor.counters.get("recirculated")
+    assert recirculated > 0
+    assert len(calls) == recirculated == tor.counters.get("nc_cloned")

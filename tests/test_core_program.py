@@ -1,6 +1,10 @@
 """Unit tests for the NetClone switch program (Algorithm 1)."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CLO_CLONED_COPY,
@@ -248,6 +252,32 @@ def test_compiled_filter_slot_is_the_crc32_reference():
         assert program.filters[idx].peek(crc32_hash(req_id, slots)) == req_id
 
 
+def assert_filter_slot_is_zlib_crc32(req_id):
+    """The pass reads and writes slot ``zlib.crc32(8 LE bytes) %
+    buckets``: that slot alone holds a marker, and the response must
+    overwrite it."""
+    buckets = 1 << 10
+    program = make_program(num_filter_tables=1, filter_slots=buckets)
+    switch = make_switch()
+    bits = req_id & 0xFFFFFFFFFFFFFFFF
+    slot = zlib.crc32(bits.to_bytes(8, "little")) % buckets
+    program.filters[0].poke(slot, 2 if req_id == 1 else 1)
+    assert not run_pass(program, switch, response(req_id=req_id, sid=0))[0]
+    assert switch.counters.get("nc_fingerprint_overwrite") == 1
+    assert program.filters[0].peek(slot) == bits & 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("req_id", [1, (1 << 32) - 1, 1 << 63])
+def test_filter_slot_is_zlib_crc32(req_id):
+    assert_filter_slot_is_zlib_crc32(req_id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(req_id=st.integers(min_value=1, max_value=(1 << 64) - 1))
+def test_filter_slot_is_zlib_crc32_over_the_id_range(req_id):
+    assert_filter_slot_is_zlib_crc32(req_id)
+
+
 # ----------------------------------------------------------------------
 # Index checks of the compiled pass
 # ----------------------------------------------------------------------
@@ -398,6 +428,19 @@ def test_program_validation():
         NetCloneProgram(server_ips=SERVER_IPS, num_filter_tables=0)
     with pytest.raises(PipelineConfigError):
         NetCloneProgram(server_ips=SERVER_IPS, scheduler="fifo")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("cloning_enabled", False), ("filtering_enabled", False), ("scheduler", SCHED_JSQ)],
+)
+def test_program_flags_are_fixed_at_construction(flag, value):
+    # The compiled pass captures them; a later write would be ignored.
+    program = make_program()
+    before = getattr(program, flag)
+    with pytest.raises(AttributeError):
+        setattr(program, flag, value)
+    assert getattr(program, flag) == before
 
 
 def test_program_uses_seven_stages_with_two_filters():

@@ -16,7 +16,11 @@ counter.  These tests pin the contract that makes that safe:
   identical points and telemetry — on a plain spine-leaf point and on
   drills that drive every forwarding-hop fallback (recirculation,
   dynamic routes, down and lossy links, a powered-off switch, a
-  missing route) — and raise the same error classes.
+  missing route) — and raise the same error classes;
+* the NetClone switch pass (Algorithm 1: the C ``NetClonePass`` on the
+  C core, the reference closure on the pure-Python engine) takes every
+  branch identically on both: verdicts, header fields, register cells,
+  switch counters and the errors it raises.
 """
 
 import math
@@ -27,15 +31,33 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import assert_points_identical, make_packet, tiny_config
+from helpers import (
+    RecordingSwitch,
+    assert_points_identical,
+    make_packet,
+    run_pass,
+    tiny_config,
+)
 
 import repro
-from repro.errors import NetworkError
+from repro.core import (
+    CLO_CLONED_ORIGINAL,
+    CLO_NOT_CLONED,
+    MSG_REQ,
+    MSG_RESP,
+    NETCLONE_UDP_PORT,
+    NetCloneHeader,
+    NetCloneProgram,
+    STATE_BUSY,
+    VIRTUAL_SERVICE_IP,
+)
+from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
+from repro.errors import NetworkError, StageAccessError
 from repro.experiments.common import Cluster, run_point
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import PacketPool
-from repro.sim.core import Simulator
+from repro.sim.core import USING_CCORE, Simulator
 from repro.sim.units import ms
 from repro.switchsim.switch import ProgrammableSwitch
 
@@ -428,3 +450,243 @@ def test_hop_wiring_errors_on_pure_engine():
         "result = hop_wiring_errors()"
     )
     assert result == HOP_WIRING_ERRORS
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 drills: every branch of the switch pass, on both engines
+# ----------------------------------------------------------------------
+def _request(grp=0, clo=CLO_NOT_CLONED, swid=0, req_id=0, msg_type=MSG_REQ,
+             dport=NETCLONE_UDP_PORT):
+    return make_packet(
+        src=5000, dst=VIRTUAL_SERVICE_IP, sport=NETCLONE_UDP_PORT,
+        dport=dport, size=128,
+        nc=NetCloneHeader(msg_type, req_id=req_id, grp=grp, clo=clo, swid=swid),
+    )
+
+
+def _response(req_id, sid, clo=CLO_CLONED_ORIGINAL, state=0, idx=0):
+    return make_packet(
+        src=1001 + sid, dst=5000, sport=NETCLONE_UDP_PORT,
+        dport=NETCLONE_UDP_PORT, size=128,
+        nc=NetCloneHeader(MSG_RESP, req_id=req_id, sid=sid, state=state,
+                          clo=clo, idx=idx),
+    )
+
+
+def _fresh(packet):
+    """A pass over a new packet: ``make(program, copies) -> packet``."""
+    return lambda program, copies: packet()
+
+
+def _last_copy(program, copies):
+    return copies[-1]
+
+
+def _last_copy_without_address(program, copies):
+    program.addr_table.remove(copies[-1].nc.sid)
+    return copies[-1]
+
+
+def _poke(**cells):
+    """Setup poking ``register=(index, value)`` control-plane writes."""
+    def setup(program):
+        for register, (index, value) in cells.items():
+            getattr(program, register).poke(index, value)
+    return setup
+
+
+def _install_pair(pair):
+    return lambda program: program.grp_table.install(0, pair)
+
+
+def _remove_address(server):
+    return lambda program: program.addr_table.remove(server)
+
+
+def _headers(trace, field):
+    """*field* of each pass's packet header, in pass order."""
+    return [entry[1][2][field] for entry in trace]
+
+
+def _counted(key, value=1):
+    return lambda trace, counters: counters.get(key) == value
+
+
+def _raised(trace, counters):
+    return trace[-1][0] == "raised"
+
+
+#: name → (program kwargs, setup(program) or None, passes as
+#: (make(program, copies) -> packet, recirculated), check that the
+#: drill took the branch it exists for).
+ALGORITHM1_DRILLS = {
+    "foreign-swid": (
+        dict(switch_id=2), None, [(_fresh(lambda: _request(swid=1)), False)],
+        lambda trace, counters: counters == {} and not trace[0][0],
+    ),
+    "own-swid": (
+        dict(switch_id=2), None, [(_fresh(lambda: _request(swid=2)), False)],
+        _counted("nc_cloned"),
+    ),
+    "non-netclone-port": (
+        {}, None, [(_fresh(lambda: _request(dport=80)), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "no-header": (
+        {}, None,
+        [(_fresh(lambda: make_packet(sport=NETCLONE_UDP_PORT,
+                                     dport=NETCLONE_UDP_PORT)), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "unknown-message-type": (
+        {}, None, [(_fresh(lambda: _request(msg_type=7)), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "seq-wrap": (
+        {}, _poke(seq=(0, (1 << 32) - 2)),
+        [(_fresh(_request), False)] * 3,
+        lambda trace, counters: _headers(trace, "req_id") == [(1 << 32) - 1, 1, 2],
+    ),
+    "client-assigned-id": (
+        {}, None,
+        [(_fresh(lambda: _request(req_id=7)), False), (_fresh(_request), False)],
+        lambda trace, counters: _headers(trace, "req_id") == [7, 1],
+    ),
+    "clone-and-recirculate": (
+        {}, None, [(_fresh(_request), False), (_last_copy, True)],
+        lambda trace, counters: _headers(trace, "clo") == [1, 2],
+    ),
+    "unknown-group": (
+        {}, None, [(_fresh(lambda: _request(grp=9999)), False)],
+        _counted("nc_unknown_group"),
+    ),
+    "unknown-server-fresh": (
+        {}, _remove_address(0), [(_fresh(_request), False)],
+        _counted("nc_unknown_server"),
+    ),
+    "unknown-server-recirculated": (
+        {}, None,
+        [(_fresh(_request), False), (_last_copy_without_address, True)],
+        _counted("nc_unknown_server"),
+    ),
+    "never-clone": (
+        {}, None, [(_fresh(lambda: _request(clo=CLO_NEVER_CLONE)), False)],
+        lambda trace, counters: "nc_cloned" not in counters,
+    ),
+    "cloning-disabled": (
+        dict(cloning_enabled=False), None, [(_fresh(_request), False)],
+        lambda trace, counters: "nc_cloned" not in counters,
+    ),
+    "jsq-second-choice": (
+        dict(scheduler=SCHED_JSQ),
+        _poke(state_table=(0, 5), shadow_table=(1, 2)),
+        [(_fresh(_request), False)],
+        _counted("nc_jsq_second_choice"),
+    ),
+    "jsq-tie": (
+        dict(scheduler=SCHED_JSQ),
+        _poke(state_table=(0, 3), shadow_table=(1, 3)),
+        [(_fresh(_request), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "filter-hit": (
+        {}, None,
+        [(_fresh(lambda: _response(7, sid=0, state=STATE_BUSY)), False),
+         (_fresh(lambda: _response(7, sid=1)), False)],
+        _counted("nc_filtered"),
+    ),
+    "filter-index-wraps": (
+        {}, None,
+        [(_fresh(lambda: _response(9, sid=0, idx=3)), False),
+         (_fresh(lambda: _response(9, sid=1, idx=1)), False)],
+        _counted("nc_filtered"),
+    ),
+    "fingerprint-overwrite": (
+        dict(num_filter_tables=1, filter_slots=1), None,
+        [(_fresh(lambda: _response(10, sid=0)), False),
+         (_fresh(lambda: _response(20, sid=1)), False),
+         (_fresh(lambda: _response(10, sid=2)), False)],
+        _counted("nc_fingerprint_overwrite", 2),
+    ),
+    "filtering-disabled": (
+        dict(filtering_enabled=False), None,
+        [(_fresh(lambda: _response(7, sid=0)), False),
+         (_fresh(lambda: _response(7, sid=1)), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "non-cloned-response": (
+        {}, None,
+        [(_fresh(lambda: _response(3, sid=0, clo=CLO_NOT_CLONED)), False),
+         (_fresh(lambda: _response(3, sid=1, clo=CLO_NOT_CLONED)), False)],
+        lambda trace, counters: counters == {},
+    ),
+    "srv1-out-of-range": (
+        dict(max_servers=4), _install_pair((4, 0)),
+        [(_fresh(_request), False)], _raised,
+    ),
+    "srv2-out-of-range": (
+        dict(max_servers=4), _install_pair((0, 4)),
+        [(_fresh(_request), False)], _raised,
+    ),
+    "sid-out-of-range": (
+        dict(max_servers=4), None,
+        [(_fresh(lambda: _response(1, sid=5)), False)], _raised,
+    ),
+}
+
+
+def _packet_fields(packet):
+    nc = packet.nc
+    header = None if nc is None else {f: getattr(nc, f) for f in nc.__slots__}
+    return (packet.dst, packet.recirculated, header)
+
+
+def run_algorithm1_drill(name):
+    """One drill's ``(trace, register cells, switch counters)``: per
+    pass, the verdict and the packet's and its copies' fields, or the
+    class and message of the error it raised."""
+    kwargs, setup, passes, _ = ALGORITHM1_DRILLS[name]
+    program = NetCloneProgram(
+        server_ips=[1001, 1002, 1003], **{"filter_slots": 64, **kwargs}
+    )
+    if setup is not None:
+        setup(program)
+    switch = RecordingSwitch()
+    trace = []
+    for make, recirculated in passes:
+        packet = make(program, switch.copies)
+        try:
+            dropped, copies = run_pass(program, switch, packet, recirculated)
+        except StageAccessError as exc:
+            trace.append(("raised", type(exc).__name__, str(exc)))
+            continue
+        trace.append(
+            (dropped, _packet_fields(packet), [_packet_fields(c) for c in copies])
+        )
+    return (
+        trace, list(program._register_file.data), dict(switch.counters._counts)
+    )
+
+
+@pytest.fixture(scope="module")
+def pure_algorithm1_drills():
+    return run_on_pure_engine(
+        "from test_engine_fastpath import ALGORITHM1_DRILLS, run_algorithm1_drill\n"
+        "result = {name: run_algorithm1_drill(name) for name in ALGORITHM1_DRILLS}"
+    )
+
+
+@pytest.mark.parametrize("name", list(ALGORITHM1_DRILLS))
+def test_pure_python_engine_matches_live_engine_on_algorithm1_drill(
+    name, pure_algorithm1_drills
+):
+    trace, cells, counters = run_algorithm1_drill(name)
+    assert ALGORITHM1_DRILLS[name][3](trace, counters), f"{name} missed its branch"
+    assert pure_algorithm1_drills[name] == (trace, cells, counters)
+
+
+@pytest.mark.skipif(not USING_CCORE, reason="the C core did not build")
+def test_live_engine_compiles_the_c_pass():
+    program = NetCloneProgram(server_ips=[1001, 1002])
+    assert type(program.apply).__module__ == "repro.sim._ccore"
+    assert ProgrammableSwitch.__mro__[1].__module__ == "repro.sim._ccore"

@@ -23,6 +23,14 @@ binary pstats file per target for ``snakeviz``/``pstats`` spelunking.
 ``REPRO_BENCH_SCALE`` (default 0.25) and ``REPRO_BENCH_SEED`` match
 the bench harness, so profiles line up with the recorded baselines.
 The scale also shrinks each end-to-end workload's measurement window.
+
+Under the C core (``USING_CCORE``) the scheduler, the forwarding hop
+(link booking, switch ingress/egress, host NIC slots, recirculation)
+and the NetClone switch pass run in ``sim/_ccore.c``; cProfile sees
+no frame for them and charges their time to ``Simulator.run``'s self
+time.  Each report then opens with a note line saying so: the
+per-layer split comes from the end-to-end benchmark's tracer,
+``python benchmarks/e2e/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -98,6 +106,12 @@ TARGETS = {
 }
 #: What runs when no target is named.
 DEFAULT_TARGETS = ("core", "fig18")
+#: Printed above each report when the C core is live.
+C_CORE_NOTE = (
+    "note: the C core runs the scheduler, the forwarding hop and the "
+    "NetClone switch pass, charged to Simulator.run's self time; "
+    "per-layer split: python benchmarks/e2e/run.py --trace 1"
+)
 SORTS = ("cumulative", "tottime", "ncalls")
 
 
@@ -135,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     # Import the fig18 harness up front so one-time import work doesn't
     # show up as its hot path (microbench is already imported).
     import repro.experiments.fig18_trunk_saturation  # noqa: F401
+    from repro.sim.core import USING_CCORE
 
     for name in targets:
         run = TARGETS[name](args.scale, args.seed)
@@ -145,6 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         print(f"\n== {name}: top {args.top} by {args.sort} "
               f"(scale {args.scale}) ==")
+        if USING_CCORE:
+            print(C_CORE_NOTE)
         stats.sort_stats(args.sort).print_stats(args.top)
         if args.dump is not None:
             out = args.dump / f"{name}.pstats"
