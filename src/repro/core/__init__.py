@@ -6,16 +6,16 @@
   construction into per-ToR tables (global / rack-local / weighted).
 * :mod:`program` — the switch data-plane program (Algorithm 1),
   compiled into the PISA pipeline model with state + shadow tables,
-  hashed filter tables, multicast cloning and recirculation.
-* :mod:`racksched` — RackSched (JSQ / power-of-two) and the
-  NetClone+RackSched integration (§3.7).
+  hashed filter tables, multicast cloning and recirculation; its
+  ``scheduler`` and ``cloning_enabled`` flags also give RackSched
+  (JSQ / power-of-two) and the NetClone+RackSched integration (§3.7).
 * :mod:`client` / :mod:`server` — NetClone-aware end hosts.
 * :mod:`reliability` — §3.7 retransmission: a NetClone client that
   stamps client-assigned request IDs (which the program keeps) and
   retransmits on timeout.
 * Multi-rack deployment (§3.7): the switch-ID gate opens every
-  NetClone pass (stated alone as :meth:`NetCloneProgram.matches`), the
-  rack wiring lives in the fabrics of :mod:`repro.net.topology`.
+  NetClone pass; the rack wiring lives in the fabrics of
+  :mod:`repro.net.topology`.
 """
 
 from repro.core.constants import (
@@ -40,7 +40,6 @@ from repro.core.placement import (
     RackWeightedPlacement,
 )
 from repro.core.program import NetCloneProgram
-from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
 from repro.core.client import NetCloneClient
 from repro.core.server import RpcServer
 
@@ -56,11 +55,9 @@ __all__ = [
     "NetCloneClient",
     "NetCloneHeader",
     "NetCloneProgram",
-    "NetCloneRackSchedProgram",
     "PlacementContext",
     "PlacementPolicy",
     "RackLocalPlacement",
-    "RackSchedProgram",
     "RackWeightedPlacement",
     "RpcServer",
     "STATE_BUSY",

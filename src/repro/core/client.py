@@ -22,6 +22,7 @@ from typing import Any, List
 
 from repro.apps.client import OpenLoopClient
 from repro.core.constants import (
+    CLO_NEVER_CLONE,
     CLO_NOT_CLONED,
     MSG_REQ,
     NETCLONE_UDP_PORT,
@@ -29,7 +30,6 @@ from repro.core.constants import (
 )
 from repro.core.header import NetCloneHeader
 from repro.core.placement import GroupTable
-from repro.core.program import CLO_NEVER_CLONE
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
 

@@ -23,6 +23,9 @@ STATE_BUSY = 1
 CLO_NOT_CLONED = 0
 CLO_CLONED_ORIGINAL = 1
 CLO_CLONED_COPY = 2
+#: CLO value a client may set to opt a request out of cloning (writes);
+#: the switch rewrites it to :data:`CLO_NOT_CLONED` as it forwards.
+CLO_NEVER_CLONE = 3
 
 #: Destination clients put on requests; the switch rewrites it to the
 #: chosen server (clients "do not have to know server information").

@@ -155,24 +155,6 @@ class PlacementContext:
         """This context with the liveness mask replaced by *live*."""
         return replace(self, live=tuple(bool(flag) for flag in live))
 
-    def mark_dead(self, server_id: int) -> "PlacementContext":
-        """This context with *server_id*'s live bit cleared."""
-        return self._flipped(server_id, False)
-
-    def mark_live(self, server_id: int) -> "PlacementContext":
-        """This context with *server_id*'s live bit set (recovery)."""
-        return self._flipped(server_id, True)
-
-    def _flipped(self, server_id: int, alive: bool) -> "PlacementContext":
-        if not 0 <= server_id < len(self.server_racks):
-            raise ExperimentError(
-                f"server {server_id} outside the placement map "
-                f"(0..{len(self.server_racks) - 1})"
-            )
-        mask = list(self.live_mask())
-        mask[server_id] = alive
-        return self.with_live(mask)
-
     def rack_members(self, rack: int) -> List[int]:
         """Live server IDs placed in *rack*, in ID order."""
         return [s for s in self.live_ids() if self.server_racks[s] == rack]

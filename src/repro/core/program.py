@@ -36,13 +36,21 @@ program's flags (cloning, filtering, scheduler) are compiled into the
 pass, so they are fixed at construction.
 
 The same class also implements two §3.7 extensions.  RackSched
-integration: the state table generalises to a *load* table holding
-queue lengths (servers piggyback their queue length; IDLE simply means
-zero), and a ``scheduler`` knob selects between NetClone's random
-first-candidate forwarding and RackSched's power-of-two JSQ.
-Client-assigned request IDs: a fresh request that arrives with a
-nonzero ``req_id`` keeps it, and ``SEQ`` is neither read nor advanced,
-so a retransmission carries its original ID
+integration: RackSched (Zhu et al., OSDI 2020) balances load in the
+switch by Join-the-Shortest-Queue over the power of two choices:
+sample two servers, forward to the one with the shorter queue.  The
+state table generalises to a *load* table holding queue lengths
+(servers piggyback their queue length; IDLE simply means zero), and
+the candidate pair drawn from the group table doubles as the
+power-of-two sample.  ``scheduler=SCHED_JSQ`` selects it: both
+candidate queues empty → clone, exactly as plain NetClone; otherwise
+join the shorter of the two queues (the ``netclone-racksched``
+scheme).  Adding ``cloning_enabled=False`` gives pure RackSched, with
+no clones (the ``racksched`` scheme).
+
+Client-assigned request IDs (§3.7): a fresh request that arrives with
+a nonzero ``req_id`` keeps it, and ``SEQ`` is neither read nor
+advanced, so a retransmission carries its original ID
 (:mod:`repro.core.reliability`).  Clients that leave ``req_id`` at 0
 get the next ``SEQ`` value, as in Algorithm 1.
 """
@@ -54,6 +62,7 @@ from typing import List, Optional, Sequence
 from repro.core.constants import (
     CLO_CLONED_COPY,
     CLO_CLONED_ORIGINAL,
+    CLO_NEVER_CLONE,
     CLO_NOT_CLONED,
     MSG_REQ,
     MSG_RESP,
@@ -64,12 +73,10 @@ from repro.core.constants import (
 from repro.core.groups import ordered_pairs
 from repro.core.placement import GroupTable
 from repro.errors import PipelineConfigError, StageAccessError
-from repro.net.packet import Packet
 from repro.sim.core import USING_CCORE
 from repro.switchsim.hashing import HashUnit
 from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.registers import RegisterArray, RegisterFile
-from repro.switchsim.switch import SwitchProgram
 from repro.switchsim.tables import MatchActionTable
 
 from zlib import crc32
@@ -79,9 +86,6 @@ if USING_CCORE:
 
 __all__ = ["NetCloneProgram"]
 
-#: CLO value a client may set to opt a request out of cloning (writes).
-CLO_NEVER_CLONE = 3
-
 _SEQ_MAX = (1 << 32) - 1
 
 #: Scheduler selecting the destination among the candidate pair.
@@ -89,7 +93,7 @@ SCHED_RANDOM = "random"
 SCHED_JSQ = "jsq"
 
 
-class NetCloneProgram(SwitchProgram):
+class NetCloneProgram:
     """NetClone (optionally + RackSched) for one ToR switch.
 
     ``apply(packet, switch)`` is Algorithm 1: lines 1-10 for a fresh
@@ -98,8 +102,14 @@ class NetCloneProgram(SwitchProgram):
     ``NetClonePass`` on the C core, the reference closure otherwise.
     It returns ``True`` to drop the packet and ``None`` to forward it,
     and hands a clone to ``switch.recirculate`` during the pass.  The
-    pass opens with the :meth:`matches` gate, so packets that are not
+    pass opens with a gate — the NetClone UDP port, a parsed header,
+    and a SWID that is unset or this ToR's — so packets that are not
     this ToR's NetClone traffic pass through untouched.
+
+    All of its state is soft: after a power cycle the switch zeroes
+    every register, so state tables read IDLE and ``SEQ`` restarts at
+    1, which §3.6 argues is safe — requests with earlier sequence
+    numbers have long completed.
     """
 
     STAGE_GRP = 0
@@ -138,40 +148,40 @@ class NetCloneProgram(SwitchProgram):
         self._scheduler = scheduler
         self.num_servers = len(server_ips)
 
-        place = self.pipeline
+        place = self.pipeline.place
         # All of this program's register state lives in one shared flat
         # backing store; each array addresses its slice via a base
         # offset (see RegisterFile).
         self._register_file = RegisterFile()
-        self.seq = place.place_register(
+        self.seq = place(
             RegisterArray(
                 "SEQ", size=1, stage=self.STAGE_GRP, width_bits=32,
                 file=self._register_file,
             )
         )
-        self.grp_table = place.place_table(
+        self.grp_table = place(
             MatchActionTable("GrpT", stage=self.STAGE_GRP, max_entries=max_servers * max_servers)
         )
-        self.state_table = place.place_register(
+        self.state_table = place(
             RegisterArray(
                 "StateT", size=max_servers, stage=self.STAGE_STATE, width_bits=8,
                 file=self._register_file,
             )
         )
-        self.shadow_table = place.place_register(
+        self.shadow_table = place(
             RegisterArray(
                 "ShadowT", size=max_servers, stage=self.STAGE_SHADOW, width_bits=8,
                 file=self._register_file,
             )
         )
-        self.addr_table = place.place_table(
+        self.addr_table = place(
             MatchActionTable("AddrT", stage=self.STAGE_ADDR, max_entries=max_servers)
         )
-        self.hash_unit = place.place_hash(
+        self.hash_unit = place(
             HashUnit("ReqIdHash", stage=self.STAGE_HASH, buckets=filter_slots)
         )
         self.filters: List[RegisterArray] = [
-            place.place_register(
+            place(
                 RegisterArray(
                     f"FilterT{i}",
                     size=filter_slots,
@@ -267,8 +277,8 @@ class NetCloneProgram(SwitchProgram):
         num_filters = len(filter_bases)
 
         def apply(packet, switch):
-            # The gate :meth:`matches` states, folded into the pass:
-            # NetClone port, parseable header, SWID unset or our own.
+            # The gate: NetClone port, parseable header, SWID unset or
+            # our own.
             nc = packet.nc
             if packet.dport != NETCLONE_UDP_PORT or nc is None:
                 return None
@@ -417,27 +427,6 @@ class NetCloneProgram(SwitchProgram):
     def table_epoch(self) -> int:
         """Control-plane generation of the installed table."""
         return self.group_table.epoch
-
-    # ------------------------------------------------------------------
-    def matches(self, packet: Packet) -> bool:
-        """NetClone packets: reserved UDP port, parseable header, SWID gate.
-
-        The compiled pass opens with the same three checks; this
-        predicate states them on their own.
-        """
-        if packet.dport != NETCLONE_UDP_PORT or packet.nc is None:
-            return False
-        swid = packet.nc.swid
-        return swid == SWID_UNSET or swid == self.switch_id
-
-    # ------------------------------------------------------------------
-    def on_register_wipe(self) -> None:
-        """After a power cycle all state is zero; nothing to rebuild.
-
-        Zeroed state tables read as IDLE and the sequence restarts at
-        1, which §3.6 argues is safe — requests with earlier sequence
-        numbers have long completed.
-        """
 
     @property
     def filter_slot_count(self) -> int:

@@ -59,10 +59,6 @@ class TableError(SwitchError):
     """A match-action table was misused (bad key width, missing entry)."""
 
 
-class ResourceBudgetError(SwitchError):
-    """A switch program exceeded the modelled ASIC resource budget."""
-
-
 class WorkloadError(ReproError):
     """A workload or distribution was configured with invalid values."""
 

@@ -350,11 +350,7 @@ class Cluster:
             spec.post_build(context)
 
     # ------------------------------------------------------------------
-    def failure_handler(
-        self,
-        control_plane: Optional[Any] = None,
-        op_latency_ns: Optional[int] = None,
-    ) -> "ServerFailureHandler":
+    def failure_handler(self) -> "ServerFailureHandler":
         """A placement-consistent §3.6 failure handler for this cluster.
 
         The handler knows the cluster's placement policy, the fabric's
@@ -362,9 +358,9 @@ class Cluster:
         restoring) a server re-derives **one group table per ToR** and
         pushes epoch-stamped tables to each rack's clients — a
         ``rack-local`` deployment stays rack-local across server
-        failures.  *control_plane* defaults to a fresh
+        failures.  Its updates go through a fresh
         :class:`~repro.switchsim.controlplane.ControlPlane` on this
-        cluster's simulator (*op_latency_ns* overrides its latency).
+        cluster's simulator.
         """
         from repro.core.failures import ServerFailureHandler
         from repro.switchsim.controlplane import ControlPlane
@@ -374,15 +370,12 @@ class Cluster:
                 f"scheme {self.config.scheme!r} installs no switch program; "
                 "there are no group/address tables to rebuild"
             )
-        if control_plane is None:
-            kwargs = {} if op_latency_ns is None else {"op_latency_ns": op_latency_ns}
-            control_plane = ControlPlane(self.sim, **kwargs)
         context = PlacementContext(
             server_racks=tuple(self.server_racks),
             num_racks=self.topology.num_racks,
         )
         return ServerFailureHandler(
-            control_plane,
+            ControlPlane(self.sim),
             clients=self.clients,
             programs=self.programs,
             placement=self.placement,

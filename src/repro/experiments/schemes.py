@@ -214,15 +214,17 @@ def _netclone_nofilter_program(ctx: SchemeContext):
 
 
 def _racksched_program(ctx: SchemeContext):
-    from repro.core.racksched import RackSchedProgram
+    from repro.core.program import SCHED_JSQ, NetCloneProgram
 
-    return RackSchedProgram(**_program_kwargs(ctx))
+    return NetCloneProgram(
+        scheduler=SCHED_JSQ, cloning_enabled=False, **_program_kwargs(ctx)
+    )
 
 
 def _netclone_racksched_program(ctx: SchemeContext):
-    from repro.core.racksched import NetCloneRackSchedProgram
+    from repro.core.program import SCHED_JSQ, NetCloneProgram
 
-    return NetCloneRackSchedProgram(**_program_kwargs(ctx))
+    return NetCloneProgram(scheduler=SCHED_JSQ, **_program_kwargs(ctx))
 
 
 def _accept_stale_clones(ctx: SchemeContext) -> None:

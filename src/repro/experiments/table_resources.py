@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.program import NetCloneProgram
 from repro.experiments.registry import register
-from repro.switchsim.resources import ResourceModel
+from repro.switchsim.resources import resource_report
 
 __all__ = ["report", "run"]
 
@@ -22,9 +22,7 @@ def report():
     program = NetCloneProgram(
         server_ips=list(range(1, 7)), num_filter_tables=2, filter_slots=1 << 17
     )
-    return ResourceModel().report(
-        program.pipeline, filter_slots=program.filter_slot_count
-    )
+    return resource_report(program.pipeline, program.filter_slot_count)
 
 
 @register("resources", "switch ASIC resource accounting (§4.1)")

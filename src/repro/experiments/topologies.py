@@ -60,18 +60,12 @@ __all__ = [
 ]
 
 
-#: Switch timing: ingress-to-egress pipeline latency and the extra
-#: latency of one recirculation pass, in ns.
-SWITCH_PIPELINE_NS = 400
-SWITCH_RECIRC_NS = 700
-
-
 @dataclass
 class TopologyContext:
     """Build-time state handed to every :class:`TopologySpec` builder.
 
-    ``make_switch(name)`` builds a switch with the config's pipeline
-    timing, so fabric builders never import the switch model.
+    ``make_switch(name)`` builds a switch, so fabric builders never
+    import the switch model.
     """
 
     sim: Any
@@ -85,12 +79,7 @@ class TopologyContext:
     def make_switch(self, name: str):
         from repro.switchsim.switch import ProgrammableSwitch
 
-        return ProgrammableSwitch(
-            self.sim,
-            name=name,
-            pipeline_latency_ns=SWITCH_PIPELINE_NS,
-            recirc_latency_ns=SWITCH_RECIRC_NS,
-        )
+        return ProgrammableSwitch(self.sim, name=name)
 
 
 @dataclass

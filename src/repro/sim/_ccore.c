@@ -1410,7 +1410,7 @@ static PyTypeObject SwitchType = {
 #define NC_CLO_NOT_CLONED 0
 #define NC_CLO_CLONED_ORIGINAL 1
 #define NC_CLO_CLONED_COPY 2
-#define NC_CLO_NEVER_CLONE 3   /* core/program.py CLO_NEVER_CLONE */
+#define NC_CLO_NEVER_CLONE 3   /* core/constants.py CLO_NEVER_CLONE */
 #define NC_SEQ_MAX 4294967295LL
 
 struct PassObject {

@@ -1,27 +1,18 @@
 """Hash units.
 
 Tofino stages contain CRC-based hash units; NetClone uses one to map a
-request ID onto a filter-table slot (§3.5).  We use CRC32 over the
-little-endian byte representation, reduced modulo the table size, which
-matches the spirit (cheap, well-mixed, deterministic) without modelling
-the exact polynomial configuration.
+request ID onto a filter-table slot (§3.5).  The NetClone pass
+computes it inline: zlib's CRC-32 over the 8 little-endian bytes of
+the ID, reduced modulo the unit's bucket count, which matches the
+spirit (cheap, well-mixed, deterministic) without modelling the exact
+polynomial configuration.
 """
 
 from __future__ import annotations
 
-import zlib
-
 from repro.errors import PipelineConfigError
 
-__all__ = ["HashUnit", "crc32_hash"]
-
-
-def crc32_hash(value: int, buckets: int) -> int:
-    """CRC32 of *value* folded into ``[0, buckets)``."""
-    if buckets <= 0:
-        raise PipelineConfigError("hash bucket count must be positive")
-    data = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return zlib.crc32(data) % buckets
+__all__ = ["HashUnit"]
 
 
 class HashUnit:

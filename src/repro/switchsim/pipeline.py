@@ -21,28 +21,21 @@ its destination on a second, recirculated pass).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Union
 
 from repro.errors import PipelineConfigError
 from repro.switchsim.hashing import HashUnit
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["Pipeline", "Stage"]
+__all__ = ["Pipeline"]
 
-
-class Stage:
-    """One match-action stage: a home for tables, registers and hashes."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.tables: List[MatchActionTable] = []
-        self.registers: List[RegisterArray] = []
-        self.hash_units: List[HashUnit] = []
+#: What a program places in a pipeline stage.
+PipelineObject = Union[RegisterArray, MatchActionTable, HashUnit]
 
 
 class Pipeline:
-    """A fixed array of stages plus the objects allocated to them."""
+    """A fixed number of stages plus the objects placed in them."""
 
     #: Stage count of a Tofino-class ingress pipeline.
     DEFAULT_NUM_STAGES = 12
@@ -51,31 +44,19 @@ class Pipeline:
         if num_stages <= 0:
             raise PipelineConfigError("pipeline needs at least one stage")
         self.num_stages = num_stages
-        self.stages = [Stage(i) for i in range(num_stages)]
+        #: Every placed register, table and hash unit, in placement order.
+        self.placed: List[PipelineObject] = []
 
     # -- compile-time allocation ----------------------------------------
-    def _stage_for(self, obj_stage: int, what: str, name: str) -> Stage:
-        if not 0 <= obj_stage < self.num_stages:
+    def place(self, obj: PipelineObject) -> PipelineObject:
+        """Allocate *obj* (register, table or hash unit) to its stage."""
+        if not 0 <= obj.stage < self.num_stages:
             raise PipelineConfigError(
-                f"{what} {name!r} wants stage {obj_stage}, "
+                f"{obj.name!r} wants stage {obj.stage}, "
                 f"pipeline has stages 0..{self.num_stages - 1}"
             )
-        return self.stages[obj_stage]
-
-    def place_register(self, register: RegisterArray) -> RegisterArray:
-        """Allocate *register* to its stage (compile-time placement)."""
-        self._stage_for(register.stage, "register", register.name).registers.append(register)
-        return register
-
-    def place_table(self, table: MatchActionTable) -> MatchActionTable:
-        """Allocate *table* to its stage."""
-        self._stage_for(table.stage, "table", table.name).tables.append(table)
-        return table
-
-    def place_hash(self, unit: HashUnit) -> HashUnit:
-        """Allocate *unit* to its stage."""
-        self._stage_for(unit.stage, "hash unit", unit.name).hash_units.append(unit)
-        return unit
+        self.placed.append(obj)
+        return obj
 
     # -- compile-time verification --------------------------------------
     def compile_plan(self, steps) -> None:
@@ -84,32 +65,21 @@ class Pipeline:
         *steps* is the ordered sequence of pipeline objects (registers,
         tables, hash units) one pass shape touches.  Raises
         :class:`PipelineConfigError` unless every step is placed in
-        this pipeline, stages are non-decreasing (feed-forward) and no
-        register is accessed more than once — proven once here for
-        every packet of that shape.
+        this pipeline (so inside its stage range), stages are
+        non-decreasing (feed-forward) and no register is accessed more
+        than once — proven once here for every packet of that shape.
         """
         stage = -1
         seen_registers = set()
         for obj in steps:
-            if isinstance(obj, RegisterArray):
-                what, placed = "register", "registers"
-            elif isinstance(obj, MatchActionTable):
-                what, placed = "table", "tables"
-            elif isinstance(obj, HashUnit):
-                what, placed = "hash unit", "hash_units"
-            else:
-                raise PipelineConfigError(f"unknown plan step {obj!r}")
-            home = self._stage_for(obj.stage, what, obj.name)
+            if obj not in self.placed:
+                raise PipelineConfigError(f"{obj!r} is not placed in this pipeline")
             if obj.stage < stage:
                 raise PipelineConfigError(
                     f"plan is not feed-forward: {obj.name!r} in stage "
                     f"{obj.stage} follows an access in stage {stage}"
                 )
             stage = obj.stage
-            if obj not in getattr(home, placed):
-                raise PipelineConfigError(
-                    f"{what} {obj.name!r} is not placed in this pipeline"
-                )
             if isinstance(obj, RegisterArray):
                 if id(obj) in seen_registers:
                     raise PipelineConfigError(
@@ -121,20 +91,8 @@ class Pipeline:
     @property
     def stages_used(self) -> int:
         """Highest occupied stage + 1 (the paper reports 7 for NetClone)."""
-        used = 0
-        for stage in self.stages:
-            if stage.tables or stage.registers or stage.hash_units:
-                used = stage.index + 1
-        return used
+        return max((obj.stage + 1 for obj in self.placed), default=0)
 
     def all_registers(self) -> List[RegisterArray]:
         """Every placed register array."""
-        return [reg for stage in self.stages for reg in stage.registers]
-
-    def all_tables(self) -> List[MatchActionTable]:
-        """Every placed match-action table."""
-        return [table for stage in self.stages for table in stage.tables]
-
-    def all_hash_units(self) -> List[HashUnit]:
-        """Every placed hash unit."""
-        return [unit for stage in self.stages for unit in stage.hash_units]
+        return [obj for obj in self.placed if isinstance(obj, RegisterArray)]

@@ -15,18 +15,18 @@ verified pass then addresses cells directly.
 :class:`RegisterFile` models the other half of the SRAM story: all of
 one program's register arrays live in a single flat backing store —
 one ``array('q')`` per program, like the contiguous SRAM banks the
-compiler carves stage memory out of.  A file-backed array's ``cells``
-is a zero-copy :class:`memoryview` slice of that store, so the
-per-cell API is unchanged while a verified pass addresses the whole
-file through flat ``base + index`` offsets, and bulk control-plane
-operations (wipes) run vectorised over a numpy view of the same
-memory.
+compiler carves stage memory out of.  Every array lives in a file; its
+``cells`` is a zero-copy :class:`memoryview` slice of that store, so
+control-plane peek/poke address one array while a verified pass
+addresses the whole file through flat ``base + index`` offsets, and
+bulk control-plane operations (wipes) run vectorised over a numpy view
+of the same memory.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -40,20 +40,19 @@ class RegisterFile:
 
     Usage: construct one file, create every :class:`RegisterArray`
     with ``file=the_file``, then :meth:`freeze` it.  Freezing lays all
-    attached arrays out back-to-back in one ``array('q')`` and hands
-    each a zero-copy ``memoryview`` slice; afterwards no further
+    attached arrays out back-to-back in one zeroed ``array('q')`` and
+    hands each a zero-copy ``memoryview`` slice; afterwards no further
     arrays can attach (the exported buffers pin the allocation, just
     like a compiled pipeline pins its SRAM map).
     """
 
     def __init__(self) -> None:
         self._attached: List["RegisterArray"] = []
-        self._initials: List[int] = []
         self._total = 0
         #: The flat backing store (``None`` until frozen).
         self.data: Optional[array] = None
 
-    def attach(self, register: "RegisterArray", initial: int) -> int:
+    def attach(self, register: "RegisterArray") -> int:
         """Reserve *register*'s cells; returns its base offset."""
         if self.data is not None:
             raise StageAccessError(
@@ -61,7 +60,6 @@ class RegisterFile:
             )
         base = self._total
         self._attached.append(register)
-        self._initials.append(initial)
         self._total += register.size
         return base
 
@@ -70,10 +68,6 @@ class RegisterFile:
         if self.data is not None:
             return
         data = array("q", bytes(8 * self._total))
-        view = np.frombuffer(data, dtype=np.int64)
-        for register, initial in zip(self._attached, self._initials):
-            if initial:
-                view[register.base : register.base + register.size] = initial
         self.data = data
         flat = memoryview(data)
         for register in self._attached:
@@ -98,8 +92,8 @@ class RegisterArray:
         size: int,
         stage: int,
         width_bits: int = 32,
-        initial: int = 0,
-        file: Optional[RegisterFile] = None,
+        *,
+        file: RegisterFile,
     ):
         if size <= 0:
             raise StageAccessError(f"register array {name!r} needs positive size")
@@ -113,15 +107,10 @@ class RegisterArray:
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
         self.file = file
-        if file is None:
-            #: Standalone array: a private list of cells.
-            self.base = 0
-            self.cells: Union[List[int], memoryview] = [initial & self._mask] * size
-        else:
-            #: File-backed: cells become a memoryview slice of the
-            #: file's flat store once the file is frozen.
-            self.base = file.attach(self, initial & self._mask)
-            self.cells = None  # type: ignore[assignment]
+        self.base = file.attach(self)
+        #: A memoryview slice of the file's flat store, set when the
+        #: file is frozen.
+        self.cells: Optional[memoryview] = None
 
     # -- control-plane access (no pass/stage constraints) ---------------
     def peek(self, index: int) -> int:
@@ -134,16 +123,11 @@ class RegisterArray:
 
     def clear(self, value: int = 0) -> None:
         """Control-plane reset of every cell (e.g. after power cycle)."""
-        masked = value & self._mask
-        if self.file is not None and self.file.data is not None:
-            # Vectorised wipe over the file's numpy view of the same
-            # memory — power-cycle drills reset 2^17-slot filter
-            # tables, which a Python loop makes measurably slow.
-            view = np.frombuffer(self.file.data, dtype=np.int64)
-            view[self.base : self.base + self.size] = masked
-            return
-        for i in range(self.size):
-            self.cells[i] = masked
+        # Vectorised wipe over the file's numpy view of the same memory
+        # — power-cycle drills reset 2^17-slot filter tables, which a
+        # Python loop makes measurably slow.
+        view = np.frombuffer(self.file.data, dtype=np.int64)
+        view[self.base : self.base + self.size] = value & self._mask
 
     @property
     def sram_bytes(self) -> int:

@@ -7,7 +7,7 @@ tables specifically — 2 tables x 2^17 slots x 32 bits ~= 1.05 MB, which
 the paper calls 4.77 % of switch memory (implying a ~22 MB SRAM
 budget, consistent with the "10-20 MB" figure in §2.3).
 
-:class:`ResourceModel` recomputes these numbers from an actual
+:func:`resource_report` recomputes these numbers from an actual
 pipeline, so the `table_resources` experiment can print the same rows
 as §4.1 and tests can assert the arithmetic.
 """
@@ -17,15 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.switchsim.hashing import HashUnit
 from repro.switchsim.pipeline import Pipeline
+from repro.switchsim.tables import MatchActionTable
 
-__all__ = ["ResourceModel", "ResourceReport", "TOFINO_SRAM_BYTES"]
+__all__ = ["ResourceReport", "TOFINO_SRAM_BYTES", "resource_report"]
 
 #: SRAM budget implied by §4.1's "1.05 MB is 4.77 % of switch memory".
 TOFINO_SRAM_BYTES = 22 * 1024 * 1024
 
-#: Back-of-the-envelope capacity constants from §4.1.
-_PAPER_AVG_LATENCY_US = 50
+#: §4.1's back-of-the-envelope: at 50 us average request latency a
+#: filter slot turns over 20 K times per second.
 _KRPS_PER_SLOT = 20
 
 
@@ -56,30 +58,24 @@ class ResourceReport:
         ]
 
 
-class ResourceModel:
-    """Accounts a pipeline's usage against the ASIC budget."""
+def resource_report(pipeline: Pipeline, filter_slots: int) -> ResourceReport:
+    """Account *pipeline* against :data:`TOFINO_SRAM_BYTES`.
 
-    def __init__(self, sram_budget_bytes: int = TOFINO_SRAM_BYTES):
-        self.sram_budget_bytes = sram_budget_bytes
-
-    def report(self, pipeline: Pipeline, filter_slots: int = 0) -> ResourceReport:
-        """Account *pipeline*; ``filter_slots`` sizes the throughput rule.
-
-        The paper's back-of-the-envelope: with 50 us average request
-        latency each filter slot turns over 20 K times per second, so
-        2^18 total slots support ~5.24 BRPS.
-        """
-        registers = pipeline.all_registers()
-        sram = sum(reg.sram_bytes for reg in registers)
-        cells = sum(reg.size for reg in registers)
-        entries = sum(len(table) for table in pipeline.all_tables())
-        supported = float(filter_slots) * _KRPS_PER_SLOT * 1e3
-        return ResourceReport(
-            stages_used=pipeline.stages_used,
-            register_sram_bytes=sram,
-            register_cells=cells,
-            table_entries=entries,
-            hash_units=len(pipeline.all_hash_units()),
-            sram_fraction=sram / self.sram_budget_bytes,
-            supported_throughput_rps=supported,
-        )
+    ``filter_slots`` sizes the paper's back-of-the-envelope throughput
+    rule: with 50 us average request latency each filter slot turns
+    over 20 K times per second, so 2^18 total slots support ~5.24 BRPS.
+    """
+    placed = pipeline.placed
+    registers = pipeline.all_registers()
+    sram = sum(reg.sram_bytes for reg in registers)
+    return ResourceReport(
+        stages_used=pipeline.stages_used,
+        register_sram_bytes=sram,
+        register_cells=sum(reg.size for reg in registers),
+        table_entries=sum(
+            len(obj) for obj in placed if isinstance(obj, MatchActionTable)
+        ),
+        hash_units=sum(isinstance(obj, HashUnit) for obj in placed),
+        sram_fraction=sram / TOFINO_SRAM_BYTES,
+        supported_throughput_rps=float(filter_slots) * _KRPS_PER_SLOT * 1e3,
+    )

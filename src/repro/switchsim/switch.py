@@ -1,11 +1,11 @@
 """The programmable ToR switch.
 
 :class:`ProgrammableSwitch` owns ports (links to hosts), a plain
-L2/L3 routing function, and at most one installed
-:class:`SwitchProgram` — the custom data-plane logic compiled into the
-pipeline.  Packets the program does not claim leave its pass
-untouched and are forwarded by routing alone, which is how NetClone
-coexists with normal traffic (§3.2).
+L2/L3 routing function, and at most one installed program — the
+custom data-plane logic compiled into the pipeline (NetClone's
+:class:`~repro.core.program.NetCloneProgram`).  Packets the program
+does not claim leave its pass untouched and are forwarded by routing
+alone, which is how NetClone coexists with normal traffic (§3.2).
 
 With a program installed, every pass is one call to the program's
 ``apply``, cached when the program is installed.  The pass returns a
@@ -16,12 +16,12 @@ the pipeline's hardware rules when it was built (see
 :meth:`~repro.switchsim.pipeline.Pipeline.compile_plan`), so the
 switch runs no per-packet checks of its own.
 
-Timing model:
+Timing model, fixed for every switch:
 
-* ``pipeline_latency_ns`` per pass (the paper: "hundreds of
+* :data:`PIPELINE_LATENCY_NS` per pass (the paper: "hundreds of
   nanoseconds");
-* ``recirc_latency_ns`` extra for a loop through a port in loopback
-  mode (§3.4's recirculation);
+* :data:`RECIRC_LATENCY_NS` extra for a loop through a port in
+  loopback mode (§3.4's recirculation);
 * egress serialisation is handled by the outgoing
   :class:`~repro.net.link.Link`.
 
@@ -54,36 +54,13 @@ from repro.net.link import Direction, Link
 from repro.net.packet import Packet
 from repro.sim.core import USING_CCORE, Simulator
 from repro.sim.monitor import Counter
-from repro.switchsim.pipeline import Pipeline
 
-__all__ = ["ProgrammableSwitch", "SwitchProgram"]
+__all__ = ["PIPELINE_LATENCY_NS", "RECIRC_LATENCY_NS", "ProgrammableSwitch"]
 
-
-class SwitchProgram:
-    """Base class for custom data-plane programs.
-
-    A program owns the :class:`Pipeline` it was compiled into and
-    proves its access pattern against it when it is built (see
-    :meth:`Pipeline.compile_plan`); the switch then runs :meth:`apply`
-    on every pass with no checks of its own.
-    """
-
-    #: The pipeline this program was compiled into.
-    pipeline: Pipeline
-
-    def apply(self, packet: Packet, switch: "ProgrammableSwitch") -> Optional[bool]:
-        """Process one pipeline pass of *packet*; return the verdict.
-
-        Every packet the switch receives comes here, so the pass opens
-        with the program's own gate and leaves packets it does not
-        claim untouched.  Return ``True`` to drop the packet and
-        ``None`` to forward the (possibly rewritten) packet by route.
-        Copies to clone go to ``switch.recirculate`` during the pass.
-        """
-        raise NotImplementedError
-
-    def on_register_wipe(self) -> None:
-        """Hook invoked when the switch loses state (power cycle)."""
+#: Ingress-to-egress latency of one pipeline pass, in ns.
+PIPELINE_LATENCY_NS = 400
+#: Extra latency of one loop through a loopback port, in ns.
+RECIRC_LATENCY_NS = 700
 
 
 class _SwitchCore:
@@ -193,20 +170,15 @@ class ProgrammableSwitch(_SwitchCore):
     _egress = _SwitchCore._egress
     _run_recirculated = _SwitchCore._run_recirculated
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "tor",
-        pipeline_latency_ns: int = 400,
-        recirc_latency_ns: int = 700,
-        num_ports: int = 64,
-    ):
+    def __init__(self, sim: Simulator, name: str = "tor", num_ports: int = 64):
         if num_ports <= 0:
             raise PortError("switch needs at least one port")
         self.sim = sim
         self.name = name
-        self.pipeline_latency_ns = pipeline_latency_ns
-        self.recirc_latency_ns = recirc_latency_ns
+        # Read per hop by the forwarding core and, at wiring time, by
+        # the arriving link direction (``Direction.rx_latency_ns``).
+        self.pipeline_latency_ns = PIPELINE_LATENCY_NS
+        self.recirc_latency_ns = RECIRC_LATENCY_NS
         self.num_ports = num_ports
         self.ports: Dict[int, Link] = {}
         #: Destination ip → egress port, or → a per-packet selector
@@ -218,7 +190,7 @@ class ProgrammableSwitch(_SwitchCore):
         #: the egress fast path resolves one dict get instead of route +
         #: port maps.
         self._tx_for_ip: Dict[int, Direction] = {}
-        self.program: Optional[SwitchProgram] = None
+        self.program: Optional[Any] = None
         #: Cached ``program.apply`` (resolved at install time, so a
         #: pass costs one attribute load); ``None`` without a program.
         self._fast_apply = None
@@ -275,8 +247,18 @@ class ProgrammableSwitch(_SwitchCore):
         self.routes.pop(ip, None)
         self._tx_for_ip.pop(ip, None)
 
-    def install_program(self, program: SwitchProgram) -> None:
-        """Load *program* into the data plane."""
+    def install_program(self, program: Any) -> None:
+        """Load *program* into the data plane.
+
+        A program is any object with two attributes.  ``apply(packet,
+        switch)`` runs one pipeline pass: it sees every packet the
+        switch receives, leaves packets it does not claim untouched,
+        hands each copy to clone to :meth:`recirculate` during the
+        pass, and returns ``True`` to drop the packet or ``None`` to
+        forward it by route.  ``pipeline`` is the
+        :class:`~repro.switchsim.pipeline.Pipeline` it was compiled
+        into, whose registers :meth:`recover` wipes.
+        """
         if self.program is not None:
             raise SwitchError(f"{self.name} already has a program installed")
         self.program = program
@@ -298,11 +280,9 @@ class ProgrammableSwitch(_SwitchCore):
         forwarding resumes after ``reinit_delay_ns`` of port/ASIC
         re-initialisation.
         """
-        program = self.program
-        if program is not None:
-            for register in program.pipeline.all_registers():
+        if self.program is not None:
+            for register in self.program.pipeline.all_registers():
                 register.clear()
-            program.on_register_wipe()
         if reinit_delay_ns <= 0:
             self._finish_recovery(self._power_epoch)
         else:

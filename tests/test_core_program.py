@@ -19,12 +19,12 @@ from repro.core import (
     STATE_IDLE,
     VIRTUAL_SERVICE_IP,
 )
-from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
-from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
+from repro.core.constants import CLO_NEVER_CLONE
+from repro.core.program import SCHED_JSQ, SCHED_RANDOM
 from repro.errors import PipelineConfigError, StageAccessError
-from repro.switchsim import crc32_hash
+from repro.experiments.common import Cluster
 
-from helpers import RecordingSwitch, make_packet, run_pass
+from helpers import RecordingSwitch, make_packet, run_pass, tiny_config
 
 SERVER_IPS = [1001, 1002, 1003]
 
@@ -244,12 +244,13 @@ def test_distinct_filter_tables_avoid_collision():
 
 
 def test_compiled_filter_slot_is_the_crc32_reference():
-    """The pass inlines ``crc32(...) % buckets``; pin it to crc32_hash."""
+    """The pass inlines ``crc32(...) % buckets``; pin it to zlib's."""
     slots = 1 << 10
     program, switch = make_program(filter_slots=slots), make_switch()
     for req_id, idx in ((1, 0), (12345, 1), ((1 << 32) - 1, 0), (1 << 24, 1)):
         assert not run_pass(program, switch, response(req_id=req_id, sid=0, idx=idx))[0]
-        assert program.filters[idx].peek(crc32_hash(req_id, slots)) == req_id
+        slot = zlib.crc32(req_id.to_bytes(8, "little")) % slots
+        assert program.filters[idx].peek(slot) == req_id
 
 
 def assert_filter_slot_is_zlib_crc32(req_id):
@@ -303,25 +304,8 @@ def test_compiled_pass_rejects_response_sid_past_max_servers(sid):
 
 
 # ----------------------------------------------------------------------
-# matches() gating
+# The gate that opens every pass
 # ----------------------------------------------------------------------
-def test_matches_requires_netclone_port_and_header():
-    program = make_program()
-    assert program.matches(request())
-    plain = make_packet(src=1, dst=2, sport=80, dport=80, size=64)
-    assert not program.matches(plain)
-    wrong_port = request()
-    wrong_port.dport = 1234
-    assert not program.matches(wrong_port)
-
-
-def test_matches_swid_gate_for_multirack():
-    program = make_program(switch_id=2)
-    assert program.matches(request(swid=0))  # unstamped: process
-    assert program.matches(request(swid=2))  # our own stamp: process
-    assert not program.matches(request(swid=1))  # another ToR's packet
-
-
 GATE_CASES = {
     # name -> (packet factory, whether a ToR with switch_id=2 claims it)
     "plain": (lambda: make_packet(src=1, dst=2, sport=80, dport=80, size=64), False),
@@ -349,11 +333,10 @@ def request_on_port(dport):
 
 
 @pytest.mark.parametrize("case", sorted(GATE_CASES))
-def test_compiled_pass_opens_with_the_matches_gate(case):
+def test_compiled_pass_opens_with_the_netclone_gate(case):
     make, claimed = GATE_CASES[case]
     program, switch = make_program(switch_id=2), make_switch()
     packet = make()
-    assert program.matches(packet) == claimed
     header = packet.nc.pack() if packet.nc is not None else None
     dst = packet.dst
     dropped, copies = run_pass(program, switch, packet)
@@ -400,15 +383,14 @@ def test_jsq_ties_go_to_first_candidate():
     assert packet.dst == SERVER_IPS[0]
 
 
-def test_netclone_racksched_still_clones_when_both_idle():
-    program = NetCloneRackSchedProgram(server_ips=SERVER_IPS)
-    switch = make_switch()
+def test_jsq_with_cloning_still_clones_when_both_idle():
+    program, switch = make_program(scheduler=SCHED_JSQ), make_switch()
     _, copies = run_pass(program, switch, request(grp=0))
     assert len(copies) == 1
 
 
-def test_pure_racksched_never_clones():
-    program = RackSchedProgram(server_ips=SERVER_IPS)
+def test_jsq_without_cloning_never_clones():
+    program = make_program(scheduler=SCHED_JSQ, cloning_enabled=False)
     switch = make_switch()
     _, copies = run_pass(program, switch, request(grp=0))
     assert copies == []
@@ -416,6 +398,27 @@ def test_pure_racksched_never_clones():
     packet = request(grp=0)
     run_pass(program, switch, packet)
     assert packet.dst == SERVER_IPS[1]
+
+
+@pytest.mark.parametrize(
+    "scheme, flags",
+    [
+        ("netclone", (True, True, SCHED_RANDOM)),
+        ("netclone-nofilter", (True, False, SCHED_RANDOM)),
+        ("racksched", (False, True, SCHED_JSQ)),
+        ("netclone-racksched", (True, True, SCHED_JSQ)),
+    ],
+)
+def test_scheme_compiles_its_program_flags(scheme, flags):
+    """Each switch-program scheme is one NetCloneProgram flag set."""
+    cluster = Cluster(tiny_config(scheme=scheme))
+    assert cluster.programs
+    for program in cluster.programs:
+        assert (
+            program.cloning_enabled,
+            program.filtering_enabled,
+            program.scheduler,
+        ) == flags
 
 
 # ----------------------------------------------------------------------
@@ -450,11 +453,15 @@ def test_program_uses_seven_stages_with_two_filters():
 
 def test_register_wipe_resets_soft_state_safely():
     program, switch = make_program(), make_switch()
+    switch.install_program(program)
     run_pass(program, switch, request())
     run_pass(program, switch, response(req_id=1, sid=0, state=STATE_BUSY))
-    for register in program.pipeline.all_registers():
-        register.clear()
-    program.on_register_wipe()
+    assert program.seq.peek(0) == 1
+    assert program.state_table.peek(0) == STATE_BUSY
+    # A power cycle wipes every register the program placed.
+    switch.fail()
+    switch.recover()
+    assert not any(program.seq.file.data)
     # Fresh state: sequence restarts, states read idle, cloning resumes.
     packet = request(grp=0)
     _, copies = run_pass(program, switch, packet)

@@ -291,7 +291,7 @@ def _failure_cluster(num_servers, racks=4, placement="rack-local", seed=3):
         seed=seed,
     )
     cluster = Cluster(config)
-    return cluster, cluster.failure_handler(op_latency_ns=ms(1))
+    return cluster, cluster.failure_handler()
 
 
 def test_rack_local_never_crosses_racks_after_a_failure():

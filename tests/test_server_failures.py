@@ -31,7 +31,7 @@ def build(num_servers=4, rate=0.3e6, **overrides):
         **overrides,
     )
     cluster = Cluster(config)
-    return cluster, cluster.failure_handler(op_latency_ns=ms(1))
+    return cluster, cluster.failure_handler()
 
 
 def build_spine(num_servers=8, racks=4, placement="rack-local", rate=0.05e6, seed=3):
@@ -49,7 +49,7 @@ def build_spine(num_servers=8, racks=4, placement="rack-local", rate=0.05e6, see
         seed=seed,
     )
     cluster = Cluster(config)
-    return cluster, cluster.failure_handler(op_latency_ns=ms(1))
+    return cluster, cluster.failure_handler()
 
 
 def test_removal_rebuilds_tables_and_groups():
@@ -153,7 +153,7 @@ def test_explicit_global_failure_rebuild_matches_seed_replica():
         seed=6,
     )
     cluster = Cluster(config)
-    handler = cluster.failure_handler(op_latency_ns=ms(1))
+    handler = cluster.failure_handler()
     dead = cluster.servers[1]
     cluster.sim.call_at(ms(5), lambda: setattr(cluster.topology.link_of(dead), "down", True))
     cluster.sim.call_at(ms(5), handler.remove_server, 1)
@@ -257,7 +257,7 @@ def test_rack_below_two_live_servers_is_legal_fabric_below_two_is_not():
 def _handler(cluster, clients, context):
     """A handler over a single-rack cluster with explicit arguments."""
     return ServerFailureHandler(
-        ControlPlane(cluster.sim, op_latency_ns=ms(1)),
+        ControlPlane(cluster.sim),
         clients=clients,
         programs=cluster.programs,
         placement=GlobalPlacement(),
@@ -270,7 +270,9 @@ def test_guard_counts_live_servers_not_address_entries():
     # A context whose live mask already marks a server dead: the guard
     # must fail at schedule time, not crash inside the deferred rebuild.
     cluster, _ = build(num_servers=3)
-    context = PlacementContext(server_racks=(0, 0, 0), num_racks=1).mark_dead(2)
+    context = PlacementContext(server_racks=(0, 0, 0), num_racks=1).with_live(
+        (True, True, False)
+    )
     handler = _handler(cluster, clients=cluster.clients, context=context)
     with pytest.raises(ExperimentError, match="fabric-wide"):
         handler.remove_server(0)  # only server 1 would stay live

@@ -1,8 +1,6 @@
 """Tests for the PISA switch model: registers, tables, pipeline, switch."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import make_packet
 
@@ -15,6 +13,7 @@ from repro.errors import (
 )
 from repro.net import Host, Link
 from repro.sim import Simulator
+from repro.sim.units import ms
 from repro.switchsim import (
     ControlPlane,
     HashUnit,
@@ -22,16 +21,23 @@ from repro.switchsim import (
     Pipeline,
     ProgrammableSwitch,
     RegisterArray,
-    ResourceModel,
-    SwitchProgram,
-    crc32_hash,
+    RegisterFile,
+    resource_report,
 )
-from repro.switchsim.registers import RegisterFile
+from repro.switchsim.switch import PIPELINE_LATENCY_NS, RECIRC_LATENCY_NS
 
 
 # ----------------------------------------------------------------------
 # RegisterArray
 # ----------------------------------------------------------------------
+def register(name="r", size=1, stage=0, width_bits=32):
+    """One array alone in its own frozen register file."""
+    registers = RegisterFile()
+    array = RegisterArray(name, size, stage, width_bits, file=registers)
+    registers.freeze()
+    return array
+
+
 def test_register_read_and_rmw():
     """A file-backed array's cells are its slice of the flat store.
 
@@ -40,47 +46,59 @@ def test_register_read_and_rmw():
     """
     registers = RegisterFile()
     first = RegisterArray("first", size=3, stage=0, file=registers)
-    second = RegisterArray("second", size=4, stage=1, file=registers, initial=2)
+    second = RegisterArray("second", size=4, stage=1, file=registers)
     registers.freeze()
     assert (first.base, second.base, registers.size) == (0, 3, 7)
     data = registers.data
     data[second.base + 2] = data[second.base + 2] + 5  # read-modify-write
-    assert second.peek(2) == 7
+    assert second.peek(2) == 5
     first.poke(1, 9)
     assert data[first.base + 1] == 9
-    assert [second.peek(i) for i in (0, 1, 3)] == [2, 2, 2]
+    assert [second.peek(i) for i in (0, 1, 3)] == [0, 0, 0]
 
 
 def test_register_ok_across_passes():
     """One access per register per pass, but each pass shape may use it."""
     pipeline = Pipeline()
-    reg = pipeline.place_register(RegisterArray("state", size=8, stage=0))
-    table = pipeline.place_table(MatchActionTable("addr", stage=3))
+    reg = pipeline.place(register("state", size=8, stage=0))
+    table = pipeline.place(MatchActionTable("addr", stage=3))
     pipeline.compile_plan((reg, table))
     pipeline.compile_plan((reg,))  # a second pass shape: allowed
 
 
 def test_register_width_masks_values():
-    reg = RegisterArray("r", size=1, stage=0, width_bits=8)
+    reg = register(width_bits=8)
     reg.poke(0, 0x1FF)
     assert reg.peek(0) == 0xFF
 
 
 def test_register_clear_and_sram():
-    reg = RegisterArray("r", size=1024, stage=0, width_bits=32, initial=7)
-    assert reg.peek(0) == 7
+    registers = RegisterFile()
+    before = RegisterArray("before", size=2, stage=0, file=registers)
+    reg = RegisterArray("r", size=1024, stage=1, width_bits=32, file=registers)
+    after = RegisterArray("after", size=2, stage=2, file=registers)
+    registers.freeze()
+    for array in (before, reg, after):
+        for index in range(array.size):
+            array.poke(index, 7)
     reg.clear()
-    assert reg.peek(1023) == 0
+    assert {reg.peek(i) for i in range(reg.size)} == {0}
+    # The wipe stays inside the array's slice of the shared store.
+    assert [before.peek(1), after.peek(0)] == [7, 7]
     assert reg.sram_bytes == 1024 * 4
 
 
 def test_register_validation():
     with pytest.raises(StageAccessError):
-        RegisterArray("r", size=0, stage=0)
+        RegisterArray("r", size=0, stage=0, file=RegisterFile())
     with pytest.raises(StageAccessError):
-        RegisterArray("r", size=1, stage=-1)
+        RegisterArray("r", size=1, stage=-1, file=RegisterFile())
     with pytest.raises(StageAccessError):
-        RegisterArray("r", size=1, stage=0, width_bits=12)
+        RegisterArray("r", size=1, stage=0, width_bits=12, file=RegisterFile())
+    registers = RegisterFile()
+    registers.freeze()
+    with pytest.raises(StageAccessError):  # a frozen file takes no more
+        RegisterArray("r", size=1, stage=0, file=registers)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +138,8 @@ def test_pipeline_shadow_table_pattern_works():
     array twice is rejected, the state/shadow pair is accepted.
     """
     pipeline = Pipeline()
-    state = pipeline.place_register(RegisterArray("state", size=4, stage=1))
-    shadow = pipeline.place_register(RegisterArray("shadow", size=4, stage=2))
+    state = pipeline.place(register("state", size=4, stage=1))
+    shadow = pipeline.place(register("shadow", size=4, stage=2))
     with pytest.raises(PipelineConfigError):
         pipeline.compile_plan((state, state))
     pipeline.compile_plan((state, shadow))
@@ -129,13 +147,13 @@ def test_pipeline_shadow_table_pattern_works():
 
 def _bad_plans():
     pipeline = Pipeline()
-    early = pipeline.place_register(RegisterArray("early", size=1, stage=1))
-    late = pipeline.place_register(RegisterArray("late", size=1, stage=4))
-    table = pipeline.place_table(MatchActionTable("addr", stage=3))
+    early = pipeline.place(register("early", stage=1))
+    late = pipeline.place(register("late", stage=4))
+    table = pipeline.place(MatchActionTable("addr", stage=3))
     return pipeline, {
         "backward-stage": (late, early),
         "register-twice": (early, table, early),
-        "unplaced-register": (early, RegisterArray("loose", size=1, stage=2)),
+        "unplaced-register": (early, register("loose", stage=2)),
         "unplaced-table": (early, MatchActionTable("loose", stage=2)),
         "unplaced-hash": (early, HashUnit("loose", stage=2, buckets=8)),
         "not-a-pipeline-object": (early, object()),
@@ -152,7 +170,7 @@ def test_compile_plan_rejects_hardware_rule_violation(case):
 def test_pipeline_stage_placement_validated():
     pipeline = Pipeline(num_stages=2)
     with pytest.raises(PipelineConfigError):
-        pipeline.place_register(RegisterArray("r", size=1, stage=5))
+        pipeline.place(register(stage=5))
     with pytest.raises(PipelineConfigError):
         Pipeline(num_stages=0)
 
@@ -160,23 +178,16 @@ def test_pipeline_stage_placement_validated():
 def test_pipeline_stages_used():
     pipeline = Pipeline()
     assert pipeline.stages_used == 0
-    pipeline.place_register(RegisterArray("r", size=1, stage=6))
+    pipeline.place(register(stage=6))
+    pipeline.place(MatchActionTable("t", stage=2))
     assert pipeline.stages_used == 7
 
 
-def test_hash_unit_and_crc():
+def test_hash_unit_validation():
     unit = HashUnit("h", stage=3, buckets=128)
     assert (unit.stage, unit.buckets) == (3, 128)
     with pytest.raises(PipelineConfigError):
         HashUnit("h", stage=3, buckets=0)
-    with pytest.raises(PipelineConfigError):
-        crc32_hash(1, 0)
-
-
-@given(st.integers(min_value=0), st.integers(min_value=1, max_value=1 << 20))
-@settings(max_examples=100, deadline=None)
-def test_property_crc_hash_in_range(value, buckets):
-    assert 0 <= crc32_hash(value, buckets) < buckets
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +212,7 @@ def wire(sim, switch, host, port):
 
 def test_switch_l3_forwarding():
     sim = Simulator()
-    switch = ProgrammableSwitch(sim, pipeline_latency_ns=400)
+    switch = ProgrammableSwitch(sim)
     a = SinkHost(sim, "a", 1)
     b = SinkHost(sim, "b", 2)
     wire(sim, switch, a, 0)
@@ -238,7 +249,7 @@ def test_switch_port_validation():
         switch.install_route(1, 0)
 
 
-class DropOddProgram(SwitchProgram):
+class DropOddProgram:
     """Test program: on port 7777, drops odd sport and recirculates
     once when asked."""
 
@@ -277,7 +288,7 @@ def test_switch_program_drop_and_passthrough():
 
 def test_switch_recirculation_reenters_pipeline():
     sim = Simulator()
-    switch = ProgrammableSwitch(sim, pipeline_latency_ns=400, recirc_latency_ns=700)
+    switch = ProgrammableSwitch(sim)
     program = DropOddProgram()
     switch.install_program(program)
     a = SinkHost(sim, "a", 1)
@@ -286,8 +297,10 @@ def test_switch_recirculation_reenters_pipeline():
     wire(sim, switch, b, 1)
     a.send(make_packet(src=1, dst=2, sport=100, dport=7777, size=64))
     sim.run()
-    # Original + recirculated copy both reach b.
+    # Original + recirculated copy both reach b; the copy's loop costs
+    # one recirculation plus one more pipeline pass (400 + 700 ns).
     assert len(b.received) == 2
+    assert b.received[1][0] - b.received[0][0] == RECIRC_LATENCY_NS + PIPELINE_LATENCY_NS
     assert [recirc for _, recirc in program.seen] == [False, True]
     assert switch.counters.get("recirculated") == 1
 
@@ -304,7 +317,9 @@ def test_switch_failure_drops_then_recovers_with_wiped_state():
     sim = Simulator()
     switch = ProgrammableSwitch(sim)
     program = DropOddProgram()
-    reg = program.pipeline.place_register(RegisterArray("soft", size=4, stage=0))
+    registers = RegisterFile()
+    reg = program.pipeline.place(RegisterArray("soft", size=4, stage=0, file=registers))
+    registers.freeze()
     switch.install_program(program)
     a = SinkHost(sim, "a", 1)
     b = SinkHost(sim, "b", 2)
@@ -345,27 +360,29 @@ def test_zero_delay_recovery_is_counted():
 
 def test_control_plane_applies_after_latency_and_serialises():
     sim = Simulator()
-    cp = ControlPlane(sim, op_latency_ns=1000, ops_per_second=1e6)
+    cp = ControlPlane(sim)
     applied = []
-    cp.submit(applied.append, "first")
-    cp.submit(applied.append, "second")
+    assert cp.submit(applied.append, "first") == ms(1)
+    # 10,000 ops/s: the second op starts 100 us after the first.
+    assert cp.submit(applied.append, "second") == ms(1.1)
     sim.run()
     assert applied == ["first", "second"]
     assert cp.ops_applied == 2
-    assert sim.now == 2000  # second op gated by the 1 us inter-op gap
+    assert sim.now == ms(1.1)
 
 
-def test_resource_model_accounts_pipeline():
+def test_resource_report_accounts_pipeline():
     pipeline = Pipeline()
-    pipeline.place_register(RegisterArray("f0", size=1 << 17, stage=5, width_bits=32))
-    pipeline.place_register(RegisterArray("f1", size=1 << 17, stage=6, width_bits=32))
-    table = pipeline.place_table(MatchActionTable("grp", stage=0))
+    pipeline.place(register("f0", size=1 << 17, stage=5))
+    pipeline.place(register("f1", size=1 << 17, stage=6))
+    table = pipeline.place(MatchActionTable("grp", stage=0))
     table.install(0, (1, 2))
-    pipeline.place_hash(HashUnit("h", stage=4, buckets=1 << 17))
-    report = ResourceModel().report(pipeline, filter_slots=1 << 18)
+    pipeline.place(HashUnit("h", stage=4, buckets=1 << 17))
+    report = resource_report(pipeline, filter_slots=1 << 18)
     assert report.stages_used == 7
     assert report.register_cells == 1 << 18
     assert report.register_sram_bytes == (1 << 18) * 4
+    assert (report.table_entries, report.hash_units) == (1, 1)
     # 1.0 MiB of 22 MiB ~= 4.55 %; the paper rounds to 1.05 MB / 4.77 %.
     assert 0.04 < report.sram_fraction < 0.05
     assert report.supported_throughput_rps == pytest.approx(5.24e9, rel=0.01)
