@@ -83,15 +83,17 @@ class NetCloneClient(OpenLoopClient):
         return self._group_table.sample(self.rng)
 
     def build_packets(self, request: Any) -> List[Packet]:
+        # Positional, in wire order: a keyword call to a class builds a
+        # kwargs dict for every header.
         header = NetCloneHeader(
-            msg_type=MSG_REQ,
-            req_id=0,  # assigned by the switch
-            grp=self._pick_group(),
-            sid=0,
-            state=0,
-            clo=CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED,
-            idx=self.rng.randrange(self.num_filter_tables),
-            swid=0,
+            MSG_REQ,  # msg_type
+            0,  # req_id: assigned by the switch
+            self._pick_group(),  # grp
+            0,  # sid
+            0,  # state
+            CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED,
+            self.rng.randrange(self.num_filter_tables),  # idx
+            0,  # swid
         )
         size = self.workload.request_size(request) + NetCloneHeader.WIRE_SIZE
         return [

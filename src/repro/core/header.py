@@ -20,6 +20,13 @@ SWID      8       ToR switch ID stamp for multi-rack deployments
 The in-simulator representation is the slotted object below; the
 byte-exact codec (:meth:`pack` / :meth:`unpack`) fixes the wire format
 and is exercised by the tests.
+
+The eight fields and :meth:`copy` live on :class:`_HeaderCore`, the
+base of :class:`NetCloneHeader`.  With the C core live
+(``USING_CCORE``) that base is ``_ccore.HeaderCore``, so the NetClone
+switch pass reads and writes header fields off the C struct and a
+clone's header copy makes no Python frame.  The Python class below is
+the reference and the ``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
@@ -27,18 +34,21 @@ from __future__ import annotations
 import struct
 
 from repro.errors import CodecError
+from repro.sim.core import USING_CCORE
 
 __all__ = ["NetCloneHeader"]
 
 _STRUCT = struct.Struct("!BIHBBBBB")
 
+#: The header's fields in wire order.
+FIELDS = ("msg_type", "req_id", "grp", "sid", "state", "clo", "idx", "swid")
 
-class NetCloneHeader:
-    """One NetClone header instance."""
 
-    WIRE_SIZE = _STRUCT.size  # 12 bytes
+class _HeaderCore:
+    """The fields of a :class:`NetCloneHeader` and its ``copy``.
+    ``_ccore.HeaderCore`` replaces it when the C core is live."""
 
-    __slots__ = ("msg_type", "req_id", "grp", "sid", "state", "clo", "idx", "swid")
+    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -62,7 +72,7 @@ class NetCloneHeader:
 
     def copy(self) -> "NetCloneHeader":
         """An independent copy (headers are mutated by the switch)."""
-        return NetCloneHeader(
+        return type(self)(
             self.msg_type,
             self.req_id,
             self.grp,
@@ -72,6 +82,22 @@ class NetCloneHeader:
             self.idx,
             self.swid,
         )
+
+
+if USING_CCORE:
+    from repro.sim._ccore import HeaderCore as _HeaderCore  # noqa: F811
+
+
+class NetCloneHeader(_HeaderCore):
+    """One NetClone header instance."""
+
+    WIRE_SIZE = _STRUCT.size  # 12 bytes
+
+    __slots__ = ()
+
+    # In this class's own dict, like Packet.copy: a class-level wrapper
+    # sees every header copy, the C pass's clone copies included.
+    copy = _HeaderCore.copy
 
     # ------------------------------------------------------------------
     def pack(self) -> bytes:
@@ -104,7 +130,7 @@ class NetCloneHeader:
         if not isinstance(other, NetCloneHeader):
             return NotImplemented
         return all(
-            getattr(self, field) == getattr(other, field) for field in self.__slots__
+            getattr(self, field) == getattr(other, field) for field in FIELDS
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,17 +19,30 @@ the process, so two identical experiments produce identical uid
 streams no matter what preceded them.  :meth:`PacketPool.acquire` is
 the only way to make a packet, so every packet knows its pool and
 every release recycles.
+
+The fields and the three per-life operations — ``acquire``,
+``release`` and ``copy`` — live on :class:`_PacketCore` and
+:class:`_PoolCore`, the bases of :class:`Packet` and
+:class:`PacketPool`.  With the C core live (``USING_CCORE``) those
+bases are ``_ccore.PacketCore`` and ``_ccore.PoolCore``: the
+forwarding hop and the NetClone pass then release and copy packets
+with no Python frame, and read and write packet fields off the C
+struct.  The Python classes below are the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.sim.core import USING_CCORE
+
 __all__ = ["Packet", "PacketPool"]
 
 
-class Packet:
-    """One simulated UDP datagram, built only by :meth:`PacketPool.acquire`.
+class _PacketCore:
+    """The fields of a :class:`Packet` and its ``release``/``copy``.
+    ``_ccore.PacketCore`` replaces it when the C core is live.
 
     :param pool: the owning :class:`PacketPool`.
     :param uid: the packet life's number, drawn from *pool*.
@@ -129,26 +142,10 @@ class Packet:
             self.created_at,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from repro.net.addresses import format_ip
 
-        kind = "nc" if self.nc is not None else "plain"
-        return (
-            f"<Packet #{self.uid} {kind} {format_ip(self.src)}:{self.sport} -> "
-            f"{format_ip(self.dst)}:{self.dport} {self.size}B>"
-        )
-
-
-class PacketPool:
-    """Free-list recycler and uid authority for one experiment.
-
-    Every :meth:`acquire` hands out a fresh uid from the pool's private
-    counter — uids number packet *lives* in creation order, whether the
-    backing object is new or recycled.  That keeps uid streams
-    bit-reproducible per experiment (see module docstring) while the
-    free list keeps steady-state allocation at zero: a request/response
-    pair recycles the same two objects for the whole run.
-    """
+class _PoolCore:
+    """The free list and uid counter of a :class:`PacketPool`.
+    ``_ccore.PoolCore`` replaces it when the C core is live."""
 
     __slots__ = ("_free", "_next_uid", "allocated", "released")
 
@@ -170,7 +167,7 @@ class PacketPool:
         payload: Any = None,
         nc: Optional[Any] = None,
         created_at: int = 0,
-    ) -> Packet:
+    ) -> "Packet":
         """A packet owned by this pool, recycled when possible."""
         uid = self._next_uid
         self._next_uid = uid + 1
@@ -193,9 +190,56 @@ class PacketPool:
             packet._freed = False
             return packet
         self.allocated += 1
-        return Packet(
+        return self._packet_type(
             self, uid, src, dst, sport, dport, size, payload, nc, created_at
         )
+
+
+if USING_CCORE:
+    from repro.sim._ccore import PacketCore as _PacketCore  # noqa: F811
+    from repro.sim._ccore import PoolCore as _PoolCore  # noqa: F811
+
+
+class Packet(_PacketCore):
+    """One simulated UDP datagram, built only by :meth:`PacketPool.acquire`."""
+
+    __slots__ = ()
+
+    # The per-life operations sit in this class's own dict, so tracers
+    # that wrap ``Packet.release`` / ``Packet.copy`` at class level find
+    # them here on either base, and the C hop and pass call the wrapper.
+    release = _PacketCore.release
+    copy = _PacketCore.copy
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        from repro.net.addresses import format_ip
+
+        kind = "nc" if self.nc is not None else "plain"
+        return (
+            f"<Packet #{self.uid} {kind} {format_ip(self.src)}:{self.sport} -> "
+            f"{format_ip(self.dst)}:{self.dport} {self.size}B>"
+        )
+
+
+class PacketPool(_PoolCore):
+    """Free-list recycler and uid authority for one experiment.
+
+    Every :meth:`acquire` hands out a fresh uid from the pool's private
+    counter — uids number packet *lives* in creation order, whether the
+    backing object is new or recycled.  That keeps uid streams
+    bit-reproducible per experiment (see module docstring) while the
+    free list keeps steady-state allocation at zero: a request/response
+    pair recycles the same two objects for the whole run.
+    """
+
+    __slots__ = ()
+
+    #: The class a pool constructs when its free list is empty.
+    _packet_type = Packet
+
+    # In this class's own dict for the same reason as Packet.release:
+    # a class-level wrapper sees every acquire, clone copies included.
+    acquire = _PoolCore.acquire
 
     @property
     def free_count(self) -> int:

@@ -1,5 +1,5 @@
-/* C core: the two-lane calendar-queue Simulator, the forwarding hop and
- * the NetClone switch pass.
+/* C core: the two-lane calendar-queue Simulator, the packet plane, the
+ * forwarding hop and the NetClone switch pass.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -33,6 +33,21 @@
  * total `(time, seq)` order; seq is unique and monotone, so
  * same-instant events are FIFO and payloads are never compared.
  *
+ * The packet plane.  `PacketCore`, `PoolCore` and `HeaderCore` are the
+ * C twins of net/packet.py's `_PacketCore`/`_PoolCore` and
+ * core/header.py's `_HeaderCore`, which stay the reference; `Packet`,
+ * `PacketPool` and `NetCloneHeader` subclass whichever is live.  They
+ * hold every Python-visible field as a T_OBJECT_EX member (so Python
+ * code reads and writes them as it would `__slots__`) and carry the
+ * per-life operations: `acquire` (per-pool uids in acquire order, a
+ * LIFO free list), `release` (idempotent, drops payload and header)
+ * and `copy` (fresh uid, clean switch metadata, its own header).  The
+ * hop and the pass read and write packet and header fields off these
+ * structs, and go by attribute for any other object.  A release or a
+ * copy made in C calls the C method directly only when Python would
+ * resolve the name to it; a class-level wrapper, the sanitizer's
+ * `acquire` override or its ledger free list is called instead.
+ *
  * The forwarding hop.  Three base types carry the per-packet work of
  * a hop with no Python frame: `DirectionCore` (net/link.py's
  * `Direction.push`: serialisation booking, then the receiver's
@@ -42,8 +57,8 @@
  * pure-Python class of the same name in its module, which stays the
  * reference; the Python classes subclass whichever is live.  The hop
  * calls into Python for everything that is not plain forwarding:
- * dynamic route selectors, `Link.send` for a link that can drop,
- * `Packet.release`, the receiver's entry point (so class-level
+ * dynamic route selectors, `Link.send` for a link that can drop, a
+ * wrapped `Packet.release`, the receiver's entry point (so class-level
  * wrappers installed before wiring still see every call), and any
  * switch program pass other than the one below.  Scheduling from the
  * hop consumes one seq per event, exactly like the `call_at` it
@@ -55,14 +70,11 @@
  * which stays the reference.  It works on the program's own register
  * memory and its live table dicts, and `SwitchCore` runs it with no
  * Python frame when it is exactly the installed `_fast_apply` (a
- * tracer's wrapper or any other program is called instead).  Header
- * and packet fields are read and written at their `__slots__`
- * offsets.  `SwitchCore.recirculate` and `_run_recirculated` carry a
+ * tracer's wrapper or any other program is called instead).
+ * `SwitchCore.recirculate` and `_run_recirculated` carry a
  * clone's second pass: the pass calls `switch.recirculate`, which
  * schedules the `_run_recirculated` the switch resolved when it was
- * built, so a class-level wrapper still sees every recirculated pass;
- * `packet.copy()` stays a Python call, so the packet pool keeps its
- * contract.
+ * built, so a class-level wrapper still sees every recirculated pass.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -711,14 +723,22 @@ static PyTypeObject SimType = {
 /* Forwarding hop: shared helpers                                      */
 /* ------------------------------------------------------------------ */
 
-/* Names the hop reads, writes or calls; interned at module init. */
-static PyObject *s_size, *s_dst, *s_ingress_port, *s_recirculated,
-    *s_release, *s_down, *s_loss_probability, *s_send,
-    *s_serialization_ns, *s_call_at, *s_now, *s_handle, *s_emit,
-    *s_name, *s_rx, *s_rx_dropped_down, *s_dropped_by_program,
-    *s_no_route, *s_tx, *s_dropped_down;
+/* Names the packet plane, the hop and the pass read, write or call;
+ * interned at module init. */
+static PyObject *s_src, *s_dst, *s_sport, *s_dport, *s_size,
+    *s_payload, *s_nc, *s_ingress_port, *s_recirculated, *s_created_at,
+    *s_msg_type, *s_req_id, *s_grp, *s_sid, *s_state, *s_clo,
+    *s_idx, *s_swid, *s_release, *s_copy, *s_acquire, *s_append, *s_pop,
+    *s_packet_type, *s_down, *s_loss_probability, *s_send,
+    *s_serialization_ns, *s_call_at, *s_now, *s_handle, *s_emit, *s_name,
+    *s_rx, *s_rx_dropped_down, *s_dropped_by_program, *s_no_route, *s_tx,
+    *s_dropped_down, *s_recirculate, *s_counts, *s_nc_unknown_server,
+    *s_nc_unknown_group, *s_nc_cloned, *s_nc_jsq_second_choice,
+    *s_nc_filtered, *s_nc_fingerprint_overwrite, *s_nc_fingerprint_insert;
 static PyObject *g_zero_float = NULL;     /* 0.0, for loss_probability */
+static PyObject *g_zero = NULL;           /* 0, a header field default */
 static PyObject *g_one = NULL;            /* 1, the counter step */
+static PyObject *g_minus_one = NULL;      /* -1, "no ingress port yet" */
 
 static PyTypeObject DirType;
 
@@ -799,17 +819,6 @@ hop_call_at(PyObject *sim, long long time, PyObject *fn,
     return rc;
 }
 
-/* `packet.release()`, through Python so a wrapped release sees it. */
-static int
-release_packet(PyObject *packet)
-{
-    PyObject *res = PyObject_CallMethodNoArgs(packet, s_release);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-}
-
 /* `counts[key] += 1` on a Counter's dict (a defaultdict(int)).  A
  * missing key goes through the mapping's own lookup, so the default
  * comes from `__missing__` exactly as the Python statement gets it. */
@@ -869,6 +878,666 @@ link_send(PyObject *link, PyObject *packet, PyObject *sender)
 }
 
 /* ------------------------------------------------------------------ */
+/* Packet plane: PacketCore, PoolCore and HeaderCore                   */
+/* ------------------------------------------------------------------ */
+
+/* net/packet.py's `Packet` and `PacketPool` and core/header.py's
+ * `NetCloneHeader` subclass these when the C core is live; the
+ * pure-Python `_PacketCore`/`_PoolCore`/`_HeaderCore` in those modules
+ * stay the reference.  Every Python-visible field is a T_OBJECT_EX
+ * member, so the interpreter reads and writes it as it would a
+ * `__slots__` field, and the hop and the pass read it off the struct. */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *uid, *src, *dst, *sport, *dport, *size, *payload, *nc,
+        *ingress_port, *recirculated, *created_at, *pool;
+    char freed;
+} PacketObject;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *free;          /* `_free`: the LIFO free list */
+    long long next_uid;
+    long long allocated;
+    long long released;
+} PoolObject;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *msg_type, *req_id, *grp, *sid, *state, *clo, *idx, *swid;
+} HeaderObject;
+
+static PyTypeObject PacketType, PoolType, HeaderType;
+
+/* The field's slot on the struct when *obj* is one of the core types,
+ * NULL for any other object (which then goes by attribute). */
+#define FIELD_SLOT(obj, Type, Struct, field) \
+    (PyObject_TypeCheck((obj), &Type) ? &((Struct *)(obj))->field : NULL)
+#define GET_PACKET(obj, f) \
+    get_field((obj), FIELD_SLOT((obj), PacketType, PacketObject, f), s_##f)
+#define SET_PACKET(obj, f, v) \
+    set_field((obj), FIELD_SLOT((obj), PacketType, PacketObject, f), s_##f, (v))
+#define GET_HEADER(obj, f) \
+    get_field((obj), FIELD_SLOT((obj), HeaderType, HeaderObject, f), s_##f)
+#define SET_HEADER(obj, f, v) \
+    set_field((obj), FIELD_SLOT((obj), HeaderType, HeaderObject, f), s_##f, (v))
+
+/* Each of *n* fields must be set; the first unset one raises as an
+ * unset slot does. */
+static int
+require_fields(PyObject *const *fields, PyObject *const *names, int n)
+{
+    int i;
+    for (i = 0; i < n; i++) {
+        if (fields[i] == NULL) {
+            PyErr_Format(PyExc_AttributeError, "attribute '%U' is not set",
+                         names[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* `obj.<name>`, a new reference. */
+static PyObject *
+get_field(PyObject *obj, PyObject **slot, PyObject *name)
+{
+    if (slot == NULL)
+        return PyObject_GetAttr(obj, name);
+    if (require_fields(slot, &name, 1) < 0)
+        return NULL;
+    Py_INCREF(*slot);
+    return *slot;
+}
+
+/* `obj.<name> = value`. */
+static int
+set_field(PyObject *obj, PyObject **slot, PyObject *name, PyObject *value)
+{
+    if (slot == NULL)
+        return PyObject_SetAttr(obj, name, value);
+    Py_INCREF(value);
+    Py_XSETREF(*slot, value);
+    return 0;
+}
+
+/* 1 when `obj.<name>` resolves to the C method *meth*, so calling it
+ * directly is the call Python would make; 0 when it resolves to
+ * anything else (an override, a tracer's class-level wrapper). */
+static int
+resolves_to(PyObject *obj, PyObject *name, PyCFunction meth)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    PyObject *descr;
+    if (type->tp_dictoffset != 0 || type->tp_getattro != PyObject_GenericGetAttr)
+        return 0;
+    descr = _PyType_Lookup(type, name);
+    return descr != NULL && Py_IS_TYPE(descr, &PyMethodDescr_Type)
+           && ((PyMethodDescrObject *)descr)->d_method->ml_meth == meth;
+}
+
+/* `obj.<name>()`: the C method *meth* directly when Python would
+ * resolve the name to it, else the call Python would make. */
+static PyObject *
+call_method0(PyObject *obj, PyObject *name, PyCFunction meth)
+{
+    if (resolves_to(obj, name, meth))
+        return meth(obj, NULL);
+    return PyObject_CallMethodNoArgs(obj, name);
+}
+
+/* Bind one keyword argument to its parameter in *out*. */
+static int
+bind_keyword(const char *fname, PyObject *const *names, Py_ssize_t nparams,
+             PyObject *key, PyObject *value, PyObject **out)
+{
+    Py_ssize_t i;
+    for (i = 0; i < nparams && names[i] != key; i++)
+        ;
+    if (i == nparams && PyUnicode_Check(key)) {
+        for (i = 0; i < nparams && PyUnicode_Compare(names[i], key) != 0; i++)
+            ;
+    }
+    if (i == nparams) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() got an unexpected keyword argument '%S'", fname, key);
+        return -1;
+    }
+    if (out[i] != NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() got multiple values for argument '%U'", fname, key);
+        return -1;
+    }
+    out[i] = value;
+    return 0;
+}
+
+/* Bind positional *args*, then keywords (a vectorcall's *kwnames* with
+ * their values after the positionals, or a *kwdict*), to *nparams*
+ * parameters of which the first *nrequired* are required.  *out*
+ * (borrowed references) keeps the caller's defaults where unbound and
+ * must start NULL for the required ones. */
+static int
+bind_args(const char *fname, PyObject *const *names, Py_ssize_t nparams,
+          Py_ssize_t nrequired, PyObject *const *args, Py_ssize_t nargs,
+          PyObject *kwnames, PyObject *kwdict, PyObject **out)
+{
+    PyObject *bound[16] = {NULL};
+    Py_ssize_t i;
+    if (nargs > nparams) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() takes at most %zd positional arguments (%zd given)",
+                     fname, nparams, nargs);
+        return -1;
+    }
+    for (i = 0; i < nargs; i++)
+        bound[i] = args[i];
+    if (kwnames != NULL) {
+        for (i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
+            if (bind_keyword(fname, names, nparams,
+                             PyTuple_GET_ITEM(kwnames, i), args[nargs + i],
+                             bound) < 0)
+                return -1;
+        }
+    }
+    if (kwdict != NULL) {
+        PyObject *key, *value;
+        Py_ssize_t pos = 0;
+        while (PyDict_Next(kwdict, &pos, &key, &value)) {
+            if (bind_keyword(fname, names, nparams, key, value, bound) < 0)
+                return -1;
+        }
+    }
+    for (i = 0; i < nparams; i++) {
+        if (bound[i] != NULL)
+            out[i] = bound[i];
+        else if (i < nrequired) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s() missing required argument '%U'", fname,
+                         names[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* --- HeaderCore --------------------------------------------------- */
+
+enum { N_HEADER_FIELDS = 8 };
+static PyObject *header_names[N_HEADER_FIELDS];
+
+/* The eight fields, in wire order, as one array. */
+static PyObject **
+header_fields(HeaderObject *self)
+{
+    return &self->msg_type;
+}
+
+/* `NetCloneHeader(msg_type, req_id=0, grp=0, sid=0, state=0, clo=0,
+ * idx=0, swid=0)`. */
+static PyObject *
+header_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyObject *values[N_HEADER_FIELDS];
+    HeaderObject *self;
+    int i;
+    values[0] = NULL;
+    for (i = 1; i < N_HEADER_FIELDS; i++)
+        values[i] = g_zero;
+    if (bind_args("NetCloneHeader", header_names, N_HEADER_FIELDS, 1,
+                  &PyTuple_GET_ITEM(args, 0), PyTuple_GET_SIZE(args), NULL,
+                  kwargs, values) < 0
+        || (self = (HeaderObject *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    for (i = 0; i < N_HEADER_FIELDS; i++) {
+        Py_INCREF(values[i]);
+        header_fields(self)[i] = values[i];
+    }
+    return (PyObject *)self;
+}
+
+/* `nc.copy()`: an independent header of the same type. */
+static PyObject *
+header_copy(HeaderObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyTypeObject *type = Py_TYPE(self);
+    HeaderObject *copy;
+    int i;
+    if (require_fields(header_fields(self), header_names, N_HEADER_FIELDS) < 0)
+        return NULL;
+    if ((copy = (HeaderObject *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    for (i = 0; i < N_HEADER_FIELDS; i++) {
+        Py_INCREF(header_fields(self)[i]);
+        header_fields(copy)[i] = header_fields(self)[i];
+    }
+    return (PyObject *)copy;
+}
+
+static int
+header_traverse(HeaderObject *self, visitproc visit, void *arg)
+{
+    int i;
+    for (i = 0; i < N_HEADER_FIELDS; i++)
+        Py_VISIT(header_fields(self)[i]);
+    return 0;
+}
+
+static int
+header_clear(HeaderObject *self)
+{
+    int i;
+    for (i = 0; i < N_HEADER_FIELDS; i++)
+        Py_CLEAR(header_fields(self)[i]);
+    return 0;
+}
+
+static void
+header_dealloc(HeaderObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    header_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+#define HEADER_MEMBER(name) \
+    {#name, T_OBJECT_EX, offsetof(HeaderObject, name), 0, NULL}
+static PyMemberDef header_members[] = {
+    HEADER_MEMBER(msg_type), HEADER_MEMBER(req_id), HEADER_MEMBER(grp),
+    HEADER_MEMBER(sid), HEADER_MEMBER(state), HEADER_MEMBER(clo),
+    HEADER_MEMBER(idx), HEADER_MEMBER(swid),
+    {NULL}
+};
+#undef HEADER_MEMBER
+
+static PyMethodDef header_methods[] = {
+    {"copy", (PyCFunction)header_copy, METH_NOARGS,
+     "An independent copy (headers are mutated by the switch)."},
+    {NULL}
+};
+
+static PyTypeObject HeaderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.HeaderCore",
+    .tp_basicsize = sizeof(HeaderObject),
+    .tp_dealloc = (destructor)header_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of core.header.NetCloneHeader: the eight fields and copy.",
+    .tp_traverse = (traverseproc)header_traverse,
+    .tp_clear = (inquiry)header_clear,
+    .tp_methods = header_methods,
+    .tp_members = header_members,
+    .tp_new = header_new,
+};
+
+/* --- PacketCore --------------------------------------------------- */
+
+enum { N_PACKET_FIELDS = 12 };
+
+/* The object fields, `uid` through `pool`, as one array. */
+static PyObject **
+packet_fields(PacketObject *self)
+{
+    return &self->uid;
+}
+
+/* Parameters of `PacketPool.acquire`, in order. */
+enum { A_SRC, A_DST, A_SPORT, A_DPORT, A_SIZE, A_PAYLOAD, A_NC, A_CREATED_AT,
+       N_ACQUIRE_ARGS };
+static PyObject *acquire_names[N_ACQUIRE_ARGS];
+
+/* Start a packet life: the fields `acquire` sets, from *values* (an
+ * `acquire` argument list) and *uid* (stolen). */
+static void
+packet_fill(PacketObject *p, PyObject *uid, PyObject *const *values)
+{
+    PyObject **fields[N_ACQUIRE_ARGS] = {
+        &p->src, &p->dst, &p->sport, &p->dport, &p->size, &p->payload,
+        &p->nc, &p->created_at};
+    int i;
+    Py_XSETREF(p->uid, uid);
+    for (i = 0; i < N_ACQUIRE_ARGS; i++) {
+        Py_INCREF(values[i]);
+        Py_XSETREF(*fields[i], values[i]);
+    }
+    Py_INCREF(g_minus_one);
+    Py_XSETREF(p->ingress_port, g_minus_one);
+    Py_INCREF(Py_False);
+    Py_XSETREF(p->recirculated, Py_False);
+    p->freed = 0;
+}
+
+/* `packet.release()`: idempotent; drops payload and header, then
+ * `pool._free.append(packet)` and `pool.released += 1`. */
+static PyObject *
+packet_release(PacketObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *pool, *free;
+    int rc;
+    if (self->freed)
+        Py_RETURN_NONE;
+    self->freed = 1;
+    Py_INCREF(Py_None);
+    Py_XSETREF(self->payload, Py_None);
+    Py_INCREF(Py_None);
+    Py_XSETREF(self->nc, Py_None);
+    pool = self->pool;
+    if (require_member(pool, "pool") < 0)
+        return NULL;
+    if (!PyObject_TypeCheck(pool, &PoolType)) {
+        PyErr_Format(PyExc_TypeError, "packet pool is not a PacketPool: %.200s",
+                     Py_TYPE(pool)->tp_name);
+        return NULL;
+    }
+    free = ((PoolObject *)pool)->free;
+    if (require_member(free, "_free") < 0)
+        return NULL;
+    Py_INCREF(pool);
+    Py_INCREF(free);
+    if (PyList_CheckExact(free))
+        rc = PyList_Append(free, (PyObject *)self);
+    else {
+        /* A list subclass (the sanitizer's ledger list) sees the append. */
+        PyObject *res = PyObject_CallMethodOneArg(free, s_append,
+                                                  (PyObject *)self);
+        rc = res == NULL ? -1 : 0;
+        Py_XDECREF(res);
+    }
+    if (rc == 0)
+        ((PoolObject *)pool)->released += 1;
+    Py_DECREF(free);
+    Py_DECREF(pool);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* `packet.release()`, so a wrapped release sees it. */
+static int
+release_packet(PyObject *packet)
+{
+    PyObject *res = call_method0(packet, s_release,
+                                 (PyCFunction)packet_release);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static PyObject *pool_acquire_values(PoolObject *self, PyObject *const *values);
+static PyObject *pool_acquire(PoolObject *self, PyObject *const *args,
+                              Py_ssize_t nargs, PyObject *kwnames);
+
+/* `packet.copy()`: a fresh life from the packet's pool with the same
+ * addressing, size, payload and send time, clean switch metadata and
+ * a copy of the header.  The header's `copy` and the pool's `acquire`
+ * resolve as Python would resolve them, so an override or a wrapper
+ * sees the copy. */
+static PyObject *
+packet_copy(PacketObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *values[N_ACQUIRE_ARGS] = {
+        self->src, self->dst, self->sport, self->dport, self->size,
+        self->payload, self->nc, self->created_at};
+    PyObject *pool = self->pool, *nc, *copy;
+    int i;
+    if (require_fields(values, acquire_names, N_ACQUIRE_ARGS) < 0
+        || require_member(pool, "pool") < 0)
+        return NULL;
+    Py_INCREF(self);
+    Py_INCREF(pool);
+    for (i = 0; i < N_ACQUIRE_ARGS; i++)
+        Py_INCREF(values[i]);
+    nc = values[A_NC] == Py_None
+             ? Py_NewRef(Py_None)
+             : call_method0(values[A_NC], s_copy, (PyCFunction)header_copy);
+    copy = NULL;
+    if (nc != NULL) {
+        Py_SETREF(values[A_NC], nc);
+        if (PyObject_TypeCheck(pool, &PoolType)
+            && resolves_to(pool, s_acquire, (PyCFunction)(void (*)(void))pool_acquire))
+            copy = pool_acquire_values((PoolObject *)pool, values);
+        else {
+            PyObject *stack[N_ACQUIRE_ARGS + 1];
+            stack[0] = pool;
+            memcpy(stack + 1, values, sizeof(values));
+            copy = PyObject_VectorcallMethod(s_acquire, stack,
+                                             N_ACQUIRE_ARGS + 1, NULL);
+        }
+    }
+    for (i = 0; i < N_ACQUIRE_ARGS; i++)
+        Py_DECREF(values[i]);
+    Py_DECREF(pool);
+    Py_DECREF(self);
+    return copy;
+}
+
+static int
+packet_traverse(PacketObject *self, visitproc visit, void *arg)
+{
+    int i;
+    for (i = 0; i < N_PACKET_FIELDS; i++)
+        Py_VISIT(packet_fields(self)[i]);
+    return 0;
+}
+
+static int
+packet_clear(PacketObject *self)
+{
+    int i;
+    for (i = 0; i < N_PACKET_FIELDS; i++)
+        Py_CLEAR(packet_fields(self)[i]);
+    return 0;
+}
+
+static void
+packet_dealloc(PacketObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    packet_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+#define PACKET_MEMBER(name) \
+    {#name, T_OBJECT_EX, offsetof(PacketObject, name), 0, NULL}
+static PyMemberDef packet_members[] = {
+    PACKET_MEMBER(uid), PACKET_MEMBER(src), PACKET_MEMBER(dst),
+    PACKET_MEMBER(sport), PACKET_MEMBER(dport), PACKET_MEMBER(size),
+    PACKET_MEMBER(payload), PACKET_MEMBER(nc), PACKET_MEMBER(ingress_port),
+    PACKET_MEMBER(recirculated), PACKET_MEMBER(created_at),
+    PACKET_MEMBER(pool),
+    {"_freed", T_BOOL, offsetof(PacketObject, freed), 0, NULL},
+    {NULL}
+};
+#undef PACKET_MEMBER
+
+static PyMethodDef packet_methods[] = {
+    {"release", (PyCFunction)packet_release, METH_NOARGS,
+     "Return this packet to its pool (idempotent)."},
+    {"copy", (PyCFunction)packet_copy, METH_NOARGS,
+     "A copy with a fresh uid, clean switch metadata and its own header."},
+    {NULL}
+};
+
+static PyTypeObject PacketType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.PacketCore",
+    .tp_basicsize = sizeof(PacketObject),
+    .tp_dealloc = (destructor)packet_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of net.packet.Packet: the fields, release and copy.  "
+              "Only PacketPool.acquire makes one.",
+    .tp_traverse = (traverseproc)packet_traverse,
+    .tp_clear = (inquiry)packet_clear,
+    .tp_methods = packet_methods,
+    .tp_members = packet_members,
+};
+
+/* --- PoolCore ----------------------------------------------------- */
+
+/* The free list's last packet (a new reference), NULL when it is
+ * empty (no error set) or on error. */
+static PyObject *
+pool_pop_free(PoolObject *self)
+{
+    PyObject *free = self->free, *packet;
+    Py_ssize_t n;
+    int r;
+    if (require_member(free, "_free") < 0)
+        return NULL;
+    if (PyList_CheckExact(free)) {
+        if ((n = PyList_GET_SIZE(free)) == 0)
+            return NULL;
+        packet = PyList_GET_ITEM(free, n - 1);
+        Py_INCREF(packet);
+        if (PyList_SetSlice(free, n - 1, n, NULL) < 0) {
+            Py_DECREF(packet);
+            return NULL;
+        }
+        return packet;
+    }
+    Py_INCREF(free);
+    r = PyObject_IsTrue(free);
+    packet = r > 0 ? PyObject_CallMethodNoArgs(free, s_pop) : NULL;
+    Py_DECREF(free);
+    return packet;
+}
+
+/* `acquire(*values)`: a packet life, recycled when possible. */
+static PyObject *
+pool_acquire_values(PoolObject *self, PyObject *const *values)
+{
+    PyObject *uid = PyLong_FromLongLong(self->next_uid), *packet, *type;
+    if (uid == NULL)
+        return NULL;
+    self->next_uid += 1;
+    packet = pool_pop_free(self);
+    if (packet == NULL) {
+        if (PyErr_Occurred()) {
+            Py_DECREF(uid);
+            return NULL;
+        }
+        type = PyObject_GetAttr((PyObject *)self, s_packet_type);
+        if (type != NULL && !(PyType_Check(type)
+                              && PyType_IsSubtype((PyTypeObject *)type,
+                                                  &PacketType))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "_packet_type must be a Packet class");
+            Py_CLEAR(type);
+        }
+        if (type == NULL) {
+            Py_DECREF(uid);
+            return NULL;
+        }
+        packet = ((PyTypeObject *)type)->tp_alloc((PyTypeObject *)type, 0);
+        Py_DECREF(type);
+        if (packet == NULL) {
+            Py_DECREF(uid);
+            return NULL;
+        }
+        Py_INCREF(self);
+        ((PacketObject *)packet)->pool = (PyObject *)self;
+        self->allocated += 1;
+    }
+    else if (!PyObject_TypeCheck(packet, &PacketType)) {
+        PyErr_Format(PyExc_TypeError, "free list holds a %.200s, not a Packet",
+                     Py_TYPE(packet)->tp_name);
+        Py_DECREF(packet);
+        Py_DECREF(uid);
+        return NULL;
+    }
+    packet_fill((PacketObject *)packet, uid, values);
+    return packet;
+}
+
+/* `acquire(src, dst, sport, dport, size, payload=None, nc=None,
+ * created_at=0)`. */
+static PyObject *
+pool_acquire(PoolObject *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
+{
+    PyObject *values[N_ACQUIRE_ARGS] = {
+        NULL, NULL, NULL, NULL, NULL, Py_None, Py_None, g_zero};
+    if (kwnames == NULL && nargs >= A_PAYLOAD && nargs <= N_ACQUIRE_ARGS)
+        memcpy(values, args, nargs * sizeof(PyObject *));
+    else if (bind_args("acquire", acquire_names, N_ACQUIRE_ARGS, A_PAYLOAD,
+                       args, nargs, kwnames, NULL, values) < 0)
+        return NULL;
+    return pool_acquire_values(self, values);
+}
+
+static int
+pool_init(PoolObject *self, PyObject *args, PyObject *kwargs)
+{
+    if ((args && PyTuple_GET_SIZE(args)) || (kwargs && PyDict_GET_SIZE(kwargs))) {
+        PyErr_SetString(PyExc_TypeError, "PacketPool() takes no arguments");
+        return -1;
+    }
+    Py_XSETREF(self->free, PyList_New(0));
+    if (self->free == NULL)
+        return -1;
+    self->next_uid = 1;
+    self->allocated = 0;
+    self->released = 0;
+    return 0;
+}
+
+static int
+pool_traverse(PoolObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->free);
+    return 0;
+}
+
+static int
+pool_clear(PoolObject *self)
+{
+    Py_CLEAR(self->free);
+    return 0;
+}
+
+static void
+pool_dealloc(PoolObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    pool_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMemberDef pool_members[] = {
+    {"_free", T_OBJECT_EX, offsetof(PoolObject, free), 0, NULL},
+    {"_next_uid", T_LONGLONG, offsetof(PoolObject, next_uid), 0, NULL},
+    {"allocated", T_LONGLONG, offsetof(PoolObject, allocated), 0,
+     "Packet objects newly constructed by this pool (not reuses)."},
+    {"released", T_LONGLONG, offsetof(PoolObject, released), 0,
+     "Total releases back into the free list."},
+    {NULL}
+};
+
+static PyMethodDef pool_methods[] = {
+    {"acquire", (PyCFunction)(void (*)(void))pool_acquire,
+     METH_FASTCALL | METH_KEYWORDS,
+     "A packet owned by this pool, recycled when possible."},
+    {NULL}
+};
+
+static PyTypeObject PoolType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.PoolCore",
+    .tp_basicsize = sizeof(PoolObject),
+    .tp_dealloc = (destructor)pool_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of net.packet.PacketPool: the free list and uid counter.",
+    .tp_traverse = (traverseproc)pool_traverse,
+    .tp_clear = (inquiry)pool_clear,
+    .tp_methods = pool_methods,
+    .tp_members = pool_members,
+    .tp_init = (initproc)pool_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
 /* DirectionCore: one link direction's serialisation booking           */
 /* ------------------------------------------------------------------ */
 
@@ -902,7 +1571,7 @@ dir_push(DirObject *self, PyObject *packet, long long earliest)
         || require_member(self->rx_at_send, "rx_at_send") < 0
         || (at_send = PyObject_IsTrue(self->rx_at_send)) < 0)
         return -1;
-    size_obj = PyObject_GetAttr(packet, s_size);
+    size_obj = GET_PACKET(packet, size);
     if (size_obj == NULL)
         return -1;
     size = PyLong_AsLongLong(size_obj);
@@ -1095,7 +1764,7 @@ switch_egress(SwitchObject *self, PyObject *packet)
         || require_member(self->port_tx, "_port_tx") < 0
         || require_member(self->tx_for_ip, "_tx_for_ip") < 0)
         return -1;
-    dst = PyObject_GetAttr(packet, s_dst);
+    dst = GET_PACKET(packet, dst);
     if (dst == NULL)
         return -1;
     tx = PyDict_GetItemWithError(self->tx_for_ip, dst);
@@ -1246,9 +1915,9 @@ switch_link_ingress(SwitchObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (port == Py_None)
         return raise_unknown_link((PyObject *)self, arriving);
     Py_INCREF(port);
-    r = PyObject_SetAttr(packet, s_ingress_port, port);
+    r = SET_PACKET(packet, ingress_port, port);
     Py_DECREF(port);
-    if (r < 0 || PyObject_SetAttr(packet, s_recirculated, Py_False) < 0
+    if (r < 0 || SET_PACKET(packet, recirculated, Py_False) < 0
         || count_incr(self->counts, s_rx) < 0)
         return NULL;
     if (self->fast_apply != Py_None)
@@ -1298,7 +1967,7 @@ switch_run_recirculated(SwitchObject *self, PyObject *packet)
             return NULL;
         Py_RETURN_NONE;
     }
-    if (PyObject_SetAttr(packet, s_recirculated, Py_True) < 0)
+    if (SET_PACKET(packet, recirculated, Py_True) < 0)
         return NULL;
     return switch_pass_then_egress(self, packet);
 }
@@ -1438,113 +2107,6 @@ struct PassObject {
     int jsq;
 };
 
-/* Names the pass reads, writes or calls; interned at module init. */
-static PyObject *s_nc, *s_dport, *s_msg_type, *s_req_id, *s_grp, *s_sid,
-    *s_state, *s_clo, *s_idx, *s_swid, *s_copy, *s_recirculate, *s_counts,
-    *s_nc_unknown_server, *s_nc_unknown_group, *s_nc_cloned,
-    *s_nc_jsq_second_choice, *s_nc_filtered, *s_nc_fingerprint_overwrite,
-    *s_nc_fingerprint_insert;
-
-/* Header fields the pass reads and writes.  `Packet` and
- * `NetCloneHeader` are `__slots__` classes: CPython's interpreter
- * reads such an attribute straight out of the object, while
- * PyObject_GetAttr walks the descriptor protocol, several times
- * slower.  A SlotMap records each field's slot offset for one exact
- * type and is keyed on that type's version tag, which any edit of the
- * class resets; every other type, and a class edited since, goes
- * through PyObject_GetAttr/SetAttr. */
-enum { P_DPORT, P_NC, P_RECIRCULATED, P_DST, N_PACKET_FIELDS };
-enum {
-    H_SWID, H_MSG_TYPE, H_REQ_ID, H_GRP, H_SID, H_STATE, H_CLO, H_IDX,
-    N_HEADER_FIELDS
-};
-
-typedef struct {
-    PyTypeObject *type;      /* the mapped type (strong ref), or NULL */
-    unsigned int version;    /* its tp_version_tag when mapped */
-    int nfields;
-    PyObject **names;
-    Py_ssize_t offsets[N_HEADER_FIELDS];
-} SlotMap;
-
-static PyObject *packet_field_names[N_PACKET_FIELDS];
-static PyObject *header_field_names[N_HEADER_FIELDS];
-static SlotMap packet_slots = {NULL, 0, N_PACKET_FIELDS, packet_field_names, {0}};
-static SlotMap header_slots = {NULL, 0, N_HEADER_FIELDS, header_field_names, {0}};
-
-/* Map *type* when each field is a writable `__slots__` member of it
- * and attribute access is the generic one; otherwise keep the map as
- * it is, and *type* takes the generic path. */
-static void
-slot_map_refresh(SlotMap *map, PyTypeObject *type)
-{
-    Py_ssize_t offsets[N_HEADER_FIELDS];
-    int i;
-    if (type == map->type && type->tp_version_tag == map->version)
-        return;
-    if (type->tp_getattro != PyObject_GenericGetAttr
-        || type->tp_setattro != PyObject_GenericSetAttr)
-        return;
-    for (i = 0; i < map->nfields; i++) {
-        PyObject *descr = _PyType_Lookup(type, map->names[i]);
-        PyMemberDef *member;
-        if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            || !PyType_IsSubtype(type, PyDescr_TYPE(descr)))
-            return;
-        member = ((PyMemberDescrObject *)descr)->d_member;
-        if (member->type != T_OBJECT_EX || (member->flags & READONLY))
-            return;
-        offsets[i] = member->offset;
-    }
-    if (type->tp_version_tag == 0)
-        return;
-    Py_INCREF(type);
-    Py_XSETREF(map->type, type);
-    map->version = type->tp_version_tag;
-    memcpy(map->offsets, offsets, sizeof(offsets[0]) * map->nfields);
-}
-
-static inline PyObject **
-slot_of(SlotMap *map, PyObject *obj, int field)
-{
-    PyTypeObject *type = Py_TYPE(obj);
-    if (type == map->type && type->tp_version_tag == map->version)
-        return (PyObject **)((char *)obj + map->offsets[field]);
-    return NULL;
-}
-
-/* `getattr(obj, <field>)`: a new reference. */
-static PyObject *
-slot_get(SlotMap *map, PyObject *obj, int field)
-{
-    PyObject **slot = slot_of(map, obj, field);
-    if (slot != NULL && *slot != NULL) {
-        Py_INCREF(*slot);
-        return *slot;
-    }
-    return PyObject_GetAttr(obj, map->names[field]);
-}
-
-/* `setattr(obj, <field>, value)`. */
-static int
-slot_set(SlotMap *map, PyObject *obj, int field, PyObject *value)
-{
-    PyObject **slot = slot_of(map, obj, field);
-    if (slot != NULL) {
-        PyObject *old = *slot;
-        Py_INCREF(value);
-        *slot = value;
-        Py_XDECREF(old);
-        return 0;
-    }
-    return PyObject_SetAttr(obj, map->names[field], value);
-}
-
-#define PACKET_GET(obj, f) slot_get(&packet_slots, (obj), (f))
-#define PACKET_SET(obj, f, v) slot_set(&packet_slots, (obj), (f), (v))
-#define HEADER_GET(obj, f) slot_get(&header_slots, (obj), (f))
-#define HEADER_SET(obj, f, v) slot_set(&header_slots, (obj), (f), (v))
-
 static uint32_t crc32_table[256];
 
 /* The IEEE CRC-32 table (zlib's reflected polynomial 0xEDB88320). */
@@ -1606,15 +2168,15 @@ take_eq(PyObject *field, long long value)
     return r;
 }
 
-/* `nc.<field> = value` for a small int value. */
+/* `nc.clo = value` for a small int value. */
 static int
-header_set_small(PyObject *nc, int field, long value)
+set_clo(PyObject *nc, long value)
 {
     PyObject *obj = PyLong_FromLong(value);
     int r;
     if (obj == NULL)
         return -1;
-    r = HEADER_SET(nc, field, obj);
+    r = SET_HEADER(nc, clo, obj);
     Py_DECREF(obj);
     return r;
 }
@@ -1718,14 +2280,13 @@ switch_count(PyObject *sw, PyObject *key)
 }
 
 /* `switch.recirculate(packet.copy())`: the copy comes from the
- * packet's pool and the method resolves on the switch as Python
- * would resolve it, so an override or a wrapper still sees it. */
+ * packet's pool, and `copy` and `recirculate` resolve as Python would
+ * resolve them, so an override or a wrapper still sees both. */
 static int
 pass_clone(PyObject *packet, PyObject *sw)
 {
     PyObject *stack[2], *copy, *res;
-    stack[0] = packet;
-    copy = PyObject_VectorcallMethod(s_copy, stack, 1, NULL);
+    copy = call_method0(packet, s_copy, (PyCFunction)packet_copy);
     if (copy == NULL)
         return -1;
     stack[0] = sw;
@@ -1752,7 +2313,7 @@ pass_route(PassObject *self, PyObject *packet, PyObject *sw,
         return 1;
     }
     Py_INCREF(address);
-    r = PACKET_SET(packet, P_DST, address);
+    r = SET_PACKET(packet, dst, address);
     Py_DECREF(address);
     return r;
 }
@@ -1766,11 +2327,11 @@ pass_request(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw,
     Py_ssize_t i1, i2;
     long long state1, state2;
     int r, never;
-    if (unset && HEADER_SET(nc, H_SWID, self->switch_id) < 0)
+    if (unset && SET_HEADER(nc, swid, self->switch_id) < 0)
         return -1;
     /* A client-assigned ID (§3.7) is kept and SEQ is left alone; ID 0
      * asks the switch for the next sequence number. */
-    if ((r = take_eq(HEADER_GET(nc, H_REQ_ID), 0)) < 0)
+    if ((r = take_eq(GET_HEADER(nc, req_id), 0)) < 0)
         return -1;
     if (r) {
         long long *seq = &self->cells[self->seq_index];
@@ -1778,12 +2339,12 @@ pass_request(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw,
         *seq = *seq >= NC_SEQ_MAX ? 1 : *seq + 1;
         if ((req_id = PyLong_FromLongLong(*seq)) == NULL)
             return -1;
-        r = HEADER_SET(nc, H_REQ_ID, req_id);
+        r = SET_HEADER(nc, req_id, req_id);
         Py_DECREF(req_id);
         if (r < 0)
             return -1;
     }
-    if ((field = HEADER_GET(nc, H_GRP)) == NULL)
+    if ((field = GET_HEADER(nc, grp)) == NULL)
         return -1;
     pair = PyDict_GetItemWithError(self->grp_entries, field);
     Py_DECREF(field);
@@ -1804,7 +2365,7 @@ pass_request(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw,
     r = -1;
     if (state_index(self, srv1, self->state_name, &i1) < 0
         || state_index(self, srv2, self->shadow_name, &i2) < 0
-        || (never = take_eq(HEADER_GET(nc, H_CLO), NC_CLO_NEVER_CLONE)) < 0)
+        || (never = take_eq(GET_HEADER(nc, clo), NC_CLO_NEVER_CLONE)) < 0)
         goto done;
     state1 = self->cells[self->state_base + i1];
     state2 = self->cells[self->shadow_base + i2];
@@ -1814,14 +2375,14 @@ pass_request(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw,
         /* Mark as cloned original, remember the clone's server in SID
          * and recirculate a copy that picks up its IP on the second
          * pass (lines 7-9). */
-        if (header_set_small(nc, H_CLO, NC_CLO_CLONED_ORIGINAL) < 0
-            || HEADER_SET(nc, H_SID, srv2) < 0
+        if (set_clo(nc, NC_CLO_CLONED_ORIGINAL) < 0
+            || SET_HEADER(nc, sid, srv2) < 0
             || pass_clone(packet, sw) < 0
             || switch_count(sw, s_nc_cloned) < 0)
             goto done;
     }
     else {
-        if (never && header_set_small(nc, H_CLO, NC_CLO_NOT_CLONED) < 0)
+        if (never && set_clo(nc, NC_CLO_NOT_CLONED) < 0)
             goto done;
         if (self->jsq && state2 < state1) {
             /* RackSched fallback: join the shorter queue (§3.7). */
@@ -1843,8 +2404,8 @@ pass_recirculated(PassObject *self, PyObject *packet, PyObject *nc,
 {
     PyObject *sid;
     int r;
-    if (header_set_small(nc, H_CLO, NC_CLO_CLONED_COPY) < 0
-        || (sid = HEADER_GET(nc, H_SID)) == NULL)
+    if (set_clo(nc, NC_CLO_CLONED_COPY) < 0
+        || (sid = GET_HEADER(nc, sid)) == NULL)
         return -1;
     r = pass_route(self, packet, sw, sid);
     Py_DECREF(sid);
@@ -1860,23 +2421,23 @@ pass_response(PassObject *self, PyObject *nc, PyObject *sw)
     unsigned long long state, req_bits;
     long long old;
     int r;
-    if ((field = HEADER_GET(nc, H_SID)) == NULL)
+    if ((field = GET_HEADER(nc, sid)) == NULL)
         return -1;
     r = state_index(self, field, self->state_name, &sid);
     Py_DECREF(field);
-    if (r < 0 || take_masked(HEADER_GET(nc, H_STATE), self->state_mask,
+    if (r < 0 || take_masked(GET_HEADER(nc, state), self->state_mask,
                              &state) < 0)
         return -1;
     self->cells[self->state_base + sid] = (long long)state;
     self->cells[self->shadow_base + sid] = (long long)state;
-    if ((r = take_eq(HEADER_GET(nc, H_CLO), NC_CLO_NOT_CLONED)) != 0
+    if ((r = take_eq(GET_HEADER(nc, clo), NC_CLO_NOT_CLONED)) != 0
         || !self->filtering)
         return r < 0 ? -1 : 0;
-    if ((field = HEADER_GET(nc, H_REQ_ID)) == NULL)
+    if ((field = GET_HEADER(nc, req_id)) == NULL)
         return -1;
     req_bits = PyLong_AsUnsignedLongLongMask(field);
     if ((req_bits == (unsigned long long)-1 && PyErr_Occurred())
-        || take_mod(HEADER_GET(nc, H_IDX), self->num_filters, &which) < 0) {
+        || take_mod(GET_HEADER(nc, idx), self->num_filters, &which) < 0) {
         Py_DECREF(field);
         return -1;
     }
@@ -1904,15 +2465,14 @@ pass_header(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw)
 {
     PyObject *field;
     int unset, r, is_request;
-    slot_map_refresh(&header_slots, Py_TYPE(nc));
-    if ((field = HEADER_GET(nc, H_SWID)) == NULL)
+    if ((field = GET_HEADER(nc, swid)) == NULL)
         return -1;
     unset = field_eq(field, NC_SWID_UNSET);
     r = unset ? unset : field_eq(field, self->switch_id_value);
     Py_DECREF(field);
     if (r <= 0)
         return r;  /* another ToR's packet: untouched */
-    if ((field = HEADER_GET(nc, H_MSG_TYPE)) == NULL)
+    if ((field = GET_HEADER(nc, msg_type)) == NULL)
         return -1;
     is_request = field_eq(field, NC_MSG_REQ);
     r = is_request ? is_request : field_eq(field, NC_MSG_RESP);
@@ -1921,7 +2481,7 @@ pass_header(PassObject *self, PyObject *packet, PyObject *nc, PyObject *sw)
         return r;  /* an unknown message type is plainly forwarded */
     if (!is_request)
         return pass_response(self, nc, sw);
-    if ((field = PACKET_GET(packet, P_RECIRCULATED)) == NULL)
+    if ((field = GET_PACKET(packet, recirculated)) == NULL)
         return -1;
     r = PyObject_IsTrue(field);
     Py_DECREF(field);
@@ -1940,10 +2500,9 @@ pass_run(PassObject *self, PyObject *packet, PyObject *sw)
     int r;
     /* The gate `NetCloneProgram.matches` states, folded into the pass:
      * NetClone port, parseable header, SWID unset or our own. */
-    slot_map_refresh(&packet_slots, Py_TYPE(packet));
-    if ((r = take_eq(PACKET_GET(packet, P_DPORT), NC_UDP_PORT)) <= 0)
+    if ((r = take_eq(GET_PACKET(packet, dport), NC_UDP_PORT)) <= 0)
         return r;
-    if ((nc = PACKET_GET(packet, P_NC)) == NULL)
+    if ((nc = GET_PACKET(packet, nc)) == NULL)
         return -1;
     r = nc == Py_None ? 0 : pass_header(self, packet, nc, sw);
     Py_DECREF(nc);
@@ -2322,8 +2881,8 @@ static PyMethodDef mod_methods[] = {
 static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._ccore",
-    .m_doc = "C core for the discrete-event scheduler, the forwarding hop "
-             "and the NetClone switch pass.",
+    .m_doc = "C core for the discrete-event scheduler, the packet plane, "
+             "the forwarding hop and the NetClone switch pass.",
     .m_size = -1,
     .m_methods = mod_methods,
 };
@@ -2333,11 +2892,30 @@ intern_names(void)
 {
 #define INTERN(var, text) \
     if ((var = PyUnicode_InternFromString(text)) == NULL) return -1
-    INTERN(s_size, "size");
+    INTERN(s_src, "src");
     INTERN(s_dst, "dst");
+    INTERN(s_sport, "sport");
+    INTERN(s_dport, "dport");
+    INTERN(s_size, "size");
+    INTERN(s_payload, "payload");
+    INTERN(s_nc, "nc");
     INTERN(s_ingress_port, "ingress_port");
     INTERN(s_recirculated, "recirculated");
+    INTERN(s_created_at, "created_at");
+    INTERN(s_msg_type, "msg_type");
+    INTERN(s_req_id, "req_id");
+    INTERN(s_grp, "grp");
+    INTERN(s_sid, "sid");
+    INTERN(s_state, "state");
+    INTERN(s_clo, "clo");
+    INTERN(s_idx, "idx");
+    INTERN(s_swid, "swid");
     INTERN(s_release, "release");
+    INTERN(s_copy, "copy");
+    INTERN(s_acquire, "acquire");
+    INTERN(s_append, "append");
+    INTERN(s_pop, "pop");
+    INTERN(s_packet_type, "_packet_type");
     INTERN(s_down, "down");
     INTERN(s_loss_probability, "loss_probability");
     INTERN(s_send, "send");
@@ -2353,17 +2931,6 @@ intern_names(void)
     INTERN(s_no_route, "no_route");
     INTERN(s_tx, "tx");
     INTERN(s_dropped_down, "dropped_down");
-    INTERN(s_nc, "nc");
-    INTERN(s_dport, "dport");
-    INTERN(s_msg_type, "msg_type");
-    INTERN(s_req_id, "req_id");
-    INTERN(s_grp, "grp");
-    INTERN(s_sid, "sid");
-    INTERN(s_state, "state");
-    INTERN(s_clo, "clo");
-    INTERN(s_idx, "idx");
-    INTERN(s_swid, "swid");
-    INTERN(s_copy, "copy");
     INTERN(s_recirculate, "recirculate");
     INTERN(s_counts, "_counts");
     INTERN(s_nc_unknown_server, "nc_unknown_server");
@@ -2374,21 +2941,20 @@ intern_names(void)
     INTERN(s_nc_fingerprint_overwrite, "nc_fingerprint_overwrite");
     INTERN(s_nc_fingerprint_insert, "nc_fingerprint_insert");
 #undef INTERN
-    packet_field_names[P_DPORT] = s_dport;
-    packet_field_names[P_NC] = s_nc;
-    packet_field_names[P_RECIRCULATED] = s_recirculated;
-    packet_field_names[P_DST] = s_dst;
-    header_field_names[H_SWID] = s_swid;
-    header_field_names[H_MSG_TYPE] = s_msg_type;
-    header_field_names[H_REQ_ID] = s_req_id;
-    header_field_names[H_GRP] = s_grp;
-    header_field_names[H_SID] = s_sid;
-    header_field_names[H_STATE] = s_state;
-    header_field_names[H_CLO] = s_clo;
-    header_field_names[H_IDX] = s_idx;
+    {
+        PyObject *header[N_HEADER_FIELDS] = {
+            s_msg_type, s_req_id, s_grp, s_sid, s_state, s_clo, s_idx, s_swid};
+        PyObject *acquire[N_ACQUIRE_ARGS] = {
+            s_src, s_dst, s_sport, s_dport, s_size, s_payload, s_nc,
+            s_created_at};
+        memcpy(header_names, header, sizeof(header));
+        memcpy(acquire_names, acquire, sizeof(acquire));
+    }
     crc32_init();
     if ((g_zero_float = PyFloat_FromDouble(0.0)) == NULL
-        || (g_one = PyLong_FromLong(1)) == NULL)
+        || (g_zero = PyLong_FromLong(0)) == NULL
+        || (g_one = PyLong_FromLong(1)) == NULL
+        || (g_minus_one = PyLong_FromLong(-1)) == NULL)
         return -1;
     return 0;
 }
@@ -2405,6 +2971,9 @@ PyInit__ccore(void)
         {"SwitchCore", &SwitchType},
         {"HostCore", &HostType},
         {"NetClonePass", &PassType},
+        {"PacketCore", &PacketType},
+        {"PoolCore", &PoolType},
+        {"HeaderCore", &HeaderType},
     };
     PyObject *module;
     size_t i;

@@ -252,7 +252,8 @@ class Simulator:
 #: and checks it against the in-process (C core) result.
 PySimulator = Simulator
 
-#: True when the C core is active: the scheduler here, and the
+#: True when the C core is active: the scheduler here, the packet
+#: plane's base classes in net/packet.py and core/header.py, and the
 #: forwarding hop's base classes in net/link.py, net/host.py and
 #: switchsim/switch.py, which select their C twins on this flag.
 USING_CCORE = False

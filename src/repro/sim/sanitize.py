@@ -126,9 +126,10 @@ class _LedgerList(list):
     """The sanitizing pool's free list: appends retire ledger entries.
 
     ``Packet.release()`` appends straight to ``pool._free`` (the hot
-    path deliberately skips a method call), so interception has to live
-    on the list itself — the release code stays untouched and therefore
-    exactly what production runs.
+    path deliberately skips a pool method call), so interception has to
+    live on the list itself — the release code stays untouched.  The C
+    core's release appends to an exact list in C and calls ``append``
+    on any other, so this subclass sees every release on either engine.
     """
 
     __slots__ = ("ledger",)

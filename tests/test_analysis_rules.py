@@ -13,9 +13,11 @@ packet leak, every scheme leak-free, RNG draw accounting).
 """
 
 import gc
+import os
+import sys
 
 import pytest
-from helpers import tiny_config
+from helpers import RecordingSwitch, tiny_config
 
 from repro.analysis import (
     RULES,
@@ -467,6 +469,54 @@ def test_sanitized_cluster_run_is_clean(monkeypatch):
     assert report is not None and report.clean
     assert report.acquired > 0 and report.draw_counts
     assert report.draw_digest  # stable digest, usable for run-vs-run diffs
+
+
+def _line():
+    """The caller's current line number."""
+    return sys._getframe(1).f_lineno
+
+
+def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
+    # On the C core the pass copies the clone with no Python frame and
+    # the pool is a C type; the ledger must still admit the copy (the
+    # sanitizer's acquire override sees it) and retire releases (the C
+    # release appends through the ledger list).
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    from repro.core import MSG_REQ, NETCLONE_UDP_PORT, VIRTUAL_SERVICE_IP, NetCloneHeader
+    from repro.experiments.common import Cluster
+    from repro.net.packet import PacketPool
+    from repro.sim.core import USING_CCORE
+
+    cluster = Cluster(tiny_config(topology="star"))
+    pool = cluster.packet_pool
+    assert isinstance(pool, SanitizingPacketPool)
+    leaked, leak_line = pool.acquire(1, 2, 3, 4, 64), _line()
+    request = pool.acquire(
+        1, VIRTUAL_SERVICE_IP, NETCLONE_UDP_PORT, NETCLONE_UDP_PORT, 64,
+        None, NetCloneHeader(MSG_REQ, grp=0),
+    )
+    switch = RecordingSwitch()
+    pass_line = _line() + 1
+    cluster.tors[0]._fast_apply(request, switch)
+    request.release()
+    (clone,) = switch.copies
+    other = PacketPool()
+    other._next_uid = 1_000_000
+    stray = other.acquire(1, 2, 3, 4, 64)
+    stray.pool = pool
+    stray.release()
+
+    report = cluster.sanitize_report()
+    here = os.path.basename(__file__)
+    # Without the C core the pass is a Python closure in program.py,
+    # which is then the nearest frame outside the pool machinery.
+    pass_site = f"{here}:{pass_line}" if USING_CCORE else "program.py:"
+    [(leak_uid, leak_site), (clone_uid, clone_site)] = report.packet_leaks
+    assert (leak_uid, leak_site) == (leaked.uid, f"{here}:{leak_line}")
+    assert clone_uid == clone.uid and clone_site.startswith(pass_site)
+    assert report.acquired == 3 and report.retired == 1
+    assert report.foreign_releases == 1
+    assert pool.released == 2
 
 
 def test_every_scheme_is_leak_free_and_recycles(monkeypatch):

@@ -12,7 +12,10 @@ built must still see every hop, so the C link direction has to call the
 entry it resolved at wiring time rather than the C method behind it.
 The same holds for recirculation: the C NetClone pass recirculates
 clones itself, and the switch schedules the ``_run_recirculated`` it
-resolved when it was built.
+resolved when it was built.  And for the packet plane: the C hop
+releases dropped packets and the C pass copies clones itself, so both
+must call ``Packet.release``, ``Packet.copy`` and ``PacketPool.acquire``
+as Python would look them up, wrappers included.
 """
 
 import importlib
@@ -24,6 +27,7 @@ import pytest
 from helpers import tiny_config
 from repro.experiments.common import Cluster
 from repro.net.host import Host
+from repro.net.packet import Packet, PacketPool
 from repro.switchsim.switch import ProgrammableSwitch
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
@@ -123,3 +127,27 @@ def test_class_level_recirculation_wrapper_sees_every_recirculated_pass(monkeypa
     recirculated = tor.counters.get("recirculated")
     assert recirculated > 0
     assert len(calls) == recirculated == tor.counters.get("nc_cloned")
+
+
+def test_class_level_packet_wrappers_see_every_packet_call(monkeypatch):
+    calls = {"acquire": 0, "copy": 0, "release": 0}
+    for cls, attr in ((PacketPool, "acquire"), (Packet, "copy"), (Packet, "release")):
+
+        def counted(*args, inner=cls.__dict__[attr], attr=attr, **kwargs):
+            calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+    cluster = Cluster(tiny_config(topology="star"))
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    pool = cluster.packet_pool
+    (tor,) = cluster.tors
+    # Clone copies come from the C pass and filtered responses are
+    # released by the C hop; both must have gone through the wrappers.
+    assert tor.counters.get("nc_cloned") > 0 and tor.counters.get("nc_filtered") > 0
+    assert calls["acquire"] == pool.uid_count
+    assert calls["copy"] == tor.counters.get("nc_cloned")
+    assert calls["release"] == pool.released

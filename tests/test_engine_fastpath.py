@@ -11,7 +11,11 @@ counter.  These tests pin the contract that makes that safe:
   pre-overhaul revision;
 * the packet pool's uid stream and the link serialisation memo are
   deterministic and exact, and a steady acquire/release loop recycles
-  one backing packet;
+  one backing packet on either engine;
+* the packet plane (the C ``PacketCore``/``PoolCore``/``HeaderCore``
+  on the C core, the pure-Python twins otherwise) gives identical
+  fields, uids, pool counts and header copies through acquire → copy
+  → release → double release → re-acquire, and the same header codec;
 * the pure-Python engine (``REPRO_PURE_SIM=1``) and the C core produce
   identical points and telemetry — on a plain spine-leaf point and on
   drills that drive every forwarding-hop fallback (recirculation,
@@ -51,6 +55,7 @@ from repro.core import (
     STATE_BUSY,
     VIRTUAL_SERVICE_IP,
 )
+from repro.core.header import FIELDS as HEADER_FIELDS
 from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
 from repro.errors import NetworkError, StageAccessError
 from repro.experiments.common import Cluster, run_point
@@ -201,14 +206,137 @@ def test_identical_runs_produce_identical_uid_streams():
     assert_points_identical(point_a, point_b)
 
 
-def test_pool_recycles_one_backing_packet_in_steady_state():
+def recycle_counts(n=10_000):
     pool = PacketPool()
-    n = 10_000
     for _ in range(n):
         pool.acquire(1, 2, 3, 4, 128).release()
-    # One backing object recycled for every life.
-    assert pool.allocated == 1
-    assert pool.released == n
+    return pool.allocated, pool.released
+
+
+def test_pool_recycles_one_backing_packet_in_steady_state():
+    # One backing object recycled for every life, on either engine.
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import recycle_counts\n"
+        "result = recycle_counts()"
+    )
+    assert recycle_counts() == pure == (1, 10_000)
+
+
+def _packet_state(packet, pool):
+    """Every field of *packet*, with its pool, payload and header by
+    value."""
+    nc = packet.nc
+    return (
+        packet.uid,
+        packet.src,
+        packet.dst,
+        packet.sport,
+        packet.dport,
+        packet.size,
+        packet.payload,
+        None if nc is None else [getattr(nc, f) for f in HEADER_FIELDS],
+        packet.ingress_port,
+        packet.recirculated,
+        packet.created_at,
+        packet.pool is pool,
+        packet._freed,
+    )
+
+
+def _raises(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return type(exc).__name__
+    return None
+
+
+def run_packet_drill():
+    """acquire → copy → release → double release → re-acquire, plus
+    the header codec: every observable, step by step."""
+    pool = PacketPool()
+    steps = []
+
+    def record(step, *packets):
+        counts = (pool.allocated, pool.released, pool.free_count, pool.uid_count)
+        steps.append((step, [_packet_state(p, pool) for p in packets], counts))
+
+    header = NetCloneHeader(MSG_REQ, req_id=5, grp=2, idx=1)
+    first = pool.acquire(10, 20, 30, NETCLONE_UDP_PORT, 128, ("kv", 7), header, 99)
+    first.ingress_port = 3
+    first.recirculated = True
+    record("acquire", first)
+    copy = first.copy()
+    record("copy", first, copy)
+    steps.append(
+        ("copy shares", copy.nc is first.nc, copy.payload is first.payload, copy is first)
+    )
+    copy.nc.clo = CLO_CLONED_ORIGINAL
+    copy.nc.req_id = 9
+    record("mutate the copy's header", first, copy)
+    first.release()
+    record("release", first, copy)
+    first.release()
+    record("double release", first, copy)
+    again = pool.acquire(src=1, dst=2, sport=3, dport=4, size=64, created_at=5)
+    steps.append(("recycled", again is first))
+    record("re-acquire", again, copy)
+    plain = pool.acquire(1, 2, 3, 4, 64)
+    record("fresh object", plain)
+    steps.append(
+        (
+            "errors",
+            _raises(pool.acquire, 1, 2, 3, 4),
+            _raises(pool.acquire, 1, 2, 3, 4, 5, bogus=1),
+            _raises(NetCloneHeader),
+            _raises(NetCloneHeader, 1, msg_type=1),
+        )
+    )
+
+    by_keyword = NetCloneHeader(
+        msg_type=MSG_RESP, req_id=0xDEADBEEF, grp=513, sid=7, state=1, clo=2,
+        idx=1, swid=3,
+    )
+    by_position = NetCloneHeader(MSG_RESP, 0xDEADBEEF, 513, 7, 1, 2, 1, 3)
+    wire = by_keyword.pack()
+    decoded = NetCloneHeader.unpack(wire)
+    steps.append(
+        (
+            "codec",
+            wire,
+            [getattr(decoded, f) for f in HEADER_FIELDS],
+            type(decoded) is NetCloneHeader,
+            by_keyword == by_position,
+            decoded == by_position,
+            by_keyword == by_keyword.copy(),
+            by_keyword == NetCloneHeader(MSG_REQ),
+            by_keyword.__eq__(42) is NotImplemented,
+        )
+    )
+    return steps
+
+
+def test_pure_python_engine_matches_live_engine_on_packet_drill():
+    live = run_packet_drill()
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import run_packet_drill\n"
+        "result = run_packet_drill()"
+    )
+    assert live == pure
+    steps = dict((step[0], step[1:]) for step in live)
+    # The contract itself, not only engine agreement.
+    (first, copy), _ = steps["copy"]
+    assert copy[0] == first[0] + 1 and copy[8:11] == (-1, False, 99)
+    assert steps["copy shares"] == (False, True, False)
+    (first, copy), _ = steps["mutate the copy's header"]
+    assert first[7][5] == 0 and first[7][1] == 5 and copy[7][1] == 9
+    assert steps["release"][1] == steps["double release"][1] == (2, 1, 1, 2)
+    assert steps["double release"][0][0][-1] is True
+    assert steps["recycled"] == (True,)
+    assert steps["re-acquire"][1] == (2, 1, 0, 3)
+    assert steps["fresh object"][1] == (3, 1, 0, 4)
+    assert steps["errors"] == ("TypeError",) * 4
+    assert steps["codec"][2:] == (True, True, True, True, False, True)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +765,7 @@ ALGORITHM1_DRILLS = {
 
 def _packet_fields(packet):
     nc = packet.nc
-    header = None if nc is None else {f: getattr(nc, f) for f in nc.__slots__}
+    header = None if nc is None else {f: getattr(nc, f) for f in HEADER_FIELDS}
     return (packet.dst, packet.recirculated, header)
 
 
