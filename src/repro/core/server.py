@@ -14,6 +14,20 @@ NetClone-specific behaviour, both switchable for the baselines:
 Execution jitter (the 15× slowdowns of §5.1.2) is applied per
 *execution*, so the two sides of a cloned request draw independently —
 that is the variability cloning masks.
+
+The request path — :meth:`~_ServerCore.handle`, ``_start_work``,
+``_finish_work`` and ``_respond`` — lives on :class:`_ServerCore`, which
+extends the host's base (``net/host.py``'s ``_HostCore``) with the
+server state, so one object holds both the NIC slots and the server.
+With the C core live (``USING_CCORE``) that base is
+``_ccore.ServerCore``, which runs the path with no Python frame and
+calls back into Python only for a non-trivial service (its service
+time, ``execute`` and response size, with ``jitter.apply``), the RNG
+draw, and any of its own methods, ``send``, ``release`` or ``acquire``
+that Python would not resolve to the C method (a class-level wrapper,
+the sanitizer's pool).  The Python class below is the reference and
+the ``REPRO_PURE_SIM=1`` path.  :class:`RpcServer` combines
+:class:`~repro.net.host.Host` with whichever is live.
 """
 
 from __future__ import annotations
@@ -30,81 +44,26 @@ from repro.core.constants import (
     NETCLONE_UDP_PORT,
 )
 from repro.errors import ExperimentError
-from repro.net.host import Host
+from repro.net.host import Host, _HostCore
 from repro.net.packet import Packet
-from repro.sim.core import Simulator
+from repro.sim.core import USING_CCORE, Simulator
 from repro.sim.monitor import Counter
 from repro.workloads.distributions import JitterModel
 
 __all__ = ["RpcServer"]
 
 
-class RpcServer(Host):
-    """A worker server with a dispatcher queue and worker threads.
+class _ServerCore(_HostCore):
+    """The request path of an :class:`RpcServer` and the state it
+    keeps.  ``_ccore.ServerCore`` replaces it when the C core is live."""
 
-    Extra keyword arguments (``packet_pool``) go to :class:`Host`.
-    """
+    __slots__ = (
+        "server_id", "service", "jitter", "rng", "num_workers",
+        "netclone_mode", "drop_stale_clones", "reply_to_ip", "queue",
+        "busy_workers", "counters", "_counts", "_trivial_spin",
+        "_fixed_resp_size", "state_samples_zero", "state_samples_total",
+    )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        ip: int,
-        server_id: int,
-        service: ServiceModel,
-        jitter: JitterModel,
-        rng: random.Random,
-        num_workers: int = 15,
-        netclone_mode: bool = True,
-        drop_stale_clones: bool = True,
-        reply_to_ip: Optional[int] = None,
-        tx_cost_ns: int = 700,
-        rx_cost_ns: int = 500,
-        rx_queue_limit: int = 16384,
-        **host_kwargs: Any,
-    ):
-        super().__init__(
-            sim,
-            name,
-            ip,
-            tx_cost_ns=tx_cost_ns,
-            rx_cost_ns=rx_cost_ns,
-            rx_queue_limit=rx_queue_limit,
-            **host_kwargs,
-        )
-        if num_workers <= 0:
-            raise ExperimentError("server needs at least one worker thread")
-        self.server_id = server_id
-        self.service = service
-        self.jitter = jitter
-        self.rng = rng
-        self.num_workers = num_workers
-        #: NetClone mode: drop stale clones, piggyback state.
-        self.netclone_mode = netclone_mode
-        #: The §3.4 stale-clone drop; disable for the ablation bench.
-        self.drop_stale_clones = drop_stale_clones
-        #: LÆDGE routes responses through the coordinator.
-        self.reply_to_ip = reply_to_ip
-        self.queue: Deque[Packet] = deque()
-        self.busy_workers = 0
-        self.counters = Counter()
-        # Hot-path shortcuts: per-request counter bumps go straight to
-        # the counters' dict, and trivial-spin services skip two
-        # dispatches per execution.
-        self._counts = self.counters._counts
-        self._trivial_spin = bool(getattr(service, "trivial_spin", False))
-        self._fixed_resp_size = getattr(service, "fixed_response_size", None)
-        #: Samples of the queue length at response time (Figure 13a).
-        self.state_samples_zero = 0
-        self.state_samples_total = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def queue_len(self) -> int:
-        """Current dispatcher-queue occupancy (pending, not in service)."""
-        return len(self.queue)
-
-    # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
         nc = packet.nc
         if nc is not None and nc.msg_type != MSG_REQ:
@@ -192,6 +151,85 @@ class RpcServer(Host):
         request.release()
         self._counts["responses_sent"] += 1
         self.send(response)
+
+
+if USING_CCORE:
+    from repro.sim._ccore import ServerCore as _ServerCore  # noqa: F811
+
+
+class RpcServer(Host, _ServerCore):
+    """A worker server with a dispatcher queue and worker threads.
+
+    Extra keyword arguments (``packet_pool``) go to :class:`Host`.
+    Unlike :class:`Host`, it keeps an instance dict, so a test may
+    still patch one server's ``handle``.
+    """
+
+    # The request path's entry points sit in this class's own dict
+    # (``Host.handle`` would shadow the base's), so tracers that wrap
+    # ``RpcServer.handle`` / ``RpcServer._finish_work`` at class level
+    # find them here on either base.
+    handle = _ServerCore.handle
+    _finish_work = _ServerCore._finish_work
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        ip: int,
+        server_id: int,
+        service: ServiceModel,
+        jitter: JitterModel,
+        rng: random.Random,
+        num_workers: int = 15,
+        netclone_mode: bool = True,
+        drop_stale_clones: bool = True,
+        reply_to_ip: Optional[int] = None,
+        tx_cost_ns: int = 700,
+        rx_cost_ns: int = 500,
+        rx_queue_limit: int = 16384,
+        **host_kwargs: Any,
+    ):
+        super().__init__(
+            sim,
+            name,
+            ip,
+            tx_cost_ns=tx_cost_ns,
+            rx_cost_ns=rx_cost_ns,
+            rx_queue_limit=rx_queue_limit,
+            **host_kwargs,
+        )
+        if num_workers <= 0:
+            raise ExperimentError("server needs at least one worker thread")
+        self.server_id = server_id
+        self.service = service
+        self.jitter = jitter
+        self.rng = rng
+        self.num_workers = num_workers
+        #: NetClone mode: drop stale clones, piggyback state.
+        self.netclone_mode = netclone_mode
+        #: The §3.4 stale-clone drop; disable for the ablation bench.
+        self.drop_stale_clones = drop_stale_clones
+        #: LÆDGE routes responses through the coordinator.
+        self.reply_to_ip = reply_to_ip
+        self.queue: Deque[Packet] = deque()
+        self.busy_workers = 0
+        self.counters = Counter()
+        # Hot-path shortcuts: per-request counter bumps go straight to
+        # the counters' dict, and trivial-spin services skip two
+        # dispatches per execution.
+        self._counts = self.counters._counts
+        self._trivial_spin = bool(getattr(service, "trivial_spin", False))
+        self._fixed_resp_size = getattr(service, "fixed_response_size", None)
+        #: Samples of the queue length at response time (Figure 13a).
+        self.state_samples_zero = 0
+        self.state_samples_total = 0
+
+    # ------------------------------------------------------------------
+    @property
+    def queue_len(self) -> int:
+        """Current dispatcher-queue occupancy (pending, not in service)."""
+        return len(self.queue)
 
     # ------------------------------------------------------------------
     def empty_queue_fraction(self) -> float:

@@ -21,11 +21,15 @@ explicitly:
 
 Those two slots — :meth:`Host.send` and :meth:`Host.link_rx_at`, with
 the state they book — live on :class:`_HostCore`, the base of
-:class:`Host`.  With the C core live (``USING_CCORE``) that base is
+:class:`Host`, together with the host's ``name``, ``ip`` and
+``packet_pool``.  With the C core live (``USING_CCORE``) that base is
 ``_ccore.HostCore``, which runs both with no Python frame and calls
 back into Python only for ``handle``, ``_emit``, ``Link.send`` and
 ``Packet.release``.  The Python class below is the reference and the
-``REPRO_PURE_SIM=1`` path.
+``REPRO_PURE_SIM=1`` path.  :class:`Host` adds no state of its own, so
+a subclass can combine it with a second base that extends
+``_HostCore`` (``RpcServer`` does, with the server's request path in
+``core/server.py``).
 """
 
 from __future__ import annotations
@@ -41,12 +45,13 @@ __all__ = ["Host"]
 
 
 class _HostCore:
-    """The NIC half of a :class:`Host`: the TX and RX slots.
+    """A :class:`Host`'s state and its NIC half: the TX and RX slots.
     ``_ccore.HostCore`` replaces it when the C core is live."""
 
     __slots__ = (
-        "sim", "link", "_uplink", "tx_cost_ns", "rx_cost_ns",
-        "rx_queue_limit", "_tx_free_at", "_rx_free_at", "rx_dropped",
+        "sim", "name", "ip", "packet_pool", "link", "_uplink",
+        "tx_cost_ns", "rx_cost_ns", "rx_queue_limit", "_tx_free_at",
+        "_rx_free_at", "rx_dropped",
     )
 
     def send(self, packet: Packet) -> None:
@@ -107,14 +112,14 @@ if USING_CCORE:
 class Host(_HostCore):
     """One end host (client, server, or coordinator)."""
 
-    # Slots keep the host's own state out of the subclasses' instance
-    # dicts (the NIC state is on the base, in slots or C fields).
-    # Clients and servers add ~17 attributes of their own, and
-    # CPython shares one compact key table per class only up to 30
-    # keys: with the host's state in the dict too, every attribute
-    # access on a client or server took the slow path
-    # (star-baseline-hi lost ~7% of its simulated requests per second).
-    __slots__ = ("name", "ip", "packet_pool")
+    # The host's state lives on the base, in slots or C fields, which
+    # keeps it out of the subclasses' instance dicts: clients add ~17
+    # attributes of their own, and CPython shares one compact key table
+    # per class only up to 30 keys (with the host's state in the dict
+    # too, star-baseline-hi lost ~7% of its simulated requests per
+    # second).  No slots here, so a subclass can also derive from a
+    # second extension of the base.
+    __slots__ = ()
 
     # The NIC entry points sit in this class's own dict, so tracers
     # that wrap ``Host.send`` / ``Host.link_rx_at`` at class level find

@@ -1,5 +1,6 @@
 /* C core: the two-lane calendar-queue Simulator, the packet plane, the
- * forwarding hop and the NetClone switch pass.
+ * forwarding hop, the NetClone switch pass and the server's request
+ * path.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -75,6 +76,20 @@
  * clone's second pass: the pass calls `switch.recirculate`, which
  * schedules the `_run_recirculated` the switch resolved when it was
  * built, so a class-level wrapper still sees every recirculated pass.
+ *
+ * The server.  `ServerCore` extends `HostCore` with core/server.py's
+ * request path (`handle`, `_start_work`, `_finish_work`, `_respond`):
+ * accept or drop (a stale clone, a non-request), queue, dispatch,
+ * execute and respond with the queue length piggybacked, the C twin of
+ * that module's `_ServerCore`, which stays the reference.  `RpcServer`
+ * combines `Host` with it, so one object holds the NIC slots and the
+ * server state.  It calls into Python for the RNG draw, a service that
+ * is not a trivial spin, and any of its own methods, `send`, `release`
+ * or `acquire` that Python would not resolve to the C method.
+ *
+ * A packet acquired through a Python-level `acquire` from C code (a
+ * clone copy, a server response) carries a site tag, `acquire_site()`,
+ * which the sanitizer's ledger records in place of a Python frame.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -86,6 +101,14 @@ static PyObject *g_sched_error = NULL;    /* SchedulingError class */
 static PyObject *g_network_error = NULL;  /* NetworkError class */
 static PyObject *g_port_error = NULL;     /* PortError class */
 static PyObject *g_stage_access_error = NULL;  /* StageAccessError class */
+static PyObject *g_experiment_error = NULL;    /* ExperimentError class */
+
+/* The C code that is acquiring a packet through a Python-level
+ * `acquire` (a wrapper, the sanitizer's override), as the sanitizer's
+ * `file:site` tag; NULL when no C acquirer is on the stack.  The
+ * sanitizer reads it through `acquire_site()`, since the nearest
+ * Python frame of a C acquire is whatever ran the C code. */
+static const char *g_acquire_site = NULL;
 
 typedef struct {
     PyObject_HEAD
@@ -964,17 +987,32 @@ set_field(PyObject *obj, PyObject **slot, PyObject *name, PyObject *value)
 
 /* 1 when `obj.<name>` resolves to the C method *meth*, so calling it
  * directly is the call Python would make; 0 when it resolves to
- * anything else (an override, a tracer's class-level wrapper). */
+ * anything else (an override, a tracer's class-level wrapper, an
+ * instance attribute of that name). */
 static int
 resolves_to(PyObject *obj, PyObject *name, PyCFunction meth)
 {
     PyTypeObject *type = Py_TYPE(obj);
-    PyObject *descr;
-    if (type->tp_dictoffset != 0 || type->tp_getattro != PyObject_GenericGetAttr)
+    PyObject *descr, *dict;
+    int shadowed;
+    if (type->tp_getattro != PyObject_GenericGetAttr)
         return 0;
     descr = _PyType_Lookup(type, name);
-    return descr != NULL && Py_IS_TYPE(descr, &PyMethodDescr_Type)
-           && ((PyMethodDescrObject *)descr)->d_method->ml_meth == meth;
+    if (descr == NULL || !Py_IS_TYPE(descr, &PyMethodDescr_Type)
+        || ((PyMethodDescrObject *)descr)->d_method->ml_meth != meth)
+        return 0;
+    if (type->tp_dictoffset == 0)
+        return 1;
+    /* A method descriptor is not a data descriptor: an entry in the
+     * instance dict wins over it. */
+    if ((dict = PyObject_GenericGetDict(obj, NULL)) == NULL) {
+        PyErr_Clear();
+        return 0;
+    }
+    shadowed = PyDict_GET_SIZE(dict) != 0 && PyDict_Contains(dict, name) != 0;
+    Py_DECREF(dict);
+    PyErr_Clear();
+    return !shadowed;
 }
 
 /* `obj.<name>()`: the C method *meth* directly when Python would
@@ -1269,6 +1307,23 @@ static PyObject *pool_acquire_values(PoolObject *self, PyObject *const *values);
 static PyObject *pool_acquire(PoolObject *self, PyObject *const *args,
                               Py_ssize_t nargs, PyObject *kwnames);
 
+/* `pool.acquire(*values)`: the C acquire directly when Python would
+ * resolve the name to it, else the call Python would make, so an
+ * override or a wrapper sees the acquire. */
+static PyObject *
+acquire_from(PyObject *pool, PyObject *const *values)
+{
+    PyObject *stack[N_ACQUIRE_ARGS + 1];
+    if (PyObject_TypeCheck(pool, &PoolType)
+        && resolves_to(pool, s_acquire,
+                       (PyCFunction)(void (*)(void))pool_acquire))
+        return pool_acquire_values((PoolObject *)pool, values);
+    stack[0] = pool;
+    memcpy(stack + 1, values, N_ACQUIRE_ARGS * sizeof(PyObject *));
+    return PyObject_VectorcallMethod(s_acquire, stack, N_ACQUIRE_ARGS + 1,
+                                     NULL);
+}
+
 /* `packet.copy()`: a fresh life from the packet's pool with the same
  * addressing, size, payload and send time, clean switch metadata and
  * a copy of the header.  The header's `copy` and the pool's `acquire`
@@ -1295,16 +1350,7 @@ packet_copy(PacketObject *self, PyObject *Py_UNUSED(ignored))
     copy = NULL;
     if (nc != NULL) {
         Py_SETREF(values[A_NC], nc);
-        if (PyObject_TypeCheck(pool, &PoolType)
-            && resolves_to(pool, s_acquire, (PyCFunction)(void (*)(void))pool_acquire))
-            copy = pool_acquire_values((PoolObject *)pool, values);
-        else {
-            PyObject *stack[N_ACQUIRE_ARGS + 1];
-            stack[0] = pool;
-            memcpy(stack + 1, values, sizeof(values));
-            copy = PyObject_VectorcallMethod(s_acquire, stack,
-                                             N_ACQUIRE_ARGS + 1, NULL);
-        }
+        copy = acquire_from(pool, values);
     }
     for (i = 0; i < N_ACQUIRE_ARGS; i++)
         Py_DECREF(values[i]);
@@ -2286,7 +2332,10 @@ static int
 pass_clone(PyObject *packet, PyObject *sw)
 {
     PyObject *stack[2], *copy, *res;
+    const char *outer = g_acquire_site;
+    g_acquire_site = "program.py:NetClonePass";
     copy = call_method0(packet, s_copy, (PyCFunction)packet_copy);
+    g_acquire_site = outer;
     if (copy == NULL)
         return -1;
     stack[0] = sw;
@@ -2684,6 +2733,9 @@ static PyTypeObject PassType = {
 typedef struct {
     PyObject_HEAD
     PyObject *sim;
+    PyObject *name;
+    PyObject *ip;
+    PyObject *packet_pool;   /* where this host's packets come from */
     PyObject *link;
     PyObject *uplink;        /* the direction this host transmits on */
     long long tx_cost_ns;
@@ -2693,6 +2745,50 @@ typedef struct {
     long long rx_free_at;
     long long rx_dropped;
 } HostObject;
+
+/* A worker server: the host, then core/server.py's `_ServerCore`
+ * state (see ServerCore below). */
+typedef struct {
+    HostObject host;
+    PyObject *server_id, *service, *jitter, *rng, *netclone_mode,
+        *drop_stale_clones, *reply_to_ip, *queue, *counters, *counts,
+        *fixed_resp_size;
+    PyObject *handle_entry;  /* the bound C `handle`, made once */
+    PyObject *finish_entry;  /* the bound C `_finish_work`, made once */
+    long long num_workers;
+    long long busy_workers;
+    long long state_samples_zero;
+    long long state_samples_total;
+    char trivial_spin;
+} ServerObject;
+
+static PyTypeObject ServerType;
+static PyObject *server_handle(ServerObject *self, PyObject *packet);
+
+/* `obj.<name>` as Python reads it; when that is the C method *meth*,
+ * the bound method made the first time and kept in *cache*, so a hot
+ * entry point is not re-bound on every event. */
+static PyObject *
+bound_entry(PyObject *obj, PyObject *name, PyCFunction meth, PyObject **cache)
+{
+    if (!resolves_to(obj, name, meth))
+        return PyObject_GetAttr(obj, name);
+    if (*cache == NULL && (*cache = PyObject_GetAttr(obj, name)) == NULL)
+        return NULL;
+    Py_INCREF(*cache);
+    return *cache;
+}
+
+/* `self.handle`, the entry an RX completion dispatches to. */
+static PyObject *
+host_handle_entry(HostObject *self)
+{
+    if (PyObject_TypeCheck(self, &ServerType))
+        return bound_entry((PyObject *)self, s_handle,
+                           (PyCFunction)server_handle,
+                           &((ServerObject *)self)->handle_entry);
+    return PyObject_GetAttr((PyObject *)self, s_handle);
+}
 
 static PyObject *
 host_send(HostObject *self, PyObject *packet)
@@ -2704,11 +2800,8 @@ host_send(HostObject *self, PyObject *packet)
         || require_member(self->sim, "sim") < 0)
         return NULL;
     if (self->link == Py_None) {
-        PyObject *name = PyObject_GetAttr((PyObject *)self, s_name);
-        if (name != NULL) {
-            PyErr_Format(g_network_error, "%S has no link attached", name);
-            Py_DECREF(name);
-        }
+        if (require_member(self->name, "name") == 0)
+            PyErr_Format(g_network_error, "%S has no link attached", self->name);
         return NULL;
     }
     if (sim_now_of(self->sim, &now) < 0)
@@ -2778,7 +2871,7 @@ host_link_rx_at(HostObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     done = start + cost;
     self->rx_free_at = done;
-    handle = PyObject_GetAttr((PyObject *)self, s_handle);
+    handle = host_handle_entry(self);
     if (handle == NULL)
         return NULL;
     rc = hop_call_at(self->sim, done, handle, packet, NULL);
@@ -2792,6 +2885,9 @@ static int
 host_traverse(HostObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->sim);
+    Py_VISIT(self->name);
+    Py_VISIT(self->ip);
+    Py_VISIT(self->packet_pool);
     Py_VISIT(self->link);
     Py_VISIT(self->uplink);
     return 0;
@@ -2801,6 +2897,9 @@ static int
 host_clear(HostObject *self)
 {
     Py_CLEAR(self->sim);
+    Py_CLEAR(self->name);
+    Py_CLEAR(self->ip);
+    Py_CLEAR(self->packet_pool);
     Py_CLEAR(self->link);
     Py_CLEAR(self->uplink);
     return 0;
@@ -2816,6 +2915,9 @@ host_dealloc(HostObject *self)
 
 static PyMemberDef host_members[] = {
     {"sim", T_OBJECT_EX, offsetof(HostObject, sim), 0, NULL},
+    {"name", T_OBJECT_EX, offsetof(HostObject, name), 0, NULL},
+    {"ip", T_OBJECT_EX, offsetof(HostObject, ip), 0, NULL},
+    {"packet_pool", T_OBJECT_EX, offsetof(HostObject, packet_pool), 0, NULL},
     {"link", T_OBJECT_EX, offsetof(HostObject, link), 0, NULL},
     {"_uplink", T_OBJECT_EX, offsetof(HostObject, uplink), 0, NULL},
     {"tx_cost_ns", T_LONGLONG, offsetof(HostObject, tx_cost_ns), 0, NULL},
@@ -2841,11 +2943,551 @@ static PyTypeObject HostType = {
     .tp_basicsize = sizeof(HostObject),
     .tp_dealloc = (destructor)host_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "C base of net.host.Host: the NIC's TX and RX slots.",
+    .tp_doc = "C base of net.host.Host: its name, address and pool, and "
+              "the NIC's TX and RX slots.",
     .tp_traverse = (traverseproc)host_traverse,
     .tp_clear = (inquiry)host_clear,
     .tp_methods = host_methods,
     .tp_members = host_members,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
+/* ServerCore: the worker server's request path                       */
+/* ------------------------------------------------------------------ */
+
+/* core/server.py's `handle`, `_start_work`, `_finish_work` and
+ * `_respond`: the C twin of the pure-Python `_ServerCore`, which stays
+ * the reference.  `RpcServer` combines `Host` with whichever is live,
+ * so one object holds the NIC slots and the server state.  The path
+ * keeps the reference's every observable: the same `rng.random()`
+ * draws, one `call_after` seq per execution, the same `_counts` keys
+ * in the same order, dispatch before respond (so STATE reflects the
+ * queue after the dispatch) and the 255 clamp on STATE.  A service
+ * that is not a trivial spin is called back for its service time,
+ * execution and response size, with `jitter.apply` in between.  Each
+ * of the four methods, `send`, `release` and `acquire` is called in C
+ * only where Python would resolve the name to the C method, so
+ * class-level wrappers (and the sanitizer's `acquire`) see every call. */
+
+#define NC_STATE_MAX 255   /* the STATE field is one byte */
+
+static PyObject *s_start_work, *s_finish_work, *s_respond, *s_service_ns,
+    *s_p, *s_factor, *s_random, *s_base_service_ns, *s_apply, *s_execute,
+    *s_response_size, *s_popleft, *s_call_after, *s_non_request_ignored,
+    *s_clones_dropped, *s_requests_accepted, *s_responses_sent;
+static PyObject *g_msg_resp = NULL;       /* MSG_RESP */
+static PyObject *g_udp_port = NULL;       /* NETCLONE_UDP_PORT */
+
+static PyObject *server_start_work(ServerObject *self, PyObject *packet);
+static PyObject *server_finish_work(ServerObject *self, PyObject *packet);
+static PyObject *server_respond(ServerObject *self, PyObject *request);
+
+/* `bool(<member>)`: 1, 0, or -1 (an unset member raises). */
+static int
+truthy_member(PyObject *value, const char *name)
+{
+    if (require_member(value, name) < 0)
+        return -1;
+    return PyObject_IsTrue(value);
+}
+
+/* `a < b` or `a > b` (*op*): doubles compare in C. */
+static int
+number_cmp(PyObject *a, PyObject *b, int op)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        double x = PyFloat_AS_DOUBLE(a), y = PyFloat_AS_DOUBLE(b);
+        return op == Py_LT ? x < y : x > y;
+    }
+    return PyObject_RichCompareBool(a, b, op);
+}
+
+/* `obj.<name>(*args)` for up to three arguments, a new reference. */
+static PyObject *
+call_method(PyObject *obj, PyObject *name, PyObject *const *args,
+            Py_ssize_t nargs)
+{
+    PyObject *stack[4], *res;
+    stack[0] = obj;
+    memcpy(stack + 1, args, nargs * sizeof(PyObject *));
+    Py_INCREF(obj);
+    res = PyObject_VectorcallMethod(name, stack, nargs + 1, NULL);
+    Py_DECREF(obj);
+    return res;
+}
+
+/* `obj.<name>(*args)`, result discarded. */
+static int
+call_discard(PyObject *obj, PyObject *name, PyObject *const *args,
+             Py_ssize_t nargs)
+{
+    PyObject *res = call_method(obj, name, args, nargs);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* `self.<name>(arg)`: the C method *meth* directly when Python would
+ * resolve the name to it, else the call Python would make. */
+static int
+server_call(ServerObject *self, PyObject *name, PyCFunction meth,
+            PyObject *arg)
+{
+    PyObject *res;
+    if (!resolves_to((PyObject *)self, name, meth))
+        return call_discard((PyObject *)self, name, &arg, 1);
+    res = meth((PyObject *)self, arg);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* `self._counts[key] += 1`. */
+static int
+server_count(ServerObject *self, PyObject *key)
+{
+    PyObject *counts = self->counts;
+    int r;
+    if (require_member(counts, "_counts") < 0)
+        return -1;
+    Py_INCREF(counts);
+    r = count_incr(counts, key);
+    Py_DECREF(counts);
+    return r;
+}
+
+/* `self.queue.<name>(*args)`, a new reference. */
+static PyObject *
+queue_call(ServerObject *self, PyObject *name, PyObject *const *args,
+           Py_ssize_t nargs)
+{
+    if (require_member(self->queue, "queue") < 0)
+        return NULL;
+    return call_method(self->queue, name, args, nargs);
+}
+
+/* The §3.4 stale-clone test: `self.netclone_mode and
+ * self.drop_stale_clones and nc is not None and nc.clo ==
+ * CLO_CLONED_COPY and self.queue`. */
+static int
+server_stale_clone(ServerObject *self, PyObject *nc)
+{
+    int r = truthy_member(self->netclone_mode, "netclone_mode");
+    if (r > 0)
+        r = truthy_member(self->drop_stale_clones, "drop_stale_clones");
+    if (r > 0 && nc == Py_None)
+        r = 0;
+    if (r > 0)
+        r = take_eq(GET_HEADER(nc, clo), NC_CLO_CLONED_COPY);
+    if (r > 0)
+        r = truthy_member(self->queue, "queue");
+    return r;
+}
+
+static PyObject *
+server_handle(ServerObject *self, PyObject *packet)
+{
+    PyObject *nc = GET_PACKET(packet, nc), *res;
+    PyObject *counted = NULL;
+    int r = 0;
+    if (nc == NULL)
+        return NULL;
+    if (nc != Py_None) {
+        /* `nc.msg_type != MSG_REQ`. */
+        if ((r = take_eq(GET_HEADER(nc, msg_type), NC_MSG_REQ)) >= 0)
+            r = !r;
+        if (r > 0)
+            counted = s_non_request_ignored;
+    }
+    if (r == 0 && (r = server_stale_clone(self, nc)) > 0)
+        /* Stale cloning decision: the tracked state said idle, the
+         * actual state is busy.  Drop the clone, never the original. */
+        counted = s_clones_dropped;
+    Py_DECREF(nc);
+    if (r < 0)
+        return NULL;
+    if (counted != NULL) {
+        if (server_count(self, counted) < 0 || release_packet(packet) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    if (server_count(self, s_requests_accepted) < 0)
+        return NULL;
+    if (self->busy_workers < self->num_workers) {
+        self->busy_workers += 1;
+        if (server_call(self, s_start_work, (PyCFunction)server_start_work,
+                        packet) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    if ((res = queue_call(self, s_append, &packet, 1)) == NULL)
+        return NULL;
+    Py_DECREF(res);
+    Py_RETURN_NONE;
+}
+
+/* JitterModel.apply inlined for a trivial spin (a factor >= 1 is
+ * enforced by its constructor, so execution is never shortened):
+ * `if jitter.p > 0.0 and self.rng.random() < jitter.p:
+ * base = int(base * jitter.factor)`.  Replaces *base* in place. */
+static int
+server_spin_jitter(ServerObject *self, PyObject **base)
+{
+    PyObject *jitter = self->jitter, *rng = self->rng, *p, *draw, *scaled;
+    int r;
+    if (require_member(jitter, "jitter") < 0)
+        return -1;
+    Py_INCREF(jitter);
+    p = PyObject_GetAttr(jitter, s_p);
+    r = p == NULL ? -1 : number_cmp(p, g_zero_float, Py_GT);
+    Py_XDECREF(p);
+    if (r > 0) {
+        if (require_member(rng, "rng") < 0)
+            r = -1;
+        else {
+            Py_INCREF(rng);
+            draw = PyObject_CallMethodNoArgs(rng, s_random);
+            Py_DECREF(rng);
+            p = draw == NULL ? NULL : PyObject_GetAttr(jitter, s_p);
+            r = p == NULL ? -1 : number_cmp(draw, p, Py_LT);
+            Py_XDECREF(p);
+            Py_XDECREF(draw);
+        }
+    }
+    if (r > 0) {
+        PyObject *factor = PyObject_GetAttr(jitter, s_factor);
+        scaled = factor == NULL ? NULL : PyNumber_Multiply(*base, factor);
+        Py_XDECREF(factor);
+        if (scaled != NULL) {
+            Py_SETREF(scaled, PyNumber_Long(scaled));
+        }
+        if (scaled == NULL)
+            r = -1;
+        else
+            Py_SETREF(*base, scaled);
+    }
+    Py_DECREF(jitter);
+    return r < 0 ? -1 : 0;
+}
+
+/* `self.sim.call_after(delay, self._finish_work, packet)`: on the C
+ * engine the entry goes straight onto its lanes, with the seq and the
+ * checks `call_after` makes there. */
+static int
+server_schedule_finish(ServerObject *self, PyObject *delay, PyObject *packet)
+{
+    PyObject *sim = self->host.sim, *fn;
+    int rc;
+    if (require_member(sim, "sim") < 0)
+        return -1;
+    fn = bound_entry((PyObject *)self, s_finish_work,
+                     (PyCFunction)server_finish_work, &self->finish_entry);
+    if (fn == NULL)
+        return -1;
+    Py_INCREF(sim);
+    if (Py_IS_TYPE(sim, &SimType)) {
+        long long d = PyLong_AsLongLong(delay);
+        if (d == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (d < 0) {
+            PyErr_Format(g_sched_error, "negative delay %lld", d);
+            rc = -1;
+        }
+        else
+            rc = hop_call_at(sim, ((SimObject *)sim)->now + d, fn, packet,
+                             NULL);
+    }
+    else {
+        PyObject *args[3] = {delay, fn, packet};
+        rc = call_discard(sim, s_call_after, args, 3);
+    }
+    Py_DECREF(sim);
+    Py_DECREF(fn);
+    return rc;
+}
+
+/* `self.service.<name>(packet.payload)`, a new reference. */
+static PyObject *
+service_call(ServerObject *self, PyObject *name, PyObject *packet)
+{
+    PyObject *payload, *res;
+    if (require_member(self->service, "service") < 0
+        || (payload = GET_PACKET(packet, payload)) == NULL)
+        return NULL;
+    res = call_method(self->service, name, &payload, 1);
+    Py_DECREF(payload);
+    return res;
+}
+
+static PyObject *
+server_start_work(ServerObject *self, PyObject *packet)
+{
+    PyObject *base, *duration;
+    int r;
+    if (self->trivial_spin) {
+        PyObject *payload = GET_PACKET(packet, payload);
+        if (payload == NULL)
+            return NULL;
+        base = PyObject_GetAttr(payload, s_service_ns);
+        Py_DECREF(payload);
+        if (base == NULL)
+            return NULL;
+        r = server_spin_jitter(self, &base);
+        if (r == 0)
+            r = server_schedule_finish(self, base, packet);
+        Py_DECREF(base);
+        if (r < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    if ((base = service_call(self, s_base_service_ns, packet)) == NULL)
+        return NULL;
+    duration = NULL;
+    if (require_member(self->jitter, "jitter") == 0
+        && require_member(self->rng, "rng") == 0) {
+        PyObject *args[2] = {base, self->rng};
+        Py_INCREF(args[1]);
+        duration = call_method(self->jitter, s_apply, args, 2);
+        Py_DECREF(args[1]);
+    }
+    r = duration == NULL ? -1 : PyObject_RichCompareBool(duration, base, Py_LT);
+    if (r > 0) {
+        PyErr_SetString(g_experiment_error,
+                        "jitter must never shorten execution");
+        r = -1;
+    }
+    if (r == 0)
+        r = server_schedule_finish(self, duration, packet);
+    Py_XDECREF(duration);
+    Py_DECREF(base);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+server_finish_work(ServerObject *self, PyObject *packet)
+{
+    PyObject *next;
+    int r;
+    if (!self->trivial_spin) {
+        PyObject *res = service_call(self, s_execute, packet);
+        if (res == NULL)
+            return NULL;
+        Py_DECREF(res);
+    }
+    /* Hand the next queued request to this worker thread first, so
+     * the piggybacked state reflects the queue after the dispatch. */
+    if ((r = truthy_member(self->queue, "queue")) < 0)
+        return NULL;
+    if (r) {
+        if ((next = queue_call(self, s_popleft, NULL, 0)) == NULL)
+            return NULL;
+        r = server_call(self, s_start_work, (PyCFunction)server_start_work,
+                        next);
+        Py_DECREF(next);
+        if (r < 0)
+            return NULL;
+    }
+    else
+        self->busy_workers -= 1;
+    if (server_call(self, s_respond, (PyCFunction)server_respond, packet) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The response's STATE: `min(queue_len, 255) if self.netclone_mode
+ * else 0`, a new reference. */
+static PyObject *
+server_state(ServerObject *self, Py_ssize_t queue_len)
+{
+    int r = truthy_member(self->netclone_mode, "netclone_mode");
+    if (r < 0)
+        return NULL;
+    if (!r)
+        return Py_NewRef(g_zero);
+    return PyLong_FromSsize_t(queue_len < NC_STATE_MAX ? queue_len
+                                                       : NC_STATE_MAX);
+}
+
+/* The response header: the request's own, stolen (the request's life
+ * ends in `_respond` and clones carry their own copy), turned round. */
+static int
+server_turn_header(ServerObject *self, PyObject *nc, Py_ssize_t queue_len)
+{
+    PyObject *state;
+    int r;
+    if (SET_HEADER(nc, msg_type, g_msg_resp) < 0
+        || require_member(self->server_id, "server_id") < 0
+        || SET_HEADER(nc, sid, self->server_id) < 0
+        || (state = server_state(self, queue_len)) == NULL)
+        return -1;
+    r = SET_HEADER(nc, state, state);
+    Py_DECREF(state);
+    return r;
+}
+
+/* The response's `acquire` arguments but the header, as new
+ * references in *values* (which start NULL).  dst: the coordinator
+ * (LAEDGE) or the requester; dport: the NetClone port a request names,
+ * else the plain request's sport. */
+static int
+response_values(ServerObject *self, PyObject *request, PyObject *nc,
+                PyObject **values)
+{
+    PyObject *reply_to = self->reply_to_ip, *size = self->fixed_resp_size;
+    if (require_member(reply_to, "reply_to_ip") < 0)
+        return -1;
+    values[A_DST] = reply_to != Py_None ? Py_NewRef(reply_to)
+                                        : GET_PACKET(request, src);
+    if (values[A_DST] == NULL)
+        return -1;
+    values[A_DPORT] = nc != Py_None ? GET_PACKET(request, dport)
+                                    : GET_PACKET(request, sport);
+    if (values[A_DPORT] == NULL
+        || require_member(size, "_fixed_resp_size") < 0)
+        return -1;
+    values[A_SIZE] = size != Py_None
+                         ? Py_NewRef(size)
+                         : service_call(self, s_response_size, request);
+    if (values[A_SIZE] == NULL || require_member(self->host.ip, "ip") < 0)
+        return -1;
+    values[A_SRC] = Py_NewRef(self->host.ip);
+    values[A_SPORT] = Py_NewRef(g_udp_port);
+    if ((values[A_PAYLOAD] = GET_PACKET(request, payload)) == NULL)
+        return -1;
+    values[A_CREATED_AT] = GET_PACKET(request, created_at);
+    return values[A_CREATED_AT] == NULL ? -1 : 0;
+}
+
+static PyObject *
+server_respond(ServerObject *self, PyObject *request)
+{
+    PyObject *values[N_ACQUIRE_ARGS] = {NULL};
+    PyObject *nc, *pool, *response = NULL;
+    Py_ssize_t queue_len;
+    int i;
+    if (require_member(self->queue, "queue") < 0
+        || (queue_len = PyObject_Size(self->queue)) < 0)
+        return NULL;
+    self->state_samples_total += 1;
+    if (queue_len == 0)
+        self->state_samples_zero += 1;
+    if ((nc = GET_PACKET(request, nc)) == NULL)
+        return NULL;
+    values[A_NC] = nc;
+    pool = self->host.packet_pool;
+    if ((nc == Py_None || server_turn_header(self, nc, queue_len) == 0)
+        && response_values(self, request, nc, values) == 0
+        && require_member(pool, "packet_pool") == 0) {
+        const char *outer = g_acquire_site;
+        Py_INCREF(pool);
+        g_acquire_site = "server.py:ServerCore";
+        response = acquire_from(pool, values);
+        g_acquire_site = outer;
+        Py_DECREF(pool);
+    }
+    for (i = 0; i < N_ACQUIRE_ARGS; i++)
+        Py_XDECREF(values[i]);
+    if (response == NULL)
+        return NULL;
+    /* The response now owns the payload reference; the request's life
+     * on the wire is over. */
+    if (release_packet(request) < 0
+        || server_count(self, s_responses_sent) < 0
+        || server_call(self, s_send, (PyCFunction)host_send, response) < 0) {
+        Py_DECREF(response);
+        return NULL;
+    }
+    Py_DECREF(response);
+    Py_RETURN_NONE;
+}
+
+#define SERVER_OBJECTS(X) \
+    X(server_id) X(service) X(jitter) X(rng) X(netclone_mode) \
+    X(drop_stale_clones) X(reply_to_ip) X(queue) X(counters) X(counts) \
+    X(fixed_resp_size) X(handle_entry) X(finish_entry)
+
+static int
+server_traverse(ServerObject *self, visitproc visit, void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    SERVER_OBJECTS(VISIT)
+#undef VISIT
+    return host_traverse(&self->host, visit, arg);
+}
+
+static int
+server_clear(ServerObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    SERVER_OBJECTS(CLEAR)
+#undef CLEAR
+    return host_clear(&self->host);
+}
+
+static void
+server_dealloc(ServerObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    server_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+#define SERVER_OBJECT(name, field) \
+    {name, T_OBJECT_EX, offsetof(ServerObject, field), 0, NULL}
+#define SERVER_LONG(name, field) \
+    {name, T_LONGLONG, offsetof(ServerObject, field), 0, NULL}
+static PyMemberDef server_members[] = {
+    SERVER_OBJECT("server_id", server_id),
+    SERVER_OBJECT("service", service),
+    SERVER_OBJECT("jitter", jitter),
+    SERVER_OBJECT("rng", rng),
+    SERVER_OBJECT("netclone_mode", netclone_mode),
+    SERVER_OBJECT("drop_stale_clones", drop_stale_clones),
+    SERVER_OBJECT("reply_to_ip", reply_to_ip),
+    SERVER_OBJECT("queue", queue),
+    SERVER_OBJECT("counters", counters),
+    SERVER_OBJECT("_counts", counts),
+    SERVER_OBJECT("_fixed_resp_size", fixed_resp_size),
+    SERVER_LONG("num_workers", num_workers),
+    SERVER_LONG("busy_workers", busy_workers),
+    SERVER_LONG("state_samples_zero", state_samples_zero),
+    SERVER_LONG("state_samples_total", state_samples_total),
+    {"_trivial_spin", T_BOOL, offsetof(ServerObject, trivial_spin), 0, NULL},
+    {NULL}
+};
+#undef SERVER_LONG
+#undef SERVER_OBJECT
+
+static PyMethodDef server_methods[] = {
+    {"handle", (PyCFunction)server_handle, METH_O,
+     "Accept, drop (a stale clone, a non-request) or queue packet."},
+    {"_start_work", (PyCFunction)server_start_work, METH_O,
+     "Occupy a worker thread for packet's (jittered) service time."},
+    {"_finish_work", (PyCFunction)server_finish_work, METH_O,
+     "Execute, dispatch the next queued request, then respond."},
+    {"_respond", (PyCFunction)server_respond, METH_O,
+     "Send the response, with the queue length piggybacked as STATE."},
+    {NULL}
+};
+
+static PyTypeObject ServerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.ServerCore",
+    .tp_basicsize = sizeof(ServerObject),
+    .tp_dealloc = (destructor)server_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of core.server.RpcServer: the request path "
+              "(accept, clone drop, dispatch, respond).",
+    .tp_traverse = (traverseproc)server_traverse,
+    .tp_clear = (inquiry)server_clear,
+    .tp_methods = server_methods,
+    .tp_members = server_members,
+    .tp_base = &HostType,
     .tp_new = PyType_GenericNew,
 };
 
@@ -2856,9 +3498,10 @@ static PyTypeObject HostType = {
 static PyObject *
 mod_configure(PyObject *module, PyObject *args)
 {
-    PyObject *sched_error, *network_error, *port_error, *stage_error;
-    if (!PyArg_ParseTuple(args, "OOOO", &sched_error, &network_error,
-                          &port_error, &stage_error))
+    PyObject *sched_error, *network_error, *port_error, *stage_error,
+        *experiment_error;
+    if (!PyArg_ParseTuple(args, "OOOOO", &sched_error, &network_error,
+                          &port_error, &stage_error, &experiment_error))
         return NULL;
     Py_INCREF(sched_error);
     Py_XSETREF(g_sched_error, sched_error);
@@ -2868,13 +3511,27 @@ mod_configure(PyObject *module, PyObject *args)
     Py_XSETREF(g_port_error, port_error);
     Py_INCREF(stage_error);
     Py_XSETREF(g_stage_access_error, stage_error);
+    Py_INCREF(experiment_error);
+    Py_XSETREF(g_experiment_error, experiment_error);
     Py_RETURN_NONE;
+}
+
+/* The sanitizer's site for a packet C code is acquiring, or None. */
+static PyObject *
+mod_acquire_site(PyObject *module, PyObject *Py_UNUSED(ignored))
+{
+    if (g_acquire_site == NULL)
+        Py_RETURN_NONE;
+    return PyUnicode_FromString(g_acquire_site);
 }
 
 static PyMethodDef mod_methods[] = {
     {"configure", mod_configure, METH_VARARGS,
      "configure(SchedulingError, NetworkError, PortError, "
-     "StageAccessError): wire the Python error classes."},
+     "StageAccessError, ExperimentError): wire the Python error classes."},
+    {"acquire_site", mod_acquire_site, METH_NOARGS,
+     "The `file:site` tag of the C code acquiring a packet through a "
+     "Python-level acquire, or None."},
     {NULL}
 };
 
@@ -2882,7 +3539,8 @@ static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._ccore",
     .m_doc = "C core for the discrete-event scheduler, the packet plane, "
-             "the forwarding hop and the NetClone switch pass.",
+             "the forwarding hop, the NetClone switch pass and the "
+             "server's request path.",
     .m_size = -1,
     .m_methods = mod_methods,
 };
@@ -2940,6 +3598,23 @@ intern_names(void)
     INTERN(s_nc_filtered, "nc_filtered");
     INTERN(s_nc_fingerprint_overwrite, "nc_fingerprint_overwrite");
     INTERN(s_nc_fingerprint_insert, "nc_fingerprint_insert");
+    INTERN(s_start_work, "_start_work");
+    INTERN(s_finish_work, "_finish_work");
+    INTERN(s_respond, "_respond");
+    INTERN(s_service_ns, "service_ns");
+    INTERN(s_p, "p");
+    INTERN(s_factor, "factor");
+    INTERN(s_random, "random");
+    INTERN(s_base_service_ns, "base_service_ns");
+    INTERN(s_apply, "apply");
+    INTERN(s_execute, "execute");
+    INTERN(s_response_size, "response_size");
+    INTERN(s_popleft, "popleft");
+    INTERN(s_call_after, "call_after");
+    INTERN(s_non_request_ignored, "non_request_ignored");
+    INTERN(s_clones_dropped, "clones_dropped");
+    INTERN(s_requests_accepted, "requests_accepted");
+    INTERN(s_responses_sent, "responses_sent");
 #undef INTERN
     {
         PyObject *header[N_HEADER_FIELDS] = {
@@ -2954,7 +3629,9 @@ intern_names(void)
     if ((g_zero_float = PyFloat_FromDouble(0.0)) == NULL
         || (g_zero = PyLong_FromLong(0)) == NULL
         || (g_one = PyLong_FromLong(1)) == NULL
-        || (g_minus_one = PyLong_FromLong(-1)) == NULL)
+        || (g_minus_one = PyLong_FromLong(-1)) == NULL
+        || (g_msg_resp = PyLong_FromLong(NC_MSG_RESP)) == NULL
+        || (g_udp_port = PyLong_FromLong(NC_UDP_PORT)) == NULL)
         return -1;
     return 0;
 }
@@ -2970,6 +3647,7 @@ PyInit__ccore(void)
         {"DirectionCore", &DirType},
         {"SwitchCore", &SwitchType},
         {"HostCore", &HostType},
+        {"ServerCore", &ServerType},
         {"NetClonePass", &PassType},
         {"PacketCore", &PacketType},
         {"PoolCore", &PoolType},

@@ -31,6 +31,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import (
+    ExperimentError,
     NetworkError,
     PortError,
     SchedulingError,
@@ -253,9 +254,10 @@ class Simulator:
 PySimulator = Simulator
 
 #: True when the C core is active: the scheduler here, the packet
-#: plane's base classes in net/packet.py and core/header.py, and the
+#: plane's base classes in net/packet.py and core/header.py, the
 #: forwarding hop's base classes in net/link.py, net/host.py and
-#: switchsim/switch.py, which select their C twins on this flag.
+#: switchsim/switch.py, and the server's in core/server.py, which
+#: select their C twins on this flag.
 USING_CCORE = False
 
 
@@ -267,7 +269,8 @@ def _load_c_engine():
         if module is None:
             return None
         module.configure(
-            SchedulingError, NetworkError, PortError, StageAccessError
+            SchedulingError, NetworkError, PortError, StageAccessError,
+            ExperimentError,
         )
         return module
     except Exception:  # pragma: no cover - any failure means fallback

@@ -44,7 +44,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet, PacketPool
+from repro.sim.core import USING_CCORE
 from repro.sim.rng import RngRegistry, stream_seed
+
+if USING_CCORE:
+    from repro.sim._ccore import acquire_site as _c_acquire_site
+else:
+
+    def _c_acquire_site() -> Optional[str]:
+        return None
 
 __all__ = [
     "CountingRandom",
@@ -78,7 +86,16 @@ _OWN_FILES = ("sanitize.py", "packet.py")
 
 
 def _call_site() -> str:
-    """``file:line`` of the nearest frame outside the pool machinery."""
+    """``file:line`` of the nearest frame outside the pool machinery.
+
+    A packet C code acquires (a clone copy the C NetClone pass makes, a
+    response the C server sends) has no Python frame of its own; the C
+    core tags it with its module and type instead (``program.py:…``,
+    ``server.py:…``), as the pure-Python engine's frame would name it.
+    """
+    site = _c_acquire_site()
+    if site is not None:
+        return site
     frame = sys._getframe(1)
     while frame is not None:
         filename = frame.f_code.co_filename

@@ -477,15 +477,17 @@ def _line():
 
 
 def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
-    # On the C core the pass copies the clone with no Python frame and
-    # the pool is a C type; the ledger must still admit the copy (the
-    # sanitizer's acquire override sees it) and retire releases (the C
+    # On the C core the pass copies the clone and the server acquires
+    # its response with no Python frame, and the pool is a C type; the
+    # ledger must still admit both (the sanitizer's acquire override
+    # sees them), name the module that acquired them on either engine
+    # (the C core tags its acquires), and retire releases (the C
     # release appends through the ledger list).
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     from repro.core import MSG_REQ, NETCLONE_UDP_PORT, VIRTUAL_SERVICE_IP, NetCloneHeader
     from repro.experiments.common import Cluster
     from repro.net.packet import PacketPool
-    from repro.sim.core import USING_CCORE
+    from repro.workloads.synthetic import RpcRequest
 
     cluster = Cluster(tiny_config(topology="star"))
     pool = cluster.packet_pool
@@ -496,7 +498,6 @@ def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
         None, NetCloneHeader(MSG_REQ, grp=0),
     )
     switch = RecordingSwitch()
-    pass_line = _line() + 1
     cluster.tors[0]._fast_apply(request, switch)
     request.release()
     (clone,) = switch.copies
@@ -505,18 +506,30 @@ def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
     stray = other.acquire(1, 2, 3, 4, 64)
     stray.pool = pool
     stray.release()
+    # A response the server sends into a sink that never releases it.
+    server = cluster.servers[0]
+    sent = []
+    server.send = sent.append
+    server.handle(
+        pool.acquire(
+            1, server.ip, NETCLONE_UDP_PORT, NETCLONE_UDP_PORT, 64,
+            RpcRequest(0, 0, 1_000), NetCloneHeader(MSG_REQ),
+        )
+    )
+    cluster.sim.run()
+    (response,) = sent
 
     report = cluster.sanitize_report()
     here = os.path.basename(__file__)
-    # Without the C core the pass is a Python closure in program.py,
-    # which is then the nearest frame outside the pool machinery.
-    pass_site = f"{here}:{pass_line}" if USING_CCORE else "program.py:"
-    [(leak_uid, leak_site), (clone_uid, clone_site)] = report.packet_leaks
+    [(leak_uid, leak_site), (clone_uid, clone_site), (response_uid, response_site)] = (
+        report.packet_leaks
+    )
     assert (leak_uid, leak_site) == (leaked.uid, f"{here}:{leak_line}")
-    assert clone_uid == clone.uid and clone_site.startswith(pass_site)
-    assert report.acquired == 3 and report.retired == 1
+    assert clone_uid == clone.uid and clone_site.startswith("program.py:")
+    assert response_uid == response.uid and response_site.startswith("server.py:")
+    assert report.acquired == 5 and report.retired == 2
     assert report.foreign_releases == 1
-    assert pool.released == 2
+    assert pool.released == 3
 
 
 def test_every_scheme_is_leak_free_and_recycles(monkeypatch):

@@ -15,7 +15,10 @@ clones itself, and the switch schedules the ``_run_recirculated`` it
 resolved when it was built.  And for the packet plane: the C hop
 releases dropped packets and the C pass copies clones itself, so both
 must call ``Packet.release``, ``Packet.copy`` and ``PacketPool.acquire``
-as Python would look them up, wrappers included.
+as Python would look them up, wrappers included.  And for the server:
+the C request path dispatches and finishes requests itself, so the RX
+slot must dispatch ``RpcServer.handle`` and a started request must
+schedule ``RpcServer._finish_work`` as Python would look them up.
 """
 
 import importlib
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from helpers import tiny_config
+from repro.core.server import RpcServer
 from repro.experiments.common import Cluster
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketPool
@@ -151,3 +155,28 @@ def test_class_level_packet_wrappers_see_every_packet_call(monkeypatch):
     assert calls["acquire"] == pool.uid_count
     assert calls["copy"] == tor.counters.get("nc_cloned")
     assert calls["release"] == pool.released
+
+
+def test_class_level_server_wrappers_see_every_server_call(monkeypatch):
+    calls = {"handle": 0, "_finish_work": 0}
+    for attr in calls:
+
+        def counted(*args, inner=RpcServer.__dict__[attr], attr=attr):
+            calls[attr] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(RpcServer, attr, counted)
+    cluster = Cluster(tiny_config(topology="star"))
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    def total(key):
+        return sum(server.counters.get(key) for server in cluster.servers)
+
+    assert total("clones_dropped") > 0 and total("responses_sent") > 0
+    assert calls["handle"] == (
+        total("requests_accepted") + total("clones_dropped")
+        + total("non_request_ignored")
+    )
+    assert calls["_finish_work"] == total("responses_sent")

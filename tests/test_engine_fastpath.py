@@ -24,7 +24,13 @@ counter.  These tests pin the contract that makes that safe:
 * the NetClone switch pass (Algorithm 1: the C ``NetClonePass`` on the
   C core, the reference closure on the pure-Python engine) takes every
   branch identically on both: verdicts, header fields, register cells,
-  switch counters and the errors it raises.
+  switch counters and the errors it raises;
+* the server's request path (the C ``ServerCore`` on the C core, the
+  pure-Python ``_ServerCore`` otherwise) queues, drops stale clones,
+  ignores non-requests, piggybacks and clamps STATE, answers plain
+  and redirected requests, calls a KV service back and rejects a
+  shortening jitter identically on both: responses, counters, state
+  samples, scheduler seq and RNG draws.
 """
 
 import math
@@ -45,6 +51,7 @@ from helpers import (
 
 import repro
 from repro.core import (
+    CLO_CLONED_COPY,
     CLO_CLONED_ORIGINAL,
     CLO_NOT_CLONED,
     MSG_REQ,
@@ -818,3 +825,191 @@ def test_live_engine_compiles_the_c_pass():
     program = NetCloneProgram(server_ips=[1001, 1002])
     assert type(program.apply).__module__ == "repro.sim._ccore"
     assert ProgrammableSwitch.__mro__[1].__module__ == "repro.sim._ccore"
+
+
+# ----------------------------------------------------------------------
+# Server drill: every branch of the request path, on both engines
+# ----------------------------------------------------------------------
+class _ServerSink(Host):
+    """The client side of a server drill: keeps every response."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "sink", 42, tx_cost_ns=0, rx_cost_ns=0)
+        self.received = []
+
+    def handle(self, packet):
+        nc = packet.nc
+        self.received.append(
+            (
+                self.sim.now, packet.uid, packet.src, packet.dst, packet.sport,
+                packet.dport, packet.size, packet.payload.client_seq,
+                packet.created_at,
+                None if nc is None else [getattr(nc, f) for f in HEADER_FIELDS],
+            )
+        )
+
+
+class _ShorteningJitter:
+    """A jitter model that breaks the never-shorten invariant."""
+
+    def apply(self, base_ns, rng):
+        return base_ns - 1 if rng.random() < 0.5 else base_ns
+
+
+def _server_drill_request(pool, seq, clo=CLO_NOT_CLONED, msg_type=MSG_REQ,
+                          service_ns=1_000, payload=None, plain=False):
+    from repro.workloads import RpcRequest
+
+    if payload is None:
+        payload = RpcRequest(client_id=0, client_seq=seq, service_ns=service_ns)
+    nc = None if plain else NetCloneHeader(msg_type, req_id=seq, clo=clo)
+    return pool.acquire(42, 99, 7_000 + seq, NETCLONE_UDP_PORT, 128, payload, nc, seq)
+
+
+def _kv_service():
+    from repro.apps.service import KvService
+    from repro.kvstore import KeyValueStore, RedisCostModel
+
+    return KvService(KeyValueStore(num_keys=1_000), RedisCostModel())
+
+
+def _kv_payloads():
+    from repro.workloads import KvOp, KvRequest
+
+    ops = (KvOp.GET, KvOp.SCAN, KvOp.SET, KvOp.GET, KvOp.SCAN)
+    return [
+        KvRequest(client_id=0, client_seq=seq, op=op, key=seq * 7, count=20 * seq)
+        for seq, op in enumerate(ops, start=1)
+    ]
+
+
+#: name → (RpcServer overrides, whether to flip ``drop_stale_clones``
+#: off after construction, the requests as ``_server_drill_request``
+#: keyword sets).
+SERVER_DRILLS = {
+    # Queueing past num_workers, stale clones dropped while the queue is
+    # non-empty, a cloned original never dropped, a response ignored.
+    "netclone": (
+        dict(num_workers=2),
+        False,
+        [dict(seq=1, service_ns=5_000), dict(seq=2, service_ns=3_000),
+         dict(seq=3, clo=CLO_CLONED_COPY),  # queue empty: accepted
+         dict(seq=4, service_ns=2_000),
+         dict(seq=5, clo=CLO_CLONED_COPY),  # queue non-empty: dropped
+         dict(seq=6, clo=CLO_CLONED_ORIGINAL),  # never dropped
+         dict(seq=7, msg_type=MSG_RESP),  # not a request: ignored
+         dict(seq=8, service_ns=500)],
+    ),
+    "clone-drop-off": (
+        dict(num_workers=1),
+        True,
+        [dict(seq=1, service_ns=4_000), dict(seq=2),
+         dict(seq=3, clo=CLO_CLONED_COPY), dict(seq=4, clo=CLO_CLONED_COPY)],
+    ),
+    # Baseline mode: STATE 0, plain requests answered on their sport.
+    "plain": (
+        dict(num_workers=1, netclone_mode=False),
+        False,
+        [dict(seq=1, service_ns=2_000), dict(seq=2, plain=True),
+         dict(seq=3, clo=CLO_CLONED_COPY), dict(seq=4, plain=True)],
+    ),
+    "reply-to": (
+        dict(num_workers=1, reply_to_ip=77),
+        False,
+        [dict(seq=1), dict(seq=2, plain=True), dict(seq=3)],
+    ),
+    # More queued requests than the one-byte STATE field can count.
+    "deep-queue": (
+        dict(num_workers=1),
+        False,
+        [dict(seq=seq, service_ns=100) for seq in range(1, 301)],
+    ),
+    "kv": (
+        dict(num_workers=2, service="kv"),
+        False,
+        [dict(seq=p.client_seq, payload=p) for p in _kv_payloads()],
+    ),
+    "kv-shortening-jitter": (
+        dict(num_workers=2, service="kv", jitter="shortening"),
+        False,
+        [dict(seq=p.client_seq, payload=p) for p in _kv_payloads()],
+    ),
+}
+
+
+def run_server_drill(name):
+    """One drill's responses (arrival time and every field), the error
+    it raised, the server's counters (in insertion order), its state
+    samples and worker state, the simulator's seq and the RNG's next
+    draw (so a missing or extra draw shows)."""
+    import random
+
+    from repro.apps.service import SyntheticService
+    from repro.core import RpcServer
+    from repro.errors import ExperimentError
+    from repro.workloads import JitterModel
+
+    overrides, flip, requests = SERVER_DRILLS[name]
+    overrides = dict(overrides)
+    service = overrides.pop("service", None)
+    jitter = overrides.pop("jitter", None)
+    sim = Simulator()
+    sink = _ServerSink(sim)
+    server = RpcServer(
+        sim, name="srv", ip=99, server_id=3,
+        service=_kv_service() if service == "kv" else SyntheticService(),
+        jitter=_ShorteningJitter() if jitter else JitterModel(0.3, 15.0),
+        rng=random.Random(11), tx_cost_ns=0, rx_cost_ns=0, **overrides,
+    )
+    link = Link(sim, server, sink, propagation_ns=0, bandwidth_bps=1e15)
+    server.attach_link(link)
+    sink.attach_link(link)
+    if flip:
+        server.drop_stale_clones = False
+    raised = None
+    try:
+        for request in requests:
+            server.handle(_server_drill_request(sink.packet_pool, **request))
+        sim.run()
+    except ExperimentError as exc:
+        raised = (type(exc).__name__, str(exc))
+    return (
+        sink.received, raised, list(server.counters._counts.items()),
+        (server.state_samples_zero, server.state_samples_total),
+        (server.busy_workers, len(server.queue)), sim._seq, server.rng.random(),
+    )
+
+
+def test_pure_python_engine_matches_live_engine_on_server_drill():
+    from repro.apps.service import SyntheticService
+
+    live = {name: run_server_drill(name) for name in SERVER_DRILLS}
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import SERVER_DRILLS, run_server_drill\n"
+        "result = {name: run_server_drill(name) for name in SERVER_DRILLS}"
+    )
+    assert pure == live
+    # The contract itself, not only engine agreement.
+    state = HEADER_FIELDS.index("state")
+    received, raised, counts, samples, workers, _, _ = live["netclone"]
+    assert dict(counts) == {
+        "requests_accepted": 6, "clones_dropped": 1, "non_request_ignored": 1,
+        "responses_sent": 6,
+    }
+    assert sorted(r[7] for r in received) == [1, 2, 3, 4, 6, 8]
+    assert raised is None and workers == (0, 0) and samples[1] == 6
+    assert any(r[9][state] > 0 for r in received)
+    received, _, counts, _, _, _, _ = live["clone-drop-off"]
+    assert dict(counts)["requests_accepted"] == 4 and "clones_dropped" not in dict(counts)
+    received, _, _, _, _, _, _ = live["plain"]
+    assert [r[9] is None for r in received] == [False, True, False, True]
+    assert all(r[9][state] == 0 for r in received if r[9] is not None)
+    assert [r[5] for r in received if r[9] is None] == [7_002, 7_004]
+    assert {r[3] for r in live["reply-to"][0]} == {77}
+    assert max(r[9][state] for r in live["deep-queue"][0]) == 255
+    received, raised, counts, _, _, _, _ = live["kv"]
+    assert raised is None and len(received) == 5
+    assert {r[6] for r in received} != {SyntheticService.RESPONSE_SIZE}
+    assert live["kv-shortening-jitter"][1] == (
+        "ExperimentError", "jitter must never shorten execution"
+    )

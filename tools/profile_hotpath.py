@@ -27,7 +27,8 @@ The scale also shrinks each end-to-end workload's measurement window.
 Under the C core (``USING_CCORE``) the scheduler, the packet plane
 (packet acquire/release/copy and NetClone header copies), the
 forwarding hop (link booking, switch ingress/egress, host NIC slots,
-recirculation) and the NetClone switch pass run in ``sim/_ccore.c``;
+recirculation), the NetClone switch pass and the server's request
+path (accept, clone drop, dispatch, respond) run in ``sim/_ccore.c``;
 cProfile sees no frame for them and charges their time to
 ``Simulator.run``'s self time (packet calls made from Python show up
 as builtin methods).  Each report then opens with a note line saying so: the
@@ -111,8 +112,9 @@ DEFAULT_TARGETS = ("core", "fig18")
 #: Printed above each report when the C core is live.
 C_CORE_NOTE = (
     "note: the C core runs the scheduler, the packet plane, the forwarding "
-    "hop and the NetClone switch pass, charged to Simulator.run's self "
-    "time; per-layer split: python benchmarks/e2e/run.py --trace 1"
+    "hop, the NetClone switch pass and the server's request path, charged "
+    "to Simulator.run's self time; per-layer split: "
+    "python benchmarks/e2e/run.py --trace 1"
 )
 SORTS = ("cumulative", "tottime", "ncalls")
 
