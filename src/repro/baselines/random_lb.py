@@ -3,6 +3,12 @@
 "The baseline sends requests to workers randomly without cloning."
 The switch forwards by plain L3 routing; servers respond directly to
 the client.
+
+:meth:`BaselineClient.build_packets` below is the reference.  With the
+C core live (``USING_CCORE``) the class names the C twin,
+``_ccore.ClientCore._baseline_packets``, instead, which replays
+``rng.choice`` from a ``random.Random`` in C (and calls it for any
+other RNG class).
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from typing import Any, List, Sequence
 from repro.apps.client import OpenLoopClient
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
+from repro.sim.core import USING_CCORE
+
+if USING_CCORE:
+    from repro.sim import _ccore
 
 __all__ = ["BaselineClient", "PLAIN_RPC_PORT"]
 
@@ -40,3 +50,8 @@ class BaselineClient(OpenLoopClient):
                 request,
             )
         ]
+
+    if USING_CCORE:
+        # In this class's own dict on either engine, so a class-level
+        # wrapper of ``BaselineClient.build_packets`` sees every build.
+        build_packets = _ccore.ClientCore._baseline_packets  # noqa: F811

@@ -14,6 +14,14 @@ table also carries the sampling rule (uniform, or a rack-local /
 global probability mix).  A §3.6 rebuild swaps the table through
 :meth:`NetCloneClient.install_group_table`, the same call the switch
 program takes, so client and switch never disagree on the pair set.
+
+:meth:`NetCloneClient.build_packets` below is the reference.  With the
+C core live (``USING_CCORE``) the class names the C twin,
+``_ccore.ClientCore._netclone_packets``, instead: it samples a
+``GroupTable`` and draws the filter-table index from a
+``random.Random`` in C (calling ``GroupTable.sample`` and the RNG's
+methods for any other table or RNG class) and builds the header in
+place, with the same draws in the same order.
 """
 
 from __future__ import annotations
@@ -32,6 +40,13 @@ from repro.core.header import NetCloneHeader
 from repro.core.placement import GroupTable
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
+from repro.sim.core import USING_CCORE
+
+if USING_CCORE:
+    from repro.sim import _ccore
+
+    # The classes the C build makes headers of and replays samples of.
+    _ccore.configure_client(NetCloneHeader, GroupTable)
 
 __all__ = ["NetCloneClient"]
 
@@ -78,17 +93,13 @@ class NetCloneClient(OpenLoopClient):
         """Group-ID space size of the current table."""
         return self._group_table.num_groups
 
-    def _pick_group(self) -> int:
-        """One group ID from the local ToR's table."""
-        return self._group_table.sample(self.rng)
-
     def build_packets(self, request: Any) -> List[Packet]:
         # Positional, in wire order: a keyword call to a class builds a
         # kwargs dict for every header.
         header = NetCloneHeader(
             MSG_REQ,  # msg_type
             0,  # req_id: assigned by the switch
-            self._pick_group(),  # grp
+            self._group_table.sample(self.rng),  # grp, from the local ToR's table
             0,  # sid
             0,  # state
             CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED,
@@ -102,3 +113,8 @@ class NetCloneClient(OpenLoopClient):
                 size, request, header,
             )
         ]
+
+    if USING_CCORE:
+        # In this class's own dict on either engine, so a class-level
+        # wrapper of ``NetCloneClient.build_packets`` sees every build.
+        build_packets = _ccore.ClientCore._netclone_packets  # noqa: F811

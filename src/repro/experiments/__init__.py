@@ -54,7 +54,9 @@ A scheme, for example:
    :class:`~repro.apps.client.OpenLoopClient`) in your own module.
    Its ``build_packets`` must depend only on the client RNG and the
    client's static configuration: arrivals are pre-drawn ahead of
-   simulated time.
+   simulated time.  With the C core live the rest of the client's
+   request path runs in C, but your ``build_packets`` still runs in
+   Python, called once per pre-drawn request under that same contract.
 2. Declare and register a spec::
 
        from repro.experiments.schemes import SCHEMES, SchemeSpec

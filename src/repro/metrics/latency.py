@@ -83,14 +83,10 @@ class LatencyRecorder:
         self.completion_monitor = None
 
     # ------------------------------------------------------------------
-    def _in_window(self, time_ns: int) -> bool:
-        if time_ns < self.warmup_ns:
-            return False
-        return self.end_ns is None or time_ns < self.end_ns
-
     def note_sent(self, send_time_ns: int) -> None:
         """Count one request sent at *send_time_ns*."""
-        # _in_window inlined: one call per request sent.
+        # The window test ``warmup_ns <= t < end_ns``, written out:
+        # one call per request sent.
         if send_time_ns >= self.warmup_ns and (
             self.end_ns is None or send_time_ns < self.end_ns
         ):
@@ -108,7 +104,7 @@ class LatencyRecorder:
             raise ExperimentError("completion before send")
         if self.completion_monitor is not None:
             self.completion_monitor.note(done_time_ns)
-        # _in_window inlined: two calls per completion.
+        # The window test twice: completion time, then send time.
         end_ns = self.end_ns
         if done_time_ns >= self.warmup_ns and (end_ns is None or done_time_ns < end_ns):
             self.completed_in_window += 1

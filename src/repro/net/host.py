@@ -29,7 +29,8 @@ back into Python only for ``handle``, ``_emit``, ``Link.send`` and
 ``REPRO_PURE_SIM=1`` path.  :class:`Host` adds no state of its own, so
 a subclass can combine it with a second base that extends
 ``_HostCore`` (``RpcServer`` does, with the server's request path in
-``core/server.py``).
+``core/server.py``, and ``OpenLoopClient`` with the client's in
+``apps/client.py``).
 """
 
 from __future__ import annotations
@@ -113,12 +114,12 @@ class Host(_HostCore):
     """One end host (client, server, or coordinator)."""
 
     # The host's state lives on the base, in slots or C fields, which
-    # keeps it out of the subclasses' instance dicts: clients add ~17
-    # attributes of their own, and CPython shares one compact key table
-    # per class only up to 30 keys (with the host's state in the dict
-    # too, star-baseline-hi lost ~7% of its simulated requests per
-    # second).  No slots here, so a subclass can also derive from a
-    # second extension of the base.
+    # keeps it out of the subclasses' instance dicts: CPython shares one
+    # compact key table per class only up to 30 keys, and with the
+    # host's state in a client's dict, star-baseline-hi lost ~7% of its
+    # simulated requests per second.  No slots here, so a subclass can
+    # also derive from a second extension of the base (the server's and
+    # the client's request paths do).
     __slots__ = ()
 
     # The NIC entry points sit in this class's own dict, so tracers

@@ -1,6 +1,6 @@
 /* C core: the two-lane calendar-queue Simulator, the packet plane, the
- * forwarding hop, the NetClone switch pass and the server's request
- * path.
+ * forwarding hop, the NetClone switch pass and the server's and the
+ * client's request paths.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -87,14 +87,35 @@
  * is not a trivial spin, and any of its own methods, `send`, `release`
  * or `acquire` that Python would not resolve to the C method.
  *
+ * The client.  `ClientCore` extends `HostCore` with apps/client.py's
+ * request path (`_send_one`, `handle`, `_refill_arrivals`, `_next_gap`,
+ * `_flush_arrivals`): pre-draw arrival records in chunks, send one per
+ * gap, and record the first response to each request, the C twin of
+ * that module's `_ClientCore`, which stays the reference.
+ * `OpenLoopClient` combines `Host` with it.  It also carries the
+ * NetClone and Baseline packet builders, which `NetCloneClient` and
+ * `BaselineClient` name as their `build_packets`.  On an exact
+ * `random.Random` it replays the RNG's draws from its two primitives,
+ * as CPython's `randrange`, `choice` and `expovariate` make them.  It
+ * calls into Python for the workload, an arrival process, the
+ * recorder, any other RNG, and any of its own methods,
+ * `build_packets`, `send`, `release` or `acquire` that Python would not
+ * resolve to the C method.
+ *
  * A packet acquired through a Python-level `acquire` from C code (a
- * clone copy, a server response) carries a site tag, `acquire_site()`,
- * which the sanitizer's ledger records in place of a Python frame.
+ * clone copy, a server response, a client request) carries a site tag,
+ * `acquire_site()`, which the sanitizer's ledger records in place of a
+ * Python frame.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <math.h>
+
+#if PY_VERSION_HEX >= 0x030D0000
+#define _PyObject_LookupAttr PyObject_GetOptionalAttr
+#endif
 
 /* Configured once from Python via _ccore.configure(...). */
 static PyObject *g_sched_error = NULL;    /* SchedulingError class */
@@ -799,9 +820,10 @@ sim_now_of(PyObject *sim, long long *now)
     return long_attr(sim, s_now, now);
 }
 
-/* `sim.call_at(time, fn, a0[, a1])`.  On the C engine the entry goes
- * straight onto the lanes, with the same seq and the same
- * before-now check `call_at` makes; any other engine gets the call. */
+/* `sim.call_at(time, fn[, a0[, a1]])` (*a0* NULL: no arguments).  On
+ * the C engine the entry goes straight onto the lanes, with the same
+ * seq and the same before-now check `call_at` makes; any other engine
+ * gets the call. */
 static int
 hop_call_at(PyObject *sim, long long time, PyObject *fn,
             PyObject *a0, PyObject *a1)
@@ -821,8 +843,9 @@ hop_call_at(PyObject *sim, long long time, PyObject *fn,
                          time, engine->now);
             rc = -1;
         }
-        else if ((args = a1 == NULL ? PyTuple_Pack(1, a0)
-                                    : PyTuple_Pack(2, a0, a1)) == NULL)
+        else if ((args = a0 == NULL   ? PyTuple_New(0)
+                         : a1 == NULL ? PyTuple_Pack(1, a0)
+                                      : PyTuple_Pack(2, a0, a1)) == NULL)
             rc = -1;
         else {
             rc = schedule_entry(engine, time_obj, time, fn, args);
@@ -832,7 +855,7 @@ hop_call_at(PyObject *sim, long long time, PyObject *fn,
     else {
         PyObject *stack[5] = {sim, time_obj, fn, a0, a1};
         PyObject *res = PyObject_VectorcallMethod(
-            s_call_at, stack, a1 == NULL ? 4 : 5, NULL);
+            s_call_at, stack, a0 == NULL ? 3 : a1 == NULL ? 4 : 5, NULL);
         rc = res == NULL ? -1 : 0;
         Py_XDECREF(res);
     }
@@ -2762,8 +2785,25 @@ typedef struct {
     char trivial_spin;
 } ServerObject;
 
-static PyTypeObject ServerType;
+/* An open-loop client: the host, then apps/client.py's `_ClientCore`
+ * state (see ClientCore below). */
+typedef struct {
+    HostObject host;
+    PyObject *client_id, *workload, *recorder, *rng, *stop_at_ns,
+        *arrival_process, *outstanding, *arrivals;
+    PyObject *handle_entry;  /* the bound C `handle`, made once */
+    PyObject *send_entry;    /* the bound C `_send_one`, made once */
+    double mean_gap_ns;
+    long long seq;
+    long long predrawn_seq;
+    long long responses_received;
+    long long redundant_responses;
+    Py_ssize_t arrival_idx;
+} ClientObject;
+
+static PyTypeObject ServerType, ClientType;
 static PyObject *server_handle(ServerObject *self, PyObject *packet);
+static PyObject *client_handle(ClientObject *self, PyObject *packet);
 
 /* `obj.<name>` as Python reads it; when that is the C method *meth*,
  * the bound method made the first time and kept in *cache*, so a hot
@@ -2787,6 +2827,10 @@ host_handle_entry(HostObject *self)
         return bound_entry((PyObject *)self, s_handle,
                            (PyCFunction)server_handle,
                            &((ServerObject *)self)->handle_entry);
+    if (PyObject_TypeCheck(self, &ClientType))
+        return bound_entry((PyObject *)self, s_handle,
+                           (PyCFunction)client_handle,
+                           &((ClientObject *)self)->handle_entry);
     return PyObject_GetAttr((PyObject *)self, s_handle);
 }
 
@@ -3010,7 +3054,8 @@ call_method(PyObject *obj, PyObject *name, PyObject *const *args,
 {
     PyObject *stack[4], *res;
     stack[0] = obj;
-    memcpy(stack + 1, args, nargs * sizeof(PyObject *));
+    if (nargs > 0)
+        memcpy(stack + 1, args, nargs * sizeof(PyObject *));
     Py_INCREF(obj);
     res = PyObject_VectorcallMethod(name, stack, nargs + 1, NULL);
     Py_DECREF(obj);
@@ -3029,16 +3074,22 @@ call_discard(PyObject *obj, PyObject *name, PyObject *const *args,
     return 0;
 }
 
-/* `self.<name>(arg)`: the C method *meth* directly when Python would
- * resolve the name to it, else the call Python would make. */
-static int
-server_call(ServerObject *self, PyObject *name, PyCFunction meth,
-            PyObject *arg)
+/* `self.<name>(arg)` (*arg* NULL: no argument): the C method *meth*
+ * directly when Python would resolve the name to it, else the call
+ * Python would make.  A new reference. */
+static PyObject *
+self_call(PyObject *self, PyObject *name, PyCFunction meth, PyObject *arg)
 {
-    PyObject *res;
-    if (!resolves_to((PyObject *)self, name, meth))
-        return call_discard((PyObject *)self, name, &arg, 1);
-    res = meth((PyObject *)self, arg);
+    if (resolves_to(self, name, meth))
+        return meth(self, arg);
+    return call_method(self, name, &arg, arg == NULL ? 0 : 1);
+}
+
+/* `self.<name>(arg)` as `self_call`, result discarded. */
+static int
+self_discard(PyObject *self, PyObject *name, PyCFunction meth, PyObject *arg)
+{
+    PyObject *res = self_call(self, name, meth, arg);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -3118,8 +3169,8 @@ server_handle(ServerObject *self, PyObject *packet)
         return NULL;
     if (self->busy_workers < self->num_workers) {
         self->busy_workers += 1;
-        if (server_call(self, s_start_work, (PyCFunction)server_start_work,
-                        packet) < 0)
+        if (self_discard((PyObject *)self, s_start_work,
+                         (PyCFunction)server_start_work, packet) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -3173,20 +3224,13 @@ server_spin_jitter(ServerObject *self, PyObject **base)
     return r < 0 ? -1 : 0;
 }
 
-/* `self.sim.call_after(delay, self._finish_work, packet)`: on the C
- * engine the entry goes straight onto its lanes, with the seq and the
- * checks `call_after` makes there. */
+/* `sim.call_after(delay, fn[, arg])` (*arg* NULL: no argument): on the
+ * C engine the entry goes straight onto its lanes, with the seq and
+ * the checks `call_after` makes there. */
 static int
-server_schedule_finish(ServerObject *self, PyObject *delay, PyObject *packet)
+schedule_after(PyObject *sim, PyObject *delay, PyObject *fn, PyObject *arg)
 {
-    PyObject *sim = self->host.sim, *fn;
     int rc;
-    if (require_member(sim, "sim") < 0)
-        return -1;
-    fn = bound_entry((PyObject *)self, s_finish_work,
-                     (PyCFunction)server_finish_work, &self->finish_entry);
-    if (fn == NULL)
-        return -1;
     Py_INCREF(sim);
     if (Py_IS_TYPE(sim, &SimType)) {
         long long d = PyLong_AsLongLong(delay);
@@ -3197,14 +3241,29 @@ server_schedule_finish(ServerObject *self, PyObject *delay, PyObject *packet)
             rc = -1;
         }
         else
-            rc = hop_call_at(sim, ((SimObject *)sim)->now + d, fn, packet,
-                             NULL);
+            rc = hop_call_at(sim, ((SimObject *)sim)->now + d, fn, arg, NULL);
     }
     else {
-        PyObject *args[3] = {delay, fn, packet};
-        rc = call_discard(sim, s_call_after, args, 3);
+        PyObject *args[3] = {delay, fn, arg};
+        rc = call_discard(sim, s_call_after, args, arg == NULL ? 2 : 3);
     }
     Py_DECREF(sim);
+    return rc;
+}
+
+/* `self.sim.call_after(delay, self._finish_work, packet)`. */
+static int
+server_schedule_finish(ServerObject *self, PyObject *delay, PyObject *packet)
+{
+    PyObject *fn;
+    int rc;
+    if (require_member(self->host.sim, "sim") < 0)
+        return -1;
+    fn = bound_entry((PyObject *)self, s_finish_work,
+                     (PyCFunction)server_finish_work, &self->finish_entry);
+    if (fn == NULL)
+        return -1;
+    rc = schedule_after(self->host.sim, delay, fn, packet);
     Py_DECREF(fn);
     return rc;
 }
@@ -3286,15 +3345,16 @@ server_finish_work(ServerObject *self, PyObject *packet)
     if (r) {
         if ((next = queue_call(self, s_popleft, NULL, 0)) == NULL)
             return NULL;
-        r = server_call(self, s_start_work, (PyCFunction)server_start_work,
-                        next);
+        r = self_discard((PyObject *)self, s_start_work,
+                         (PyCFunction)server_start_work, next);
         Py_DECREF(next);
         if (r < 0)
             return NULL;
     }
     else
         self->busy_workers -= 1;
-    if (server_call(self, s_respond, (PyCFunction)server_respond, packet) < 0)
+    if (self_discard((PyObject *)self, s_respond,
+                     (PyCFunction)server_respond, packet) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3398,7 +3458,8 @@ server_respond(ServerObject *self, PyObject *request)
      * on the wire is over. */
     if (release_packet(request) < 0
         || server_count(self, s_responses_sent) < 0
-        || server_call(self, s_send, (PyCFunction)host_send, response) < 0) {
+        || self_discard((PyObject *)self, s_send, (PyCFunction)host_send,
+                        response) < 0) {
         Py_DECREF(response);
         return NULL;
     }
@@ -3492,6 +3553,879 @@ static PyTypeObject ServerType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* ClientCore: the open-loop client's request path                     */
+/* ------------------------------------------------------------------ */
+
+/* apps/client.py's `_send_one`, `handle`, `_refill_arrivals`,
+ * `_next_gap` and `_flush_arrivals`: the C twin of the pure-Python
+ * `_ClientCore`, which stays the reference.  `OpenLoopClient` combines
+ * `Host` with whichever is live, so one object holds the NIC slots and
+ * the client state.  Two packet builders live here too, as the C twins
+ * of `NetCloneClient.build_packets` (core/client.py) and
+ * `BaselineClient.build_packets` (baselines/random_lb.py); those
+ * classes name them as their `build_packets` when the C core is live.
+ *
+ * The path keeps the reference's every observable: the same draws
+ * from the same RNG in the same order (per record: the workload's
+ * request, then the packets, then the gap), one `call_after` seq per
+ * send, the same `_seq`/`_predrawn_seq` bookkeeping, and the Python
+ * collaborators called as before (the workload's request chunk and
+ * request size, an arrival process's `next_gap`, the recorder's
+ * `note_sent` and `record`).  On an exact `random.Random` the draws
+ * are replayed from its two primitives, `random()` and
+ * `getrandbits(k)`, exactly as CPython's `randrange`, `choice` and
+ * `expovariate` make them; any other RNG gets the Python calls.  Each
+ * of the client's own methods, `build_packets`, `send`, `release` and
+ * `acquire` is called in C only where Python would resolve the name to
+ * the C method, so class-level wrappers, subclass overrides (the
+ * reliable client's) and the sanitizer see every call. */
+
+#define NC_VIRTUAL_SERVICE_IP 167772417LL  /* core/constants.py, 10.0.1.1 */
+#define PLAIN_RPC_PORT 7000                /* baselines/random_lb.py */
+
+static PyObject *s_send_one, *s_refill_arrivals, *s_next_gap,
+    *s_process_next_gap, *s_flush_arrivals, *s_build_packets, *s_arrival_chunk,
+    *s_make_request_chunk, *s_make_request, *s_request_size, *s_note_sent,
+    *s_record, *s_client_id, *s_client_seq, *s_write, *s_randrange,
+    *s_choice, *s_expovariate, *s_sample, *s_pairs, *s_split, *s_p_local,
+    *s_group_table, *s_num_filter_tables, *s_server_ips, *s_wire_size;
+static PyObject *g_random_type = NULL;    /* random.Random */
+static PyObject *g_rng_random = NULL;     /* its `random` method */
+static PyObject *g_rng_getrandbits = NULL;  /* its `getrandbits` method */
+static PyObject *g_header_type = NULL;    /* core.header.NetCloneHeader */
+static PyObject *g_group_table_type = NULL;  /* core.placement.GroupTable */
+static PyObject *g_wire_size = NULL;      /* NetCloneHeader.WIRE_SIZE */
+static PyObject *g_one_float = NULL;      /* 1.0, expovariate's rate */
+static PyObject *g_virtual_ip = NULL;     /* NC_VIRTUAL_SERVICE_IP */
+static PyObject *g_plain_port = NULL;     /* PLAIN_RPC_PORT */
+
+static PyObject *client_handle(ClientObject *self, PyObject *packet);
+static PyObject *client_send_one(ClientObject *self, PyObject *unused);
+static PyObject *client_refill_arrivals(ClientObject *self, PyObject *unused);
+static PyObject *client_next_gap(ClientObject *self, PyObject *unused);
+static PyObject *client_netclone_packets(ClientObject *self,
+                                         PyObject *request);
+static PyObject *client_baseline_packets(ClientObject *self,
+                                         PyObject *request);
+
+/* --- RNG replay ----------------------------------------------------- */
+
+/* Whether C may replay *rng*'s draws: it is exactly `random.Random`. */
+static int
+rng_is_stock(PyObject *rng)
+{
+    return g_random_type != NULL && (PyObject *)Py_TYPE(rng) == g_random_type;
+}
+
+/* `rng.random()` on a stock Random, a new reference. */
+static PyObject *
+rng_random(PyObject *rng)
+{
+    return PyObject_Vectorcall(g_rng_random, &rng, 1, NULL);
+}
+
+/* `rng._randbelow(n)` on a stock Random for 1 <= n: CPython's
+ * `_randbelow_with_getrandbits` (k = n.bit_length(); draw
+ * `getrandbits(k)` until the value is below n). */
+static int
+rng_below(PyObject *rng, long long n, long long *out)
+{
+    PyObject *k, *args[2], *bits;
+    long long r;
+    int nbits = 0;
+    while (nbits < 63 && (n >> nbits) != 0)
+        nbits++;
+    if ((k = PyLong_FromLong(nbits)) == NULL)
+        return -1;
+    args[0] = rng;
+    args[1] = k;
+    do {
+        bits = PyObject_Vectorcall(g_rng_getrandbits, args, 2, NULL);
+        if (bits == NULL) {
+            Py_DECREF(k);
+            return -1;
+        }
+        r = PyLong_AsLongLong(bits);
+        Py_DECREF(bits);
+        if (r == -1 && PyErr_Occurred()) {
+            Py_DECREF(k);
+            return -1;
+        }
+    } while (r >= n);
+    Py_DECREF(k);
+    *out = r;
+    return 0;
+}
+
+/* A positive int that fits a long long, as one; 0 for anything else
+ * (which then takes the Python call and its checks). */
+static long long
+positive_ll(PyObject *n)
+{
+    int overflow;
+    long long value;
+    if (!PyLong_CheckExact(n))
+        return 0;
+    value = PyLong_AsLongLongAndOverflow(n, &overflow);
+    return overflow || value < 1 ? 0 : value;
+}
+
+/* `rng.randrange(n)`, a new reference. */
+static PyObject *
+rng_randrange(PyObject *rng, PyObject *n)
+{
+    long long bound = rng_is_stock(rng) ? positive_ll(n) : 0, r;
+    if (bound == 0)
+        return call_method(rng, s_randrange, &n, 1);
+    if (rng_below(rng, bound, &r) < 0)
+        return NULL;
+    return PyLong_FromLongLong(r);
+}
+
+/* `rng.choice(seq)`, a new reference: replayed for a non-empty list or
+ * tuple, called for anything else. */
+static PyObject *
+rng_choice(PyObject *rng, PyObject *seq)
+{
+    Py_ssize_t n;
+    long long r;
+    if (!rng_is_stock(rng)
+        || !(PyList_CheckExact(seq) || PyTuple_CheckExact(seq))
+        || (n = PySequence_Fast_GET_SIZE(seq)) == 0)
+        return call_method(rng, s_choice, &seq, 1);
+    if (rng_below(rng, n, &r) < 0)
+        return NULL;
+    return PySequence_GetItem(seq, (Py_ssize_t)r);
+}
+
+/* `table.sample(rng)` (core/placement.py), a new reference: replayed
+ * for a stock GroupTable and a stock Random, called otherwise.  A
+ * uniform table spends one `randrange`; a sectioned one a `random()`
+ * to pick the section, then a `randrange` inside it. */
+static PyObject *
+group_sample(PyObject *table, PyObject *rng)
+{
+    PyObject *pairs, *p_local, *draw;
+    Py_ssize_t total;
+    long long split, r;
+    int local;
+    if (g_group_table_type == NULL
+        || (PyObject *)Py_TYPE(table) != g_group_table_type
+        || !rng_is_stock(rng))
+        return call_method(table, s_sample, &rng, 1);
+    if ((pairs = PyObject_GetAttr(table, s_pairs)) == NULL)
+        return NULL;
+    total = PyObject_Size(pairs);
+    Py_DECREF(pairs);
+    if (total < 0 || long_attr(table, s_split, &split) < 0)
+        return NULL;
+    if (total < 1)
+        return call_method(table, s_sample, &rng, 1);
+    if (split >= total || split <= 0) {
+        if (rng_below(rng, total, &r) < 0)
+            return NULL;
+        return PyLong_FromLongLong(r);
+    }
+    if ((draw = rng_random(rng)) == NULL)
+        return NULL;
+    p_local = PyObject_GetAttr(table, s_p_local);
+    local = p_local == NULL ? -1 : number_cmp(draw, p_local, Py_LT);
+    Py_XDECREF(p_local);
+    Py_DECREF(draw);
+    if (local < 0)
+        return NULL;
+    if (local) {
+        if (rng_below(rng, split, &r) < 0)
+            return NULL;
+        return PyLong_FromLongLong(r);
+    }
+    if (rng_below(rng, total - split, &r) < 0)
+        return NULL;
+    return PyLong_FromLongLong(split + r);
+}
+
+/* --- Calls the reference makes on itself ----------------------------- */
+
+/* `self.build_packets(request)`: either C builder, or the Python one. */
+static PyObject *
+client_build(ClientObject *self, PyObject *request)
+{
+    if (resolves_to((PyObject *)self, s_build_packets,
+                    (PyCFunction)client_netclone_packets))
+        return client_netclone_packets(self, request);
+    return self_call((PyObject *)self, s_build_packets,
+                     (PyCFunction)client_baseline_packets, request);
+}
+
+/* `[self.packet_pool.acquire(self.ip, *values)]` (*values* from the
+ * destination on), tagged as the client's. */
+static PyObject *
+client_acquire_list(ClientObject *self, PyObject *const *values)
+{
+    PyObject *pool = self->host.packet_pool, *ip = self->host.ip, *packet,
+        *list, *args[N_ACQUIRE_ARGS];
+    const char *outer = g_acquire_site;
+    if (require_member(pool, "packet_pool") < 0
+        || require_member(ip, "ip") < 0)
+        return NULL;
+    Py_INCREF(pool);
+    Py_INCREF(ip);
+    args[A_SRC] = ip;
+    memcpy(args + A_DST, values, (N_ACQUIRE_ARGS - A_DST) * sizeof(PyObject *));
+    g_acquire_site = "client.py:ClientCore";
+    packet = acquire_from(pool, args);
+    g_acquire_site = outer;
+    Py_DECREF(ip);
+    Py_DECREF(pool);
+    if (packet == NULL)
+        return NULL;
+    list = PyList_New(1);
+    if (list == NULL) {
+        Py_DECREF(packet);
+        return NULL;
+    }
+    PyList_SET_ITEM(list, 0, packet);
+    return list;
+}
+
+/* `self.workload.request_size(request)`, a new reference. */
+static PyObject *
+client_request_size(ClientObject *self, PyObject *request)
+{
+    if (require_member(self->workload, "workload") < 0)
+        return NULL;
+    return call_method(self->workload, s_request_size, &request, 1);
+}
+
+/* A NetClone request header, `NetCloneHeader(MSG_REQ, 0, grp, 0, 0,
+ * clo, idx, 0)`, built in place (`configure_client` admits only a
+ * header class that adds no constructor of its own). */
+static PyObject *
+client_new_header(PyObject *grp, long clo, PyObject *idx)
+{
+    PyTypeObject *type = (PyTypeObject *)g_header_type;
+    PyObject *values[N_HEADER_FIELDS] = {
+        NULL, g_zero, grp, g_zero, g_zero, NULL, idx, g_zero};
+    PyObject *header, **fields;
+    int i;
+    if (type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_ccore.configure_client() was not called");
+        return NULL;
+    }
+    if ((header = type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    fields = header_fields((HeaderObject *)header);
+    for (i = 0; i < N_HEADER_FIELDS; i++)
+        fields[i] = Py_XNewRef(values[i]);
+    if ((fields[0] = PyLong_FromLong(NC_MSG_REQ)) == NULL
+        || (fields[5] = PyLong_FromLong(clo)) == NULL) {
+        Py_DECREF(header);
+        return NULL;
+    }
+    return header;
+}
+
+/* --- The two builders ------------------------------------------------ */
+
+/* core/client.py's `NetCloneClient.build_packets`: one request to the
+ * virtual service IP, with a group ID from the local ToR's table, the
+ * CLO the request's `write` flag asks for and a random filter-table
+ * index (in that draw order). */
+static PyObject *
+client_netclone_packets(ClientObject *self, PyObject *request)
+{
+    PyObject *table, *grp = NULL, *write = NULL, *tables, *idx = NULL,
+        *header = NULL, *size = NULL, *wire = NULL, *packets = NULL;
+    PyObject *rng = self->rng;
+    int is_write = 0;
+    if (require_member(rng, "rng") < 0)
+        return NULL;
+    Py_INCREF(rng);
+    if ((table = PyObject_GetAttr((PyObject *)self, s_group_table)) != NULL) {
+        grp = group_sample(table, rng);
+        Py_DECREF(table);
+    }
+    /* `getattr(request, "write", False)`. */
+    if (grp == NULL || _PyObject_LookupAttr(request, s_write, &write) < 0
+        || (write != NULL && (is_write = PyObject_IsTrue(write)) < 0))
+        goto done;
+    if ((tables = PyObject_GetAttr((PyObject *)self, s_num_filter_tables))
+        == NULL)
+        goto done;
+    idx = rng_randrange(rng, tables);
+    Py_DECREF(tables);
+    if (idx == NULL
+        || (header = client_new_header(
+                grp, is_write ? NC_CLO_NEVER_CLONE : NC_CLO_NOT_CLONED,
+                idx)) == NULL
+        || (size = client_request_size(self, request)) == NULL
+        || (wire = PyNumber_Add(size, g_wire_size)) == NULL)
+        goto done;
+    {
+        PyObject *values[] = {
+            g_virtual_ip, g_udp_port, g_udp_port, wire, request, header,
+            g_zero};
+        packets = client_acquire_list(self, values);
+    }
+done:
+    Py_XDECREF(wire);
+    Py_XDECREF(size);
+    Py_XDECREF(header);
+    Py_XDECREF(idx);
+    Py_XDECREF(write);
+    Py_XDECREF(grp);
+    Py_DECREF(rng);
+    return packets;
+}
+
+/* baselines/random_lb.py's `BaselineClient.build_packets`: one plain
+ * request to a uniformly chosen server. */
+static PyObject *
+client_baseline_packets(ClientObject *self, PyObject *request)
+{
+    PyObject *rng = self->rng, *servers, *destination, *size,
+        *packets = NULL;
+    if (require_member(rng, "rng") < 0
+        || (servers = PyObject_GetAttr((PyObject *)self, s_server_ips)) == NULL)
+        return NULL;
+    Py_INCREF(rng);
+    destination = rng_choice(rng, servers);
+    Py_DECREF(servers);
+    Py_DECREF(rng);
+    if (destination == NULL)
+        return NULL;
+    if ((size = client_request_size(self, request)) != NULL) {
+        PyObject *values[] = {
+            destination, g_plain_port, g_plain_port, size, request, Py_None,
+            g_zero};
+        packets = client_acquire_list(self, values);
+    }
+    Py_XDECREF(size);
+    Py_DECREF(destination);
+    return packets;
+}
+
+/* --- Arrivals -------------------------------------------------------- */
+
+/* `int(x) + 1` for a gap x >= 0 in ns. */
+static PyObject *
+gap_from_double(double x)
+{
+    PyObject *whole, *gap;
+    if (x < 9.0e18)
+        return PyLong_FromLongLong((long long)x + 1);
+    if ((whole = PyLong_FromDouble(x)) == NULL)
+        return NULL;
+    gap = PyNumber_Add(whole, g_one);
+    Py_DECREF(whole);
+    return gap;
+}
+
+/* `arrival_process.next_gap()` when there is one, else
+ * `int(rng.expovariate(1.0) * self._mean_gap_ns) + 1`; on a stock
+ * Random, expovariate(1.0) is `-log(1.0 - rng.random())`. */
+static PyObject *
+client_next_gap(ClientObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *process = self->arrival_process, *rng = self->rng, *draw,
+        *mean, *scaled, *gap;
+    if (require_member(process, "arrival_process") < 0)
+        return NULL;
+    if (process != Py_None)
+        return call_method(process, s_process_next_gap, NULL, 0);
+    if (require_member(rng, "rng") < 0)
+        return NULL;
+    Py_INCREF(rng);
+    if (rng_is_stock(rng)) {
+        draw = rng_random(rng);
+        Py_DECREF(rng);
+        if (draw == NULL)
+            return NULL;
+        gap = gap_from_double(-log(1.0 - PyFloat_AsDouble(draw))
+                              * self->mean_gap_ns);
+        Py_DECREF(draw);
+        return gap;
+    }
+    draw = call_method(rng, s_expovariate, &g_one_float, 1);
+    Py_DECREF(rng);
+    if (draw == NULL)
+        return NULL;
+    mean = PyFloat_FromDouble(self->mean_gap_ns);
+    scaled = mean == NULL ? NULL : PyNumber_Multiply(draw, mean);
+    Py_XDECREF(mean);
+    Py_DECREF(draw);
+    if (scaled == NULL)
+        return NULL;
+    Py_SETREF(scaled, PyNumber_Long(scaled));
+    if (scaled == NULL)
+        return NULL;
+    gap = PyNumber_Add(scaled, g_one);
+    Py_DECREF(scaled);
+    return gap;
+}
+
+/* The workload's requests for the next chunk: `make_request_chunk` in
+ * one call when the workload has it, else one `make_request` per
+ * seq.  A new reference. */
+static PyObject *
+client_requests(ClientObject *self, PyObject *chunk)
+{
+    PyObject *workload = self->workload, *client_id = self->client_id,
+        *make_chunk, *requests = NULL;
+    Py_ssize_t n, i;
+    if (require_member(workload, "workload") < 0
+        || require_member(client_id, "client_id") < 0)
+        return NULL;
+    Py_INCREF(workload);
+    Py_INCREF(client_id);
+    if (_PyObject_LookupAttr(workload, s_make_request_chunk, &make_chunk) < 0)
+        goto done;
+    if (make_chunk != NULL && make_chunk != Py_None) {
+        PyObject *first = PyLong_FromLongLong(self->predrawn_seq + 1);
+        if (first != NULL) {
+            PyObject *args[3] = {client_id, first, chunk};
+            requests = PyObject_Vectorcall(make_chunk, args, 3, NULL);
+            Py_DECREF(first);
+        }
+        Py_DECREF(make_chunk);
+        goto done;
+    }
+    Py_XDECREF(make_chunk);
+    if ((n = PyNumber_AsSsize_t(chunk, PyExc_OverflowError)) == -1
+        && PyErr_Occurred())
+        goto done;
+    if ((requests = PyList_New(0)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        PyObject *seq = PyLong_FromLongLong(self->predrawn_seq + 1 + i),
+            *request = NULL;
+        if (seq != NULL) {
+            PyObject *args[2] = {client_id, seq};
+            request = call_method(workload, s_make_request, args, 2);
+            Py_DECREF(seq);
+        }
+        if (request == NULL || PyList_Append(requests, request) < 0) {
+            Py_XDECREF(request);
+            Py_CLEAR(requests);
+            goto done;
+        }
+        Py_DECREF(request);
+    }
+done:
+    Py_DECREF(client_id);
+    Py_DECREF(workload);
+    return requests;
+}
+
+/* One arrival record, `(seq, request, self.build_packets(request),
+ * self._next_gap())`, a new reference. */
+static PyObject *
+client_record(ClientObject *self, long long seq, PyObject *request)
+{
+    PyObject *seq_obj, *packets, *gap, *record;
+    if ((packets = client_build(self, request)) == NULL)
+        return NULL;
+    if ((gap = self_call((PyObject *)self, s_next_gap,
+                         (PyCFunction)client_next_gap, NULL)) == NULL) {
+        Py_DECREF(packets);
+        return NULL;
+    }
+    if ((seq_obj = PyLong_FromLongLong(seq)) == NULL) {
+        Py_DECREF(gap);
+        Py_DECREF(packets);
+        return NULL;
+    }
+    record = PyTuple_Pack(4, seq_obj, request, packets, gap);
+    Py_DECREF(seq_obj);
+    Py_DECREF(packets);
+    Py_DECREF(gap);
+    return record;
+}
+
+static PyObject *
+client_refill_arrivals(ClientObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *chunk, *requests, *iter, *request, *buf, *record;
+    long long seq = self->predrawn_seq;
+    if ((chunk = PyObject_GetAttr((PyObject *)self, s_arrival_chunk)) == NULL)
+        return NULL;
+    requests = client_requests(self, chunk);
+    Py_DECREF(chunk);
+    if (requests == NULL)
+        return NULL;
+    iter = PyObject_GetIter(requests);
+    Py_DECREF(requests);
+    if (iter == NULL || (buf = PyList_New(0)) == NULL) {
+        Py_XDECREF(iter);
+        return NULL;
+    }
+    while ((request = PyIter_Next(iter)) != NULL) {
+        seq += 1;
+        record = client_record(self, seq, request);
+        Py_DECREF(request);
+        if (record == NULL || PyList_Append(buf, record) < 0) {
+            Py_XDECREF(record);
+            break;
+        }
+        Py_DECREF(record);
+    }
+    Py_DECREF(iter);
+    if (PyErr_Occurred()) {
+        Py_DECREF(buf);
+        return NULL;
+    }
+    self->predrawn_seq = seq;
+    Py_XSETREF(self->arrivals, buf);
+    self->arrival_idx = 0;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+client_flush_arrivals(ClientObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *arrivals = self->arrivals, *slice, *rest, *empty;
+    Py_ssize_t i;
+    if (require_member(arrivals, "_arrivals") < 0)
+        return NULL;
+    /* `for record in self._arrivals[self._arrival_idx:]`. */
+    slice = PySequence_GetSlice(arrivals, self->arrival_idx, PY_SSIZE_T_MAX);
+    if (slice == NULL)
+        return NULL;
+    rest = PySequence_Fast(slice, "_arrivals must be a sequence");
+    Py_DECREF(slice);
+    if (rest == NULL)
+        return NULL;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(rest); i++) {
+        PyObject *record = PySequence_Fast_GET_ITEM(rest, i), *packets, *iter,
+            *packet;
+        int rc = 0;
+        if (record == Py_None)
+            continue;
+        if ((packets = PySequence_GetItem(record, 2)) == NULL
+            || (iter = PyObject_GetIter(packets)) == NULL) {
+            Py_XDECREF(packets);
+            Py_DECREF(rest);
+            return NULL;
+        }
+        Py_DECREF(packets);
+        while (rc == 0 && (packet = PyIter_Next(iter)) != NULL) {
+            rc = release_packet(packet);
+            Py_DECREF(packet);
+        }
+        Py_DECREF(iter);
+        if (rc < 0 || PyErr_Occurred()) {
+            Py_DECREF(rest);
+            return NULL;
+        }
+    }
+    Py_DECREF(rest);
+    if ((empty = PyList_New(0)) == NULL)
+        return NULL;
+    Py_XSETREF(self->arrivals, empty);
+    self->arrival_idx = 0;
+    /* Flushed records were never sent, so their sequence numbers are
+     * free again; re-drawing them keeps sent seqs contiguous. */
+    self->predrawn_seq = self->seq;
+    Py_RETURN_NONE;
+}
+
+/* --- Send and receive ------------------------------------------------ */
+
+/* `self.sim.now >= self.stop_at_ns` (false when it is None). */
+static int
+client_stopped(ClientObject *self, long long now)
+{
+    PyObject *stop = self->stop_at_ns, *now_obj;
+    int overflow, r;
+    long long at;
+    if (require_member(stop, "stop_at_ns") < 0)
+        return -1;
+    if (stop == Py_None)
+        return 0;
+    if (PyLong_CheckExact(stop)) {
+        at = PyLong_AsLongLongAndOverflow(stop, &overflow);
+        if (!overflow)
+            return now >= at;
+    }
+    if ((now_obj = PyLong_FromLongLong(now)) == NULL)
+        return -1;
+    r = PyObject_RichCompareBool(now_obj, stop, Py_GE);
+    Py_DECREF(now_obj);
+    return r;
+}
+
+/* The next arrival record, consumed: `self._arrivals[idx]` (after a
+ * refill when the buffer is spent), None-ed out in the buffer.  A new
+ * reference. */
+static PyObject *
+client_take_record(ClientObject *self)
+{
+    Py_ssize_t idx = self->arrival_idx, n;
+    PyObject *record;
+    if (require_member(self->arrivals, "_arrivals") < 0
+        || (n = PyObject_Size(self->arrivals)) < 0)
+        return NULL;
+    if (idx >= n) {
+        if (self_discard((PyObject *)self, s_refill_arrivals,
+                         (PyCFunction)client_refill_arrivals, NULL) < 0)
+            return NULL;
+        idx = 0;
+        if (require_member(self->arrivals, "_arrivals") < 0)
+            return NULL;
+    }
+    if ((record = PySequence_GetItem(self->arrivals, idx)) == NULL)
+        return NULL;
+    /* The record's refs die with the send. */
+    if (PySequence_SetItem(self->arrivals, idx, Py_None) < 0) {
+        Py_DECREF(record);
+        return NULL;
+    }
+    self->arrival_idx = idx + 1;
+    return record;
+}
+
+/* Send one record's packets, stamped with *send_time*. */
+static int
+client_send_packets(ClientObject *self, PyObject *packets, PyObject *send_time)
+{
+    PyObject *iter = PyObject_GetIter(packets), *packet;
+    int rc = 0;
+    if (iter == NULL)
+        return -1;
+    while (rc == 0 && (packet = PyIter_Next(iter)) != NULL) {
+        rc = SET_PACKET(packet, created_at, send_time);
+        if (rc == 0)
+            rc = self_discard((PyObject *)self, s_send,
+                              (PyCFunction)host_send, packet);
+        Py_DECREF(packet);
+    }
+    Py_DECREF(iter);
+    return rc < 0 || PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+client_send_one(ClientObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *sim = self->host.sim, *record, *tuple, *send_time = NULL,
+        *fn = NULL;
+    long long now, seq;
+    int r;
+    if (require_member(sim, "sim") < 0 || sim_now_of(sim, &now) < 0)
+        return NULL;
+    if ((r = client_stopped(self, now)) != 0)
+        return r < 0 ? NULL : Py_NewRef(Py_None);
+    if ((record = client_take_record(self)) == NULL)
+        return NULL;
+    /* `seq, request, packets, gap = record`. */
+    tuple = PySequence_Tuple(record);
+    Py_DECREF(record);
+    if (tuple == NULL)
+        return NULL;
+    if (PyTuple_GET_SIZE(tuple) != 4) {
+        PyErr_Format(PyExc_ValueError,
+                     "arrival record has %zd values, expected 4",
+                     PyTuple_GET_SIZE(tuple));
+        goto fail;
+    }
+    seq = PyLong_AsLongLong(PyTuple_GET_ITEM(tuple, 0));
+    if (seq == -1 && PyErr_Occurred())
+        goto fail;
+    self->seq = seq;
+    if (require_member(self->host.sim, "sim") < 0
+        || sim_now_of(self->host.sim, &now) < 0
+        || (send_time = PyLong_FromLongLong(now)) == NULL
+        || require_member(self->outstanding, "_outstanding") < 0
+        || PyObject_SetItem(self->outstanding, PyTuple_GET_ITEM(tuple, 0),
+                            send_time) < 0
+        || require_member(self->recorder, "recorder") < 0
+        || call_discard(self->recorder, s_note_sent, &send_time, 1) < 0
+        || client_send_packets(self, PyTuple_GET_ITEM(tuple, 2),
+                               send_time) < 0
+        || require_member(self->host.sim, "sim") < 0
+        || (fn = bound_entry((PyObject *)self, s_send_one,
+                             (PyCFunction)client_send_one,
+                             &self->send_entry)) == NULL
+        || schedule_after(self->host.sim, PyTuple_GET_ITEM(tuple, 3), fn,
+                          NULL) < 0)
+        goto fail;
+    Py_DECREF(fn);
+    Py_DECREF(send_time);
+    Py_DECREF(tuple);
+    Py_RETURN_NONE;
+fail:
+    Py_XDECREF(fn);
+    Py_XDECREF(send_time);
+    Py_DECREF(tuple);
+    return NULL;
+}
+
+/* `packet.release()`, then None. */
+static PyObject *
+client_drop(PyObject *packet)
+{
+    if (release_packet(packet) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+client_handle(ClientObject *self, PyObject *packet)
+{
+    PyObject *payload, *value, *sent, *args[2];
+    long long now;
+    int r;
+    if ((payload = GET_PACKET(packet, payload)) == NULL)
+        return NULL;
+    if (payload == Py_None) {
+        Py_DECREF(payload);
+        return client_drop(packet);
+    }
+    /* `payload.client_id != self.client_id`: a foreign response. */
+    r = -1;
+    if ((value = PyObject_GetAttr(payload, s_client_id)) != NULL
+        && require_member(self->client_id, "client_id") == 0)
+        r = PyObject_RichCompareBool(value, self->client_id, Py_NE);
+    Py_XDECREF(value);
+    if (r != 0) {
+        Py_DECREF(payload);
+        return r < 0 ? NULL : client_drop(packet);
+    }
+    self->responses_received += 1;
+    /* `self._outstanding.pop(payload.client_seq, None)`. */
+    value = PyObject_GetAttr(payload, s_client_seq);
+    Py_DECREF(payload);
+    if (value == NULL
+        || require_member(self->outstanding, "_outstanding") < 0) {
+        Py_XDECREF(value);
+        return NULL;
+    }
+    if (PyDict_CheckExact(self->outstanding)) {
+#if PY_VERSION_HEX >= 0x030D0000
+        if (PyDict_Pop(self->outstanding, value, &sent) == 0)
+            sent = Py_NewRef(Py_None);
+#else
+        sent = _PyDict_Pop(self->outstanding, value, Py_None);
+#endif
+    }
+    else {
+        PyObject *pop_args[2] = {value, Py_None};
+        sent = call_method(self->outstanding, s_pop, pop_args, 2);
+    }
+    Py_DECREF(value);
+    if (sent == NULL)
+        return NULL;
+    if (sent == Py_None) {
+        /* Second (redundant) response for an already-completed request. */
+        Py_DECREF(sent);
+        self->redundant_responses += 1;
+        return client_drop(packet);
+    }
+    args[0] = sent;
+    args[1] = NULL;
+    r = -1;
+    if (require_member(self->recorder, "recorder") == 0
+        && require_member(self->host.sim, "sim") == 0
+        && sim_now_of(self->host.sim, &now) == 0
+        && (args[1] = PyLong_FromLongLong(now)) != NULL)
+        r = call_discard(self->recorder, s_record, args, 2);
+    Py_XDECREF(args[1]);
+    Py_DECREF(sent);
+    if (r < 0)
+        return NULL;
+    return client_drop(packet);
+}
+
+#define CLIENT_OBJECTS(X) \
+    X(client_id) X(workload) X(recorder) X(rng) X(stop_at_ns) \
+    X(arrival_process) X(outstanding) X(arrivals) X(handle_entry) \
+    X(send_entry)
+
+static int
+client_traverse(ClientObject *self, visitproc visit, void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    CLIENT_OBJECTS(VISIT)
+#undef VISIT
+    return host_traverse(&self->host, visit, arg);
+}
+
+static int
+client_clear(ClientObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    CLIENT_OBJECTS(CLEAR)
+#undef CLEAR
+    return host_clear(&self->host);
+}
+
+static void
+client_dealloc(ClientObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    client_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+#define CLIENT_OBJECT(name, field) \
+    {name, T_OBJECT_EX, offsetof(ClientObject, field), 0, NULL}
+#define CLIENT_LONG(name, field) \
+    {name, T_LONGLONG, offsetof(ClientObject, field), 0, NULL}
+static PyMemberDef client_members[] = {
+    CLIENT_OBJECT("client_id", client_id),
+    CLIENT_OBJECT("workload", workload),
+    CLIENT_OBJECT("recorder", recorder),
+    CLIENT_OBJECT("rng", rng),
+    CLIENT_OBJECT("stop_at_ns", stop_at_ns),
+    CLIENT_OBJECT("arrival_process", arrival_process),
+    CLIENT_OBJECT("_outstanding", outstanding),
+    CLIENT_OBJECT("_arrivals", arrivals),
+    {"_mean_gap_ns", T_DOUBLE, offsetof(ClientObject, mean_gap_ns), 0, NULL},
+    CLIENT_LONG("_seq", seq),
+    CLIENT_LONG("_predrawn_seq", predrawn_seq),
+    CLIENT_LONG("responses_received", responses_received),
+    CLIENT_LONG("redundant_responses", redundant_responses),
+    {"_arrival_idx", T_PYSSIZET, offsetof(ClientObject, arrival_idx), 0, NULL},
+    {NULL}
+};
+#undef CLIENT_LONG
+#undef CLIENT_OBJECT
+
+static PyMethodDef client_methods[] = {
+    {"_send_one", (PyCFunction)client_send_one, METH_NOARGS,
+     "Send the next pre-drawn request and schedule the one after it."},
+    {"handle", (PyCFunction)client_handle, METH_O,
+     "Record the first response to a request; count a redundant one."},
+    {"_refill_arrivals", (PyCFunction)client_refill_arrivals, METH_NOARGS,
+     "Pre-draw the next chunk of arrival records."},
+    {"_next_gap", (PyCFunction)client_next_gap, METH_NOARGS,
+     "The next inter-arrival gap in ns."},
+    {"_flush_arrivals", (PyCFunction)client_flush_arrivals, METH_NOARGS,
+     "Discard pre-drawn arrivals; their packets go back to the pool."},
+    {"_netclone_packets", (PyCFunction)client_netclone_packets, METH_O,
+     "NetCloneClient.build_packets: one request to the virtual service IP."},
+    {"_baseline_packets", (PyCFunction)client_baseline_packets, METH_O,
+     "BaselineClient.build_packets: one request to a random server."},
+    {NULL}
+};
+
+static PyTypeObject ClientType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.ClientCore",
+    .tp_basicsize = sizeof(ClientObject),
+    .tp_dealloc = (destructor)client_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of apps.client.OpenLoopClient: the request path "
+              "(pre-draw, send, first-response bookkeeping).",
+    .tp_traverse = (traverseproc)client_traverse,
+    .tp_clear = (inquiry)client_clear,
+    .tp_methods = client_methods,
+    .tp_members = client_members,
+    .tp_base = &HostType,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -3516,6 +4450,33 @@ mod_configure(PyObject *module, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* The NetClone build's header class and the group-table class whose
+ * `sample` it replays. */
+static PyObject *
+mod_configure_client(PyObject *module, PyObject *args)
+{
+    PyObject *header_type, *group_table_type, *wire_size;
+    PyTypeObject *header;
+    if (!PyArg_ParseTuple(args, "O!O!", &PyType_Type, &header_type,
+                          &PyType_Type, &group_table_type))
+        return NULL;
+    header = (PyTypeObject *)header_type;
+    if (!PyType_IsSubtype(header, &HeaderType) || header->tp_new != header_new
+        || header->tp_init != PyBaseObject_Type.tp_init) {
+        PyErr_SetString(PyExc_TypeError, "the header class must subclass "
+                        "HeaderCore and add no constructor");
+        return NULL;
+    }
+    if ((wire_size = PyObject_GetAttr(header_type, s_wire_size)) == NULL)
+        return NULL;
+    Py_XSETREF(g_wire_size, wire_size);
+    Py_INCREF(header_type);
+    Py_XSETREF(g_header_type, header_type);
+    Py_INCREF(group_table_type);
+    Py_XSETREF(g_group_table_type, group_table_type);
+    Py_RETURN_NONE;
+}
+
 /* The sanitizer's site for a packet C code is acquiring, or None. */
 static PyObject *
 mod_acquire_site(PyObject *module, PyObject *Py_UNUSED(ignored))
@@ -3529,6 +4490,9 @@ static PyMethodDef mod_methods[] = {
     {"configure", mod_configure, METH_VARARGS,
      "configure(SchedulingError, NetworkError, PortError, "
      "StageAccessError, ExperimentError): wire the Python error classes."},
+    {"configure_client", mod_configure_client, METH_VARARGS,
+     "configure_client(NetCloneHeader, GroupTable): the header class the "
+     "C NetClone build makes and the table class whose sample it replays."},
     {"acquire_site", mod_acquire_site, METH_NOARGS,
      "The `file:site` tag of the C code acquiring a packet through a "
      "Python-level acquire, or None."},
@@ -3540,7 +4504,7 @@ static struct PyModuleDef ccore_module = {
     .m_name = "repro.sim._ccore",
     .m_doc = "C core for the discrete-event scheduler, the packet plane, "
              "the forwarding hop, the NetClone switch pass and the "
-             "server's request path.",
+             "server's and the client's request paths.",
     .m_size = -1,
     .m_methods = mod_methods,
 };
@@ -3615,6 +4579,32 @@ intern_names(void)
     INTERN(s_clones_dropped, "clones_dropped");
     INTERN(s_requests_accepted, "requests_accepted");
     INTERN(s_responses_sent, "responses_sent");
+    INTERN(s_send_one, "_send_one");
+    INTERN(s_refill_arrivals, "_refill_arrivals");
+    INTERN(s_next_gap, "_next_gap");
+    INTERN(s_process_next_gap, "next_gap");
+    INTERN(s_flush_arrivals, "_flush_arrivals");
+    INTERN(s_build_packets, "build_packets");
+    INTERN(s_arrival_chunk, "ARRIVAL_CHUNK");
+    INTERN(s_make_request_chunk, "make_request_chunk");
+    INTERN(s_make_request, "make_request");
+    INTERN(s_request_size, "request_size");
+    INTERN(s_note_sent, "note_sent");
+    INTERN(s_record, "record");
+    INTERN(s_client_id, "client_id");
+    INTERN(s_client_seq, "client_seq");
+    INTERN(s_write, "write");
+    INTERN(s_randrange, "randrange");
+    INTERN(s_choice, "choice");
+    INTERN(s_expovariate, "expovariate");
+    INTERN(s_sample, "sample");
+    INTERN(s_pairs, "pairs");
+    INTERN(s_split, "split");
+    INTERN(s_p_local, "p_local");
+    INTERN(s_group_table, "_group_table");
+    INTERN(s_num_filter_tables, "num_filter_tables");
+    INTERN(s_server_ips, "server_ips");
+    INTERN(s_wire_size, "WIRE_SIZE");
 #undef INTERN
     {
         PyObject *header[N_HEADER_FIELDS] = {
@@ -3631,7 +4621,29 @@ intern_names(void)
         || (g_one = PyLong_FromLong(1)) == NULL
         || (g_minus_one = PyLong_FromLong(-1)) == NULL
         || (g_msg_resp = PyLong_FromLong(NC_MSG_RESP)) == NULL
-        || (g_udp_port = PyLong_FromLong(NC_UDP_PORT)) == NULL)
+        || (g_udp_port = PyLong_FromLong(NC_UDP_PORT)) == NULL
+        || (g_one_float = PyFloat_FromDouble(1.0)) == NULL
+        || (g_virtual_ip = PyLong_FromLongLong(NC_VIRTUAL_SERVICE_IP)) == NULL
+        || (g_plain_port = PyLong_FromLong(PLAIN_RPC_PORT)) == NULL)
+        return -1;
+    return 0;
+}
+
+/* random.Random and its two primitives, whose draws the client
+ * replays. */
+static int
+import_random(void)
+{
+    PyObject *module = PyImport_ImportModule("random");
+    if (module == NULL)
+        return -1;
+    g_random_type = PyObject_GetAttrString(module, "Random");
+    Py_DECREF(module);
+    if (g_random_type == NULL
+        || (g_rng_random = PyObject_GetAttrString(g_random_type, "random"))
+               == NULL
+        || (g_rng_getrandbits = PyObject_GetAttrString(g_random_type,
+                                                       "getrandbits")) == NULL)
         return -1;
     return 0;
 }
@@ -3648,6 +4660,7 @@ PyInit__ccore(void)
         {"SwitchCore", &SwitchType},
         {"HostCore", &HostType},
         {"ServerCore", &ServerType},
+        {"ClientCore", &ClientType},
         {"NetClonePass", &PassType},
         {"PacketCore", &PacketType},
         {"PoolCore", &PoolType},
@@ -3655,7 +4668,7 @@ PyInit__ccore(void)
     };
     PyObject *module;
     size_t i;
-    if (intern_names() < 0)
+    if (intern_names() < 0 || import_random() < 0)
         return NULL;
     for (i = 0; i < sizeof(types) / sizeof(types[0]); i++) {
         if (PyType_Ready(types[i].type) < 0)

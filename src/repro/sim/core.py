@@ -256,8 +256,8 @@ PySimulator = Simulator
 #: True when the C core is active: the scheduler here, the packet
 #: plane's base classes in net/packet.py and core/header.py, the
 #: forwarding hop's base classes in net/link.py, net/host.py and
-#: switchsim/switch.py, and the server's in core/server.py, which
-#: select their C twins on this flag.
+#: switchsim/switch.py, the server's in core/server.py and the
+#: client's in apps/client.py, which select their C twins on this flag.
 USING_CCORE = False
 
 

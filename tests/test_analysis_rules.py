@@ -477,12 +477,13 @@ def _line():
 
 
 def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
-    # On the C core the pass copies the clone and the server acquires
-    # its response with no Python frame, and the pool is a C type; the
-    # ledger must still admit both (the sanitizer's acquire override
-    # sees them), name the module that acquired them on either engine
-    # (the C core tags its acquires), and retire releases (the C
-    # release appends through the ledger list).
+    # On the C core the pass copies the clone, the server acquires its
+    # response and the client builds its request with no Python frame,
+    # and the pool is a C type; the ledger must still admit all three
+    # (the sanitizer's acquire override sees them), name the module
+    # that acquired them on either engine (the C core tags its
+    # acquires), and retire releases (the C release appends through
+    # the ledger list).
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     from repro.core import MSG_REQ, NETCLONE_UDP_PORT, VIRTUAL_SERVICE_IP, NetCloneHeader
     from repro.experiments.common import Cluster
@@ -518,16 +519,20 @@ def test_sanitizer_ledger_sees_test_and_switch_pass_leaks(monkeypatch):
     )
     cluster.sim.run()
     (response,) = sent
+    # A request the client builds and nobody sends.
+    (unsent,) = cluster.clients[0].build_packets(RpcRequest(0, 1, 1_000))
 
     report = cluster.sanitize_report()
     here = os.path.basename(__file__)
-    [(leak_uid, leak_site), (clone_uid, clone_site), (response_uid, response_site)] = (
-        report.packet_leaks
-    )
+    [
+        (leak_uid, leak_site), (clone_uid, clone_site),
+        (response_uid, response_site), (unsent_uid, unsent_site),
+    ] = report.packet_leaks
     assert (leak_uid, leak_site) == (leaked.uid, f"{here}:{leak_line}")
     assert clone_uid == clone.uid and clone_site.startswith("program.py:")
     assert response_uid == response.uid and response_site.startswith("server.py:")
-    assert report.acquired == 5 and report.retired == 2
+    assert unsent_uid == unsent.uid and unsent_site.startswith("client.py:")
+    assert report.acquired == 6 and report.retired == 2
     assert report.foreign_releases == 1
     assert pool.released == 3
 

@@ -19,6 +19,11 @@ as Python would look them up, wrappers included.  And for the server:
 the C request path dispatches and finishes requests itself, so the RX
 slot must dispatch ``RpcServer.handle`` and a started request must
 schedule ``RpcServer._finish_work`` as Python would look them up.
+And for the client: the C request path schedules its next send,
+dispatches responses and builds packets itself, so it must schedule
+``OpenLoopClient._send_one``, dispatch ``OpenLoopClient.handle`` and
+call ``NetCloneClient.build_packets``/``BaselineClient.build_packets``
+as Python would look them up.
 """
 
 import importlib
@@ -27,7 +32,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import tiny_config
+from helpers import make_packet, tiny_config
+from repro.apps.client import OpenLoopClient
+from repro.baselines.random_lb import BaselineClient
+from repro.core.client import NetCloneClient
 from repro.core.server import RpcServer
 from repro.experiments.common import Cluster
 from repro.net.host import Host
@@ -180,3 +188,41 @@ def test_class_level_server_wrappers_see_every_server_call(monkeypatch):
         + total("non_request_ignored")
     )
     assert calls["_finish_work"] == total("responses_sent")
+
+
+@pytest.mark.parametrize("scheme, builder", [
+    ("netclone", NetCloneClient), ("baseline", BaselineClient),
+])
+def test_class_level_client_wrappers_see_every_client_call(monkeypatch, scheme, builder):
+    from repro.workloads import RpcRequest
+
+    calls = {"_send_one": 0, "handle": 0, "build_packets": 0}
+    for cls, attr in (
+        (OpenLoopClient, "_send_one"), (OpenLoopClient, "handle"),
+        (builder, "build_packets"),
+    ):
+
+        def counted(*args, inner=cls.__dict__[attr], attr=attr):
+            calls[attr] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cls, attr, counted)
+    cluster = Cluster(tiny_config(scheme=scheme, topology="star"))
+    clients = cluster.clients
+    assert all(type(client) is builder for client in clients)
+    # Two responses no client counts, through the RX slot: a foreign
+    # client's and one with no payload.
+    client = clients[0]
+    for payload in (RpcRequest(client_id=99, client_seq=1, service_ns=1), None):
+        client.link_rx_at(make_packet(payload=payload, pool=cluster.packet_pool), 0)
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    sent = sum(client._seq for client in clients)
+    assert sent > 0 and all(client.outstanding == 0 for client in clients)
+    # Every send, plus each client's one call at stop_at_ns, which
+    # sends nothing and schedules no further call.
+    assert calls["_send_one"] == sent + len(clients)
+    assert calls["handle"] == sum(client.responses_received for client in clients) + 2
+    assert calls["build_packets"] == sum(client._predrawn_seq for client in clients)

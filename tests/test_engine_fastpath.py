@@ -30,12 +30,20 @@ counter.  These tests pin the contract that makes that safe:
   ignores non-requests, piggybacks and clamps STATE, answers plain
   and redirected requests, calls a KV service back and rejects a
   shortening jitter identically on both: responses, counters, state
-  samples, scheduler seq and RNG draws.
+  samples, scheduler seq and RNG draws;
+* the client's request path (the C ``ClientCore`` on the C core, the
+  pure-Python ``_ClientCore`` otherwise) pre-draws, sends, flushes on
+  a rate or table change, stops and books first, redundant and foreign
+  responses identically on both: every sent packet and its send time,
+  recorder samples, client and pool counts and every RNG's end state;
+  and the C client's replay of ``random.Random`` draws matches the
+  running interpreter's.
 """
 
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -1013,3 +1021,289 @@ def test_pure_python_engine_matches_live_engine_on_server_drill():
     assert live["kv-shortening-jitter"][1] == (
         "ExperimentError", "jitter must never shorten execution"
     )
+
+
+# ----------------------------------------------------------------------
+# Client drill: the open-loop client's request path, on both engines
+# ----------------------------------------------------------------------
+class _ClientPeer(Host):
+    """The far end of a client drill: keeps every request and answers
+    it after a seq-dependent delay (so responses overtake each other),
+    twice for every fifth request, and adds a foreign and an empty
+    response for every seventh."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "peer", 42, tx_cost_ns=0, rx_cost_ns=0)
+        self.received = []
+
+    def handle(self, packet):
+        from repro.workloads import RpcRequest
+
+        nc = packet.nc
+        payload = packet.payload
+        seq = payload.client_seq
+        self.received.append(
+            (
+                self.sim.now, packet.uid, packet.src, packet.dst, packet.sport,
+                packet.dport, packet.size, seq, getattr(payload, "write", None),
+                packet.created_at,
+                None if nc is None else [getattr(nc, f) for f in HEADER_FIELDS],
+            )
+        )
+        replies = [payload] * (2 if seq % 5 == 0 else 1)
+        if seq % 7 == 0:
+            replies += [RpcRequest(client_id=99, client_seq=seq, service_ns=0), None]
+        for reply in replies:
+            response = self.packet_pool.acquire(
+                self.ip, packet.src, packet.dport, packet.sport, 64, reply, None,
+                packet.created_at,
+            )
+            self.sim.call_after(3_000 + 700 * (seq % 4), self.send, response)
+        packet.release()
+
+
+class _BarePayload:
+    """A request payload with no ``write`` attribute."""
+
+    __slots__ = ("client_id", "client_seq")
+
+    def __init__(self, client_id, client_seq):
+        self.client_id = client_id
+        self.client_seq = client_seq
+
+
+class _WriteMix:
+    """A KV workload with writes, drawn one ``make_request`` at a time
+    (no chunk method): every third request a SET, every tenth payload
+    without a ``write`` flag, GETs otherwise."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def make_request(self, client_id, client_seq):
+        from repro.workloads import KvOp, KvRequest
+
+        key = self.rng.randrange(1_000)
+        if client_seq % 10 == 0:
+            return _BarePayload(client_id, client_seq)
+        op = KvOp.SET if client_seq % 3 == 0 else KvOp.GET
+        return KvRequest(client_id, client_seq, op, key)
+
+    def request_size(self, request):
+        return 80 + request.client_seq % 3
+
+
+def _drill_tables():
+    from repro.core.groups import ordered_pairs
+    from repro.core.placement import GroupTable
+
+    pairs = tuple(ordered_pairs(range(4)))  # 12 ordered pairs
+    return {
+        "uniform": GroupTable(pairs=pairs, split=len(pairs)),
+        "sectioned": GroupTable(pairs=pairs, split=4, p_local=0.7),
+        "swapped": GroupTable(pairs=pairs[::-1], split=5, p_local=0.4, epoch=1),
+    }
+
+
+#: name → (client kind, options).  Every drill stops its client at
+#: ``stop_at_ns``; the peer's redundant, foreign and empty responses
+#: reach every one.
+CLIENT_DRILLS = {
+    "netclone-uniform": ("netclone", dict(table="uniform")),
+    "netclone-sectioned": ("netclone", dict(table="sectioned")),
+    "baseline": ("baseline", {}),
+    "kv-write": ("netclone", dict(table="sectioned", workload="write")),
+    "set-rate": ("netclone", dict(table="uniform", set_rate=True)),
+    "install-table": ("netclone", dict(table="sectioned", swap_table=True)),
+    "baseline-set-rate": ("baseline", dict(set_rate=True)),
+    "mmpp": ("netclone", dict(table="sectioned", mmpp=True, set_rate=True)),
+}
+
+
+def run_client_drill(name):
+    """One drill's requests as the peer saw them (arrival time, send
+    time and every field), the recorder's samples and counts, the
+    client's counters and outstanding map, the pool's counts, the
+    simulator's seq and the end state of every RNG (so a missing,
+    extra or reordered draw shows)."""
+    import random
+
+    from repro.baselines.random_lb import BaselineClient
+    from repro.core.client import NetCloneClient
+    from repro.metrics.latency import LatencyRecorder
+    from repro.workloads import ExponentialDistribution, MmppArrivals, SyntheticWorkload
+
+    kind, options = CLIENT_DRILLS[name]
+    tables = _drill_tables()
+    sim = Simulator()
+    peer = _ClientPeer(sim)
+    recorder = LatencyRecorder(warmup_ns=200_000, end_ns=1_200_000)
+    rng, workload_rng, arrival_rng = random.Random(5), random.Random(6), random.Random(8)
+    if options.get("workload") == "write":
+        workload = _WriteMix(workload_rng)
+    else:
+        workload = SyntheticWorkload(ExponentialDistribution(2.0), workload_rng)
+    common = dict(
+        sim=sim, name="client", ip=7, client_id=3, workload=workload,
+        rate_rps=300_000, recorder=recorder, rng=rng, stop_at_ns=1_500_000,
+        tx_cost_ns=100, rx_cost_ns=50,
+    )
+    if options.get("mmpp"):
+        common["arrival_process"] = MmppArrivals(arrival_rng, 300_000)
+    if kind == "baseline":
+        client = BaselineClient(server_ips=[42, 43, 44, 45, 46], **common)
+    else:
+        client = NetCloneClient(
+            group_table=tables[options["table"]], num_filter_tables=3, **common
+        )
+    link = Link(sim, client, peer, propagation_ns=250, bandwidth_bps=1e15)
+    client.attach_link(link)
+    peer.attach_link(link)
+    if options.get("set_rate"):
+        sim.call_at(500_000, client.set_rate, 150_000)
+    if options.get("swap_table"):
+        sim.call_at(700_000, client.install_group_table, tables["swapped"])
+    client.start()
+    sim.run()
+    end = (client._seq, client._predrawn_seq, client._arrival_idx)
+    client.flush_predrawn()
+    pool = client.packet_pool
+    return (
+        peer.received, list(recorder.latencies_ns),
+        (recorder.sent_in_window, recorder.completed_in_window),
+        end, (client._seq, client._predrawn_seq, client._arrival_idx),
+        (client.responses_received, client.redundant_responses),
+        sorted(client._outstanding.items()), client.outstanding,
+        (pool.allocated, pool.released, pool.uid_count), sim._seq, sim.now,
+        rng.getstate(), workload_rng.getstate(), arrival_rng.getstate(),
+    )
+
+
+def test_pure_python_engine_matches_live_engine_on_client_drill():
+    live = {name: run_client_drill(name) for name in CLIENT_DRILLS}
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import CLIENT_DRILLS, run_client_drill\n"
+        "result = {name: run_client_drill(name) for name in CLIENT_DRILLS}"
+    )
+    assert pure == live
+    # The contract itself, not only engine agreement.
+    header = {field: HEADER_FIELDS.index(field) for field in ("grp", "clo", "idx")}
+    for name, (kind, options) in CLIENT_DRILLS.items():
+        received, latencies, window, end, flushed, responses, outstanding = live[name][:7]
+        seqs = [r[7] for r in received]
+        # Sent seqs are contiguous and every send stops at stop_at_ns.
+        assert seqs == list(range(1, end[0] + 1)), name
+        assert max(r[9] for r in received) < 1_500_000 <= live[name][10], name
+        assert len(latencies) == window[0] > 0, name
+        # Every request answered once plus every fifth twice; the
+        # foreign and empty responses are dropped uncounted.
+        assert responses == (end[0] + end[0] // 5, end[0] // 5), name
+        assert outstanding == [] and flushed[1] == flushed[0] == end[0], name
+        assert end[1] >= end[0], name
+        if kind == "baseline":
+            assert {r[3] for r in received} == {42, 43, 44, 45, 46}, name
+            assert all(r[10] is None for r in received), name
+            continue
+        assert {r[3] for r in received} == {VIRTUAL_SERVICE_IP}, name
+        assert {r[10][header["idx"]] for r in received} == {0, 1, 2}, name
+        clos = {}  # write flag -> CLO values seen
+        for r in received:
+            clos.setdefault(r[8], set()).add(r[10][header["clo"]])
+        if options.get("workload") == "write":
+            assert clos[True] == {CLO_NEVER_CLONE} and clos[False] == {CLO_NOT_CLONED}, name
+            assert clos[None] == {CLO_NOT_CLONED}, name
+        else:
+            assert set(clos) == {False} and clos[False] == {CLO_NOT_CLONED}, name
+        groups = [r[10][header["grp"]] for r in received]
+        assert set(groups) == set(range(12)), name
+    # A sectioned table favours its preferred section.
+    grps = [r[10][header["grp"]] for r in live["netclone-sectioned"][0]]
+    assert sum(g < 4 for g in grps) > 0.6 * len(grps)
+    # A mid-run flush re-draws the flushed seqs: more pre-drawn than
+    # without one, sent seqs still contiguous (checked above).
+    assert live["set-rate"][3][1] != live["netclone-uniform"][3][1]
+
+
+class _SizeOnly:
+    """A workload that only sizes requests (draw tests build directly)."""
+
+    def request_size(self, request):
+        return 64
+
+
+class _HalvesRandom(random.Random):
+    """A Random subclass whose ``random()`` is always 0.5."""
+
+    def random(self):
+        return 0.5
+
+
+def _draw_client(cls, rng, rate_rps=1e6, **kwargs):
+    from repro.metrics.latency import LatencyRecorder
+
+    return cls(
+        sim=Simulator(), name="draws", ip=1, client_id=0, workload=_SizeOnly(),
+        rate_rps=rate_rps, recorder=LatencyRecorder(), rng=rng, **kwargs
+    )
+
+
+@pytest.mark.skipif(not USING_CCORE, reason="pins the C core's RNG replay")
+def test_c_client_draws_replay_the_interpreters_random():
+    """The C client replays ``randrange``, ``choice``, a sectioned
+    table's section draw and ``expovariate`` from ``random.Random``'s two
+    primitives.  That couples it to CPython's ``Random`` internals, so
+    an interpreter whose ``Random`` draws differently fails here rather
+    than silently moving every golden."""
+    from repro.baselines.random_lb import BaselineClient
+    from repro.core.client import NetCloneClient
+    from repro.core.groups import ordered_pairs
+    from repro.core.placement import GroupTable
+    from repro.workloads import RpcRequest
+
+    request = RpcRequest(client_id=0, client_seq=1, service_ns=1)
+    pairs = tuple(ordered_pairs(range(3)))  # 6 groups
+    uniform = GroupTable(pairs=pairs, split=len(pairs))
+    sectioned = GroupTable(pairs=pairs, split=2, p_local=0.6)
+    # n = 1, 3 and 2**16 + 1 reject up to half of the getrandbits draws.
+    for n in (1, 2, 3, 6, 2**16, 2**16 + 1):
+        for table in (uniform, sectioned):
+            rng, ref = random.Random(n), random.Random(n)
+            client = _draw_client(NetCloneClient, rng, group_table=table,
+                                  num_filter_tables=n)
+            for _ in range(300):
+                (packet,) = client.build_packets(request)
+                assert (packet.nc.grp, packet.nc.idx) == (
+                    table.sample(ref), ref.randrange(n)
+                ), (n, table.split)
+                packet.release()
+            assert rng.getstate() == ref.getstate()
+        servers = list(range(100, 100 + n))
+        rng, ref = random.Random(-n), random.Random(-n)
+        client = _draw_client(BaselineClient, rng, server_ips=servers)
+        for _ in range(300):
+            (packet,) = client.build_packets(request)
+            assert packet.dst == ref.choice(servers), n
+            packet.release()
+        assert rng.getstate() == ref.getstate()
+    for rate in (1e6, 37_000.0):
+        rng, ref = random.Random(int(rate)), random.Random(int(rate))
+        client = _draw_client(NetCloneClient, rng, rate_rps=rate,
+                              group_table=uniform)
+        mean = 1e9 / rate
+        gaps = [client._next_gap() for _ in range(10_000)]
+        assert gaps == [int(ref.expovariate(1.0) * mean) + 1 for _ in range(10_000)]
+        assert rng.getstate() == ref.getstate()
+
+    # Any other Random class gets the Python calls: its own random()
+    # shapes expovariate, and randrange/choice go through
+    # _randbelow_without_getrandbits, which never touches the
+    # Mersenne Twister state that a getrandbits replay would advance.
+    rng, ref = _HalvesRandom(1), _HalvesRandom(1)
+    client = _draw_client(NetCloneClient, rng, group_table=sectioned,
+                          num_filter_tables=6)
+    (packet,) = client.build_packets(request)
+    assert (packet.nc.grp, packet.nc.idx) == (sectioned.sample(ref), ref.randrange(6))
+    assert client._next_gap() == int(-math.log(0.5) * 1e3) + 1
+    client = _draw_client(BaselineClient, rng, server_ips=servers)
+    assert client.build_packets(request)[0].dst == ref.choice(servers)
+    assert rng.getstate() == _HalvesRandom(1).getstate()

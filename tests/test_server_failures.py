@@ -17,6 +17,7 @@ from repro.errors import ExperimentError
 from repro.experiments.common import Cluster, ClusterConfig
 from repro.sim.units import ms
 from repro.switchsim import ControlPlane
+from repro.workloads import RpcRequest
 
 
 def build(num_servers=4, rate=0.3e6, **overrides):
@@ -344,13 +345,16 @@ def _scripted_client(table, rng):
 
 def test_install_group_table_swaps_table_count_and_epoch_atomically():
     old = GroupTable(pairs=((0, 1), (1, 0)), split=2)
-    client = _scripted_client(old, _ScriptedRng(randoms=[0.3], randranges=[0]))
+    client = _scripted_client(old, _ScriptedRng(randoms=[0.3], randranges=[0, 1]))
     new = GroupTable(
         pairs=((2, 3), (3, 2), (2, 4), (4, 2)), split=2, p_local=0.5, epoch=1
     )
     client.install_group_table(new)
     assert client.group_table is new
     assert client.num_groups == 4
-    assert client._pick_group() == 0  # sampled from the *new* table
+    # Sampled from the *new* table: its section draw spends the random().
+    (packet,) = client.build_packets(RpcRequest(client_id=0, client_seq=1, service_ns=1))
+    assert (packet.nc.grp, packet.nc.idx) == (0, 1) and client.rng.randoms == []
+    packet.release()
     with pytest.raises(ExperimentError, match="GroupTable"):
         client.install_group_table([(0, 1)])
