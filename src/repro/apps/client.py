@@ -213,10 +213,10 @@ class OpenLoopClient(Host, _ClientCore):
         self.recorder = recorder
         self.rng = rng
         self.stop_at_ns = stop_at_ns
-        #: Optional open-loop modulation (MMPP bursts, diurnal waves):
-        #: an object with ``next_gap() -> int ns`` (and optionally
-        #: ``set_rate``).  ``None`` keeps the plain exponential gaps —
-        #: draw-for-draw identical to the historical client.
+        #: Optional open-loop modulation (MMPP bursts): an object with
+        #: ``next_gap() -> int ns`` (and optionally ``set_rate``).
+        #: ``None`` keeps the plain exponential gaps — draw-for-draw
+        #: identical to the historical client.
         self.arrival_process = arrival_process
         self._mean_gap_ns = 1e9 / rate_rps
         #: Sequence number of the last request actually sent.

@@ -58,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         help="experiment ids to run (fig7..fig19, table1, resources), "
-        "'schemes' / 'topologies' / 'placements' / 'scenarios' to list "
-        "the registered plugins of one axis, or 'run-scenario' followed "
-        "by catalog names, TOML spec paths or 'all' (an optional leading "
-        "'run' is accepted and ignored)",
+        "'schemes' / 'topologies' / 'placements' / 'workloads' / "
+        "'scenarios' to list the registered plugins of one axis, or "
+        "'run-scenario' followed by catalog names, TOML spec paths or "
+        "'all' (an optional leading 'run' is accepted and ignored)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available experiments and exit"
@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "-w",
         default=None,
         help="registered workload, with optional inline parameters, e.g. "
-        "mmpp:burst=8,period_ms=0.5 or kv-drift (see 'workloads'; only "
-        "harnesses with a workload axis accept it — others error out; "
-        "default: each experiment's own)",
+        "mmpp:burst=8,period_ms=0.5 or kv-redis:scan_fraction=0.1 (see "
+        "'workloads'; only harnesses with a workload axis accept it — "
+        "others error out; default: each experiment's own)",
     )
     parser.add_argument(
         "--metrics",
@@ -283,6 +283,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_scenarios(experiments[1:], args)
     if experiments and experiments[0] == "lint":
         return _run_lint(experiments[1:], args)
+    try:
+        return _run_experiments(experiments, args)
+    except ExperimentError as exc:
+        # A bad experiment id or axis value, or a failed harness gate
+        # (fig16's invariants): print the message and exit 2, no
+        # traceback.
+        print(exc)
+        return 2
+
+
+def _run_experiments(experiments: List[str], args: argparse.Namespace) -> int:
+    """List or run *experiments*; every user error raises ExperimentError."""
     if args.topology is not None:
         # Fail fast (and normalise aliases) before any experiment runs;
         # inline parameters ride along in canonical key=value form.
@@ -340,18 +352,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ("metrics", args.metrics),
             )
         }
-        try:
-            kwargs.update(
-                gate_harness_axes(
-                    harness,
-                    experiment_id,
-                    requested=requested,
-                    defaults={"workload": None, "metrics": "exact"},
-                )
+        kwargs.update(
+            gate_harness_axes(
+                harness,
+                experiment_id,
+                requested=requested,
+                defaults={"workload": None, "metrics": "exact"},
             )
-        except ExperimentError as exc:
-            print(exc)
-            return 2
+        )
         harness(**kwargs)
     return 0
 

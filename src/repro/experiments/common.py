@@ -333,12 +333,12 @@ class Cluster:
                 packet_pool=self.packet_pool,
             )
             if make_arrivals is not None:
-                # Open-loop arrival modulation (MMPP bursts, diurnal
-                # tenants) draws from its own RNG stream, so workloads
-                # without a process stay draw-for-draw identical to
-                # the seed's plain-Poisson client.
+                # Open-loop arrival modulation (MMPP bursts) draws from
+                # its own RNG stream, so workloads without a process
+                # stay draw-for-draw identical to the seed's
+                # plain-Poisson client.
                 arrivals = make_arrivals(
-                    self.rngs.stream(f"arrivals{index}"), per_client_rate, index
+                    self.rngs.stream(f"arrivals{index}"), per_client_rate
                 )
                 if arrivals is not None:
                     common["arrival_process"] = arrivals

@@ -22,22 +22,17 @@ from repro.workloads.distributions import (
     ServiceDistribution,
 )
 from repro.workloads.kv import KvWorkload
-from repro.workloads.mmpp import DiurnalArrivals, MmppArrivals
+from repro.workloads.mmpp import MmppArrivals
 from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.zipf import DriftingZipfGenerator, ZipfGenerator
+from repro.workloads.zipf import ZipfGenerator
 
 __all__ = [
-    "DiurnalSpec",
     "KvSpec",
     "MmppSpec",
     "SyntheticSpec",
     "WorkloadSpec",
     "make_synthetic_spec",
 ]
-
-#: Golden-ratio conjugate; spaces per-tenant diurnal phases maximally
-#: apart for any client count (phase_i = frac(i·φ⁻¹)).
-_GOLDEN = 0.61803398875
 
 
 class WorkloadSpec:
@@ -53,17 +48,14 @@ class WorkloadSpec:
         """A service model for one server."""
         raise NotImplementedError
 
-    def make_arrival_process(
-        self, rng: random.Random, rate_rps: float, client_index: int
-    ):
+    def make_arrival_process(self, rng: random.Random, rate_rps: float):
         """An arrival-gap generator for one client, or ``None``.
 
         ``None`` (the default) keeps the client's plain exponential
         gaps — bit-identical to the historical Poisson open loop.
         Burst-modelling specs return an object with ``next_gap() ->
         int ns`` (and optionally ``set_rate``); *rng* is the client's
-        dedicated arrival stream and *client_index* lets multi-tenant
-        specs desynchronise tenants (per-client phase).
+        dedicated arrival stream.
         """
         return None
 
@@ -136,9 +128,7 @@ class MmppSpec(SyntheticSpec):
         self.high_fraction = high_fraction
         self.period_ms = period_ms
 
-    def make_arrival_process(
-        self, rng: random.Random, rate_rps: float, client_index: int
-    ) -> MmppArrivals:
+    def make_arrival_process(self, rng: random.Random, rate_rps: float) -> MmppArrivals:
         return MmppArrivals(
             rng,
             rate_rps,
@@ -148,54 +138,12 @@ class MmppSpec(SyntheticSpec):
         )
 
 
-class DiurnalSpec(SyntheticSpec):
-    """Multi-tenant diurnal spec: phase-staggered sinusoidal arrivals.
-
-    Every client is one "tenant" whose offered load follows a sine
-    wave; phases are spread by the golden-ratio sequence so no two
-    tenants peak together regardless of the client count — aggregate
-    load stays near nominal while individual servers see rolling
-    hot spots.
-    """
-
-    def __init__(
-        self,
-        kind: str = "exp",
-        mean_us: float = 25.0,
-        amplitude: float = 0.5,
-        period_ms: float = 2.0,
-    ):
-        base = make_synthetic_spec(kind, mean_us=mean_us)
-        super().__init__(
-            base._factory,
-            name=f"diurnal({amplitude:g},{period_ms:g}ms)-{base.name}",
-        )
-        if not 0.0 <= amplitude < 1.0:
-            raise ExperimentError("diurnal amplitude must lie in [0, 1)")
-        if period_ms <= 0:
-            raise ExperimentError("diurnal period_ms must be positive")
-        self.amplitude = amplitude
-        self.period_ms = period_ms
-
-    def make_arrival_process(
-        self, rng: random.Random, rate_rps: float, client_index: int
-    ) -> DiurnalArrivals:
-        return DiurnalArrivals(
-            rng,
-            rate_rps,
-            amplitude=self.amplitude,
-            period_s=self.period_ms * 1e-3,
-            phase=(client_index * _GOLDEN) % 1.0,
-        )
-
-
 class KvSpec(WorkloadSpec):
-    """Key-value spec (§5.5): Zipf-0.99 keys, GET/SCAN mix.
+    """Key-value spec (§5.5): Zipf-0.99 keys, GET/SCAN-100 mix.
 
-    ``drift_period`` > 0 swaps the static Zipf popularity for a
-    drifting one (see
-    :class:`~repro.workloads.zipf.DriftingZipfGenerator`): the hot set
-    rotates by one key every *drift_period* requests per client.
+    The skew and the SCAN length are the paper's constants
+    (:attr:`KvWorkload.ZIPF_SKEW`, :attr:`KvWorkload.SCAN_COUNT`); the
+    cost model, the SCAN share and the key count are the knobs.
     """
 
     def __init__(
@@ -203,9 +151,6 @@ class KvSpec(WorkloadSpec):
         cost_model: str = "redis",
         scan_fraction: float = 0.01,
         num_keys: int = 1_000_000,
-        zipf_skew: float = 0.99,
-        scan_count: int = 100,
-        drift_period: int = 0,
     ):
         if cost_model == "redis":
             self._cost_factory = RedisCostModel
@@ -213,23 +158,20 @@ class KvSpec(WorkloadSpec):
             self._cost_factory = MemcachedCostModel
         else:
             raise ExperimentError(f"unknown cost model {cost_model!r}")
+        if not 0.0 <= scan_fraction <= 1.0:
+            raise ExperimentError(
+                f"kv-{cost_model} scan_fraction={scan_fraction!r} must lie in [0, 1]"
+            )
         self.scan_fraction = scan_fraction
         self.num_keys = num_keys
-        self.scan_count = scan_count
-        self.drift_period = drift_period
         # One Zipf CDF shared by all clients (it is read-only and costs
         # ~8 MB for a million keys).
-        if drift_period > 0:
-            self._zipf = DriftingZipfGenerator(num_keys, zipf_skew, drift_period)
-        else:
-            self._zipf = ZipfGenerator(num_keys, zipf_skew)
+        self._zipf = ZipfGenerator(num_keys, KvWorkload.ZIPF_SKEW)
         probe: KvCostModel = self._cost_factory()
         get_pct = round((1.0 - scan_fraction) * 100)
         self.name = f"{probe.name}-{get_pct:g}%GET-{100 - get_pct:g}%SCAN"
-        if drift_period > 0:
-            self.name += f"-drift{drift_period:g}"
         self.mean_service_ns = (1.0 - scan_fraction) * probe.get_ns + scan_fraction * (
-            probe.scan_base_ns + probe.scan_per_item_ns * scan_count
+            probe.scan_base_ns + probe.scan_per_item_ns * KvWorkload.SCAN_COUNT
         )
 
     def make_workload(self, rng: random.Random) -> KvWorkload:
@@ -237,7 +179,6 @@ class KvSpec(WorkloadSpec):
             rng,
             num_keys=self.num_keys,
             scan_fraction=self.scan_fraction,
-            scan_count=self.scan_count,
             zipf=self._zipf,
         )
 

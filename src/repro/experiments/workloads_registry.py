@@ -28,27 +28,28 @@ Registering a workload::
 Factories receive the inline CLI params (``--workload
 mmpp:burst=8,period_ms=0.5``) and must reject unknown or out-of-range
 values with a diagnosable :class:`~repro.errors.ExperimentError`
-(``WORKLOADS.check_params`` rejects unknown keys) — a typo must never
+when the spec is resolved, not at cluster build
+(``WORKLOADS.check_params`` rejects unknown keys, and
+:func:`make_workload_spec` re-raises a distribution's
+:class:`~repro.errors.WorkloadError` as one) — a typo must never
 silently run the default workload.
+
+The five built-ins are the workloads something runs: ``exp`` and
+``bimodal`` (§5.1.2, the synthetic figures), ``kv-redis`` and
+``kv-memcached`` (§5.5, Figures 11 and 12 and the e2e benchmark) and
+``mmpp`` (``tools/rss_guard.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.plugin_registry import PluginRegistry
-from repro.experiments.specs import (
-    DiurnalSpec,
-    KvSpec,
-    MmppSpec,
-    SyntheticSpec,
-    WorkloadSpec,
-    make_synthetic_spec,
-)
-from repro.workloads.distributions import FixedDistribution, LognormalDistribution
+from repro.experiments.specs import KvSpec, MmppSpec, WorkloadSpec, make_synthetic_spec
 
 __all__ = ["WORKLOADS", "WorkloadDef", "make_workload_spec"]
 
@@ -87,7 +88,13 @@ def make_workload_spec(
     """
     if params is None:
         value, params = WORKLOADS.parse(value)
-    return WORKLOADS.get(value).make_spec(dict(params))
+    definition = WORKLOADS.get(value)
+    try:
+        return definition.make_spec(dict(params))
+    except WorkloadError as exc:
+        # A value the registry's parsers let through but a distribution
+        # rejects (exp:mean_us=0) is still a bad workload string.
+        raise ExperimentError(f"{definition.name} workload: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -96,11 +103,14 @@ def make_workload_spec(
 def _float_param(params: Dict[str, Any], key: str, default: float, workload: str) -> float:
     value = params.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
         raise ExperimentError(
-            f"{workload} workload parameter {key}={value!r} must be a number"
-        ) from None
+            f"{workload} workload parameter {key}={value!r} must be a finite number"
+        )
+    return number
 
 
 def _int_param(params: Dict[str, Any], key: str, default: int, workload: str) -> int:
@@ -122,39 +132,14 @@ def _bimodal_spec(params: Dict[str, Any]) -> WorkloadSpec:
     return make_synthetic_spec("bimodal")
 
 
-def _fixed_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(params, ("mean_us",), "fixed workload")
-    mean_us = _float_param(params, "mean_us", 25.0, "fixed")
-    return SyntheticSpec(partial(FixedDistribution, mean_us))
-
-
-def _lognormal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(params, ("mean_us", "sigma"), "lognormal workload")
-    mean_us = _float_param(params, "mean_us", 25.0, "lognormal")
-    sigma = _float_param(params, "sigma", 1.0, "lognormal")
-    return SyntheticSpec(partial(LognormalDistribution, mean_us, sigma))
-
-
 def _kv_spec(cost_model: str, params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(
-        params,
-        ("scan_fraction", "num_keys", "zipf_skew", "scan_count", "drift_period"),
-        f"{cost_model} workload",
-    )
+    workload = f"kv-{cost_model}"
+    WORKLOADS.check_params(params, ("scan_fraction", "num_keys"), f"{workload} workload")
     return KvSpec(
         cost_model=cost_model,
-        scan_fraction=_float_param(params, "scan_fraction", 0.01, cost_model),
-        num_keys=_int_param(params, "num_keys", 1_000_000, cost_model),
-        zipf_skew=_float_param(params, "zipf_skew", 0.99, cost_model),
-        scan_count=_int_param(params, "scan_count", 100, cost_model),
-        drift_period=_int_param(params, "drift_period", 0, cost_model),
+        scan_fraction=_float_param(params, "scan_fraction", 0.01, workload),
+        num_keys=_int_param(params, "num_keys", 1_000_000, workload),
     )
-
-
-def _kv_drift_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    params = dict(params)
-    params.setdefault("drift_period", 10_000)
-    return _kv_spec("redis", params)
 
 
 def _mmpp_spec(params: Dict[str, Any]) -> WorkloadSpec:
@@ -169,18 +154,6 @@ def _mmpp_spec(params: Dict[str, Any]) -> WorkloadSpec:
         burst=_float_param(params, "burst", 8.0, "mmpp"),
         high_fraction=_float_param(params, "high_fraction", 0.1, "mmpp"),
         period_ms=_float_param(params, "period_ms", 1.0, "mmpp"),
-    )
-
-
-def _diurnal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(
-        params, ("kind", "mean_us", "amplitude", "period_ms"), "diurnal workload"
-    )
-    return DiurnalSpec(
-        kind=str(params.get("kind", "exp")),
-        mean_us=_float_param(params, "mean_us", 25.0, "diurnal"),
-        amplitude=_float_param(params, "amplitude", 0.5, "diurnal"),
-        period_ms=_float_param(params, "period_ms", 2.0, "diurnal"),
     )
 
 
@@ -207,31 +180,9 @@ WORKLOADS.register(
 
 WORKLOADS.register(
     WorkloadDef(
-        name="fixed",
-        description="Poisson open loop over deterministic service times; "
-        "param: mean_us",
-        make_spec=_fixed_spec,
-        aliases=("deterministic",),
-        module=__name__,
-    )
-)
-
-WORKLOADS.register(
-    WorkloadDef(
-        name="lognormal",
-        description="Poisson open loop over heavy-tailed Lognormal service "
-        "times; params: mean_us, sigma",
-        make_spec=_lognormal_spec,
-        module=__name__,
-    )
-)
-
-WORKLOADS.register(
-    WorkloadDef(
         name="kv-redis",
-        description="Redis-cost key-value store, Zipf keys, GET/SCAN mix "
-        "(§5.5); params: scan_fraction, num_keys, zipf_skew, scan_count, "
-        "drift_period",
+        description="Redis-cost key-value store, Zipf-0.99 keys, "
+        "GET/SCAN-100 mix (§5.5); params: scan_fraction, num_keys",
         make_spec=partial(_kv_spec, "redis"),
         aliases=("redis", "kv"),
         module=__name__,
@@ -241,9 +192,8 @@ WORKLOADS.register(
 WORKLOADS.register(
     WorkloadDef(
         name="kv-memcached",
-        description="Memcached-cost key-value store, Zipf keys, GET/SCAN "
-        "mix (§5.5); params: scan_fraction, num_keys, zipf_skew, "
-        "scan_count, drift_period",
+        description="Memcached-cost key-value store, Zipf-0.99 keys, "
+        "GET/SCAN-100 mix (§5.5); params: scan_fraction, num_keys",
         make_spec=partial(_kv_spec, "memcached"),
         aliases=("memcached",),
         module=__name__,
@@ -258,30 +208,6 @@ WORKLOADS.register(
         "mean_us, burst, high_fraction, period_ms",
         make_spec=_mmpp_spec,
         aliases=("bursty",),
-        module=__name__,
-    )
-)
-
-WORKLOADS.register(
-    WorkloadDef(
-        name="diurnal",
-        description="phase-staggered sinusoidal multi-tenant arrivals over "
-        "synthetic service times; params: kind, mean_us, amplitude, "
-        "period_ms",
-        make_spec=_diurnal_spec,
-        aliases=("multi-tenant",),
-        module=__name__,
-    )
-)
-
-WORKLOADS.register(
-    WorkloadDef(
-        name="kv-drift",
-        description="kv-redis with a time-drifting Zipf hot set (rotates "
-        "one key per drift_period requests); params as kv-redis, "
-        "drift_period defaults to 10000",
-        make_spec=_kv_drift_spec,
-        aliases=("drift",),
         module=__name__,
     )
 )

@@ -3,27 +3,21 @@
 from repro.workloads.distributions import (
     BimodalDistribution,
     ExponentialDistribution,
-    FixedDistribution,
     JitterModel,
-    LognormalDistribution,
     ServiceDistribution,
 )
 from repro.workloads.kv import KvOp, KvRequest, KvWorkload
-from repro.workloads.mmpp import DiurnalArrivals, MmppArrivals
+from repro.workloads.mmpp import MmppArrivals
 from repro.workloads.synthetic import RpcRequest, SyntheticWorkload
-from repro.workloads.zipf import DriftingZipfGenerator, ZipfGenerator
+from repro.workloads.zipf import ZipfGenerator
 
 __all__ = [
     "BimodalDistribution",
-    "DiurnalArrivals",
-    "DriftingZipfGenerator",
     "ExponentialDistribution",
-    "FixedDistribution",
     "JitterModel",
     "KvOp",
     "KvRequest",
     "KvWorkload",
-    "LognormalDistribution",
     "MmppArrivals",
     "RpcRequest",
     "ServiceDistribution",

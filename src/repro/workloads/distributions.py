@@ -16,14 +16,11 @@ import random
 from typing import Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.sim.units import us
 
 __all__ = [
     "BimodalDistribution",
     "ExponentialDistribution",
-    "FixedDistribution",
     "JitterModel",
-    "LognormalDistribution",
     "ServiceDistribution",
 ]
 
@@ -51,23 +48,6 @@ class ServiceDistribution:
     def mean_ns(self) -> float:
         """Analytic mean of the distribution in ns."""
         raise NotImplementedError
-
-
-class FixedDistribution(ServiceDistribution):
-    """Every request takes exactly ``mean_us`` microseconds."""
-
-    def __init__(self, mean_us: float):
-        if mean_us <= 0:
-            raise WorkloadError("mean must be positive")
-        self._mean_ns = us(mean_us)
-        self.name = f"Fixed({mean_us:g})"
-
-    def sample(self, rng: random.Random) -> int:
-        return self._mean_ns
-
-    @property
-    def mean_ns(self) -> float:
-        return float(self._mean_ns)
 
 
 class ExponentialDistribution(ServiceDistribution):
@@ -128,28 +108,6 @@ class BimodalDistribution(ServiceDistribution):
     @property
     def mean_ns(self) -> float:
         return sum(weight * mean for weight, mean in self.modes)
-
-
-class LognormalDistribution(ServiceDistribution):
-    """Heavy-tailed lognormal service times (extension workload)."""
-
-    def __init__(self, mean_us: float, sigma: float = 1.0):
-        if mean_us <= 0 or sigma <= 0:
-            raise WorkloadError("mean and sigma must be positive")
-        import math
-
-        self._sigma = sigma
-        # Choose mu so that the lognormal mean equals mean_us.
-        self._mu = math.log(mean_us * 1000.0) - sigma * sigma / 2.0
-        self._mean_ns = mean_us * 1000.0
-        self.name = f"Lognormal({mean_us:g},{sigma:g})"
-
-    def sample(self, rng: random.Random) -> int:
-        return int(rng.lognormvariate(self._mu, self._sigma)) + 1
-
-    @property
-    def mean_ns(self) -> float:
-        return self._mean_ns
 
 
 class JitterModel:

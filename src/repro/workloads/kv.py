@@ -52,35 +52,34 @@ class KvWorkload:
     KEY_SIZE = 16
     VALUE_SIZE = 64
     REQUEST_OVERHEAD = 64
+    #: Zipf-0.99 key popularity and 100-object SCANs (§5.5).
+    ZIPF_SKEW = 0.99
+    SCAN_COUNT = 100
 
     def __init__(
         self,
         rng: random.Random,
         num_keys: int = 1_000_000,
-        zipf_skew: float = 0.99,
         scan_fraction: float = 0.01,
-        scan_count: int = 100,
         zipf: ZipfGenerator = None,
-        deterministic_mix: bool = True,
     ):
         if not 0.0 <= scan_fraction <= 1.0:
             raise WorkloadError("scan_fraction must lie in [0, 1]")
-        if scan_count <= 0:
-            raise WorkloadError("scan_count must be positive")
         self.rng = rng
         self.scan_fraction = scan_fraction
-        self.scan_count = scan_count
         # With an X%-SCAN mix the 99th percentile sits exactly at the
         # GET/SCAN boundary, so sampling noise in the realised mix can
         # flip which side p99 lands on for *every* scheme alike (a
         # realised share of 1.01% puts p99 at the SCAN value no matter
-        # how good the system is, making the metric meaningless).  The
-        # default therefore paces SCANs deterministically with a period
-        # of round(1/fraction)+1, keeping the realised share strictly
+        # how good the system is, making the metric meaningless).
+        # SCANs are therefore paced deterministically with a period of
+        # round(1/fraction)+1, keeping the realised share strictly
         # below the percentile boundary — which is the regime the
         # paper's boundary-sensitive headline numbers (e.g. the 22.6x
-        # of Figure 11a) live in.
-        self.deterministic_mix = deterministic_mix and scan_fraction > 0.0
+        # of Figure 11a) live in.  A GET-only mix takes the Bernoulli
+        # draw in _is_scan, which never fires but still spends one draw
+        # per request.
+        self.deterministic_mix = scan_fraction > 0.0
         # An 8 % relative margin keeps the realised share a few samples
         # clear of the boundary even for windows of a few thousand
         # requests.
@@ -90,11 +89,7 @@ class KvWorkload:
         self._request_counter = 0
         # The Zipf CDF over 1M keys costs ~8 MB to build; allow sharing
         # one generator across the clients of an experiment.
-        self.zipf = zipf if zipf is not None else ZipfGenerator(num_keys, zipf_skew)
-        # Drifting generators key the rank→key rotation on the request
-        # ordinal (see DriftingZipfGenerator.sample_at); plain Zipf
-        # ignores time.
-        self._drifting = hasattr(self.zipf, "sample_at")
+        self.zipf = zipf if zipf is not None else ZipfGenerator(num_keys, self.ZIPF_SKEW)
         get_pct = round((1.0 - scan_fraction) * 100)
         self.name = f"{get_pct:g}%-GET,{100 - get_pct:g}%-SCAN"
 
@@ -106,12 +101,9 @@ class KvWorkload:
 
     def make_request(self, client_id: int, client_seq: int) -> KvRequest:
         """Draw one request payload."""
-        if self._drifting:
-            key = self.zipf.sample_at(self.rng, client_seq)
-        else:
-            key = self.zipf.sample(self.rng)
+        key = self.zipf.sample(self.rng)
         if self._is_scan():
-            return KvRequest(client_id, client_seq, KvOp.SCAN, key, self.scan_count)
+            return KvRequest(client_id, client_seq, KvOp.SCAN, key, self.SCAN_COUNT)
         return KvRequest(client_id, client_seq, KvOp.GET, key, 1)
 
     def request_size(self, request: KvRequest) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 
-__all__ = ["DriftingZipfGenerator", "ZipfGenerator"]
+__all__ = ["ZipfGenerator"]
 
 
 class ZipfGenerator:
@@ -46,27 +46,3 @@ class ZipfGenerator:
         previous = self._cdf[key - 1] if key > 0 else 0.0
         return self._cdf[key] - previous
 
-
-class DriftingZipfGenerator(ZipfGenerator):
-    """Zipf popularity whose hot set drifts over time.
-
-    The rank distribution is a fixed Zipf(s), but the rank → key
-    mapping rotates: every ``drift_period`` requests the whole mapping
-    shifts by one key, so yesterday's cold keys become today's hot
-    ones — the "popularity churn" that defeats static caching and
-    placement assumptions.  Callers sample with :meth:`sample_at`,
-    passing a per-client request ordinal as the time proxy; the ordinal
-    is deterministic under pre-drawn arrivals (unlike simulated time,
-    which a pre-draw hasn't reached yet), so drifting runs stay
-    bit-reproducible.
-    """
-
-    def __init__(self, num_keys: int, skew: float = 0.99, drift_period: int = 10_000):
-        if drift_period <= 0:
-            raise WorkloadError("drift_period must be positive")
-        super().__init__(num_keys, skew)
-        self.drift_period = drift_period
-
-    def sample_at(self, rng: random.Random, step: int) -> int:
-        """One key at request ordinal *step* (0-based rotation)."""
-        return (self.sample(rng) + step // self.drift_period) % self.num_keys

@@ -1,7 +1,5 @@
-"""Tests for the workload registry and the open-loop arrival processes
-(MMPP bursts, diurnal multi-tenant waves, drifting-Zipf key churn)."""
+"""Tests for the workload registry and the MMPP open-loop arrival process."""
 
-import math
 import random
 import statistics
 
@@ -9,22 +7,30 @@ import pytest
 
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.common import ClusterConfig, run_point
-from repro.experiments.specs import DiurnalSpec, KvSpec, MmppSpec
 from repro.experiments.workloads_registry import WORKLOADS, make_workload_spec
 from repro.sim.units import ms
-from repro.workloads.mmpp import DiurnalArrivals, MmppArrivals
-from repro.workloads.zipf import DriftingZipfGenerator, ZipfGenerator
+from repro.workloads.mmpp import MmppArrivals
 
 
 # ----------------------------------------------------------------------
 # Registry surface
 # ----------------------------------------------------------------------
 def test_registry_lists_builtins():
-    names = WORKLOADS.names()
-    for name in ("exp", "bimodal", "mmpp", "diurnal", "kv-drift", "kv-redis"):
-        assert name in names
+    # The exact set: each workload is run by a figure, a tool or the
+    # benchmark, so adding or dropping one is a reviewed change here.
+    assert WORKLOADS.names() == ("exp", "bimodal", "kv-redis", "kv-memcached", "mmpp")
+    aliases = {
+        alias: spec.name for spec in WORKLOADS.specs() for alias in spec.aliases
+    }
+    assert aliases == {
+        "exponential": "exp",
+        "redis": "kv-redis",
+        "kv": "kv-redis",
+        "memcached": "kv-memcached",
+        "bursty": "mmpp",
+    }
     listing = "\n".join(WORKLOADS.describe())
-    assert "mmpp" in listing and "diurnal" in listing
+    assert "mmpp" in listing and "kv-memcached" in listing
 
 
 def test_registry_aliases_and_canonical_form():
@@ -38,8 +44,20 @@ def test_registry_aliases_and_canonical_form():
 def test_registry_rejects_unknown_params():
     with pytest.raises(ExperimentError, match="brust"):
         make_workload_spec("mmpp:brust=4")
-    with pytest.raises(ExperimentError):
-        make_workload_spec("diurnal:amplitude=2.0")  # out of range
+    # Out-of-range and non-finite values fail when the spec is resolved,
+    # as the registry's own error type: not later at cluster build, and
+    # not as a bare ValueError or WorkloadError.
+    for value in (
+        "mmpp:burst=inf",
+        "mmpp:period_ms=nan",
+        "exp:mean_us=nan",
+        "exp:mean_us=0",
+        "kv-redis:scan_fraction=1.5",
+        "kv-redis:scan_fraction=-0.5",
+        "kv-redis:scan_fraction=nan",
+    ):
+        with pytest.raises(ExperimentError):
+            make_workload_spec(value)
 
 
 def test_registry_register_unregister_round_trip():
@@ -63,8 +81,6 @@ def test_make_workload_spec_names():
     assert make_workload_spec("mmpp:burst=6,period_ms=0.5").name == (
         "mmpp(6x,0.1)-Exp(25)"
     )
-    assert make_workload_spec("diurnal").name == "diurnal(0.5,2ms)-Exp(25)"
-    assert make_workload_spec("kv-drift").name.endswith("-drift10000")
     assert make_workload_spec("exp", {"mean_us": 10}).name == "Exp(10)"
 
 
@@ -93,10 +109,6 @@ def test_mmpp_long_run_rate_matches_nominal():
 
 
 def test_mmpp_is_deterministic_and_burstier_than_poisson():
-    gaps_a = [
-        MmppArrivals(random.Random(3), rate_rps=50_000.0).next_gap()
-        for _ in range(1)
-    ]
     process_a = MmppArrivals(random.Random(3), rate_rps=50_000.0)
     process_b = MmppArrivals(random.Random(3), rate_rps=50_000.0)
     gaps_a = [process_a.next_gap() for _ in range(5000)]
@@ -113,70 +125,6 @@ def test_mmpp_set_rate_scales_gaps():
     n = 50_000
     total_ns = sum(process.next_gap() for _ in range(n))
     assert n / (total_ns * 1e-9) == pytest.approx(100_000.0, rel=0.05)
-
-
-# ----------------------------------------------------------------------
-# Diurnal arrival process
-# ----------------------------------------------------------------------
-def test_diurnal_rate_oscillates_around_base():
-    process = DiurnalArrivals(
-        random.Random(2), rate_rps=50_000.0, amplitude=0.5, period_s=2e-3
-    )
-    assert process.rate_at(0.0) == pytest.approx(50_000.0)
-    assert process.rate_at(0.5e-3) == pytest.approx(75_000.0)  # peak
-    assert process.rate_at(1.5e-3) == pytest.approx(25_000.0)  # trough
-    n = 200_000
-    total_ns = sum(process.next_gap() for _ in range(n))
-    assert n / (total_ns * 1e-9) == pytest.approx(50_000.0, rel=0.05)
-
-
-def test_diurnal_phase_staggers_tenants():
-    base = DiurnalArrivals(random.Random(1), 50_000.0, phase=0.0)
-    shifted = DiurnalArrivals(random.Random(1), 50_000.0, phase=0.5)
-    # Half a period apart: one tenant peaks while the other troughs.
-    assert base.rate_at(0.5e-3) > 50_000.0 > shifted.rate_at(0.5e-3)
-
-
-def test_diurnal_spec_assigns_golden_ratio_phases():
-    spec = DiurnalSpec()
-    rng = random.Random(1)
-    phases = {
-        spec.make_arrival_process(rng, 50_000.0, client_index=i).phase
-        for i in range(8)
-    }
-    assert len(phases) == 8  # no two tenants share a phase
-
-
-# ----------------------------------------------------------------------
-# Drifting Zipf
-# ----------------------------------------------------------------------
-def test_drifting_zipf_rotates_keyspace():
-    rng_a = random.Random(4)
-    rng_b = random.Random(4)
-    static = ZipfGenerator(num_keys=1000, skew=0.99)
-    drifting = DriftingZipfGenerator(num_keys=1000, skew=0.99, drift_period=100)
-    before = [drifting.sample_at(rng_a, step) for step in range(100)]
-    base = [static.sample(rng_b) for _ in range(100)]
-    assert before == base  # first epoch: no rotation yet
-    rng_a = random.Random(4)
-    rng_b = random.Random(4)
-    after = [drifting.sample_at(rng_a, 250) for _ in range(100)]
-    shifted = [(static.sample(rng_b) + 2) % 1000 for _ in range(100)]
-    assert after == shifted  # epoch 2: hot set rotated by 2
-
-
-def test_drifting_zipf_validates_period():
-    with pytest.raises(WorkloadError):
-        DriftingZipfGenerator(num_keys=10, drift_period=0)
-
-
-def test_kv_spec_drift_period_opts_into_drifting_generator():
-    plain = KvSpec()
-    drifting = KvSpec(drift_period=500)
-    assert not hasattr(plain._zipf, "sample_at")
-    assert not plain.name.endswith("-drift500")
-    assert hasattr(drifting._zipf, "sample_at")
-    assert drifting.name.endswith("-drift500")
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +170,7 @@ def test_cli_lists_workloads(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out
     assert "registered workloads:" in out
-    for name in ("mmpp", "diurnal", "kv-drift"):
+    for name in WORKLOADS.names():
         assert name in out
 
 
@@ -232,3 +180,20 @@ def test_cli_rejects_workload_flag_on_unaware_harness(capsys):
     assert main(["fig13", "--workload", "mmpp"]) == 2
     out = capsys.readouterr().out
     assert "no --workload axis" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig7", "--workload", "nosuch"],
+        ["fig7", "--workload", "mmpp:brust=4"],
+        ["fig17", "--topology", "spine_leaf:bogus=1"],
+        ["fig19", "--placement", "rack-weighted:p=7"],
+    ],
+)
+def test_cli_bad_axis_value_exits_2_with_one_line(argv, capsys):
+    from repro.cli import main
+
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1

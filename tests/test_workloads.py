@@ -10,11 +10,9 @@ from repro.errors import WorkloadError
 from repro.workloads import (
     BimodalDistribution,
     ExponentialDistribution,
-    FixedDistribution,
     JitterModel,
     KvOp,
     KvWorkload,
-    LognormalDistribution,
     RpcRequest,
     SyntheticWorkload,
     ZipfGenerator,
@@ -28,13 +26,6 @@ def rng():
 # ----------------------------------------------------------------------
 # Distributions
 # ----------------------------------------------------------------------
-def test_fixed_distribution_constant():
-    dist = FixedDistribution(25.0)
-    r = rng()
-    assert {dist.sample(r) for _ in range(10)} == {25_000}
-    assert dist.mean_ns == 25_000
-
-
 def test_exponential_distribution_mean():
     dist = ExponentialDistribution(25.0)
     r = rng()
@@ -71,21 +62,9 @@ def test_bimodal_weights_must_sum_to_one():
         BimodalDistribution(((1.0, -5.0),))
 
 
-def test_lognormal_distribution_mean():
-    dist = LognormalDistribution(25.0, sigma=1.0)
-    r = rng()
-    samples = [dist.sample(r) for _ in range(50_000)]
-    mean = sum(samples) / len(samples)
-    assert mean == pytest.approx(25_000, rel=0.1)
-
-
 def test_distribution_validation():
     with pytest.raises(WorkloadError):
         ExponentialDistribution(0)
-    with pytest.raises(WorkloadError):
-        FixedDistribution(-1)
-    with pytest.raises(WorkloadError):
-        LognormalDistribution(25.0, sigma=0)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +159,7 @@ def test_synthetic_workload_draws_service_times():
 
 
 def test_kv_workload_deterministic_mix_paced_under_boundary():
-    workload = KvWorkload(rng(), num_keys=1000, scan_fraction=0.01, scan_count=100)
+    workload = KvWorkload(rng(), num_keys=1000, scan_fraction=0.01)
     ops = [workload.make_request(0, i).op for i in range(1090)]
     # SCANs are paced with an ~8 % margin under the nominal fraction so
     # the realised share stays strictly below the p99 boundary.
@@ -188,24 +167,15 @@ def test_kv_workload_deterministic_mix_paced_under_boundary():
     assert 0.008 < ops.count(KvOp.SCAN) / len(ops) < 0.01
 
 
-def test_kv_workload_bernoulli_mix_approximate():
-    workload = KvWorkload(
-        rng(), num_keys=1000, scan_fraction=0.1, deterministic_mix=False
-    )
-    ops = [workload.make_request(0, i).op for i in range(5000)]
-    assert ops.count(KvOp.SCAN) == pytest.approx(500, rel=0.25)
-
-
 def test_kv_workload_sizes_and_validation():
-    workload = KvWorkload(rng(), num_keys=100, scan_fraction=0.1, scan_count=100)
+    workload = KvWorkload(rng(), num_keys=100, scan_fraction=0.1)
     requests = [workload.make_request(0, i) for i in range(100)]
     scan = next(r for r in requests if r.op is KvOp.SCAN)
     get = next(r for r in requests if r.op is KvOp.GET)
     assert workload.response_size(scan) > workload.response_size(get)
+    assert scan.count == KvWorkload.SCAN_COUNT == 100
     with pytest.raises(WorkloadError):
         KvWorkload(rng(), scan_fraction=1.5)
-    with pytest.raises(WorkloadError):
-        KvWorkload(rng(), scan_count=0)
 
 
 def test_kv_workload_name_reflects_mix():
