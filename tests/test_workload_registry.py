@@ -44,10 +44,13 @@ def test_registry_aliases_and_canonical_form():
 def test_registry_rejects_unknown_params():
     with pytest.raises(ExperimentError, match="brust"):
         make_workload_spec("mmpp:brust=4")
-    # Out-of-range and non-finite values fail when the spec is resolved,
-    # as the registry's own error type: not later at cluster build, and
-    # not as a bare ValueError or WorkloadError.
-    for value in (
+    with pytest.raises(ExperimentError, match="mean_us"):
+        make_workload_spec("bimodal:mean_us=25")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
         "mmpp:burst=inf",
         "mmpp:period_ms=nan",
         "exp:mean_us=nan",
@@ -55,9 +58,16 @@ def test_registry_rejects_unknown_params():
         "kv-redis:scan_fraction=1.5",
         "kv-redis:scan_fraction=-0.5",
         "kv-redis:scan_fraction=nan",
-    ):
-        with pytest.raises(ExperimentError):
-            make_workload_spec(value)
+        "kv-memcached:scan_fraction=2",
+        "kv-redis:num_keys=0",
+    ],
+)
+def test_registry_rejects_bad_param_values(value):
+    # Out-of-range and non-finite values fail when the spec is resolved,
+    # as the registry's own error type: not later at cluster build, and
+    # not as a bare ValueError or WorkloadError.
+    with pytest.raises(ExperimentError):
+        make_workload_spec(value)
 
 
 def test_registry_register_unregister_round_trip():
