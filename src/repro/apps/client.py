@@ -214,7 +214,7 @@ class OpenLoopClient(Host, _ClientCore):
         self.rng = rng
         self.stop_at_ns = stop_at_ns
         #: Optional open-loop modulation (MMPP bursts): an object with
-        #: ``next_gap() -> int ns`` (and optionally ``set_rate``).
+        #: ``next_gap() -> int ns`` and ``set_rate(rate_rps)``.
         #: ``None`` keeps the plain exponential gaps — draw-for-draw
         #: identical to the historical client.
         self.arrival_process = arrival_process
@@ -250,9 +250,7 @@ class OpenLoopClient(Host, _ClientCore):
         self.rate_rps = rate_rps
         self._mean_gap_ns = 1e9 / rate_rps
         if self.arrival_process is not None:
-            set_rate = getattr(self.arrival_process, "set_rate", None)
-            if set_rate is not None:
-                set_rate(rate_rps)
+            self.arrival_process.set_rate(rate_rps)
         self._flush_arrivals()
 
     def flush_predrawn(self) -> None:

@@ -224,14 +224,16 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
 def _run_scenarios(names: List[str], args: argparse.Namespace) -> int:
     """``run-scenario`` subcommand: run catalog entries / TOML specs.
 
-    Scenario × overrides cells run through the sweep bridge (so
-    ``--jobs N`` parallelises them, bit-identically to serial); every
-    report prints its invariant summary, optionally lands as JSON in
-    ``--report-dir``, and any failed invariant makes the exit code 1.
+    The scenarios run as one sweep batch (so ``--jobs N`` parallelises
+    them, bit-identically to serial); every report prints its
+    invariant summary, optionally lands as JSON in ``--report-dir``,
+    and any failed invariant makes the exit code 1.  A user error (an
+    unknown name, an override the scenario cannot run on) raises
+    ExperimentError before any scenario runs.
     """
     from repro.scenarios import Scenario, catalog, get_scenario
     from repro.scenarios.runner import ScenarioReport
-    from repro.scenarios.sweep import run_scenario_grid
+    from repro.scenarios.sweep import run_scenarios
 
     if not names:
         print("run-scenario needs catalog names, TOML paths, or 'all'")
@@ -244,11 +246,10 @@ def _run_scenarios(names: List[str], args: argparse.Namespace) -> int:
             scenarios.append(Scenario.from_toml_file(name))
         else:
             scenarios.append(get_scenario(name))
-    report_dicts: List[Dict[str, Any]] = run_scenario_grid(
+    report_dicts = run_scenarios(
         scenarios,
-        schemes=None,
-        topologies=[args.topology] if args.topology else None,
-        placements=[args.placement] if args.placement else None,
+        topology=args.topology,
+        placement=args.placement,
         scale=args.scale,
         seed=args.seed,
         jobs=args.jobs,
@@ -279,16 +280,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiments = list(args.experiments)
     if experiments and experiments[0] == "run":
         experiments = experiments[1:]
-    if experiments and experiments[0] == "run-scenario":
-        return _run_scenarios(experiments[1:], args)
     if experiments and experiments[0] == "lint":
         return _run_lint(experiments[1:], args)
     try:
+        if experiments and experiments[0] == "run-scenario":
+            return _run_scenarios(experiments[1:], args)
         return _run_experiments(experiments, args)
     except ExperimentError as exc:
-        # A bad experiment id or axis value, or a failed harness gate
-        # (fig16's invariants): print the message and exit 2, no
-        # traceback.
+        # A bad experiment id, scenario name or axis value, or a failed
+        # harness gate (fig16's invariants): print the message and exit
+        # 2, no traceback.
         print(exc)
         return 2
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.apps.client import OpenLoopClient
 from repro.core.placement import PlacementContext
 from repro.errors import ExperimentError
-from repro.experiments.executor import SweepExecutor, resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.placements import PLACEMENTS, PlacementSpec
 from repro.experiments.schemes import SCHEMES, SchemeContext, SchemeSpec
 from repro.experiments.specs import WorkloadSpec, make_synthetic_spec
@@ -56,7 +56,6 @@ __all__ = [
     "ClusterConfig",
     "run_point",
     "run_sweep",
-    "sweep_override_kwargs",
 ]
 
 
@@ -313,7 +312,6 @@ class Cluster:
             self.group_tables = context.group_tables
 
         per_client_rate = config.rate_rps / config.num_clients
-        make_arrivals = getattr(config.workload, "make_arrival_process", None)
         for index in range(config.num_clients):
             context.client_index = index
             common = dict(
@@ -332,16 +330,14 @@ class Cluster:
                 rx_cost_ns=CLIENT_RX_NS,
                 packet_pool=self.packet_pool,
             )
-            if make_arrivals is not None:
-                # Open-loop arrival modulation (MMPP bursts) draws from
-                # its own RNG stream, so workloads without a process
-                # stay draw-for-draw identical to the seed's
-                # plain-Poisson client.
-                arrivals = make_arrivals(
-                    self.rngs.stream(f"arrivals{index}"), per_client_rate
-                )
-                if arrivals is not None:
-                    common["arrival_process"] = arrivals
+            # Open-loop arrival modulation (MMPP bursts) draws from its
+            # own RNG stream, so workloads without a process stay
+            # draw-for-draw identical to the seed's plain-Poisson client.
+            arrivals = config.workload.make_arrival_process(
+                self.rngs.stream(f"arrivals{index}"), per_client_rate
+            )
+            if arrivals is not None:
+                common["arrival_process"] = arrivals
             client = spec.make_client(context, common)
             fabric.attach(client, "client", index)
             self.clients.append(client)
@@ -593,35 +589,6 @@ def _mean_or_nan(values: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-def sweep_override_kwargs(
-    config: ClusterConfig,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> Dict[str, Any]:
-    """``replace()`` kwargs applying sweep-level topology/placement overrides.
-
-    An override may carry inline params ("spine_leaf:spines=4,...",
-    "rack-weighted:p=0.7"); each point config's ``__post_init__`` folds
-    those into its params field.  When an override names a *different*
-    entry than the config, the config's params belong to the old one
-    and are dropped — otherwise e.g. leftover ``spines`` would trip the
-    ``star`` builder's unknown-parameter check.
-    """
-    requested = {"topology": topology, "placement": placement}
-    kwargs: Dict[str, Any] = {}
-    for field_name, params_name, registry, default in _PARAM_AXES:
-        current = getattr(config, field_name)
-        chosen = requested[field_name]
-        if chosen is None:
-            chosen = current
-        name, inline = registry.parse(chosen or default)
-        if name != current:
-            kwargs.update({field_name: name, params_name: inline})
-        else:
-            kwargs[field_name] = chosen
-    return kwargs
-
-
 def run_point(config: ClusterConfig) -> LoadPoint:
     """Build, run and reduce one operating point.
 
@@ -644,60 +611,45 @@ def run_point(config: ClusterConfig) -> LoadPoint:
 
 
 def run_sweep(
-    config: ClusterConfig,
-    offered_loads_rps: Sequence[float],
-    scheme: Optional[str] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
+    config: ClusterConfig, offered_loads_rps: Sequence[float], jobs: int = 1
 ) -> SweepResult:
-    """Measure one throughput-latency curve.
+    """Measure one throughput-latency curve of ``config.scheme``.
 
-    *config* provides everything but the rate (and optionally the
-    scheme, topology and placement); each load re-runs an independent
-    cluster with the same seed so curves differ only in offered load.
-    With ``jobs > 1`` (or an explicit *executor*) the points run in
-    parallel worker processes; results are bit-identical to the serial
-    path because every point seeds its own RNG registry.
+    *config* provides everything but the rate; each load re-runs an
+    independent cluster with the same seed so the points differ only
+    in offered load.  With ``jobs > 1`` the points run in parallel
+    worker processes; results are bit-identical to the serial path
+    because every point seeds its own RNG registry.
     """
-    chosen = scheme if scheme is not None else config.scheme
     panels = _sweep_grid(
         {None: (config, list(offered_loads_rps))},
-        [chosen],
-        resolve_executor(executor, jobs),
-        topology,
-        placement,
+        [config.scheme],
+        jobs,
     )
-    return panels[None][chosen]
+    return panels[None][config.scheme]
 
 
 def _sweep_grid(
     panels: Dict[Any, Tuple[ClusterConfig, Sequence[float]]],
     schemes: Sequence[str],
-    executor: SweepExecutor,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
+    jobs: int,
 ) -> Dict[Any, Dict[str, SweepResult]]:
     """Every panel × scheme × load point as one executor batch.
 
     *panels* maps a panel key to its config and offered loads.  The
     result maps each panel key to one curve per scheme, keyed by the
     names the caller passed (aliases intact); the curve labels use the
-    canonical names the configs resolved to.  *topology* / *placement*
-    override every panel's fabric and group placement.
+    canonical names the configs resolved to.
     """
     schemes = list(schemes)
     canonical = [SCHEMES.get(scheme).name for scheme in schemes]
-    point_configs: List[ClusterConfig] = []
-    for config, loads in panels.values():
-        overrides = sweep_override_kwargs(config, topology, placement)
-        point_configs.extend(
-            replace(config, scheme=name, rate_rps=rate, **overrides)
-            for name in canonical
-            for rate in loads
-        )
-    points = iter(executor.run_points(point_configs))
+    point_configs = [
+        replace(config, scheme=name, rate_rps=rate)
+        for config, loads in panels.values()
+        for name in canonical
+        for rate in loads
+    ]
+    points = iter(SweepExecutor(jobs).run_points(point_configs))
     results: Dict[Any, Dict[str, SweepResult]] = {}
     for key, (config, loads) in panels.items():
         curves = results[key] = {}

@@ -1,13 +1,18 @@
-"""Parallel sweep engine.
+"""Parallel sweep engine: the one path that runs a batch of points.
 
 Every figure reproduction reduces to a batch of independent
 ``run_point`` calls — one fresh simulator per (scheme, topology,
-offered-load) triple.  :class:`SweepExecutor` fans such a batch out
-over a ``concurrent.futures`` process pool (``jobs`` workers) while
-keeping the results in submission order, so parallel sweeps are
-bit-identical to serial ones: each point builds its own
-:class:`~repro.sim.rng.RngRegistry` from the config seed, and nothing
-is shared between points.
+offered-load) triple.  Callers build ``SweepExecutor(jobs)`` and hand
+it the batch: :meth:`SweepExecutor.run_points` for configs (every
+figure sweep, through :func:`~repro.experiments.common.run_sweep` and
+:func:`~repro.experiments.harness.sweep_panels` or directly), and
+:meth:`SweepExecutor.run_tasks` for whole-timeline cells (fig16's
+failure drills, :func:`~repro.scenarios.sweep.run_scenarios`).  Both
+fan the batch out over one ``concurrent.futures`` process pool
+(``jobs`` workers) while keeping the results in input order, so
+parallel batches are bit-identical to serial ones: each point builds
+its own :class:`~repro.sim.rng.RngRegistry` from the config seed, and
+nothing is shared between points.
 
 Two scheduling refinements keep wide grids fast:
 
@@ -23,8 +28,8 @@ Two scheduling refinements keep wide grids fast:
   order.
 
 The executor degrades gracefully: ``jobs=1`` (the default) never
-spawns processes, unpicklable configs (e.g. ad-hoc specs holding
-closures) fall back to the serial path with a logged warning, and a
+spawns processes, an unpicklable batch (e.g. ad-hoc specs holding
+closures) falls back to the serial path with a logged warning, and a
 pool that cannot be created (restricted environments) does the same.
 """
 
@@ -45,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SweepExecutor",
     "point_cost",
-    "resolve_executor",
     "submission_order",
 ]
 
@@ -147,98 +151,82 @@ class SweepExecutor:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
 
-    # ------------------------------------------------------------------
     def run_points(self, configs: Sequence["ClusterConfig"]) -> List["LoadPoint"]:
-        """Measure every config; results keep the input order."""
-        configs = list(configs)
-        if self.jobs <= 1 or len(configs) <= 1:
-            return [_measure_point(config) for config in configs]
-        stripped, spec_table = _strip_specs(configs)
-        if not self._picklable(stripped, spec_table):
-            return [_measure_point(config) for config in configs]
-        return self._with_serial_fallback(
-            lambda: self._run_pool(stripped, spec_table),
-            lambda: [_measure_point(config) for config in configs],
-        )
+        """Measure every config; results keep the input order.
 
-    # ------------------------------------------------------------------
+        Workload specs ship once per worker and points are submitted
+        longest-first.
+        """
+        return self._run_batch(_measure_point, list(configs), ship_specs=True)
+
     def run_tasks(self, fn: Any, items: Sequence[Any]) -> List[Any]:
         """Run ``fn(item)`` for every item; results keep the input order.
 
-        The generic sibling of :meth:`run_points` for batches that are
-        not plain ``run_point(config)`` calls — e.g. fig16's failure
-        drills, where each cell is a whole timeline with mid-run
-        control-plane operations.  *fn* must be a module-level callable
-        and each item picklable; like :meth:`run_points`, the batch
-        degrades to serial execution on unpicklable payloads or an
-        unavailable pool, and workers re-import plugin-registry modules
-        first, so cells may resolve schemes/topologies/placements.
+        For batches that are not plain ``run_point(config)`` calls —
+        fig16's failure drills and the scenario catalog, where each
+        cell is a whole timeline with mid-run control-plane
+        operations.  *fn* must be a module-level callable and each
+        item picklable.
         """
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        try:
-            pickle.dumps(fn)
-            pickle.dumps(items)
-        except Exception as exc:
-            _LOG.warning("task batch is not picklable (%s); running serially", exc)
-            return [fn(item) for item in items]
-
-        def pool_run() -> List[Any]:
-            with self._make_pool(len(items)) as pool:
-                futures = [pool.submit(fn, item) for item in items]
-                return [future.result() for future in futures]
-
-        return self._with_serial_fallback(
-            pool_run, lambda: [fn(item) for item in items]
-        )
+        return self._run_batch(fn, list(items))
 
     # ------------------------------------------------------------------
-    def _make_pool(
-        self, num_items: int, spec_table: Optional[Dict[int, Any]] = None
-    ) -> ProcessPoolExecutor:
-        """A worker pool with the plugin-registry initializer armed."""
-        return ProcessPoolExecutor(
-            max_workers=min(self.jobs, num_items),
-            initializer=_worker_init,
-            initargs=(self._registered_plugin_modules(), spec_table),
-        )
+    def _run_batch(
+        self, fn: Any, items: List[Any], ship_specs: bool = False
+    ) -> List[Any]:
+        """The one pool routine behind :meth:`run_points` and :meth:`run_tasks`.
 
-    @staticmethod
-    def _with_serial_fallback(pool_run: Any, serial_run: Any) -> List[Any]:
-        """Run *pool_run*, degrading to *serial_run* on pool failures.
+        ``jobs=1`` and single-item batches run in-process.  With
+        *ship_specs* the items are configs: each workload is replaced
+        by a :class:`_SpecRef` and the spec table rides the pool
+        initializer, and points are submitted longest-first.  An
+        unpicklable batch runs serially with a logged warning.
 
-        The one copy of the degrade policy both batch shapes share:
-        worker-raised exceptions carry a ``_RemoteTraceback`` cause —
+        Worker-raised exceptions carry a ``_RemoteTraceback`` cause —
         those are simulation errors (e.g. a scheme reading a missing
         file) and propagate unchanged, since re-running the batch
         serially would only reproduce them slower.  A died worker
         (OOM, spawn-side import failure) or a bare OSError (fork
         denied, rlimits) is pool infrastructure: fall back to serial.
         """
+        if self.jobs <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        if ship_specs:
+            payloads, specs = _strip_specs(items)
+            order: Sequence[int] = submission_order(items)
+        else:
+            payloads, specs, order = items, None, range(len(items))
         try:
-            return pool_run()
+            # Checked exactly as the pool will ship them: the per-item
+            # payloads and the once-per-worker spec table.
+            pickle.dumps((fn, payloads, specs))
+        except Exception as exc:
+            _LOG.warning("batch is not picklable (%s); running serially", exc)
+            return [fn(item) for item in items]
+        try:
+            with self._make_pool(len(items), specs) as pool:
+                # The future map restores input order on collection.
+                futures = {
+                    index: pool.submit(fn, payloads[index]) for index in order
+                }
+                return [futures[index].result() for index in range(len(items))]
         except BrokenProcessPool as exc:
             _LOG.warning("process pool failed (%s); running serially", exc)
-            return serial_run()
         except OSError as exc:
             if type(exc.__cause__).__name__ == "_RemoteTraceback":
                 raise
             _LOG.warning("process pool unavailable (%s); running serially", exc)
-            return serial_run()
+        return [fn(item) for item in items]
 
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self, stripped: List["ClusterConfig"], spec_table: Dict[int, Any]
-    ) -> List["LoadPoint"]:
-        with self._make_pool(len(stripped), spec_table) as pool:
-            # Longest-first submission shrinks tail stragglers; the
-            # future map restores submission order on collection.
-            futures = {
-                index: pool.submit(_measure_point, stripped[index])
-                for index in submission_order(stripped)
-            }
-            return [futures[index].result() for index in range(len(stripped))]
+    def _make_pool(
+        self, num_items: int, specs: Optional[Dict[int, Any]]
+    ) -> ProcessPoolExecutor:
+        """A worker pool with the plugin-registry initializer armed."""
+        return ProcessPoolExecutor(
+            max_workers=min(self.jobs, num_items),
+            initializer=_worker_init,
+            initargs=(self._registered_plugin_modules(), specs),
+        )
 
     @staticmethod
     def _registered_plugin_modules() -> Tuple[str, ...]:
@@ -253,29 +241,5 @@ class SweepExecutor:
             sorted({m for r in registries for m in r.registered_modules()})
         )
 
-    def _picklable(
-        self, stripped: List["ClusterConfig"], spec_table: Dict[int, Any]
-    ) -> bool:
-        # Checked post-strip, exactly as the pool will ship them: the
-        # (cheap) per-point configs and the once-per-worker spec table.
-        try:
-            pickle.dumps(stripped)
-            pickle.dumps(spec_table)
-            return True
-        except Exception as exc:
-            _LOG.warning(
-                "sweep configs are not picklable (%s); sweeping serially", exc
-            )
-            return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepExecutor jobs={self.jobs}>"
-
-
-def resolve_executor(
-    executor: Optional[SweepExecutor], jobs: Optional[int]
-) -> SweepExecutor:
-    """*executor* if given, else a fresh one for *jobs* (default serial)."""
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=1 if jobs is None else jobs)

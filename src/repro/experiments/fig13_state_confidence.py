@@ -19,13 +19,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.experiments.common import JITTER_FACTOR, ClusterConfig
-from repro.experiments.executor import SweepExecutor, resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.tables import format_table
 
-__all__ = ["collect_empty_queue", "collect_repeated_p99", "run"]
+__all__ = ["collect", "run"]
 
 NUM_SERVERS = 6
 WORKERS = 15
@@ -63,55 +63,51 @@ def _base_config(
     )
 
 
-def collect_empty_queue(
+def collect(
     scale: float = 1.0,
     seed: int = 1,
-    executor: Optional[SweepExecutor] = None,
+    repeats: int = REPEATS,
+    jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
-) -> List[Tuple[float, float]]:
-    """(load fraction, empty-queue fraction) samples for panel (a)."""
+) -> Tuple[List[Tuple[float, float]], Dict[str, Tuple[float, float]]]:
+    """Both panels' samples, measured as one executor batch.
+
+    Panel (a): (load fraction, empty-queue fraction) pairs.  Panel
+    (b): mean and std of p99 over *repeats* runs at 90 % load, per
+    scheme.
+    """
     config = _base_config(scale, seed, topology, placement)
     capacity = _effective_capacity(config)
     fractions = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     if scale < 0.4:
         fractions = (0.1, 0.4, 0.7, 1.0)
+    schemes = ("baseline", "netclone")
     configs = [
         replace(config, scheme="netclone", rate_rps=capacity * fraction)
         for fraction in fractions
-    ]
-    points = resolve_executor(executor, None).run_points(configs)
-    samples = []
-    for fraction, point in zip(fractions, points):
-        zeros = point.extra["state_samples_zero"]
-        total = point.extra["state_samples_total"]
-        samples.append((fraction, zeros / total if total else float("nan")))
-    return samples
-
-
-def collect_repeated_p99(
-    scale: float = 1.0,
-    seed: int = 1,
-    repeats: int = REPEATS,
-    executor: Optional[SweepExecutor] = None,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> Dict[str, Tuple[float, float]]:
-    """Mean and std of p99 over repeated runs at 90 % load (panel b)."""
-    config = _base_config(scale, seed, topology, placement)
-    rate = _effective_capacity(config) * HIGH_LOAD_FRACTION
-    schemes = ("baseline", "netclone")
-    configs = [
-        replace(config, scheme=scheme, rate_rps=rate, seed=seed + run_index)
+    ] + [
+        replace(
+            config,
+            scheme=scheme,
+            rate_rps=capacity * HIGH_LOAD_FRACTION,
+            seed=seed + run_index,
+        )
         for scheme in schemes
         for run_index in range(repeats)
     ]
-    points = resolve_executor(executor, None).run_points(configs)
-    out: Dict[str, Tuple[float, float]] = {}
+    points = SweepExecutor(jobs).run_points(configs)
+    empty = []
+    for fraction, point in zip(fractions, points):
+        zeros = point.extra["state_samples_zero"]
+        total = point.extra["state_samples_total"]
+        empty.append((fraction, zeros / total if total else float("nan")))
+    repeated = points[len(fractions):]
+    stats: Dict[str, Tuple[float, float]] = {}
     for index, scheme in enumerate(schemes):
-        p99s = [p.p99_us for p in points[index * repeats : (index + 1) * repeats]]
-        out[scheme] = (float(np.mean(p99s)), float(np.std(p99s)))
-    return out
+        p99s = [p.p99_us for p in repeated[index * repeats : (index + 1) * repeats]]
+        stats[scheme] = (float(np.mean(p99s)), float(np.std(p99s)))
+    return empty, stats
 
 
 @register("fig13", "confidence of the empty-queue state signal")
@@ -123,15 +119,8 @@ def run(
     placement: Optional[str] = None,
 ) -> str:
     """Run Figure 13 and return the formatted report."""
-    executor = SweepExecutor(jobs=jobs)
-    empty = collect_empty_queue(
-        scale, seed, executor=executor, topology=topology, placement=placement
-    )
     repeats = REPEATS if scale >= 1.0 else max(3, int(REPEATS * scale))
-    stats = collect_repeated_p99(
-        scale, seed, repeats=repeats, executor=executor, topology=topology,
-        placement=placement
-    )
+    empty, stats = collect(scale, seed, repeats, jobs, topology, placement)
     lines = ["== Figure 13 (a): portion of empty queues vs offered load =="]
     lines.append(
         format_table(

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.executor import resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import register
 from repro.experiments.topologies import TOPOLOGIES
@@ -224,7 +224,7 @@ def collect_server_failure(
         (chosen, scale, seed, topology_params)
         for chosen in _sf_placements(placement)
     ]
-    return resolve_executor(None, jobs).run_tasks(_server_failure_cell, cells)
+    return SweepExecutor(jobs).run_tasks(_server_failure_cell, cells)
 
 
 def run_server_failure(

@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.executor import resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
@@ -146,7 +146,7 @@ def collect(
         for policy in policies
         for gbps in bandwidths
     ]
-    points = resolve_executor(None, jobs).run_points([cfg for _, cfg in grid])
+    points = SweepExecutor(jobs).run_points([cfg for _, cfg in grid])
     results: Dict[Tuple[str, str], List[Cell]] = {}
     for ((scheme, policy, gbps), _), point in zip(grid, points):
         results.setdefault((scheme, policy), []).append((gbps, point))

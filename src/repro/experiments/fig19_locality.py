@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ClusterConfig
-from repro.experiments.executor import resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.placements import PLACEMENTS as PLACEMENT_REGISTRY
 from repro.experiments.registry import register
@@ -134,7 +134,7 @@ def collect(
         for chosen in placements
         for racks in rack_counts
     ]
-    points = resolve_executor(None, jobs).run_points([cfg for _, cfg in grid])
+    points = SweepExecutor(jobs).run_points([cfg for _, cfg in grid])
     results: Dict[Tuple[str, str], List[Cell]] = {}
     for ((scheme, chosen, racks), _), point in zip(grid, points):
         results.setdefault((scheme, chosen), []).append((racks, point))

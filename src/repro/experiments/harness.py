@@ -8,8 +8,9 @@ panel × scheme × load grid as one executor batch; :func:`format_series`
 formats one curve per scheme.  ``scale`` shrinks the measurement
 windows (:func:`scaled_config`) and thins the load grid
 (:func:`load_grid`) so the identical harness serves CI smoke tests
-and full reproductions.  :func:`sweep_schemes` is the single-panel
-form for callers with their own load grid.
+and full reproductions.  A caller with its own load grid sweeps one
+curve with :func:`~repro.experiments.common.run_sweep`; topology and
+placement ride on the :class:`ClusterConfig` in both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, _sweep_grid
-from repro.experiments.executor import SweepExecutor, resolve_executor
 from repro.metrics.sweep import SweepResult
 from repro.sim.units import ms
 
@@ -33,7 +33,6 @@ __all__ = [
     "load_grid",
     "scaled_config",
     "sweep_panels",
-    "sweep_schemes",
 ]
 
 #: Offered-load fractions of theoretical capacity for a full sweep.
@@ -100,32 +99,7 @@ def sweep_panels(
         )
         for key, config in panels.items()
     }
-    return _sweep_grid(grid, schemes, resolve_executor(None, jobs))
-
-
-def sweep_schemes(
-    config: ClusterConfig,
-    schemes: Sequence[str],
-    loads: Sequence[float],
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> Dict[str, SweepResult]:
-    """One curve per scheme over an explicit load grid.
-
-    The scheme × load grid runs as one batch; the serial default
-    matches ``run_sweep`` per scheme.  *topology* / *placement*
-    override the config's fabric and group placement for every curve.
-    """
-    results = _sweep_grid(
-        {None: (config, list(loads))},
-        schemes,
-        resolve_executor(executor, jobs),
-        topology,
-        placement,
-    )
-    return results[None]
+    return _sweep_grid(grid, schemes, jobs)
 
 
 def format_series(

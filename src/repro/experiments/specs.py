@@ -54,8 +54,9 @@ class WorkloadSpec:
         ``None`` (the default) keeps the client's plain exponential
         gaps — bit-identical to the historical Poisson open loop.
         Burst-modelling specs return an object with ``next_gap() ->
-        int ns`` (and optionally ``set_rate``); *rng* is the client's
-        dedicated arrival stream.
+        int ns`` and ``set_rate(rate_rps)`` (the client calls it on a
+        mid-run rate change); *rng* is the client's dedicated arrival
+        stream.
         """
         return None
 

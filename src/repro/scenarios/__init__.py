@@ -12,10 +12,10 @@ and offline report checkers pay only for what they use:
   invariant;
 * :mod:`repro.scenarios.invariants` — the reusable invariant library
   (pure functions over report data);
-* :mod:`repro.scenarios.catalog` / :mod:`repro.scenarios.sweep` — the
-  built-in scenario catalog and the scenario × scheme × placement ×
-  topology grid bridge onto
-  :class:`~repro.experiments.executor.SweepExecutor`.
+* :mod:`repro.scenarios.catalog` — the built-in scenario catalog;
+* :mod:`repro.scenarios.sweep` — :func:`run_scenarios`: a batch of
+  scenarios, optionally moved onto another fabric or placement, run
+  through :class:`~repro.experiments.executor.SweepExecutor`.
 """
 
 from repro.scenarios.catalog import catalog, catalog_names, get_scenario
@@ -33,7 +33,7 @@ from repro.scenarios.spec import (
     ScenarioEvent,
     event_action_names,
 )
-from repro.scenarios.sweep import run_scenario_grid, scenario_grid
+from repro.scenarios.sweep import run_scenarios
 
 __all__ = [
     "EVENT_TYPES",
@@ -50,6 +50,5 @@ __all__ = [
     "event_action_names",
     "get_scenario",
     "run_scenario",
-    "run_scenario_grid",
-    "scenario_grid",
+    "run_scenarios",
 ]

@@ -347,30 +347,23 @@ class Scenario:
 
     def with_overrides(
         self,
-        scheme: Optional[str] = None,
         topology: Optional[str] = None,
         placement: Optional[str] = None,
-        seed: Optional[int] = None,
     ) -> "Scenario":
-        """A re-validated copy with sweep-axis overrides applied.
+        """A re-validated copy on another fabric and/or group placement.
 
-        This is how scenario × scheme × placement × topology becomes a
-        sweepable grid: the scenario is the fourth axis, and each cell
-        re-runs full validation, so an incompatible combination (e.g.
-        a control-plane scenario on a program-less scheme) fails before
-        any cluster is built.
+        The copy re-runs full validation, so an incompatible
+        combination (e.g. a spine scenario on a star fabric) fails
+        before any cluster is built.  An override drops the params
+        of the entry it replaces.
         """
         cluster = dict(self.cluster)
-        if scheme is not None:
-            cluster["scheme"] = scheme
         if topology is not None:
             cluster["topology"] = topology
             cluster.pop("topology_params", None)
         if placement is not None:
             cluster["placement"] = placement
             cluster.pop("placement_params", None)
-        if seed is not None:
-            cluster["seed"] = seed
         return replace(
             self,
             cluster=cluster,
@@ -448,13 +441,15 @@ class Scenario:
 
     @classmethod
     def from_toml_file(cls, path: Any) -> "Scenario":
-        with open(path, "rb") as fh:
-            try:
+        try:
+            with open(path, "rb") as fh:
                 data = tomllib.load(fh)
-            except tomllib.TOMLDecodeError as exc:
-                raise ExperimentError(
-                    f"invalid scenario TOML in {path}: {exc}"
-                ) from None
+        except OSError as exc:
+            raise ExperimentError(
+                f"cannot read scenario file {path}: {exc.strerror}"
+            ) from None
+        except tomllib.TOMLDecodeError as exc:
+            raise ExperimentError(f"invalid scenario TOML in {path}: {exc}") from None
         return cls.from_dict(data)
 
 

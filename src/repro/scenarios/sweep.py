@@ -1,138 +1,60 @@
-"""Scenario grids: the chaos axis of the sweep engine.
+"""Scenario batches: the chaos catalog on the sweep engine.
 
-fig-style sweeps iterate scheme × topology × placement; this module
-adds the *scenario* as a fourth axis and pushes the resulting grid
-through :meth:`repro.experiments.executor.SweepExecutor.run_tasks` —
-the same parallel batch engine the figure reproductions use.  Each
-cell ships as plain data (the scenario's dict form plus overrides),
+:func:`run_scenarios` applies an optional fabric / placement override
+to every scenario and pushes the cells through
+:meth:`repro.experiments.executor.SweepExecutor.run_tasks` — the same
+batch path fig16's failure drills and the figure sweeps use.  Each
+cell ships as plain data (the scenario's dict form plus run knobs),
 runs a full :func:`~repro.scenarios.runner.run_scenario` in the
 worker, and returns the report's dict form — picklable both ways, so
 ``jobs=N`` is bit-identical to ``jobs=1``.
 
-Cells whose combination is invalid (a spine scenario on a star
-fabric, a control-plane scenario on a program-less scheme) are
-rejected by spec validation *in the parent* before anything is
-submitted; :func:`scenario_grid` either raises (``strict=True``) or
-records them as skipped cells, so a grid never dies halfway through a
-batch.
+Every cell is re-validated *in the parent* before anything is
+submitted, so an invalid combination (a spine scenario on a star
+fabric) raises :class:`~repro.errors.ExperimentError` up front
+instead of failing halfway through a batch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
-from repro.experiments.executor import SweepExecutor, resolve_executor
+from repro.experiments.executor import SweepExecutor
 from repro.scenarios.spec import Scenario
 
-__all__ = ["run_scenario_cell", "run_scenario_grid", "scenario_grid"]
+__all__ = ["run_scenarios"]
 
 
-def run_scenario_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one grid cell; module-level so pool workers can import it.
+def _run_cell(cell: Tuple[Dict[str, Any], float, Optional[int]]) -> Dict[str, Any]:
+    """Run one cell; module-level so pool workers can import it.
 
-    *payload* carries the scenario's plain-dict form plus run knobs —
-    everything a spawned worker needs to rebuild the cell from
-    scratch.  Returns ``ScenarioReport.to_dict()``.
+    *cell* is the scenario's plain-dict form, the scale and the seed
+    override — everything a spawned worker needs to rebuild the run
+    from scratch.  Returns ``ScenarioReport.to_dict()``.
     """
     from repro.scenarios.runner import run_scenario
 
-    scenario = Scenario.from_dict(payload["scenario"])
-    run = run_scenario(
-        scenario,
-        scale=payload.get("scale", 1.0),
-        seed=payload.get("seed"),
-        drain_limit=payload.get("drain_limit"),
-    )
+    spec, scale, seed = cell
+    run = run_scenario(Scenario.from_dict(spec), scale=scale, seed=seed)
     return run.report.to_dict()
 
 
-def scenario_grid(
+def run_scenarios(
     scenarios: Sequence[Scenario],
-    schemes: Optional[Sequence[str]] = None,
-    topologies: Optional[Sequence[Optional[str]]] = None,
-    placements: Optional[Sequence[Optional[str]]] = None,
-    strict: bool = True,
-) -> List[Dict[str, Any]]:
-    """Expand scenario × scheme × topology × placement into cells.
-
-    ``None`` entries (and omitted axes) mean "keep the scenario's
-    own value".  Every cell is re-validated via
-    :meth:`Scenario.with_overrides`; invalid combinations raise when
-    *strict*, otherwise they come back as ``{"skipped": reason}``
-    cells in grid order.
-    """
-    cells: List[Dict[str, Any]] = []
-    for scenario in scenarios:
-        for scheme in schemes if schemes is not None else (None,):
-            for topology in topologies if topologies is not None else (None,):
-                for placement in (
-                    placements if placements is not None else (None,)
-                ):
-                    label = {
-                        "scenario": scenario.name,
-                        "scheme": scheme,
-                        "topology": topology,
-                        "placement": placement,
-                    }
-                    try:
-                        cell = scenario.with_overrides(
-                            scheme=scheme,
-                            topology=topology,
-                            placement=placement,
-                        )
-                    except ExperimentError as exc:
-                        if strict:
-                            raise
-                        cells.append({**label, "skipped": str(exc)})
-                        continue
-                    cells.append({**label, "spec": cell.to_dict()})
-    return cells
-
-
-def run_scenario_grid(
-    scenarios: Sequence[Scenario],
-    schemes: Optional[Sequence[str]] = None,
-    topologies: Optional[Sequence[Optional[str]]] = None,
-    placements: Optional[Sequence[Optional[str]]] = None,
+    topology: Optional[str] = None,
+    placement: Optional[str] = None,
     scale: float = 1.0,
     seed: Optional[int] = None,
-    drain_limit: Optional[int] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    strict: bool = True,
+    jobs: int = 1,
 ) -> List[Dict[str, Any]]:
-    """Run a scenario grid; one report dict per cell, in grid order.
+    """Run every scenario; one report dict per scenario, in input order.
 
-    Skipped (invalid) cells keep their slot: their dict carries
-    ``"skipped"`` instead of a report, so result rows always line up
-    with :func:`scenario_grid`'s expansion order regardless of *jobs*.
+    *topology* / *placement* (``None`` keeps each scenario's own
+    value) replace the fabric or group placement of every scenario;
+    *seed* overrides each scenario's pinned root seed.
     """
-    cells = scenario_grid(
-        scenarios,
-        schemes=schemes,
-        topologies=topologies,
-        placements=placements,
-        strict=strict,
-    )
-    payloads = [
-        {
-            "scenario": cell["spec"],
-            "scale": scale,
-            "seed": seed,
-            "drain_limit": drain_limit,
-        }
-        for cell in cells
-        if "spec" in cell
+    cells = [
+        (scenario.with_overrides(topology, placement).to_dict(), scale, seed)
+        for scenario in scenarios
     ]
-    reports = resolve_executor(executor, jobs).run_tasks(
-        run_scenario_cell, payloads
-    )
-    results: List[Dict[str, Any]] = []
-    live = iter(reports)
-    for cell in cells:
-        if "spec" in cell:
-            results.append(next(live))
-        else:
-            results.append(dict(cell))
-    return results
+    return SweepExecutor(jobs).run_tasks(_run_cell, cells)

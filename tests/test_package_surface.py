@@ -1,6 +1,9 @@
 """Sanity checks on the public API surface and error hierarchy."""
 
 import importlib
+import os
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -58,3 +61,33 @@ def test_top_level_quickstart_symbols():
     assert repro.NetCloneClient
     assert repro.RpcServer
     assert repro.NetCloneHeader
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The README's ``run_sweep`` example, run as written at tiny scale.
+
+    Only the measurement windows shrink (every ``ClusterConfig`` the
+    snippet builds gets sub-10 ms windows) and ``jobs=4`` becomes
+    ``jobs=1``; the imports, the config and the call are the README's.
+    """
+    import repro.experiments.common as common
+    from repro.sim.units import ms
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        snippet = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    assert "run_sweep(config," in snippet and "jobs=4" in snippet
+    full_size = common.ClusterConfig
+    monkeypatch.setattr(
+        common,
+        "ClusterConfig",
+        lambda **kwargs: replace(
+            full_size(**kwargs), warmup_ns=ms(1), measure_ns=ms(3), drain_ns=ms(1)
+        ),
+    )
+    namespace = {}
+    exec(snippet.replace("jobs=4", "jobs=1"), namespace)
+    result = namespace["result"]
+    assert result.scheme == "netclone"
+    assert len(result.points) == 3
+    assert all(point.samples > 0 for point in result.points)

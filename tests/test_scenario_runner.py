@@ -1,4 +1,4 @@
-"""Runner + sweep bridge: report shape, determinism, pinned golden.
+"""Runner + scenario batches: report shape, determinism, pinned golden.
 
 The golden report (``tests/data/scenario_golden_tiny.json``) pins a
 full ``ScenarioReport.to_dict()`` for a tiny kill/restore scenario,
@@ -25,8 +25,7 @@ from repro.scenarios import (
     get_scenario,
     invariant_names,
     run_scenario,
-    run_scenario_grid,
-    scenario_grid,
+    run_scenarios,
 )
 from repro.scenarios.runner import _ScenarioExecution
 from repro.sim.units import ms
@@ -220,40 +219,14 @@ def test_report_dict_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Sweep bridge (scenario as a fourth sweep axis)
+# Scenario batches on the sweep engine
 # ----------------------------------------------------------------------
-def test_grid_expansion_and_strictness():
-    spine = tiny_scenario(
-        name="spiny",
-        events=[{"at_ms": 1, "action": "withdraw_spine", "spine": 0}],
-        cluster={
-            "topology": "spine_leaf",
-            "topology_params": {"racks": 2, "spines": 2},
-        },
-    )
-    with pytest.raises(ExperimentError, match="needs a spine_leaf fabric"):
-        scenario_grid([spine], topologies=["star"])
-    cells = scenario_grid([spine], topologies=["star", None], strict=False)
-    assert "skipped" in cells[0] and "spec" in cells[1]
-
-
 def test_grid_serial_runs_and_keeps_order():
-    results = run_scenario_grid(
+    results = run_scenarios(
         [_kill_restore("grid-a"), _kill_restore("grid-b")], jobs=1
     )
     assert [r["scenario"] for r in results] == ["grid-a", "grid-b"]
     assert all(r["passed"] for r in results)
-
-
-@pytest.mark.slow
-def test_grid_parallel_bit_identical_to_serial():
-    scenarios = [
-        _kill_restore("det-a"),
-        _kill_restore("det-b", cluster={"seed": 9}),
-    ]
-    serial = run_scenario_grid(scenarios, jobs=1)
-    parallel = run_scenario_grid(scenarios, jobs=4)
-    assert serial == parallel
 
 
 # ----------------------------------------------------------------------
@@ -280,3 +253,29 @@ def test_catalog_is_substantial_and_valid():
 def test_catalog_unknown_name():
     with pytest.raises(ExperimentError, match="unknown scenario"):
         get_scenario("does-not-exist")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nosuch"], "unknown scenario 'nosuch'"),
+        (
+            ["all", "--topology", "star"],
+            "scenario 'spine-flap': withdraw_spine needs a spine_leaf fabric",
+        ),
+        (["nosuch.toml"], "cannot read scenario file nosuch.toml"),
+    ],
+    ids=["unknown-name", "override-the-scenario-cannot-run-on", "missing-toml"],
+)
+def test_cli_run_scenario_user_error_exits_2_without_traceback(
+    capsys, argv, message
+):
+    from repro.cli import main
+
+    # Rejected in the parent before any scenario runs: exit 2 and the
+    # one-line message, like every other subcommand's user errors.
+    assert main(["run-scenario", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(message)
+    assert captured.out.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err

@@ -6,19 +6,21 @@ parallel executor against the serial path, and the CLI surface that
 exposes both (``schemes`` subcommand, ``--jobs``).
 """
 
+import functools
 import logging
 
 import pytest
-from helpers import assert_points_identical, tiny_config
+from helpers import assert_points_identical, tiny_config, tiny_scenario
 
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, run_point, run_sweep
-from repro.experiments.executor import SweepExecutor, resolve_executor
-from repro.experiments.harness import format_series, sweep_panels, sweep_schemes
+from repro.experiments.executor import SweepExecutor
+from repro.experiments.harness import format_series, sweep_panels
 from repro.experiments.schemes import SCHEMES, SchemeSpec
 from repro.experiments.specs import SyntheticSpec, make_synthetic_spec
 from repro.metrics.sweep import SweepResult
+from repro.scenarios import run_scenarios
 from repro.sim.units import ms
 from repro.workloads.distributions import ExponentialDistribution
 
@@ -148,39 +150,70 @@ def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Parallel executor determinism
 # ----------------------------------------------------------------------
-def test_parallel_run_sweep_matches_serial():
-    loads = [0.1e6, 0.15e6, 0.2e6]
-    serial = run_sweep(tiny_config(), loads)
-    parallel = run_sweep(tiny_config(), loads, jobs=2)
-    assert len(serial.points) == len(parallel.points)
-    for a, b in zip(serial.points, parallel.points):
-        assert_points_identical(a, b)
+def _run_sweep_batch(jobs, topology="star"):
+    config = tiny_config(topology=topology)
+    return run_sweep(config, [0.1e6, 0.15e6, 0.2e6], jobs=jobs).points
 
 
-def test_parallel_sweep_schemes_matches_serial():
-    loads = [0.1e6, 0.2e6]
-    schemes = ("baseline", PLUGIN)
-    serial = {0: sweep_schemes(tiny_config(), schemes, loads)}
-    parallel = {0: sweep_schemes(tiny_config(), schemes, loads, jobs=2)}
+def _sweep_panels_batch(jobs):
     # Two panels with distinct specs and int keys: one flattened batch
     # ships both specs to the workers and folds each panel's points back.
+    schemes = ("baseline", PLUGIN)
     panels = {
         4: tiny_config(),
         3: tiny_config(
             workers_per_server=3, workload=make_synthetic_spec("bimodal")
         ),
     }
-    serial.update(sweep_panels(panels, schemes, scale=0.05))
-    parallel.update(sweep_panels(panels, schemes, scale=0.05, jobs=2))
-    assert list(serial) == list(parallel) == [0, 4, 3]
-    for panel in serial:
-        assert list(serial[panel]) == list(parallel[panel]) == list(schemes)
-        for scheme in schemes:
-            a_points = serial[panel][scheme].points
-            b_points = parallel[panel][scheme].points
-            assert len(a_points) == len(b_points) == (2 if panel == 0 else 4)
-            for a, b in zip(a_points, b_points):
-                assert_points_identical(a, b)
+    results = sweep_panels(panels, schemes, scale=0.05, jobs=jobs)
+    assert list(results) == [4, 3]
+    points = []
+    for curves in results.values():
+        assert list(curves) == list(schemes)
+        for curve in curves.values():
+            assert len(curve.points) == 4
+            points.extend(curve.points)
+    return points
+
+
+def _scenario_batch(jobs):
+    # run_tasks: each cell is a whole kill/restore timeline.
+    events = [
+        {"at_ms": 1.5, "action": "kill_server", "server": 0},
+        {"at_ms": 3.0, "action": "restore_server", "server": 0},
+    ]
+    scenarios = [
+        tiny_scenario("det-a", events=events),
+        tiny_scenario("det-b", events=events, cluster={"seed": 9}),
+    ]
+    return run_scenarios(scenarios, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        pytest.param(_run_sweep_batch, id="run_sweep"),
+        pytest.param(_sweep_panels_batch, id="sweep_panels"),
+        pytest.param(_scenario_batch, id="run_scenarios", marks=pytest.mark.slow),
+        *(
+            pytest.param(
+                functools.partial(_run_sweep_batch, topology=topology),
+                id=f"multirack-{topology}",
+                marks=pytest.mark.slow,
+            )
+            for topology in ("two_rack", "spine_leaf")
+        ),
+    ],
+)
+def test_parallel_batch_matches_serial(batch):
+    serial = batch(1)
+    parallel = batch(2)
+    assert len(serial) == len(parallel) > 0
+    for a, b in zip(serial, parallel):
+        if isinstance(a, dict):  # a ScenarioReport.to_dict()
+            assert a == b
+        else:
+            assert_points_identical(a, b)
 
 
 def test_executor_falls_back_serially_on_unpicklable_config(caplog):
@@ -283,12 +316,8 @@ def test_submission_order_is_longest_first_but_results_ordered():
     ]
 
 
-def test_resolve_executor():
-    executor = SweepExecutor(jobs=3)
-    assert resolve_executor(executor, None) is executor
-    assert resolve_executor(None, None).jobs == 1
-    assert resolve_executor(None, 4).jobs == 4
-    assert SweepExecutor(jobs=0).jobs >= 1  # 0 = all cores
+def test_jobs_below_one_means_all_cores():
+    assert SweepExecutor(jobs=0).jobs >= 1
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +363,7 @@ def test_format_series_logs_unexpected_chart_failures(caplog, monkeypatch):
     assert any("chart rendering failed" in r.message for r in caplog.records)
 
 
-def test_sweep_schemes_keeps_caller_keys_for_aliases():
-    results = sweep_schemes(tiny_config(), [PLUGIN_ALIAS], [0.1e6])
-    assert set(results) == {PLUGIN_ALIAS}  # caller's key preserved
-    assert results[PLUGIN_ALIAS].scheme == PLUGIN  # curve label canonical
+def test_sweep_panels_keeps_caller_keys_for_aliases():
+    results = sweep_panels({"p": tiny_config()}, [PLUGIN_ALIAS], scale=0.05)
+    assert set(results["p"]) == {PLUGIN_ALIAS}  # caller's key preserved
+    assert results["p"][PLUGIN_ALIAS].scheme == PLUGIN  # curve label canonical

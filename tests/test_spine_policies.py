@@ -12,7 +12,6 @@ from helpers import assert_points_identical, make_packet, tiny_config
 
 from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
-from repro.experiments.harness import sweep_schemes
 from repro.experiments.plugin_registry import format_plugin_params
 from repro.experiments.topologies import (
     SPINE_POLICIES,
@@ -203,31 +202,6 @@ def test_cluster_builds_policy_from_inline_params():
     )
     assert type(cluster.topology.policy) is LeastLoadedSpinePolicy
     assert len(cluster.topology.spines) == 2
-
-
-def test_topology_override_drops_stale_params_from_other_fabric():
-    from repro.experiments.common import run_sweep
-
-    # A config born with inline spine params, later swept on star: the
-    # leftover `spines` must not trip star's unknown-parameter check.
-    config = tiny_config(topology="spine_leaf:racks=2,spines=2")
-    result = run_sweep(config, [0.1e6], topology="star")
-    assert result.points[0].samples > 0
-    series = sweep_schemes(config, ["baseline"], [0.1e6], topology="star")
-    assert series["baseline"].points[0].samples > 0
-    # Same fabric: config params and inline override params merge.
-    merged = run_sweep(config, [0.1e6], topology="spine_leaf:spine_policy=flowlet")
-    assert merged.points[0].samples > 0
-
-
-def test_sweep_schemes_accepts_param_topology_override():
-    series = sweep_schemes(
-        tiny_config(),
-        ["baseline"],
-        [0.1e6],
-        topology="spine_leaf:racks=2,spines=2,spine_policy=least-loaded",
-    )
-    assert series["baseline"].points[0].samples > 0
 
 
 def test_cli_rejects_malformed_topology_params(capsys):

@@ -12,7 +12,7 @@ from helpers import assert_points_identical, tiny_config
 
 from repro.cli import main
 from repro.errors import ExperimentError, NetworkError
-from repro.experiments.common import Cluster, ClusterConfig, run_point, run_sweep
+from repro.experiments.common import Cluster, ClusterConfig, run_point
 from repro.experiments.topologies import TOPOLOGIES, TopologySpec
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -220,22 +220,6 @@ def test_star_matches_single_rack_spine_leaf():
                     topology_params={"racks": 1, "spines": 1})
     )
     assert_points_identical(star, one_rack)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("topology", ["two_rack", "spine_leaf"])
-def test_multirack_sweep_parallel_matches_serial(topology):
-    loads = [0.1e6, 0.15e6, 0.2e6]
-    serial = run_sweep(tiny_config(topology=topology), loads)
-    parallel = run_sweep(tiny_config(topology=topology), loads, jobs=4)
-    assert len(serial.points) == len(parallel.points) == len(loads)
-    for a, b in zip(serial.points, parallel.points):
-        assert_points_identical(a, b)
-
-
-def test_run_sweep_topology_override():
-    result = run_sweep(tiny_config(), [0.1e6], topology="two-rack")
-    assert result.points[0].samples > 0
 
 
 # ----------------------------------------------------------------------
