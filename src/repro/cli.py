@@ -228,8 +228,9 @@ def _run_scenarios(names: List[str], args: argparse.Namespace) -> int:
     them, bit-identically to serial); every report prints its
     invariant summary, optionally lands as JSON in ``--report-dir``,
     and any failed invariant makes the exit code 1.  A user error (an
-    unknown name, an override the scenario cannot run on) raises
-    ExperimentError before any scenario runs.
+    unknown name, an override the scenario cannot run on, a
+    ``--workload`` or ``--metrics`` flag) raises ExperimentError before
+    any scenario runs.
     """
     from repro.scenarios import Scenario, catalog, get_scenario
     from repro.scenarios.runner import ScenarioReport
@@ -238,6 +239,12 @@ def _run_scenarios(names: List[str], args: argparse.Namespace) -> int:
     if not names:
         print("run-scenario needs catalog names, TOML paths, or 'all'")
         return 2
+    for axis in ("workload", "metrics"):
+        if getattr(args, axis) is not None:
+            raise ExperimentError(
+                f"run-scenario has no --{axis} axis "
+                "(it accepts: --topology, --placement)"
+            )
     scenarios: List[Scenario] = []
     for name in names:
         if name == "all":

@@ -94,7 +94,7 @@ The other axes work the same way:
   ``make_spec(params)`` builds a
   :class:`~repro.experiments.specs.WorkloadSpec`.
 * ``@SPINE_POLICIES.register`` a :class:`SpinePolicySpec` whose
-  ``make_policy(fabric, **params)`` builds a
+  ``make_policy(fabric)`` builds a
   :class:`~repro.net.topology.SpinePolicy`; select it with
   ``--topology spine_leaf:spine_policy=NAME``.
 

@@ -81,9 +81,9 @@ class ClusterConfig:
     #: are merged into ``topology_params`` (inline wins) and the field
     #: normalises to the bare canonical name.
     topology: Optional[str] = "star"
-    #: Free-form knobs for the topology builder (e.g. ``racks``,
-    #: ``spines``, ``spine_policy`` for ``spine_leaf``; rack placement
-    #: for ``two_rack``).
+    #: Knobs for the topology builder: ``racks``, ``spines``,
+    #: ``spine_policy`` and ``trunk_bandwidth_bps`` for ``spine_leaf``
+    #: (``star`` and ``two_rack`` take none).
     topology_params: Dict[str, Any] = field(default_factory=dict)
     #: Registered placement policy governing which candidate pairs each
     #: ToR's group table holds (``global`` | ``rack-local`` |

@@ -159,9 +159,10 @@ class KvSpec(WorkloadSpec):
             self._cost_factory = MemcachedCostModel
         else:
             raise ExperimentError(f"unknown cost model {cost_model!r}")
-        if not 0.0 <= scan_fraction <= 1.0:
+        if not 0.0 <= scan_fraction <= KvWorkload.MAX_SCAN_FRACTION:
             raise ExperimentError(
-                f"kv-{cost_model} scan_fraction={scan_fraction!r} must lie in [0, 1]"
+                f"kv-{cost_model} scan_fraction={scan_fraction!r} must lie in "
+                f"[0, {KvWorkload.MAX_SCAN_FRACTION}]"
             )
         self.scan_fraction = scan_fraction
         self.num_keys = num_keys

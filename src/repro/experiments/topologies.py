@@ -48,6 +48,7 @@ from repro.net.topology import (
     SingleRackFabric,
     SpineLeafFabric,
     SpinePolicy,
+    TRUNK_BANDWIDTH_BPS,
     TwoRackFabric,
 )
 
@@ -112,7 +113,7 @@ class SpinePolicySpec:
     name: str
     #: One-line description of the selection rule.
     description: str
-    #: ``(fabric, **params) -> SpinePolicy`` — usually the policy class.
+    #: ``fabric -> SpinePolicy`` — usually the policy class.
     make_policy: Callable[..., SpinePolicy]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
@@ -161,36 +162,14 @@ def _star_fabric(ctx: TopologyContext) -> Fabric:
 
 
 def _two_rack_fabric(ctx: TopologyContext) -> Fabric:
-    params = ctx.params
-    TOPOLOGIES.check_params(
-        params,
-        ("client_rack", "server_rack", "coordinator_rack",
-         "trunk_propagation_ns", "trunk_bandwidth_bps"),
-        "two_rack",
-    )
-    return TwoRackFabric(
-        ctx.sim,
-        ctx.make_switch,
-        client_rack=_param(params, "client_rack", 0, _strict_int),
-        server_rack=_param(params, "server_rack", 1, _strict_int),
-        # None means "with the clients" and must pass through uncast.
-        coordinator_rack=(
-            None
-            if params.get("coordinator_rack") is None
-            else _param(params, "coordinator_rack", 0, _strict_int)
-        ),
-        trunk_propagation_ns=_param(params, "trunk_propagation_ns", 1000, _strict_int),
-        trunk_bandwidth_bps=_param(params, "trunk_bandwidth_bps", 400e9, float),
-    )
+    TOPOLOGIES.check_params(ctx.params, (), "two_rack")
+    return TwoRackFabric(ctx.sim, ctx.make_switch)
 
 
 def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
     params = ctx.params
     TOPOLOGIES.check_params(
-        params,
-        ("racks", "spines", "trunk_propagation_ns", "trunk_bandwidth_bps",
-         "spine_policy", "flowlet_gap_ns"),
-        "spine_leaf",
+        params, ("racks", "spines", "trunk_bandwidth_bps", "spine_policy"), "spine_leaf"
     )
     policy = SPINE_POLICIES.get(str(params.get("spine_policy", "ecmp")))
     return SpineLeafFabric(
@@ -198,10 +177,10 @@ def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
         ctx.make_switch,
         racks=_param(params, "racks", 2, _strict_int),
         spines=_param(params, "spines", 2, _strict_int),
-        trunk_propagation_ns=_param(params, "trunk_propagation_ns", 1000, _strict_int),
-        trunk_bandwidth_bps=_param(params, "trunk_bandwidth_bps", 400e9, float),
+        trunk_bandwidth_bps=_param(
+            params, "trunk_bandwidth_bps", TRUNK_BANDWIDTH_BPS, float
+        ),
         make_policy=policy.make_policy,
-        flowlet_gap_ns=_param(params, "flowlet_gap_ns", 100_000, _strict_int),
     )
 
 
@@ -226,7 +205,7 @@ SPINE_POLICIES.register(
 SPINE_POLICIES.register(
     SpinePolicySpec(
         name="flowlet",
-        description="least-loaded, re-picked only after a flowlet_gap_ns idle gap",
+        description="least-loaded, re-picked only after a 100 µs idle gap",
         make_policy=FlowletSpinePolicy,
         module=__name__,
     )

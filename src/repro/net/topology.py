@@ -33,8 +33,8 @@ ToR routes and re-resolved when the active-spine set changes),
 of each candidate uplink (:meth:`Link.backlog_ns`) and takes the
 shallowest, and :class:`FlowletSpinePolicy` keeps a flow on its spine
 until an idle gap lets it re-pick without reordering.  The fabric
-takes the policy class (any ``make_policy(fabric, **params)``
-factory), never a name: the name → policy table is the
+takes the policy class (any ``make_policy(fabric)`` factory), never
+a name: the name → policy table is the
 ``SPINE_POLICIES`` plugin registry in
 :mod:`repro.experiments.topologies`, which the ``spine_leaf``
 topology resolves its ``spine_policy`` parameter through.  Policies
@@ -55,16 +55,31 @@ from repro.net.link import Link
 from repro.sim.core import Simulator
 
 __all__ = [
+    "ACCESS_BANDWIDTH_BPS",
+    "ACCESS_PROPAGATION_NS",
     "EcmpSpinePolicy",
     "Fabric",
+    "FLOWLET_GAP_NS",
     "FlowletSpinePolicy",
     "LeastLoadedSpinePolicy",
     "SingleRackFabric",
     "SpineLeafFabric",
     "SpinePolicy",
     "StarTopology",
+    "TRUNK_BANDWIDTH_BPS",
+    "TRUNK_PROPAGATION_NS",
     "TwoRackFabric",
 ]
+
+#: Host access links (host <-> ToR): 300 ns of flight at 100 Gb/s.
+ACCESS_PROPAGATION_NS = 300
+ACCESS_BANDWIDTH_BPS = 100e9
+#: Inter-rack trunks (ToR <-> ToR or ToR <-> spine): 1 us at 400 Gb/s;
+#: ``spine_leaf``'s ``trunk_bandwidth_bps`` overrides the rate.
+TRUNK_PROPAGATION_NS = 1000
+TRUNK_BANDWIDTH_BPS = 400e9
+#: Idle gap after which :class:`FlowletSpinePolicy` may re-pick a spine.
+FLOWLET_GAP_NS = 100_000
 
 
 class StarTopology:
@@ -74,15 +89,11 @@ class StarTopology:
         self,
         sim: Simulator,
         switch: Any,
-        propagation_ns: int = 300,
-        bandwidth_bps: float = 100e9,
         subnet: str = "10.0.1.0",
         max_ports: Optional[int] = None,
     ):
         self.sim = sim
         self.switch = switch
-        self.propagation_ns = propagation_ns
-        self.bandwidth_bps = bandwidth_bps
         self.subnet_base = ip_to_int(subnet)
         #: Ports beyond this are reserved (fabric uplinks); None: no cap.
         self.max_ports = max_ports
@@ -114,8 +125,8 @@ class StarTopology:
             self.sim,
             host,
             self.switch,
-            propagation_ns=self.propagation_ns,
-            bandwidth_bps=self.bandwidth_bps,
+            propagation_ns=ACCESS_PROPAGATION_NS,
+            bandwidth_bps=ACCESS_BANDWIDTH_BPS,
             name=f"link-{host.name}",
         )
         host.attach_link(link)
@@ -152,7 +163,7 @@ class SpinePolicy:
     #: every withdraw/restore) and never calls :meth:`select`.
     static: bool = False
 
-    def __init__(self, fabric: "SpineLeafFabric", **params: Any):
+    def __init__(self, fabric: "SpineLeafFabric"):
         self.fabric = fabric
 
     def select(self, tor: int, packet: Any) -> int:
@@ -207,16 +218,13 @@ class FlowletSpinePolicy(LeastLoadedSpinePolicy):
     """Least-loaded at flowlet granularity.
 
     A (ToR, src, dst) flow sticks to its spine while packets keep
-    coming; after an idle gap of ``flowlet_gap_ns`` the next packet
-    re-picks via the least-loaded rule.  Re-picking only across idle
-    gaps is what lets real fabrics rebalance without reordering.
+    coming; after an idle gap of :data:`FLOWLET_GAP_NS` the next
+    packet re-picks via the least-loaded rule.  Re-picking only across
+    idle gaps is what lets real fabrics rebalance without reordering.
     """
 
-    def __init__(self, fabric: "SpineLeafFabric", **params: Any):
-        super().__init__(fabric, **params)
-        self.gap_ns = int(params.get("flowlet_gap_ns", 100_000))
-        if self.gap_ns < 0:
-            raise NetworkError("flowlet gap must be non-negative")
+    def __init__(self, fabric: "SpineLeafFabric"):
+        super().__init__(fabric)
         #: (tor, src, dst) -> [spine, last packet time].
         self._flows: Dict[Tuple[int, int, int], List[int]] = {}
 
@@ -226,7 +234,7 @@ class FlowletSpinePolicy(LeastLoadedSpinePolicy):
         entry = self._flows.get(key)
         if (
             entry is not None
-            and now - entry[1] <= self.gap_ns
+            and now - entry[1] <= FLOWLET_GAP_NS
             and self.fabric.spine_is_active(entry[0])
         ):
             entry[1] = now
@@ -327,8 +335,6 @@ class Fabric:
         self,
         make_switch: Callable[[str], Any],
         rack: int,
-        propagation_ns: int,
-        bandwidth_bps: float,
         reserved_ports: int = 0,
         name: Optional[str] = None,
     ) -> Any:
@@ -349,8 +355,6 @@ class Fabric:
             StarTopology(
                 self.sim,
                 tor,
-                propagation_ns=propagation_ns,
-                bandwidth_bps=bandwidth_bps,
                 subnet=f"10.0.{rack + 1}.0",
                 max_ports=None if num_ports is None else num_ports - reserved_ports,
             )
@@ -361,66 +365,34 @@ class Fabric:
 class SingleRackFabric(Fabric):
     """The paper's testbed: one ToR, every host one cable away."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        make_switch: Callable[[str], Any],
-        propagation_ns: int = 300,
-        bandwidth_bps: float = 100e9,
-    ):
+    def __init__(self, sim: Simulator, make_switch: Callable[[str], Any]):
         super().__init__(sim)
-        self._make_rack(make_switch, 0, propagation_ns, bandwidth_bps, name="tor")
+        self._make_rack(make_switch, 0, name="tor")
 
     def rack_of(self, role: str, index: int) -> int:
         return 0
 
 
 class TwoRackFabric(Fabric):
-    """Two ToRs joined by a trunk; placement is per-role configurable.
+    """Two ToRs joined by one trunk (§3.7).
 
-    The §3.7 default puts clients (and the coordinator, which acts on
-    their behalf) in rack 0 and servers in rack 1, so every request
-    crosses the trunk and only the client-side ToR does NetClone work.
-    Collapsing both roles onto one rack (``server_rack=client_rack``)
-    degenerates to a single-rack star with an idle trunk — useful for
-    determinism cross-checks.
+    Clients, and the coordinator that acts on their behalf, sit in
+    rack 0 and servers in rack 1, so every request crosses the trunk
+    and only the client-side ToR does NetClone work.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        make_switch: Callable[[str], Any],
-        client_rack: int = 0,
-        server_rack: int = 1,
-        coordinator_rack: int | None = None,
-        propagation_ns: int = 300,
-        bandwidth_bps: float = 100e9,
-        trunk_propagation_ns: int = 1000,
-        trunk_bandwidth_bps: float = 400e9,
-    ):
+    def __init__(self, sim: Simulator, make_switch: Callable[[str], Any]):
         super().__init__(sim)
-        if coordinator_rack is None:
-            coordinator_rack = client_rack
-        placements = (client_rack, server_rack, int(coordinator_rack))
-        if not all(0 <= rack <= 1 for rack in placements):
-            raise NetworkError("two-rack placement must use racks 0 and 1")
-        self._racks = {
-            "client": client_rack,
-            "server": server_rack,
-            "coordinator": int(coordinator_rack),
-        }
         for rack in range(2):
-            self._make_rack(
-                make_switch, rack, propagation_ns, bandwidth_bps, reserved_ports=1
-            )
+            self._make_rack(make_switch, rack, reserved_ports=1)
         tor_a, tor_b = self.tors
         self.uplink_ports = [tor_a.num_ports - 1, tor_b.num_ports - 1]
         self.trunk = Link(
             sim,
             tor_a,
             tor_b,
-            propagation_ns=trunk_propagation_ns,
-            bandwidth_bps=trunk_bandwidth_bps,
+            propagation_ns=TRUNK_PROPAGATION_NS,
+            bandwidth_bps=TRUNK_BANDWIDTH_BPS,
             name="trunk",
         )
         tor_a.connect(self.uplink_ports[0], self.trunk)
@@ -428,7 +400,7 @@ class TwoRackFabric(Fabric):
         self.trunks.append(self.trunk)
 
     def rack_of(self, role: str, index: int) -> int:
-        return self._racks.get(role, 0)
+        return 1 if role == "server" else 0
 
     def _announce(self, host: Host, rack: int) -> None:
         other = 1 - rack
@@ -441,7 +413,7 @@ class SpineLeafFabric(Fabric):
     Servers and clients are spread round-robin across racks
     (host ``i`` lands in rack ``i % racks``); the coordinator lives in
     rack 0.  Inter-rack traffic picks its spine through the
-    :class:`SpinePolicy` that ``make_policy(fabric, **params)`` builds
+    :class:`SpinePolicy` that ``make_policy(fabric)`` builds
     (a policy class works as is): the default :class:`EcmpSpinePolicy`
     pins each destination to ``ip % spines`` and is compiled into
     static ToR routes when a host is announced, while the least-loaded
@@ -462,12 +434,8 @@ class SpineLeafFabric(Fabric):
         make_switch: Callable[[str], Any],
         racks: int = 2,
         spines: int = 2,
-        propagation_ns: int = 300,
-        bandwidth_bps: float = 100e9,
-        trunk_propagation_ns: int = 1000,
-        trunk_bandwidth_bps: float = 400e9,
-        make_policy: Callable[..., SpinePolicy] = EcmpSpinePolicy,
-        flowlet_gap_ns: int = 100_000,
+        trunk_bandwidth_bps: float = TRUNK_BANDWIDTH_BPS,
+        make_policy: Callable[["SpineLeafFabric"], SpinePolicy] = EcmpSpinePolicy,
     ):
         super().__init__(sim)
         if racks < 1:
@@ -475,9 +443,7 @@ class SpineLeafFabric(Fabric):
         if spines < 1:
             raise NetworkError("spine-leaf needs at least one spine")
         for rack in range(racks):
-            self._make_rack(
-                make_switch, rack, propagation_ns, bandwidth_bps, reserved_ports=spines
-            )
+            self._make_rack(make_switch, rack, reserved_ports=spines)
         self.spines = [make_switch(f"spine{s + 1}") for s in range(spines)]
         self.switches.extend(self.spines)
         # ToR t's uplink to spine s sits at port (num_ports - 1 - s);
@@ -496,7 +462,7 @@ class SpineLeafFabric(Fabric):
                     sim,
                     tor,
                     spine,
-                    propagation_ns=trunk_propagation_ns,
+                    propagation_ns=TRUNK_PROPAGATION_NS,
                     bandwidth_bps=trunk_bandwidth_bps,
                     name=f"trunk-t{t + 1}s{s + 1}",
                 )
@@ -514,7 +480,7 @@ class SpineLeafFabric(Fabric):
         #: Per-spine withdrawal generation; a delayed restore callback
         #: from an older generation must not re-activate the spine.
         self._spine_epoch = [0] * spines
-        self.policy = make_policy(self, flowlet_gap_ns=flowlet_gap_ns)
+        self.policy = make_policy(self)
         self._selectors = [self._make_selector(t) for t in range(racks)]
         #: Announced host ip → its rack: the remote routes a static
         #: policy re-resolves.

@@ -4,8 +4,7 @@ The harness has four layers, importable separately so pool workers
 and offline report checkers pay only for what they use:
 
 * :mod:`repro.scenarios.spec` — :class:`Scenario`: a typed, validated
-  list of timed operator events plus a checkpoint schedule, loadable
-  from a dict or TOML;
+  list of timed operator events, loadable from a dict or a TOML file;
 * :mod:`repro.scenarios.runner` — :func:`run_scenario`: schedules the
   events on a live cluster, snapshots telemetry, drains, and reduces
   the run to a :class:`ScenarioReport` with one result per library
@@ -24,7 +23,6 @@ from repro.scenarios.invariants import (
     InvariantResult,
     ReportView,
     evaluate_invariants,
-    invariant_names,
 )
 from repro.scenarios.runner import ScenarioReport, ScenarioRun, run_scenario
 from repro.scenarios.spec import (

@@ -63,7 +63,7 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
         "report_window_ns": ms(20),
         "events": [
             {
-                "at_ms": 200,
+                "at_ns": ms(200),
                 "action": "wipe_switch",
                 "down_ns": ms(80),
                 "reinit_ns": ms(60),
@@ -84,9 +84,9 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             measure_ns=ms(500),
         ),
         "events": [
-            {"at_ms": 150, "action": "withdraw_spine", "spine": 0},
-            {"at_ms": 250, "action": "fail_spine", "spine": 0},
-            {"at_ms": 350, "action": "restore_spine", "spine": 0,
+            {"at_ns": ms(150), "action": "withdraw_spine", "spine": 0},
+            {"at_ns": ms(250), "action": "fail_spine", "spine": 0},
+            {"at_ns": ms(350), "action": "restore_spine", "spine": 0,
              "reinit_ns": ms(10)},
         ],
     },
@@ -106,8 +106,8 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             measure_ns=ms(450),
         ),
         "events": [
-            {"at_ms": 150, "action": "kill_server", "server": 0},
-            {"at_ms": 300, "action": "restore_server", "server": 0},
+            {"at_ns": ms(150), "action": "kill_server", "server": 0},
+            {"at_ns": ms(300), "action": "restore_server", "server": 0},
         ],
     },
     # -- Compound: rolling spine maintenance ---------------------------
@@ -125,14 +125,14 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             seed=7,
         ),
         "events": [
-            {"at_ms": 100, "action": "withdraw_spine", "spine": 0},
-            {"at_ms": 180, "action": "restore_spine", "spine": 0,
+            {"at_ns": ms(100), "action": "withdraw_spine", "spine": 0},
+            {"at_ns": ms(180), "action": "restore_spine", "spine": 0,
              "reinit_ns": ms(5)},
-            {"at_ms": 200, "action": "withdraw_spine", "spine": 1},
-            {"at_ms": 280, "action": "restore_spine", "spine": 1,
+            {"at_ns": ms(200), "action": "withdraw_spine", "spine": 1},
+            {"at_ns": ms(280), "action": "restore_spine", "spine": 1,
              "reinit_ns": ms(5)},
-            {"at_ms": 300, "action": "withdraw_spine", "spine": 2},
-            {"at_ms": 380, "action": "restore_spine", "spine": 2,
+            {"at_ns": ms(300), "action": "withdraw_spine", "spine": 2},
+            {"at_ns": ms(380), "action": "restore_spine", "spine": 2,
              "reinit_ns": ms(5)},
         ],
     },
@@ -154,10 +154,10 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             seed=11,
         ),
         "events": [
-            {"at_ms": 120, "action": "kill_server", "server": 0},
-            {"at_ms": 160, "action": "kill_server", "server": 3},
-            {"at_ms": 260, "action": "restore_server", "server": 0},
-            {"at_ms": 300, "action": "restore_server", "server": 3},
+            {"at_ns": ms(120), "action": "kill_server", "server": 0},
+            {"at_ns": ms(160), "action": "kill_server", "server": 3},
+            {"at_ns": ms(260), "action": "restore_server", "server": 0},
+            {"at_ns": ms(300), "action": "restore_server", "server": 3},
         ],
     },
     # -- Compound: a second kill racing the first rebuild --------------
@@ -179,11 +179,11 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             seed=13,
         ),
         "events": [
-            {"at_ms": 150, "action": "kill_server", "server": 0},
-            {"at_ms": 150.4, "action": "kill_server", "server": 2},
-            {"at_ms": 280, "action": "restore_server", "server": 2},
-            {"at_ms": 300, "action": "restore_server", "server": 0},
-            {"at_ms": 360, "action": "push_tables"},
+            {"at_ns": ms(150), "action": "kill_server", "server": 0},
+            {"at_ns": ms(150.4), "action": "kill_server", "server": 2},
+            {"at_ns": ms(280), "action": "restore_server", "server": 2},
+            {"at_ns": ms(300), "action": "restore_server", "server": 0},
+            {"at_ns": ms(360), "action": "push_tables"},
         ],
     },
     # -- Compound: load surge riding through a table push --------------
@@ -201,9 +201,9 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             seed=17,
         ),
         "events": [
-            {"at_ms": 150, "action": "load_surge", "factor": 3.0,
+            {"at_ns": ms(150), "action": "load_surge", "factor": 3.0,
              "duration_ns": ms(100)},
-            {"at_ms": 200, "action": "push_tables"},
+            {"at_ns": ms(200), "action": "push_tables"},
         ],
     },
     # -- Compound: whole-rack drain and restore ------------------------
@@ -222,8 +222,8 @@ CATALOG_SPECS: Dict[str, Dict[str, Any]] = {
             seed=19,
         ),
         "events": [
-            {"at_ms": 150, "action": "drain_rack", "rack": 1},
-            {"at_ms": 300, "action": "restore_rack", "rack": 1},
+            {"at_ns": ms(150), "action": "drain_rack", "rack": 1},
+            {"at_ns": ms(300), "action": "restore_rack", "rack": 1},
         ],
     },
 }

@@ -32,11 +32,10 @@ The library (see :data:`INVARIANTS`):
                               answered; globally: completions never
                               exceed server responses
 
-Applicability is decided per scenario (``applies``), so e.g. the
+Applicability is derived per scenario (``applies``), so e.g. the
 duplicate check silently skips client-side dedup schemes and the
 rack-local check skips scenarios that legally fall back to global
-pairs.  A scenario spec can additionally opt out by name
-(``skip_invariants``).
+pairs.  No spec can switch an applicable invariant off.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "InvariantResult",
     "compute_unreachable",
     "evaluate_invariants",
-    "invariant_names",
 ]
 
 #: Schemes whose in-network response filtering guarantees exactly-once
@@ -358,24 +356,17 @@ INVARIANTS: Dict[str, Invariant] = {
 }
 
 
-def invariant_names() -> Tuple[str, ...]:
-    """Registered invariant names, in library order."""
-    return tuple(INVARIANTS)
-
-
-def evaluate_invariants(
-    view: ReportView, skip: Tuple[str, ...] = ()
-) -> List[InvariantResult]:
+def evaluate_invariants(view: ReportView) -> List[InvariantResult]:
     """Run every registered invariant against *view*.
 
-    Skipped or inapplicable invariants report ``applicable=False`` and
-    pass vacuously, so a report always carries one result per library
+    Inapplicable invariants report ``applicable=False`` and pass
+    vacuously, so a report always carries one result per library
     entry — the sweep bridge can pivot on names without existence
     checks.
     """
     results = []
     for invariant in INVARIANTS.values():
-        if invariant.name in skip or not invariant.applies(view):
+        if not invariant.applies(view):
             results.append(InvariantResult(invariant.name, False, True))
             continue
         violations = invariant.check(view)

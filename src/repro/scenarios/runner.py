@@ -3,13 +3,13 @@
 :func:`run_scenario` builds the scenario's cluster exactly the way the
 hand-written drills did — fabric, monitors, failure handler — then
 schedules every spec event on the simulator (``sim.call_at``;
-same-time events apply in spec order), takes a checkpoint snapshot at
-each checkpoint time, runs the timeline, drains the event queue dry,
-and reduces the whole run to a :class:`ScenarioReport`: plain data
-(picklable, JSON-able, bit-comparable across worker processes)
-carrying the checkpoint series, the throughput/trunk timeline, and
-one :class:`~repro.scenarios.invariants.InvariantResult` per library
-invariant.
+same-time events apply in spec order), takes a checkpoint snapshot
+after each distinct event time, runs the timeline, drains the event
+queue dry, and reduces the whole run to a :class:`ScenarioReport`:
+plain data (picklable, JSON-able, bit-comparable across worker
+processes) carrying the checkpoint series, the throughput/trunk
+timeline, and one :class:`~repro.scenarios.invariants.InvariantResult`
+per library invariant.
 
 A checkpoint snapshot is the checkpoint's label, a fixed projection
 of :meth:`~repro.experiments.common.Cluster.telemetry` (the cluster's
@@ -301,9 +301,7 @@ _SNAPSHOT_KEYS = (
 
 
 def _checkpoint_schedule(scenario: Scenario) -> List[tuple]:
-    """(time_ns, label) pairs; defaults to one snapshot per event time."""
-    if scenario.checkpoints_ns:
-        return [(t, f"checkpoint@{t}ns") for t in scenario.checkpoints_ns]
+    """(time_ns, label) pairs: one snapshot per distinct event time."""
     by_time: Dict[int, List[str]] = {}
     for event in scenario.events:
         by_time.setdefault(event.time_ns, []).append(event.action)
@@ -404,7 +402,7 @@ def run_scenario(
         meta=meta,
     )
     view = ReportView.from_report(report)
-    report.invariants = evaluate_invariants(view, skip=scenario.skip_invariants)
+    report.invariants = evaluate_invariants(view)
     return ScenarioRun(
         scenario=scenario,
         cluster=cluster,

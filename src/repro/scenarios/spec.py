@@ -3,12 +3,15 @@
 A :class:`Scenario` is a typed list of timed operator events — the
 §3.6 vocabulary (switch power cycles that wipe soft state, spine
 withdraw/fail/restore, server kill/restore, rack drains, load surges,
-rolling table pushes) — plus a checkpoint schedule, against one
-cluster configuration.  Specs are plain data: loadable from a dict or
-a TOML document, picklable, and validated **at construction** so a
-typoed action name, an out-of-range server id or an event scheduled
-past the horizon fails with a diagnosable error before any simulation
-state exists.
+rolling table pushes) — against one cluster configuration.  The
+runner snapshots telemetry after each distinct event time and at the
+horizon; a spec has no schedule of its own.  Specs are plain data:
+loadable from a dict or a TOML file, picklable, and validated **at
+construction** so a typoed action name, an out-of-range server id or
+an event scheduled past the horizon fails with a diagnosable error
+before any simulation state exists.  Every time field is an integer
+nanosecond count (``at_ns``, ``down_ns``, ``duration_ns``,
+``report_window_ns``, ...).
 
 The event vocabulary (see :data:`EVENT_TYPES` for parameters):
 
@@ -227,27 +230,20 @@ def _check_event_semantics(event: ScenarioEvent) -> None:
 
 @dataclass
 class Scenario:
-    """A validated chaos scenario: cluster + timed events + checkpoints.
+    """A validated chaos scenario: cluster + timed events.
 
     ``cluster`` holds :class:`~repro.experiments.common.ClusterConfig`
     keyword arguments (scheme/topology/placement/rates/windows/seed);
     it is built once during validation so every config error surfaces
-    here.  ``checkpoints_ns`` is the telemetry snapshot schedule —
-    empty means *after every event* (plus the always-taken end-of-run
-    snapshot).  ``skip_invariants`` names invariant checks this
-    scenario opts out of (e.g. a scenario that deliberately drives a
-    rack below two live servers opts out of nothing — applicability is
-    derived — but a scheme-specific spec may want to silence one).
+    here.
     """
 
     name: str
     description: str = ""
     cluster: Dict[str, Any] = field(default_factory=dict)
     events: List[ScenarioEvent] = field(default_factory=list)
-    checkpoints_ns: List[int] = field(default_factory=list)
     #: Window of the throughput / trunk-byte timeline in the report.
     report_window_ns: int = ms(25)
-    skip_invariants: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or not str(self.name).strip():
@@ -273,25 +269,6 @@ class Scenario:
         self.events = sorted(events, key=lambda e: e.time_ns)
         if self.report_window_ns <= 0:
             raise ExperimentError("report_window_ns must be positive")
-        checkpoints = []
-        for t in self.checkpoints_ns:
-            t = int(t)
-            if not 0 <= t <= horizon:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: checkpoint at {t} ns is "
-                    f"outside [0, {horizon}] ns"
-                )
-            checkpoints.append(t)
-        self.checkpoints_ns = sorted(set(checkpoints))
-        self.skip_invariants = tuple(self.skip_invariants)
-        from repro.scenarios.invariants import invariant_names
-
-        unknown = set(self.skip_invariants) - set(invariant_names())
-        if unknown:
-            raise ExperimentError(
-                f"scenario {self.name!r}: unknown invariant(s) "
-                f"{sorted(unknown)}; known: {', '.join(invariant_names())}"
-            )
         self._check_cross_constraints(config)
 
     # ------------------------------------------------------------------
@@ -364,12 +341,7 @@ class Scenario:
         if placement is not None:
             cluster["placement"] = placement
             cluster.pop("placement_params", None)
-        return replace(
-            self,
-            cluster=cluster,
-            events=list(self.events),
-            checkpoints_ns=list(self.checkpoints_ns),
-        )
+        return replace(self, cluster=cluster, events=list(self.events))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -379,28 +351,20 @@ class Scenario:
             "description": self.description,
             "cluster": dict(self.cluster),
             "events": [event.to_dict() for event in self.events],
-            "checkpoints_ns": list(self.checkpoints_ns),
             "report_window_ns": self.report_window_ns,
-            "skip_invariants": list(self.skip_invariants),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Build and validate a scenario from a plain mapping.
 
-        Event times may be given as ``at_ns`` (int) or ``at_ms``
-        (float); the checkpoint schedule likewise as ``checkpoints_ns``
-        or ``checkpoints_ms``.
+        Every event gives its time as ``at_ns``.
         """
         if not isinstance(data, Mapping):
             raise ExperimentError(
                 f"scenario spec must be a mapping, not {type(data).__name__}"
             )
-        known = {
-            "name", "description", "cluster", "events",
-            "checkpoints_ns", "checkpoints_ms",
-            "report_window_ns", "report_window_ms", "skip_invariants",
-        }
+        known = {"name", "description", "cluster", "events", "report_window_ns"}
         unknown = set(data) - known
         if unknown:
             raise ExperimentError(
@@ -410,37 +374,26 @@ class Scenario:
         events = []
         for raw in data.get("events", ()):
             raw = dict(raw)
-            time_ns = _take_time(raw, "at", f"event in {data.get('name')!r}")
+            if "at_ns" not in raw:
+                raise ExperimentError(
+                    f"event in {data.get('name')!r}: missing at_ns"
+                )
+            time_ns = int(raw.pop("at_ns"))
             action = raw.pop("action", None)
             if action is None:
                 raise ExperimentError("every event needs an 'action' field")
             events.append(_make_event(time_ns, str(action), raw))
-        checkpoints = [int(t) for t in data.get("checkpoints_ns", ())]
-        checkpoints += [_ms_to_ns(t) for t in data.get("checkpoints_ms", ())]
-        window = data.get("report_window_ns")
-        if window is None and "report_window_ms" in data:
-            window = _ms_to_ns(data["report_window_ms"])
         return cls(
             name=data.get("name", ""),
             description=str(data.get("description", "")),
             cluster=dict(data.get("cluster", {})),
             events=events,
-            checkpoints_ns=checkpoints,
-            report_window_ns=int(window) if window is not None else ms(25),
-            skip_invariants=tuple(data.get("skip_invariants", ())),
+            report_window_ns=int(data.get("report_window_ns", ms(25))),
         )
 
     @classmethod
-    def from_toml(cls, text: str) -> "Scenario":
-        """Parse a TOML document (see :meth:`from_dict` for the shape)."""
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise ExperimentError(f"invalid scenario TOML: {exc}") from None
-        return cls.from_dict(data)
-
-    @classmethod
     def from_toml_file(cls, path: Any) -> "Scenario":
+        """Load a TOML scenario file (see :meth:`from_dict` for the shape)."""
         try:
             with open(path, "rb") as fh:
                 data = tomllib.load(fh)
@@ -451,20 +404,3 @@ class Scenario:
         except tomllib.TOMLDecodeError as exc:
             raise ExperimentError(f"invalid scenario TOML in {path}: {exc}") from None
         return cls.from_dict(data)
-
-
-def _ms_to_ns(value: Any) -> int:
-    return int(round(float(value) * 1e6))
-
-
-def _take_time(raw: Dict[str, Any], stem: str, where: str) -> int:
-    """Pop ``<stem>_ns``/``<stem>_ms`` from *raw*; exactly one required."""
-    has_ns = f"{stem}_ns" in raw
-    has_ms = f"{stem}_ms" in raw
-    if has_ns and has_ms:
-        raise ExperimentError(f"{where}: give {stem}_ns or {stem}_ms, not both")
-    if has_ns:
-        return int(raw.pop(f"{stem}_ns"))
-    if has_ms:
-        return _ms_to_ns(raw.pop(f"{stem}_ms"))
-    raise ExperimentError(f"{where}: missing {stem}_ns / {stem}_ms")

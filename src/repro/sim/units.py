@@ -3,7 +3,7 @@
 The whole library measures simulated time in **integer nanoseconds**.
 Integers keep the event queue exact (no floating-point tie ambiguity)
 and are cheap to compare.  These helpers convert human-friendly values
-into that representation and back.
+into that representation.
 """
 
 from __future__ import annotations
@@ -36,18 +36,3 @@ def ms(value: float) -> int:
 def sec(value: float) -> int:
     """Convert *value* seconds to integer nanoseconds."""
     return int(round(value * SECONDS))
-
-
-def to_us(value_ns: int) -> float:
-    """Convert integer nanoseconds to (float) microseconds."""
-    return value_ns / MICROS
-
-
-def to_ms(value_ns: int) -> float:
-    """Convert integer nanoseconds to (float) milliseconds."""
-    return value_ns / MILLIS
-
-
-def to_sec(value_ns: int) -> float:
-    """Convert integer nanoseconds to (float) seconds."""
-    return value_ns / SECONDS

@@ -18,14 +18,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 from helpers import tiny_scenario  # noqa: E402
 
 from repro.scenarios import run_scenario  # noqa: E402
+from repro.sim.units import ms  # noqa: E402
 
 
 def main() -> None:
     scenario = tiny_scenario(
         name="golden-tiny",
         events=[
-            {"at_ms": 1.5, "action": "kill_server", "server": 0},
-            {"at_ms": 3.0, "action": "restore_server", "server": 0},
+            {"at_ns": ms(1.5), "action": "kill_server", "server": 0},
+            {"at_ns": ms(3.0), "action": "restore_server", "server": 0},
         ],
     )
     data = run_scenario(scenario).report.to_dict()

@@ -63,6 +63,12 @@ def test_top_level_quickstart_symbols():
     assert repro.NetCloneHeader
 
 
+def _readme_block(language):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return re.search(rf"```{language}\n(.*?)```", fh.read(), re.S).group(1)
+
+
 def test_readme_library_example_runs(monkeypatch):
     """The README's ``run_sweep`` example, run as written at tiny scale.
 
@@ -73,9 +79,7 @@ def test_readme_library_example_runs(monkeypatch):
     import repro.experiments.common as common
     from repro.sim.units import ms
 
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        snippet = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    snippet = _readme_block("python")
     assert "run_sweep(config," in snippet and "jobs=4" in snippet
     full_size = common.ClusterConfig
     monkeypatch.setattr(
@@ -91,3 +95,16 @@ def test_readme_library_example_runs(monkeypatch):
     assert result.scheme == "netclone"
     assert len(result.points) == 3
     assert all(point.samples > 0 for point in result.points)
+
+
+def test_readme_toml_scenario_runs(tmp_path):
+    """The README's TOML scenario, loaded from a file and run at scale 0.05."""
+    from repro.scenarios import Scenario, run_scenario
+
+    path = tmp_path / "my-drill.toml"
+    path.write_text(_readme_block("toml"), encoding="utf-8")
+    scenario = Scenario.from_toml_file(path)
+    assert scenario.name == "my-drill"
+    assert [e.action for e in scenario.events] == ["kill_server", "restore_server"]
+    report = run_scenario(scenario, scale=0.05).report
+    assert report.passed, report.summary()

@@ -19,11 +19,11 @@ from helpers import tiny_scenario
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster
 from repro.scenarios import (
+    INVARIANTS,
     ScenarioReport,
     catalog,
     catalog_names,
     get_scenario,
-    invariant_names,
     run_scenario,
     run_scenarios,
 )
@@ -37,8 +37,8 @@ def _kill_restore(name="runner-tiny", **fields):
     return tiny_scenario(
         name=name,
         events=[
-            {"at_ms": 1.5, "action": "kill_server", "server": 0},
-            {"at_ms": 3.0, "action": "restore_server", "server": 0},
+            {"at_ns": ms(1.5), "action": "kill_server", "server": 0},
+            {"at_ns": ms(3.0), "action": "restore_server", "server": 0},
         ],
         **fields,
     )
@@ -97,7 +97,7 @@ def test_lossless_run_leaves_nothing_outstanding():
     report = run_scenario(
         tiny_scenario(
             name="lossless",
-            events=[{"at_ms": 2, "action": "push_tables"}],
+            events=[{"at_ns": ms(2), "action": "push_tables"}],
         )
     ).report
     final = report.final
@@ -112,7 +112,7 @@ def test_zero_delay_switch_wipe_counts_its_recovery():
         tiny_scenario(
             name="instant-wipe",
             events=[
-                {"at_ms": 1.5, "action": "wipe_switch", "down_ns": ms(0.5),
+                {"at_ns": ms(1.5), "action": "wipe_switch", "down_ns": ms(0.5),
                  "reinit_ns": 0},
             ],
         )
@@ -155,15 +155,6 @@ def test_meta_records_liveness_floor():
     assert meta["has_handler"]
 
 
-def test_explicit_checkpoint_schedule():
-    scenario = _kill_restore(checkpoints_ns=[ms(1), ms(2)])
-    report = run_scenario(scenario).report
-    labels = [snap["label"] for snap in report.checkpoints]
-    assert labels == [
-        f"checkpoint@{ms(1)}ns", f"checkpoint@{ms(2)}ns", "end",
-    ]
-
-
 def test_bounded_drain_reports_instead_of_hanging():
     # A surge whose end-callback lands past the configured timeline
     # leaves one event in the queue at the horizon.  An unbounded drain
@@ -171,7 +162,7 @@ def test_bounded_drain_reports_instead_of_hanging():
     # violation — not a hang, not a crash.
     scenario = tiny_scenario(
         name="surge-tail",
-        events=[{"at_ms": 4.5, "action": "load_surge", "factor": 2.0,
+        events=[{"at_ns": ms(4.5), "action": "load_surge", "factor": 2.0,
                  "duration_ns": ms(2)}],
     )
     assert run_scenario(scenario).report.meta["drained"]
@@ -215,7 +206,7 @@ def test_report_dict_round_trip():
     clone = ScenarioReport.from_dict(data)
     assert clone.to_dict() == data
     assert clone.passed == report.passed
-    assert [r.name for r in clone.invariants] == list(invariant_names())
+    assert [r.name for r in clone.invariants] == list(INVARIANTS)
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +255,19 @@ def test_catalog_unknown_name():
             "scenario 'spine-flap': withdraw_spine needs a spine_leaf fabric",
         ),
         (["nosuch.toml"], "cannot read scenario file nosuch.toml"),
+        (
+            ["load-surge", "--workload", "nosuch", "--metrics", "sketch"],
+            "run-scenario has no --workload axis",
+        ),
+        (["load-surge", "--metrics", "sketch"], "run-scenario has no --metrics axis"),
     ],
-    ids=["unknown-name", "override-the-scenario-cannot-run-on", "missing-toml"],
+    ids=[
+        "unknown-name",
+        "override-the-scenario-cannot-run-on",
+        "missing-toml",
+        "workload-flag",
+        "metrics-flag",
+    ],
 )
 def test_cli_run_scenario_user_error_exits_2_without_traceback(
     capsys, argv, message

@@ -14,8 +14,8 @@ from repro.scenarios import (
 from repro.sim.units import ms
 
 
-def _kill(at_ms=1.5, server=0):
-    return {"at_ms": at_ms, "action": "kill_server", "server": server}
+def _kill(at_ns=ms(1.5), server=0):
+    return {"at_ns": at_ns, "action": "kill_server", "server": server}
 
 
 # ----------------------------------------------------------------------
@@ -23,12 +23,12 @@ def _kill(at_ms=1.5, server=0):
 # ----------------------------------------------------------------------
 def test_unknown_action_rejected():
     with pytest.raises(ExperimentError, match="unknown event action"):
-        tiny_scenario(events=[{"at_ms": 1, "action": "explode"}])
+        tiny_scenario(events=[{"at_ns": ms(1), "action": "explode"}])
 
 
 def test_missing_required_parameter_rejected():
     with pytest.raises(ExperimentError, match="missing required parameter"):
-        tiny_scenario(events=[{"at_ms": 1, "action": "kill_server"}])
+        tiny_scenario(events=[{"at_ns": ms(1), "action": "kill_server"}])
 
 
 def test_unknown_parameter_rejected():
@@ -39,14 +39,14 @@ def test_unknown_parameter_rejected():
 def test_non_integer_index_rejected():
     with pytest.raises(ExperimentError, match="not a int"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "kill_server", "server": "zero"}]
+            events=[{"at_ns": ms(1), "action": "kill_server", "server": "zero"}]
         )
 
 
 def test_precision_losing_float_rejected():
     with pytest.raises(ExperimentError, match="loses precision"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "kill_server", "server": 0.5}]
+            events=[{"at_ns": ms(1), "action": "kill_server", "server": 0.5}]
         )
 
 
@@ -58,7 +58,7 @@ def test_negative_index_rejected():
 def test_event_past_horizon_rejected():
     # tiny_scenario horizon: 1 + 3 + 1 = 5 ms.
     with pytest.raises(ExperimentError, match="past the .* horizon"):
-        tiny_scenario(events=[_kill(at_ms=5)])
+        tiny_scenario(events=[_kill(at_ns=ms(5))])
 
 
 def test_server_index_out_of_range_rejected():
@@ -69,7 +69,7 @@ def test_server_index_out_of_range_rejected():
 def test_spine_event_needs_spine_leaf():
     with pytest.raises(ExperimentError, match="needs a spine_leaf fabric"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "withdraw_spine", "spine": 0}]
+            events=[{"at_ns": ms(1), "action": "withdraw_spine", "spine": 0}]
         )
 
 
@@ -81,12 +81,12 @@ def test_handler_event_needs_switch_program():
 def test_load_surge_semantics():
     with pytest.raises(ExperimentError, match="factor must be positive"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "load_surge", "factor": 0.0,
+            events=[{"at_ns": ms(1), "action": "load_surge", "factor": 0.0,
                      "duration_ns": ms(1)}]
         )
     with pytest.raises(ExperimentError, match="duration_ns must be positive"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "load_surge", "factor": 2.0,
+            events=[{"at_ns": ms(1), "action": "load_surge", "factor": 2.0,
                      "duration_ns": 0}]
         )
 
@@ -94,25 +94,27 @@ def test_load_surge_semantics():
 def test_wipe_switch_semantics():
     with pytest.raises(ExperimentError, match="down_ns must be positive"):
         tiny_scenario(
-            events=[{"at_ms": 1, "action": "wipe_switch", "down_ns": 0}]
+            events=[{"at_ns": ms(1), "action": "wipe_switch", "down_ns": 0}]
         )
 
 
 def test_event_time_forms_are_exclusive():
-    with pytest.raises(ExperimentError, match="not both"):
-        tiny_scenario(
-            events=[{"at_ms": 1, "at_ns": ms(1), "action": "push_tables"}]
-        )
+    # at_ns is the one form of an event time: it is required, and any
+    # other time key is an unknown parameter of the action.
     with pytest.raises(ExperimentError, match="missing at_ns"):
         tiny_scenario(events=[{"action": "push_tables"}])
+    with pytest.raises(ExperimentError, match="unknown parameter"):
+        tiny_scenario(
+            events=[{"at_ns": ms(1), "at_us": 1000, "action": "push_tables"}]
+        )
 
 
 def test_events_sorted_stably_by_time():
     scenario = tiny_scenario(
         events=[
-            {"at_ms": 2, "action": "push_tables"},
-            {"at_ms": 1, "action": "kill_server", "server": 0},
-            {"at_ms": 1, "action": "restore_server", "server": 0},
+            {"at_ns": ms(2), "action": "push_tables"},
+            {"at_ns": ms(1), "action": "kill_server", "server": 0},
+            {"at_ns": ms(1), "action": "restore_server", "server": 0},
         ]
     )
     assert [e.time_ns for e in scenario.events] == [ms(1), ms(1), ms(2)]
@@ -128,16 +130,6 @@ def test_events_sorted_stably_by_time():
 def test_empty_name_rejected():
     with pytest.raises(ExperimentError, match="non-empty name"):
         tiny_scenario(name="  ")
-
-
-def test_checkpoint_outside_horizon_rejected():
-    with pytest.raises(ExperimentError, match="outside"):
-        tiny_scenario(checkpoints_ns=[ms(6)])
-
-
-def test_unknown_skip_invariant_rejected():
-    with pytest.raises(ExperimentError, match="unknown invariant"):
-        tiny_scenario(skip_invariants=["no-such-check"])
 
 
 def test_unknown_scenario_field_rejected():
@@ -160,7 +152,7 @@ def test_config_scale_shrinks_rate_only():
 def test_needs_handler_derived_from_events():
     assert tiny_scenario(events=[_kill()]).needs_handler
     assert not tiny_scenario(
-        events=[{"at_ms": 1, "action": "wipe_switch", "down_ns": ms(1)}]
+        events=[{"at_ns": ms(1), "action": "wipe_switch", "down_ns": ms(1)}]
     ).needs_handler
 
 
@@ -169,7 +161,7 @@ def test_needs_handler_derived_from_events():
 # ----------------------------------------------------------------------
 def test_with_overrides_revalidates():
     scenario = tiny_scenario(
-        events=[{"at_ms": 1, "action": "withdraw_spine", "spine": 0}],
+        events=[{"at_ns": ms(1), "action": "withdraw_spine", "spine": 0}],
         cluster={
             "topology": "spine_leaf",
             "topology_params": {"racks": 2, "spines": 2},
@@ -188,17 +180,17 @@ def test_with_overrides_revalidates():
 
 def test_dict_round_trip():
     scenario = tiny_scenario(
-        events=[_kill(), {"at_ms": 3, "action": "push_tables"}],
-        checkpoints_ns=[ms(2)],
-        skip_invariants=["rack-local-trunks-silent"],
+        events=[_kill(), {"at_ns": ms(3), "action": "push_tables"}],
+        report_window_ns=ms(2),
         description="round trip",
     )
     clone = Scenario.from_dict(scenario.to_dict())
     assert clone.to_dict() == scenario.to_dict()
 
 
-def test_toml_round_trip():
-    text = """
+def test_toml_round_trip(tmp_path):
+    path = tmp_path / "toml-spec.toml"
+    path.write_text("""
 name = "toml-spec"
 description = "spec from TOML"
 
@@ -213,16 +205,16 @@ drain_ns = 1_000_000
 seed = 7
 
 [[events]]
-at_ms = 1.5
+at_ns = 1_500_000
 action = "kill_server"
 server = 0
 
 [[events]]
-at_ms = 3.0
+at_ns = 3_000_000
 action = "restore_server"
 server = 0
-"""
-    scenario = Scenario.from_toml(text)
+""")
+    scenario = Scenario.from_toml_file(path)
     assert scenario.name == "toml-spec"
     assert [e.action for e in scenario.events] == [
         "kill_server", "restore_server",
@@ -231,9 +223,11 @@ server = 0
     assert Scenario.from_dict(scenario.to_dict()).to_dict() == scenario.to_dict()
 
 
-def test_invalid_toml_rejected():
+def test_invalid_toml_rejected(tmp_path):
+    path = tmp_path / "broken.toml"
+    path.write_text("name = [unclosed")
     with pytest.raises(ExperimentError, match="invalid scenario TOML"):
-        Scenario.from_toml("name = [unclosed")
+        Scenario.from_toml_file(path)
 
 
 def test_event_vocabulary_is_documented():

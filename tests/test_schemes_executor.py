@@ -179,8 +179,8 @@ def _sweep_panels_batch(jobs):
 def _scenario_batch(jobs):
     # run_tasks: each cell is a whole kill/restore timeline.
     events = [
-        {"at_ms": 1.5, "action": "kill_server", "server": 0},
-        {"at_ms": 3.0, "action": "restore_server", "server": 0},
+        {"at_ns": ms(1.5), "action": "kill_server", "server": 0},
+        {"at_ns": ms(3.0), "action": "restore_server", "server": 0},
     ]
     scenarios = [
         tiny_scenario("det-a", events=events),

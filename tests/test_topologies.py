@@ -3,7 +3,7 @@ with the scheme registry / parallel sweep engine.
 
 Covers the registry round-trip, fabric wiring and placement, per-ToR
 program installation with SWID gating, multi-rack determinism
-(serial vs parallel, star vs degenerate two-rack), the fig17 harness,
+(serial vs parallel, star vs one-rack spine-leaf), the fig17 harness,
 and the CLI surface (``topologies`` subcommand, ``--topology``).
 """
 
@@ -15,10 +15,8 @@ from repro.errors import ExperimentError, NetworkError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
 from repro.experiments.topologies import TOPOLOGIES, TopologySpec
 from repro.net.host import Host
-from repro.net.packet import Packet
 from repro.net.topology import SingleRackFabric, SpineLeafFabric, TwoRackFabric
 from repro.sim.core import Simulator
-from repro.sim.units import ms
 from repro.switchsim.switch import ProgrammableSwitch
 
 
@@ -101,11 +99,11 @@ def test_two_rack_fabric_places_roles_and_routes():
 
 
 def test_two_rack_fabric_rejects_bad_placement():
-    sim = Simulator()
-    with pytest.raises(NetworkError):
-        TwoRackFabric(sim, make_switch_factory(sim), server_rack=2)
-    with pytest.raises(NetworkError):
-        TwoRackFabric(sim, make_switch_factory(sim), coordinator_rack=5)
+    # Placement is fixed (clients and coordinator in rack 0, servers in
+    # rack 1): any inline parameter is unknown, whatever its value.
+    for params in ("server_rack=2", "client_rack=0", "rack=x"):
+        with pytest.raises(ExperimentError, match="unknown two_rack parameter"):
+            run_point(tiny_config(topology=f"two_rack:{params}"))
 
 
 def test_rack_full_raises_clear_error_not_port_collision():
@@ -204,15 +202,6 @@ def test_laedge_coordinator_composes_with_two_rack():
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
-def test_star_matches_two_rack_with_one_rack_degenerate():
-    star = run_point(tiny_config())
-    degenerate = run_point(
-        tiny_config(topology="two_rack",
-                    topology_params={"client_rack": 0, "server_rack": 0})
-    )
-    assert_points_identical(star, degenerate)
-
-
 def test_star_matches_single_rack_spine_leaf():
     star = run_point(tiny_config())
     one_rack = run_point(

@@ -56,6 +56,12 @@ def test_registry_rejects_unknown_params():
         "exp:mean_us=nan",
         "exp:mean_us=0",
         "kv-redis:scan_fraction=1.5",
+        # The SCAN pacing realises 1/period: 0.2, 0.5 and 1.0 would run
+        # 0.167, 0.333 and 0.5 under a name and a capacity that assume
+        # the nominal share, so nothing above the paper's 10% passes.
+        "kv-redis:scan_fraction=0.2",
+        "kv-redis:scan_fraction=0.5",
+        "kv-redis:scan_fraction=1.0",
         "kv-redis:scan_fraction=-0.5",
         "kv-redis:scan_fraction=nan",
         "kv-memcached:scan_fraction=2",

@@ -167,6 +167,15 @@ def test_kv_workload_deterministic_mix_paced_under_boundary():
     assert 0.008 < ops.count(KvOp.SCAN) / len(ops) < 0.01
 
 
+def test_kv_workload_get_only_mix_spends_only_key_draws():
+    workload = KvWorkload(rng(), num_keys=100, scan_fraction=0.0)
+    keys = rng()
+    for seq in range(50):
+        request = workload.make_request(0, seq)
+        assert request.op is KvOp.GET
+        assert request.key == workload.zipf.sample(keys)
+
+
 def test_kv_workload_sizes_and_validation():
     workload = KvWorkload(rng(), num_keys=100, scan_fraction=0.1)
     requests = [workload.make_request(0, i) for i in range(100)]
@@ -174,8 +183,9 @@ def test_kv_workload_sizes_and_validation():
     get = next(r for r in requests if r.op is KvOp.GET)
     assert workload.response_size(scan) > workload.response_size(get)
     assert scan.count == KvWorkload.SCAN_COUNT == 100
-    with pytest.raises(WorkloadError):
-        KvWorkload(rng(), scan_fraction=1.5)
+    for bad in (1.5, 0.2, -0.1):
+        with pytest.raises(WorkloadError):
+            KvWorkload(rng(), scan_fraction=bad)
 
 
 def test_kv_workload_name_reflects_mix():
