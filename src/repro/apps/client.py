@@ -35,13 +35,20 @@ exactly a ``random.Random``, and it also carries the NetClone and
 Baseline packet builders, which ``NetCloneClient`` and
 ``BaselineClient`` name as their ``build_packets`` (their Python
 references stay in ``core/client.py`` and ``baselines/random_lb.py``).
-It calls back into Python for the workload (the request chunk and the
-request size), an arrival process's ``next_gap``, the recorder's
-``note_sent`` and ``record``, any other RNG, and any of its own
-methods, ``build_packets``, ``send``, ``release`` or ``acquire`` that
-Python would not resolve to the C method (a class-level wrapper, a
-subclass override, the sanitizer's pool).  The Python class below is
-the reference and the ``REPRO_PURE_SIM=1`` path.
+It calls back into Python for the workload (its request chunk, once
+per ``ARRIVAL_CHUNK`` requests, and the request size), an arrival
+process's ``next_gap``, any other RNG, and any of its own methods,
+``build_packets``, ``send``, ``release`` or ``acquire`` that Python
+would not resolve to the C method (a class-level wrapper, a subclass
+override, the sanitizer's pool).  The synthetic and KV workloads draw
+a chunk's service times and build its payloads in the C functions of
+``workloads/chunks.py``, so no request runs a Python frame there.  The
+recorder's ``note_sent`` and ``record`` are the C ``RecorderCore``'s
+(``metrics/latency.py``), which the client calls directly wherever
+Python would resolve the name to them; a class-level wrapper, any
+other recorder, sketch mode and a set ``completion_monitor`` still
+reach Python.  The Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations

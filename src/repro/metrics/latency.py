@@ -20,6 +20,17 @@ Two storage backends share one API (``mode=`` at construction):
 identically over both backends (empty recorders answer NaN in
 both modes); ``mean_us`` is exact in both (a running sum, no sample
 materialisation).
+
+The per-request calls, :meth:`~_RecorderCore.note_sent` and
+:meth:`~_RecorderCore.record`, live on :class:`_RecorderCore` with the
+state they keep.  With the C core live (``USING_CCORE``) that base is
+``_ccore.RecorderCore``, which keeps the window tests, the counts, the
+running sum and an exact-mode sample with no Python frame, and which
+the client's C request path calls directly; a set
+``completion_monitor`` and sketch mode's ``sketch.add`` are called
+back.  Its ``_sum_ns`` stays a Python int, so it never overflows and
+stays writable.  The Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.metrics.sketch import LatencySketch
+from repro.sim.core import USING_CCORE
 from repro.sim.units import SECONDS
 
 __all__ = ["LatencyRecorder", "percentile"]
@@ -49,40 +61,16 @@ def percentile(samples: Sequence[int], q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=np.int64), q, method="lower"))
 
 
-class LatencyRecorder:
-    """Collects request latencies inside a measurement window."""
+class _RecorderCore:
+    """The per-request bookkeeping of a :class:`LatencyRecorder` and the
+    state it keeps.  ``_ccore.RecorderCore`` replaces it when the C core
+    is live."""
 
-    def __init__(
-        self,
-        warmup_ns: int = 0,
-        end_ns: Optional[int] = None,
-        mode: str = "exact",
-    ):
-        if warmup_ns < 0:
-            raise ExperimentError("warmup must be non-negative")
-        if end_ns is not None and end_ns <= warmup_ns:
-            raise ExperimentError("measurement window must be non-empty")
-        if mode not in ("exact", "sketch"):
-            raise ExperimentError(
-                f"unknown recorder mode {mode!r} (choose 'exact' or 'sketch')"
-            )
-        self.warmup_ns = warmup_ns
-        self.end_ns = end_ns
-        self.mode = mode
-        #: Raw samples in exact mode; ``None`` in sketch mode (sketch
-        #: mode never materialises per-request samples).
-        self.latencies_ns: Optional[array] = array("q") if mode == "exact" else None
-        self.sketch: Optional[LatencySketch] = (
-            LatencySketch() if mode == "sketch" else None
-        )
-        #: Running sum of recorded latencies (exact in both modes).
-        self._sum_ns = 0
-        self.sent_in_window = 0
-        self.completed_in_window = 0
-        #: Optional IntervalMonitor fed with completion times (Fig. 16).
-        self.completion_monitor = None
+    __slots__ = (
+        "warmup_ns", "end_ns", "latencies_ns", "sketch", "_sum_ns",
+        "sent_in_window", "completed_in_window", "completion_monitor",
+    )
 
-    # ------------------------------------------------------------------
     def note_sent(self, send_time_ns: int) -> None:
         """Count one request sent at *send_time_ns*."""
         # The window test ``warmup_ns <= t < end_ns``, written out:
@@ -115,6 +103,53 @@ class LatencyRecorder:
                 self.latencies_ns.append(latency)
             else:
                 self.sketch.add(latency)
+
+
+if USING_CCORE:
+    from repro.sim._ccore import RecorderCore as _RecorderCore  # noqa: F811
+
+
+class LatencyRecorder(_RecorderCore):
+    """Collects request latencies inside a measurement window."""
+
+    __slots__ = ("mode",)
+
+    # The per-request calls sit in this class's own dict, so tracers
+    # that wrap ``LatencyRecorder.record`` / ``.note_sent`` at class
+    # level find them here on either base (and the C client then calls
+    # the wrapper).
+    note_sent = _RecorderCore.note_sent
+    record = _RecorderCore.record
+
+    def __init__(
+        self,
+        warmup_ns: int = 0,
+        end_ns: Optional[int] = None,
+        mode: str = "exact",
+    ):
+        if warmup_ns < 0:
+            raise ExperimentError("warmup must be non-negative")
+        if end_ns is not None and end_ns <= warmup_ns:
+            raise ExperimentError("measurement window must be non-empty")
+        if mode not in ("exact", "sketch"):
+            raise ExperimentError(
+                f"unknown recorder mode {mode!r} (choose 'exact' or 'sketch')"
+            )
+        self.warmup_ns = warmup_ns
+        self.end_ns = end_ns
+        self.mode = mode
+        #: Raw samples in exact mode; ``None`` in sketch mode (sketch
+        #: mode never materialises per-request samples).
+        self.latencies_ns: Optional[array] = array("q") if mode == "exact" else None
+        self.sketch: Optional[LatencySketch] = (
+            LatencySketch() if mode == "sketch" else None
+        )
+        #: Running sum of recorded latencies (exact in both modes).
+        self._sum_ns = 0
+        self.sent_in_window = 0
+        self.completed_in_window = 0
+        #: Optional IntervalMonitor fed with completion times (Fig. 16).
+        self.completion_monitor = None
 
     # ------------------------------------------------------------------
     @property

@@ -47,7 +47,7 @@ from __future__ import annotations
 import tomllib
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.sim.units import ms
@@ -169,6 +169,21 @@ class ScenarioEvent:
         return out
 
 
+def _coerce(caster: Callable[[Any], Any], value: Any, label: str) -> Any:
+    """*value* through *caster*, or :class:`ExperimentError` naming
+    *label*; an int field rejects a float with a fractional part
+    rather than truncating it."""
+    try:
+        cast = caster(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ExperimentError(
+            f"{label}={value!r} is not a {caster.__name__}"
+        ) from None
+    if caster is int and isinstance(value, float) and value != cast:
+        raise ExperimentError(f"{label}={value!r} loses precision as an int")
+    return cast
+
+
 def _make_event(time_ns: int, action: str, raw: Mapping[str, Any]) -> ScenarioEvent:
     """Validate and normalise one event's action + parameters."""
     etype = EVENT_TYPES.get(action)
@@ -186,20 +201,7 @@ def _make_event(time_ns: int, action: str, raw: Mapping[str, Any]) -> ScenarioEv
     resolved: List[Tuple[str, Any]] = []
     for name, (caster, required, default) in etype.params.items():
         if name in raw:
-            value = raw[name]
-            try:
-                cast = caster(value)
-            except (TypeError, ValueError):
-                raise ExperimentError(
-                    f"{action}: parameter {name}={value!r} is not a "
-                    f"{caster.__name__}"
-                ) from None
-            if caster is int and isinstance(value, float) and value != cast:
-                raise ExperimentError(
-                    f"{action}: parameter {name}={value!r} loses precision "
-                    "as an int"
-                )
-            value = cast
+            value = _coerce(caster, raw[name], f"{action}: parameter {name}")
         elif required:
             raise ExperimentError(f"{action}: missing required parameter {name!r}")
         else:
@@ -378,17 +380,20 @@ class Scenario:
                 raise ExperimentError(
                     f"event in {data.get('name')!r}: missing at_ns"
                 )
-            time_ns = int(raw.pop("at_ns"))
             action = raw.pop("action", None)
             if action is None:
                 raise ExperimentError("every event needs an 'action' field")
+            time_ns = _coerce(int, raw.pop("at_ns"), f"{action}: at_ns")
             events.append(_make_event(time_ns, str(action), raw))
         return cls(
             name=data.get("name", ""),
             description=str(data.get("description", "")),
             cluster=dict(data.get("cluster", {})),
             events=events,
-            report_window_ns=int(data.get("report_window_ns", ms(25))),
+            report_window_ns=_coerce(
+                int, data.get("report_window_ns", ms(25)),
+                f"scenario {data.get('name')!r}: report_window_ns",
+            ),
         )
 
     @classmethod

@@ -1,6 +1,7 @@
 /* C core: the two-lane calendar-queue Simulator, the packet plane, the
- * forwarding hop, the NetClone switch pass and the server's and the
- * client's request paths.
+ * forwarding hop, the NetClone switch pass, the server's and the
+ * client's request paths, the latency recorder and the workloads' chunk
+ * draws.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -97,10 +98,19 @@
  * `BaselineClient` name as their `build_packets`.  On an exact
  * `random.Random` it replays the RNG's draws from its two primitives,
  * as CPython's `randrange`, `choice` and `expovariate` make them.  It
- * calls into Python for the workload, an arrival process, the
- * recorder, any other RNG, and any of its own methods,
+ * calls into Python for the workload's request chunk and request size,
+ * an arrival process, any other RNG, and any of its own methods,
  * `build_packets`, `send`, `release` or `acquire` that Python would not
  * resolve to the C method.
+ *
+ * The recorder and the workload draws.  `RecorderCore` is the C twin of
+ * metrics/latency.py's `_RecorderCore` (`note_sent` and `record`), which
+ * stays the reference; `LatencyRecorder` subclasses whichever is live,
+ * and the client calls its C methods directly where Python would
+ * resolve the names to them.  `expovariate_chunk` and `payloads` are
+ * the C twins of workloads/chunks.py's functions: a chunk of service
+ * times replayed from an exact `random.Random`'s `random()`, and
+ * request payloads built without their `__init__`.
  *
  * A packet acquired through a Python-level `acquire` from C code (a
  * clone copy, a server response, a client request) carries a site tag,
@@ -3553,6 +3563,243 @@ static PyTypeObject ServerType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* RecorderCore: the latency recorder's per-request bookkeeping        */
+/* ------------------------------------------------------------------ */
+
+/* metrics/latency.py's `note_sent` and `record`: the C twin of the
+ * pure-Python `_RecorderCore`, which stays the reference.
+ * `LatencyRecorder` subclasses whichever is live.  The window tests,
+ * the two counts, the running sum and an exact-mode sample stay in C;
+ * a set `completion_monitor` (its `note`) and sketch mode (the
+ * sketch's `add`) are called back.  Times are ints in int64 range;
+ * `_sum_ns` stays a Python int, unbounded and writable as the
+ * reference's. */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *latencies;          /* `latencies_ns`: array('q') or None */
+    PyObject *sketch;             /* a LatencySketch or None */
+    PyObject *completion_monitor; /* an IntervalMonitor or None */
+    PyObject *sum_ns;             /* `_sum_ns`, an int */
+    long long warmup_ns;
+    long long end_ns;             /* meaningful when `has_end` */
+    long long sent_in_window;
+    long long completed_in_window;
+    char has_end;
+} RecorderObject;
+
+static PyTypeObject RecorderType;
+static PyObject *s_note, *s_add, *s_send_time_ns, *s_done_time_ns;
+
+/* The window test `warmup_ns <= t < end_ns` (no end: unbounded). */
+static int
+recorder_in_window(RecorderObject *self, long long t)
+{
+    return t >= self->warmup_ns && (!self->has_end || t < self->end_ns);
+}
+
+/* `note_sent(t)`. */
+static void
+recorder_note_sent_at(RecorderObject *self, long long t)
+{
+    if (recorder_in_window(self, t))
+        self->sent_in_window += 1;
+}
+
+/* `record(send, done)`. */
+static int
+recorder_record_at(RecorderObject *self, long long send, long long done)
+{
+    PyObject *sink, *name, *value, *sum;
+    long long latency;
+    int rc;
+    if (done < send) {
+        PyErr_SetString(g_experiment_error, "completion before send");
+        return -1;
+    }
+    if (require_member(self->completion_monitor, "completion_monitor") < 0)
+        return -1;
+    if (self->completion_monitor != Py_None) {
+        if ((value = PyLong_FromLongLong(done)) == NULL)
+            return -1;
+        rc = call_discard(self->completion_monitor, s_note, &value, 1);
+        Py_DECREF(value);
+        if (rc < 0)
+            return -1;
+    }
+    if (recorder_in_window(self, done))
+        self->completed_in_window += 1;
+    if (!recorder_in_window(self, send))
+        return 0;
+    if (__builtin_sub_overflow(done, send, &latency)) {
+        PyErr_SetString(PyExc_OverflowError, "latency out of int64 range");
+        return -1;
+    }
+    if (require_member(self->sum_ns, "_sum_ns") < 0
+        || require_member(self->latencies, "latencies_ns") < 0
+        || (value = PyLong_FromLongLong(latency)) == NULL)
+        return -1;
+    /* `self._sum_ns += latency`. */
+    if ((sum = PyNumber_Add(self->sum_ns, value)) == NULL) {
+        Py_DECREF(value);
+        return -1;
+    }
+    Py_SETREF(self->sum_ns, sum);
+    sink = self->latencies;
+    name = s_append;
+    if (sink == Py_None) {
+        sink = self->sketch;
+        name = s_add;
+    }
+    rc = require_member(sink, "sketch") < 0
+             ? -1 : call_discard(sink, name, &value, 1);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* A time argument: an int in int64 range. */
+static int
+recorder_time(PyObject *arg, long long *out)
+{
+    *out = PyLong_AsLongLong(arg);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* `note_sent(send_time_ns)`. */
+static PyObject *
+recorder_note_sent(RecorderObject *self, PyObject *const *args,
+                   Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *values[1] = {NULL};
+    long long t;
+    if (bind_args("note_sent", &s_send_time_ns, 1, 1, args, nargs, kwnames,
+                  NULL, values) < 0
+        || recorder_time(values[0], &t) < 0)
+        return NULL;
+    recorder_note_sent_at(self, t);
+    Py_RETURN_NONE;
+}
+
+/* `record(send_time_ns, done_time_ns)`. */
+static PyObject *
+recorder_record(RecorderObject *self, PyObject *const *args, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    PyObject *names[2] = {s_send_time_ns, s_done_time_ns},
+        *values[2] = {NULL, NULL};
+    long long send, done;
+    if (bind_args("record", names, 2, 2, args, nargs, kwnames, NULL,
+                  values) < 0
+        || recorder_time(values[0], &send) < 0
+        || recorder_time(values[1], &done) < 0
+        || recorder_record_at(self, send, done) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+recorder_get_end(RecorderObject *self, void *Py_UNUSED(closure))
+{
+    if (!self->has_end)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(self->end_ns);
+}
+
+static int
+recorder_set_end(RecorderObject *self, PyObject *value,
+                 void *Py_UNUSED(closure))
+{
+    long long end;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete end_ns");
+        return -1;
+    }
+    if (value == Py_None) {
+        self->has_end = 0;
+        return 0;
+    }
+    if (recorder_time(value, &end) < 0)
+        return -1;
+    self->end_ns = end;
+    self->has_end = 1;
+    return 0;
+}
+
+#define RECORDER_OBJECTS(X) \
+    X(latencies) X(sketch) X(completion_monitor) X(sum_ns)
+
+static int
+recorder_traverse(RecorderObject *self, visitproc visit, void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    RECORDER_OBJECTS(VISIT)
+#undef VISIT
+    return 0;
+}
+
+static int
+recorder_clear(RecorderObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    RECORDER_OBJECTS(CLEAR)
+#undef CLEAR
+    return 0;
+}
+
+static void
+recorder_dealloc(RecorderObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    recorder_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMemberDef recorder_members[] = {
+    {"latencies_ns", T_OBJECT_EX, offsetof(RecorderObject, latencies), 0, NULL},
+    {"sketch", T_OBJECT_EX, offsetof(RecorderObject, sketch), 0, NULL},
+    {"completion_monitor", T_OBJECT_EX,
+     offsetof(RecorderObject, completion_monitor), 0, NULL},
+    {"_sum_ns", T_OBJECT_EX, offsetof(RecorderObject, sum_ns), 0, NULL},
+    {"warmup_ns", T_LONGLONG, offsetof(RecorderObject, warmup_ns), 0, NULL},
+    {"sent_in_window", T_LONGLONG, offsetof(RecorderObject, sent_in_window),
+     0, NULL},
+    {"completed_in_window", T_LONGLONG,
+     offsetof(RecorderObject, completed_in_window), 0, NULL},
+    {NULL}
+};
+
+static PyGetSetDef recorder_getset[] = {
+    {"end_ns", (getter)recorder_get_end, (setter)recorder_set_end,
+     "End of the measurement window in ns, or None.", NULL},
+    {NULL}
+};
+
+static PyMethodDef recorder_methods[] = {
+    {"note_sent", (PyCFunction)(void (*)(void))recorder_note_sent,
+     METH_FASTCALL | METH_KEYWORDS, "Count one request sent at send_time_ns."},
+    {"record", (PyCFunction)(void (*)(void))recorder_record,
+     METH_FASTCALL | METH_KEYWORDS,
+     "Record a completed request (first response received)."},
+    {NULL}
+};
+
+static PyTypeObject RecorderType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.RecorderCore",
+    .tp_basicsize = sizeof(RecorderObject),
+    .tp_dealloc = (destructor)recorder_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "C base of metrics.latency.LatencyRecorder: the window, the "
+              "counts, the running sum and the samples.",
+    .tp_traverse = (traverseproc)recorder_traverse,
+    .tp_clear = (inquiry)recorder_clear,
+    .tp_methods = recorder_methods,
+    .tp_members = recorder_members,
+    .tp_getset = recorder_getset,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
 /* ClientCore: the open-loop client's request path                     */
 /* ------------------------------------------------------------------ */
 
@@ -3570,8 +3817,9 @@ static PyTypeObject ServerType = {
  * request, then the packets, then the gap), one `call_after` seq per
  * send, the same `_seq`/`_predrawn_seq` bookkeeping, and the Python
  * collaborators called as before (the workload's request chunk and
- * request size, an arrival process's `next_gap`, the recorder's
- * `note_sent` and `record`).  On an exact `random.Random` the draws
+ * request size, an arrival process's `next_gap`, and the recorder's
+ * `note_sent` and `record` unless they are RecorderCore's own, which
+ * run here).  On an exact `random.Random` the draws
  * are replayed from its two primitives, `random()` and
  * `getrandbits(k)`, exactly as CPython's `randrange`, `choice` and
  * `expovariate` make them; any other RNG gets the Python calls.  Each
@@ -3908,12 +4156,12 @@ client_baseline_packets(ClientObject *self, PyObject *request)
 
 /* --- Arrivals -------------------------------------------------------- */
 
-/* `int(x) + 1` for a gap x >= 0 in ns. */
+/* `int(x) + 1` for a gap or service time x in ns. */
 static PyObject *
 gap_from_double(double x)
 {
     PyObject *whole, *gap;
-    if (x < 9.0e18)
+    if (x > -9.0e18 && x < 9.0e18)
         return PyLong_FromLongLong((long long)x + 1);
     if ((whole = PyLong_FromDouble(x)) == NULL)
         return NULL;
@@ -4185,6 +4433,60 @@ client_take_record(ClientObject *self)
     return record;
 }
 
+/* The recorder when its `<name>` resolves to the C method *meth*, so
+ * the client may call the C body directly; NULL otherwise. */
+static RecorderObject *
+client_c_recorder(ClientObject *self, PyObject *name, PyCFunction meth)
+{
+    PyObject *recorder = self->recorder;
+    if (recorder != NULL && PyObject_TypeCheck(recorder, &RecorderType)
+        && resolves_to(recorder, name, meth))
+        return (RecorderObject *)recorder;
+    return NULL;
+}
+
+/* `self.recorder.note_sent(send_time)`, *now* being that time. */
+static int
+client_note_sent(ClientObject *self, PyObject *send_time, long long now)
+{
+    RecorderObject *recorder = client_c_recorder(
+        self, s_note_sent, (PyCFunction)(void (*)(void))recorder_note_sent);
+    if (recorder != NULL) {
+        recorder_note_sent_at(recorder, now);
+        return 0;
+    }
+    if (require_member(self->recorder, "recorder") < 0)
+        return -1;
+    return call_discard(self->recorder, s_note_sent, &send_time, 1);
+}
+
+/* `self.recorder.record(sent, now)`. */
+static int
+client_record_latency(ClientObject *self, PyObject *sent, long long now)
+{
+    RecorderObject *recorder = client_c_recorder(
+        self, s_record, (PyCFunction)(void (*)(void))recorder_record);
+    PyObject *args[2];
+    long long send;
+    int overflow, r;
+    if (recorder != NULL && PyLong_CheckExact(sent)) {
+        send = PyLong_AsLongLongAndOverflow(sent, &overflow);
+        if (!overflow) {
+            Py_INCREF(recorder);
+            r = recorder_record_at(recorder, send, now);
+            Py_DECREF(recorder);
+            return r;
+        }
+    }
+    if (require_member(self->recorder, "recorder") < 0
+        || (args[1] = PyLong_FromLongLong(now)) == NULL)
+        return -1;
+    args[0] = sent;
+    r = call_discard(self->recorder, s_record, args, 2);
+    Py_DECREF(args[1]);
+    return r;
+}
+
 /* Send one record's packets, stamped with *send_time*. */
 static int
 client_send_packets(ClientObject *self, PyObject *packets, PyObject *send_time)
@@ -4238,8 +4540,7 @@ client_send_one(ClientObject *self, PyObject *Py_UNUSED(ignored))
         || require_member(self->outstanding, "_outstanding") < 0
         || PyObject_SetItem(self->outstanding, PyTuple_GET_ITEM(tuple, 0),
                             send_time) < 0
-        || require_member(self->recorder, "recorder") < 0
-        || call_discard(self->recorder, s_note_sent, &send_time, 1) < 0
+        || client_note_sent(self, send_time, now) < 0
         || client_send_packets(self, PyTuple_GET_ITEM(tuple, 2),
                                send_time) < 0
         || require_member(self->host.sim, "sim") < 0
@@ -4272,7 +4573,7 @@ client_drop(PyObject *packet)
 static PyObject *
 client_handle(ClientObject *self, PyObject *packet)
 {
-    PyObject *payload, *value, *sent, *args[2];
+    PyObject *payload, *value, *sent;
     long long now;
     int r;
     if ((payload = GET_PACKET(packet, payload)) == NULL)
@@ -4321,15 +4622,10 @@ client_handle(ClientObject *self, PyObject *packet)
         self->redundant_responses += 1;
         return client_drop(packet);
     }
-    args[0] = sent;
-    args[1] = NULL;
     r = -1;
-    if (require_member(self->recorder, "recorder") == 0
-        && require_member(self->host.sim, "sim") == 0
-        && sim_now_of(self->host.sim, &now) == 0
-        && (args[1] = PyLong_FromLongLong(now)) != NULL)
-        r = call_discard(self->recorder, s_record, args, 2);
-    Py_XDECREF(args[1]);
+    if (require_member(self->host.sim, "sim") == 0
+        && sim_now_of(self->host.sim, &now) == 0)
+        r = client_record_latency(self, sent, now);
     Py_DECREF(sent);
     if (r < 0)
         return NULL;
@@ -4426,6 +4722,216 @@ static PyTypeObject ClientType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Workload draws: chunked service times and request payloads          */
+/* ------------------------------------------------------------------ */
+
+/* workloads/chunks.py's `expovariate_chunk` and `payloads`: the C twins
+ * of the pure-Python functions there, which stay the reference.  The
+ * synthetic and KV workloads draw a chunk of requests through them, so
+ * no request costs a Python frame.  On an exact `random.Random` the
+ * service-time draws are replayed from `random()`, as CPython's
+ * `expovariate` makes them (`-log(1.0 - random()) / rate`, with the
+ * caller's `rate` double); any other RNG gets the Python calls. */
+
+/* `rng.random()` as a double. */
+static int
+draw_random(PyObject *rng, int stock, double *out)
+{
+    PyObject *draw = stock ? rng_random(rng)
+                           : call_method(rng, s_random, NULL, 0);
+    if (draw == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* `int(rng.expovariate(rate)) + 1`, a new reference. */
+static PyObject *
+draw_service(PyObject *rng, int stock, PyObject *rate)
+{
+    PyObject *value, *whole, *item;
+    double u;
+    if (stock) {
+        if (draw_random(rng, 1, &u) < 0)
+            return NULL;
+        return gap_from_double(-log(1.0 - u) / PyFloat_AS_DOUBLE(rate));
+    }
+    if ((value = call_method(rng, s_expovariate, &rate, 1)) == NULL)
+        return NULL;
+    whole = PyNumber_Long(value);
+    Py_DECREF(value);
+    if (whole == NULL)
+        return NULL;
+    item = PyNumber_Add(whole, g_one);
+    Py_DECREF(whole);
+    return item;
+}
+
+/* `expovariate_chunk(rng, n, rates, cumulative)`. */
+static PyObject *
+mod_expovariate_chunk(PyObject *module, PyObject *const *args,
+                      Py_ssize_t nargs)
+{
+    PyObject *rng, *rates, *cumulative = NULL, *list = NULL, *item;
+    Py_ssize_t n, m, i, mode;
+    double *cum = NULL, pick;
+    int stock;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "expovariate_chunk() takes exactly "
+                        "4 arguments (rng, n, rates, cumulative)");
+        return NULL;
+    }
+    rng = args[0];
+    if ((n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError)) == -1
+        && PyErr_Occurred())
+        return NULL;
+    if ((rates = PySequence_Tuple(args[2])) == NULL)
+        return NULL;
+    m = PyTuple_GET_SIZE(rates);
+    if (args[3] != Py_None) {
+        if ((cumulative = PySequence_Tuple(args[3])) == NULL)
+            goto done;
+        if (PyTuple_GET_SIZE(cumulative) != m) {
+            PyErr_SetString(PyExc_ValueError,
+                            "expovariate_chunk() needs one cumulative "
+                            "weight per rate");
+            goto done;
+        }
+        if ((cum = PyMem_New(double, m)) == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (i = 0; i < m; i++) {
+            cum[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(cumulative, i));
+            if (cum[i] == -1.0 && PyErr_Occurred())
+                goto done;
+        }
+    }
+    if (n < 0 || m == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "expovariate_chunk() needs n >= 0 and a rate");
+        goto done;
+    }
+    stock = rng_is_stock(rng);
+    for (i = 0; stock && i < m; i++)
+        stock = PyFloat_CheckExact(PyTuple_GET_ITEM(rates, i));
+    if ((list = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        /* The first mode whose cumulative weight exceeds the pick, the
+         * last when none does. */
+        mode = 0;
+        if (cum != NULL) {
+            if (draw_random(rng, stock, &pick) < 0)
+                goto fail;
+            while (mode < m - 1 && !(pick < cum[mode]))
+                mode++;
+        }
+        if ((item = draw_service(rng, stock, PyTuple_GET_ITEM(rates, mode)))
+            == NULL)
+            goto fail;
+        PyList_SET_ITEM(list, i, item);
+    }
+    goto done;
+fail:
+    Py_CLEAR(list);
+done:
+    PyMem_Free(cum);
+    Py_XDECREF(cumulative);
+    Py_DECREF(rates);
+    return list;
+}
+
+/* The slot *name* of *type* for `payloads`: a member descriptor, a new
+ * reference. */
+static PyObject *
+payload_slot(PyTypeObject *type, PyObject *name)
+{
+    PyObject *descr = PyUnicode_Check(name) ? _PyType_Lookup(type, name) : NULL;
+    if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
+        PyErr_Format(PyExc_TypeError, "%R is not a slot of %s", name,
+                     type->tp_name);
+        return NULL;
+    }
+    return Py_NewRef(descr);
+}
+
+/* `payloads(cls, n, columns)`. */
+static PyObject *
+mod_payloads(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyTypeObject *type;
+    PyObject *columns, *key, *value, *empty = NULL, *list = NULL,
+        **slots = NULL, **values = NULL, *obj;
+    Py_ssize_t n, k = 0, nslots, pos = 0, i, j;
+    if (nargs != 3 || !PyType_Check(args[0]) || !PyDict_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "payloads() takes a class, a count "
+                        "and a dict of columns");
+        return NULL;
+    }
+    type = (PyTypeObject *)args[0];
+    columns = args[2];
+    if (type->tp_new != PyBaseObject_Type.tp_new) {
+        PyErr_Format(PyExc_TypeError, "%s defines its own __new__",
+                     type->tp_name);
+        return NULL;
+    }
+    if ((n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError)) == -1
+        && PyErr_Occurred())
+        return NULL;
+    nslots = PyDict_GET_SIZE(columns);
+    slots = PyMem_New(PyObject *, nslots);
+    values = PyMem_New(PyObject *, nslots);
+    if (slots == NULL || values == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* slots[j]: the member descriptor; values[j]: its column. */
+    while (PyDict_Next(columns, &pos, &key, &value)) {
+        if ((slots[k] = payload_slot(type, key)) == NULL)
+            goto done;
+        if ((values[k++] = PySequence_Fast(value, "a column must be a sequence"))
+            == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(values[k - 1]) != n) {
+            PyErr_Format(PyExc_ValueError, "column %R has %zd values, "
+                         "expected %zd", key,
+                         PySequence_Fast_GET_SIZE(values[k - 1]), n);
+            goto done;
+        }
+    }
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "payloads() needs n >= 0");
+        goto done;
+    }
+    if ((empty = PyTuple_New(0)) == NULL || (list = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        if ((obj = type->tp_new(type, empty, NULL)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(list, i, obj);
+        for (j = 0; j < nslots; j++) {
+            if (Py_TYPE(slots[j])->tp_descr_set(
+                    slots[j], obj, PySequence_Fast_GET_ITEM(values[j], i)) < 0)
+                goto fail;
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(list);
+done:
+    for (j = 0; j < k; j++) {
+        Py_DECREF(slots[j]);
+        Py_XDECREF(values[j]);
+    }
+    PyMem_Free(values);
+    PyMem_Free(slots);
+    Py_XDECREF(empty);
+    return list;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -4493,6 +4999,14 @@ static PyMethodDef mod_methods[] = {
     {"configure_client", mod_configure_client, METH_VARARGS,
      "configure_client(NetCloneHeader, GroupTable): the header class the "
      "C NetClone build makes and the table class whose sample it replays."},
+    {"expovariate_chunk", (PyCFunction)(void (*)(void))mod_expovariate_chunk,
+     METH_FASTCALL,
+     "expovariate_chunk(rng, n, rates, cumulative): n service times "
+     "int(rng.expovariate(rate)) + 1, the rate picked by a random() draw "
+     "against the cumulative weights unless those are None."},
+    {"payloads", (PyCFunction)(void (*)(void))mod_payloads, METH_FASTCALL,
+     "payloads(cls, n, columns): n instances of a slotted class, made "
+     "without __init__, each slot set to its item of its column."},
     {"acquire_site", mod_acquire_site, METH_NOARGS,
      "The `file:site` tag of the C code acquiring a packet through a "
      "Python-level acquire, or None."},
@@ -4503,8 +5017,9 @@ static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._ccore",
     .m_doc = "C core for the discrete-event scheduler, the packet plane, "
-             "the forwarding hop, the NetClone switch pass and the "
-             "server's and the client's request paths.",
+             "the forwarding hop, the NetClone switch pass, the "
+             "server's and the client's request paths, the latency "
+             "recorder and the workloads' chunk draws.",
     .m_size = -1,
     .m_methods = mod_methods,
 };
@@ -4605,6 +5120,10 @@ intern_names(void)
     INTERN(s_num_filter_tables, "num_filter_tables");
     INTERN(s_server_ips, "server_ips");
     INTERN(s_wire_size, "WIRE_SIZE");
+    INTERN(s_note, "note");
+    INTERN(s_add, "add");
+    INTERN(s_send_time_ns, "send_time_ns");
+    INTERN(s_done_time_ns, "done_time_ns");
 #undef INTERN
     {
         PyObject *header[N_HEADER_FIELDS] = {
@@ -4661,6 +5180,7 @@ PyInit__ccore(void)
         {"HostCore", &HostType},
         {"ServerCore", &ServerType},
         {"ClientCore", &ClientType},
+        {"RecorderCore", &RecorderType},
         {"NetClonePass", &PassType},
         {"PacketCore", &PacketType},
         {"PoolCore", &PoolType},

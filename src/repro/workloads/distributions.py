@@ -16,6 +16,7 @@ import random
 from typing import Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.workloads.chunks import expovariate_chunk
 
 __all__ = [
     "BimodalDistribution",
@@ -32,17 +33,17 @@ class ServiceDistribution:
     name = "base"
 
     def sample(self, rng: random.Random) -> int:
-        """One base service time in ns."""
-        raise NotImplementedError
+        """One base service time in ns: a chunk of one."""
+        return self.sample_chunk(rng, 1)[0]
 
     def sample_chunk(self, rng: random.Random, n: int) -> list:
-        """*n* consecutive draws, bit-identical to *n* ``sample`` calls.
+        """*n* consecutive base service times in ns.
 
-        Batched arrival generation consumes these index-wise; concrete
-        distributions may override with a vectorised draw as long as
-        the RNG stream stays identical to the per-call path.
+        Batched arrival generation consumes these index-wise; the
+        concrete distributions below draw the chunk in one
+        :func:`~repro.workloads.chunks.expovariate_chunk` call.
         """
-        return [self.sample(rng) for _ in range(n)]
+        raise NotImplementedError
 
     @property
     def mean_ns(self) -> float:
@@ -57,17 +58,12 @@ class ExponentialDistribution(ServiceDistribution):
         if mean_us <= 0:
             raise WorkloadError("mean must be positive")
         self._mean_ns = mean_us * 1000.0
+        self._rates = (1.0 / self._mean_ns,)
         self.name = f"Exp({mean_us:g})"
 
-    def sample(self, rng: random.Random) -> int:
-        value = rng.expovariate(1.0 / self._mean_ns)
-        return int(value) + 1
-
     def sample_chunk(self, rng: random.Random, n: int) -> list:
-        # Same draws as n sample() calls, minus n method dispatches.
-        expovariate = rng.expovariate
-        rate = 1.0 / self._mean_ns
-        return [int(expovariate(rate)) + 1 for _ in range(n)]
+        # int(rng.expovariate(1 / mean)) + 1 per draw.
+        return expovariate_chunk(rng, n, self._rates, None)
 
     @property
     def mean_ns(self) -> float:
@@ -93,17 +89,17 @@ class BimodalDistribution(ServiceDistribution):
         self.modes = [(weight, mean * 1000.0) for weight, mean in modes]
         label = ",".join(f"{weight * 100:g}%-{mean / 1000:g}" for weight, mean in self.modes)
         self.name = f"Bimodal({label})"
+        self._rates = tuple(1.0 / mean for _, mean in self.modes)
+        cumulative, running = [], 0.0
+        for weight, _ in self.modes:
+            running += weight
+            cumulative.append(running)
+        self._cumulative = tuple(cumulative)
 
-    def sample(self, rng: random.Random) -> int:
-        pick = rng.random()
-        cumulative = 0.0
-        mean_ns = self.modes[-1][1]
-        for weight, mode_mean in self.modes:
-            cumulative += weight
-            if pick < cumulative:
-                mean_ns = mode_mean
-                break
-        return int(rng.expovariate(1.0 / mean_ns)) + 1
+    def sample_chunk(self, rng: random.Random, n: int) -> list:
+        # Per draw: a random() pick against the cumulative weights
+        # chooses the mode, then int(rng.expovariate(1 / its mean)) + 1.
+        return expovariate_chunk(rng, n, self._rates, self._cumulative)
 
     @property
     def mean_ns(self) -> float:

@@ -15,6 +15,7 @@ import enum
 import random
 
 from repro.errors import WorkloadError
+from repro.workloads.chunks import payloads
 from repro.workloads.zipf import ZipfGenerator
 
 __all__ = ["KvOp", "KvRequest", "KvWorkload"]
@@ -94,18 +95,42 @@ class KvWorkload:
         get_pct = round((1.0 - scan_fraction) * 100)
         self.name = f"{get_pct:g}%-GET,{100 - get_pct:g}%-SCAN"
 
-    def _is_scan(self) -> bool:
-        if not self._scan_period:
-            return False
-        self._request_counter += 1
-        return self._request_counter % self._scan_period == 0
-
     def make_request(self, client_id: int, client_seq: int) -> KvRequest:
         """Draw one request payload."""
-        key = self.zipf.sample(self.rng)
-        if self._is_scan():
-            return KvRequest(client_id, client_seq, KvOp.SCAN, key, self.SCAN_COUNT)
-        return KvRequest(client_id, client_seq, KvOp.GET, key, 1)
+        return self.make_request_chunk(client_id, client_seq, 1)[0]
+
+    def make_request_chunk(self, client_id: int, start_seq: int, n: int) -> list:
+        """*n* consecutive request payloads, seqs ``start_seq..+n-1``.
+
+        One Zipf key draw each (one chunked draw on the workload's RNG
+        stream); every ``_scan_period``-th request of the workload's
+        life is a SCAN, the rest GETs.  The payloads are built in one
+        :func:`~repro.workloads.chunks.payloads` call, so a chunk equals
+        *n* one-request chunks.
+        """
+        keys = self.zipf.sample_chunk(self.rng, n)
+        ops = [KvOp.GET] * n
+        counts = [1] * n
+        period = self._scan_period
+        if period:
+            # Request number counter + 1 + i is a SCAN when the period
+            # divides it.
+            for i in range(-(self._request_counter + 1) % period, n, period):
+                ops[i] = KvOp.SCAN
+                counts[i] = self.SCAN_COUNT
+            self._request_counter += n
+        return payloads(
+            KvRequest,
+            n,
+            {
+                "client_id": [client_id] * n,
+                "client_seq": range(start_seq, start_seq + n),
+                "op": ops,
+                "key": keys,
+                "count": counts,
+                "write": [False] * n,
+            },
+        )
 
     def request_size(self, request: KvRequest) -> int:
         """Wire size of a request packet."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from repro.workloads.chunks import payloads
 from repro.workloads.distributions import ServiceDistribution
 
 __all__ = ["RpcRequest", "SyntheticWorkload"]
@@ -46,24 +47,26 @@ class SyntheticWorkload:
 
     def make_request(self, client_id: int, client_seq: int) -> RpcRequest:
         """Draw one request payload."""
-        return RpcRequest(
-            client_id=client_id,
-            client_seq=client_seq,
-            service_ns=self.distribution.sample(self.rng),
-        )
+        return self.make_request_chunk(client_id, client_seq, 1)[0]
 
     def make_request_chunk(self, client_id: int, start_seq: int, n: int) -> list:
         """*n* consecutive request payloads, seqs ``start_seq..+n-1``.
 
-        Service times come from one chunked draw on the same RNG
-        stream, so the payloads are bit-identical to *n*
-        :meth:`make_request` calls.
+        Service times come from one chunked draw on the workload's RNG
+        stream, and the payloads are built in one
+        :func:`~repro.workloads.chunks.payloads` call (no ``__init__``
+        per request), so a chunk equals *n* one-request chunks.
         """
-        samples = self.distribution.sample_chunk(self.rng, n)
-        return [
-            RpcRequest(client_id=client_id, client_seq=start_seq + i, service_ns=samples[i])
-            for i in range(n)
-        ]
+        return payloads(
+            RpcRequest,
+            n,
+            {
+                "client_id": [client_id] * n,
+                "client_seq": range(start_seq, start_seq + n),
+                "service_ns": self.distribution.sample_chunk(self.rng, n),
+                "write": [False] * n,
+            },
+        )
 
     def request_size(self, request: RpcRequest) -> int:
         """Wire size of the request carrying *request*."""

@@ -23,7 +23,10 @@ And for the client: the C request path schedules its next send,
 dispatches responses and builds packets itself, so it must schedule
 ``OpenLoopClient._send_one``, dispatch ``OpenLoopClient.handle`` and
 call ``NetCloneClient.build_packets``/``BaselineClient.build_packets``
-as Python would look them up.
+as Python would look them up.  And for the latency recorder: the C
+client books sends and first responses in the C recorder itself, so it
+must call ``LatencyRecorder.note_sent``/``LatencyRecorder.record`` as
+Python would look them up.
 """
 
 import importlib
@@ -38,6 +41,7 @@ from repro.baselines.random_lb import BaselineClient
 from repro.core.client import NetCloneClient
 from repro.core.server import RpcServer
 from repro.experiments.common import Cluster
+from repro.metrics.latency import LatencyRecorder
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketPool
 from repro.switchsim.switch import ProgrammableSwitch
@@ -226,3 +230,29 @@ def test_class_level_client_wrappers_see_every_client_call(monkeypatch, scheme, 
     assert calls["_send_one"] == sent + len(clients)
     assert calls["handle"] == sum(client.responses_received for client in clients) + 2
     assert calls["build_packets"] == sum(client._predrawn_seq for client in clients)
+
+
+def test_class_level_recorder_wrappers_see_every_call(monkeypatch):
+    calls = {"note_sent": 0, "record": 0}
+    for attr in calls:
+
+        def counted(*args, inner=LatencyRecorder.__dict__[attr], attr=attr):
+            calls[attr] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(LatencyRecorder, attr, counted)
+    cluster = Cluster(tiny_config(topology="star"))
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    clients = cluster.clients
+    sent = sum(client._seq for client in clients)
+    first_responses = sum(
+        client.responses_received - client.redundant_responses for client in clients
+    )
+    assert sent > 0 and all(client.outstanding == 0 for client in clients)
+    assert calls["note_sent"] == sent
+    assert calls["record"] == first_responses == sent
+    recorder = cluster.recorder
+    assert 0 < recorder.completed_in_window and 0 < len(recorder) <= recorder.sent_in_window

@@ -1307,3 +1307,247 @@ def test_c_client_draws_replay_the_interpreters_random():
     client = _draw_client(BaselineClient, rng, server_ips=servers)
     assert client.build_packets(request)[0].dst == ref.choice(servers)
     assert rng.getstate() == _HalvesRandom(1).getstate()
+
+
+# ----------------------------------------------------------------------
+# Workload chunk draws and the latency recorder on both engines
+# ----------------------------------------------------------------------
+def _historical_bimodal(distribution, rng):
+    """The per-draw bimodal body the chunked draw replaced."""
+    pick = rng.random()
+    cumulative = 0.0
+    mean_ns = distribution.modes[-1][1]
+    for weight, mode_mean in distribution.modes:
+        cumulative += weight
+        if pick < cumulative:
+            mean_ns = mode_mean
+            break
+    return int(rng.expovariate(1.0 / mean_ns)) + 1
+
+
+#: Chunk sizes a draw drill splits its draws into (a chunk of one and
+#: an empty chunk included).
+DRAW_CHUNKS = (64, 1, 0, 13, 200, 7)
+RPC_FIELDS = ("client_id", "client_seq", "service_ns", "write")
+KV_FIELDS = ("client_id", "client_seq", "op", "key", "count", "write")
+
+
+def run_workload_draws():
+    """Every chunked workload draw three ways on equal RNGs: in chunks
+    of ``DRAW_CHUNKS``, one ``sample``/``make_request`` at a time, and
+    as the historical per-request body computes it with the running
+    interpreter's ``random.Random`` calls (``expovariate``, ``random``,
+    ``bisect_left`` over the CDF as a list, the SCAN counter); each
+    with its RNG's end state.  Run for a stock ``Random`` and for a
+    subclass whose ``random()`` is always 0.5.  Payloads come back as
+    their type name and slot values."""
+    from bisect import bisect_left
+
+    from repro.workloads import (
+        BimodalDistribution,
+        ExponentialDistribution,
+        KvOp,
+        KvWorkload,
+        SyntheticWorkload,
+        ZipfGenerator,
+    )
+
+    exponential = ExponentialDistribution(25.0)
+    bimodal = BimodalDistribution([(0.7, 25.0), (0.2, 100.0), (0.1, 250.0)])
+    zipf = ZipfGenerator(1_000, 0.99)
+    cdf = zipf._cdf.tolist()
+    total = sum(DRAW_CHUNKS)
+    seqs = range(1, total + 1)
+
+    def kv_workload(rng):
+        # SCAN period 11: the chunks above cross several periods.
+        return KvWorkload(rng, num_keys=1_000, scan_fraction=0.1, zipf=zipf)
+
+    def historical_kv(rng):
+        out = []
+        for seq in seqs:
+            key = bisect_left(cdf, rng.random())
+            scan = seq % 11 == 0
+            op = KvOp.SCAN if scan else KvOp.GET
+            out.append(("KvRequest", 3, seq, op, key, 100 if scan else 1, False))
+        return out
+
+    def as_fields(payload, names):
+        return (type(payload).__name__,) + tuple(getattr(payload, n) for n in names)
+
+    draws = {
+        "exponential": (exponential, lambda rng: [
+            int(rng.expovariate(1.0 / 25_000.0)) + 1 for _ in seqs
+        ]),
+        "bimodal": (bimodal, lambda rng: [
+            _historical_bimodal(bimodal, rng) for _ in seqs
+        ]),
+        "zipf": (zipf, lambda rng: [bisect_left(cdf, rng.random()) for _ in seqs]),
+    }
+    workloads = {
+        "synthetic": (
+            lambda rng: SyntheticWorkload(bimodal, rng), RPC_FIELDS,
+            lambda rng: [
+                ("RpcRequest", 3, seq, _historical_bimodal(bimodal, rng), False)
+                for seq in seqs
+            ],
+        ),
+        "kv": (kv_workload, KV_FIELDS, historical_kv),
+    }
+    result = {}
+    for cls in (random.Random, _HalvesRandom):
+        for name, (source, historical) in draws.items():
+            rngs = [cls(11), cls(11), cls(11)]
+            chunked = []
+            for n in DRAW_CHUNKS:
+                chunked += source.sample_chunk(rngs[0], n)
+            singles = [source.sample(rngs[1]) for _ in seqs]
+            result[name, cls.__name__] = (
+                chunked, singles, historical(rngs[2]),
+                [rng.getstate() for rng in rngs],
+            )
+        for name, (make, names, historical) in workloads.items():
+            rngs = [cls(11), cls(11), cls(11)]
+            chunked, seq, workload = [], 1, make(rngs[0])
+            for n in DRAW_CHUNKS:
+                chunked += [
+                    as_fields(p, names) for p in workload.make_request_chunk(3, seq, n)
+                ]
+                seq += n
+            workload = make(rngs[1])
+            singles = [as_fields(workload.make_request(3, seq), names) for seq in seqs]
+            result[name, cls.__name__] = (
+                chunked, singles, historical(rngs[2]),
+                [rng.getstate() for rng in rngs],
+            )
+    return result
+
+
+def _check_workload_draws(result):
+    for case, (chunked, singles, historical, states) in result.items():
+        assert chunked == singles == historical, case
+        assert states[0] == states[1] == states[2], case
+    # A Random subclass gets its own Python calls: every draw sees its
+    # random() of 0.5, and the Mersenne Twister state never moves.
+    halves = {name: value for (name, cls), value in result.items() if cls == "_HalvesRandom"}
+    assert set(halves["exponential"][0]) == {int(-math.log(0.5) * 25_000.0) + 1}
+    assert len(set(halves["zipf"][0])) == 1
+    for chunked, _, _, states in halves.values():
+        assert states[0] == _HalvesRandom(11).getstate()
+    stock = result["kv", "Random"][0]
+    assert {payload[3].value for payload in stock} == {"get", "scan"}
+
+
+def test_workload_chunk_draws_replay_the_interpreters_random():
+    """The chunked service-time and Zipf draws and the payloads built
+    without ``__init__`` equal one draw at a time and the historical
+    per-request bodies on the running interpreter's ``random.Random``,
+    on the live engine and under ``REPRO_PURE_SIM=1``."""
+    from repro.workloads import chunks
+
+    if USING_CCORE:
+        # The C replay is what the live engine ran.
+        assert chunks.expovariate_chunk.__module__ == "repro.sim._ccore"
+        assert chunks.payloads.__module__ == "repro.sim._ccore"
+    live = run_workload_draws()
+    _check_workload_draws(live)
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import run_workload_draws\n"
+        "result = run_workload_draws()"
+    )
+    _check_workload_draws(pure)
+    assert pure == live
+
+
+def run_recorder_drill():
+    """One scripted life of three recorders (exact with a window, exact
+    without an end, sketch): the state after every call, or the error
+    it raised.  Covers sends and completions exactly at ``warmup_ns``
+    and ``end_ns``, a completion before its send, a fed
+    ``completion_monitor``, keyword calls, and a running sum written
+    past int64 and grown past it by ``record``."""
+    from array import array
+
+    from repro.metrics.latency import LatencyRecorder
+    from repro.sim.monitor import IntervalMonitor
+
+    steps = [
+        ("note_sent", 999), ("note_sent", 1_000), ("note_sent", 4_999),
+        ("note_sent", 5_000), ("note_sent", 12_345),
+        ("record", 999, 1_000), ("record", 1_000, 1_000), ("record", 1_000, 4_999),
+        ("record", 4_999, 5_000), ("record", 5_000, 5_001), ("record", 2_000, 1_999),
+        ("monitor",), ("record", 1_500, 3_250), ("record", 6_000, 9_999),
+        ("record", 4_000, 4_000),
+        ("keywords", 2_000, 2_400), ("record", 3,), ("note_sent", "7"),
+        ("sum", 2**63 - 100), ("record", 2_000, 2_500), ("record", 2_000, 2**62),
+        ("sum", 2**70), ("record", 1_000, 1_001), ("sum", -5), ("record", 1_000, 1_003),
+    ]
+    trace = []
+    for kwargs in (
+        dict(warmup_ns=1_000, end_ns=5_000),
+        dict(warmup_ns=0),
+        dict(warmup_ns=1_000, end_ns=5_000, mode="sketch"),
+    ):
+        recorder = LatencyRecorder(**kwargs)
+        monitor = IntervalMonitor(window_ns=1_000, horizon_ns=10_000)
+        for step in steps:
+            op, args = step[0], step[1:]
+            try:
+                if op == "monitor":
+                    recorder.completion_monitor = monitor
+                elif op == "sum":
+                    recorder._sum_ns = args[0]
+                elif op == "keywords":
+                    recorder.record(done_time_ns=args[1], send_time_ns=args[0])
+                else:
+                    getattr(recorder, op)(*args)
+                outcome = None
+            except Exception as exc:  # noqa: BLE001 - the drill records it
+                outcome = type(exc).__name__
+            samples = recorder.latencies_ns
+            trace.append((
+                step, outcome, recorder.sent_in_window, recorder.completed_in_window,
+                recorder._sum_ns, len(recorder), recorder.end_ns, recorder.warmup_ns,
+                None if samples is None else (type(samples) is array, list(samples)),
+                recorder.percentile_ns(50) if len(recorder) else None,
+                monitor.counts(),
+            ))
+    return trace
+
+
+def test_pure_python_engine_matches_live_engine_on_recorder_drill():
+    """``note_sent`` and ``record`` (the C ``RecorderCore`` on the C
+    core, the pure-Python ``_RecorderCore`` otherwise) keep the same
+    window, counts, samples, monitor feed, running sum and errors."""
+    from repro.metrics.latency import LatencyRecorder
+
+    if USING_CCORE:
+        from repro.sim._ccore import RecorderCore
+
+        assert LatencyRecorder.__mro__[1] is RecorderCore
+    live = run_recorder_drill()
+    pure = run_on_pure_engine(
+        "from test_engine_fastpath import run_recorder_drill\n"
+        "result = run_recorder_drill()"
+    )
+    assert pure == live
+    # The contract itself, on the windowed exact recorder.
+    by_step = {}
+    for entry in live[: len(live) // 3]:
+        by_step.setdefault(entry[0], entry)
+    sent = by_step[("note_sent", 5_000)]
+    assert sent[2] == 2  # 1_000 and 4_999 count; 999 and 5_000 do not
+    # Done at warmup_ns counts; a zero latency sent at warmup_ns is a
+    # sample; done or sent at end_ns is out.
+    assert by_step[("record", 999, 1_000)][3:6] == (1, 0, 0)
+    assert by_step[("record", 1_000, 1_000)][3:6] == (2, 0, 1)
+    assert by_step[("record", 4_999, 5_000)][3:6] == (3, 3_999 + 1, 3)
+    assert by_step[("record", 5_000, 5_001)][3:6] == (3, 4_000, 3)
+    failed = by_step[("record", 2_000, 1_999)]
+    assert failed[1] == "ExperimentError"
+    assert failed[2:] == by_step[("record", 5_000, 5_001)][2:]
+    assert by_step[("record", 6_000, 9_999)][-1][9] == 1  # fed out of window
+    assert by_step[("record", 3,)][1] == by_step[("note_sent", "7")][1] == "TypeError"
+    assert by_step[("record", 2_000, 2_500)][4] == 2**63 - 100 + 500
+    assert by_step[("record", 1_000, 1_001)][4] == 2**70 + 1
+    assert by_step[("record", 1_000, 1_003)][4] == -2

@@ -281,3 +281,16 @@ def test_cli_run_scenario_user_error_exits_2_without_traceback(
     assert captured.out.startswith(message)
     assert captured.out.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_run_scenario_bad_report_window_exits_2(capsys, tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "bad-window.toml"
+    path.write_text('name = "bad-window"\nreport_window_ns = "25ms"\n')
+    assert main(["run-scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "scenario 'bad-window': report_window_ns='25ms' is not a int\n"
+    )
+    assert "Traceback" not in captured.err

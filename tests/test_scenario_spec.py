@@ -50,6 +50,22 @@ def test_precision_losing_float_rejected():
         )
 
 
+def test_fractional_event_time_rejected():
+    with pytest.raises(ExperimentError, match=r"push_tables: at_ns=1500000.9 loses precision"):
+        tiny_scenario(events=[{"at_ns": 1500000.9, "action": "push_tables"}])
+    # An integral float is the same time, as for every int parameter.
+    (event,) = tiny_scenario(
+        events=[{"at_ns": 1500000.0, "action": "push_tables"}]
+    ).events
+    assert event.time_ns == 1_500_000
+
+
+@pytest.mark.parametrize("window", ["25ms", 2.5e6 + 0.5, float("inf"), None])
+def test_non_integer_report_window_rejected(window):
+    with pytest.raises(ExperimentError, match="'tiny': report_window_ns="):
+        tiny_scenario(report_window_ns=window)
+
+
 def test_negative_index_rejected():
     with pytest.raises(ExperimentError, match="non-negative"):
         tiny_scenario(events=[_kill(server=-1)])
