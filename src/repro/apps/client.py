@@ -36,7 +36,8 @@ Baseline packet builders, which ``NetCloneClient`` and
 ``BaselineClient`` name as their ``build_packets`` (their Python
 references stay in ``core/client.py`` and ``baselines/random_lb.py``).
 It calls back into Python for the workload (its request chunk, once
-per ``ARRIVAL_CHUNK`` requests, and the request size), an arrival
+per ``ARRIVAL_CHUNK`` requests, and the request size unless the
+workload declares ``fixed_request_size``), an arrival
 process's ``next_gap``, any other RNG, and any of its own methods,
 ``build_packets``, ``send``, ``release`` or ``acquire`` that Python
 would not resolve to the C method (a class-level wrapper, a subclass
@@ -78,7 +79,7 @@ class _ClientCore(_HostCore):
         "client_id", "workload", "recorder", "rng", "stop_at_ns",
         "arrival_process", "_mean_gap_ns", "_seq", "_predrawn_seq",
         "_outstanding", "_arrivals", "_arrival_idx", "redundant_responses",
-        "responses_received",
+        "responses_received", "_fixed_req_size",
     )
 
     def _next_gap(self) -> int:
@@ -216,6 +217,9 @@ class OpenLoopClient(Host, _ClientCore):
             raise ExperimentError("client rate must be positive")
         self.client_id = client_id
         self.workload = workload
+        # The packet builders read a workload's constant request size
+        # here instead of calling ``request_size`` per request.
+        self._fixed_req_size = getattr(workload, "fixed_request_size", None)
         self.rate_rps = rate_rps
         self.recorder = recorder
         self.rng = rng

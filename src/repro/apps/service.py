@@ -5,6 +5,13 @@ time the worker occupies and (b) the executed result / response size.
 Synthetic dummy RPCs spin for a client-specified duration (§5.1.2);
 KV services execute the operation against a real in-memory store and
 charge the cost model's time (§5.5).
+
+With the C core live, the server (``sim/_ccore.c``) replays
+:class:`KvService`'s three methods, its cost model's ``service_ns`` and
+``JitterModel.apply`` wherever Python would resolve them to these
+definitions; a subclass override or a class-level wrapper gets its
+Python call.  The replayed ``execute`` builds no value bytes: the server
+discards its result.
 """
 
 from __future__ import annotations

@@ -40,13 +40,16 @@ class BaselineClient(OpenLoopClient):
 
     def build_packets(self, request: Any) -> List[Packet]:
         destination = self.rng.choice(self.server_ips)
+        size = self._fixed_req_size
+        if size is None:
+            size = self.workload.request_size(request)
         return [
             self.packet_pool.acquire(
                 self.ip,
                 destination,
                 PLAIN_RPC_PORT,
                 PLAIN_RPC_PORT,
-                self.workload.request_size(request),
+                size,
                 request,
             )
         ]

@@ -106,7 +106,10 @@ class NetCloneClient(OpenLoopClient):
             self.rng.randrange(self.num_filter_tables),  # idx
             0,  # swid
         )
-        size = self.workload.request_size(request) + NetCloneHeader.WIRE_SIZE
+        size = self._fixed_req_size
+        if size is None:
+            size = self.workload.request_size(request)
+        size += NetCloneHeader.WIRE_SIZE
         return [
             self.packet_pool.acquire(
                 self.ip, VIRTUAL_SERVICE_IP, NETCLONE_UDP_PORT, NETCLONE_UDP_PORT,

@@ -20,13 +20,19 @@ The request path — :meth:`~_ServerCore.handle`, ``_start_work``,
 extends the host's base (``net/host.py``'s ``_HostCore``) with the
 server state, so one object holds both the NIC slots and the server.
 With the C core live (``USING_CCORE``) that base is
-``_ccore.ServerCore``, which runs the path with no Python frame and
-calls back into Python only for a non-trivial service (its service
-time, ``execute`` and response size, with ``jitter.apply``), the RNG
-draw, and any of its own methods, ``send``, ``release`` or ``acquire``
-that Python would not resolve to the C method (a class-level wrapper,
-the sanitizer's pool).  The Python class below is the reference and
-the ``REPRO_PURE_SIM=1`` path.  :class:`RpcServer` combines
+``_ccore.ServerCore``, which runs the path with no Python frame.  For
+a :class:`~repro.apps.service.KvService` it also replays the service
+time, the jitter, ``execute`` (a GET's or SCAN's checks and counter)
+and the response size, as long as Python would resolve each method
+to the one registered below (``KvService``'s, ``KvCostModel``'s,
+``KeyValueStore``'s and ``JitterModel``'s own).  It calls back into
+Python for any other service or jitter, a subclass override or a
+class-level wrapper of those methods, a case the replay does not
+cover (a SET, a key outside the keyspace), the RNG draw, and any of
+its own methods, ``send``, ``release`` or ``acquire`` that Python
+would not resolve to the C method (a class-level wrapper, the
+sanitizer's pool).  The Python class below is the reference and the
+``REPRO_PURE_SIM=1`` path.  :class:`RpcServer` combines
 :class:`~repro.net.host.Host` with whichever is live.
 """
 
@@ -36,7 +42,7 @@ import random
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.apps.service import ServiceModel
+from repro.apps.service import KvService, ServiceModel
 from repro.core.constants import (
     CLO_CLONED_COPY,
     MSG_REQ,
@@ -44,11 +50,14 @@ from repro.core.constants import (
     NETCLONE_UDP_PORT,
 )
 from repro.errors import ExperimentError
+from repro.kvstore.cost import KvCostModel
+from repro.kvstore.store import KeyValueStore
 from repro.net.host import Host, _HostCore
 from repro.net.packet import Packet
 from repro.sim.core import USING_CCORE, Simulator
 from repro.sim.monitor import Counter
 from repro.workloads.distributions import JitterModel
+from repro.workloads.kv import KvOp
 
 __all__ = ["RpcServer"]
 
@@ -154,7 +163,13 @@ class _ServerCore(_HostCore):
 
 
 if USING_CCORE:
+    from repro.sim import _ccore
     from repro.sim._ccore import ServerCore as _ServerCore  # noqa: F811
+
+    # The classes whose methods the C request path replays while Python
+    # would still resolve a server's service, cost model, store and
+    # jitter methods to them.
+    _ccore.configure_server(KvService, KvCostModel, KeyValueStore, JitterModel, KvOp)
 
 
 class RpcServer(Host, _ServerCore):

@@ -9,6 +9,12 @@ wall-clock time.
 Values are deterministic functions of the key (16-byte keys, 64-byte
 values as in §5.5) generated lazily, so a million-object replica does
 not need a gigabyte of RAM per simulated server.
+
+With the C core live, the server (``sim/_ccore.c``) replays a GET or
+SCAN on a store whose methods are this class's own: the key check, the
+count check and the ``gets``/``scans`` counters, but no value bytes,
+since the server discards the result.  Anything else (a SET, a bad key,
+an override) calls the methods below, which stay the one definition.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 /* C core: the two-lane calendar-queue Simulator, the packet plane, the
  * forwarding hop, the NetClone switch pass, the server's and the
- * client's request paths, the latency recorder and the workloads' chunk
- * draws.
+ * client's request paths (with a replay of the KV service), the latency
+ * recorder and the workloads' chunk draws.
  *
  * Drop-in replacement for repro.sim.core.Simulator (the pure-Python
  * engine stays as the reference implementation and fallback).  The
@@ -84,9 +84,16 @@
  * execute and respond with the queue length piggybacked, the C twin of
  * that module's `_ServerCore`, which stays the reference.  `RpcServer`
  * combines `Host` with it, so one object holds the NIC slots and the
- * server state.  It calls into Python for the RNG draw, a service that
- * is not a trivial spin, and any of its own methods, `send`, `release`
- * or `acquire` that Python would not resolve to the C method.
+ * server state.  For apps/service.py's `KvService` it replays the
+ * service time, the jitter, the execution's checks and counters and
+ * the response size, from the methods `configure_server` registered
+ * (`KvService`'s, `KvCostModel`'s, `KeyValueStore`'s and
+ * `JitterModel`'s), as long as Python would resolve each name to
+ * them.  It calls into Python for the RNG draw, any other service that
+ * is not a trivial spin, an override or a wrapper of those methods, a
+ * case the replay does not cover, and any of its own methods, `send`,
+ * `release` or `acquire` that Python would not resolve to the C
+ * method.
  *
  * The client.  `ClientCore` extends `HostCore` with apps/client.py's
  * request path (`_send_one`, `handle`, `_refill_arrivals`, `_next_gap`,
@@ -98,10 +105,11 @@
  * `BaselineClient` name as their `build_packets`.  On an exact
  * `random.Random` it replays the RNG's draws from its two primitives,
  * as CPython's `randrange`, `choice` and `expovariate` make them.  It
- * calls into Python for the workload's request chunk and request size,
- * an arrival process, any other RNG, and any of its own methods,
- * `build_packets`, `send`, `release` or `acquire` that Python would not
- * resolve to the C method.
+ * calls into Python for the workload's request chunk, its request size
+ * unless the workload declares `fixed_request_size`, an arrival
+ * process, any other RNG, and any of its own methods, `build_packets`,
+ * `send`, `release` or `acquire` that Python would not resolve to the C
+ * method.
  *
  * The recorder and the workload draws.  `RecorderCore` is the C twin of
  * metrics/latency.py's `_RecorderCore` (`note_sent` and `record`), which
@@ -1018,26 +1026,15 @@ set_field(PyObject *obj, PyObject **slot, PyObject *name, PyObject *value)
     return 0;
 }
 
-/* 1 when `obj.<name>` resolves to the C method *meth*, so calling it
- * directly is the call Python would make; 0 when it resolves to
- * anything else (an override, a tracer's class-level wrapper, an
- * instance attribute of that name). */
+/* 0 when an entry in obj's instance dict shadows the class attribute
+ * `<name>`, a method and so not a data descriptor; 1 otherwise. */
 static int
-resolves_to(PyObject *obj, PyObject *name, PyCFunction meth)
+unshadowed(PyObject *obj, PyObject *name)
 {
-    PyTypeObject *type = Py_TYPE(obj);
-    PyObject *descr, *dict;
+    PyObject *dict;
     int shadowed;
-    if (type->tp_getattro != PyObject_GenericGetAttr)
-        return 0;
-    descr = _PyType_Lookup(type, name);
-    if (descr == NULL || !Py_IS_TYPE(descr, &PyMethodDescr_Type)
-        || ((PyMethodDescrObject *)descr)->d_method->ml_meth != meth)
-        return 0;
-    if (type->tp_dictoffset == 0)
+    if (Py_TYPE(obj)->tp_dictoffset == 0)
         return 1;
-    /* A method descriptor is not a data descriptor: an entry in the
-     * instance dict wins over it. */
     if ((dict = PyObject_GenericGetDict(obj, NULL)) == NULL) {
         PyErr_Clear();
         return 0;
@@ -1046,6 +1043,34 @@ resolves_to(PyObject *obj, PyObject *name, PyCFunction meth)
     Py_DECREF(dict);
     PyErr_Clear();
     return !shadowed;
+}
+
+/* 1 when `obj.<name>` resolves to the C method *meth*, so calling it
+ * directly is the call Python would make; 0 when it resolves to
+ * anything else (an override, a tracer's class-level wrapper, an
+ * instance attribute of that name). */
+static int
+resolves_to(PyObject *obj, PyObject *name, PyCFunction meth)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    PyObject *descr;
+    if (type->tp_getattro != PyObject_GenericGetAttr)
+        return 0;
+    descr = _PyType_Lookup(type, name);
+    return descr != NULL && Py_IS_TYPE(descr, &PyMethodDescr_Type)
+           && ((PyMethodDescrObject *)descr)->d_method->ml_meth == meth
+           && unshadowed(obj, name);
+}
+
+/* 1 when `obj.<name>` resolves to the Python function *func* (NULL:
+ * none registered) as found on obj's type, so replaying *func* is the
+ * call Python would make; 0 for anything else, as `resolves_to`. */
+static int
+resolves_to_function(PyObject *obj, PyObject *name, PyObject *func)
+{
+    PyTypeObject *type = Py_TYPE(obj);
+    return func != NULL && type->tp_getattro == PyObject_GenericGetAttr
+           && _PyType_Lookup(type, name) == func && unshadowed(obj, name);
 }
 
 /* `obj.<name>()`: the C method *meth* directly when Python would
@@ -2800,7 +2825,7 @@ typedef struct {
 typedef struct {
     HostObject host;
     PyObject *client_id, *workload, *recorder, *rng, *stop_at_ns,
-        *arrival_process, *outstanding, *arrivals;
+        *arrival_process, *outstanding, *arrivals, *fixed_req_size;
     PyObject *handle_entry;  /* the bound C `handle`, made once */
     PyObject *send_entry;    /* the bound C `_send_one`, made once */
     double mean_gap_ns;
@@ -3018,18 +3043,25 @@ static PyTypeObject HostType = {
  * draws, one `call_after` seq per execution, the same `_counts` keys
  * in the same order, dispatch before respond (so STATE reflects the
  * queue after the dispatch) and the 255 clamp on STATE.  A service
- * that is not a trivial spin is called back for its service time,
- * execution and response size, with `jitter.apply` in between.  Each
+ * that is not a trivial spin is asked for its service time, execution
+ * and response size, with `jitter.apply` in between; for the KV
+ * service those run here (see "The KV service replay" below).  Each
  * of the four methods, `send`, `release` and `acquire` is called in C
  * only where Python would resolve the name to the C method, so
  * class-level wrappers (and the sanitizer's `acquire`) see every call. */
 
 #define NC_STATE_MAX 255   /* the STATE field is one byte */
+#define KV_SCAN_VALUES 16  /* apps/service.py: values a SCAN response carries */
 
 static PyObject *s_start_work, *s_finish_work, *s_respond, *s_service_ns,
     *s_p, *s_factor, *s_random, *s_base_service_ns, *s_apply, *s_execute,
     *s_response_size, *s_popleft, *s_call_after, *s_non_request_ignored,
-    *s_clones_dropped, *s_requests_accepted, *s_responses_sent;
+    *s_clones_dropped, *s_requests_accepted, *s_responses_sent,
+    *s_cost_model, *s_store, *s_op, *s_key, *s_count, *s_get, *s_scan,
+    *s_check_key, *s_base_value, *s_num_keys, *s_gets, *s_scans, *s_get_ns,
+    *s_scan_base_ns, *s_scan_per_item_ns, *s_set_ns, *s_response_overhead,
+    *s_value_bytes;
+static PyObject *g_scan_values = NULL;    /* KV_SCAN_VALUES */
 static PyObject *g_msg_resp = NULL;       /* MSG_RESP */
 static PyObject *g_udp_port = NULL;       /* NETCLONE_UDP_PORT */
 
@@ -3190,12 +3222,14 @@ server_handle(ServerObject *self, PyObject *packet)
     Py_RETURN_NONE;
 }
 
-/* JitterModel.apply inlined for a trivial spin (a factor >= 1 is
- * enforced by its constructor, so execution is never shortened):
- * `if jitter.p > 0.0 and self.rng.random() < jitter.p:
- * base = int(base * jitter.factor)`.  Replaces *base* in place. */
+/* JitterModel.apply inlined: `if jitter.p > 0.0 and self.rng.random()
+ * < jitter.p: base = int(base * jitter.factor)`.  Replaces *base* in
+ * place.  A trivial spin always runs it, as the reference does (a
+ * factor >= 1 is enforced by JitterModel's constructor, so execution
+ * is never shortened); any other service where Python would resolve
+ * `jitter.apply` to JitterModel's. */
 static int
-server_spin_jitter(ServerObject *self, PyObject **base)
+server_inline_jitter(ServerObject *self, PyObject **base)
 {
     PyObject *jitter = self->jitter, *rng = self->rng, *p, *draw, *scaled;
     int r;
@@ -3278,60 +3312,256 @@ server_schedule_finish(ServerObject *self, PyObject *delay, PyObject *packet)
     return rc;
 }
 
-/* `self.service.<name>(packet.payload)`, a new reference. */
-static PyObject *
-service_call(ServerObject *self, PyObject *name, PyObject *packet)
+/* --- The KV service replay ------------------------------------------ */
+
+/* apps/service.py's `KvService`, with kvstore/'s `KvCostModel` and
+ * `KeyValueStore` behind it and workloads/distributions.py's
+ * `JitterModel` beside it: their methods as `configure_server`
+ * registered them, and the `KvOp` members they compare against.  The
+ * server runs a replay of one of these methods only while Python would
+ * resolve the name to the registered function, and calls Python for
+ * anything else (a subclass override, a class-level wrapper, an
+ * instance attribute) and for any case a replay does not cover (a SET,
+ * an unknown op, a key outside the keyspace, a SCAN count that is not
+ * positive), so the Python classes stay the one definition and raise
+ * their own errors.  A replayed GET or SCAN makes the checks and bumps
+ * the counter the store's method would, but builds no value bytes: the
+ * server discards the result. */
+static struct {
+    PyObject *base_service_ns, *execute, *response_size;  /* KvService */
+    PyObject *service_ns;                                  /* KvCostModel */
+    PyObject *get, *scan, *check_key, *base_value;         /* KeyValueStore */
+    PyObject *apply;                                       /* JitterModel */
+    PyObject *op_get, *op_scan, *op_set;                   /* KvOp */
+} g_kv;
+
+/* A replay of one registered method on (self, payload): a new
+ * reference, or NULL without an error when it does not cover the case
+ * (the caller then calls Python). */
+typedef PyObject *(*kv_replay)(PyObject *self, PyObject *payload);
+
+/* 1 and `obj.<name>` in *out* when that is an int that fits a long
+ * long; 0 when it is anything else (the Python call decides); -1. */
+static int
+exact_ll_attr(PyObject *obj, PyObject *name, long long *out)
 {
-    PyObject *payload, *res;
-    if (require_member(self->service, "service") < 0
+    PyObject *value = PyObject_GetAttr(obj, name);
+    int overflow = 1;
+    if (value == NULL)
+        return -1;
+    if (PyLong_CheckExact(value))
+        *out = PyLong_AsLongLongAndOverflow(value, &overflow);
+    Py_DECREF(value);
+    return !overflow;
+}
+
+/* `obj.<name> += 1`. */
+static int
+incr_attr(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name), *next;
+    int r;
+    if (value == NULL)
+        return -1;
+    next = PyNumber_InPlaceAdd(value, g_one);
+    Py_DECREF(value);
+    if (next == NULL)
+        return -1;
+    r = PyObject_SetAttr(obj, name, next);
+    Py_DECREF(next);
+    return r;
+}
+
+/* `a + b * c`, a new reference. */
+static PyObject *
+add_product(PyObject *a, PyObject *b, PyObject *c)
+{
+    PyObject *product = PyNumber_Multiply(b, c), *sum;
+    if (product == NULL)
+        return NULL;
+    sum = PyNumber_Add(a, product);
+    Py_DECREF(product);
+    return sum;
+}
+
+/* KvCostModel.service_ns: `get_ns`, `scan_base_ns + scan_per_item_ns *
+ * count` or `set_ns` by the op. */
+static PyObject *
+kv_service_ns(PyObject *cost, PyObject *payload)
+{
+    PyObject *op = PyObject_GetAttr(payload, s_op), *res = NULL;
+    if (op == NULL)
+        return NULL;
+    if (op == g_kv.op_get)
+        res = PyObject_GetAttr(cost, s_get_ns);
+    else if (op == g_kv.op_set)
+        res = PyObject_GetAttr(cost, s_set_ns);
+    else if (op == g_kv.op_scan) {
+        PyObject *base = PyObject_GetAttr(cost, s_scan_base_ns), *per = NULL,
+            *count = NULL;
+        if (base != NULL && (per = PyObject_GetAttr(cost, s_scan_per_item_ns))
+            != NULL && (count = PyObject_GetAttr(payload, s_count)) != NULL)
+            res = add_product(base, per, count);
+        Py_XDECREF(count);
+        Py_XDECREF(per);
+        Py_XDECREF(base);
+    }
+    Py_DECREF(op);
+    return res;
+}
+
+/* KvService.base_service_ns: `self.cost_model.service_ns(payload)`,
+ * replayed while that is KvCostModel's. */
+static PyObject *
+kv_base_service_ns(PyObject *service, PyObject *payload)
+{
+    PyObject *cost = PyObject_GetAttr(service, s_cost_model), *res = NULL;
+    if (cost == NULL)
+        return NULL;
+    if (resolves_to_function(cost, s_service_ns, g_kv.service_ns))
+        res = kv_service_ns(cost, payload);
+    Py_DECREF(cost);
+    return res;
+}
+
+/* KvService.execute for a GET or SCAN on a store whose `get`/`scan`,
+ * `_check_key` and `_base_value` are KeyValueStore's: `_check_key`
+ * (0 <= key < num_keys), a SCAN's positive count, then `gets`/`scans`
+ * += 1.  None. */
+static PyObject *
+kv_execute(PyObject *service, PyObject *payload)
+{
+    PyObject *op = PyObject_GetAttr(payload, s_op), *store;
+    long long key, num_keys, count = 1;
+    int scan, known, r = 0;
+    if (op == NULL)
+        return NULL;
+    scan = op == g_kv.op_scan;
+    known = scan || op == g_kv.op_get;
+    Py_DECREF(op);
+    if (!known || (store = PyObject_GetAttr(service, s_store)) == NULL)
+        return NULL;
+    if (resolves_to_function(store, scan ? s_scan : s_get,
+                             scan ? g_kv.scan : g_kv.get)
+        && resolves_to_function(store, s_check_key, g_kv.check_key)
+        && resolves_to_function(store, s_base_value, g_kv.base_value)
+        && (r = exact_ll_attr(payload, s_key, &key)) > 0
+        && (r = exact_ll_attr(store, s_num_keys, &num_keys)) > 0
+        && (!scan || (r = exact_ll_attr(payload, s_count, &count)) > 0))
+        r = 0 <= key && key < num_keys && count > 0
+                ? (incr_attr(store, scan ? s_scans : s_gets) < 0 ? -1 : 1)
+                : 0;
+    Py_DECREF(store);
+    return r > 0 ? Py_NewRef(Py_None) : NULL;
+}
+
+/* KvService.response_size: `RESPONSE_OVERHEAD + values *
+ * store.VALUE_BYTES`, values being `min(count, 16)` for a SCAN, else 1. */
+static PyObject *
+kv_response_size(PyObject *service, PyObject *payload)
+{
+    PyObject *op = PyObject_GetAttr(payload, s_op), *values = NULL,
+        *overhead = NULL, *store = NULL, *value_bytes = NULL, *size = NULL;
+    int fewer;
+    if (op == NULL)
+        return NULL;
+    if (op != g_kv.op_scan)
+        values = Py_NewRef(g_one);
+    else if ((values = PyObject_GetAttr(payload, s_count)) != NULL) {
+        /* min(count, 16): 16 only when it is strictly smaller. */
+        if ((fewer = PyObject_RichCompareBool(g_scan_values, values, Py_LT))
+            < 0)
+            Py_CLEAR(values);
+        else if (fewer)
+            Py_SETREF(values, Py_NewRef(g_scan_values));
+    }
+    Py_DECREF(op);
+    if (values != NULL
+        && (overhead = PyObject_GetAttr(service, s_response_overhead)) != NULL
+        && (store = PyObject_GetAttr(service, s_store)) != NULL
+        && (value_bytes = PyObject_GetAttr(store, s_value_bytes)) != NULL)
+        size = add_product(overhead, values, value_bytes);
+    Py_XDECREF(value_bytes);
+    Py_XDECREF(store);
+    Py_XDECREF(overhead);
+    Py_XDECREF(values);
+    return size;
+}
+
+/* `self.service.<name>(packet.payload)`, a new reference: *replay*
+ * where Python would resolve the name to the registered *func* and the
+ * replay covers the case, else the Python call. */
+static PyObject *
+service_call(ServerObject *self, PyObject *name, PyObject *func,
+             kv_replay replay, PyObject *packet)
+{
+    PyObject *service = self->service, *payload, *res = NULL;
+    if (require_member(service, "service") < 0
         || (payload = GET_PACKET(packet, payload)) == NULL)
         return NULL;
-    res = call_method(self->service, name, &payload, 1);
+    Py_INCREF(service);
+    if (resolves_to_function(service, name, func))
+        res = replay(service, payload);
+    if (res == NULL && !PyErr_Occurred())
+        res = call_method(service, name, &payload, 1);
+    Py_DECREF(service);
     Py_DECREF(payload);
     return res;
+}
+
+/* `self.jitter.apply(base, self.rng)`, which must not shorten
+ * execution, a new reference: the inlined JitterModel.apply where
+ * Python would run it. */
+static PyObject *
+server_jitter(ServerObject *self, PyObject *base)
+{
+    PyObject *jitter = self->jitter, *duration;
+    int r;
+    if (require_member(jitter, "jitter") < 0
+        || require_member(self->rng, "rng") < 0)
+        return NULL;
+    if (resolves_to_function(jitter, s_apply, g_kv.apply)) {
+        duration = Py_NewRef(base);
+        if (server_inline_jitter(self, &duration) < 0)
+            Py_CLEAR(duration);
+    }
+    else {
+        PyObject *args[2] = {base, self->rng};
+        Py_INCREF(args[1]);
+        duration = call_method(jitter, s_apply, args, 2);
+        Py_DECREF(args[1]);
+    }
+    r = duration == NULL ? -1 : PyObject_RichCompareBool(duration, base, Py_LT);
+    if (r > 0)
+        PyErr_SetString(g_experiment_error,
+                        "jitter must never shorten execution");
+    if (r != 0)
+        Py_CLEAR(duration);
+    return duration;
 }
 
 static PyObject *
 server_start_work(ServerObject *self, PyObject *packet)
 {
-    PyObject *base, *duration;
+    PyObject *duration, *base;
     int r;
     if (self->trivial_spin) {
         PyObject *payload = GET_PACKET(packet, payload);
         if (payload == NULL)
             return NULL;
-        base = PyObject_GetAttr(payload, s_service_ns);
+        duration = PyObject_GetAttr(payload, s_service_ns);
         Py_DECREF(payload);
-        if (base == NULL)
-            return NULL;
-        r = server_spin_jitter(self, &base);
-        if (r == 0)
-            r = server_schedule_finish(self, base, packet);
-        Py_DECREF(base);
-        if (r < 0)
-            return NULL;
-        Py_RETURN_NONE;
+        if (duration != NULL && server_inline_jitter(self, &duration) < 0)
+            Py_CLEAR(duration);
     }
-    if ((base = service_call(self, s_base_service_ns, packet)) == NULL)
-        return NULL;
-    duration = NULL;
-    if (require_member(self->jitter, "jitter") == 0
-        && require_member(self->rng, "rng") == 0) {
-        PyObject *args[2] = {base, self->rng};
-        Py_INCREF(args[1]);
-        duration = call_method(self->jitter, s_apply, args, 2);
-        Py_DECREF(args[1]);
+    else {
+        base = service_call(self, s_base_service_ns, g_kv.base_service_ns,
+                            kv_base_service_ns, packet);
+        duration = base == NULL ? NULL : server_jitter(self, base);
+        Py_XDECREF(base);
     }
-    r = duration == NULL ? -1 : PyObject_RichCompareBool(duration, base, Py_LT);
-    if (r > 0) {
-        PyErr_SetString(g_experiment_error,
-                        "jitter must never shorten execution");
-        r = -1;
-    }
-    if (r == 0)
-        r = server_schedule_finish(self, duration, packet);
+    r = duration == NULL ? -1 : server_schedule_finish(self, duration, packet);
     Py_XDECREF(duration);
-    Py_DECREF(base);
     if (r < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -3343,7 +3573,8 @@ server_finish_work(ServerObject *self, PyObject *packet)
     PyObject *next;
     int r;
     if (!self->trivial_spin) {
-        PyObject *res = service_call(self, s_execute, packet);
+        PyObject *res = service_call(self, s_execute, g_kv.execute,
+                                     kv_execute, packet);
         if (res == NULL)
             return NULL;
         Py_DECREF(res);
@@ -3422,7 +3653,9 @@ response_values(ServerObject *self, PyObject *request, PyObject *nc,
         return -1;
     values[A_SIZE] = size != Py_None
                          ? Py_NewRef(size)
-                         : service_call(self, s_response_size, request);
+                         : service_call(self, s_response_size,
+                                        g_kv.response_size, kv_response_size,
+                                        request);
     if (values[A_SIZE] == NULL || require_member(self->host.ip, "ip") < 0)
         return -1;
     values[A_SRC] = Py_NewRef(self->host.ip);
@@ -3816,8 +4049,9 @@ static PyTypeObject RecorderType = {
  * from the same RNG in the same order (per record: the workload's
  * request, then the packets, then the gap), one `call_after` seq per
  * send, the same `_seq`/`_predrawn_seq` bookkeeping, and the Python
- * collaborators called as before (the workload's request chunk and
- * request size, an arrival process's `next_gap`, and the recorder's
+ * collaborators called as before (the workload's request chunk, its
+ * request size unless it declares `fixed_request_size`, an arrival
+ * process's `next_gap`, and the recorder's
  * `note_sent` and `record` unless they are RecorderCore's own, which
  * run here).  On an exact `random.Random` the draws
  * are replayed from its two primitives, `random()` and
@@ -4036,10 +4270,17 @@ client_acquire_list(ClientObject *self, PyObject *const *values)
     return list;
 }
 
-/* `self.workload.request_size(request)`, a new reference. */
+/* The request's wire size, a new reference: the workload's
+ * `fixed_request_size` as the constructor read it, or, where that is
+ * None, `self.workload.request_size(request)`. */
 static PyObject *
 client_request_size(ClientObject *self, PyObject *request)
 {
+    PyObject *size = self->fixed_req_size;
+    if (require_member(size, "_fixed_req_size") < 0)
+        return NULL;
+    if (size != Py_None)
+        return Py_NewRef(size);
     if (require_member(self->workload, "workload") < 0)
         return NULL;
     return call_method(self->workload, s_request_size, &request, 1);
@@ -4634,8 +4875,8 @@ client_handle(ClientObject *self, PyObject *packet)
 
 #define CLIENT_OBJECTS(X) \
     X(client_id) X(workload) X(recorder) X(rng) X(stop_at_ns) \
-    X(arrival_process) X(outstanding) X(arrivals) X(handle_entry) \
-    X(send_entry)
+    X(arrival_process) X(outstanding) X(arrivals) X(fixed_req_size) \
+    X(handle_entry) X(send_entry)
 
 static int
 client_traverse(ClientObject *self, visitproc visit, void *arg)
@@ -4676,6 +4917,7 @@ static PyMemberDef client_members[] = {
     CLIENT_OBJECT("arrival_process", arrival_process),
     CLIENT_OBJECT("_outstanding", outstanding),
     CLIENT_OBJECT("_arrivals", arrivals),
+    CLIENT_OBJECT("_fixed_req_size", fixed_req_size),
     {"_mean_gap_ns", T_DOUBLE, offsetof(ClientObject, mean_gap_ns), 0, NULL},
     CLIENT_LONG("_seq", seq),
     CLIENT_LONG("_predrawn_seq", predrawn_seq),
@@ -4983,6 +5225,46 @@ mod_configure_client(PyObject *module, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* The KV service classes whose methods the server replays (see "The KV
+ * service replay"): each method as the class holds it now. */
+static PyObject *
+mod_configure_server(PyObject *module, PyObject *args)
+{
+    PyObject *service, *cost, *store, *jitter, *op;
+    size_t i;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!", &PyType_Type, &service,
+                          &PyType_Type, &cost, &PyType_Type, &store,
+                          &PyType_Type, &jitter, &PyType_Type, &op))
+        return NULL;
+    {
+        struct {
+            PyObject **slot, *owner;
+            const char *name;
+        } entries[] = {
+            {&g_kv.base_service_ns, service, "base_service_ns"},
+            {&g_kv.execute, service, "execute"},
+            {&g_kv.response_size, service, "response_size"},
+            {&g_kv.service_ns, cost, "service_ns"},
+            {&g_kv.get, store, "get"},
+            {&g_kv.scan, store, "scan"},
+            {&g_kv.check_key, store, "_check_key"},
+            {&g_kv.base_value, store, "_base_value"},
+            {&g_kv.apply, jitter, "apply"},
+            {&g_kv.op_get, op, "GET"},
+            {&g_kv.op_scan, op, "SCAN"},
+            {&g_kv.op_set, op, "SET"},
+        };
+        for (i = 0; i < sizeof(entries) / sizeof(entries[0]); i++) {
+            PyObject *value = PyObject_GetAttrString(entries[i].owner,
+                                                     entries[i].name);
+            if (value == NULL)
+                return NULL;
+            Py_XSETREF(*entries[i].slot, value);
+        }
+    }
+    Py_RETURN_NONE;
+}
+
 /* The sanitizer's site for a packet C code is acquiring, or None. */
 static PyObject *
 mod_acquire_site(PyObject *module, PyObject *Py_UNUSED(ignored))
@@ -4999,6 +5281,10 @@ static PyMethodDef mod_methods[] = {
     {"configure_client", mod_configure_client, METH_VARARGS,
      "configure_client(NetCloneHeader, GroupTable): the header class the "
      "C NetClone build makes and the table class whose sample it replays."},
+    {"configure_server", mod_configure_server, METH_VARARGS,
+     "configure_server(KvService, KvCostModel, KeyValueStore, JitterModel, "
+     "KvOp): the classes whose methods the server replays while Python "
+     "would resolve them to these."},
     {"expovariate_chunk", (PyCFunction)(void (*)(void))mod_expovariate_chunk,
      METH_FASTCALL,
      "expovariate_chunk(rng, n, rates, cumulative): n service times "
@@ -5094,6 +5380,24 @@ intern_names(void)
     INTERN(s_clones_dropped, "clones_dropped");
     INTERN(s_requests_accepted, "requests_accepted");
     INTERN(s_responses_sent, "responses_sent");
+    INTERN(s_cost_model, "cost_model");
+    INTERN(s_store, "store");
+    INTERN(s_op, "op");
+    INTERN(s_key, "key");
+    INTERN(s_count, "count");
+    INTERN(s_get, "get");
+    INTERN(s_scan, "scan");
+    INTERN(s_check_key, "_check_key");
+    INTERN(s_base_value, "_base_value");
+    INTERN(s_num_keys, "num_keys");
+    INTERN(s_gets, "gets");
+    INTERN(s_scans, "scans");
+    INTERN(s_get_ns, "get_ns");
+    INTERN(s_scan_base_ns, "scan_base_ns");
+    INTERN(s_scan_per_item_ns, "scan_per_item_ns");
+    INTERN(s_set_ns, "set_ns");
+    INTERN(s_response_overhead, "RESPONSE_OVERHEAD");
+    INTERN(s_value_bytes, "VALUE_BYTES");
     INTERN(s_send_one, "_send_one");
     INTERN(s_refill_arrivals, "_refill_arrivals");
     INTERN(s_next_gap, "_next_gap");
@@ -5141,6 +5445,7 @@ intern_names(void)
         || (g_minus_one = PyLong_FromLong(-1)) == NULL
         || (g_msg_resp = PyLong_FromLong(NC_MSG_RESP)) == NULL
         || (g_udp_port = PyLong_FromLong(NC_UDP_PORT)) == NULL
+        || (g_scan_values = PyLong_FromLong(KV_SCAN_VALUES)) == NULL
         || (g_one_float = PyFloat_FromDouble(1.0)) == NULL
         || (g_virtual_ip = PyLong_FromLongLong(NC_VIRTUAL_SERVICE_IP)) == NULL
         || (g_plain_port = PyLong_FromLong(PLAIN_RPC_PORT)) == NULL)

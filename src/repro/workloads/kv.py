@@ -56,6 +56,9 @@ class KvWorkload:
     #: Zipf-0.99 key popularity and 100-object SCANs (§5.5).
     ZIPF_SKEW = 0.99
     SCAN_COUNT = 100
+    #: The request size is payload-independent: the clients read this
+    #: instead of calling :meth:`request_size` per request.
+    fixed_request_size = REQUEST_OVERHEAD + KEY_SIZE
     #: The paper's largest SCAN share (the 90/10 mix of §5.5); the
     #: pacing below realises a share close to the nominal one only up
     #: to about here.
@@ -134,7 +137,7 @@ class KvWorkload:
 
     def request_size(self, request: KvRequest) -> int:
         """Wire size of a request packet."""
-        return self.REQUEST_OVERHEAD + self.KEY_SIZE
+        return self.fixed_request_size
 
     def response_size(self, request: KvRequest) -> int:
         """Wire size of a response packet.

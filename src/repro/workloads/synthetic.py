@@ -39,6 +39,9 @@ class SyntheticWorkload:
     REQUEST_SIZE = 128
     #: On-wire response size in bytes.
     RESPONSE_SIZE = 128
+    #: The request size is payload-independent: the clients read this
+    #: instead of calling :meth:`request_size` per request.
+    fixed_request_size = REQUEST_SIZE
 
     def __init__(self, distribution: ServiceDistribution, rng: random.Random):
         self.distribution = distribution
@@ -70,7 +73,7 @@ class SyntheticWorkload:
 
     def request_size(self, request: RpcRequest) -> int:
         """Wire size of the request carrying *request*."""
-        return self.REQUEST_SIZE
+        return self.fixed_request_size
 
     def response_size(self, request: RpcRequest) -> int:
         """Wire size of the response to *request*."""

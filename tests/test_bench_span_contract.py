@@ -26,7 +26,10 @@ call ``NetCloneClient.build_packets``/``BaselineClient.build_packets``
 as Python would look them up.  And for the latency recorder: the C
 client books sends and first responses in the C recorder itself, so it
 must call ``LatencyRecorder.note_sent``/``LatencyRecorder.record`` as
-Python would look them up.
+Python would look them up.  And for the KV service: the C server
+replays ``KvService``'s cost, execution and response size and
+``JitterModel.apply`` itself, so it must call each of them as Python
+would look them up, or the tracer's ``apps.service`` layer reads 0.
 """
 
 import importlib
@@ -37,14 +40,17 @@ import pytest
 
 from helpers import make_packet, tiny_config
 from repro.apps.client import OpenLoopClient
+from repro.apps.service import KvService
 from repro.baselines.random_lb import BaselineClient
 from repro.core.client import NetCloneClient
 from repro.core.server import RpcServer
 from repro.experiments.common import Cluster
+from repro.experiments.specs import KvSpec
 from repro.metrics.latency import LatencyRecorder
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketPool
 from repro.switchsim.switch import ProgrammableSwitch
+from repro.workloads import JitterModel
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
 
@@ -256,3 +262,33 @@ def test_class_level_recorder_wrappers_see_every_call(monkeypatch):
     assert calls["record"] == first_responses == sent
     recorder = cluster.recorder
     assert 0 < recorder.completed_in_window and 0 < len(recorder) <= recorder.sent_in_window
+
+
+def test_class_level_service_wrappers_see_every_call(monkeypatch):
+    calls = {"base_service_ns": 0, "apply": 0, "execute": 0, "response_size": 0}
+    for cls, attr in (
+        (KvService, "base_service_ns"), (JitterModel, "apply"),
+        (KvService, "execute"), (KvService, "response_size"),
+    ):
+
+        def counted(*args, inner=cls.__dict__[attr], attr=attr):
+            calls[attr] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cls, attr, counted)
+    workload = KvSpec(cost_model="redis", scan_fraction=0.01, num_keys=10_000)
+    cluster = Cluster(tiny_config(topology="star", workload=workload, rate_rps=0.1e6))
+    cluster.start()
+    cluster.run()
+    cluster.sim.run()
+
+    servers = cluster.servers
+    executed = sum(server.counters.get("responses_sent") for server in servers)
+    assert executed > 0
+    assert sum(server.service.store.scans for server in servers) > 0
+    assert calls["base_service_ns"] == calls["apply"] == executed == sum(
+        server.counters.get("requests_accepted") for server in servers
+    )
+    assert calls["execute"] == calls["response_size"] == executed == sum(
+        server.service.store.gets + server.service.store.scans for server in servers
+    )

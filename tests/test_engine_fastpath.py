@@ -28,9 +28,10 @@ counter.  These tests pin the contract that makes that safe:
 * the server's request path (the C ``ServerCore`` on the C core, the
   pure-Python ``_ServerCore`` otherwise) queues, drops stale clones,
   ignores non-requests, piggybacks and clamps STATE, answers plain
-  and redirected requests, calls a KV service back and rejects a
+  and redirected requests, runs a KV service (the C core's replay,
+  the store's own errors, overriding subclasses) and rejects a
   shortening jitter identically on both: responses, counters, state
-  samples, scheduler seq and RNG draws;
+  samples, scheduler seq, RNG draws and the store's counters;
 * the client's request path (the C ``ClientCore`` on the C core, the
   pure-Python ``_ClientCore`` otherwise) pre-draws, sends, flushes on
   a rate or table change, stops and books first, redundant and foreign
@@ -58,6 +59,7 @@ from helpers import (
 )
 
 import repro
+from repro.apps.service import KvService
 from repro.core import (
     CLO_CLONED_COPY,
     CLO_CLONED_ORIGINAL,
@@ -72,8 +74,9 @@ from repro.core import (
 )
 from repro.core.header import FIELDS as HEADER_FIELDS
 from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
-from repro.errors import NetworkError, StageAccessError
+from repro.errors import ExperimentError, KVStoreError, NetworkError, StageAccessError
 from repro.experiments.common import Cluster, run_point
+from repro.kvstore import KeyValueStore, RedisCostModel
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import PacketPool
@@ -874,21 +877,55 @@ def _server_drill_request(pool, seq, clo=CLO_NOT_CLONED, msg_type=MSG_REQ,
     return pool.acquire(42, 99, 7_000 + seq, NETCLONE_UDP_PORT, 128, payload, nc, seq)
 
 
-def _kv_service():
-    from repro.apps.service import KvService
-    from repro.kvstore import KeyValueStore, RedisCostModel
+class _ExecuteOverride(KvService):
+    """A KV service whose ``execute`` override records every call."""
 
-    return KvService(KeyValueStore(num_keys=1_000), RedisCostModel())
+    def __init__(self, store, cost_model):
+        super().__init__(store, cost_model)
+        self.calls = []
+
+    def execute(self, payload):
+        self.calls.append(payload.client_seq)
+        return super().execute(payload)
 
 
-def _kv_payloads():
+class _CostOverride(RedisCostModel):
+    """A cost model whose ``service_ns`` override records every call
+    and charges 7 ns more, so a skipped override shows in the timing."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def service_ns(self, request):
+        self.calls.append(request.client_seq)
+        return super().service_ns(request) + 7
+
+
+#: ``run_server_drill``'s ``service`` option → the KV service it builds.
+KV_SERVICES = {
+    "kv": lambda store: KvService(store, RedisCostModel()),
+    "kv-execute-override": lambda store: _ExecuteOverride(store, RedisCostModel()),
+    "kv-cost-override": lambda store: KvService(store, _CostOverride()),
+}
+
+
+def _kv_requests(*ops):
+    """``_server_drill_request`` keyword sets for KV payloads, one per
+    ``(op name, key, count)``, on a 1,000-key store."""
     from repro.workloads import KvOp, KvRequest
 
-    ops = (KvOp.GET, KvOp.SCAN, KvOp.SET, KvOp.GET, KvOp.SCAN)
     return [
-        KvRequest(client_id=0, client_seq=seq, op=op, key=seq * 7, count=20 * seq)
-        for seq, op in enumerate(ops, start=1)
+        dict(seq=seq, payload=KvRequest(0, seq, KvOp[op], key, count))
+        for seq, (op, key, count) in enumerate(ops, start=1)
     ]
+
+
+#: GETs, SCANs (one of them wrapping round the keyspace) and a SET.
+KV_MIX = (
+    ("GET", 7, 20), ("SCAN", 14, 5), ("SET", 21, 60), ("GET", 28, 80),
+    ("SCAN", 990, 100), ("GET", 999, 1),
+)
 
 
 #: name → (RpcServer overrides, whether to flip ``drop_stale_clones``
@@ -932,15 +969,34 @@ SERVER_DRILLS = {
         False,
         [dict(seq=seq, service_ns=100) for seq in range(1, 301)],
     ),
-    "kv": (
-        dict(num_workers=2, service="kv"),
-        False,
-        [dict(seq=p.client_seq, payload=p) for p in _kv_payloads()],
-    ),
+    "kv": (dict(num_workers=2, service="kv"), False, _kv_requests(*KV_MIX)),
     "kv-shortening-jitter": (
         dict(num_workers=2, service="kv", jitter="shortening"),
         False,
-        [dict(seq=p.client_seq, payload=p) for p in _kv_payloads()],
+        _kv_requests(*KV_MIX),
+    ),
+    # The store's own errors, raised when the request executes: a key
+    # outside the keyspace, and a SCAN of nothing.
+    "kv-bad-key": (
+        dict(num_workers=2, service="kv"),
+        False,
+        _kv_requests(("GET", 5, 1), ("SCAN", 7, 3), ("GET", 1_000, 1), ("GET", 3, 1)),
+    ),
+    "kv-scan-zero": (
+        dict(num_workers=2, service="kv"),
+        False,
+        _kv_requests(("GET", 5, 1), ("SCAN", 9, 0), ("GET", 2, 1)),
+    ),
+    # Overrides see every call; the rest of the service runs as before.
+    "kv-execute-override": (
+        dict(num_workers=2, service="kv-execute-override"),
+        False,
+        _kv_requests(*KV_MIX),
+    ),
+    "kv-cost-override": (
+        dict(num_workers=2, service="kv-cost-override"),
+        False,
+        _kv_requests(*KV_MIX),
     ),
 }
 
@@ -949,12 +1005,13 @@ def run_server_drill(name):
     """One drill's responses (arrival time and every field), the error
     it raised, the server's counters (in insertion order), its state
     samples and worker state, the simulator's seq and the RNG's next
-    draw (so a missing or extra draw shows)."""
+    draw (so a missing or extra draw shows), the time it stopped at
+    and, for a KV service, the store's counters and the calls an
+    override saw."""
     import random
 
     from repro.apps.service import SyntheticService
     from repro.core import RpcServer
-    from repro.errors import ExperimentError
     from repro.workloads import JitterModel
 
     overrides, flip, requests = SERVER_DRILLS[name]
@@ -963,9 +1020,10 @@ def run_server_drill(name):
     jitter = overrides.pop("jitter", None)
     sim = Simulator()
     sink = _ServerSink(sim)
+    store = KeyValueStore(num_keys=1_000)
     server = RpcServer(
         sim, name="srv", ip=99, server_id=3,
-        service=_kv_service() if service == "kv" else SyntheticService(),
+        service=KV_SERVICES[service](store) if service else SyntheticService(),
         jitter=_ShorteningJitter() if jitter else JitterModel(0.3, 15.0),
         rng=random.Random(11), tx_cost_ns=0, rx_cost_ns=0, **overrides,
     )
@@ -979,12 +1037,19 @@ def run_server_drill(name):
         for request in requests:
             server.handle(_server_drill_request(sink.packet_pool, **request))
         sim.run()
-    except ExperimentError as exc:
+    except (ExperimentError, KVStoreError) as exc:
         raised = (type(exc).__name__, str(exc))
+    kv = None
+    if service:
+        overridden = getattr(server.service, "calls", None)
+        if overridden is None:
+            overridden = getattr(server.service.cost_model, "calls", None)
+        kv = (store.gets, store.scans, store.sets, overridden)
     return (
         sink.received, raised, list(server.counters._counts.items()),
         (server.state_samples_zero, server.state_samples_total),
         (server.busy_workers, len(server.queue)), sim._seq, server.rng.random(),
+        sim.now, kv,
     )
 
 
@@ -999,7 +1064,7 @@ def test_pure_python_engine_matches_live_engine_on_server_drill():
     assert pure == live
     # The contract itself, not only engine agreement.
     state = HEADER_FIELDS.index("state")
-    received, raised, counts, samples, workers, _, _ = live["netclone"]
+    received, raised, counts, samples, workers = live["netclone"][:5]
     assert dict(counts) == {
         "requests_accepted": 6, "clones_dropped": 1, "non_request_ignored": 1,
         "responses_sent": 6,
@@ -1007,20 +1072,32 @@ def test_pure_python_engine_matches_live_engine_on_server_drill():
     assert sorted(r[7] for r in received) == [1, 2, 3, 4, 6, 8]
     assert raised is None and workers == (0, 0) and samples[1] == 6
     assert any(r[9][state] > 0 for r in received)
-    received, _, counts, _, _, _, _ = live["clone-drop-off"]
+    received, _, counts = live["clone-drop-off"][:3]
     assert dict(counts)["requests_accepted"] == 4 and "clones_dropped" not in dict(counts)
-    received, _, _, _, _, _, _ = live["plain"]
+    received = live["plain"][0]
     assert [r[9] is None for r in received] == [False, True, False, True]
     assert all(r[9][state] == 0 for r in received if r[9] is not None)
     assert [r[5] for r in received if r[9] is None] == [7_002, 7_004]
     assert {r[3] for r in live["reply-to"][0]} == {77}
     assert max(r[9][state] for r in live["deep-queue"][0]) == 255
-    received, raised, counts, _, _, _, _ = live["kv"]
-    assert raised is None and len(received) == 5
-    assert {r[6] for r in received} != {SyntheticService.RESPONSE_SIZE}
+    received, raised = live["kv"][:2]
+    assert raised is None and len(received) == 6
+    # 64 bytes of overhead plus one value, or up to 16 for a SCAN.
+    assert {r[6] for r in received} == {64 + 64, 64 + 5 * 64, 64 + 16 * 64}
+    assert live["kv"][8] == (3, 2, 1, None)
     assert live["kv-shortening-jitter"][1] == (
         "ExperimentError", "jitter must never shorten execution"
     )
+    assert live["kv-bad-key"][1] == ("KVStoreError", "key 1000 outside keyspace of 1000")
+    assert live["kv-scan-zero"][1] == ("KVStoreError", "scan count must be positive")
+    for name in ("kv-execute-override", "kv-cost-override"):
+        received, raised = live[name][:2]
+        assert raised is None and len(received) == 6, name
+        gets, scans, sets, calls = live[name][8]
+        assert (gets, scans, sets) == (3, 2, 1), name
+        assert sorted(calls) == sorted(r[7] for r in received), name
+    # The cost override's 7 extra ns reach the schedule.
+    assert [r[0] for r in live["kv-cost-override"][0]] != [r[0] for r in live["kv"][0]]
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,8 @@ Under the C core (``USING_CCORE``) the scheduler, the packet plane
 (packet acquire/release/copy and NetClone header copies), the
 forwarding hop (link booking, switch ingress/egress, host NIC slots,
 recirculation), the NetClone switch pass, the server's request path
-(accept, clone drop, dispatch, respond) and the client's (arrival
+(accept, clone drop, dispatch, respond, and the KV service's cost,
+jitter, execution and response size) and the client's (arrival
 pre-draw with the NetClone and Baseline packet builds, send, response
 bookkeeping) run in ``sim/_ccore.c``;
 cProfile sees no frame for them and charges their time to
@@ -114,10 +115,10 @@ DEFAULT_TARGETS = ("core", "fig18")
 #: Printed above each report when the C core is live.
 C_CORE_NOTE = (
     "note: the C core runs the scheduler, the packet plane, the forwarding "
-    "hop, the NetClone switch pass and the server's and the client's "
-    "request paths, charged to Simulator.run's self time (the workload, "
-    "the recorder and other clients' builds still show); per-layer split: "
-    "python benchmarks/e2e/run.py --trace 1"
+    "hop, the NetClone switch pass, the server's request path with the KV "
+    "service and the client's, charged to Simulator.run's self time (the "
+    "workloads' request chunks and other clients' builds still show); "
+    "per-layer split: python benchmarks/e2e/run.py --trace 1"
 )
 SORTS = ("cumulative", "tottime", "ncalls")
 
