@@ -30,7 +30,10 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.coerce import count, parse_text
 from repro.errors import ExperimentError
+from repro.experiments.executor import JOBS
+from repro.experiments.harness import SCALE
 from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import EXPERIMENTS, UNREQUESTED, gate_harness_axes
 from repro.experiments.schemes import SCHEMES
@@ -38,6 +41,9 @@ from repro.experiments.topologies import TOPOLOGIES
 from repro.experiments.workloads_registry import WORKLOADS
 
 __all__ = ["main"]
+
+#: The numeric flags, each read through its declared coercer.
+_FLAGS = (("scale", SCALE), ("jobs", JOBS), ("seed", count()))
 
 #: Pseudo-experiment ids that list a plugin registry instead of running.
 _LISTINGS = {
@@ -68,13 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
         default=1.0,
         help="shrink measurement windows/grids (e.g. 0.25 for a quick pass)",
     )
     parser.add_argument(
         "--seed",
-        type=int,
         default=None,
         help="root RNG seed (default: 1 for experiments; run-scenario "
         "keeps each scenario's own pinned seed unless overridden)",
@@ -82,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         "-j",
-        type=int,
         default=1,
-        help="sweep points in N parallel worker processes (0 = all CPU cores)",
+        help="sweep points in N >= 0 parallel worker processes "
+        "(0 = all CPU cores)",
     )
     parser.add_argument(
         "--topology",
@@ -290,27 +294,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     if experiments and experiments[0] == "lint":
         return _run_lint(experiments[1:], args)
     try:
+        for flag, coerce in _FLAGS:
+            value = getattr(args, flag)
+            if value is not None:
+                setattr(args, flag, coerce(parse_text(value), f"--{flag}"))
         if experiments and experiments[0] == "run-scenario":
             return _run_scenarios(experiments[1:], args)
         return _run_experiments(experiments, args)
     except ExperimentError as exc:
-        # A bad experiment id, scenario name or axis value, or a failed
-        # harness gate (fig16's invariants): print the message and exit
-        # 2, no traceback.
+        # A bad flag value, experiment id, scenario name or axis value,
+        # or a failed harness gate (fig16's invariants): print the
+        # message and exit 2, no traceback.
         print(exc)
         return 2
 
 
 def _run_experiments(experiments: List[str], args: argparse.Namespace) -> int:
     """List or run *experiments*; every user error raises ExperimentError."""
-    if args.topology is not None:
-        # Fail fast (and normalise aliases) before any experiment runs;
-        # inline parameters ride along in canonical key=value form.
-        args.topology = TOPOLOGIES.canonical(args.topology)
-    if args.placement is not None:
-        args.placement = PLACEMENTS.canonical(args.placement)
-    if args.workload is not None:
-        args.workload = WORKLOADS.canonical(args.workload)
+    # Fail fast (and normalise aliases) before any experiment runs;
+    # inline parameters ride along in canonical key=value form.
+    axes = (("topology", TOPOLOGIES), ("placement", PLACEMENTS), ("workload", WORKLOADS))
+    for axis, registry in axes:
+        if getattr(args, axis) is not None:
+            setattr(args, axis, registry.canonical(getattr(args, axis)))
     if args.list or not experiments:
         print("available experiments:")
         for spec in sorted(EXPERIMENTS.specs(), key=lambda spec: spec.name):

@@ -86,21 +86,21 @@ The other axes work the same way:
 
 * ``@TOPOLOGIES.register`` a :class:`TopologySpec` whose
   ``make_fabric(ctx)`` builds a :class:`repro.net.topology.Fabric`;
-  knobs arrive in ``ClusterConfig.topology_params``.
+  knobs arrive in ``ctx.params``.
 * ``@PLACEMENTS.register`` a :class:`PlacementSpec` whose
-  ``make_policy(params)`` builds a
+  ``make_policy(**params)`` builds a
   :class:`~repro.core.placement.PlacementPolicy`.
 * ``@WORKLOADS.register`` a :class:`WorkloadDef` whose
-  ``make_spec(params)`` builds a
+  ``make_spec(**params)`` builds a
   :class:`~repro.experiments.specs.WorkloadSpec`.
 * ``@SPINE_POLICIES.register`` a :class:`SpinePolicySpec` whose
   ``make_policy(fabric)`` builds a
   :class:`~repro.net.topology.SpinePolicy`; select it with
   ``--topology spine_leaf:spine_policy=NAME``.
 
-Factories that take params reject unknown keys with
-``registry.check_params(params, known, name)`` — a typo must never
-silently run the defaults.
+A spec declares its factory's knobs as ``params={key: (coercer,
+default)}``, which ``registry.resolve`` applies (:mod:`repro.coerce`):
+a typo never runs the defaults.
 """
 
 from repro.experiments.placements import PLACEMENTS, PlacementSpec

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import gc
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.client import OpenLoopClient
+from repro.coerce import Coercer, Fields, coerce_fields, count, finite_float
+from repro.coerce import fraction, mapping, name, ns
 from repro.core.placement import PlacementContext
 from repro.errors import ExperimentError
 from repro.experiments.executor import SweepExecutor
@@ -81,9 +83,9 @@ class ClusterConfig:
     #: are merged into ``topology_params`` (inline wins) and the field
     #: normalises to the bare canonical name.
     topology: Optional[str] = "star"
-    #: Knobs for the topology builder: ``racks``, ``spines``,
-    #: ``spine_policy`` and ``trunk_bandwidth_bps`` for ``spine_leaf``
-    #: (``star`` and ``two_rack`` take none).
+    #: Knobs for the topology builder, resolved to every one it declares:
+    #: ``racks``, ``spines``, ``spine_policy`` and ``trunk_bandwidth_bps``
+    #: for ``spine_leaf`` (``star`` and ``two_rack`` take none).
     topology_params: Dict[str, Any] = field(default_factory=dict)
     #: Registered placement policy governing which candidate pairs each
     #: ToR's group table holds (``global`` | ``rack-local`` |
@@ -93,8 +95,8 @@ class ClusterConfig:
     #: merged into ``placement_params`` (inline wins) and the field
     #: normalises to the bare canonical name.
     placement: Optional[str] = "global"
-    #: Free-form knobs for the placement policy (e.g. ``p`` for
-    #: ``rack-weighted``).
+    #: Knobs for the placement policy (e.g. ``p`` for
+    #: ``rack-weighted``); resolved to every knob the placement declares.
     placement_params: Dict[str, Any] = field(default_factory=dict)
     workload: Optional[WorkloadSpec] = None
     num_servers: int = 6
@@ -120,40 +122,17 @@ class ClusterConfig:
     filter_slots: int = 1 << 17
 
     def __post_init__(self) -> None:
+        self.__dict__.update(coerce_fields(vars(self), CLUSTER_FIELDS, "cluster"))
         # Resolves aliases and raises ExperimentError on unknown names.
         self.scheme = SCHEMES.get(self.scheme).name
-        for field_name, params_name, registry, default in _PARAM_AXES:
-            name, inline = registry.parse(getattr(self, field_name) or default)
-            setattr(self, field_name, name)
-            if inline:
-                # A fresh dict: the params may be shared across
-                # dataclasses.replace() copies and must not be mutated.
-                setattr(self, params_name, {**getattr(self, params_name), **inline})
-        # Build (and discard) the policy once so a typoed knob fails
-        # here with a diagnosable error, not deep inside a sweep worker
-        # — and never silently runs the policy defaults.
-        PLACEMENTS.get(self.placement).make_policy(dict(self.placement_params))
-        if self.metrics not in ("exact", "sketch"):
-            raise ExperimentError(
-                f"unknown metrics mode {self.metrics!r} "
-                "(choose 'exact' or 'sketch')"
-            )
-        if self.workload is None:
-            self.workload = make_synthetic_spec("exp", mean_us=25.0)
-        elif isinstance(self.workload, str):
-            # Registered workload name, optionally with inline params
-            # ("mmpp:burst=8") — same syntax as the topology/placement
-            # axes; resolved once here so sweep replace() copies share
-            # the spec object (and the executor ships it per worker).
-            from repro.experiments.workloads_registry import make_workload_spec
-
-            self.workload = make_workload_spec(self.workload)
-        if self.num_servers < 2:
-            raise ExperimentError("experiments need at least two servers")
-        if self.num_clients < 1:
-            raise ExperimentError("experiments need at least one client")
-        if self.rate_rps <= 0:
-            raise ExperimentError("offered load must be positive")
+        # Inline params merge over the params field (inline wins) into a
+        # fresh dict of every knob the axis declares, typed.
+        self.topology, self.topology_params = TOPOLOGIES.resolve(
+            self.topology, self.topology_params
+        )
+        self.placement, self.placement_params = PLACEMENTS.resolve(
+            self.placement, self.placement_params
+        )
 
     # ------------------------------------------------------------------
     def worker_counts(self) -> List[int]:
@@ -178,12 +157,67 @@ class ClusterConfig:
         return self.end_ns + self.drain_ns
 
 
-#: ``(field, params field, registry, default)`` of each config axis
-#: that takes inline ``"name:key=val,..."`` parameters.
-_PARAM_AXES = (
-    ("topology", "topology_params", TOPOLOGIES, "star"),
-    ("placement", "placement_params", PLACEMENTS, "global"),
-)
+def _or(default: Any, coerce: Coercer) -> Coercer:
+    """*coerce*, with None standing for *default*."""
+    return lambda value, label: coerce(default if value is None else value, label)
+
+
+_WORKERS = count(ge=1)
+
+
+def _workers(value: Any, label: str) -> Union[int, Tuple[int, ...]]:
+    """One pool size for every server, or a list of per-server sizes."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_WORKERS(v, f"{label}[{i}]") for i, v in enumerate(value))
+    return _WORKERS(value, label)
+
+
+def _workload(value: Any, label: str) -> WorkloadSpec:
+    """A spec; None is Exp(25 µs) and a registered name (``"mmpp:burst=8"``)
+    resolves here, once, so sweep ``replace()`` copies share the spec
+    object (and the executor ships it per worker)."""
+    if value is None:
+        return make_synthetic_spec("exp", mean_us=25.0)
+    if isinstance(value, str):
+        from repro.experiments.workloads_registry import make_workload_spec
+
+        return make_workload_spec(value)
+    if not isinstance(value, WorkloadSpec):
+        raise ExperimentError(f"{label}={value!r} is not a workload")
+    return value
+
+
+#: The one declared coercer of every :class:`ClusterConfig` field.
+_COERCERS: Dict[str, Coercer] = {
+    "scheme": name(),
+    "topology": _or("star", name()),
+    "topology_params": mapping,
+    "placement": _or("global", name()),
+    "placement_params": mapping,
+    "workload": _workload,
+    "num_servers": count(ge=2),
+    "workers_per_server": _workers,
+    "num_clients": count(ge=1),
+    "rate_rps": finite_float(gt=0),
+    "jitter_p": fraction(),
+    "warmup_ns": ns(),
+    "measure_ns": ns(gt=0),
+    "drain_ns": ns(),
+    "seed": count(),
+    "metrics": name(("exact", "sketch")),
+    "num_filter_tables": count(ge=1),
+    "filter_slots": count(ge=1),
+}
+
+#: ``{field: (coercer, default)}`` over every :class:`ClusterConfig`
+#: field (the defaults are the dataclass's own).
+CLUSTER_FIELDS: Fields = {
+    f.name: (
+        _COERCERS[f.name],
+        f.default_factory() if f.default is MISSING else f.default,
+    )
+    for f in fields(ClusterConfig)
+}
 
 
 class Cluster:
@@ -199,11 +233,7 @@ class Cluster:
         self.scheme_spec: SchemeSpec = SCHEMES.get(config.scheme)
         self.topology_spec: TopologySpec = TOPOLOGIES.get(config.topology)
         self.placement_spec: PlacementSpec = PLACEMENTS.get(config.placement)
-        # Built before any simulation state so a bad placement param
-        # fails fast with a diagnosable error, whatever the scheme.
-        self.placement = self.placement_spec.make_policy(
-            dict(config.placement_params)
-        )
+        self.placement = self.placement_spec.make_policy(**config.placement_params)
         self.sim = Simulator()
         # REPRO_SANITIZE=1 swaps in the ledgered pool and draw-counting
         # registry from repro.sim.sanitize; seeds and uid streams are

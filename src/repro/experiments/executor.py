@@ -35,6 +35,7 @@ pool that cannot be created (restricted environments) does the same.
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
 import pickle
@@ -43,17 +44,23 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.coerce import count
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import ClusterConfig
     from repro.metrics.sweep import LoadPoint
 
 __all__ = [
+    "JOBS",
     "SweepExecutor",
     "point_cost",
     "submission_order",
 ]
 
 _LOG = logging.getLogger(__name__)
+
+#: Worker processes of a batch (``--jobs``); 0 means every CPU core.
+JOBS = count(ge=0)
 
 
 def point_cost(config: "ClusterConfig") -> float:
@@ -99,7 +106,9 @@ def _strip_specs(
     for config in configs:
         key = id(config.workload)
         table.setdefault(key, config.workload)
-        stripped.append(replace(config, workload=_SpecRef(key)))
+        ref = copy.copy(config)  # not replace(): a _SpecRef is no workload
+        ref.workload = _SpecRef(key)
+        stripped.append(ref)
     return stripped, table
 
 
@@ -142,14 +151,13 @@ class SweepExecutor:
     """Runs batches of independent cluster measurements.
 
     :param jobs: worker processes; 1 means in-process serial execution
-        and values < 1 mean "all CPUs".  Workers import every module
-        that registered a plugin before any point runs.
+        and 0 means "all CPUs" (a negative count raises).  Workers
+        import every module that registered a plugin before any point
+        runs.
     """
 
     def __init__(self, jobs: int = 1):
-        if jobs < 1:
-            jobs = os.cpu_count() or 1
-        self.jobs = jobs
+        self.jobs = JOBS(jobs, "jobs") or os.cpu_count() or 1
 
     def run_points(self, configs: Sequence["ClusterConfig"]) -> List["LoadPoint"]:
         """Measure every config; results keep the input order.

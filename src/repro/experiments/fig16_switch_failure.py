@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.executor import SweepExecutor
+from repro.experiments.harness import spine_leaf_params
 from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import register
 from repro.experiments.topologies import TOPOLOGIES
@@ -212,14 +213,9 @@ def collect_server_failure(
     independent runs, so ``jobs > 1`` fans them over worker processes
     (bit-identical to serial — each cell seeds its own registry).
     """
-    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
-    if name != "spine_leaf":
-        raise ExperimentError(
-            f"the fig16 server-failure panel sweeps rack placements; "
-            f"topology {name!r} has no rack structure (use spine_leaf)"
-        )
-    topology_params: Dict[str, Any] = {"racks": SF_RACKS, "spines": SF_SPINES}
-    topology_params.update(params)
+    topology_params = spine_leaf_params(
+        topology, "the fig16 server-failure panel", racks=SF_RACKS, spines=SF_SPINES
+    )
     cells = [
         (chosen, scale, seed, topology_params)
         for chosen in _sf_placements(placement)

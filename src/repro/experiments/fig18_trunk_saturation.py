@@ -27,10 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ClusterConfig
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.harness import capacity_rps, scaled_config
+from repro.experiments.harness import capacity_rps, scaled_config, spine_leaf_params
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
-from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
@@ -89,22 +88,13 @@ def collect(
     the default Exp(25) spec.
     *metrics* selects the latency backend (``"exact"`` | ``"sketch"``).
     """
-    from repro.errors import ExperimentError
-
-    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
-    if name != "spine_leaf":
-        raise ExperimentError(
-            f"fig18 measures spine trunks; topology {name!r} has none "
-            "(use spine_leaf, optionally with inline params)"
-        )
-    base_params = {"racks": 2, "spines": 4}
-    base_params.update(params)
+    base_params = spine_leaf_params(topology, "fig18", racks=2, spines=4)
     policies = _policies(base_params.pop("spine_policy", None))
     # A pinned trunk bandwidth collapses the swept axis to that single
     # line rate instead of being silently overwritten by the grid.
     pinned_bps = base_params.pop("trunk_bandwidth_bps", None)
     if pinned_bps is not None:
-        bandwidths = (float(pinned_bps) / 1e9,)
+        bandwidths = (pinned_bps / 1e9,)
     else:
         bandwidths = TRUNK_GBPS if scale >= 0.4 else TRUNK_GBPS[::2]
 
@@ -118,7 +108,7 @@ def collect(
     config = scaled_config(
         ClusterConfig(
             workload=spec,
-            topology=name,
+            topology="spine_leaf",
             placement=placement,
             num_servers=NUM_SERVERS,
             workers_per_server=WORKERS,

@@ -24,11 +24,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ClusterConfig
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.harness import capacity_rps, scaled_config
+from repro.experiments.harness import capacity_rps, scaled_config, spine_leaf_params
 from repro.experiments.placements import PLACEMENTS as PLACEMENT_REGISTRY
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
-from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
@@ -85,23 +84,15 @@ def collect(
     executor batch, so ``jobs > 1`` keeps every worker busy across all
     three axes.
     """
-    from repro.errors import ExperimentError
-
-    name, params = TOPOLOGIES.parse(topology or "spine_leaf")
-    if name != "spine_leaf":
-        raise ExperimentError(
-            f"fig19 measures trunk locality; topology {name!r} has no "
-            "rack structure to localise into (use spine_leaf, optionally "
-            "with inline params)"
-        )
-    base_params = {"spines": 2, "trunk_bandwidth_bps": TRUNK_GBPS * 1e9}
-    base_params.update(params)
+    base_params = spine_leaf_params(
+        topology, "fig19", spines=2, trunk_bandwidth_bps=TRUNK_GBPS * 1e9
+    )
     placements = _placements(placement)
     # A pinned rack count collapses the swept axis rather than being
     # silently overwritten by the grid.
     pinned_racks = base_params.pop("racks", None)
     if pinned_racks is not None:
-        rack_counts: Tuple[int, ...] = (int(pinned_racks),)
+        rack_counts: Tuple[int, ...] = (pinned_racks,)
     else:
         rack_counts = RACK_COUNTS if scale >= 0.4 else RACK_COUNTS[:1]
 
@@ -110,7 +101,7 @@ def collect(
     config = scaled_config(
         ClusterConfig(
             workload=spec,
-            topology=name,
+            topology="spine_leaf",
             num_servers=NUM_SERVERS,
             workers_per_server=WORKERS,
             num_clients=NUM_CLIENTS,

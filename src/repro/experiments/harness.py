@@ -19,8 +19,10 @@ import logging
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.coerce import finite_float
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, _sweep_grid
+from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import SweepResult
 from repro.sim.units import ms
 
@@ -28,12 +30,18 @@ _LOG = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_FRACTIONS",
+    "SCALE",
     "capacity_rps",
     "format_series",
     "load_grid",
     "scaled_config",
+    "spine_leaf_params",
     "sweep_panels",
 ]
+
+#: How far a run shrinks (``--scale``): windows and grids for a figure,
+#: the offered rate for a scenario.
+SCALE = finite_float(gt=0)
 
 #: Offered-load fractions of theoretical capacity for a full sweep.
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -60,9 +68,7 @@ def load_grid(
 
 def scaled_config(config: ClusterConfig, scale: float) -> ClusterConfig:
     """Shrink the measurement windows by *scale* (floored sensibly)."""
-    if scale <= 0:
-        raise ExperimentError("scale must be positive")
-    if scale >= 1.0:
+    if SCALE(scale, "scale") >= 1.0:
         return config
     return replace(
         config,
@@ -70,6 +76,21 @@ def scaled_config(config: ClusterConfig, scale: float) -> ClusterConfig:
         measure_ns=max(ms(5), int(config.measure_ns * scale)),
         drain_ns=max(ms(2), int(config.drain_ns * scale)),
     )
+
+
+def spine_leaf_params(
+    topology: Optional[str], figure: str, **defaults: Any
+) -> Dict[str, Any]:
+    """*defaults* overlaid with the typed params pinned inline on a
+    ``spine_leaf`` *topology* (None is the bare fabric); another fabric raises."""
+    name, pinned = TOPOLOGIES.parse(topology or "spine_leaf")
+    if name != "spine_leaf":
+        raise ExperimentError(
+            f"{figure} measures racks joined by spine trunks; topology "
+            f"{name!r} has none (use spine_leaf, optionally with inline params)"
+        )
+    resolved = TOPOLOGIES.resolve(name, pinned)[1]
+    return {**defaults, **{key: resolved[key] for key in pinned}}
 
 
 def sweep_panels(

@@ -4,7 +4,7 @@ Schemes decide *what* runs, topologies decide what it runs *on*;
 placements decide **where request redundancy lands**: which candidate
 server pairs exist in each ToR's group table (§3.3), and therefore
 whether a clone stays inside its rack or crosses a trunk.  A
-:class:`PlacementSpec` names a factory that turns free-form parameters
+:class:`PlacementSpec` names a factory that turns its declared parameters
 into a :class:`~repro.core.placement.PlacementPolicy`; :data:`PLACEMENTS`
 maps placement names and aliases to specs on the same
 :class:`~repro.experiments.plugin_registry.PluginRegistry` as the
@@ -22,20 +22,20 @@ Registering a placement::
         return PlacementSpec(
             name="my-placement",
             description="one line for `repro-netclone placements`",
-            make_policy=lambda params: MyPolicy(**params),
+            make_policy=MyPolicy,
+            params={"p": (fraction(), 0.5)},
         )
 
-Factories receive the merged ``ClusterConfig.placement_params`` /
-inline CLI params (``--placement rack-weighted:p=0.7``) and must
-reject unknown or out-of-range values with a diagnosable
-:class:`~repro.errors.ExperimentError` (``PLACEMENTS.check_params``
-rejects unknown keys) — a typo must never silently run ``global``.
+``ClusterConfig`` resolves the merged ``placement_params`` / inline CLI
+params (``--placement rack-weighted:p=0.7``) through the declared
+``params`` table (:mod:`repro.coerce`) and calls ``make_policy(**params)``:
+a typo or an out-of-range value raises, never silently runs ``global``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 from repro.core.placement import (
     GlobalPlacement,
@@ -43,7 +43,7 @@ from repro.core.placement import (
     RackLocalPlacement,
     RackWeightedPlacement,
 )
-from repro.errors import ExperimentError
+from repro.coerce import Fields, fraction
 from repro.experiments.plugin_registry import PluginRegistry
 
 __all__ = ["PLACEMENTS", "PlacementSpec"]
@@ -57,11 +57,13 @@ class PlacementSpec:
     name: str
     #: One-line description shown by ``repro-netclone placements``.
     description: str
-    #: ``params -> PlacementPolicy`` — build one policy from the merged
-    #: parameter dict, validating every knob.
-    make_policy: Callable[[Dict[str, Any]], PlacementPolicy]
+    #: ``**params -> PlacementPolicy`` — build one policy from the
+    #: resolved parameters.
+    make_policy: Callable[..., PlacementPolicy]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
+    #: Declared knobs: ``{key: (coercer, default)}``.
+    params: Fields = field(default_factory=dict)
     #: Module that registered the spec (filled in by ``PLACEMENTS.register``).
     module: Optional[str] = None
 
@@ -72,37 +74,12 @@ PLACEMENTS = PluginRegistry(
 )
 
 
-# ----------------------------------------------------------------------
-# Built-in policies
-# ----------------------------------------------------------------------
-def _global_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    PLACEMENTS.check_params(params, (), "global placement")
-    return GlobalPlacement()
-
-
-def _rack_local_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    PLACEMENTS.check_params(params, (), "rack-local placement")
-    return RackLocalPlacement()
-
-
-def _rack_weighted_policy(params: Dict[str, Any]) -> PlacementPolicy:
-    PLACEMENTS.check_params(params, ("p",), "rack-weighted placement")
-    p = params.get("p", 0.5)
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            f"placement parameter p={p!r} must be a probability in [0, 1]"
-        ) from None
-    return RackWeightedPlacement(p=p)
-
-
 PLACEMENTS.register(
     PlacementSpec(
         name="global",
         description="every ordered server pair on every ToR — the paper's "
         "single-rack construction, bit-identical to the seed (§3.3)",
-        make_policy=_global_policy,
+        make_policy=GlobalPlacement,
         aliases=("uniform",),
         module=__name__,
     )
@@ -113,7 +90,7 @@ PLACEMENTS.register(
         name="rack-local",
         description="clone within the client's rack; falls back to global "
         "pairs when a rack has fewer than two live servers",
-        make_policy=_rack_local_policy,
+        make_policy=RackLocalPlacement,
         aliases=("local",),
         module=__name__,
     )
@@ -124,8 +101,9 @@ PLACEMENTS.register(
         name="rack-weighted",
         description="rack-local with probability p (default 0.5), global "
         "otherwise — the locality-sweep knob; param: p",
-        make_policy=_rack_weighted_policy,
+        make_policy=RackWeightedPlacement,
         aliases=("weighted",),
+        params={"p": (fraction(), 0.5)},
         module=__name__,
     )
 )

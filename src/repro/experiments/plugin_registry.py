@@ -8,8 +8,10 @@ its axis module and called directly: register a declarative spec
 (``@SCHEMES.register`` or a direct call), look it up by canonical
 name or alias (``SCHEMES.get(name)``), parse and canonicalise the
 ``"name:key=val,..."`` inline form (``TOPOLOGIES.parse(value)``,
-``PLACEMENTS.canonical(value)``), reject unknown factory knobs
-(``check_params``), list and describe what is registered, and lazily
+``PLACEMENTS.canonical(value)``), resolve a name and its parameters
+through the spec's declared ``params`` table
+(``PLACEMENTS.resolve(value, params)``, see :mod:`repro.coerce`), list
+and describe what is registered, and lazily
 import plugin modules so self-registering specs become visible
 without the core importing them eagerly (``RULES`` and
 ``EXPERIMENTS`` load that way).  An axis module holds only its spec
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import importlib
 import logging
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.coerce import coerce_fields, parse_text
 from repro.errors import ExperimentError
 
 __all__ = ["PluginRegistry", "format_plugin_params", "parse_plugin_params"]
@@ -29,24 +32,15 @@ __all__ = ["PluginRegistry", "format_plugin_params", "parse_plugin_params"]
 _LOG = logging.getLogger(__name__)
 
 
-def _coerce_param(value: str) -> Any:
-    """``"4"`` → 4, ``"2.5e9"`` → 2.5e9, anything else stays a string."""
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def parse_plugin_params(value: str, kind: str) -> Tuple[str, Dict[str, Any]]:
     """Split ``"name:key=val,key=val"`` into (name, params).
 
     The syntax half of :meth:`PluginRegistry.parse`: the bare form
-    yields an empty param dict, numeric values are coerced, and
-    malformed items raise :class:`~repro.errors.ExperimentError`
-    naming the *kind* — the registry then resolves the name (so typos
-    raise there, listing the registered names).
+    yields an empty param dict, values stay text (the spec's declared
+    table types them in :meth:`PluginRegistry.resolve`), and malformed
+    items raise :class:`~repro.errors.ExperimentError` naming the
+    *kind* — the registry then resolves the name (so typos raise there,
+    listing the registered names).
     """
     name, sep, rest = str(value).partition(":")
     params: Dict[str, Any] = {}
@@ -61,7 +55,7 @@ def parse_plugin_params(value: str, kind: str) -> Tuple[str, Dict[str, Any]]:
                     f"malformed {kind} parameter {item!r} in {value!r} "
                     "(expected key=value)"
                 )
-            params[key.strip()] = _coerce_param(raw.strip())
+            params[key.strip()] = raw.strip()
     return name, params
 
 
@@ -154,9 +148,9 @@ class PluginRegistry:
         """Split ``"name:key=val,key=val"`` into (canonical name, params).
 
         The bare form (``"spine_leaf"``, or any alias) yields an empty
-        param dict and numeric values are coerced, so
-        ``"weighted:p=0.7"`` parses to ``("rack-weighted", {"p": 0.7})``.
-        Unknown names and malformed params raise
+        param dict and values stay text, so ``"weighted:p=0.7"`` parses
+        to ``("rack-weighted", {"p": "0.7"})``.  Unknown names and
+        malformed params raise
         :class:`~repro.errors.ExperimentError`.
         """
         name, params = parse_plugin_params(value, self.kind)
@@ -171,23 +165,20 @@ class PluginRegistry:
         """
         return format_plugin_params(*self.parse(value))
 
-    @staticmethod
-    def check_params(
-        params: Dict[str, Any], known: Iterable[str], name: str
-    ) -> None:
-        """Reject factory knobs *name* does not know.
+    def resolve(
+        self, value: str, params: Optional[Dict[str, Any]] = None
+    ) -> Tuple[str, Dict[str, Any]]:
+        """(canonical name, every declared param, typed) for *value*.
 
-        A typoed key (``spine=4``, ``prob=0.7``) would otherwise be
-        dropped by ``params.get`` and the experiment would silently run
-        the defaults while reporting the parameters the user typed.
+        *value*'s inline params (text read as numbers) merge over
+        *params* (inline wins) and go through the spec's ``params``
+        table (:func:`~repro.coerce.coerce_fields`): a typoed key or a
+        bad value raises.
         """
-        known = set(known)
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown {name} parameter(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known)) or '(none)'}"
-            )
+        name, inline = parse_plugin_params(value, self.kind)
+        spec = self.get(name)
+        merged = {**(params or {}), **{k: parse_text(v) for k, v in inline.items()}}
+        return spec.name, coerce_fields(merged, spec.params, f"{spec.name} {self.kind}")
 
     def names(self) -> Tuple[str, ...]:
         """Canonical names, in registration order."""

@@ -119,12 +119,6 @@ class MmppSpec(SyntheticSpec):
             base._factory,
             name=f"mmpp({burst:g}x,{high_fraction:g})-{base.name}",
         )
-        if burst <= 1.0:
-            raise ExperimentError("mmpp burst must exceed 1")
-        if not 0.0 < high_fraction < 1.0:
-            raise ExperimentError("mmpp high_fraction must lie in (0, 1)")
-        if period_ms <= 0:
-            raise ExperimentError("mmpp period_ms must be positive")
         self.burst = burst
         self.high_fraction = high_fraction
         self.period_ms = period_ms
@@ -159,11 +153,6 @@ class KvSpec(WorkloadSpec):
             self._cost_factory = MemcachedCostModel
         else:
             raise ExperimentError(f"unknown cost model {cost_model!r}")
-        if not 0.0 <= scan_fraction <= KvWorkload.MAX_SCAN_FRACTION:
-            raise ExperimentError(
-                f"kv-{cost_model} scan_fraction={scan_fraction!r} must lie in "
-                f"[0, {KvWorkload.MAX_SCAN_FRACTION}]"
-            )
         self.scan_fraction = scan_fraction
         self.num_keys = num_keys
         # One Zipf CDF shared by all clients (it is read-only and costs

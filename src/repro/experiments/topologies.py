@@ -23,9 +23,9 @@ Registering a topology::
             make_fabric=lambda ctx: MyFabric(ctx.sim, ctx.make_switch),
         )
 
-Builders read free-form knobs from ``ctx.config.topology_params``
-(e.g. ``spine_leaf`` honours ``racks`` and ``spines``) and reject
-unknown ones with ``TOPOLOGIES.check_params``.
+A spec declares its knobs as a ``params`` table (:mod:`repro.coerce`);
+``ClusterConfig`` resolves ``topology_params`` through it, so a builder
+reads every declared knob, typed and in range, from ``ctx.params``.
 
 ``spine_leaf``'s ``spine_policy`` knob names an entry of
 :data:`SPINE_POLICIES`, whose :class:`SpinePolicySpec` wraps a
@@ -35,10 +35,10 @@ reachable as ``--topology spine_leaf:spine_policy=NAME``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import ExperimentError
+from repro.coerce import Fields, count, finite_float, name
 from repro.experiments.plugin_registry import PluginRegistry
 from repro.net.topology import (
     EcmpSpinePolicy,
@@ -74,8 +74,8 @@ class TopologyContext:
 
     @property
     def params(self) -> Dict[str, Any]:
-        """The config's free-form ``topology_params``."""
-        return dict(getattr(self.config, "topology_params", None) or {})
+        """The config's resolved ``topology_params``."""
+        return self.config.topology_params
 
     def make_switch(self, name: str):
         from repro.switchsim.switch import ProgrammableSwitch
@@ -95,6 +95,8 @@ class TopologySpec:
     make_fabric: Callable[[TopologyContext], Fabric]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
+    #: Declared knobs: ``{key: (coercer, default)}``.
+    params: Fields = field(default_factory=dict)
     #: Module that registered the spec (filled in by ``TOPOLOGIES.register``).
     module: Optional[str] = None
 
@@ -130,57 +132,23 @@ SPINE_POLICIES = PluginRegistry(
 # ----------------------------------------------------------------------
 # Built-in fabrics
 # ----------------------------------------------------------------------
-def _strict_int(value: Any) -> int:
-    """``int()`` that refuses to truncate (``2.5`` raises, ``2.0`` is 2)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _param(params: Dict[str, Any], key: str, default: Any, cast) -> Any:
-    """One builder knob, cast with a diagnosable error.
-
-    An uncastable value ("spines=two") or a silently-lossy one
-    ("racks=2.5") raises ExperimentError naming the parameter, instead
-    of a raw ValueError from inside a cluster build (possibly deep in
-    a sweep worker process) or an experiment quietly running different
-    parameters than it reports.
-    """
-    value = params.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        kind = "int" if cast is _strict_int else cast.__name__
-        raise ExperimentError(
-            f"topology parameter {key}={value!r} must be {kind}"
-        ) from None
-
-
 def _star_fabric(ctx: TopologyContext) -> Fabric:
-    TOPOLOGIES.check_params(ctx.params, (), "star")
     return SingleRackFabric(ctx.sim, ctx.make_switch)
 
 
 def _two_rack_fabric(ctx: TopologyContext) -> Fabric:
-    TOPOLOGIES.check_params(ctx.params, (), "two_rack")
     return TwoRackFabric(ctx.sim, ctx.make_switch)
 
 
 def _spine_leaf_fabric(ctx: TopologyContext) -> Fabric:
     params = ctx.params
-    TOPOLOGIES.check_params(
-        params, ("racks", "spines", "trunk_bandwidth_bps", "spine_policy"), "spine_leaf"
-    )
-    policy = SPINE_POLICIES.get(str(params.get("spine_policy", "ecmp")))
     return SpineLeafFabric(
         ctx.sim,
         ctx.make_switch,
-        racks=_param(params, "racks", 2, _strict_int),
-        spines=_param(params, "spines", 2, _strict_int),
-        trunk_bandwidth_bps=_param(
-            params, "trunk_bandwidth_bps", TRUNK_BANDWIDTH_BPS, float
-        ),
-        make_policy=policy.make_policy,
+        racks=params["racks"],
+        spines=params["spines"],
+        trunk_bandwidth_bps=params["trunk_bandwidth_bps"],
+        make_policy=SPINE_POLICIES.get(params["spine_policy"]).make_policy,
     )
 
 
@@ -240,6 +208,12 @@ TOPOLOGIES.register(
         ),
         make_fabric=_spine_leaf_fabric,
         aliases=("spine-leaf", "clos"),
+        params={
+            "racks": (count(ge=1), 2),
+            "spines": (count(ge=1), 2),
+            "spine_policy": (name(), "ecmp"),
+            "trunk_bandwidth_bps": (finite_float(gt=0), TRUNK_BANDWIDTH_BPS),
+        },
         module=__name__,
     )
 )

@@ -4,7 +4,7 @@ Schemes decide *what* runs, topologies *where*, placements *where
 redundancy lands*; workloads decide **what the cluster is asked to
 do**: the request mix each client generates, the service model each
 server runs, and the shape of the open-loop arrival process.  A
-:class:`WorkloadDef` names a factory that turns free-form parameters
+:class:`WorkloadDef` names a factory that turns its declared parameters
 into a :class:`~repro.experiments.specs.WorkloadSpec`; :data:`WORKLOADS`
 maps workload names and aliases to defs on the same
 :class:`~repro.experiments.plugin_registry.PluginRegistry` as the
@@ -22,17 +22,14 @@ Registering a workload::
         return WorkloadDef(
             name="my-workload",
             description="one line for `repro-netclone workloads`",
-            make_spec=lambda params: MySpec(**params),
+            make_spec=MySpec,
+            params={"burst": (finite_float(gt=1), 8.0)},
         )
 
-Factories receive the inline CLI params (``--workload
-mmpp:burst=8,period_ms=0.5``) and must reject unknown or out-of-range
-values with a diagnosable :class:`~repro.errors.ExperimentError`
-when the spec is resolved, not at cluster build
-(``WORKLOADS.check_params`` rejects unknown keys, and
-:func:`make_workload_spec` re-raises a distribution's
-:class:`~repro.errors.WorkloadError` as one) — a typo must never
-silently run the default workload.
+:func:`make_workload_spec` resolves the inline CLI params
+(``--workload mmpp:burst=8,period_ms=0.5``) through the declared
+``params`` table (:mod:`repro.coerce`) and calls ``make_spec(**params)``:
+a typo or an out-of-range value raises when the spec is resolved.
 
 The five built-ins are the workloads something runs: ``exp`` and
 ``bimodal`` (§5.1.2, the synthetic figures), ``kv-redis`` and
@@ -42,14 +39,15 @@ The five built-ins are the workloads something runs: ``exp`` and
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.coerce import Fields, count, finite_float, fraction, name
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments.plugin_registry import PluginRegistry
 from repro.experiments.specs import KvSpec, MmppSpec, WorkloadSpec, make_synthetic_spec
+from repro.workloads.kv import KvWorkload
 
 __all__ = ["WORKLOADS", "WorkloadDef", "make_workload_spec"]
 
@@ -63,11 +61,13 @@ class WorkloadDef:
     name: str
     #: One-line description shown by ``repro-netclone workloads``.
     description: str
-    #: ``params -> WorkloadSpec`` — build one spec from the merged
-    #: parameter dict, validating every knob.
-    make_spec: Callable[[Dict[str, Any]], WorkloadSpec]
+    #: ``**params -> WorkloadSpec`` — build one spec from the resolved
+    #: parameters.
+    make_spec: Callable[..., WorkloadSpec]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
+    #: Declared knobs: ``{key: (coercer, default)}``.
+    params: Fields = field(default_factory=dict)
     #: Module that registered the def (filled in by ``WORKLOADS.register``).
     module: Optional[str] = None
 
@@ -86,84 +86,29 @@ def make_workload_spec(
     *value* is either a bare registered name (with *params* supplied
     separately) or the full inline form ``"name:key=val,..."``.
     """
-    if params is None:
-        value, params = WORKLOADS.parse(value)
-    definition = WORKLOADS.get(value)
+    canonical, params = WORKLOADS.resolve(value, params)
     try:
-        return definition.make_spec(dict(params))
+        return WORKLOADS.get(canonical).make_spec(**params)
     except WorkloadError as exc:
-        # A value the registry's parsers let through but a distribution
-        # rejects (exp:mean_us=0) is still a bad workload string.
-        raise ExperimentError(f"{definition.name} workload: {exc}") from None
+        # A value the declared table lets through but a distribution
+        # rejects is still a bad workload string.
+        raise ExperimentError(f"{canonical} workload: {exc}") from None
 
 
-# ----------------------------------------------------------------------
-# Built-in workloads
-# ----------------------------------------------------------------------
-def _float_param(params: Dict[str, Any], key: str, default: float, workload: str) -> float:
-    value = params.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ExperimentError(
-            f"{workload} workload parameter {key}={value!r} must be a finite number"
-        )
-    return number
-
-
-def _int_param(params: Dict[str, Any], key: str, default: int, workload: str) -> int:
-    value = params.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ExperimentError(
-            f"{workload} workload parameter {key}={value!r} must be an integer"
-        )
-    return value
-
-
-def _exp_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(params, ("mean_us",), "exp workload")
-    return make_synthetic_spec("exp", mean_us=_float_param(params, "mean_us", 25.0, "exp"))
-
-
-def _bimodal_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(params, (), "bimodal workload")
-    return make_synthetic_spec("bimodal")
-
-
-def _kv_spec(cost_model: str, params: Dict[str, Any]) -> WorkloadSpec:
-    workload = f"kv-{cost_model}"
-    WORKLOADS.check_params(params, ("scan_fraction", "num_keys"), f"{workload} workload")
-    return KvSpec(
-        cost_model=cost_model,
-        scan_fraction=_float_param(params, "scan_fraction", 0.01, workload),
-        num_keys=_int_param(params, "num_keys", 1_000_000, workload),
-    )
-
-
-def _mmpp_spec(params: Dict[str, Any]) -> WorkloadSpec:
-    WORKLOADS.check_params(
-        params,
-        ("kind", "mean_us", "burst", "high_fraction", "period_ms"),
-        "mmpp workload",
-    )
-    return MmppSpec(
-        kind=str(params.get("kind", "exp")),
-        mean_us=_float_param(params, "mean_us", 25.0, "mmpp"),
-        burst=_float_param(params, "burst", 8.0, "mmpp"),
-        high_fraction=_float_param(params, "high_fraction", 0.1, "mmpp"),
-        period_ms=_float_param(params, "period_ms", 1.0, "mmpp"),
-    )
-
+#: The declared knobs of both key-value workloads.
+_KV_PARAMS: Fields = {
+    "scan_fraction": (fraction(le=KvWorkload.MAX_SCAN_FRACTION), 0.01),
+    "num_keys": (count(ge=1), 1_000_000),
+}
 
 WORKLOADS.register(
     WorkloadDef(
         name="exp",
         description="Poisson open loop over Exp(mean_us) service times — "
         "the seed's default synthetic workload (§5.1.2); param: mean_us",
-        make_spec=_exp_spec,
+        make_spec=partial(make_synthetic_spec, "exp"),
         aliases=("exponential",),
+        params={"mean_us": (finite_float(gt=0), 25.0)},
         module=__name__,
     )
 )
@@ -173,7 +118,7 @@ WORKLOADS.register(
         name="bimodal",
         description="Poisson open loop over the paper's 90%-25µs / "
         "10%-250µs bimodal service mix",
-        make_spec=_bimodal_spec,
+        make_spec=partial(make_synthetic_spec, "bimodal"),
         module=__name__,
     )
 )
@@ -183,8 +128,9 @@ WORKLOADS.register(
         name="kv-redis",
         description="Redis-cost key-value store, Zipf-0.99 keys, "
         "GET/SCAN-100 mix (§5.5); params: scan_fraction, num_keys",
-        make_spec=partial(_kv_spec, "redis"),
+        make_spec=partial(KvSpec, "redis"),
         aliases=("redis", "kv"),
+        params=_KV_PARAMS,
         module=__name__,
     )
 )
@@ -194,8 +140,9 @@ WORKLOADS.register(
         name="kv-memcached",
         description="Memcached-cost key-value store, Zipf-0.99 keys, "
         "GET/SCAN-100 mix (§5.5); params: scan_fraction, num_keys",
-        make_spec=partial(_kv_spec, "memcached"),
+        make_spec=partial(KvSpec, "memcached"),
         aliases=("memcached",),
+        params=_KV_PARAMS,
         module=__name__,
     )
 )
@@ -206,8 +153,15 @@ WORKLOADS.register(
         description="Markov-modulated Poisson bursts over synthetic service "
         "times — calm/burst states, exact long-run rate; params: kind, "
         "mean_us, burst, high_fraction, period_ms",
-        make_spec=_mmpp_spec,
+        make_spec=MmppSpec,
         aliases=("bursty",),
+        params={
+            "kind": (name(("exp", "bimodal")), "exp"),
+            "mean_us": (finite_float(gt=0), 25.0),
+            "burst": (finite_float(gt=1), 8.0),
+            "high_fraction": (fraction(gt=0, lt=1), 0.1),
+            "period_ms": (finite_float(gt=0), 1.0),
+        },
         module=__name__,
     )
 )

@@ -47,8 +47,10 @@ from __future__ import annotations
 import tomllib
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.coerce import REQUIRED, Fields, coerce_fields, count, finite_float
+from repro.coerce import mapping, name, ns
 from repro.errors import ExperimentError
 from repro.sim.units import ms
 
@@ -65,8 +67,8 @@ __all__ = [
 class _EventType:
     """Static description of one event action."""
 
-    #: parameter name -> (type caster, required, default)
-    params: Mapping[str, Tuple[type, bool, Any]]
+    #: Declared parameters: ``{name: (coercer, default)}``.
+    params: Fields
     #: One-line description (shown by ``repro-netclone scenarios``).
     description: str
     #: Needs a :class:`~repro.core.failures.ServerFailureHandler`.
@@ -75,44 +77,50 @@ class _EventType:
     needs_spines: bool = False
 
 
+#: A server, spine, rack or ToR index.
+_INDEX = count(ge=0)
+
 EVENT_TYPES: Dict[str, _EventType] = {
     "kill_server": _EventType(
-        params={"server": (int, True, None)},
+        params={"server": (_INDEX, REQUIRED)},
         description="power a server off + control-plane removal",
         needs_handler=True,
     ),
     "restore_server": _EventType(
-        params={"server": (int, True, None)},
+        params={"server": (_INDEX, REQUIRED)},
         description="power a server on + control-plane restore",
         needs_handler=True,
     ),
     "withdraw_spine": _EventType(
-        params={"spine": (int, True, None)},
+        params={"spine": (_INDEX, REQUIRED)},
         description="hitless spine route withdrawal",
         needs_spines=True,
     ),
     "fail_spine": _EventType(
-        params={"spine": (int, True, None)},
+        params={"spine": (_INDEX, REQUIRED)},
         description="power a spine off without withdrawing routes",
         needs_spines=True,
     ),
     "restore_spine": _EventType(
-        params={"spine": (int, True, None), "reinit_ns": (int, False, 0)},
+        params={"spine": (_INDEX, REQUIRED), "reinit_ns": (ns(), 0)},
         description="restore a spine's routes (and power) after reinit",
         needs_spines=True,
     ),
     "drain_rack": _EventType(
-        params={"rack": (int, True, None)},
+        params={"rack": (_INDEX, REQUIRED)},
         description="hitless control-plane drain of a whole rack",
         needs_handler=True,
     ),
     "restore_rack": _EventType(
-        params={"rack": (int, True, None)},
+        params={"rack": (_INDEX, REQUIRED)},
         description="restore every removed server of a rack",
         needs_handler=True,
     ),
     "load_surge": _EventType(
-        params={"factor": (float, True, None), "duration_ns": (int, True, None)},
+        params={
+            "factor": (finite_float(gt=0), REQUIRED),
+            "duration_ns": (ns(gt=0), REQUIRED),
+        },
         description="multiply every client's offered rate for a duration",
     ),
     "push_tables": _EventType(
@@ -122,9 +130,9 @@ EVENT_TYPES: Dict[str, _EventType] = {
     ),
     "wipe_switch": _EventType(
         params={
-            "tor": (int, False, 0),
-            "down_ns": (int, True, None),
-            "reinit_ns": (int, False, 0),
+            "tor": (_INDEX, 0),
+            "down_ns": (ns(gt=0), REQUIRED),
+            "reinit_ns": (ns(), 0),
         },
         description="ToR power cycle; registers wiped on recovery",
     ),
@@ -169,65 +177,35 @@ class ScenarioEvent:
         return out
 
 
-def _coerce(caster: Callable[[Any], Any], value: Any, label: str) -> Any:
-    """*value* through *caster*, or :class:`ExperimentError` naming
-    *label*; an int field rejects a float with a fractional part
-    rather than truncating it."""
-    try:
-        cast = caster(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ExperimentError(
-            f"{label}={value!r} is not a {caster.__name__}"
-        ) from None
-    if caster is int and isinstance(value, float) and value != cast:
-        raise ExperimentError(f"{label}={value!r} loses precision as an int")
-    return cast
+#: Every event's action and time; its other keys are the action's params.
+_ACTION = name(event_action_names())
+_AT_NS = {"at_ns": (ns(), REQUIRED)}
 
 
-def _make_event(time_ns: int, action: str, raw: Mapping[str, Any]) -> ScenarioEvent:
-    """Validate and normalise one event's action + parameters."""
-    etype = EVENT_TYPES.get(action)
-    if etype is None:
-        known = ", ".join(event_action_names())
-        raise ExperimentError(f"unknown event action {action!r}; known: {known}")
-    if time_ns < 0:
-        raise ExperimentError(f"{action}: event time {time_ns} is negative")
-    unknown = set(raw) - set(etype.params)
-    if unknown:
-        raise ExperimentError(
-            f"{action}: unknown parameter(s) {sorted(unknown)}; "
-            f"accepts {sorted(etype.params)}"
-        )
-    resolved: List[Tuple[str, Any]] = []
-    for name, (caster, required, default) in etype.params.items():
-        if name in raw:
-            value = _coerce(caster, raw[name], f"{action}: parameter {name}")
-        elif required:
-            raise ExperimentError(f"{action}: missing required parameter {name!r}")
-        else:
-            value = default
-        resolved.append((name, value))
-    event = ScenarioEvent(time_ns=int(time_ns), action=action, params=tuple(resolved))
-    _check_event_semantics(event)
-    return event
+def _make_event(raw: Any) -> ScenarioEvent:
+    """Validate and normalise one event mapping (``at_ns``, ``action``,
+    the action's declared parameters)."""
+    raw = mapping(raw, "event")
+    action = _ACTION(raw.pop("action", None), "event: action")
+    params = coerce_fields(raw, {**_AT_NS, **EVENT_TYPES[action].params}, action)
+    time_ns = params.pop("at_ns")
+    return ScenarioEvent(time_ns=time_ns, action=action, params=tuple(params.items()))
 
 
-def _check_event_semantics(event: ScenarioEvent) -> None:
-    p = event.param_dict()
-    for name in ("server", "spine", "rack", "tor"):
-        if name in p and p[name] < 0:
-            raise ExperimentError(
-                f"{event.action}: {name}={p[name]} must be non-negative"
-            )
-    if event.action == "load_surge":
-        if p["factor"] <= 0:
-            raise ExperimentError("load_surge: factor must be positive")
-        if p["duration_ns"] <= 0:
-            raise ExperimentError("load_surge: duration_ns must be positive")
-    if event.action == "wipe_switch" and p["down_ns"] <= 0:
-        raise ExperimentError("wipe_switch: down_ns must be positive")
-    if event.action in ("wipe_switch", "restore_spine") and p["reinit_ns"] < 0:
-        raise ExperimentError(f"{event.action}: reinit_ns must be non-negative")
+def _events(value: Any, label: str) -> List[ScenarioEvent]:
+    if not isinstance(value, (list, tuple)):
+        raise ExperimentError(f"{label}={value!r} is not a list of events")
+    return [e if isinstance(e, ScenarioEvent) else _make_event(e) for e in value]
+
+
+#: The declared fields of a spec (the :meth:`Scenario.from_dict` shape).
+SCENARIO_FIELDS: Fields = {
+    "name": (name(), ""),
+    "description": (name(empty=True), ""),
+    "cluster": (mapping, {}),
+    "events": (_events, ()),
+    "report_window_ns": (ns(gt=0), ms(25)),
+}
 
 
 @dataclass
@@ -248,29 +226,18 @@ class Scenario:
     report_window_ns: int = ms(25)
 
     def __post_init__(self) -> None:
-        if not self.name or not str(self.name).strip():
-            raise ExperimentError("scenario needs a non-empty name")
-        self.name = str(self.name)
+        owner = f"scenario {self.name!r}"
+        self.__dict__.update(coerce_fields(vars(self), SCENARIO_FIELDS, owner, "field"))
         config = self.config()  # validates scheme/topology/placement/...
         horizon = config.total_ns
-        events: List[ScenarioEvent] = []
         for event in self.events:
-            if not isinstance(event, ScenarioEvent):
-                raise ExperimentError(
-                    f"scenario {self.name!r}: events must be ScenarioEvent "
-                    f"instances (got {type(event).__name__}; use "
-                    "Scenario.from_dict for raw mappings)"
-                )
             if event.time_ns >= horizon:
                 raise ExperimentError(
                     f"scenario {self.name!r}: {event.action} at "
                     f"{event.time_ns} ns is past the {horizon} ns horizon"
                 )
-            events.append(event)
         # Stable sort: same-time events keep their list order.
-        self.events = sorted(events, key=lambda e: e.time_ns)
-        if self.report_window_ns <= 0:
-            raise ExperimentError("report_window_ns must be positive")
+        self.events = sorted(self.events, key=lambda e: e.time_ns)
         self._check_cross_constraints(config)
 
     # ------------------------------------------------------------------
@@ -307,15 +274,15 @@ class Scenario:
         event times are absolute, so compressing the horizon would
         reorder the story); ``seed`` overrides the spec's seed.
         """
-        from repro.experiments.common import ClusterConfig
+        from repro.experiments.common import CLUSTER_FIELDS, ClusterConfig
+        from repro.experiments.harness import SCALE
 
         kwargs = dict(self.cluster)
         if seed is not None:
             kwargs["seed"] = seed
-        config = ClusterConfig(**kwargs)
-        if scale < 1.0:
-            if scale <= 0:
-                raise ExperimentError("scale must be positive")
+        owner = f"scenario {self.name!r} cluster"
+        config = ClusterConfig(**coerce_fields(kwargs, CLUSTER_FIELDS, owner, "field"))
+        if SCALE(scale, "scale") < 1.0:
             config = replace(config, rate_rps=config.rate_rps * scale)
         return config
 
@@ -360,41 +327,13 @@ class Scenario:
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Build and validate a scenario from a plain mapping.
 
-        Every event gives its time as ``at_ns``.
+        The keys are :data:`SCENARIO_FIELDS`; every event gives its
+        time as ``at_ns``.
         """
-        if not isinstance(data, Mapping):
-            raise ExperimentError(
-                f"scenario spec must be a mapping, not {type(data).__name__}"
-            )
-        known = {"name", "description", "cluster", "events", "report_window_ns"}
-        unknown = set(data) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown scenario field(s) {sorted(unknown)}; "
-                f"accepts {sorted(known)}"
-            )
-        events = []
-        for raw in data.get("events", ()):
-            raw = dict(raw)
-            if "at_ns" not in raw:
-                raise ExperimentError(
-                    f"event in {data.get('name')!r}: missing at_ns"
-                )
-            action = raw.pop("action", None)
-            if action is None:
-                raise ExperimentError("every event needs an 'action' field")
-            time_ns = _coerce(int, raw.pop("at_ns"), f"{action}: at_ns")
-            events.append(_make_event(time_ns, str(action), raw))
-        return cls(
-            name=data.get("name", ""),
-            description=str(data.get("description", "")),
-            cluster=dict(data.get("cluster", {})),
-            events=events,
-            report_window_ns=_coerce(
-                int, data.get("report_window_ns", ms(25)),
-                f"scenario {data.get('name')!r}: report_window_ns",
-            ),
-        )
+        owner = "scenario spec"
+        if isinstance(data, Mapping):
+            owner = f"scenario {data.get('name', '')!r}"
+        return cls(**coerce_fields(data, SCENARIO_FIELDS, owner, "field"))
 
     @classmethod
     def from_toml_file(cls, path: Any) -> "Scenario":

@@ -49,9 +49,8 @@ class KvRequest:
 class KvWorkload:
     """Factory of :class:`KvRequest` payloads for one client."""
 
-    #: 16-byte keys and 64-byte values plus protocol framing.
+    #: 16-byte keys plus protocol framing.
     KEY_SIZE = 16
-    VALUE_SIZE = 64
     REQUEST_OVERHEAD = 64
     #: Zipf-0.99 key popularity and 100-object SCANs (§5.5).
     ZIPF_SKEW = 0.99
@@ -138,13 +137,3 @@ class KvWorkload:
     def request_size(self, request: KvRequest) -> int:
         """Wire size of a request packet."""
         return self.fixed_request_size
-
-    def response_size(self, request: KvRequest) -> int:
-        """Wire size of a response packet.
-
-        SCAN responses are truncated to one MTU-ish packet in the
-        paper's single-packet-message model; we keep responses single
-        packets too and cap the size accordingly.
-        """
-        payload = self.VALUE_SIZE * min(request.count, 16)
-        return self.REQUEST_OVERHEAD + payload

@@ -37,8 +37,6 @@ class SyntheticWorkload:
 
     #: On-wire request size in bytes (small single-packet RPC).
     REQUEST_SIZE = 128
-    #: On-wire response size in bytes.
-    RESPONSE_SIZE = 128
     #: The request size is payload-independent: the clients read this
     #: instead of calling :meth:`request_size` per request.
     fixed_request_size = REQUEST_SIZE
@@ -74,7 +72,3 @@ class SyntheticWorkload:
     def request_size(self, request: RpcRequest) -> int:
         """Wire size of the request carrying *request*."""
         return self.fixed_request_size
-
-    def response_size(self, request: RpcRequest) -> int:
-        """Wire size of the response to *request*."""
-        return self.RESPONSE_SIZE

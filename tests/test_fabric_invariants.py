@@ -73,9 +73,10 @@ class _Probe(Host):
 
 
 def build_fabric(name, params, sim=None):
-    """A registry-built fabric (same path Cluster uses)."""
+    """A registry-built fabric (same path Cluster uses: params resolved
+    through the topology's declared table)."""
     sim = sim or Simulator()
-    config = SimpleNamespace(topology_params=params)
+    config = SimpleNamespace(topology_params=TOPOLOGIES.resolve(name, params)[1])
     fabric = TOPOLOGIES.get(name).make_fabric(TopologyContext(sim=sim, config=config))
     return sim, fabric
 

@@ -154,7 +154,8 @@ def test_builtin_placements_registered():
 
 
 def test_parse_and_canonical_placement():
-    assert PLACEMENTS.parse("rack-weighted:p=0.7") == ("rack-weighted", {"p": 0.7})
+    assert PLACEMENTS.parse("rack-weighted:p=0.7") == ("rack-weighted", {"p": "0.7"})
+    assert PLACEMENTS.resolve("rack-weighted:p=0.7") == ("rack-weighted", {"p": 0.7})
     assert PLACEMENTS.canonical("weighted:p=0.7") == "rack-weighted:p=0.7"
     assert PLACEMENTS.canonical("local") == "rack-local"
     with pytest.raises(ExperimentError, match="malformed placement parameter"):
@@ -166,10 +167,10 @@ def test_typoed_names_and_params_raise_instead_of_running_global():
         ClusterConfig(placement="rack-locall")
     with pytest.raises(ExperimentError, match="unknown rack-weighted placement"):
         ClusterConfig(placement="rack-weighted:prob=0.7")
-    with pytest.raises(ExperimentError, match="must be a probability"):
+    with pytest.raises(ExperimentError, match=r"p must be in \[0, 1\]"):
         ClusterConfig(placement="rack-weighted:p=2")
     with pytest.raises(ExperimentError, match="unknown global placement"):
-        PLACEMENTS.get("global").make_policy({"p": 0.5})
+        PLACEMENTS.resolve("global", {"p": 0.5})
 
 
 def test_config_normalises_placement_and_merges_inline_params():

@@ -7,13 +7,14 @@ callers use the instances directly.  Each test here runs
 once per instance with a throwaway spec, so an axis cannot drift from
 the shared behaviour: aliases, duplicate rejection, unknown-name
 errors, the register/unregister round trip, the listing lines, and
-(for the four plugin axes) the inline ``name:key=val`` syntax and the
-unknown-parameter check.
+(for the four plugin axes) the inline ``name:key=val`` syntax, and
+(for the three with parameters) the declared-table resolution.
 """
 
 import pytest
 
 from repro.analysis import RULES
+from repro.coerce import count, name
 from repro.errors import ExperimentError
 from repro.experiments.placements import PLACEMENTS
 from repro.experiments.registry import EXPERIMENTS
@@ -149,11 +150,11 @@ def test_describe_lines(registry):
 def test_parse_and_canonical_round_trip(axis):
     axis.register(make_spec(axis, aliases=("contract-alias",)))
     value = "contract-alias:zeta=2.5,alpha=3,mode=fast"
-    name, params = axis.parse(value)
-    assert (name, params) == (NAME, {"zeta": 2.5, "alpha": 3, "mode": "fast"})
+    parsed, params = axis.parse(value)
+    assert (parsed, params) == (NAME, {"zeta": "2.5", "alpha": "3", "mode": "fast"})
     canonical = axis.canonical(value)
     assert canonical == f"{NAME}:alpha=3,mode=fast,zeta=2.5"
-    assert axis.parse(canonical) == (name, params)
+    assert axis.parse(canonical) == (parsed, params)
     assert axis.canonical(canonical) == canonical
     assert axis.parse("contract-alias") == (NAME, {})
     with pytest.raises(ExperimentError, match=f"malformed {axis.kind} parameter"):
@@ -162,14 +163,30 @@ def test_parse_and_canonical_round_trip(axis):
         axis.parse("no-such-entry:alpha=1")
 
 
-def test_check_params_names_unknown_and_known_keys(axis):
-    axis.check_params({"alpha": 1}, ("alpha", "beta"), "thing")
-    axis.check_params({}, (), "thing")
-    with pytest.raises(ExperimentError) as excinfo:
-        axis.check_params({"zeta": 1, "eta": 2, "beta": 3}, ("beta", "alpha"), "thing")
-    assert str(excinfo.value) == (
-        "unknown thing parameter(s) eta, zeta; known: alpha, beta"
-    )
-    with pytest.raises(ExperimentError) as excinfo:
-        axis.check_params({"zeta": 1}, (), "thing")
-    assert str(excinfo.value) == "unknown thing parameter(s) zeta; known: (none)"
+@pytest.mark.parametrize("kind", ["topology", "placement", "workload"])
+def test_resolve_applies_the_declared_params_table(kind):
+    registry = REGISTRIES[kind]
+    for _ in _scoped(registry):
+        registry.register(
+            registry.spec_type(
+                name=NAME,
+                description="contract test",
+                aliases=("contract-alias",),
+                params={"alpha": (count(ge=0), 1), "beta": (name(), "b")},
+                **{registry.factory_field: _factory},
+            )
+        )
+        assert registry.resolve("contract-alias") == (NAME, {"alpha": 1, "beta": "b"})
+        # Inline text is typed, and wins over the params mapping.
+        assert registry.resolve("contract-alias:alpha=3", {"alpha": 2, "beta": "c"}) == (
+            NAME,
+            {"alpha": 3, "beta": "c"},
+        )
+        with pytest.raises(ExperimentError) as excinfo:
+            registry.resolve(NAME, {"zeta": 1, "eta": 2, "alpha": 3})
+        assert str(excinfo.value) == (
+            f"unknown {NAME} {kind} parameter(s) 'eta', 'zeta'; known: alpha, beta"
+        )
+        with pytest.raises(ExperimentError) as excinfo:
+            registry.resolve(f"{NAME}:alpha=2.5")
+        assert str(excinfo.value) == f"{NAME} {kind}: alpha=2.5 is not an int"

@@ -291,6 +291,6 @@ def test_cli_run_scenario_bad_report_window_exits_2(capsys, tmp_path):
     assert main(["run-scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == (
-        "scenario 'bad-window': report_window_ns='25ms' is not a int\n"
+        "scenario 'bad-window': report_window_ns='25ms' is not an int\n"
     )
     assert "Traceback" not in captured.err

@@ -22,6 +22,7 @@ from repro.experiments.topologies import (
 from repro.net.host import Host
 from repro.net.topology import (
     FLOWLET_GAP_NS,
+    TRUNK_BANDWIDTH_BPS,
     LeastLoadedSpinePolicy,
     SpineLeafFabric,
 )
@@ -171,15 +172,19 @@ def test_flap_during_delayed_restore_stays_withdrawn():
 # Topology-param plumbing (CLI form)
 # ----------------------------------------------------------------------
 def test_parse_topology_round_trip_and_coercion():
+    # parse() splits the text; resolve() types it through the declared table.
     name, params = TOPOLOGIES.parse("spine_leaf:spines=4,spine_policy=least-loaded")
     assert name == "spine_leaf"
-    assert params == {"spines": 4, "spine_policy": "least-loaded"}
+    assert params == {"spines": "4", "spine_policy": "least-loaded"}
     assert TOPOLOGIES.parse("clos") == ("spine_leaf", {})
     assert format_plugin_params(name, params) == (
         "spine_leaf:spine_policy=least-loaded,spines=4"
     )
-    assert TOPOLOGIES.parse("spine_leaf:trunk_bandwidth_bps=2.5e9")[1] == {
-        "trunk_bandwidth_bps": 2.5e9
+    assert TOPOLOGIES.resolve("spine_leaf:trunk_bandwidth_bps=2.5e9")[1] == {
+        "racks": 2,
+        "spines": 2,
+        "spine_policy": "ecmp",
+        "trunk_bandwidth_bps": 2.5e9,
     }
     with pytest.raises(ExperimentError, match="key=value"):
         TOPOLOGIES.parse("spine_leaf:spines")
@@ -194,7 +199,10 @@ def test_config_merges_inline_params_inline_wins():
     )
     assert config.topology == "spine_leaf"
     assert config.topology_params == {
-        "racks": 3, "spines": 4, "spine_policy": "flowlet"
+        "racks": 3,
+        "spines": 4,
+        "spine_policy": "flowlet",
+        "trunk_bandwidth_bps": TRUNK_BANDWIDTH_BPS,
     }
 
 
@@ -214,13 +222,13 @@ def test_cli_rejects_malformed_topology_params(capsys):
 
 
 def test_typoed_topology_param_raises_instead_of_silently_defaulting():
-    with pytest.raises(ExperimentError, match="unknown spine_leaf parameter"):
+    with pytest.raises(ExperimentError, match="unknown spine_leaf topology parameter"):
         run_point(tiny_config(topology="spine_leaf:spine=4"))
     with pytest.raises(ExperimentError, match="trunk_bandwidth_bps"):
         run_point(tiny_config(topology="spine_leaf:trunk_bandwidth_gbps=0.5"))
-    with pytest.raises(ExperimentError, match="unknown star parameter"):
+    with pytest.raises(ExperimentError, match="unknown star topology parameter"):
         run_point(tiny_config(topology="star:racks=2"))
-    with pytest.raises(ExperimentError, match="must be int"):
+    with pytest.raises(ExperimentError, match="spines='two' is not an int"):
         run_point(tiny_config(topology="spine_leaf:spines=two"))
     with pytest.raises(ExperimentError, match="key=value"):
         TOPOLOGIES.parse("spine_leaf:spines=")
@@ -307,9 +315,10 @@ def test_dynamic_ecmp_matches_pre_pr_static_routing_bitwise():
             make_fabric=lambda ctx: _StaticEcmpSpineLeaf(
                 ctx.sim,
                 ctx.make_switch,
-                racks=int(ctx.params.get("racks", 2)),
-                spines=int(ctx.params.get("spines", 2)),
+                racks=ctx.params["racks"],
+                spines=ctx.params["spines"],
             ),
+            params=TOPOLOGIES.get("spine_leaf").params,
         )
     )
     try:

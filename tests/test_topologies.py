@@ -102,7 +102,7 @@ def test_two_rack_fabric_rejects_bad_placement():
     # Placement is fixed (clients and coordinator in rack 0, servers in
     # rack 1): any inline parameter is unknown, whatever its value.
     for params in ("server_rack=2", "client_rack=0", "rack=x"):
-        with pytest.raises(ExperimentError, match="unknown two_rack parameter"):
+        with pytest.raises(ExperimentError, match="unknown two_rack topology parameter"):
             run_point(tiny_config(topology=f"two_rack:{params}"))
 
 

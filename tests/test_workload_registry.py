@@ -82,7 +82,7 @@ def test_registry_register_unregister_round_trip():
     definition = WorkloadDef(
         name="test-only",
         description="registered by the test suite",
-        make_spec=lambda params: make_workload_spec("exp", params),
+        make_spec=lambda: make_workload_spec("exp"),
     )
     WORKLOADS.register(definition)
     try:
