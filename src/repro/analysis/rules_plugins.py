@@ -3,9 +3,6 @@
 * ``spec-lambda`` — ``*Spec(...)`` constructions carrying a lambda
   cannot pickle to sweep worker processes; the failure surfaces later,
   inside the executor, far from the spec that caused it;
-* ``param-guard`` — a plugin factory that reads ``params.get(...)``
-  without rejecting unknown keys lets a typoed CLI knob
-  (``--placement rack-weighted:prob=0.7``) silently run defaults;
 * ``epoch-stamp`` — ``install_group_table`` with a table that was
   never ``.with_epoch()``-stamped hides a rebuild: programs and
   clients report the epoch they hold, so an unstamped rebuild that
@@ -19,10 +16,9 @@ from typing import List, Optional
 
 from repro.analysis.core import RULES, RuleContext, RuleSpec
 
-__all__ = ["EPOCH_STAMP", "PARAM_GUARD", "SPEC_LAMBDA"]
+__all__ = ["EPOCH_STAMP", "SPEC_LAMBDA"]
 
 SPEC_LAMBDA = "spec-lambda"
-PARAM_GUARD = "param-guard"
 EPOCH_STAMP = "epoch-stamp"
 
 
@@ -61,63 +57,6 @@ class _SpecLambdaChecker:
                     f"lambda inside {name}(...) cannot pickle to sweep "
                     "worker processes; use a module-level function",
                 )
-
-
-class _ParamGuardChecker:
-    def visit_FunctionDef(self, node: ast.FunctionDef, ctx: RuleContext) -> None:
-        self._check(node, ctx)
-
-    def visit_AsyncFunctionDef(self, node: ast.AST, ctx: RuleContext) -> None:
-        self._check(node, ctx)
-
-    def _check(self, fn: ast.AST, ctx: RuleContext) -> None:
-        args = fn.args
-        arg_names = {
-            arg.arg
-            for arg in (
-                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            )
-        }
-        if "params" not in arg_names:
-            return
-        nodes = _own_nodes(fn)
-        reads = False
-        guarded = False
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name is not None and "check_params" in name:
-                    guarded = True
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("get", "pop")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "params"
-                ):
-                    reads = True
-                elif (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id == "set"
-                    and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id == "params"
-                ):
-                    guarded = True  # set(params) - known_keys idiom
-            elif (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "params"
-            ):
-                reads = True
-            elif isinstance(node, ast.Raise):
-                guarded = True
-        if reads and not guarded:
-            ctx.report(
-                fn,
-                f"plugin factory {fn.name}() reads params without rejecting "
-                "unknown keys; a typoed knob silently runs defaults — "
-                "validate with a known-key check",
-            )
 
 
 class _EpochStampChecker:
@@ -179,17 +118,6 @@ RULES.register(
         "to sweep worker processes",
         make_checker=_SpecLambdaChecker,
         severity="error",
-        module=__name__,
-    )
-)
-
-RULES.register(
-    RuleSpec(
-        name=PARAM_GUARD,
-        description="plugin factories reading params without a "
-        "typo-rejecting unknown-key check",
-        make_checker=_ParamGuardChecker,
-        severity="warning",
         module=__name__,
     )
 )

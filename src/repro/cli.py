@@ -42,8 +42,13 @@ from repro.experiments.workloads_registry import WORKLOADS
 
 __all__ = ["main"]
 
-#: The numeric flags, each read through its declared coercer.
-_FLAGS = (("scale", SCALE), ("jobs", JOBS), ("seed", count()))
+#: The numeric flags, each read through its declared coercer (``--scale``
+#: as a float, so ``--scale 1`` reports as ``1.0``).
+_FLAGS = (
+    ("scale", lambda value, label: float(SCALE(value, label))),
+    ("jobs", JOBS),
+    ("seed", count()),
+)
 
 #: Pseudo-experiment ids that list a plugin registry instead of running.
 _LISTINGS = {

@@ -89,7 +89,8 @@ def spine_leaf_params(
             f"{figure} measures racks joined by spine trunks; topology "
             f"{name!r} has none (use spine_leaf, optionally with inline params)"
         )
-    resolved = TOPOLOGIES.resolve(name, pinned)[1]
+    # The inline form, so the pinned text is read as numbers before typing.
+    resolved = TOPOLOGIES.resolve(topology or name)[1]
     return {**defaults, **{key: resolved[key] for key in pinned}}
 
 

@@ -148,14 +148,6 @@ VIOLATIONS = [
         "worker processes; use a module-level function",
     ),
     (
-        "param-guard",
-        PLAIN_MODULE,
-        "def make_policy(params):\n    return params.get('p', 0.5)\n",
-        "plugin factory make_policy() reads params without rejecting "
-        "unknown keys; a typoed knob silently runs defaults — "
-        "validate with a known-key check",
-    ),
-    (
         "epoch-stamp",
         PLAIN_MODULE,
         "def push(tor, pairs):\n    tor.install_group_table(build(pairs))\n",
@@ -209,15 +201,8 @@ POSITIVES = [
     "    self.send(packet)\n",
     # Scheduling a callback is clean under every rule.
     "def arm(sim, cb):\n    sim.call_at(5, cb)\n",
-    # Module-level factories pickle; guarded params reject typos.
+    # Module-level factories pickle.
     "spec = SchemeSpec(name='x', make_clients=build_clients)\n",
-    "def make_policy(params):\n"
-    "    check_params(params, {'p'})\n"
-    "    return params.get('p', 0.5)\n",
-    # The registry method form: ``_call_name`` reads the attribute.
-    "def make_policy(params):\n"
-    "    PLACEMENTS.check_params(params, ('p',), 'x')\n"
-    "    return params.get('p', 0.5)\n",
     # Stamped tables, directly or via a local.
     "def push(tor, base, epoch):\n"
     "    tor.install_group_table(base.with_epoch(epoch))\n",

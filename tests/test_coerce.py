@@ -326,3 +326,53 @@ def test_sweep_executor_jobs():
     assert SweepExecutor(3).jobs == 3
     with pytest.raises(ExperimentError, match="jobs must be non-negative"):
         SweepExecutor(-3)
+
+
+def test_cli_scale_is_read_as_a_float(tmp_path):
+    # ``--scale 1`` reports as 1.0, as the float the flag always held.
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(
+        'name = "tiny-scale"\n'
+        "report_window_ns = 1_000_000\n"
+        "[cluster]\n"
+        "num_servers = 3\nworkers_per_server = 4\nnum_clients = 2\n"
+        "rate_rps = 0.2e6\nwarmup_ns = 1_000_000\nmeasure_ns = 3_000_000\n"
+        "drain_ns = 1_000_000\nseed = 7\n"
+    )
+    reports = tmp_path / "reports"
+    argv = ["run-scenario", str(spec), "--scale", "1", "--report-dir", str(reports)]
+    assert _run_cli(argv)[0] == 0
+    text = (reports / "tiny-scale.json").read_text()
+    assert '"scale": 1.0,' in text
+
+
+# ----------------------------------------------------------------------
+# Inline params pinned on a figure's fabric
+# ----------------------------------------------------------------------
+def test_spine_leaf_params_types_the_pinned_inline_values():
+    from repro.experiments.harness import spine_leaf_params
+
+    params = spine_leaf_params(
+        "spine_leaf:spines=4,racks=3,trunk_bandwidth_bps=2.5e9", "x", racks=2
+    )
+    assert params == {"racks": 3, "spines": 4, "trunk_bandwidth_bps": 2.5e9}
+    assert type(params["racks"]) is int and type(params["spines"]) is int
+    assert spine_leaf_params(None, "x", racks=2, spines=4) == {"racks": 2, "spines": 4}
+    with pytest.raises(ExperimentError, match="spines=4.5 is not an int"):
+        spine_leaf_params("spine_leaf:spines=4.5", "x")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The README's fig18 example, and numeric pins on fig18 and fig19.
+        ["fig18", "--topology", "spine_leaf:spines=4,spine_policy=least-loaded"],
+        ["fig18", "--topology", "spine_leaf:trunk_bandwidth_bps=2.5e9"],
+        ["fig19", "--topology", "spine_leaf:racks=3"],
+    ],
+    ids=["fig18-readme", "fig18-trunk", "fig19-racks"],
+)
+def test_figures_run_with_numeric_inline_topology_params(argv):
+    code, out = _run_cli(argv + ["--scale", "0.02"])
+    assert code == 0, out
+    assert "shape checks:" in out

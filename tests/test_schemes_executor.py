@@ -128,7 +128,7 @@ def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
     # plugin modules lazily, from the shared RULE_MODULES list.
     from repro.analysis import core
 
-    assert "param-guard" in core.RULES.names()  # registry already warm
+    assert "epoch-stamp" in core.RULES.names()  # registry already warm
     plugin = tmp_path / "late_plugin_mod.py"
     plugin.write_text(
         "from repro.analysis.core import RULES, RuleSpec\n"
