@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test smoke bench-e2e bench-compare bench-update drill scenarios profile rss-guard lint lint-baseline
+.PHONY: test smoke bench-e2e bench-compare bench-update drill scenarios profile rss-guard lint
 
 test:  ## full tier-1 suite (what the roadmap's verify line runs)
 	$(PY) -m pytest -x -q
@@ -34,8 +34,5 @@ profile:  ## cProfile the bench workloads; top-20 cumulative per target
 rss-guard:  ## sketch-mode fig18 sweep + 100M-request MMPP point under a peak-RSS ceiling
 	$(PY) tools/rss_guard.py
 
-lint:  ## detlint determinism/resource rules over src/repro, examples and tools; fails on any non-baselined finding
+lint:  ## detlint determinism/resource rules over src/repro, examples and tools; fails on any finding
 	$(PY) tools/detlint.py --findings-json detlint-findings.json
-
-lint-baseline:  ## rewrite detlint-baseline.json with the current findings (accepting them as legacy)
-	$(PY) tools/detlint.py --update-baseline

@@ -11,7 +11,7 @@ Two halves share this package:
   ``repro-netclone lint`` / ``tools/detlint.py`` / ``make lint``:
   determinism, resource-safety and plugin-hygiene rules registered as
   plugins on the shared registry machinery, with inline
-  ``# detlint: ignore[rule]`` suppressions and a checked-in baseline.
+  ``# detlint: ignore[rule]`` suppressions.
 
 The runtime twin of the static half (packet ledgers, RNG draw
 accounting behind ``REPRO_SANITIZE=1``) lives in
@@ -23,12 +23,9 @@ from repro.analysis.core import (
     RULES,
     Finding,
     RuleSpec,
-    filter_baselined,
     format_findings,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.queueing import (
     cclone_effective_utilisation,
@@ -48,12 +45,9 @@ __all__ = [
     "cloned_exponential_p99",
     "erlang_c",
     "exponential_p99",
-    "filter_baselined",
     "format_findings",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "mm1_mean_wait",
     "mmc_mean_wait",
-    "write_baseline",
 ]

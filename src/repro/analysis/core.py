@@ -17,24 +17,18 @@ is a zero-edit drop-in.  One AST walk per file dispatches every
 enabled checker with parent and qualified-name tracking
 (:class:`RuleContext`), so a new rule costs no extra parse.
 
-Findings can be silenced two ways:
+A finding is silenced inline, at the offending line::
 
-* inline, at the offending line::
+    frobnicate()  # detlint: ignore[wall-clock] -- operator display only
 
-      frobnicate()  # detlint: ignore[wall-clock] -- operator display only
-
-  (``# detlint: ignore`` with no rule list silences every rule on the
-  line, and ``# detlint: skip-file`` anywhere silences the file);
-* via a checked-in **baseline** (:func:`load_baseline` /
-  :func:`write_baseline`): legacy findings recorded there are reported
-  as baselined and do not fail CI, so a new rule can land before the
-  tree is fully clean.
+(``# detlint: ignore`` with no rule list silences every rule on the
+line, and ``# detlint: skip-file`` anywhere silences the file); every
+other finding fails ``make lint``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -51,13 +45,10 @@ __all__ = [
     "RULE_MODULES",
     "RuleContext",
     "RuleSpec",
-    "filter_baselined",
     "format_findings",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_for_path",
-    "write_baseline",
 ]
 
 #: Lint targets relative to the repository root: the package tree plus
@@ -101,15 +92,6 @@ class Finding:
     #: Qualified name of the enclosing scope ("" at module level).
     scope: str = ""
 
-    def fingerprint(self) -> Tuple[str, str, str, str]:
-        """Line-number-free identity used for baseline matching.
-
-        Lines drift with every edit above a finding; (rule, path,
-        scope, message) survives unrelated churn while still retiring
-        baseline entries when the flagged code itself changes.
-        """
-        return (self.rule, self.path, self.scope, self.message)
-
     def format(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
@@ -121,7 +103,7 @@ class Finding:
 class RuleSpec:
     """Declarative description of one lint rule."""
 
-    #: Canonical rule name (what suppressions and baselines reference).
+    #: Canonical rule name (what suppressions reference).
     name: str
     #: One-line description shown by ``detlint --list-rules``.
     description: str
@@ -437,64 +419,6 @@ def lint_paths(
             )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> List[Tuple[str, str, str, str]]:
-    """Fingerprints recorded in the baseline file (missing file: none)."""
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ExperimentError(f"baseline {path!r} is not a detlint baseline")
-    return [
-        (entry["rule"], entry["path"], entry.get("scope", ""), entry["message"])
-        for entry in data["findings"]
-    ]
-
-
-def write_baseline(findings: Sequence[Finding], path: str) -> None:
-    """Record *findings* as the accepted legacy set."""
-    entries = [
-        {
-            "rule": finding.rule,
-            "path": finding.path,
-            "scope": finding.scope,
-            "message": finding.message,
-        }
-        for finding in sorted(findings, key=lambda f: f.fingerprint())
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "findings": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def filter_baselined(
-    findings: Sequence[Finding],
-    baseline: Sequence[Tuple[str, str, str, str]],
-) -> Tuple[List[Finding], int]:
-    """Split *findings* into (fresh, baselined-count).
-
-    Matching is multiset-style on :meth:`Finding.fingerprint`: two
-    identical legacy findings need two baseline entries, so fixing one
-    of a pair still surfaces the survivor.
-    """
-    budget: Dict[Tuple[str, str, str, str], int] = {}
-    for fingerprint in baseline:
-        budget[fingerprint] = budget.get(fingerprint, 0) + 1
-    fresh: List[Finding] = []
-    matched = 0
-    for finding in findings:
-        fingerprint = finding.fingerprint()
-        if budget.get(fingerprint, 0) > 0:
-            budget[fingerprint] -= 1
-            matched += 1
-        else:
-            fresh.append(finding)
-    return fresh, matched
 
 
 def format_findings(findings: Sequence[Finding]) -> str:

@@ -19,7 +19,6 @@ Examples::
     repro-netclone lint
     repro-netclone lint src/repro/sim --findings-json findings.json
     repro-netclone lint --list-rules
-    repro-netclone lint --update-baseline
 """
 
 from __future__ import annotations
@@ -28,14 +27,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.coerce import count, parse_text
 from repro.errors import ExperimentError
 from repro.experiments.executor import JOBS
 from repro.experiments.harness import SCALE
 from repro.experiments.placements import PLACEMENTS
-from repro.experiments.registry import EXPERIMENTS, UNREQUESTED, gate_harness_axes
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.schemes import SCHEMES
 from repro.experiments.topologies import TOPOLOGIES
 from repro.experiments.workloads_registry import WORKLOADS
@@ -142,21 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint options", "only meaningful with the 'lint' subcommand"
     )
     lint.add_argument(
-        "--baseline",
-        default="detlint-baseline.json",
-        help="baseline file of accepted legacy findings "
-        "(default: detlint-baseline.json; missing file = empty baseline)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the current findings and exit",
-    )
-    lint.add_argument(
         "--findings-json",
         default=None,
         metavar="FILE",
-        help="also write every finding (with its baselined flag) as JSON",
+        help="also write every finding as JSON",
     )
     lint.add_argument(
         "--list-rules",
@@ -171,17 +159,10 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
 
     Positional arguments after ``lint`` are files or directories
     (default: the full ``src/repro`` + ``examples`` + ``tools`` tree,
-    anchored at the current directory).  Exit code 1 on any finding not
-    covered by the baseline, whatever its severity.
+    anchored at the current directory).  Exit code 1 on any finding,
+    whatever its severity.
     """
-    from repro.analysis import (
-        RULES,
-        filter_baselined,
-        format_findings,
-        lint_paths,
-        load_baseline,
-        write_baseline,
-    )
+    from repro.analysis import RULES, format_findings, lint_paths
 
     if args.list_rules:
         print("registered lint rules:")
@@ -193,16 +174,8 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
     except ExperimentError as exc:
         print(f"lint: {exc}")
         return 2
-    if args.update_baseline:
-        write_baseline(findings, args.baseline)
-        print(f"recorded {len(findings)} finding(s) in {args.baseline}")
-        return 0
-    fresh, baselined = filter_baselined(findings, load_baseline(args.baseline))
     if args.findings_json:
-        fresh_ids = {id(finding) for finding in fresh}
         payload = {
-            "new": len(fresh),
-            "baselined": baselined,
             "findings": [
                 {
                     "rule": finding.rule,
@@ -212,7 +185,6 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
                     "col": finding.col,
                     "scope": finding.scope,
                     "message": finding.message,
-                    "baselined": id(finding) not in fresh_ids,
                 }
                 for finding in findings
             ],
@@ -220,13 +192,11 @@ def _run_lint(targets: List[str], args: argparse.Namespace) -> int:
         with open(args.findings_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if fresh:
-        print(format_findings(fresh))
-    suffix = f" ({baselined} baselined)" if baselined else ""
-    if fresh:
-        print(f"lint: {len(fresh)} new finding(s){suffix}")
+    if findings:
+        print(format_findings(findings))
+        print(f"lint: {len(findings)} finding(s)")
         return 1
-    print(f"lint: clean{suffix}")
+    print("lint: clean")
     return 0
 
 
@@ -353,33 +323,22 @@ def _run_experiments(experiments: List[str], args: argparse.Namespace) -> int:
             for line in registry.describe():
                 print(f"  {line}")
             continue
-        harness = EXPERIMENTS.get(experiment_id).run
-        kwargs: Dict[str, Any] = dict(
-            scale=args.scale,
-            seed=1 if args.seed is None else args.seed,
-            jobs=args.jobs,
-        )
-        # Every other axis is opt-in per harness: passed only where the
-        # signature declares it, and asking an unaware harness for one
-        # is an error, not a silent ignore.
-        requested = {
-            axis: UNREQUESTED if value is None else value
-            for axis, value in (
-                ("topology", args.topology),
-                ("placement", args.placement),
-                ("workload", args.workload),
-                ("metrics", args.metrics),
-            )
+        # Every other axis is opt-in per harness: passed only when the
+        # user set it, and asking an unaware harness for one is an
+        # error, not a silent ignore.
+        axes = {
+            axis: getattr(args, axis)
+            for axis in ("topology", "placement", "workload", "metrics")
+            if getattr(args, axis) is not None
         }
-        kwargs.update(
-            gate_harness_axes(
-                harness,
-                experiment_id,
-                requested=requested,
-                defaults={"workload": None, "metrics": "exact"},
+        print(
+            EXPERIMENTS.get(experiment_id).report(
+                scale=args.scale,
+                seed=1 if args.seed is None else args.seed,
+                jobs=args.jobs,
+                **axes,
             )
         )
-        harness(**kwargs)
     return 0
 
 

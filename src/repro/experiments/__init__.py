@@ -1,30 +1,38 @@
 """Experiment harnesses: one module per paper figure/table.
 
-Each module exposes a ``run(scale=1.0, seed=1, jobs=1, ...)`` function
-that prints the same rows/series the paper reports and returns that
-report as a string; :mod:`~repro.experiments.ablations` holds the three
-design ablations (§3.3–§3.5), one registered function each.  Harnesses that honour a fabric or placement
-override also take ``topology=None`` / ``placement=None``, and those
-with a workload or latency-metrics axis take ``workload`` /
-``metrics``; the CLI passes an axis only where ``run`` declares it and
-rejects it elsewhere.  The registry maps experiment IDs (``fig7``,
-``fig13``, ``table1``, ...) to those entry points; ``python -m repro
-<id>`` runs one, ``--jobs N`` fans the sweep points out over worker
-processes, and ``--topology NAME`` re-runs it on any registered
-fabric.
+Each harness is two functions.  ``collect(scale=1.0, seed=1, jobs=1,
+...)`` runs the measurements and returns plain data (sweep curves,
+grid cells, probe matrices); ``render(data) -> str`` turns that data
+into the rows/series the paper reports, and runs no simulation and
+prints nothing.  :mod:`~repro.experiments.ablations` holds the three
+design ablations (§3.3–§3.5), one ``collect_*``/``render_*`` pair
+each.  A ``collect`` that honours a fabric or placement override also
+takes ``topology=None`` / ``placement=None``, and one with a workload
+or latency-metrics axis takes ``workload=None`` / ``metrics="exact"``;
+the CLI passes an axis only when the user sets it, and rejects it
+where ``collect`` does not declare it.  The registry maps experiment
+IDs (``fig7``, ``fig13``, ``table1``, ...) to those pairs, and
+``EXPERIMENTS.get(id).report(**axes)`` is ``render(collect(**axes))``;
+``python -m repro <id>`` prints one, ``--jobs N`` fans the sweep
+points out over worker processes, and ``--topology NAME`` re-runs it
+on any registered fabric.
 
 Adding a figure
 ---------------
-Build one scaled :class:`~repro.experiments.common.ClusterConfig` per
-panel (:func:`~repro.experiments.harness.scaled_config`), pass the
+Write ``collect``: build one scaled
+:class:`~repro.experiments.common.ClusterConfig` per panel
+(:func:`~repro.experiments.harness.scaled_config`) and pass the
 ``{panel: config}`` dict and the schemes to
 :func:`~repro.experiments.harness.sweep_panels` — it sweeps each
 panel's load grid for every scheme in one executor batch and returns
-``{panel: {scheme: SweepResult}}`` — format the curves with
+``{panel: {scheme: SweepResult}}``.  Write ``render`` over what
+``collect`` returns, formatting the curves with
 :func:`~repro.experiments.harness.format_series`, and put
-``@register(id, description)`` on ``run``, then add the module to
-``EXPERIMENTS``' plugin-module list in :mod:`repro.experiments.registry`
-(the registry imports it on the first lookup).
+``@register(id, description, collect)`` on ``render``; then add the
+module to ``EXPERIMENTS``' plugin-module list in
+:mod:`repro.experiments.registry` (the registry imports it on the
+first lookup).  Everything a report says must come from ``collect``'s
+data, so a report can be re-rendered without re-measuring.
 
 Cluster assembly is generic over plugin axes that compose freely:
 

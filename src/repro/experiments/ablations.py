@@ -30,15 +30,24 @@ Every counter comes from :meth:`Cluster.telemetry` or its
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import List, Tuple
 
 from repro.core.placement import GroupTable
 from repro.experiments.common import Cluster, ClusterConfig
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.harness import capacity_rps, scaled_config
 from repro.experiments.registry import register
+from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
-__all__ = ["run_clone_drop", "run_filters", "run_groups"]
+__all__ = [
+    "collect_clone_drop",
+    "collect_filters",
+    "collect_groups",
+    "render_clone_drop",
+    "render_filters",
+    "render_groups",
+]
 
 NUM_SERVERS = 6
 WORKERS = 15
@@ -53,17 +62,18 @@ def _capacity(config: ClusterConfig) -> float:
     return capacity_rps(NUM_SERVERS * WORKERS, config.workload.mean_service_ns)
 
 
-@register("ablation-groups", "ablation: ordered vs unordered candidate pairs (§3.3)")
-def run_groups(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
-    """Print the group-construction rows (*jobs* accepted for CLI
-    symmetry: the i<j table is installed after build, so both runs
-    build their clusters here)."""
+def collect_groups(
+    scale: float = 1.0, seed: int = 1, jobs: int = 1
+) -> List[Tuple[str, List[int], float]]:
+    """(label, per-server accepted requests, p99 us) per group set
+    (*jobs* is accepted like every harness's: the i<j table is
+    installed after build, so both runs build their clusters here)."""
     base = scaled_config(ClusterConfig(scheme="netclone", seed=seed), scale)
     config = replace(base, rate_rps=_capacity(base) * 0.75)
     unordered = tuple(
         (i, j) for i in range(NUM_SERVERS) for j in range(i + 1, NUM_SERVERS)
     )
-    rows = []
+    runs = []
     for label, pairs in (
         ("ordered n*(n-1) (paper)", None),
         ("unordered i<j half", unordered),
@@ -79,6 +89,19 @@ def run_groups(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
         cluster.start()
         cluster.run()
         accepted = cluster.telemetry()["server_accepted"]
+        runs.append((label, accepted, cluster.load_point().p99_us))
+    return runs
+
+
+@register(
+    "ablation-groups",
+    "ablation: ordered vs unordered candidate pairs (§3.3)",
+    collect_groups,
+)
+def render_groups(runs: List[Tuple[str, List[int], float]]) -> str:
+    """The group-construction rows, with each run's load imbalance."""
+    rows = []
+    for label, accepted, p99_us in runs:
         mean = sum(accepted) / len(accepted)
         imbalance = max(accepted) / mean if mean else float("nan")
         rows.append(
@@ -86,18 +109,17 @@ def run_groups(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
                 label,
                 " ".join(str(count) for count in accepted),
                 f"{imbalance:.2f}",
-                f"{cluster.load_point().p99_us:.0f}",
+                f"{p99_us:.0f}",
             )
         )
-    report = "== Ablation: group construction (per-server accepted requests) ==\n"
-    report += format_table(["groups", "per-server load", "max/mean", "p99 (us)"], rows)
-    print(report)
-    return report
+    table = format_table(["groups", "per-server load", "max/mean", "p99 (us)"], rows)
+    return "== Ablation: group construction (per-server accepted requests) ==\n" + table
 
 
-@register("ablation-clone-drop", "ablation: server-side stale-clone drop (§3.4)")
-def run_clone_drop(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
-    """Print p99 with and without the stale-clone drop at three loads."""
+def collect_clone_drop(
+    scale: float = 1.0, seed: int = 1, jobs: int = 1
+) -> List[Tuple[float, LoadPoint, LoadPoint]]:
+    """(load fraction, point with the drop, point without) at three loads."""
     base = scaled_config(ClusterConfig(seed=seed), scale)
     capacity = _capacity(base)
     configs = [
@@ -106,6 +128,16 @@ def run_clone_drop(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
         for scheme in ("netclone", "netclone-noclonedrop")
     ]
     points = SweepExecutor(jobs).run_points(configs)
+    return list(zip(CLONE_DROP_FRACTIONS, points[0::2], points[1::2]))
+
+
+@register(
+    "ablation-clone-drop",
+    "ablation: server-side stale-clone drop (§3.4)",
+    collect_clone_drop,
+)
+def render_clone_drop(loads: List[Tuple[float, LoadPoint, LoadPoint]]) -> str:
+    """p99 with and without the stale-clone drop, per load."""
     rows = [
         (
             f"{fraction * 100:.0f}%",
@@ -113,19 +145,16 @@ def run_clone_drop(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
             f"{without_drop.p99_us:.0f}",
             f"{with_drop.extra['clones_dropped']:.0f}",
         )
-        for fraction, with_drop, without_drop in zip(
-            CLONE_DROP_FRACTIONS, points[0::2], points[1::2]
-        )
+        for fraction, with_drop, without_drop in loads
     ]
-    report = "== Ablation: server-side stale-clone drop (p99 us) ==\n"
-    report += format_table(["load", "with drop", "without drop", "clones dropped"], rows)
-    print(report)
-    return report
+    table = format_table(["load", "with drop", "without drop", "clones dropped"], rows)
+    return "== Ablation: server-side stale-clone drop (p99 us) ==\n" + table
 
 
-@register("ablation-filters", "ablation: filter table count x slots (§3.5)")
-def run_filters(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
-    """Print the filtering miss rate per filter-table sizing."""
+def collect_filters(
+    scale: float = 1.0, seed: int = 1, jobs: int = 1
+) -> List[Tuple[Tuple[int, int], LoadPoint]]:
+    """((tables, slots), point) per filter-table sizing."""
     base = scaled_config(
         ClusterConfig(scheme="netclone", rate_rps=1.4e6, seed=seed), scale
     )
@@ -133,10 +162,18 @@ def run_filters(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
         replace(base, num_filter_tables=tables, filter_slots=slots)
         for tables, slots in FILTER_CONFIGS
     ]
+    return list(zip(FILTER_CONFIGS, SweepExecutor(jobs).run_points(configs)))
+
+
+@register(
+    "ablation-filters",
+    "ablation: filter table count x slots (§3.5)",
+    collect_filters,
+)
+def render_filters(sizings: List[Tuple[Tuple[int, int], LoadPoint]]) -> str:
+    """The filtering miss rate per filter-table sizing."""
     rows = []
-    for (tables, slots), point in zip(
-        FILTER_CONFIGS, SweepExecutor(jobs).run_points(configs)
-    ):
+    for (tables, slots), point in sizings:
         cloned = int(point.extra["nc_cloned"])
         leaked = int(point.extra["redundant_responses"])
         rows.append(
@@ -149,10 +186,8 @@ def run_filters(scale: float = 1.0, seed: int = 1, jobs: int = 1) -> str:
                 f"{(leaked / cloned if cloned else 0.0) * 100:.3f}%",
             )
         )
-    report = "== Ablation: filter table count x slots (filtering miss rate) ==\n"
-    report += format_table(
+    table = format_table(
         ["tables", "slots", "cloned", "overwrites", "leaked responses", "miss rate"],
         rows,
     )
-    print(report)
-    return report
+    return "== Ablation: filter table count x slots (filtering miss rate) ==\n" + table

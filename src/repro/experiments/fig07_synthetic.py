@@ -20,7 +20,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["PANELS", "collect", "run"]
+__all__ = ["PANELS", "collect", "render"]
 
 SCHEMES = ("baseline", "cclone", "netclone")
 
@@ -82,27 +82,14 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig7", "synthetic workloads: Baseline vs C-Clone vs NetClone (4 panels)")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-    workload: Optional[str] = None,
-    metrics: str = "exact",
-) -> str:
-    """Run Figure 7 and return the formatted report."""
+@register(
+    "fig7",
+    "synthetic workloads: Baseline vs C-Clone vs NetClone (4 panels)",
+    collect,
+)
+def render(panels: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 7's report: one section per panel."""
     sections = []
-    panels = collect(
-        scale,
-        seed,
-        jobs=jobs,
-        topology=topology,
-        placement=placement,
-        workload=workload,
-        metrics=metrics,
-    )
     for panel, series in panels.items():
         base = series["baseline"]
         cclone = series["cclone"]
@@ -119,6 +106,4 @@ def run(
             f"(paper: NetClone lower)",
         ]
         sections.append(format_series(f"Figure 7 ({panel})", series, notes))
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

@@ -20,7 +20,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "run"]
+__all__ = ["collect", "render"]
 
 SCHEMES = ("cclone", "laedge", "netclone")
 
@@ -60,17 +60,11 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig8", "scalability comparison: C-Clone vs LAEDGE vs NetClone")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 8 and return the formatted report."""
+@register("fig8", "scalability comparison: C-Clone vs LAEDGE vs NetClone", collect)
+def render(panels: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 8's report: one section per panel."""
     sections = []
-    for panel, series in collect(scale, seed, jobs=jobs, topology=topology, placement=placement).items():
+    for panel, series in panels.items():
         notes = [
             f"max throughput (MRPS): LAEDGE {series['laedge'].max_throughput_mrps():.2f} "
             f"< C-Clone {series['cclone'].max_throughput_mrps():.2f} "
@@ -78,6 +72,4 @@ def run(
             f"(paper ordering)",
         ]
         sections.append(format_series(f"Figure 8 ({panel})", series, notes))
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

@@ -18,7 +18,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["SERVER_COUNTS", "collect", "run"]
+__all__ = ["SERVER_COUNTS", "collect", "render"]
 
 SCHEMES = ("baseline", "netclone")
 SERVER_COUNTS = (2, 4, 6)
@@ -50,16 +50,9 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig9", "impact of the number of worker servers (2/4/6)")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 9 and return the formatted report."""
-    results = collect(scale, seed, jobs=jobs, topology=topology, placement=placement)
+@register("fig9", "impact of the number of worker servers (2/4/6)", collect)
+def render(results: Dict[int, Dict[str, SweepResult]]) -> str:
+    """Figure 9's report: one section per server count, then the scaling line."""
     sections = []
     tput = {
         n: results[n]["netclone"].max_throughput_mrps() for n in SERVER_COUNTS
@@ -75,6 +68,4 @@ def run(
     sections.append(
         f"scalability: NetClone max throughput grows with servers: {ordering} MRPS\n"
     )
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

@@ -20,7 +20,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["PANELS", "collect", "run"]
+__all__ = ["PANELS", "collect", "render"]
 
 SCHEMES = ("baseline", "netclone", "netclone-racksched")
 
@@ -62,17 +62,15 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig10", "NetClone with RackSched, homogeneous and heterogeneous clusters")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 10 and return the formatted report."""
+@register(
+    "fig10",
+    "NetClone with RackSched, homogeneous and heterogeneous clusters",
+    collect,
+)
+def render(panels: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 10's report: one section per panel."""
     sections = []
-    for panel, series in collect(scale, seed, jobs=jobs, topology=topology, placement=placement).items():
+    for panel, series in panels.items():
         mid = series["baseline"].points[len(series["baseline"].points) // 2].offered_rps
         notes = [
             f"p99 at mid load: Baseline {series['baseline'].p99_at_load(mid):.0f} us, "
@@ -81,6 +79,4 @@ def run(
             f"(paper: NetClone+RackSched best)",
         ]
         sections.append(format_series(f"Figure 10 ({panel})", series, notes))
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

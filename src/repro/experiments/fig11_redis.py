@@ -23,7 +23,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import KvSpec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "format_report", "run"]
+__all__ = ["collect", "format_report", "render"]
 
 SCHEMES = ("baseline", "cclone", "netclone")
 
@@ -46,6 +46,7 @@ def collect(
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
+    *,
     cost_model: str = COST_MODEL,
 ) -> Dict[str, Dict[str, SweepResult]]:
     """Both mix panels' curves under *cost_model*, keyed by panel then scheme."""
@@ -103,19 +104,9 @@ def format_report(
     return "\n".join(sections)
 
 
-@register("fig11", "Redis key-value store, 99/1 and 90/10 GET/SCAN mixes")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 11 and return the formatted report."""
-    report = format_report(
-        "Figure 11 Redis",
-        collect(scale, seed, jobs=jobs, topology=topology, placement=placement),
-        "up to 22.6x for 99/1, 1.77x for 90/10",
+@register("fig11", "Redis key-value store, 99/1 and 90/10 GET/SCAN mixes", collect)
+def render(results: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 11's report."""
+    return format_report(
+        "Figure 11 Redis", results, "up to 22.6x for 99/1, 1.77x for 90/10"
     )
-    print(report)
-    return report

@@ -7,34 +7,31 @@ reports the same trends as Redis: up to 22× p99 improvement at the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.experiments import fig11_redis
 from repro.experiments.registry import register
+from repro.metrics.sweep import SweepResult
 
-__all__ = ["run"]
+__all__ = ["collect", "render"]
 
 
-@register("fig12", "Memcached key-value store, 99/1 and 90/10 GET/SCAN mixes")
-def run(
+def collect(
     scale: float = 1.0,
     seed: int = 1,
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
-) -> str:
-    """Run Figure 12 and return the formatted report."""
-    report = fig11_redis.format_report(
-        "Figure 12 Memcached",
-        fig11_redis.collect(
-            scale,
-            seed,
-            jobs=jobs,
-            topology=topology,
-            placement=placement,
-            cost_model="memcached",
-        ),
-        "up to 22x for 99/1, ~1.24x average for 90/10",
+) -> Dict[str, Dict[str, SweepResult]]:
+    """Figure 11's two mix panels under the Memcached cost model."""
+    return fig11_redis.collect(
+        scale, seed, jobs, topology, placement, cost_model="memcached"
     )
-    print(report)
-    return report
+
+
+@register("fig12", "Memcached key-value store, 99/1 and 90/10 GET/SCAN mixes", collect)
+def render(results: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 12's report."""
+    return fig11_redis.format_report(
+        "Figure 12 Memcached", results, "up to 22x for 99/1, ~1.24x average for 90/10"
+    )

@@ -25,12 +25,16 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.tables import format_table
 
-__all__ = ["collect", "run"]
+__all__ = ["collect", "render"]
 
 NUM_SERVERS = 6
 WORKERS = 15
 REPEATS = 10
 HIGH_LOAD_FRACTION = 0.9
+
+#: Panel (a)'s (load, empty-queue fraction) pairs, panel (b)'s
+#: (mean, std) p99 per scheme, and panel (b)'s repeat count.
+Samples = Tuple[List[Tuple[float, float]], Dict[str, Tuple[float, float]], int]
 
 
 def _effective_capacity(config: ClusterConfig) -> float:
@@ -66,17 +70,18 @@ def _base_config(
 def collect(
     scale: float = 1.0,
     seed: int = 1,
-    repeats: int = REPEATS,
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
-) -> Tuple[List[Tuple[float, float]], Dict[str, Tuple[float, float]]]:
+) -> Samples:
     """Both panels' samples, measured as one executor batch.
 
     Panel (a): (load fraction, empty-queue fraction) pairs.  Panel
-    (b): mean and std of p99 over *repeats* runs at 90 % load, per
-    scheme.
+    (b): mean and std of p99 over the repeated runs at 90 % load, per
+    scheme, and the repeat count (:data:`REPEATS`, fewer below full
+    scale).
     """
+    repeats = REPEATS if scale >= 1.0 else max(3, int(REPEATS * scale))
     config = _base_config(scale, seed, topology, placement)
     capacity = _effective_capacity(config)
     fractions = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -107,20 +112,13 @@ def collect(
     for index, scheme in enumerate(schemes):
         p99s = [p.p99_us for p in repeated[index * repeats : (index + 1) * repeats]]
         stats[scheme] = (float(np.mean(p99s)), float(np.std(p99s)))
-    return empty, stats
+    return empty, stats, repeats
 
 
-@register("fig13", "confidence of the empty-queue state signal")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 13 and return the formatted report."""
-    repeats = REPEATS if scale >= 1.0 else max(3, int(REPEATS * scale))
-    empty, stats = collect(scale, seed, repeats, jobs, topology, placement)
+@register("fig13", "confidence of the empty-queue state signal", collect)
+def render(samples: Samples) -> str:
+    """Figure 13's report: both panels' tables and their shape checks."""
+    empty, stats, repeats = samples
     lines = ["== Figure 13 (a): portion of empty queues vs offered load =="]
     lines.append(
         format_table(
@@ -151,6 +149,4 @@ def run(
         f"Baseline {stats['baseline'][0]:.0f} +/- {stats['baseline'][1]:.0f} us at 90% load "
         f"(paper: NetClone lower on average, with runs occasionally crossing)"
     )
-    report = "\n".join(lines)
-    print(report)
-    return report
+    return "\n".join(lines)

@@ -17,7 +17,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "run"]
+__all__ = ["collect", "render"]
 
 SCHEMES = ("baseline", "cclone", "netclone")
 JITTER_P = 0.001
@@ -59,17 +59,11 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig14", "low service-time variability (p=0.001)")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 14 and return the formatted report."""
+@register("fig14", "low service-time variability (p=0.001)", collect)
+def render(panels: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 14's report: one section per panel."""
     sections = []
-    for panel, series in collect(scale, seed, jobs=jobs, topology=topology, placement=placement).items():
+    for panel, series in panels.items():
         base = series["baseline"]
         netclone = series["netclone"]
         low = base.points[0].offered_rps
@@ -79,6 +73,4 @@ def run(
             f"(paper: NetClone still lower, smaller margin than Fig. 7)",
         ]
         sections.append(format_series(f"Figure 14 ({panel}, p=0.001)", series, notes))
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

@@ -18,7 +18,7 @@ from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["collect", "run"]
+__all__ = ["collect", "render"]
 
 SCHEMES = ("baseline", "netclone-nofilter", "netclone")
 
@@ -48,16 +48,9 @@ def collect(
     return sweep_panels({"exp": config}, SCHEMES, scale, jobs)["exp"]
 
 
-@register("fig15", "ablation: redundant response filtering on/off")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 15 and return the formatted report."""
-    series = collect(scale, seed, jobs=jobs, topology=topology, placement=placement)
+@register("fig15", "ablation: redundant response filtering on/off", collect)
+def render(series: Dict[str, SweepResult]) -> str:
+    """Figure 15's report: the three curves and their low/high-load checks."""
     points = series["baseline"].points
     high = points[max(0, len(points) - 3)].offered_rps
     low = series["baseline"].points[0].offered_rps
@@ -72,6 +65,4 @@ def run(
         f"{series['netclone'].p99_at_load(high):.0f} us (paper: w/o filtering "
         f"worse than Baseline at high load)",
     ]
-    report = format_series("Figure 15 (redundant response filtering)", series, notes)
-    print(report)
-    return report
+    return format_series("Figure 15 (redundant response filtering)", series, notes)

@@ -40,15 +40,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.harness import spine_leaf_params
-from repro.experiments.placements import PLACEMENTS
+from repro.experiments.harness import spine_leaf_params, swept_placements
 from repro.experiments.registry import register
 from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.tables import format_table
 from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.sim.units import ms, sec
 
-__all__ = ["collect", "collect_server_failure", "run", "run_server_failure"]
+__all__ = ["collect", "collect_panels", "collect_server_failure", "render"]
 
 NUM_SERVERS = 6
 WORKERS = 15
@@ -117,7 +116,6 @@ def collect(
 # ----------------------------------------------------------------------
 # Panel (b): server failure × placement on spine-leaf (§3.6)
 # ----------------------------------------------------------------------
-SF_PLACEMENTS = ("global", "rack-weighted:p=0.5", "rack-local")
 SF_RACKS = 4
 SF_SPINES = 2
 #: Three servers per rack: a single death leaves every rack with two
@@ -133,15 +131,9 @@ SF_RESTORE_AT = ms(250)
 #: The victim: server 0 lives in rack 0 on the round-robin spread.
 SF_VICTIM = 0
 
-
-def _sf_placements(pinned: Optional[str]) -> Tuple[str, ...]:
-    """The placement set to sweep; a pinned policy races ``global``."""
-    if pinned is None:
-        return SF_PLACEMENTS
-    pinned = PLACEMENTS.canonical(pinned)
-    if pinned == "global":
-        return ("global",)
-    return ("global", pinned)
+#: Panel (a) as :func:`collect` returns it, and panel (b)'s cells
+#: (``None`` when the fabric has no racks).
+Panels = Tuple[Tuple[List[float], List[float], dict], Optional[List[Dict[str, Any]]]]
 
 
 def _server_failure_cell(args: Tuple[str, float, int, Dict[str, Any]]) -> Dict[str, Any]:
@@ -218,22 +210,38 @@ def collect_server_failure(
     )
     cells = [
         (chosen, scale, seed, topology_params)
-        for chosen in _sf_placements(placement)
+        for chosen in swept_placements(placement)
     ]
     return SweepExecutor(jobs).run_tasks(_server_failure_cell, cells)
 
 
-def run_server_failure(
+def collect_panels(
     scale: float = 1.0,
     seed: int = 1,
     jobs: int = 1,
     topology: Optional[str] = None,
     placement: Optional[str] = None,
-) -> str:
-    """Run the server-failure placement sweep; returns the report panel."""
-    cells = collect_server_failure(
-        scale, seed, jobs=jobs, topology=topology, placement=placement
-    )
+) -> Panels:
+    """Both panels: (:func:`collect`, :func:`collect_server_failure`).
+
+    Panel (a) is one continuous timeline with mid-run failure
+    injection (no batch to fan out; the injected failure hits the
+    primary ToR of whatever *topology* is selected).  Panel (b) always
+    runs on spine-leaf and fans its placement cells over *jobs*
+    workers; it is ``None`` when *topology* pins a fabric without rack
+    structure.
+    """
+    switch_panel = collect(scale, seed, topology=topology, placement=placement)
+    server_cells = None
+    if topology is None or TOPOLOGIES.parse(topology)[0] == "spine_leaf":
+        server_cells = collect_server_failure(
+            scale, seed, jobs=jobs, topology=topology, placement=placement
+        )
+    return switch_panel, server_cells
+
+
+def _render_server_failure(cells: List[Dict[str, Any]]) -> List[str]:
+    """Panel (b)'s report lines."""
     lines = [
         "== Figure 16 (b): server kill -> rebuild -> restore, by placement =="
     ]
@@ -289,32 +297,17 @@ def run_server_failure(
         f"{max(cell['table_epoch'] for cell in cells)} "
         f"(one rebuild per control-plane operation: remove + restore)"
     )
-    report = "\n".join(lines)
-    print(report)
-    return report
+    return lines
 
 
 @register(
     "fig16",
     "throughput across a switch failure + server kill/restore by placement",
+    collect_panels,
 )
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 16 (both panels) and return the formatted report.
-
-    Panel (a) is one continuous timeline with mid-run failure
-    injection (no batch to fan out; the injected failure hits the
-    primary ToR of whatever *topology* is selected).  Panel (b) — the
-    server-failure placement sweep — always runs on spine-leaf and
-    fans its placement cells over *jobs* workers; it is skipped when
-    *topology* pins a fabric without rack structure.
-    """
-    starts, rates, stats = collect(scale, seed, topology=topology, placement=placement)
+def render(panels: Panels) -> str:
+    """Figure 16's report: panel (a), then panel (b) when it ran."""
+    (starts, rates, stats), server_cells = panels
     lines = ["== Figure 16: throughput under a switch failure =="]
     lines.append(
         format_table(
@@ -338,11 +331,6 @@ def run(
         f"  - no permanent misbehaviour: {stats['redundant_responses']} duplicate "
         f"deliveries after the register wipe (paper: soft state only)"
     )
-    report = "\n".join(lines)
-    print(report)
-    if topology is None or TOPOLOGIES.parse(topology)[0] == "spine_leaf":
-        panel_b = run_server_failure(
-            scale, seed, jobs=jobs, topology=topology, placement=placement
-        )
-        report = report + "\n\n" + panel_b
-    return report
+    if server_cells is not None:
+        lines.extend(_render_server_failure(server_cells))
+    return "\n".join(lines)

@@ -27,7 +27,7 @@ from repro.experiments.specs import make_synthetic_spec
 from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import SweepResult
 
-__all__ = ["FABRICS", "SCHEMES", "collect", "run"]
+__all__ = ["FABRICS", "SCHEMES", "collect", "render"]
 
 SCHEMES = ("baseline", "cclone", "netclone")
 
@@ -70,16 +70,13 @@ def collect(
     return sweep_panels(configs, SCHEMES, scale, jobs)
 
 
-@register("fig17", "multi-rack fabrics: same schemes over star/two-rack/spine-leaf (§3.7)")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 17 and return the formatted report."""
-    results = collect(scale, seed, jobs=jobs, topology=topology, placement=placement)
+@register(
+    "fig17",
+    "multi-rack fabrics: same schemes over star/two-rack/spine-leaf (§3.7)",
+    collect,
+)
+def render(results: Dict[str, Dict[str, SweepResult]]) -> str:
+    """Figure 17's report: one section per fabric, then the cross-fabric check."""
     sections = []
     for fabric, series in results.items():
         base = series["baseline"]
@@ -99,7 +96,7 @@ def run(
             f"(client-side ToR filters both copies)",
         ]
         sections.append(format_series(f"Figure 17 ({fabric})", series, notes))
-    if topology is None and {"star", "two_rack"} <= results.keys():
+    if {"star", "two_rack"} <= results.keys():
         star = results["star"]["netclone"]
         two = results["two_rack"]["netclone"]
         low = star.points[0].offered_rps
@@ -109,6 +106,4 @@ def run(
             f"{star.points[0].p50_us:.1f} us (star) < "
             f"{two.points[0].p50_us:.1f} us (two_rack) at {low / 1e6:.2f} MRPS\n"
         )
-    report = "\n".join(sections)
-    print(report)
-    return report
+    return "\n".join(sections)

@@ -33,7 +33,7 @@ from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
-__all__ = ["POLICIES", "SCHEMES", "TRUNK_GBPS", "collect", "run"]
+__all__ = ["POLICIES", "SCHEMES", "TRUNK_GBPS", "collect", "render"]
 
 SCHEMES = ("baseline", "netclone")
 
@@ -146,26 +146,10 @@ def collect(
 @register(
     "fig18",
     "trunk saturation: trunk bandwidth × cloning scheme × spine policy on spine-leaf",
+    collect,
 )
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-    workload: Optional[str] = None,
-    metrics: str = "exact",
-) -> str:
-    """Run Figure 18 and return the formatted report."""
-    results = collect(
-        scale,
-        seed,
-        jobs=jobs,
-        topology=topology,
-        placement=placement,
-        workload=workload,
-        metrics=metrics,
-    )
+def render(results: Dict[Tuple[str, str], List[Cell]]) -> str:
+    """Figure 18's report: the grid table and its shape checks."""
     lines = ["== Figure 18: trunk saturation vs cloning rate vs spine policy =="]
     rows = []
     for (scheme, policy), cells in results.items():
@@ -223,6 +207,4 @@ def run(
             f"{tight:.1f} Gb/s"
         )
     lines.append("")
-    report = "\n".join(lines)
-    print(report)
-    return report
+    return "\n".join(lines)

@@ -24,22 +24,21 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import ClusterConfig
 from repro.experiments.executor import SweepExecutor
-from repro.experiments.harness import capacity_rps, scaled_config, spine_leaf_params
-from repro.experiments.placements import PLACEMENTS as PLACEMENT_REGISTRY
+from repro.experiments.harness import (
+    capacity_rps,
+    scaled_config,
+    spine_leaf_params,
+    swept_placements,
+)
 from repro.experiments.registry import register
 from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.sweep import LoadPoint
 from repro.metrics.tables import format_table
 
-__all__ = ["PLACEMENTS", "RACK_COUNTS", "SCHEMES", "collect", "run"]
+__all__ = ["RACK_COUNTS", "SCHEMES", "collect", "render"]
 
 #: Cloning schemes compared (both install per-ToR group tables).
 SCHEMES = ("netclone", "netclone-racksched")
-
-#: Placement policies swept by default; a policy pinned via
-#: ``--placement`` runs against the ``global`` baseline instead
-#: (pinning ``global`` itself runs only global).
-PLACEMENTS = ("global", "rack-weighted:p=0.5", "rack-local")
 
 #: Rack counts swept (servers/clients spread round-robin).
 RACK_COUNTS = (2, 4)
@@ -55,16 +54,6 @@ TRUNK_GBPS = 1.0
 
 #: One cell of the grid: (racks, measured point).
 Cell = Tuple[int, LoadPoint]
-
-
-def _placements(pinned: Optional[str]) -> Tuple[str, ...]:
-    """The placement set to sweep; a pinned policy races ``global``."""
-    if pinned is None:
-        return PLACEMENTS
-    pinned = PLACEMENT_REGISTRY.canonical(pinned)
-    if pinned == "global":
-        return ("global",)
-    return ("global", pinned)
 
 
 def collect(
@@ -87,7 +76,7 @@ def collect(
     base_params = spine_leaf_params(
         topology, "fig19", spines=2, trunk_bandwidth_bps=TRUNK_GBPS * 1e9
     )
-    placements = _placements(placement)
+    placements = swept_placements(placement)
     # A pinned rack count collapses the swept axis rather than being
     # silently overwritten by the grid.
     pinned_racks = base_params.pop("racks", None)
@@ -135,16 +124,10 @@ def collect(
 @register(
     "fig19",
     "placement locality: group placement × cloning scheme × rack count on spine-leaf",
+    collect,
 )
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Run Figure 19 and return the formatted report."""
-    results = collect(scale, seed, jobs=jobs, topology=topology, placement=placement)
+def render(results: Dict[Tuple[str, str], List[Cell]]) -> str:
+    """Figure 19's report: the grid table and its shape checks."""
     lines = ["== Figure 19: placement locality vs trunk pressure on spine-leaf =="]
     rows = []
     for (scheme, chosen), cells in results.items():
@@ -205,6 +188,4 @@ def run(
                 f"{local.extra['trunk_tx_bytes'] / 1e6:.2f}"
             )
     lines.append("")
-    report = "\n".join(lines)
-    print(report)
-    return report
+    return "\n".join(lines)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.coerce import finite_float
 from repro.errors import ExperimentError
 from repro.experiments.common import ClusterConfig, _sweep_grid
+from repro.experiments.placements import PLACEMENTS
 from repro.experiments.topologies import TOPOLOGIES
 from repro.metrics.sweep import SweepResult
 from repro.sim.units import ms
@@ -31,12 +32,14 @@ _LOG = logging.getLogger(__name__)
 __all__ = [
     "DEFAULT_FRACTIONS",
     "SCALE",
+    "SWEPT_PLACEMENTS",
     "capacity_rps",
     "format_series",
     "load_grid",
     "scaled_config",
     "spine_leaf_params",
     "sweep_panels",
+    "swept_placements",
 ]
 
 #: How far a run shrinks (``--scale``): windows and grids for a figure,
@@ -45,6 +48,9 @@ SCALE = finite_float(gt=0)
 
 #: Offered-load fractions of theoretical capacity for a full sweep.
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+#: Placement policies a placement grid sweeps unless one is pinned.
+SWEPT_PLACEMENTS = ("global", "rack-weighted:p=0.5", "rack-local")
 
 
 def capacity_rps(total_workers: int, mean_service_ns: float) -> float:
@@ -92,6 +98,16 @@ def spine_leaf_params(
     # The inline form, so the pinned text is read as numbers before typing.
     resolved = TOPOLOGIES.resolve(topology or name)[1]
     return {**defaults, **{key: resolved[key] for key in pinned}}
+
+
+def swept_placements(pinned: Optional[str]) -> Tuple[str, ...]:
+    """The placement set to sweep; a pinned policy races ``global``."""
+    if pinned is None:
+        return SWEPT_PLACEMENTS
+    pinned = PLACEMENTS.canonical(pinned)
+    if pinned == "global":
+        return ("global",)
+    return ("global", pinned)
 
 
 def sweep_panels(

@@ -21,15 +21,12 @@ dataclass and its built-in factories.
 from __future__ import annotations
 
 import importlib
-import logging
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.coerce import coerce_fields, parse_text
 from repro.errors import ExperimentError
 
 __all__ = ["PluginRegistry", "format_plugin_params", "parse_plugin_params"]
-
-_LOG = logging.getLogger(__name__)
 
 
 def parse_plugin_params(value: str, kind: str) -> Tuple[str, Dict[str, Any]]:
@@ -214,21 +211,12 @@ class PluginRegistry:
 
         Modules are tracked individually (not a one-shot flag), so
         entries appended to the shared plugin-module list after the
-        first lookup still load on the next one.  A broken plugin must
-        not take down lookups of healthy specs, so each import failure
-        is logged and skipped rather than raised.
+        first lookup still load on the next one.  Every plugin module
+        ships in the tree, so an import failure is a bug, not a user
+        error: it propagates, and the module stays unloaded, so the
+        next lookup retries it.
         """
         for module in list(self.plugin_modules):
-            if module in self._loaded_plugins:
-                continue
-            self._loaded_plugins.add(module)
-            try:
+            if module not in self._loaded_plugins:
                 importlib.import_module(module)
-            except Exception:
-                _LOG.exception(
-                    "%s plugin module %s failed to import; its %ss "
-                    "will be missing from the registry",
-                    self.kind,
-                    module,
-                    self.kind,
-                )
+                self._loaded_plugins.add(module)

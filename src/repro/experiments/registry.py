@@ -2,20 +2,22 @@
 
 :data:`EXPERIMENTS` is a :class:`PluginRegistry` of
 :class:`ExperimentSpec`, like every other plugin axis; its plugin
-modules are the harness modules, imported on the first lookup.  Each
-entry point is a module's ``run`` function, registered by putting
-``@register(id, description)`` on it; it prints the formatted report
-and returns it as a string.  Every ``run`` accepts ``scale: float``
-(shrinks measurement windows and sweep densities so the same harness
-serves quick smoke runs, benchmarks, and full reproductions), ``seed:
-int`` and ``jobs: int`` (the sweep worker-process count); the CLI
-passes those three to every harness.  The other axes — ``topology``
-(a registered fabric; ``None`` keeps the harness's default, usually
-the single-rack star), ``placement`` (a registered group-placement
+modules are the harness modules, imported on the first lookup.  A
+harness is two functions: ``collect``, which measures and returns
+data, and a pure ``render(data) -> str``, which formats that data and
+runs no simulation.  A module registers the pair by putting
+``@register(id, description, collect)`` on its ``render``;
+:meth:`ExperimentSpec.report` is ``render(collect(**axes))``.  Every
+``collect`` accepts ``scale: float`` (shrinks measurement windows and
+sweep densities so the same harness serves quick smoke runs,
+benchmarks, and full reproductions), ``seed: int`` and ``jobs: int``
+(the sweep worker-process count).  The other axes — ``topology`` (a
+registered fabric; ``None`` keeps the harness's default, usually the
+single-rack star), ``placement`` (a registered group-placement
 policy; ``None`` keeps ``global``), ``workload`` and ``metrics`` — are
-gated on the signature by :func:`gate_harness_axes`: a harness
-declares only the axes it honours, and asking a harness for an axis it
-does not declare is an error, never a silent ignore.
+gated on ``collect``'s signature by :func:`gate_harness_axes`: a
+harness declares only the axes it honours, and asking a harness for
+an axis it does not declare is an error, never a silent ignore.
 """
 
 from __future__ import annotations
@@ -30,51 +32,34 @@ from repro.experiments.plugin_registry import PluginRegistry
 __all__ = [
     "EXPERIMENTS",
     "ExperimentSpec",
-    "UNREQUESTED",
     "gate_harness_axes",
     "register",
 ]
 
-#: Sentinel for :func:`gate_harness_axes`: the caller did not ask for
-#: this axis (``None`` can be a real value, e.g. ``workload=None`` keeps
-#: the harness's default workload spec).
-UNREQUESTED = object()
-
 
 def gate_harness_axes(
-    harness: Callable[..., Any],
-    experiment_id: str,
-    requested: Dict[str, Any],
-    defaults: Optional[Dict[str, Any]] = None,
+    collect: Callable[..., Any], experiment_id: str, axes: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Optional-axis kwargs for *harness*, gated on its signature.
+    """*axes*, once every one is declared by *collect*'s signature.
 
-    Newer axes (``workload``, ``metrics``, ...) are opt-in
-    per harness.  For each axis in *requested*: if the harness's
-    signature declares it, the requested value is passed through
-    (:data:`UNREQUESTED` falls back to *defaults*, or omits the axis);
-    if the signature does **not** declare it and the caller actually
-    asked, this raises :class:`ExperimentError` naming what the harness
-    does accept — an unaware harness must error, never silently ignore
-    a flag.  The CLI and ``tools/rss_guard.py`` route their harness
-    calls through here.
+    An axis *collect* does not declare raises
+    :class:`ExperimentError` naming what it does accept — an unaware
+    harness must error, never silently ignore a flag.  Keyword-only
+    parameters are library knobs no flag sets (fig11's
+    ``cost_model``), not axes.
     """
-    accepted = inspect.signature(harness).parameters
-    kwargs: Dict[str, Any] = {}
-    defaults = defaults or {}
-    for axis, value in requested.items():
-        if axis in accepted:
-            if value is UNREQUESTED:
-                if axis in defaults:
-                    kwargs[axis] = defaults[axis]
-            else:
-                kwargs[axis] = value
-        elif value is not UNREQUESTED:
+    accepted = [
+        name
+        for name, param in inspect.signature(collect).parameters.items()
+        if param.kind is not param.KEYWORD_ONLY
+    ]
+    for axis in axes:
+        if axis not in accepted:
             raise ExperimentError(
                 f"experiment {experiment_id!r} has no --{axis} axis "
                 f"(it accepts: {', '.join(accepted)})"
             )
-    return kwargs
+    return axes
 
 
 @dataclass
@@ -85,19 +70,27 @@ class ExperimentSpec:
     name: str
     #: One-line description shown by ``repro-netclone --list``.
     description: str
-    #: The harness entry point: prints its report and returns it.
-    run: Callable[..., str]
+    #: Measures the figure and returns its data.
+    collect: Callable[..., Any]
+    #: Formats what ``collect`` returned; runs nothing, prints nothing.
+    render: Callable[[Any], str]
     #: Alternative lookup names.
     aliases: Tuple[str, ...] = ()
     #: Module that registered the spec (filled in by ``EXPERIMENTS.register``).
     module: Optional[str] = None
+
+    def report(self, **axes: Any) -> str:
+        """The report text, ``render(collect(**axes))``, axes gated."""
+        return self.render(
+            self.collect(**gate_harness_axes(self.collect, self.name, axes))
+        )
 
 
 #: Every figure, table and ablation harness, loaded lazily from its module.
 EXPERIMENTS = PluginRegistry(
     kind="experiment",
     spec_type=ExperimentSpec,
-    factory_field="run",
+    factory_field="render",
     plugin_modules=[
         f"repro.experiments.{module}"
         for module in (
@@ -122,11 +115,13 @@ EXPERIMENTS = PluginRegistry(
 )
 
 
-def register(experiment_id: str, description: str):
-    """Decorator registering a harness's ``run`` as *experiment_id*."""
+def register(experiment_id: str, description: str, collect: Callable[..., Any]):
+    """Decorator registering a harness's ``render`` and *collect* as *experiment_id*."""
 
-    def wrap(run: Callable[..., str]) -> Callable[..., str]:
-        EXPERIMENTS.register(ExperimentSpec(experiment_id, description, run))
-        return run
+    def wrap(render: Callable[[Any], str]) -> Callable[[Any], str]:
+        EXPERIMENTS.register(
+            ExperimentSpec(experiment_id, description, collect, render)
+        )
+        return render
 
     return wrap

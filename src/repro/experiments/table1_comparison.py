@@ -21,7 +21,7 @@ from repro.experiments.specs import make_synthetic_spec
 from repro.metrics.tables import format_table
 from repro.sim.units import ms
 
-__all__ = ["derive_matrix", "run"]
+__all__ = ["collect", "render"]
 
 CLONING_POINT = {"cclone": "Client", "laedge": "Coordinator", "netclone": "Switch"}
 
@@ -30,7 +30,7 @@ def _mark(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def derive_matrix(
+def collect(
     scale: float = 1.0,
     seed: int = 1,
     jobs: int = 1,
@@ -110,16 +110,9 @@ def _redundancy_rate(scheme: str, point) -> float:
     return 0.0
 
 
-@register("table1", "qualitative comparison matrix, derived from probe runs")
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    jobs: int = 1,
-    topology: Optional[str] = None,
-    placement: Optional[str] = None,
-) -> str:
-    """Derive and print Table 1."""
-    matrix = derive_matrix(scale, seed, jobs=jobs, topology=topology, placement=placement)
+@register("table1", "qualitative comparison matrix, derived from probe runs", collect)
+def render(matrix: Dict[str, Dict[str, str]]) -> str:
+    """Table 1 beside the paper's cells."""
     properties = [
         "Cloning point",
         "Dynamic cloning",
@@ -143,9 +136,7 @@ def run(
                 "/".join(paper[s][prop_index] for s in ("cclone", "laedge", "netclone")),
             )
         )
-    report = "== Table 1: comparison to existing works (derived from probes) ==\n"
-    report += format_table(
+    table = format_table(
         ["property", "C-Clone", "LAEDGE", "NetClone", "paper (C/L/N)"], rows
     )
-    print(report)
-    return report
+    return "== Table 1: comparison to existing works (derived from probes) ==\n" + table

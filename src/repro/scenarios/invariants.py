@@ -127,7 +127,7 @@ class ReportView:
         return self.checkpoints + [self.final]
 
     def stamp(self, snap: Mapping[str, Any]) -> str:
-        return f"t={snap['time_ns']}ns ({snap.get('label', '?')})"
+        return f"t={snap['time_ns']}ns ({snap['label']})"
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +185,9 @@ def _check_no_stuck(view: ReportView) -> List[str]:
     drops = (
         final["switch_drops_down"]
         + final["link_drops"]
-        + final.get("host_rx_drops", 0)
-        + final.get("switch_program_drops", 0)
-        + final.get("clones_dropped", 0)
+        + final["host_rx_drops"]
+        + final["switch_program_drops"]
+        + final["clones_dropped"]
     )
     if drops == 0 and final["outstanding"] != 0:
         violations.append(
@@ -199,13 +199,13 @@ def _check_no_stuck(view: ReportView) -> List[str]:
 
 
 def _applies_epochs(view: ReportView) -> bool:
-    return bool(view.final.get("program_epochs"))
+    return bool(view.final["program_epochs"])
 
 
 def _check_epoch_monotone(view: ReportView) -> List[str]:
     violations = []
     series = view.series()
-    num_programs = len(view.final.get("program_epochs", ()))
+    num_programs = len(view.final["program_epochs"])
     for rack in range(num_programs):
         last = None
         for snap in series:
@@ -220,7 +220,7 @@ def _check_epoch_monotone(view: ReportView) -> List[str]:
             last = epoch
     last_handler = None
     for snap in series:
-        epoch = snap.get("handler_epoch")
+        epoch = snap["handler_epoch"]
         if epoch is None:
             continue
         if last_handler is not None and epoch < last_handler:
@@ -229,7 +229,7 @@ def _check_epoch_monotone(view: ReportView) -> List[str]:
                 f"{epoch}) by {view.stamp(snap)}"
             )
         last_handler = epoch
-        for client, cepoch in enumerate(snap.get("client_epochs", ())):
+        for client, cepoch in enumerate(snap["client_epochs"]):
             if cepoch is not None and cepoch > epoch:
                 violations.append(
                     f"client{client + 1} carries table epoch {cepoch} ahead "
@@ -240,7 +240,7 @@ def _check_epoch_monotone(view: ReportView) -> List[str]:
     final = view.final
     if last_handler is not None and last_handler > 0:
         client_racks = view.meta.get("client_racks", ())
-        for client, cepoch in enumerate(final.get("client_epochs", ())):
+        for client, cepoch in enumerate(final["client_epochs"]):
             if cepoch is None:
                 continue
             rack = client_racks[client] if client < len(client_racks) else 0

@@ -7,7 +7,7 @@ re-lints every violation with the rule *disabled* and asserts silence —
 so each seeded-violation test genuinely depends on its rule being
 registered and enabled.
 
-Also here: suppression and baseline round-trips, the signature-gating
+Also here: suppressions, the signature-gating
 helper the CLI and tools share, and the runtime sanitizers (planted
 packet leak, every scheme leak-free, RNG draw accounting).
 """
@@ -19,15 +19,9 @@ import sys
 import pytest
 from helpers import RecordingSwitch, tiny_config
 
-from repro.analysis import (
-    RULES,
-    filter_baselined,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import RULES, lint_source
 from repro.errors import ExperimentError
-from repro.experiments.registry import UNREQUESTED, gate_harness_axes
+from repro.experiments.registry import gate_harness_axes
 from repro.sim.sanitize import (
     CountingRandom,
     SanitizingPacketPool,
@@ -258,47 +252,6 @@ def test_skip_file_silences_the_whole_file():
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    source = "import random\nvalue = random.random()\n"
-    findings = _lint(source)
-    path = str(tmp_path / "baseline.json")
-    write_baseline(findings, path)
-    fresh, matched = filter_baselined(findings, load_baseline(path))
-    assert fresh == [] and matched == len(findings) == 1
-
-
-def test_baseline_survives_line_shifts_but_not_new_findings(tmp_path):
-    original = "import random\nvalue = random.random()\n"
-    path = str(tmp_path / "baseline.json")
-    write_baseline(_lint(original), path)
-    # Same finding, pushed two lines down: still baselined (fingerprints
-    # carry no line numbers).
-    shifted = "import random\n\n\nvalue = random.random()\n"
-    fresh, matched = filter_baselined(_lint(shifted), load_baseline(path))
-    assert fresh == [] and matched == 1
-    # A second, distinct draw is a new finding.
-    grown = shifted + "def roll():\n    return random.random()\n"
-    fresh, matched = filter_baselined(_lint(grown), load_baseline(path))
-    assert matched == 1
-    assert [finding.scope for finding in fresh] == ["roll"]
-
-
-def test_baseline_matching_is_multiset():
-    source = "import random\na = random.random()\nb = random.random()\n"
-    findings = _lint(source)
-    assert len(findings) == 2
-    # One baseline entry covers one of the identical pair, not both.
-    fresh, matched = filter_baselined(findings, [findings[0].fingerprint()])
-    assert matched == 1 and len(fresh) == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(str(tmp_path / "absent.json")) == []
-
-
-# ----------------------------------------------------------------------
 # Shared harness-capability gating (CLI + tools)
 # ----------------------------------------------------------------------
 def _harness_with_axes(scale, seed, workload=None, metrics="exact"):
@@ -311,32 +264,26 @@ def _harness_without_axes(scale, seed):
 
 def test_gate_passes_requested_axis_through():
     kwargs = gate_harness_axes(
-        _harness_with_axes, "fake", requested={"workload": "mmpp"}
+        _harness_with_axes, "fake", {"workload": "mmpp"}
     )
     assert kwargs == {"workload": "mmpp"}
-
-
-def test_gate_supplies_default_for_declared_unrequested_axis():
-    kwargs = gate_harness_axes(
-        _harness_with_axes,
-        "fake",
-        requested={"metrics": UNREQUESTED},
-        defaults={"metrics": "exact"},
-    )
-    assert kwargs == {"metrics": "exact"}
-
-
-def test_gate_omits_unrequested_axis_without_default():
-    assert gate_harness_axes(
-        _harness_with_axes, "fake", requested={"workload": UNREQUESTED}
-    ) == {}
 
 
 def test_gate_errors_on_unaware_harness():
     with pytest.raises(ExperimentError, match="has no --metrics axis"):
         gate_harness_axes(
-            _harness_without_axes, "fake", requested={"metrics": "sketch"}
+            _harness_without_axes, "fake", {"metrics": "sketch"}
         )
+
+
+def test_gate_keyword_only_knobs_are_not_axes():
+    def collect(scale, seed, topology=None, *, cost_model="redis"):
+        return cost_model
+
+    with pytest.raises(
+        ExperimentError, match=r"no --cost_model axis \(it accepts: scale, seed, topology\)$"
+    ):
+        gate_harness_axes(collect, "fake", {"cost_model": "memcached"})
 
 
 def test_gate_none_is_a_real_value():
@@ -345,7 +292,7 @@ def test_gate_none_is_a_real_value():
     def collect(scale, workload="mmpp"):
         return workload
 
-    kwargs = gate_harness_axes(collect, "fig18", requested={"workload": None})
+    kwargs = gate_harness_axes(collect, "fig18", {"workload": None})
     assert kwargs == {"workload": None}
 
 

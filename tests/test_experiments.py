@@ -12,14 +12,9 @@ import pytest
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS
-from repro.experiments import (
-    ablations,
-    fig11_redis,
-    fig15_filtering,
-    fig16_switch_failure,
-    table_resources,
-)
-from repro.experiments.common import ClusterConfig
+from repro.experiments import common, fig16_switch_failure, table_resources
+from repro.experiments.common import Cluster, ClusterConfig
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.harness import (
     capacity_rps,
     format_series,
@@ -100,19 +95,19 @@ def _golden(name):
 
 
 def test_fig15_report_matches_golden():
-    report = fig15_filtering.run(scale=0.05, seed=1)
+    report = EXPERIMENTS.get("fig15").report(scale=0.05, seed=1)
     assert report == _golden("fig15_scale0.05_seed1.txt")
 
 
 def test_fig11_report_matches_golden():
-    report = fig11_redis.run(scale=0.05, seed=1)
+    report = EXPERIMENTS.get("fig11").report(scale=0.05, seed=1)
     assert report == _golden("fig11_scale0.05_seed1.txt")
 
 
 @pytest.mark.slow
 def test_fig11_parallel_report_matches_golden():
     # Two KV panels with distinct specs: one flattened batch ships both.
-    report = fig11_redis.run(scale=0.05, seed=1, jobs=2)
+    report = EXPERIMENTS.get("fig11").report(scale=0.05, seed=1, jobs=2)
     assert report == _golden("fig11_scale0.05_seed1.txt")
 
 
@@ -180,7 +175,7 @@ def test_spec_mean_matches_cost_model():
 # Harness smoke runs (tiny scale)
 # ----------------------------------------------------------------------
 def test_resources_harness_matches_paper_arithmetic():
-    report = table_resources.report()
+    report = table_resources.collect()
     assert report.stages_used == 7
     assert report.register_cells >= 1 << 18
     assert 0.04 < report.sram_fraction < 0.06
@@ -232,19 +227,19 @@ def _imbalance(report, label):
 def test_unordered_groups_skew_load_more_than_ordered():
     # §3.3: without the reversed pairs, non-cloned requests herd onto
     # the low-numbered first candidates.
-    report = ablations.run_groups(scale=0.25, seed=1)
+    report = EXPERIMENTS.get("ablation-groups").report(scale=0.25, seed=1)
     assert _imbalance(report, "unordered") > _imbalance(report, "ordered")
 
 
 def test_paper_filter_sizing_filters_every_redundant_response():
-    report = ablations.run_filters(scale=0.25, seed=1)
+    report = EXPERIMENTS.get("ablation-filters").report(scale=0.25, seed=1)
     assert "miss rate" in report
     # The last row is the paper's 2 x 2^17 configuration.
     assert "0.000%" in report.splitlines()[-1]
 
 
 # ----------------------------------------------------------------------
-# Every registered harness, end to end at tiny scale
+# Every registered harness: collect once at tiny scale, render purely
 # ----------------------------------------------------------------------
 #: Substrings each harness's report must contain: its title plus the
 #: scheme, series or verdict names it exists to show.
@@ -272,7 +267,19 @@ REPORT_TITLES = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS.names()))
-def test_every_harness_report_names_itself(experiment_id):
-    report = EXPERIMENTS.get(experiment_id).run(scale=0.05, seed=1)
+def test_every_render_is_pure_and_names_itself(experiment_id, monkeypatch, capsys):
+    spec = EXPERIMENTS.get(experiment_id)
+    data = spec.collect(scale=0.05, seed=1)
+    capsys.readouterr()
+
+    def simulate(*args, **kwargs):
+        raise AssertionError(f"{experiment_id}'s render ran a simulation")
+
+    monkeypatch.setattr(common, "run_point", simulate)
+    monkeypatch.setattr(SweepExecutor, "__init__", simulate)
+    monkeypatch.setattr(Cluster, "__init__", simulate)
+    report = spec.render(data)
+    assert spec.render(data) == report
+    assert capsys.readouterr() == ("", "")
     for substring in REPORT_TITLES[experiment_id]:
         assert substring in report

@@ -28,6 +28,7 @@ from repro.core.placement import (
 )
 from repro.errors import ExperimentError
 from repro.experiments.common import Cluster, ClusterConfig, run_point
+from repro.experiments.harness import SWEPT_PLACEMENTS, swept_placements
 from repro.experiments.placements import PLACEMENTS, PlacementSpec
 
 
@@ -388,13 +389,18 @@ def test_fig19_rejects_rackless_topologies():
         fig19.collect(topology="star")
 
 
-def test_fig19_pinned_placement_and_racks_shape_the_grid():
-    from repro.experiments.fig19_locality import PLACEMENTS, _placements
-
-    assert _placements(None) == PLACEMENTS
-    assert _placements("global") == ("global",)
-    assert _placements("local") == ("global", "rack-local")
-    assert _placements("rack-weighted:p=0.7") == ("global", "rack-weighted:p=0.7")
+@pytest.mark.parametrize(
+    "pinned, swept",
+    [
+        (None, SWEPT_PLACEMENTS),
+        ("global", ("global",)),
+        ("local", ("global", "rack-local")),
+        ("rack-weighted:p=0.7", ("global", "rack-weighted:p=0.7")),
+    ],
+)
+def test_pinned_placement_races_global(pinned, swept):
+    # fig16's server-failure panel and fig19's grid sweep this set.
+    assert swept_placements(pinned) == swept
 
 
 @pytest.mark.slow
@@ -413,9 +419,9 @@ def test_fig19_grid_parallel_matches_serial():
 
 @pytest.mark.slow
 def test_fig19_report_runs_and_shows_the_locality_win():
-    from repro.experiments.fig19_locality import run
+    from repro.experiments import EXPERIMENTS
 
-    report = run(scale=0.1, seed=2, jobs=4)
+    report = EXPERIMENTS.get("fig19").report(scale=0.1, seed=2, jobs=4)
     assert "Figure 19" in report
     assert "rack-local" in report
     assert "rack-aware placement" in report
@@ -429,14 +435,6 @@ def test_fig16_server_failure_panel_rejects_rackless_topologies():
 
     with pytest.raises(ExperimentError, match="spine_leaf"):
         fig16.collect_server_failure(topology="star")
-
-
-def test_fig16_pinned_placement_shapes_the_server_failure_sweep():
-    from repro.experiments.fig16_switch_failure import SF_PLACEMENTS, _sf_placements
-
-    assert _sf_placements(None) == SF_PLACEMENTS
-    assert _sf_placements("global") == ("global",)
-    assert _sf_placements("local") == ("global", "rack-local")
 
 
 def _assert_cells_identical(a, b):
@@ -454,7 +452,7 @@ def test_fig16_server_failure_sweep_parallel_matches_serial():
 
     serial = fig16.collect_server_failure(scale=0.05, seed=3, jobs=1)
     parallel = fig16.collect_server_failure(scale=0.05, seed=3, jobs=4)
-    assert len(serial) == len(parallel) == len(fig16.SF_PLACEMENTS)
+    assert len(serial) == len(parallel) == len(SWEPT_PLACEMENTS)
     for cell_a, cell_b in zip(serial, parallel):
         _assert_cells_identical(cell_a, cell_b)
     local = next(c for c in serial if c["placement"] == "rack-local")

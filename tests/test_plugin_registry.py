@@ -41,11 +41,12 @@ def _factory(*args):
 
 
 def make_spec(registry, name=NAME, aliases=(), description="contract test"):
+    # An experiment spec holds two callables: its collect and its render.
+    callables = {registry.factory_field: _factory}
+    if registry is EXPERIMENTS:
+        callables["collect"] = _factory
     return registry.spec_type(
-        name=name,
-        description=description,
-        aliases=aliases,
-        **{registry.factory_field: _factory},
+        name=name, description=description, aliases=aliases, **callables
     )
 
 

@@ -136,6 +136,27 @@ def test_seeded_stale_epoch(report):
     assert any("went backwards" in v for v in result.violations)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "program_epochs",
+        "handler_epoch",
+        "client_epochs",
+        "host_rx_drops",
+        "switch_program_drops",
+        "clones_dropped",
+    ],
+)
+def test_final_snapshot_without_a_checkpoint_key_raises(report, key):
+    # A renamed telemetry key must fail loudly, not read as an empty
+    # default (a missing program_epochs would silently skip
+    # epoch-monotone on every scenario).
+    data = copy.deepcopy(report.to_dict())
+    del data["final"][key]
+    with pytest.raises(KeyError, match=key):
+        evaluate_invariants(_view(data))
+
+
 def test_seeded_client_ahead_of_control_plane(report):
     data = copy.deepcopy(report.to_dict())
     final = data["final"]

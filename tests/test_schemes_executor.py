@@ -147,6 +147,25 @@ def test_plugin_modules_accepts_late_additions(tmp_path, monkeypatch):
         core.RULES.unregister("late-plugin")
 
 
+def test_a_plugin_module_that_fails_to_import_raises_naming_it():
+    # Every plugin module ships in the tree, so a broken one is a bug:
+    # it must raise (the CLI then shows a traceback, not an exit-2
+    # "unknown experiment" line) and stay unloaded for the next lookup.
+    from repro.cli import main
+    from repro.experiments.registry import EXPERIMENTS
+
+    EXPERIMENTS.plugin_modules.append("repro.experiments.fig20_missing")
+    try:
+        with pytest.raises(ImportError, match="repro.experiments.fig20_missing"):
+            EXPERIMENTS.get("fig20")
+        assert "repro.experiments.fig20_missing" not in EXPERIMENTS._loaded_plugins
+        with pytest.raises(ImportError, match="repro.experiments.fig20_missing"):
+            main(["resources"])
+    finally:
+        EXPERIMENTS.plugin_modules.remove("repro.experiments.fig20_missing")
+    assert EXPERIMENTS.get("resources").name == "resources"
+
+
 # ----------------------------------------------------------------------
 # Parallel executor determinism
 # ----------------------------------------------------------------------

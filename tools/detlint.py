@@ -8,12 +8,11 @@ hooks call it straight from a checkout::
     python tools/detlint.py
     python tools/detlint.py src/repro/sim --findings-json findings.json
     python tools/detlint.py --list-rules
-    python tools/detlint.py --update-baseline
 
 Arguments are exactly the CLI's: positional paths narrow the run
 (default: the full ``src/repro`` + ``examples`` + ``tools`` tree), and
-``--baseline`` / ``--update-baseline`` / ``--findings-json`` behave as
-documented there.  Exit code 1 on any non-baselined finding.
+``--findings-json`` / ``--list-rules`` behave as documented there.
+Exit code 1 on any finding.
 """
 
 from __future__ import annotations

@@ -52,16 +52,14 @@ def _peak_rss_mb() -> float:
 
 def _stage_fig18(scale: float, jobs: int) -> str:
     """A real sketch-mode MMPP trunk sweep through the fig18 harness."""
-    from repro.experiments.fig18_trunk_saturation import collect
-    from repro.experiments.registry import gate_harness_axes
+    from repro.experiments.registry import EXPERIMENTS, gate_harness_axes
 
     # Same harness-capability gating as the CLI: a harness without the
     # workload/metrics axes makes this error, not silently run exact
     # mode and defeat the whole O(buckets) point of the guard.
-    kwargs = gate_harness_axes(
-        collect, "fig18", requested={"workload": "mmpp", "metrics": "sketch"}
-    )
-    results = collect(scale=scale, jobs=jobs, **kwargs)
+    collect = EXPERIMENTS.get("fig18").collect
+    axes = dict(scale=scale, jobs=jobs, workload="mmpp", metrics="sketch")
+    results = collect(**gate_harness_axes(collect, "fig18", axes))
     cells = [point for series in results.values() for _, point in series]
     missing = [point for point in cells if point.latency_sketch is None]
     if missing:
